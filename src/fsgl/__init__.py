@@ -11,11 +11,13 @@ from .datagen import GroundTruth, gen_ground_truth, sample_gmm, sample_mvt
 from .errors import (
     ConvergenceFailure,
     Disconnected,
+    DuplicateEdge,
     FsglError,
     InsufficientEigenpairs,
     InvalidBudget,
     InvalidDof,
     MissingEdge,
+    NonFiniteInput,
     StepTooLarge,
     TooLarge,
     ZeroReference,
@@ -62,6 +64,7 @@ __all__ = [
     "CheegerCut",
     "ConvergenceFailure",
     "Disconnected",
+    "DuplicateEdge",
     "EdgeDelta",
     "FsglError",
     "GroundTruth",
@@ -70,6 +73,7 @@ __all__ = [
     "InvalidDof",
     "LaplacianView",
     "MissingEdge",
+    "NonFiniteInput",
     "ObservationSet",
     "SolveTrace",
     "SolverConfig",

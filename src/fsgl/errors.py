@@ -5,6 +5,14 @@ class FsglError(Exception):
     """Base class for all package-specific errors."""
 
 
+class NonFiniteInput(FsglError):
+    """Input data holds a NaN or infinite entry."""
+
+
+class DuplicateEdge(FsglError):
+    """An edge list names the same unordered node pair twice."""
+
+
 class MissingEdge(FsglError):
     """An operation referenced an edge that is not present in the graph."""
 

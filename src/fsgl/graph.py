@@ -1,17 +1,21 @@
 """Weighted graph representation, Laplacian construction, and edge mutation.
 
 Edges are stored once, keyed by the unordered pair (m, n) with m < n, so
-symmetry holds by construction. Weights are strictly positive; a weight
-driven to (numerical) zero removes the edge entry, keeping the edge set
-equal to the support of the adjacency matrix.
+symmetry holds by construction. A graph holds three parallel arrays in
+(m, n) lexicographic order: endpoints m and n and weights w, plus the
+linear key m * N + n, so finding an edge is one binary search. Weights
+are strictly positive; a weight driven to (numerical) zero removes the
+edge, keeping the edge set equal to the support of the adjacency matrix.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MissingEdge
+from .errors import MissingEdge, NonFiniteInput
 
 # Edge entries at or below this weight are dropped from the edge map.
 WEIGHT_ZERO = 1e-12
@@ -26,15 +30,25 @@ def canonical_edge(m: int, n: int) -> tuple[int, int]:
     return (m, n) if m < n else (n, m)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class WeightedGraph:
     """Undirected graph with positive edge weights and no self-loops.
 
-    Immutable after construction for readers; `weaken_edge` produces a new
-    logical version, so a graph instance can be shared freely across
-    concurrent scoring workers.
+    The edge state is four read-only arrays sorted by (m, n): endpoints,
+    weights and the linear key m * N + n. A new version made by
+    `copy_with` or `weaken_edge` copies only the weight vector when an
+    edge keeps a positive weight, and shares the endpoint and key arrays
+    with its parent; removing an edge compacts all four with one mask.
+    Nothing is ever written in place, so a graph instance can be shared
+    freely across concurrent scoring workers. `edges` is a read-only
+    {(m, n): w} view, built on first use.
     """
 
-    __slots__ = ("n", "edges", "_arrays")
+    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_edges")
 
     def __init__(self, n: int, edges=None):
         if n < 1:
@@ -51,31 +65,54 @@ class WeightedGraph:
                 if w <= 0.0:
                     raise ValueError(f"edge ({m},{k}) has nonpositive weight {w}")
                 canon[(m, k)] = w
-        # Keys kept in sorted order so cached arrays need no re-sort.
-        self.edges = dict(sorted(canon.items()))
-        self._arrays = None
+        mn = np.array(list(canon), dtype=np.intp).reshape(-1, 2)
+        keys = mn[:, 0] * self.n + mn[:, 1]
+        order = np.argsort(keys)
+        self._set(mn[order, 0], mn[order, 1],
+                  np.array(list(canon.values()), dtype=np.float64)[order], keys[order])
+
+    def _set(self, ms, ns, ws, keys) -> None:
+        self._ms, self._ns, self._ws, self._keys = (
+            _frozen(ms), _frozen(ns), _frozen(ws), _frozen(keys))
+        self._edges = None
+
+    def _derive(self, ms, ns, ws, keys) -> "WeightedGraph":
+        g = WeightedGraph.__new__(WeightedGraph)
+        g.n = self.n
+        g._set(ms, ns, ws, keys)
+        return g
+
+    def _index(self, m: int, n: int) -> int:
+        """Position of canonical edge (m, n) in the arrays, or -1."""
+        key = m * self.n + n
+        i = int(np.searchsorted(self._keys, key))
+        return i if i < self._keys.shape[0] and self._keys[i] == key else -1
+
+    @property
+    def edges(self) -> MappingProxyType:
+        """Read-only {(m, n): w} view of the edge set, in (m, n) order."""
+        if self._edges is None:
+            pairs = zip(self._ms.tolist(), self._ns.tolist())
+            self._edges = dict(zip(pairs, self._ws.tolist()))
+        return MappingProxyType(self._edges)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._ws.shape[0]
 
     def weight(self, m: int, n: int) -> float:
-        return self.edges[canonical_edge(m, n)]
+        key = canonical_edge(m, n)
+        i = self._index(*key)
+        if i < 0:
+            raise KeyError(key)
+        return float(self._ws[i])
 
     def has_edge(self, m: int, n: int) -> bool:
-        return canonical_edge(m, n) in self.edges
+        return self._index(*canonical_edge(m, n)) >= 0
 
     def edge_arrays(self):
-        """Edge endpoints and weights as arrays, sorted by (m, n)."""
-        if self._arrays is None:
-            if self.edges:
-                mn = np.array(list(self.edges.keys()), dtype=np.intp)
-                w = np.array(list(self.edges.values()), dtype=np.float64)
-                self._arrays = (mn[:, 0], mn[:, 1], w)
-            else:
-                empty = np.empty(0, dtype=np.intp)
-                self._arrays = (empty, empty, np.empty(0, dtype=np.float64))
-        return self._arrays
+        """Edge endpoints and weights as read-only arrays, sorted by (m, n)."""
+        return self._ms, self._ns, self._ws
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix W."""
@@ -87,7 +124,7 @@ class WeightedGraph:
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (m, n) in self.edges:
+        for m, n in zip(self._ms.tolist(), self._ns.tolist()):
             adj[m].append(n)
             adj[n].append(m)
         return adj
@@ -95,16 +132,26 @@ class WeightedGraph:
     def copy_with(self, edge: tuple[int, int], new_weight: float) -> "WeightedGraph":
         """New version with one edge set (or removed when weight ~ 0)."""
         key = canonical_edge(*edge)
-        g = WeightedGraph.__new__(WeightedGraph)
-        g.n = self.n
+        i = self._index(*key)
+        if i >= 0:
+            return self._with_weight(i, new_weight)
         if new_weight > WEIGHT_ZERO:
-            g.edges = {k: (new_weight if k == key else w) for k, w in self.edges.items()}
-            if key not in g.edges:
-                g.edges = dict(sorted({**self.edges, key: new_weight}.items()))
-        else:
-            g.edges = {k: w for k, w in self.edges.items() if k != key}
-        g._arrays = None
-        return g
+            return WeightedGraph(self.n, {**self.edges, key: new_weight})
+        return self
+
+    def _with_weight(self, i: int, new_weight: float) -> "WeightedGraph":
+        """New version with edge i reweighted, or removed when weight ~ 0."""
+        if new_weight > WEIGHT_ZERO:
+            ws = self._ws.copy()
+            ws[i] = new_weight
+            return self._derive(self._ms, self._ns, ws, self._keys)
+        keep = np.ones(self._ws.shape[0], dtype=bool)
+        keep[i] = False
+        return self._derive(self._ms[keep], self._ns[keep], self._ws[keep],
+                            self._keys[keep])
+
+    def __reduce__(self):
+        return WeightedGraph, (self.n, self.edges.copy())
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
@@ -147,9 +194,10 @@ def build_laplacian(g: WeightedGraph) -> LaplacianView:
         lap = np.zeros((g.n, g.n))
         lap[m, n] = -w
         lap[n, m] = -w
-        deg = np.zeros(g.n)
-        np.add.at(deg, m, w)
-        np.add.at(deg, n, w)
+        # Per node: the m-side weights in order, then the n-side ones, from
+        # 0.0; the same sums, in the same order, as two np.add.at passes.
+        deg = np.bincount(np.concatenate([m, n]), weights=np.concatenate([w, w]),
+                          minlength=g.n)
         lap[np.arange(g.n), np.arange(g.n)] = deg
         return LaplacianView(g.n, lap, True)
     rows = np.concatenate([m, n, m, n])
@@ -169,10 +217,10 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     if eps <= 0:
         raise ValueError("eps must be positive")
     key = canonical_edge(*edge)
-    w = g.edges.get(key)
-    if w is None:
+    i = g._index(*key)
+    if i < 0:
         raise MissingEdge(f"edge {key} not in graph")
-    return g.copy_with(key, max(0.0, w - eps))
+    return g._with_weight(i, max(0.0, float(g._ws[i]) - eps))
 
 
 def gram(x: np.ndarray) -> np.ndarray:
@@ -193,6 +241,12 @@ class ObservationSet:
         self.x = np.asarray(x, dtype=np.float64)
         if self.x.ndim != 2 or self.x.shape[1] < 1:
             raise ValueError("x must be an N x K matrix with K >= 1")
+        bad = np.argwhere(~np.isfinite(self.x))
+        if bad.shape[0]:
+            row, col = bad[0]
+            raise NonFiniteInput(
+                f"{bad.shape[0]} non-finite observation(s), first at row {row}, "
+                f"column {col}: {self.x[row, col]!r}")
         self._gram = None
 
     @property

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import mmread
 
+from .errors import DuplicateEdge
 from .graph import WeightedGraph
 
 
@@ -48,13 +49,19 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
     if not lines or lines[0].strip() != "m,n,w":
         raise ValueError(f"{path}: expected edge-list CSV with header m,n,w")
     edges: dict[tuple[int, int], float] = {}
+    first_line: dict[tuple[int, int], int] = {}
     top = -1
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         parts = ln.strip().split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed edge row {ln!r}")
         m, k, w = int(parts[0]), int(parts[1]), float(parts[2])
-        edges[(m, k)] = w
+        key = (min(m, k), max(m, k))
+        if key in first_line:
+            raise DuplicateEdge(f"{path}:{line_no}: edge {key} already given "
+                                f"on line {first_line[key]}")
+        first_line[key] = line_no
+        edges[key] = w
         top = max(top, m, k)
     size = n if n is not None else top + 1
     return WeightedGraph(size, edges)

@@ -2,10 +2,12 @@
 
 The recursive selector splits the candidate edge set with a Fiedler sweep
 cut, recurses on the two induced sub-graphs, scores the cut edges, and
-returns the best of the three. All scoring reads the same global spectral
-snapshot and Gram matrix as the exhaustive scan, so the recursion is an
-exact decomposition of the global argmin: every edge lands in exactly one
-of the two sub-graphs or the cut set.
+returns the best of the three. The top level sweeps the solver's snapshot;
+deeper levels sweep the Fiedler vector of the unit-weight sub-graph. All
+scoring reads the same global spectral snapshot and Gram matrix as the
+exhaustive scan, so the recursion is an exact decomposition of the global
+argmin: every edge lands in exactly one of the two sub-graphs or the cut
+set, whichever split is taken.
 """
 
 from __future__ import annotations
@@ -105,16 +107,14 @@ _SYEVR, = get_lapack_funcs(("syevr",), (np.empty((2, 2)),))
 
 
 def _local_fiedler(node_count: int, lm: np.ndarray, ln: np.ndarray,
-                   lw: np.ndarray, eig_tol: float, seed: int):
-    """(lambda_2, Fiedler vector) of an induced sub-graph, local order."""
+                   eig_tol: float, seed: int):
+    """(lambda_2, Fiedler vector) of an induced sub-graph, unit weights, local order."""
     k = node_count
     if k <= DENSE_LIMIT:
         lap = np.zeros((k, k))
-        lap[lm, ln] = -lw
-        lap[ln, lm] = -lw
-        deg = (np.bincount(lm, weights=lw, minlength=k)
-               + np.bincount(ln, weights=lw, minlength=k))
-        np.fill_diagonal(lap, deg)
+        lap[lm, ln] = -1.0
+        lap[ln, lm] = -1.0
+        np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
         # Direct LAPACK call: the Fiedler pair alone, no wrapper overhead.
         vals, vecs, _, _, info = _SYEVR(lap, range="I", il=2, iu=2)
         if info != 0:
@@ -122,7 +122,7 @@ def _local_fiedler(node_count: int, lm: np.ndarray, ln: np.ndarray,
         return float(vals[0]), vecs[:, 0]
     rows = np.concatenate([lm, ln, lm, ln])
     cols = np.concatenate([ln, lm, lm, ln])
-    vals = np.concatenate([-lw, -lw, lw, lw])
+    vals = np.repeat([-1.0, -1.0, 1.0, 1.0], lm.shape[0])
     lap = LaplacianView(k, sp.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsr(), False)
     try:
         state = smallest_eigenpairs(lap, 3, eig_tol, seed=seed)
@@ -136,20 +136,20 @@ _LEVEL_CACHE: dict = {}
 _LEVEL_CACHE_CAP = 16384
 
 
-def _level_split(k: int, lm: np.ndarray, ln: np.ndarray, lw: np.ndarray,
-                 eig_tol: float, seed: int):
+def _level_split(k: int, lm: np.ndarray, ln: np.ndarray, eig_tol: float, seed: int):
     """Fiedler pair plus sweep order for one recursion level, memoized.
 
-    The result is a pure function of the local subproblem, and between
-    consecutive solver steps only branches containing the weakened edge
-    change, so most levels replay bit for bit. order is None when the
+    The split comes from the unit-weight Laplacian of the sub-graph, to
+    match the edge-count ratio the sweep minimizes. It is then a pure
+    function of which edges the sub-graph holds, so a level replays from
+    the memo while steps only weaken its weights. order is None when the
     sub-graph is disconnected (lambda_2 at tolerance).
     """
-    key = (k, eig_tol, seed, lm.tobytes(), ln.tobytes(), lw.tobytes())
+    key = (k, eig_tol, seed, lm.tobytes(), ln.tobytes())
     hit = _LEVEL_CACHE.get(key)
     if hit is not None:
         return hit
-    lam2, v2 = _local_fiedler(k, lm, ln, lw, eig_tol, seed)
+    lam2, v2 = _local_fiedler(k, lm, ln, eig_tol, seed)
     if lam2 <= CONNECTIVITY_TOL:
         out = (lam2, v2, None, 0)
     else:
@@ -249,8 +249,7 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
                 return by_components(node_ids, rows, lm, ln, depth)
             order, t, _ = _sweep_prefix(k, lm, ln, state.fiedler_vector)
         else:
-            lam2, _, order, t = _level_split(k, lm, ln, w_arr[rows],
-                                             cfg.eig_tol, cfg.seed)
+            lam2, _, order, t = _level_split(k, lm, ln, cfg.eig_tol, cfg.seed)
             if order is None:
                 return by_components(node_ids, rows, lm, ln, depth)
         in_s = np.zeros(k, dtype=bool)
@@ -260,8 +259,10 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
         rows1 = rows[m_in & n_in]
         rows2 = rows[~m_in & ~n_in]
         rows_cut = rows[m_in ^ n_in]
-        nodes1 = node_ids[order[:t]]
-        nodes2 = node_ids[order[t:]]
+        # Sorted, so a sub-graph's local labels, and its memo key, do not
+        # depend on this level's Fiedler order.
+        nodes1 = np.sort(node_ids[order[:t]])
+        nodes2 = np.sort(node_ids[order[t:]])
         if audit is not None:
             audit((depth, k, t, rows.shape[0],
                    rows1.shape[0], rows2.shape[0], rows_cut.shape[0]))

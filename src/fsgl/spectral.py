@@ -7,6 +7,7 @@ eigenbasis used to upper-bound quadratic forms of (L + alpha I)^{-1}.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ from scipy.sparse.linalg import lobpcg
 
 from .errors import ConvergenceFailure, InsufficientEigenpairs
 from .graph import DENSE_LIMIT, LaplacianView
+
+logger = logging.getLogger("fsgl.spectral")
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,15 @@ def smallest_eigenpairs(
     if n <= DENSE_LIMIT or lap.is_dense:
         dense = lap.dense()
         if k < n:
-            vals, vecs = scipy.linalg.eigh(
-                dense, subset_by_index=(0, k - 1), check_finite=False)
+            try:
+                vals, vecs = scipy.linalg.eigh(
+                    dense, subset_by_index=(0, k - 1), check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                # LAPACK's subset routine can fail on finite symmetric input
+                # that the full routine handles; keep its k lowest pairs.
+                logger.warning("subset eigh failed (%s); using full eigh", exc)
+                vals, vecs = np.linalg.eigh(dense)
+                vals, vecs = vals[:k], vecs[:, :k]
             state = SpectralState(vals, vecs, alpha)
         else:
             vals, vecs = np.linalg.eigh(dense)

@@ -84,6 +84,16 @@ def test_solve_missing_input_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_non_finite_observations(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("1.0,2.0\nnan,0.5\n3.0,-1.0\n")
+    code = run_cli("solve", "--input", str(path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err and "row 1, column 0" in captured.err
+    assert "objective" not in captured.out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve")  # --input is required

@@ -1,10 +1,14 @@
 """Graph container, Laplacian construction, and edge mutation."""
 
+import pickle
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
-from fsgl.errors import MissingEdge
+from fsgl.errors import MissingEdge, NonFiniteInput
 from fsgl.graph import (
+    WEIGHT_ZERO,
     ObservationSet,
     WeightedGraph,
     build_laplacian,
@@ -144,6 +148,11 @@ def test_observation_set_caches_gram():
     assert np.allclose(obs.gram, x @ x.T)
     with pytest.raises(ValueError):
         ObservationSet(np.empty((4, 0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        x_bad = x.copy()
+        x_bad[2, 3] = bad
+        with pytest.raises(NonFiniteInput, match="row 2, column 3"):
+            ObservationSet(x_bad)
     with pytest.raises(ValueError):
         gram(np.zeros(3))
 
@@ -190,3 +199,128 @@ def test_copy_with_adds_and_removes():
     assert not g3.has_edge(0, 1)
     m_arr, n_arr, _ = g2.edge_arrays()
     assert list(zip(m_arr.tolist(), n_arr.tolist())) == [(0, 1), (2, 3)]
+
+
+def _assert_matches_reference(g, ref):
+    keys = sorted(ref)
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    assert list(zip(m_arr.tolist(), n_arr.tolist())) == keys
+    assert w_arr.tolist() == [ref[k] for k in keys]
+    assert g.edges == ref and list(g.edges) == keys
+    assert g.edge_count == len(ref)
+    w_mat = np.zeros((g.n, g.n))
+    for (a, b), w in ref.items():
+        w_mat[a, b] = w_mat[b, a] = w
+    assert np.array_equal(g.adjacency(), w_mat)
+    for a in range(g.n):
+        for b in range(g.n):
+            if a == b:
+                continue
+            key = canonical_edge(a, b)
+            assert g.has_edge(a, b) == (key in ref)
+            if key in ref:
+                assert g.weight(a, b) == ref[key]
+            else:
+                with pytest.raises(KeyError):
+                    g.weight(a, b)
+
+
+def test_random_weaken_delete_sequences_match_dict_reference():
+    # Every version, old ones included, keeps agreeing with a plain dict.
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        g = random_graph(rng, n, density=0.6)
+        ref = dict(g.edges)
+        versions = [(g, dict(ref))]
+        for _ in range(40):
+            if not ref:
+                break
+            key = sorted(ref)[int(rng.integers(len(ref)))]
+            if rng.random() < 0.2:
+                g = g.copy_with(key[::-1], 0.0)
+                del ref[key]
+            else:
+                eps = float(rng.choice([0.05, 0.3, 2.5]))
+                g = weaken_edge(g, key[::-1] if rng.random() < 0.5 else key, eps)
+                w = max(0.0, ref[key] - eps)
+                if w > WEIGHT_ZERO:
+                    ref[key] = w
+                else:
+                    del ref[key]
+            versions.append((g, dict(ref)))
+        for version, snapshot in versions:
+            _assert_matches_reference(version, snapshot)
+
+
+def _laplacian_add_at(g):
+    """Dense Laplacian built with two np.add.at degree passes."""
+    m, n, w = g.edge_arrays()
+    lap = np.zeros((g.n, g.n))
+    lap[m, n] = -w
+    lap[n, m] = -w
+    deg = np.zeros(g.n)
+    np.add.at(deg, m, w)
+    np.add.at(deg, n, w)
+    lap[np.arange(g.n), np.arange(g.n)] = deg
+    return lap
+
+
+def test_laplacian_bitwise_equal_to_add_at_construction():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(2, 40)), density=0.7)
+        for _ in range(5):
+            if g.edge_count == 0:
+                break
+            m_arr, n_arr, _ = g.edge_arrays()
+            i = int(rng.integers(g.edge_count))
+            edge = (int(m_arr[i]), int(n_arr[i]))
+            g = weaken_edge(g, edge, float(rng.uniform(0.01, 0.5)))
+        got = build_laplacian(g).dense()
+        assert got.tobytes() == _laplacian_add_at(g).tobytes()
+
+
+def test_weaken_edge_leaves_parent_unchanged():
+    g = WeightedGraph(4, {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 2.0})
+    before = [a.copy() for a in g.edge_arrays()]
+    g2 = weaken_edge(g, (2, 1), 0.25)
+    assert g2.weight(1, 2) == 0.25
+    assert g.weight(1, 2) == 0.5 and g.edges[(1, 2)] == 0.5
+    for a, b in zip(g.edge_arrays(), before):
+        assert np.array_equal(a, b)
+
+
+def test_edge_arrays_are_read_only_and_shared_by_weakening():
+    g = random_graph(np.random.default_rng(5), 8, density=0.8)
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    for arr in (m_arr, n_arr, w_arr):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    g2 = weaken_edge(g, (int(m_arr[0]), int(n_arr[0])), 0.01)
+    m2, n2, w2 = g2.edge_arrays()
+    assert m2 is m_arr and n2 is n_arr
+    assert not w2.flags.writeable and not np.shares_memory(w2, w_arr)
+    g3 = weaken_edge(g, (int(m_arr[0]), int(n_arr[0])), 10.0)
+    assert all(not arr.flags.writeable for arr in g3.edge_arrays())
+
+
+def test_edges_view_rejects_assignment():
+    g = WeightedGraph(3, {(0, 1): 1.0})
+    with pytest.raises(TypeError):
+        g.edges[(0, 1)] = 2.0
+    with pytest.raises(TypeError):
+        g.edges[(1, 2)] = 2.0
+    with pytest.raises(AttributeError):
+        g.edges = {}
+    assert g.edges == {(0, 1): 1.0}
+
+
+def test_pickled_graph_keeps_edges_and_read_only_arrays():
+    g = random_graph(np.random.default_rng(2), 9)
+    assert g.edges  # build the cached view before pickling
+    for copy in (pickle.loads(pickle.dumps(g)), deepcopy(g)):
+        assert copy.n == g.n and copy.edges == g.edges
+        for a, b in zip(copy.edge_arrays(), g.edge_arrays()):
+            assert np.array_equal(a, b) and not a.flags.writeable

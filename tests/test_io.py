@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fsgl.errors import DuplicateEdge
 from fsgl.graph import WeightedGraph
 from fsgl.io import load_graph, load_observations, save_graph, save_observations
 
@@ -47,6 +48,15 @@ def test_graph_csv_malformed(tmp_path):
     path.write_text("m,n,w\n0,1,not_a_number\n")
     with pytest.raises(ValueError):
         load_graph(path)
+
+
+def test_graph_csv_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "dup.csv"
+    for rows in ("0,1,1.0\n1,2,0.5\n1,0,2.0\n", "0,1,1.0\n1,2,0.5\n0,1,1.0\n"):
+        path.write_text("m,n,w\n" + rows)
+        with pytest.raises(DuplicateEdge,
+                           match=r"dup.csv:4: edge \(0, 1\) already given on line 2"):
+            load_graph(path)
 
 
 def test_graph_node_count_inference(tmp_path):

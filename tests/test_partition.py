@@ -166,6 +166,30 @@ def test_partition_audit_rows_partition_exactly():
     assert events[0][0] == 0 and events[0][1] == 20
 
 
+def test_partition_weight_only_change_replays_memoized_splits(monkeypatch):
+    # sub-level splits depend on which edges a sub-graph holds, not on weights
+    import fsgl.partition as partition
+
+    obs = solve_instance(4, 24)
+    cfg = SolverConfig(solver_kind="recursive", v_min=4)
+    g = init_sparse_graph(obs.gram, 60)
+    state = compute_state(g, cfg, obs.k)
+    monkeypatch.setattr(partition, "_LEVEL_CACHE", {})
+    events, replay = [], []
+    partition_select(g, state, obs, cfg, audit=events.append)
+    assert any(depth > 0 for depth, *_ in events)
+    solves = []
+    real = partition._local_fiedler
+    monkeypatch.setattr(partition, "_local_fiedler",
+                        lambda *a: solves.append(a) or real(*a))
+    for edge in list(g.edges)[::7]:
+        weaker = weaken_edge(g, edge, 0.3)
+        partition_select(weaker, state, obs, cfg, audit=replay.append)
+        assert replay == events
+        replay.clear()
+    assert solves == []
+
+
 def test_partition_recursion_depth_bounded():
     # each split strictly shrinks the node set, so depth < N
     obs = solve_instance(2, 24)

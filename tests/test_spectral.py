@@ -163,3 +163,18 @@ def test_resolvent_matches_inverse():
     state = smallest_eigenpairs(lap, 4, alpha=0.5, with_resolvent=True)
     ref = np.linalg.inv(lap.dense() + 0.5 * np.eye(8))
     assert np.allclose(state.resolvent, ref, atol=1e-10)
+
+
+def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
+    import scipy.linalg
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Internal Error.")
+
+    rng = np.random.default_rng(4)
+    lap = build_laplacian(random_connected_graph(rng, 12))
+    full_vals, full_vecs = np.linalg.eigh(lap.dense())
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    state = smallest_eigenpairs(lap, 5)
+    assert np.array_equal(state.eigvals, full_vals[:5])
+    assert np.array_equal(state.eigvecs, full_vecs[:, :5])
