@@ -9,7 +9,6 @@ over partitioned edge sets.
 from .bench import BenchReport, initial_graph, relative_error, run_benchmark
 from .datagen import GroundTruth, gen_ground_truth, sample_gmm, sample_mvt
 from .errors import (
-    ConvergenceFailure,
     Disconnected,
     DuplicateEdge,
     FsglError,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchReport",
     "CheegerCut",
-    "ConvergenceFailure",
     "Disconnected",
     "DuplicateEdge",
     "EdgeDelta",

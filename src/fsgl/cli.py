@@ -190,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         trace.to_csv(args.trace)
     lam2 = float(np.linalg.eigvalsh(build_laplacian(g).dense())[1])
-    print(f"solver={args.solver} steps={len(trace)} converged={trace.converged} "
+    print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "
           f"objective={trace.initial_objective:.6f}->{trace.final_objective:.6f} "
           f"ms={ms:.1f}")

@@ -17,10 +17,6 @@ class MissingEdge(FsglError):
     """An operation referenced an edge that is not present in the graph."""
 
 
-class ConvergenceFailure(FsglError):
-    """Iterative eigensolver exceeded its iteration cap without meeting tol."""
-
-
 class InsufficientEigenpairs(FsglError):
     """Fewer eigenpairs retained than the requested quantity needs."""
 

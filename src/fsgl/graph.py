@@ -13,15 +13,11 @@ from __future__ import annotations
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MissingEdge, NonFiniteInput
 
 # Edge entries at or below this weight are dropped from the edge map.
 WEIGHT_ZERO = 1e-12
-
-# Dense Laplacian below this many nodes, sparse CSR at or above it.
-DENSE_LIMIT = 64
 
 
 def canonical_edge(m: int, n: int) -> tuple[int, int]:
@@ -160,19 +156,17 @@ class WeightedGraph:
 class LaplacianView:
     """Combinatorial Laplacian L = diag(W 1) - W derived from a graph.
 
-    Dense ndarray below DENSE_LIMIT nodes, CSR above; `dense()` always
-    yields the ndarray form.
+    Always a dense (N, N) ndarray, at every node count.
     """
 
-    __slots__ = ("n", "matrix", "is_dense")
+    __slots__ = ("n", "matrix")
 
-    def __init__(self, n: int, matrix, is_dense: bool):
+    def __init__(self, n: int, matrix: np.ndarray):
         self.n = n
         self.matrix = matrix
-        self.is_dense = is_dense
 
     def dense(self) -> np.ndarray:
-        return self.matrix if self.is_dense else self.matrix.toarray()
+        return self.matrix
 
     def validate(self, w_fro: float | None = None):
         """Assert row sums vanish and the spectrum is nonnegative."""
@@ -188,23 +182,19 @@ class LaplacianView:
 
 
 def build_laplacian(g: WeightedGraph) -> LaplacianView:
-    """Laplacian of `g`, dense or sparse depending on node count."""
+    """Dense Laplacian of `g`."""
     m, n, w = g.edge_arrays()
-    if g.n < DENSE_LIMIT:
-        lap = np.zeros((g.n, g.n))
-        lap[m, n] = -w
-        lap[n, m] = -w
-        # Per node: the m-side weights in order, then the n-side ones, from
-        # 0.0; the same sums, in the same order, as two np.add.at passes.
-        deg = np.bincount(np.concatenate([m, n]), weights=np.concatenate([w, w]),
-                          minlength=g.n)
-        lap[np.arange(g.n), np.arange(g.n)] = deg
-        return LaplacianView(g.n, lap, True)
-    rows = np.concatenate([m, n, m, n])
-    cols = np.concatenate([n, m, m, n])
-    vals = np.concatenate([-w, -w, w, w])
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    return LaplacianView(g.n, lap, False)
+    size = g.n
+    lap = np.zeros((size, size))
+    flat = lap.reshape(-1)
+    neg = -w
+    flat[g._keys] = neg
+    flat[n * size + m] = neg
+    # Per node: the m-side weights in order, then the n-side ones, from
+    # 0.0; the same sums, in the same order, as two np.add.at passes.
+    flat[::size + 1] = np.bincount(np.concatenate([m, n]),
+                                   weights=np.concatenate([w, w]), minlength=size)
+    return LaplacianView(size, lap)
 
 
 def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> WeightedGraph:

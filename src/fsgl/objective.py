@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import StepTooLarge
-from .graph import DENSE_LIMIT, WeightedGraph, build_laplacian
-from .spectral import SpectralState, smallest_eigenpairs
+from .graph import WeightedGraph, build_laplacian
+from .spectral import SpectralState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,22 +139,27 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     eps = cfg.epsilon
     diag = y.diagonal()
     z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
+    # One gather for both endpoints (np.take: the same copy as fancy
+    # indexing, a fraction of its cost on LAPACK's Fortran-ordered output).
+    # The (E, k) difference stays C-ordered, so each row sum below adds its
+    # k terms in the same order as before.
+    e = m_arr.shape[0]
+    rows = np.take(state.eigvecs, np.concatenate([m_arr, n_arr]), axis=0)
+    dv = rows[:e] - rows[e:]
     if cfg.exact_logdet and state.resolvent is not None:
         r = state.resolvent
         q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
     else:
-        dv = state.eigvecs[m_arr, :] - state.eigvecs[n_arr, :]
         q = (dv * dv * state.majorizer_coeffs()).sum(axis=1) + 2.0 / state.alpha
     eta = 1.0 - eps * q
-    ok = eta > 0.0
-    pen = np.full(eta.shape, np.inf)
-    pen[ok] = -np.log(eta[ok])
+    pen = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
+    np.negative(pen, out=pen)
 
     gap = state.gap2
     if gap > 4.0 * eps:
-        rho = SQRT2 * eps * np.abs(state.eigvecs[m_arr, 1] - state.eigvecs[n_arr, 1])
+        rho = SQRT2 * eps * np.abs(dv[:, 1])
     elif gap > 2.0 * eps:
-        rho = 2.0 * eps * np.abs(state.eigvecs[m_arr, 1] - state.eigvecs[n_arr, 1])
+        rho = 2.0 * eps * np.abs(dv[:, 1])
     else:
         rho = np.full(m_arr.shape, 2.0 * eps)
 
@@ -197,22 +200,13 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
 def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
     """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off.
 
-    Dense determinant and eigendecomposition at desk scale; sparse LU log
-    determinant and the iterative eigensolver above it. Monitoring only,
-    never part of the scoring loop.
+    Dense determinant and eigendecomposition. Monitoring only, never part
+    of the scoring loop.
     """
-    lap = build_laplacian(g)
-    n = g.n
-    if n <= DENSE_LIMIT:
-        dense = lap.dense()
-        sign, logdet = np.linalg.slogdet(dense + cfg.alpha * np.eye(n))
-        if sign <= 0:
-            raise ValueError("L + alpha I is not positive definite")
-        lam2 = float(np.linalg.eigvalsh(dense)[1])
-    else:
-        shifted = (lap.matrix + cfg.alpha * sp.identity(n, format="csr")).tocsc()
-        lu = spla.splu(shifted)
-        logdet = float(np.log(np.abs(lu.U.diagonal())).sum())
-        lam2 = smallest_eigenpairs(lap, k=3, tol=1e-8, alpha=cfg.alpha).fiedler_value
+    dense = build_laplacian(g).dense()
+    sign, logdet = np.linalg.slogdet(dense + cfg.alpha * np.eye(g.n))
+    if sign <= 0:
+        raise ValueError("L + alpha I is not positive definite")
+    lam2 = float(np.linalg.eigvalsh(dense)[1])
     h = smoothness_trace(g, y) - logdet - cfg.gamma * lam2
     return h + cfg.mu * 2.0 * g.edge_count

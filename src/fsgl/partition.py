@@ -17,13 +17,12 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .errors import ConvergenceFailure, Disconnected, TooLarge
-from .graph import DENSE_LIMIT, LaplacianView, WeightedGraph
+from .errors import Disconnected, TooLarge
+from .graph import WeightedGraph
 from .objective import EdgeDelta, score_edges
-from .spectral import SpectralState, smallest_eigenpairs
+from .spectral import SpectralState
 
 BRUTE_FORCE_LIMIT = 16
 CONNECTIVITY_TOL = 1e-8
@@ -106,37 +105,24 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
 _SYEVR, = get_lapack_funcs(("syevr",), (np.empty((2, 2)),))
 
 
-def _local_fiedler(node_count: int, lm: np.ndarray, ln: np.ndarray,
-                   eig_tol: float, seed: int):
+def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray):
     """(lambda_2, Fiedler vector) of an induced sub-graph, unit weights, local order."""
-    k = node_count
-    if k <= DENSE_LIMIT:
-        lap = np.zeros((k, k))
-        lap[lm, ln] = -1.0
-        lap[ln, lm] = -1.0
-        np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
-        # Direct LAPACK call: the Fiedler pair alone, no wrapper overhead.
-        vals, vecs, _, _, info = _SYEVR(lap, range="I", il=2, iu=2)
-        if info != 0:
-            vals, vecs = scipy.linalg.eigh(lap, subset_by_index=(1, 1), check_finite=False)
-        return float(vals[0]), vecs[:, 0]
-    rows = np.concatenate([lm, ln, lm, ln])
-    cols = np.concatenate([ln, lm, lm, ln])
-    vals = np.repeat([-1.0, -1.0, 1.0, 1.0], lm.shape[0])
-    lap = LaplacianView(k, sp.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsr(), False)
-    try:
-        state = smallest_eigenpairs(lap, 3, eig_tol, seed=seed)
-        return float(state.fiedler_value), state.fiedler_vector
-    except ConvergenceFailure:
-        vals, vecs = np.linalg.eigh(lap.dense())
-        return float(vals[1]), vecs[:, 1]
+    lap = np.zeros((k, k))
+    lap[lm, ln] = -1.0
+    lap[ln, lm] = -1.0
+    np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
+    # Direct LAPACK call: the Fiedler pair alone, no wrapper overhead.
+    vals, vecs, _, _, info = _SYEVR(lap, range="I", il=2, iu=2)
+    if info != 0:
+        vals, vecs = scipy.linalg.eigh(lap, subset_by_index=(1, 1), check_finite=False)
+    return float(vals[0]), vecs[:, 0]
 
 
 _LEVEL_CACHE: dict = {}
 _LEVEL_CACHE_CAP = 16384
 
 
-def _level_split(k: int, lm: np.ndarray, ln: np.ndarray, eig_tol: float, seed: int):
+def _level_split(k: int, lm: np.ndarray, ln: np.ndarray):
     """Fiedler pair plus sweep order for one recursion level, memoized.
 
     The split comes from the unit-weight Laplacian of the sub-graph, to
@@ -145,11 +131,11 @@ def _level_split(k: int, lm: np.ndarray, ln: np.ndarray, eig_tol: float, seed: i
     the memo while steps only weaken its weights. order is None when the
     sub-graph is disconnected (lambda_2 at tolerance).
     """
-    key = (k, eig_tol, seed, lm.tobytes(), ln.tobytes())
+    key = (k, lm.tobytes(), ln.tobytes())
     hit = _LEVEL_CACHE.get(key)
     if hit is not None:
         return hit
-    lam2, v2 = _local_fiedler(k, lm, ln, eig_tol, seed)
+    lam2, v2 = _local_fiedler(k, lm, ln)
     if lam2 <= CONNECTIVITY_TOL:
         out = (lam2, v2, None, 0)
     else:
@@ -249,7 +235,7 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
                 return by_components(node_ids, rows, lm, ln, depth)
             order, t, _ = _sweep_prefix(k, lm, ln, state.fiedler_vector)
         else:
-            lam2, _, order, t = _level_split(k, lm, ln, cfg.eig_tol, cfg.seed)
+            lam2, _, order, t = _level_split(k, lm, ln)
             if order is None:
                 return by_components(node_ids, rows, lm, ln, depth)
         in_s = np.zeros(k, dtype=bool)

@@ -38,7 +38,6 @@ class SolverConfig:
     mu: float = 0.2
     budget_b: int | None = None
     v_min: int = 8
-    eig_tol: float = 1e-8
     refresh_interval: int = 1
     max_iters: int = 20000
     seed: int = 0
@@ -63,7 +62,11 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration log of the solve: one row per accepted step."""
+    """Per-iteration log of the solve: one row per accepted step.
+
+    stop_reason is "no_descent" when no edge scored below zero (converged)
+    and "max_iters" when the step cap ended the solve first.
+    """
 
     iters: list[int] = field(default_factory=list)
     edges_mn: list[tuple[int, int]] = field(default_factory=list)
@@ -74,7 +77,11 @@ class SolveTrace:
     ms: list[float] = field(default_factory=list)
     initial_objective: float = float("nan")
     final_objective: float = float("nan")
-    converged: bool = False
+    stop_reason: str = "max_iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "no_descent"
 
     def append(self, it, edge, grad, obj, lam2, n_edges, elapsed_ms):
         self.iters.append(it)
@@ -105,8 +112,7 @@ def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralSt
     want = cfg.retained if cfg.retained is not None else k_obs
     k = min(g.n, max(3, want))
     return smallest_eigenpairs(
-        build_laplacian(g), k, cfg.eig_tol, alpha=cfg.alpha, seed=cfg.seed,
-        with_resolvent=cfg.exact_logdet,
+        build_laplacian(g), k, alpha=cfg.alpha, with_resolvent=cfg.exact_logdet,
     )
 
 
@@ -167,7 +173,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             else:
                 sel = greedy_step(g, y, state, cfg)
             if sel is None:
-                trace.converged = True
+                trace.stop_reason = "no_descent"
                 break
             edge, delta = sel
             g = weaken_edge(g, edge, cfg.epsilon)

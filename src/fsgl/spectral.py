@@ -3,22 +3,26 @@
 The solver only ever needs the low end of the spectrum: the Fiedler pair
 (lambda_2, v_2), its gap to the neighboring eigenvalues, and a truncated
 eigenbasis used to upper-bound quadratic forms of (L + alpha I)^{-1}.
+Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
+directly with the arguments `scipy.linalg.eigh(subset_by_index=...)` would
+pass, so the result is bitwise the same without the wrapper's per-call
+checks; a full `np.linalg.eigh` stands in when dsyevr reports failure.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import lobpcg
+from scipy.linalg import get_lapack_funcs
 
-from .errors import ConvergenceFailure, InsufficientEigenpairs
-from .graph import DENSE_LIMIT, LaplacianView
+from .errors import InsufficientEigenpairs
+from .graph import LaplacianView
 
 logger = logging.getLogger("fsgl.spectral")
+
+_SYEVR, _SYEVR_LWORK = get_lapack_funcs(("syevr", "syevr_lwork"), (np.empty((2, 2)),))
 
 
 @dataclass(frozen=True)
@@ -82,63 +86,40 @@ def eigen_gap2(state: SpectralState) -> float:
 def smallest_eigenpairs(
     lap: LaplacianView,
     k: int,
-    tol: float = 1e-8,
     *,
     alpha: float = 0.5,
-    seed: int = 0,
-    max_iters: int = 500,
     with_resolvent: bool = False,
 ) -> SpectralState:
     """Compute the k smallest eigenpairs of a graph Laplacian.
 
-    Dense symmetric eigendecomposition when the graph is small enough to
-    make it exact and cheap; LOBPCG with a seeded random orthonormal block
-    otherwise. Raises ConvergenceFailure when the iterative path misses the
-    residual tolerance within `max_iters`; callers may retry densely.
+    One dense path for every size: dsyevr for the index range [1, k] with
+    the workspace it asks for, exactly as `scipy.linalg.eigh(...,
+    subset_by_index=(0, k - 1))` calls it, or the full `np.linalg.eigh`
+    when k equals the node count. When dsyevr reports failure (it can on
+    finite symmetric input the full routine handles), the k lowest pairs
+    of the full `np.linalg.eigh` are kept instead.
     """
     n = lap.n
     if not (2 <= k <= n):
         raise ValueError(f"k={k} must lie in [2, {n}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
-    if n <= DENSE_LIMIT or lap.is_dense:
-        dense = lap.dense()
-        if k < n:
-            try:
-                vals, vecs = scipy.linalg.eigh(
-                    dense, subset_by_index=(0, k - 1), check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                # LAPACK's subset routine can fail on finite symmetric input
-                # that the full routine handles; keep its k lowest pairs.
-                logger.warning("subset eigh failed (%s); using full eigh", exc)
-                vals, vecs = np.linalg.eigh(dense)
-                vals, vecs = vals[:k], vecs[:, :k]
-            state = SpectralState(vals, vecs, alpha)
-        else:
+    dense = lap.matrix
+    if k < n:
+        # Queried on every call (under a microsecond) instead of cached, so
+        # the module holds no mutable state for threads to share.
+        work, iwork, _ = _SYEVR_LWORK(n, lower=1)
+        vals, vecs, _, _, info = _SYEVR(
+            dense, compute_v=1, range="I", lower=1, il=1, iu=k,
+            lwork=int(work), liwork=iwork)
+        vals = vals[:k]
+        if info != 0:
+            logger.warning("dsyevr failed (info=%d); using full eigh", info)
             vals, vecs = np.linalg.eigh(dense)
-            state = SpectralState(vals, vecs, alpha)
+            vals, vecs = vals[:k], vecs[:, :k]
     else:
-        rng = np.random.default_rng(seed)
-        block, _ = np.linalg.qr(rng.standard_normal((n, k)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = lobpcg(
-                lap.matrix, block, largest=False, tol=tol, maxiter=max_iters
-            )
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        resid = np.linalg.norm(lap.matrix @ vecs - vecs * vals, axis=0)
-        if np.any(resid > tol * (1.0 + np.abs(vals))):
-            raise ConvergenceFailure(
-                f"lobpcg residuals {resid.max():.3e} above tol after {max_iters} iters"
-            )
-        state = SpectralState(vals, vecs, alpha)
-
-    if with_resolvent:
-        shifted = lap.dense() + alpha * np.eye(n)
-        state = SpectralState(state.eigvals, state.eigvecs, alpha, np.linalg.inv(shifted))
-    return state
+        vals, vecs = np.linalg.eigh(dense)
+    resolvent = np.linalg.inv(dense + alpha * np.eye(n)) if with_resolvent else None
+    return SpectralState(vals, vecs, alpha, resolvent)
 
 
 def majorizer_quadform(state: SpectralState, m: int, n: int) -> float:

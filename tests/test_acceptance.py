@@ -88,7 +88,7 @@ def test_criterion_2_majorizer_dominates_exact_quadform():
         alpha = 0.5 if trial % 2 == 0 else 1.0
         k = int(rng.integers(3, n))
         lap = build_laplacian(g)
-        state = smallest_eigenpairs(lap, k, 1e-8, alpha=alpha)
+        state = smallest_eigenpairs(lap, k, alpha=alpha)
         r = np.linalg.inv(lap.dense() + alpha * np.eye(n))
         for m in range(n):
             for v in range(m + 1, n):
@@ -151,7 +151,7 @@ def test_criterion_4_cheeger_inequality_and_sweep():
         phi = brute_force_cheeger(g).ratio
         assert lam2 / 2.0 <= phi + 1e-9
         assert phi <= np.sqrt(2.0 * lam2 * dmax) + 1e-9
-        state = smallest_eigenpairs(lap, 3, 1e-8)
+        state = smallest_eigenpairs(lap, 3)
         assert approx_cheeger_cut(g, state).ratio >= lam2 / 2.0 - 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

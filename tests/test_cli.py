@@ -58,6 +58,7 @@ def test_solve_round_trip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "solver=recursive" in out
+    assert ("stop=no_descent" in out) != ("stop=max_iters" in out)
     assert "relative_error=" in out
     g = load_graph(out_graph, n=14)
     assert g.edge_count >= 0

@@ -83,11 +83,12 @@ def test_laplacian_matches_definition_and_invariants():
         lap.validate()
 
 
-def test_laplacian_sparse_above_limit():
+def test_laplacian_dense_above_former_sparse_limit():
+    # N = 70 once built a CSR matrix; every size is now a dense ndarray
     rng = np.random.default_rng(1)
     g = random_graph(rng, 70, density=0.1)
     lap = build_laplacian(g)
-    assert not lap.is_dense
+    assert isinstance(lap.matrix, np.ndarray) and lap.matrix.shape == (70, 70)
     w = g.adjacency()
     assert np.allclose(lap.dense(), np.diag(w.sum(axis=1)) - w)
 
@@ -279,6 +280,32 @@ def test_laplacian_bitwise_equal_to_add_at_construction():
             g = weaken_edge(g, edge, float(rng.uniform(0.01, 0.5)))
         got = build_laplacian(g).dense()
         assert got.tobytes() == _laplacian_add_at(g).tobytes()
+
+
+def _laplacian_indexed(g):
+    """Dense Laplacian written by 2-D fancy indexing, degrees by np.bincount."""
+    m, n, w = g.edge_arrays()
+    lap = np.zeros((g.n, g.n))
+    lap[m, n] = -w
+    lap[n, m] = -w
+    deg = np.bincount(np.concatenate([m, n]), weights=np.concatenate([w, w]),
+                      minlength=g.n)
+    lap[np.arange(g.n), np.arange(g.n)] = deg
+    return lap
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 30, 65, 80])
+def test_laplacian_bitwise_equal_to_indexed_construction(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.2, 1.0):
+        g = random_graph(rng, n, density=density)
+        for _ in range(5):
+            if g.edge_count == 0:
+                break
+            m_arr, n_arr, _ = g.edge_arrays()
+            i = int(rng.integers(g.edge_count))
+            g = weaken_edge(g, (int(m_arr[i]), int(n_arr[i])), float(rng.uniform(0.01, 3.0)))
+        assert build_laplacian(g).dense().tobytes() == _laplacian_indexed(g).tobytes()
 
 
 def test_weaken_edge_leaves_parent_unchanged():

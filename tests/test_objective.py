@@ -220,6 +220,56 @@ def test_score_edges_batch_invariant():
     assert np.array_equal(full.eta[idx], sub.eta)
 
 
+def _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg):
+    """score_edges as first written: one gather per endpoint and use."""
+    eps = cfg.epsilon
+    diag = y.diagonal()
+    z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
+    if cfg.exact_logdet and state.resolvent is not None:
+        r = state.resolvent
+        q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
+    else:
+        dv = state.eigvecs[m_arr, :] - state.eigvecs[n_arr, :]
+        q = (dv * dv * state.majorizer_coeffs()).sum(axis=1) + 2.0 / state.alpha
+    eta = 1.0 - eps * q
+    ok = eta > 0.0
+    pen = np.full(eta.shape, np.inf)
+    pen[ok] = -np.log(eta[ok])
+    gap = state.gap2
+    if gap > 4.0 * eps:
+        rho = math.sqrt(2.0) * eps * np.abs(state.eigvecs[m_arr, 1] - state.eigvecs[n_arr, 1])
+    elif gap > 2.0 * eps:
+        rho = 2.0 * eps * np.abs(state.eigvecs[m_arr, 1] - state.eigvecs[n_arr, 1])
+    else:
+        rho = np.full(m_arr.shape, 2.0 * eps)
+    gain = np.where(w_arr < eps, cfg.mu, 0.0)
+    grad = eps * z + pen + cfg.gamma * rho - gain
+    return EdgeScores(z, eta, rho, gain, grad)
+
+
+@pytest.mark.parametrize("n, k", [(30, 6), (40, 12)])
+def test_score_edges_bitwise_equal_to_reference(n, k):
+    # k = 12 reaches NumPy's pairwise row summation (8 terms and up)
+    rng = np.random.default_rng(n + k)
+    g = random_connected_graph(rng, n, density=0.6)
+    y = gram(rng.standard_normal((n, k)))
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    ineligible = set()
+    for exact in (False, True):
+        state = smallest_eigenpairs(build_laplacian(g), k, alpha=0.5,
+                                    with_resolvent=exact)
+        # step sizes on every side of the eigen-gap thresholds, and large
+        # enough that some determinant factors go nonpositive
+        for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4):
+            cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
+            got = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+            ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
+            for name in ("z", "eta", "rho", "gain", "grad"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+            ineligible.add(int(np.count_nonzero(~np.isfinite(got.grad))))
+    assert 0 in ineligible and max(ineligible) > 0
+
+
 def test_best_scored_tie_breaks_lexicographic():
     m_arr = np.array([0, 0, 1])
     n_arr = np.array([1, 2, 2])

@@ -97,6 +97,31 @@ def test_run_solver_stops_at_max_iters():
     g, trace = run_solver(g0, obs, SolverConfig(max_iters=7))
     assert len(trace) == 7
     assert not trace.converged
+    assert trace.stop_reason == "max_iters"
+
+
+def test_stop_reason_names_the_cap_and_the_converged_solve():
+    obs = small_instance(2, n=8, k=3)
+    g0 = init_sparse_graph(obs.gram, 4)
+    _, capped = run_solver(g0, obs, SolverConfig(max_iters=5))
+    assert len(capped) == 5 and capped.stop_reason == "max_iters"
+    cfg = SolverConfig()
+    g, done = run_solver(g0, obs, cfg)
+    assert len(done) < cfg.max_iters
+    assert done.stop_reason == "no_descent" and done.converged
+    assert greedy_step(g, obs.gram, compute_state(g, cfg, obs.k), cfg) is None
+
+
+@pytest.mark.parametrize("n", [70, 100])
+def test_dense_greedy_above_64_nodes_completes(n):
+    # N > 64 once went to LOBPCG, which raised on the complete graph's
+    # degenerate spectrum before the first step
+    gt = gen_ground_truth(n, 0.2, 0.5, seed=0)
+    obs = sample_gmm(gt, n // 5, 3, 1.0, seed=10)
+    g, trace = run_solver(complete_graph(n), obs, SolverConfig(max_iters=400))
+    assert len(trace) == 400 and trace.stop_reason == "max_iters"
+    assert np.isfinite(trace.final_objective)
+    assert trace.final_objective < trace.initial_objective
 
 
 def test_run_solver_converged_flag_means_no_negative_score():

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import fsgl.spectral
 from fsgl.errors import InsufficientEigenpairs
 from fsgl.graph import WeightedGraph, build_laplacian, complete_graph
 from fsgl.spectral import (
@@ -58,14 +60,31 @@ def test_eigenpairs_match_dense_reference():
         assert np.allclose(np.linalg.norm(state.eigvecs, axis=0), 1.0)
 
 
-def test_eigenpairs_iterative_path_matches_dense():
+def test_eigenpairs_above_former_sparse_limit_match_eigvalsh():
+    # N = 80 once took an iterative path; it is now the dense one
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 80, density=0.15)
     lap = build_laplacian(g)
-    assert not lap.is_dense
-    state = smallest_eigenpairs(lap, 5, tol=1e-9)
+    state = smallest_eigenpairs(lap, 5)
     ref = np.linalg.eigvalsh(lap.dense())[:5]
-    assert np.allclose(state.eigvals, ref, atol=1e-6)
+    assert np.allclose(state.eigvals, ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 12, 30, 65, 80])
+def test_eigenpairs_bitwise_equal_to_scipy_subset_eigh(n):
+    # the direct dsyevr call must reproduce the wrapper's output exactly
+    rng = np.random.default_rng(n)
+    for k in sorted({2, 3, 6, 7, 8, 9, 12, n // 5, n - 1}):
+        if not 2 <= k < n:
+            continue
+        for density in (0.2, 1.0):
+            g = random_connected_graph(rng, n, density=density)
+            lap = build_laplacian(g)
+            state = smallest_eigenpairs(lap, k)
+            vals, vecs = scipy.linalg.eigh(lap.dense(), subset_by_index=(0, k - 1),
+                                           check_finite=False)
+            assert state.eigvals.tobytes() == vals.tobytes()
+            assert state.eigvecs.tobytes() == vecs.tobytes()
 
 
 def test_eigenpairs_input_validation():
@@ -74,8 +93,6 @@ def test_eigenpairs_input_validation():
         smallest_eigenpairs(lap, 1)
     with pytest.raises(ValueError):
         smallest_eigenpairs(lap, 6)
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(lap, 3, tol=0.0)
 
 
 def test_fiedler_value_monotone_under_weight_increase():
@@ -166,15 +183,17 @@ def test_resolvent_matches_inverse():
 
 
 def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
-    import scipy.linalg
+    real_syevr = fsgl.spectral._SYEVR
 
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Internal Error.")
+    def failing_syevr(*args, **kwargs):
+        # dsyevr's own failure report: outputs as computed, info = 1
+        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
+        return w, z, m, isuppz, 1
 
     rng = np.random.default_rng(4)
     lap = build_laplacian(random_connected_graph(rng, 12))
     full_vals, full_vecs = np.linalg.eigh(lap.dense())
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
     state = smallest_eigenpairs(lap, 5)
     assert np.array_equal(state.eigvals, full_vals[:5])
     assert np.array_equal(state.eigvecs, full_vecs[:, :5])
