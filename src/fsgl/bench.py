@@ -162,9 +162,10 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                   generators=("gmm", "mvt"), solvers=("greedy", "recursive"),
                   density: float = 0.2, rho: float = 0.5, nu: float = 3.0,
                   n_components: int = 3, mean_scale: float = 1.0,
-                  max_workers: int | None = None) -> BenchReport:
+                  seed: int = 0, max_workers: int | None = None) -> BenchReport:
     """Full sweep over generator x solver x ratio x trial.
 
+    Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting.
     Cells run in up to `max_workers` threads (env FSGL_THREADS, default
     1; keep 1 when wall-clock columns matter).
@@ -182,7 +183,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     def run_cell(job) -> BenchCell:
         gen_name, sol, gi, ri, ratio, trial = job
         try:
-            s_gt, s_x = _cell_seeds(cfg.seed, gi, ri, trial)
+            s_gt, s_x = _cell_seeds(seed, gi, ri, trial)
             gt = gen_ground_truth(n, density, rho, seed=s_gt)
             k = max(1, int(round(ratio * n)))
             if gen_name == "gmm":

@@ -8,7 +8,6 @@ be passed with --config; its values override command-line flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -22,10 +21,6 @@ from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
 from .solver import SolverConfig, run_solver
 from .spectral import smallest_eigenpairs
-
-
-def _env_threads() -> int:
-    return max(1, int(os.environ.get("FSGL_THREADS", "1") or "1"))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -149,8 +144,7 @@ def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
     return SolverConfig(
         epsilon=args.epsilon, alpha=args.alpha, gamma=args.gamma, mu=args.mu,
         budget_b=args.budget, v_min=args.vmin, refresh_interval=args.refresh,
-        seed=args.seed, solver_kind=kind, exact_logdet=args.exact_logdet,
-        threads=_env_threads())
+        solver_kind=kind, exact_logdet=args.exact_logdet)
 
 
 def _gen_seeds(seed: int) -> tuple[int, int]:
@@ -213,8 +207,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                            generators=generators, solvers=solvers,
                            density=args.density, rho=args.rho, nu=args.dof,
                            n_components=args.components,
-                           mean_scale=args.mean_scale,
-                           max_workers=_env_threads())
+                           mean_scale=args.mean_scale, seed=args.seed)
     raw_path = f"{args.output}.raw.csv"
     summary_path = f"{args.output}.summary.csv"
     with open(raw_path, "w") as fh:

@@ -1,13 +1,14 @@
 """Cheeger cuts and recursive divide-and-conquer edge selection.
 
 The recursive selector splits the candidate edge set with a Fiedler sweep
-cut, recurses on the two induced sub-graphs, scores the cut edges, and
-returns the best of the three. The top level sweeps the solver's snapshot;
-deeper levels sweep the Fiedler vector of the unit-weight sub-graph. All
-scoring reads the same global spectral snapshot and Gram matrix as the
-exhaustive scan, so the recursion is an exact decomposition of the global
-argmin: every edge lands in exactly one of the two sub-graphs or the cut
-set, whichever split is taken.
+cut of the unit-weight graph, recurses on the two induced sub-graphs, and
+keeps the cut edges as a block of their own. That plan depends only on
+which edges the graph holds, so a solve builds it once per edge set and
+reuses it across the steps that only weaken weights. Each step scores
+every edge against the same global spectral snapshot and Gram matrix as
+the exhaustive scan and reduces block by block, so the result is an exact
+decomposition of the global argmin: every edge lands in exactly one block,
+whichever splits are taken.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 
 from .errors import Disconnected, TooLarge
-from .graph import WeightedGraph
+from .graph import WeightedGraph, connected_components
 from .objective import EdgeDelta, score_edges
 from .spectral import SpectralState
 
@@ -118,126 +119,47 @@ def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
-_LEVEL_CACHE: dict = {}
-_LEVEL_CACHE_CAP = 16384
+def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
+    """Edge-row blocks of the recursive Cheeger-cut decomposition of g.
 
-
-def _level_split(k: int, lm: np.ndarray, ln: np.ndarray):
-    """Fiedler pair plus sweep order for one recursion level, memoized.
-
-    The split comes from the unit-weight Laplacian of the sub-graph, to
-    match the edge-count ratio the sweep minimizes. It is then a pure
-    function of which edges the sub-graph holds, so a level replays from
-    the memo while steps only weaken its weights. order is None when the
-    sub-graph is disconnected (lambda_2 at tolerance).
-    """
-    key = (k, lm.tobytes(), ln.tobytes())
-    hit = _LEVEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    lam2, v2 = _local_fiedler(k, lm, ln)
-    if lam2 <= CONNECTIVITY_TOL:
-        out = (lam2, v2, None, 0)
-    else:
-        order, t, _ = _sweep_prefix(k, lm, ln, v2)
-        out = (lam2, v2, order, t)
-    if len(_LEVEL_CACHE) >= _LEVEL_CACHE_CAP:
-        _LEVEL_CACHE.clear()
-    _LEVEL_CACHE[key] = out
-    return out
-
-
-def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
-                     pool=None, audit=None):
-    """Recursive Cheeger-cut search for the best edge to weaken.
-
-    Equivalent to the exhaustive scan (same edge, same score, same
-    lexicographic tie-break) because sub-graphs only partition the
-    candidate edge set while all scores come from the global snapshot.
-    Sub-graphs at or below cfg.v_min nodes are scanned directly;
-    disconnected sub-graphs recurse per connected component. When `pool`
-    is given, the two top recursion branches run concurrently.
+    Every level, the top included, sweeps the Fiedler vector of the
+    unit-weight sub-graph, to match the edge-count ratio the sweep
+    minimizes; sub-graphs at or below v_min nodes become leaf blocks and
+    disconnected sub-graphs recurse per connected component. The blocks
+    (leaves and cut sets) partition the rows of g.edge_arrays(), and they
+    depend only on which edges g holds, not on their weights.
 
     `audit`, if set, receives (depth, node_count, s_size, rows, rows_g1,
     rows_g2, rows_cut) at every split, for instrumentation.
     """
-    m_arr, n_arr, w_arr = g.edge_arrays()
-    if m_arr.shape[0] == 0:
-        return None
-    # Every candidate edge is scored against the same global snapshot no
-    # matter which leaf or cut set it lands in, so one vectorized pass up
-    # front covers the whole recursion; leaves then reduce their slice.
-    scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
-    grad = scores.grad
-
-    def leaf(rows: np.ndarray):
-        i = int(rows[grad[rows].argmin()])
-        if not np.isfinite(grad[i]):
-            return None
-        edge = (int(m_arr[i]), int(n_arr[i]))
-        return edge, EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
-                               float(scores.rho[i]), float(scores.gain[i]),
-                               float(grad[i]))
-
-    def pick(candidates):
-        best = None
-        for cand in candidates:
-            if cand is None:
-                continue
-            key = (cand[1].grad_h, cand[0][0], cand[0][1])
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return None if best is None else best[1]
-
-    def by_components(node_ids: np.ndarray, rows: np.ndarray,
-                      lm: np.ndarray, ln: np.ndarray, depth: int):
-        k = node_ids.shape[0]
-        parent = list(range(k))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in zip(lm.tolist(), ln.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        roots = np.array([find(v) for v in range(k)])
-        labels = np.unique(roots, return_inverse=True)[1]
-        results = []
-        for c in range(int(labels.max()) + 1):
-            members = np.flatnonzero(labels == c)
-            if members.shape[0] < 2:
-                continue
-            results.append(select(node_ids[members], rows[labels[lm] == c], depth))
-        return pick(results)
-
+    m_arr, n_arr, _ = g.edge_arrays()
     ids = np.arange(g.n, dtype=np.intp)
+    blocks: list[np.ndarray] = []
 
-    def select(node_ids: np.ndarray, rows: np.ndarray, depth: int):
+    def split(node_ids: np.ndarray, rows: np.ndarray, depth: int) -> None:
         if rows.shape[0] == 0:
-            return None
+            return
         k = node_ids.shape[0]
-        if k <= cfg.v_min:
-            return leaf(rows)
-
+        if k <= v_min:
+            blocks.append(rows)
+            return
         # Relabel endpoints to positions within node_ids; any consistent
         # labeling works, the partition shape never changes the winner.
         loc = np.empty(g.n, dtype=np.intp)
         loc[node_ids] = ids[:k]
         lm = loc[m_arr[rows]]
         ln = loc[n_arr[rows]]
-        if depth == 0 and k == g.n:
-            lam2 = state.fiedler_value
-            if lam2 <= CONNECTIVITY_TOL:
-                return by_components(node_ids, rows, lm, ln, depth)
-            order, t, _ = _sweep_prefix(k, lm, ln, state.fiedler_vector)
-        else:
-            lam2, _, order, t = _level_split(k, lm, ln)
-            if order is None:
-                return by_components(node_ids, rows, lm, ln, depth)
+        lam2, v2 = _local_fiedler(k, lm, ln)
+        if lam2 <= CONNECTIVITY_TOL:
+            comps = connected_components(k, zip(lm.tolist(), ln.tolist()))
+            if len(comps) > 1:
+                label = np.empty(k, dtype=np.intp)
+                for c, members in enumerate(comps):
+                    label[members] = c
+                for c, members in enumerate(comps):
+                    split(node_ids[members], rows[label[lm] == c], depth)
+                return
+        order, t, _ = _sweep_prefix(k, lm, ln, v2)
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
         m_in = in_s[lm]
@@ -245,22 +167,48 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
         rows1 = rows[m_in & n_in]
         rows2 = rows[~m_in & ~n_in]
         rows_cut = rows[m_in ^ n_in]
-        # Sorted, so a sub-graph's local labels, and its memo key, do not
-        # depend on this level's Fiedler order.
-        nodes1 = np.sort(node_ids[order[:t]])
-        nodes2 = np.sort(node_ids[order[t:]])
         if audit is not None:
             audit((depth, k, t, rows.shape[0],
                    rows1.shape[0], rows2.shape[0], rows_cut.shape[0]))
+        if rows_cut.shape[0]:
+            blocks.append(rows_cut)
+        split(node_ids[in_s], rows1, depth + 1)
+        split(node_ids[~in_s], rows2, depth + 1)
 
-        if pool is not None and depth < 2 and rows1.shape[0] > 8 and rows2.shape[0] > 8:
-            fut = pool.submit(select, nodes1, rows1, depth + 1)
-            cand2 = select(nodes2, rows2, depth + 1)
-            cand1 = fut.result()
-        else:
-            cand1 = select(nodes1, rows1, depth + 1)
-            cand2 = select(nodes2, rows2, depth + 1)
-        return pick([cand1, cand2, leaf(rows_cut) if rows_cut.shape[0] else None])
+    split(ids, np.arange(m_arr.shape[0], dtype=np.intp), 0)
+    return blocks
 
-    return select(np.arange(g.n, dtype=np.intp),
-                  np.arange(m_arr.shape[0], dtype=np.intp), 0)
+
+def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
+                     plan: list[np.ndarray] | None = None):
+    """Recursive Cheeger-cut search for the best edge to weaken.
+
+    Equivalent to the exhaustive scan (same edge, same score, same
+    lexicographic tie-break) because the blocks of `plan` only partition
+    the candidate edge set while all scores come from the global snapshot.
+    `plan` is cut_plan(g, cfg.v_min), built here when not given; a caller
+    that weakens edges without deleting any can keep passing the same one.
+    """
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    if m_arr.shape[0] == 0:
+        return None
+    if plan is None:
+        plan = cut_plan(g, cfg.v_min)
+    # Every candidate edge is scored against the same global snapshot no
+    # matter which block it lands in, so one vectorized pass covers them
+    # all; each block then reduces its own rows.
+    scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
+    grad = scores.grad
+    best = None
+    for rows in plan:
+        i = int(rows[grad[rows].argmin()])
+        key = (grad[i], m_arr[i], n_arr[i])
+        if np.isfinite(grad[i]) and (best is None or key < best[0]):
+            best = (key, i)
+    if best is None:
+        return None
+    i = best[1]
+    edge = (int(m_arr[i]), int(n_arr[i]))
+    return edge, EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
+                           float(scores.rho[i]), float(scores.gain[i]),
+                           float(grad[i]))

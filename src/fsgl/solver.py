@@ -4,14 +4,15 @@ Each iteration scores every candidate edge against an immutable spectral
 snapshot, weakens the best-scoring edge while its score stays negative,
 and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
-(recursive); both return the same edge by construction.
+(recursive); both return the same edge by construction. The recursive
+solver keeps its cut plan next to the snapshot and rebuilds it only when
+a step deletes an edge.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,12 +41,10 @@ class SolverConfig:
     v_min: int = 8
     refresh_interval: int = 1
     max_iters: int = 20000
-    seed: int = 0
     solver_kind: str = "greedy"
     exact_logdet: bool = False
     retained: int | None = None
     objective_interval: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -153,41 +152,41 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     The exact objective lands in the trace every cfg.objective_interval
     accepted steps (0 records only the initial and final values).
     """
+    if g0.n < 2:
+        raise ValueError("need at least two nodes")
     y = obs.gram
     g = g0
     trace = SolveTrace()
     trace.initial_objective = objective_value(g, y, cfg)
 
-    pool = None
-    if cfg.solver_kind == "recursive" and cfg.threads > 1:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-    try:
-        t0 = time.perf_counter()
-        state = compute_state(g, cfg, obs.k)
-        accepted = 0
-        while accepted < cfg.max_iters:
-            if cfg.solver_kind == "recursive":
-                sel = _partition.partition_select(g, state, obs, cfg, pool=pool)
-                if sel is not None and sel[1].grad_h >= 0.0:
-                    sel = None
-            else:
-                sel = greedy_step(g, y, state, cfg)
-            if sel is None:
-                trace.stop_reason = "no_descent"
-                break
-            edge, delta = sel
-            g = weaken_edge(g, edge, cfg.epsilon)
-            accepted += 1
-            obj = float("nan")
-            if cfg.objective_interval and accepted % cfg.objective_interval == 0:
-                obj = objective_value(g, y, cfg)
-            trace.append(accepted, edge, delta.grad_h, obj, state.fiedler_value,
-                         g.edge_count, (time.perf_counter() - t0) * 1e3)
-            if accepted % cfg.refresh_interval == 0:
-                state = compute_state(g, cfg, obs.k)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    t0 = time.perf_counter()
+    state = compute_state(g, cfg, obs.k)
+    # A solve only deletes edges, so the edge count names the edge set the
+    # cut plan was built for.
+    plan, plan_edges = None, -1
+    accepted = 0
+    while accepted < cfg.max_iters:
+        if cfg.solver_kind == "recursive":
+            if g.edge_count != plan_edges:
+                plan, plan_edges = _partition.cut_plan(g, cfg.v_min), g.edge_count
+            sel = _partition.partition_select(g, state, obs, cfg, plan=plan)
+            if sel is not None and sel[1].grad_h >= 0.0:
+                sel = None
+        else:
+            sel = greedy_step(g, y, state, cfg)
+        if sel is None:
+            trace.stop_reason = "no_descent"
+            break
+        edge, delta = sel
+        g = weaken_edge(g, edge, cfg.epsilon)
+        accepted += 1
+        obj = float("nan")
+        if cfg.objective_interval and accepted % cfg.objective_interval == 0:
+            obj = objective_value(g, y, cfg)
+        trace.append(accepted, edge, delta.grad_h, obj, state.fiedler_value,
+                     g.edge_count, (time.perf_counter() - t0) * 1e3)
+        if accepted % cfg.refresh_interval == 0:
+            state = compute_state(g, cfg, obs.k)
 
     trace.final_objective = objective_value(g, y, cfg)
     return g, trace

@@ -95,6 +95,18 @@ def test_solve_rejects_non_finite_observations(tmp_path, capsys):
     assert "objective" not in captured.out
 
 
+@pytest.mark.parametrize("solver", ["greedy", "recursive"])
+def test_solve_rejects_single_node(tmp_path, capsys, solver):
+    path = tmp_path / "x.csv"
+    path.write_text("1.0,2.0,0.5\n")
+    code = run_cli("solve", "--input", str(path), "--solver", solver)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: need at least two nodes" in captured.err
+    assert "Traceback" not in captured.err
+    assert "objective" not in captured.out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve")  # --input is required

@@ -15,6 +15,7 @@ from fsgl.partition import (
     CheegerCut,
     approx_cheeger_cut,
     brute_force_cheeger,
+    cut_plan,
     partition_select,
 )
 from fsgl.solver import SolverConfig, compute_state, greedy_step, run_solver
@@ -155,9 +156,8 @@ def test_partition_audit_rows_partition_exactly():
     obs = solve_instance(1, 20)
     cfg = SolverConfig(solver_kind="recursive", v_min=4)
     g = init_sparse_graph(obs.gram, 40)
-    state = compute_state(g, cfg, obs.k)
     events = []
-    partition_select(g, state, obs, cfg, audit=events.append)
+    cut_plan(g, cfg.v_min, audit=events.append)
     assert events, "recursion should split at least once"
     for depth, n_nodes, t, rows, r1, r2, rcut in events:
         assert 1 <= t < n_nodes
@@ -166,28 +166,64 @@ def test_partition_audit_rows_partition_exactly():
     assert events[0][0] == 0 and events[0][1] == 20
 
 
-def test_partition_weight_only_change_replays_memoized_splits(monkeypatch):
-    # sub-level splits depend on which edges a sub-graph holds, not on weights
-    import fsgl.partition as partition
-
+def test_cut_plan_depends_on_edge_set_not_weights():
+    # a weight-only step keeps the plan; deleting an edge makes a new one
     obs = solve_instance(4, 24)
-    cfg = SolverConfig(solver_kind="recursive", v_min=4)
     g = init_sparse_graph(obs.gram, 60)
-    state = compute_state(g, cfg, obs.k)
-    monkeypatch.setattr(partition, "_LEVEL_CACHE", {})
-    events, replay = [], []
-    partition_select(g, state, obs, cfg, audit=events.append)
-    assert any(depth > 0 for depth, *_ in events)
-    solves = []
-    real = partition._local_fiedler
-    monkeypatch.setattr(partition, "_local_fiedler",
-                        lambda *a: solves.append(a) or real(*a))
+    plan = cut_plan(g, 4)
+    assert len(plan) > 1
     for edge in list(g.edges)[::7]:
         weaker = weaken_edge(g, edge, 0.3)
-        partition_select(weaker, state, obs, cfg, audit=replay.append)
-        assert replay == events
-        replay.clear()
-    assert solves == []
+        assert weaker.edge_count == g.edge_count
+        replay = cut_plan(weaker, 4)
+        assert len(replay) == len(plan)
+        for a, b in zip(replay, plan):
+            np.testing.assert_array_equal(a, b)
+    edge = next(iter(g.edges))
+    smaller = weaken_edge(g, edge, g.edges[edge])
+    assert smaller.edge_count == g.edge_count - 1
+    fresh = cut_plan(smaller, 4)
+    assert sum(b.shape[0] for b in fresh) == smaller.edge_count
+    assert (len(fresh) != len(plan)
+            or any(not np.array_equal(a, b) for a, b in zip(fresh, plan)))
+
+
+def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
+    import fsgl.partition as partition
+
+    calls = []
+    real = partition.cut_plan
+    monkeypatch.setattr(partition, "cut_plan",
+                        lambda g, v_min: calls.append(g.edge_count) or real(g, v_min))
+    obs = solve_instance(3, 16)
+    g0 = init_sparse_graph(obs.gram, 30)
+    _, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive",
+                                                epsilon=0.05))
+    assert len(trace) > 0
+    # each accepted step selected on the edge set before its own step
+    selected_on = [g0.edge_count] + trace.edge_counts[:-1]
+    if trace.stop_reason == "no_descent":
+        selected_on.append(trace.edge_counts[-1])
+    assert len(set(selected_on)) > 1, "the solve should delete an edge"
+    assert calls == sorted(set(selected_on), reverse=True)
+
+
+def test_cut_plan_blocks_cover_every_edge_once():
+    rng = np.random.default_rng(3)
+    ga = random_connected_unit_graph(rng, 5)
+    edges = dict(ga.edges)
+    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
+    two_components = WeightedGraph(10, edges)
+    graphs = [two_components]
+    for seed in range(4):
+        obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
+        graphs.append(init_sparse_graph(obs.gram, 40))
+    for g in graphs:
+        for v_min in (2, 4, 8):
+            plan = cut_plan(g, v_min)
+            assert all(b.shape[0] > 0 for b in plan)
+            np.testing.assert_array_equal(np.sort(np.concatenate(plan)),
+                                          np.arange(g.edge_count))
 
 
 def test_partition_recursion_depth_bounded():
@@ -195,9 +231,8 @@ def test_partition_recursion_depth_bounded():
     obs = solve_instance(2, 24)
     cfg = SolverConfig(solver_kind="recursive", v_min=4)
     g = init_sparse_graph(obs.gram, 60)
-    state = compute_state(g, cfg, obs.k)
     events = []
-    partition_select(g, state, obs, cfg, audit=events.append)
+    cut_plan(g, cfg.v_min, audit=events.append)
     max_depth = max(e[0] for e in events)
     assert max_depth < 24
     for depth, n_nodes, *_ in events:
@@ -220,19 +255,6 @@ def test_partition_handles_disconnected_candidates():
     if sel_g is not None:
         assert sel_p[0] == sel_g[0]
         assert sel_p[1].grad_h == sel_g[1].grad_h
-
-
-def test_partition_threaded_matches_serial():
-    from concurrent.futures import ThreadPoolExecutor
-    obs = solve_instance(4, 24)
-    cfg = SolverConfig(solver_kind="recursive", v_min=4)
-    g = init_sparse_graph(obs.gram, 60)
-    state = compute_state(g, cfg, obs.k)
-    serial = partition_select(g, state, obs, cfg)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = partition_select(g, state, obs, cfg, pool=pool)
-    assert serial[0] == threaded[0]
-    assert serial[1].grad_h == threaded[1].grad_h
 
 
 def test_full_runs_identical_across_selectors():
