@@ -9,9 +9,7 @@ start from the sparse similarity initializer.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,13 +160,11 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                   generators=("gmm", "mvt"), solvers=("greedy", "recursive"),
                   density: float = 0.2, rho: float = 0.5, nu: float = 3.0,
                   n_components: int = 3, mean_scale: float = 1.0,
-                  seed: int = 0, max_workers: int | None = None) -> BenchReport:
-    """Full sweep over generator x solver x ratio x trial.
+                  seed: int = 0) -> BenchReport:
+    """Full sweep over generator x solver x ratio x trial, one cell at a time.
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting.
-    Cells run in up to `max_workers` threads (env FSGL_THREADS, default
-    1; keep 1 when wall-clock columns matter).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -205,12 +201,4 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                              float("nan"), 0, float("nan"),
                              error=f"{type(exc).__name__}: {exc}")
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("FSGL_THREADS", "1") or "1")
-    max_workers = max(1, max_workers)
-    if max_workers == 1:
-        cells = [run_cell(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    return BenchReport(n, cells)
+    return BenchReport(n, [run_cell(j) for j in jobs])

@@ -8,6 +8,7 @@ be passed with --config; its values override command-line flags.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 
@@ -27,6 +28,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--config", default=None,
                    help="flat key = value file; entries override flags")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log the fsgl logger's INFO messages to stderr")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -185,6 +188,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         trace.to_csv(args.trace)
     lam2 = float(np.linalg.eigvalsh(build_laplacian(g).dense())[1])
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
+          f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "
           f"objective={trace.initial_objective:.6f}->{trace.final_objective:.6f} "
           f"ms={ms:.1f}")
@@ -269,8 +273,13 @@ def _random_connected_unit_graph(n: int, density: float,
 def cli_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("fsgl")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
     try:
         apply_config_file(args)
+        if args.verbose:
+            log.addHandler(handler)
+            log.setLevel(logging.INFO)
         return args.func(args)
     except FsglError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -278,6 +287,9 @@ def cli_main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def main() -> None:

@@ -34,17 +34,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class WeightedGraph:
     """Undirected graph with positive edge weights and no self-loops.
 
-    The edge state is four read-only arrays sorted by (m, n): endpoints,
-    weights and the linear key m * N + n. A new version made by
-    `copy_with` or `weaken_edge` copies only the weight vector when an
-    edge keeps a positive weight, and shares the endpoint and key arrays
-    with its parent; removing an edge compacts all four with one mask.
+    The edge state is read-only arrays sorted by (m, n): endpoints, weights,
+    the key m * N + n and the Laplacian's index (keys n * N + m, endpoints
+    [m; n]). A new version made by `copy_with` or `weaken_edge` copies only
+    the weight vector when an edge keeps a positive weight, and shares the
+    rest with its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
     freely across concurrent scoring workers. `edges` is a read-only
     {(m, n): w} view, built on first use.
     """
 
-    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_edges")
+    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_tkeys", "_ends", "_edges")
 
     def __init__(self, n: int, edges=None):
         if n < 1:
@@ -64,18 +64,24 @@ class WeightedGraph:
         mn = np.array(list(canon), dtype=np.intp).reshape(-1, 2)
         keys = mn[:, 0] * self.n + mn[:, 1]
         order = np.argsort(keys)
-        self._set(mn[order, 0], mn[order, 1],
-                  np.array(list(canon.values()), dtype=np.float64)[order], keys[order])
-
-    def _set(self, ms, ns, ws, keys) -> None:
-        self._ms, self._ns, self._ws, self._keys = (
-            _frozen(ms), _frozen(ns), _frozen(ws), _frozen(keys))
+        self._set_edges(mn[order, 0], mn[order, 1], keys[order])
+        self._ws = _frozen(np.array(list(canon.values()), dtype=np.float64)[order])
         self._edges = None
 
-    def _derive(self, ms, ns, ws, keys) -> "WeightedGraph":
+    def _set_edges(self, ms, ns, keys) -> None:
+        self._ms, self._ns, self._keys = _frozen(ms), _frozen(ns), _frozen(keys)
+        self._tkeys = _frozen(ns * self.n + ms)
+        self._ends = _frozen(np.concatenate([ms, ns]))
+
+    def _derive(self, ws, keep=None) -> "WeightedGraph":
+        # A weight-only version shares the edge set's arrays; `keep` deletes edges.
         g = WeightedGraph.__new__(WeightedGraph)
-        g.n = self.n
-        g._set(ms, ns, ws, keys)
+        g.n, g._ws, g._edges = self.n, _frozen(ws), None
+        if keep is None:
+            g._ms, g._ns, g._keys, g._tkeys, g._ends = (
+                self._ms, self._ns, self._keys, self._tkeys, self._ends)
+        else:
+            g._set_edges(self._ms[keep], self._ns[keep], self._keys[keep])
         return g
 
     def _index(self, m: int, n: int) -> int:
@@ -140,11 +146,10 @@ class WeightedGraph:
         if new_weight > WEIGHT_ZERO:
             ws = self._ws.copy()
             ws[i] = new_weight
-            return self._derive(self._ms, self._ns, ws, self._keys)
+            return self._derive(ws)
         keep = np.ones(self._ws.shape[0], dtype=bool)
         keep[i] = False
-        return self._derive(self._ms[keep], self._ns[keep], self._ws[keep],
-                            self._keys[keep])
+        return self._derive(self._ws[keep], keep)
 
     def __reduce__(self):
         return WeightedGraph, (self.n, self.edges.copy())
@@ -183,17 +188,17 @@ class LaplacianView:
 
 def build_laplacian(g: WeightedGraph) -> LaplacianView:
     """Dense Laplacian of `g`."""
-    m, n, w = g.edge_arrays()
+    w = g._ws
     size = g.n
     lap = np.zeros((size, size))
     flat = lap.reshape(-1)
     neg = -w
     flat[g._keys] = neg
-    flat[n * size + m] = neg
+    flat[g._tkeys] = neg
     # Per node: the m-side weights in order, then the n-side ones, from
     # 0.0; the same sums, in the same order, as two np.add.at passes.
-    flat[::size + 1] = np.bincount(np.concatenate([m, n]),
-                                   weights=np.concatenate([w, w]), minlength=size)
+    flat[::size + 1] = np.bincount(g._ends, weights=np.concatenate([w, w]),
+                                   minlength=size)
     return LaplacianView(size, lap)
 
 

@@ -6,8 +6,8 @@ determinant (bounded via a rank-1 determinant identity with a majorized
 quadratic form), the Fiedler value (bounded by an eigenvalue perturbation
 argument), and the off-diagonal l0 sparsity term. `edge_gradient` combines
 them into the greedy score; `score_edges` is the vectorized equivalent
-used in the solver inner loop, and `objective_value` recomputes the exact
-objective for monitoring.
+used in the solver inner loop (`edge_terms`: its part fixed by the edge
+set), and `objective_value` recomputes the exact objective for monitoring.
 """
 
 from __future__ import annotations
@@ -127,24 +127,31 @@ class EdgeScores:
     grad: np.ndarray
 
 
+def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float):
+    """(z, eps * z, [m; n]): trace slopes, their step, the gather index."""
+    diag = y.diagonal()
+    z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
+    return z, eps * z, np.concatenate([m_arr, n_arr])
+
+
 def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
-                n_arr: np.ndarray, w_arr: np.ndarray, cfg) -> EdgeScores:
+                n_arr: np.ndarray, w_arr: np.ndarray, cfg, terms=None) -> EdgeScores:
     """Score a batch of edges against one immutable spectral snapshot.
 
     Mirrors `edge_gradient` arithmetic exactly; edges whose determinant
     factor would go nonpositive get grad = +inf (ineligible at this step
     size). Reductions run per row over the retained eigenbasis, so scores
-    do not depend on how the batch is partitioned.
+    do not depend on how the batch is partitioned. `terms`, if given, is
+    edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
     """
     eps = cfg.epsilon
-    diag = y.diagonal()
-    z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
+    z, ez, ends = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
     # One gather for both endpoints (np.take: the same copy as fancy
     # indexing, a fraction of its cost on LAPACK's Fortran-ordered output).
     # The (E, k) difference stays C-ordered, so each row sum below adds its
     # k terms in the same order as before.
     e = m_arr.shape[0]
-    rows = np.take(state.eigvecs, np.concatenate([m_arr, n_arr]), axis=0)
+    rows = np.take(state.eigvecs, ends, axis=0)
     dv = rows[:e] - rows[e:]
     if cfg.exact_logdet and state.resolvent is not None:
         r = state.resolvent
@@ -164,7 +171,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
         rho = np.full(m_arr.shape, 2.0 * eps)
 
     gain = np.where(w_arr < eps, cfg.mu, 0.0)
-    grad = eps * z + pen + cfg.gamma * rho - gain
+    grad = ez + pen + cfg.gamma * rho - gain
     return EdgeScores(z, eta, rho, gain, grad)
 
 

@@ -3,12 +3,12 @@
 The recursive selector splits the candidate edge set with a Fiedler sweep
 cut of the unit-weight graph, recurses on the two induced sub-graphs, and
 keeps the cut edges as a block of their own. That plan depends only on
-which edges the graph holds, so a solve builds it once per edge set and
+which edges the graph holds, so a solve lays it out once per edge set and
 reuses it across the steps that only weaken weights. Each step scores
 every edge against the same global spectral snapshot and Gram matrix as
-the exhaustive scan and reduces block by block, so the result is an exact
-decomposition of the global argmin: every edge lands in exactly one block,
-whichever splits are taken.
+the exhaustive scan and takes all block minima in one `reduceat`, so the
+result is an exact decomposition of the global argmin: every edge lands
+in exactly one block, whichever splits are taken.
 """
 
 from __future__ import annotations
@@ -179,35 +179,41 @@ def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
     return blocks
 
 
+def block_layout(plan: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows end to end, block starts) of a plan, whose blocks are never empty."""
+    starts = np.cumsum([0, *(b.shape[0] for b in plan)], dtype=np.intp)[:-1]
+    return np.concatenate([np.empty(0, np.intp), *plan]), starts
+
+
 def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
-                     plan: list[np.ndarray] | None = None):
+                     layout=None, terms=None, trace=None):
     """Recursive Cheeger-cut search for the best edge to weaken.
 
     Equivalent to the exhaustive scan (same edge, same score, same
-    lexicographic tie-break) because the blocks of `plan` only partition
+    lexicographic tie-break) because the blocks of the plan only partition
     the candidate edge set while all scores come from the global snapshot.
-    `plan` is cut_plan(g, cfg.v_min), built here when not given; a caller
-    that weakens edges without deleting any can keep passing the same one.
+    `layout` is block_layout(cut_plan(g, cfg.v_min)), built here when not
+    given; a caller that only weakens edges can keep passing the same one,
+    and `terms` (see `score_edges`). `trace` counts ineligible edges.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    if plan is None:
-        plan = cut_plan(g, cfg.v_min)
+    order, starts = block_layout(cut_plan(g, cfg.v_min)) if layout is None else layout
     # Every candidate edge is scored against the same global snapshot no
     # matter which block it lands in, so one vectorized pass covers them
-    # all; each block then reduces its own rows.
-    scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
+    # all; one reduceat then takes each block's minimum.
+    scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms)
     grad = scores.grad
-    best = None
-    for rows in plan:
-        i = int(rows[grad[rows].argmin()])
-        key = (grad[i], m_arr[i], n_arr[i])
-        if np.isfinite(grad[i]) and (best is None or key < best[0]):
-            best = (key, i)
-    if best is None:
+    if trace is not None:
+        trace.ineligible += int(np.count_nonzero(grad == np.inf))
+    laid = grad[order]
+    best = np.minimum.reduceat(laid, starts).min()
+    if not np.isfinite(best):
         return None
-    i = best[1]
+    # Rows run in (m, n) order, so the smallest row that holds the best
+    # block minimum is the winner by (grad, m, n).
+    i = int(order[laid == best].min())
     edge = (int(m_arr[i]), int(n_arr[i]))
     return edge, EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
                            float(scores.rho[i]), float(scores.gain[i]),

@@ -4,9 +4,9 @@ Each iteration scores every candidate edge against an immutable spectral
 snapshot, weakens the best-scoring edge while its score stays negative,
 and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
-(recursive); both return the same edge by construction. The recursive
-solver keeps its cut plan next to the snapshot and rebuilds it only when
-a step deletes an edge.
+(recursive); both return the same edge by construction. Next to the
+snapshot the solver keeps what the edge set fixes (scoring terms, the
+recursive arm's laid-out cut plan), rebuilt only when an edge goes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import partition as _partition
 from .graph import ObservationSet, WeightedGraph, build_laplacian, weaken_edge
-from .objective import EdgeDelta, best_scored, objective_value, score_edges
+from .objective import EdgeDelta, best_scored, edge_terms, objective_value, score_edges
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -64,7 +64,8 @@ class SolveTrace:
     """Per-iteration log of the solve: one row per accepted step.
 
     stop_reason is "no_descent" when no edge scored below zero (converged)
-    and "max_iters" when the step cap ended the solve first.
+    and "max_iters" when the step cap ended the solve first. ineligible
+    sums the edges scored +inf (step too large) over all steps.
     """
 
     iters: list[int] = field(default_factory=list)
@@ -77,6 +78,8 @@ class SolveTrace:
     initial_objective: float = float("nan")
     final_objective: float = float("nan")
     stop_reason: str = "max_iters"
+    eigensolves: int = 0
+    ineligible: int = 0
 
     @property
     def converged(self) -> bool:
@@ -115,21 +118,20 @@ def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralSt
     )
 
 
-def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState,
-                cfg: SolverConfig) -> tuple[tuple[int, int], EdgeDelta] | None:
+def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
+                terms=None, trace=None) -> tuple[tuple[int, int], EdgeDelta] | None:
     """Exhaustive scan for the edge with the most negative score.
 
     Returns None once no edge scores below zero (converged). Ties break on
     the lexicographically smallest (m, n); ineligible edges (determinant
-    factor would go nonpositive) are skipped.
+    factor would go nonpositive) are skipped and counted into `trace`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
-    bad = np.count_nonzero(~np.isfinite(scores.grad))
-    if bad:
-        logger.warning("step too large for %d edge(s); skipped", bad)
+    scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
+    if trace is not None:
+        trace.ineligible += int(np.count_nonzero(scores.grad == np.inf))
     best = best_scored(scores, m_arr, n_arr, w_arr)
     if best is None or best[1].grad_h >= 0.0:
         return None
@@ -161,19 +163,22 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
 
     t0 = time.perf_counter()
     state = compute_state(g, cfg, obs.k)
-    # A solve only deletes edges, so the edge count names the edge set the
-    # cut plan was built for.
-    plan, plan_edges = None, -1
+    trace.eigensolves += 1
+    # A solve only deletes edges, so the edge count names the edge set.
+    terms, layout, context_edges = None, None, -1
     accepted = 0
     while accepted < cfg.max_iters:
+        if g.edge_count != context_edges:
+            m_arr, n_arr, _ = g.edge_arrays()
+            terms, context_edges = edge_terms(y, m_arr, n_arr, cfg.epsilon), g.edge_count
+            if cfg.solver_kind == "recursive":
+                layout = _partition.block_layout(_partition.cut_plan(g, cfg.v_min))
         if cfg.solver_kind == "recursive":
-            if g.edge_count != plan_edges:
-                plan, plan_edges = _partition.cut_plan(g, cfg.v_min), g.edge_count
-            sel = _partition.partition_select(g, state, obs, cfg, plan=plan)
+            sel = _partition.partition_select(g, state, obs, cfg, layout, terms, trace)
             if sel is not None and sel[1].grad_h >= 0.0:
                 sel = None
         else:
-            sel = greedy_step(g, y, state, cfg)
+            sel = greedy_step(g, y, state, cfg, terms, trace)
         if sel is None:
             trace.stop_reason = "no_descent"
             break
@@ -187,6 +192,13 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
                      g.edge_count, (time.perf_counter() - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
             state = compute_state(g, cfg, obs.k)
+            trace.eigensolves += 1
 
     trace.final_objective = objective_value(g, y, cfg)
+    if trace.ineligible:
+        logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
+    if accepted == 0 and trace.converged:
+        logger.warning("no edge descends from the initial graph; returned unchanged")
+    logger.info("%s solve: %d steps, stop=%s, %d eigensolves", cfg.solver_kind,
+                accepted, trace.stop_reason, trace.eigensolves)
     return g, trace

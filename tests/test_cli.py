@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ def test_solve_round_trip(tmp_path, capsys):
     assert g.edge_count >= 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "iter,m,n,grad_h,objective,lambda2,edges,ms"
+
+
+def test_verbose_flag_logs_info_to_stderr(tmp_path, capsys):
+    run_cli("gen", "--n", "12", "--k", "3", "--seed", "4",
+            "--output", str(tmp_path / "data"))
+    x = str(tmp_path / "data.x.csv")
+    capsys.readouterr()
+    assert run_cli("solve", "--input", x, "--solver", "recursive") == 0
+    quiet = capsys.readouterr()
+    assert "eigensolves=" in quiet.out and "ineligible=0" in quiet.out
+    assert run_cli("solve", "--input", x, "--solver", "recursive", "-v") == 0
+    loud = capsys.readouterr()
+    assert "recursive solve:" in loud.err and "recursive solve:" not in quiet.err
+    assert loud.out.split(" ms=")[0] == quiet.out.split(" ms=")[0]
+    assert logging.getLogger("fsgl").handlers == []
+    assert logging.getLogger("fsgl").level == logging.NOTSET
 
 
 def test_solve_deterministic_output(tmp_path):

@@ -308,6 +308,31 @@ def test_laplacian_bitwise_equal_to_indexed_construction(n):
         assert build_laplacian(g).dense().tobytes() == _laplacian_indexed(g).tobytes()
 
 
+def test_laplacian_of_derived_graph_bitwise_equal_to_fresh_graph():
+    # weight-only versions reuse their parent's Laplacian index, deletions
+    # derive a new one; both must build what a new graph builds
+    kinds = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(3, 30)), density=0.6)
+        for _ in range(10):
+            if g.edge_count == 0:
+                break
+            m_arr, n_arr, w_arr = g.edge_arrays()
+            i = int(rng.integers(g.edge_count))
+            delete = bool(rng.random() < 0.4)
+            eps = float(w_arr[i]) if delete else float(rng.uniform(0.01, 0.1))
+            parent = g
+            g = weaken_edge(g, (int(m_arr[i]), int(n_arr[i])), eps)
+            kinds.add(g.edge_count < parent.edge_count)
+            if g.edge_count == parent.edge_count:
+                assert g._tkeys is parent._tkeys and g._ends is parent._ends
+            fresh = WeightedGraph(g.n, dict(g.edges))
+            assert (build_laplacian(g).dense().tobytes()
+                    == build_laplacian(fresh).dense().tobytes())
+    assert kinds == {False, True}
+
+
 def test_weaken_edge_leaves_parent_unchanged():
     g = WeightedGraph(4, {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 2.0})
     before = [a.copy() for a in g.edge_arrays()]

@@ -17,6 +17,7 @@ from fsgl.objective import (
     EdgeScores,
     best_scored,
     edge_gradient,
+    edge_terms,
     fiedler_delta,
     logdet_delta,
     objective_value,
@@ -264,8 +265,12 @@ def test_score_edges_bitwise_equal_to_reference(n, k):
             cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
             got = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
             ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
+            # the edge set's terms computed once give the same bits
+            terms = edge_terms(y, m_arr, n_arr, eps)
+            pre = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
             for name in ("z", "eta", "rho", "gain", "grad"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+                assert getattr(pre, name).tobytes() == getattr(ref, name).tobytes(), name
             ineligible.add(int(np.count_nonzero(~np.isfinite(got.grad))))
     assert 0 in ineligible and max(ineligible) > 0
 

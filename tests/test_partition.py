@@ -11,14 +11,16 @@ from fsgl.graph import (
     complete_graph,
     weaken_edge,
 )
+from fsgl.objective import EdgeScores
 from fsgl.partition import (
     CheegerCut,
     approx_cheeger_cut,
+    block_layout,
     brute_force_cheeger,
     cut_plan,
     partition_select,
 )
-from fsgl.solver import SolverConfig, compute_state, greedy_step, run_solver
+from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, run_solver
 from fsgl.datagen import gen_ground_truth, sample_gmm, sample_mvt
 from fsgl.init_graph import init_sparse_graph
 from fsgl.spectral import smallest_eigenpairs
@@ -206,6 +208,88 @@ def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
         selected_on.append(trace.edge_counts[-1])
     assert len(set(selected_on)) > 1, "the solve should delete an edge"
     assert calls == sorted(set(selected_on), reverse=True)
+
+
+def test_run_solver_lays_out_each_plan_once(monkeypatch):
+    import fsgl.partition as partition
+
+    plans, laid_out = [], []
+    real_plan, real_layout = partition.cut_plan, partition.block_layout
+
+    def counted_plan(g, v_min):
+        plans.append(real_plan(g, v_min))
+        return plans[-1]
+
+    monkeypatch.setattr(partition, "cut_plan", counted_plan)
+    monkeypatch.setattr(partition, "block_layout",
+                        lambda plan: laid_out.append(plan) or real_layout(plan))
+    obs = solve_instance(3, 16)
+    g0 = init_sparse_graph(obs.gram, 30)
+    _, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive", epsilon=0.05))
+    assert 1 < len(plans) < len(trace)
+    assert len(laid_out) == len(plans)
+    assert all(a is b for a, b in zip(laid_out, plans))
+    plans.clear()
+    laid_out.clear()
+    run_solver(g0, obs, SolverConfig(solver_kind="greedy", epsilon=0.05))
+    assert plans == [] and laid_out == []
+
+
+def _select_block_by_block(grad, m_arr, n_arr, plan):
+    """The reduction as first written: an argmin per block, then the best
+    (grad, m, n) key over the finite block minima. Returns a row or None."""
+    best = None
+    for rows in plan:
+        i = int(rows[grad[rows].argmin()])
+        key = (grad[i], m_arr[i], n_arr[i])
+        if np.isfinite(grad[i]) and (best is None or key < best[0]):
+            best = (key, i)
+    return None if best is None else best[1]
+
+
+def test_block_reduction_matches_block_by_block_loop(monkeypatch):
+    # synthetic scores with few distinct values (ties across blocks) and
+    # +inf rows, reduced over real plans, against the loop as a reference
+    import fsgl.partition as partition
+
+    rng = np.random.default_rng(17)
+    scores = {}
+    monkeypatch.setattr(partition, "score_edges", lambda *args: scores["now"])
+    cfg = SolverConfig(solver_kind="recursive")
+    seen = {"cross_block_tie": 0, "singleton": 0, "none": 0, "inf_rows": 0}
+    for seed in range(4):
+        obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
+        g = init_sparse_graph(obs.gram, 40)
+        m_arr, n_arr, _ = g.edge_arrays()
+        e = g.edge_count
+        for v_min in (2, 4, 8):
+            plan = cut_plan(g, v_min)
+            assert all(b.shape[0] > 0 for b in plan)  # reduceat needs this
+            seen["singleton"] += sum(b.shape[0] == 1 for b in plan)
+            layout = block_layout(plan)
+            block_of = np.empty(e, dtype=np.intp)
+            for b, rows in enumerate(plan):
+                block_of[rows] = b
+            for trial in range(40):
+                grad = rng.integers(-3, 3, e).astype(np.float64)
+                grad[rng.random(e) < rng.choice([0.0, 0.3, 0.9, 1.0])] = np.inf
+                scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
+                                           np.zeros(e), grad)
+                trace = SolveTrace()
+                got = partition_select(g, None, obs, cfg, layout, None, trace)
+                want = _select_block_by_block(grad, m_arr, n_arr, plan)
+                inf_rows = int(np.isinf(grad).sum())
+                assert trace.ineligible == inf_rows
+                seen["inf_rows"] += inf_rows > 0
+                if want is None:
+                    assert got is None and inf_rows == e
+                    seen["none"] += 1
+                    continue
+                assert got[0] == (int(m_arr[want]), int(n_arr[want]))
+                assert got[1].grad_h == grad[want] and got[1].z == -grad[want]
+                tied = np.flatnonzero(grad == grad[want])
+                seen["cross_block_tie"] += len(set(block_of[tied])) > 1
+    assert all(seen.values()), seen
 
 
 def test_cut_plan_blocks_cover_every_edge_once():

@@ -1,5 +1,7 @@
 """Solver configuration, trace bookkeeping, and the greedy loop."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,44 @@ def test_exact_logdet_no_worse_than_majorizer():
     sel_e = greedy_step(g0, obs.gram, state_e, cfg_e)
     assert sel_m is not None and sel_e is not None
     assert sel_e[1].grad_h <= sel_m[1].grad_h + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_trace_counts_eigensolves_and_ineligible_edges(kind, monkeypatch, caplog):
+    import fsgl.partition
+    import fsgl.solver
+
+    counted = []
+    for module in (fsgl.solver, fsgl.partition):
+        def counting(*args, real=module.score_edges):
+            scores = real(*args)
+            counted.append(int(np.count_nonzero(scores.grad == np.inf)))
+            return scores
+        monkeypatch.setattr(module, "score_edges", counting)
+    obs = small_instance(2, n=10, k=3)
+    g0 = init_sparse_graph(obs.gram, 10)
+    # 2 eps / alpha > 1, so some determinant factors go nonpositive
+    with caplog.at_level(logging.WARNING, logger="fsgl"):
+        _, trace = run_solver(g0, obs, SolverConfig(solver_kind=kind, epsilon=0.3,
+                                                    refresh_interval=2))
+    assert len(trace) > 0
+    assert trace.eigensolves == 1 + len(trace) // 2
+    assert trace.ineligible == sum(counted) > 0
+    assert len(counted) == len(trace) + 1
+    assert sum("step too large" in r.getMessage() for r in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fsgl"):
+        _, trace = run_solver(g0, obs, SolverConfig(solver_kind=kind, refresh_interval=3))
+    assert trace.eigensolves == 1 + len(trace) // 3
+    assert trace.ineligible == 0 and caplog.records == []
+
+
+def test_zero_step_solve_logs_one_warning(caplog):
+    obs = small_instance(0, n=10, k=3)
+    g0 = init_sparse_graph(obs.gram, 10)
+    with caplog.at_level(logging.WARNING, logger="fsgl"):
+        g, trace = run_solver(g0, obs, SolverConfig(gamma=1000.0))
+    assert len(trace) == 0 and trace.stop_reason == "no_descent"
+    assert g.edges == g0.edges
+    assert [r.getMessage() for r in caplog.records] == [
+        "no edge descends from the initial graph; returned unchanged"]
