@@ -17,6 +17,7 @@ from .errors import (
     InvalidDof,
     MissingEdge,
     NonFiniteInput,
+    NonFiniteObjective,
     StepTooLarge,
     TooLarge,
     ZeroReference,
@@ -72,6 +73,7 @@ __all__ = [
     "LaplacianView",
     "MissingEdge",
     "NonFiniteInput",
+    "NonFiniteObjective",
     "ObservationSet",
     "SolveTrace",
     "SolverConfig",

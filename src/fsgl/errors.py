@@ -9,6 +9,10 @@ class NonFiniteInput(FsglError):
     """Input data holds a NaN or infinite entry."""
 
 
+class NonFiniteObjective(FsglError):
+    """The objective of a solve's starting graph is NaN or infinite."""
+
+
 class DuplicateEdge(FsglError):
     """An edge list names the same unordered node pair twice."""
 

@@ -219,12 +219,24 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix Y = X X^T of an N x K observation matrix."""
+    """Gram matrix Y = X X^T of an N x K observation matrix.
+
+    Raises NonFiniteInput when an entry of Y overflows (or X holds one),
+    since every score and the objective would then be NaN.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("x must be an N x K matrix with K >= 1")
-    y = x @ x.T
-    return 0.5 * (y + y.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x @ x.T
+        y = 0.5 * (y + y.T)
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.shape[0]:
+        row, col = bad[0]
+        raise NonFiniteInput(
+            f"Gram matrix X X^T is non-finite at {bad.shape[0]} entries, first "
+            f"at ({row}, {col}): the observations are too large")
+    return y
 
 
 class ObservationSet:

@@ -8,6 +8,10 @@ argument), and the off-diagonal l0 sparsity term. `edge_gradient` combines
 them into the greedy score; `score_edges` is the vectorized equivalent
 used in the solver inner loop (`edge_terms`: its part fixed by the edge
 set), and `objective_value` recomputes the exact objective for monitoring.
+`score_edges` works eigen-major: it gathers each retained eigenvector at
+the batch's endpoints into a (k, E) array, and `_row_sums` adds every
+edge's k terms in the order a per-edge row sum would, so the scores are
+bitwise those of the per-edge (E, k) form.
 """
 
 from __future__ import annotations
@@ -128,10 +132,44 @@ class EdgeScores:
 
 
 def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float):
-    """(z, eps * z, [m; n]): trace slopes, their step, the gather index."""
+    """(z, eps * z): the trace slopes of the edges and their step."""
     diag = y.diagonal()
     z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
-    return z, eps * z, np.concatenate([m_arr, n_arr])
+    return z, eps * z
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum the k rows of a (k, E) array into E column sums.
+
+    Each column's k terms are added in the order `ndarray.sum(axis=1)`
+    adds a row of the (E, k) transpose (NumPy's pairwise summation), so
+    the sums are bitwise the same: one running sum below 8 terms; from 8
+    to 128 terms, 8 running sums over stride-8 rows, combined pairwise,
+    then the remainder; above 128, the halves (rounded down to a multiple
+    of 8) summed apart and added. Every step runs over all E columns at
+    once.
+    """
+    k = a.shape[0]
+    if k < 8:
+        return np.add.reduce(a, axis=0)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _row_sums(a[:half]) + _row_sums(a[half:])
+    top = k - k % 8
+    # r[j] runs over rows j, j + 8, j + 16, ... (the reduced axis stays
+    # outermost, so each column is a running sum); a single block of 8
+    # needs no reduction call.
+    if top == 8:
+        r = a[:8]
+    else:
+        r = np.add.reduce(a[:top].reshape(top // 8, 8, a.shape[1]), axis=0)
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in a[top:]:
+        s += row
+    # NumPy adds the row's sum to its identity, 0.0, which turns -0.0 into
+    # +0.0 and changes nothing else.
+    s += 0.0
+    return s
 
 
 def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
@@ -140,38 +178,46 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
 
     Mirrors `edge_gradient` arithmetic exactly; edges whose determinant
     factor would go nonpositive get grad = +inf (ineligible at this step
-    size). Reductions run per row over the retained eigenbasis, so scores
-    do not depend on how the batch is partitioned. `terms`, if given, is
-    edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
+    size). The quadratic form runs eigen-major, on (k, E) arrays gathered
+    per eigenpair, and `_row_sums` adds each edge's k terms in the order
+    a per-edge row sum would, so scores do not depend on how the batch is
+    partitioned. `terms`, if given, is edge_terms(y, m_arr, n_arr,
+    cfg.epsilon); the bits are the same.
     """
     eps = cfg.epsilon
-    z, ez, ends = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
-    # One gather for both endpoints (np.take: the same copy as fancy
-    # indexing, a fraction of its cost on LAPACK's Fortran-ordered output).
-    # The (E, k) difference stays C-ordered, so each row sum below adds its
-    # k terms in the same order as before.
-    e = m_arr.shape[0]
-    rows = np.take(state.eigvecs, ends, axis=0)
-    dv = rows[:e] - rows[e:]
+    z, ez = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
+    # LAPACK returns eigenvectors Fortran-ordered, so the transpose is a
+    # C-ordered view and each eigenpair's row gathers contiguously.
+    vt = state.eigvecs.T
+    dv = vt.take(m_arr, axis=1)
+    dv -= vt.take(n_arr, axis=1)
+
+    gap = state.gap2
+    if gap > 4.0 * eps:
+        rho = SQRT2 * eps * np.abs(dv[1])
+    elif gap > 2.0 * eps:
+        rho = 2.0 * eps * np.abs(dv[1])
+    else:
+        rho = np.full(m_arr.shape, 2.0 * eps)
+
     if cfg.exact_logdet and state.resolvent is not None:
         r = state.resolvent
         q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
     else:
-        q = (dv * dv * state.majorizer_coeffs()).sum(axis=1) + 2.0 / state.alpha
+        dv *= dv
+        dv *= state.majorizer_coeffs()[:, None]
+        q = _row_sums(dv) + 2.0 / state.alpha
     eta = 1.0 - eps * q
-    pen = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
-    np.negative(pen, out=pen)
-
-    gap = state.gap2
-    if gap > 4.0 * eps:
-        rho = SQRT2 * eps * np.abs(dv[:, 1])
-    elif gap > 2.0 * eps:
-        rho = 2.0 * eps * np.abs(dv[:, 1])
+    # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
+    # eta <= 0, which makes the score +inf.
+    if m_arr.shape[0] and eta.min() > 0.0:
+        grad = np.log(eta)
     else:
-        rho = np.full(m_arr.shape, 2.0 * eps)
-
-    gain = np.where(w_arr < eps, cfg.mu, 0.0)
-    grad = ez + pen + cfg.gamma * rho - gain
+        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
+    np.subtract(ez, grad, out=grad)
+    grad += cfg.gamma * rho
+    gain = (w_arr < eps) * float(cfg.mu)
+    grad -= gain
     return EdgeScores(z, eta, rho, gain, grad)
 
 
@@ -179,18 +225,19 @@ def best_scored(scores: EdgeScores, m_arr: np.ndarray, n_arr: np.ndarray,
                 w_arr: np.ndarray) -> tuple[tuple[int, int], EdgeDelta] | None:
     """Pick the batch argmin as an EdgeDelta, or None with no finite score.
 
-    Requires (m_arr, n_arr) in lexicographic order so np.argmin's
+    Requires (m_arr, n_arr) in lexicographic order so argmin's
     first-minimum rule realizes the lexicographic tie-break.
     """
     if m_arr.shape[0] == 0:
         return None
-    i = int(np.argmin(scores.grad))
-    if not np.isfinite(scores.grad[i]):
+    grad = scores.grad
+    i = int(grad.argmin())
+    if not np.isfinite(grad[i]):
         return None
     edge = (int(m_arr[i]), int(n_arr[i]))
     delta = EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
                       float(scores.rho[i]), float(scores.gain[i]),
-                      float(scores.grad[i]))
+                      float(grad[i]))
     return edge, delta
 
 

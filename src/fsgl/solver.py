@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import partition as _partition
+from .errors import NonFiniteObjective
 from .graph import ObservationSet, WeightedGraph, build_laplacian, weaken_edge
 from .objective import EdgeDelta, best_scored, edge_terms, objective_value, score_edges
 from .spectral import SpectralState, smallest_eigenpairs
@@ -47,6 +48,9 @@ class SolverConfig:
     objective_interval: int = 0
 
     def __post_init__(self):
+        for name in ("epsilon", "alpha", "gamma", "mu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.alpha <= 0:
@@ -152,7 +156,8 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     steps; with the default interval of 1 each accepted step is scored
     against a fresh snapshot, which is what the descent guarantee assumes.
     The exact objective lands in the trace every cfg.objective_interval
-    accepted steps (0 records only the initial and final values).
+    accepted steps (0 records only the initial and final values); a
+    starting graph whose objective is not finite raises NonFiniteObjective.
     """
     if g0.n < 2:
         raise ValueError("need at least two nodes")
@@ -160,6 +165,10 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     g = g0
     trace = SolveTrace()
     trace.initial_objective = objective_value(g, y, cfg)
+    if not np.isfinite(trace.initial_objective):
+        raise NonFiniteObjective(
+            f"initial objective is {float(trace.initial_objective)!r}; the "
+            f"graph's weights or the observations are too large")
 
     t0 = time.perf_counter()
     state = compute_state(g, cfg, obs.k)

@@ -114,6 +114,19 @@ def test_solve_rejects_non_finite_observations(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["greedy", "recursive"])
+def test_solve_rejects_overflowing_gram(tmp_path, capsys, solver):
+    # every entry is finite, but X X^T overflows: exit 1, never objective=nan
+    path = tmp_path / "x.csv"
+    path.write_text("1e200,-1e200\n-1e200,1e200\n1e200,1e200\n")
+    code = run_cli("solve", "--input", str(path), "--solver", solver)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: Gram matrix" in captured.err and "non-finite" in captured.err
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert "objective" not in captured.out
+
+
+@pytest.mark.parametrize("solver", ["greedy", "recursive"])
 def test_solve_rejects_single_node(tmp_path, capsys, solver):
     path = tmp_path / "x.csv"
     path.write_text("1.0,2.0,0.5\n")

@@ -158,6 +158,20 @@ def test_observation_set_caches_gram():
         gram(np.zeros(3))
 
 
+def test_gram_overflow_is_non_finite_input():
+    # finite observations whose Gram matrix overflows to inf and inf - inf
+    x = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
+    with pytest.raises(NonFiniteInput, match="Gram matrix"):
+        gram(x)
+    obs = ObservationSet(x)  # every entry is finite
+    with pytest.raises(NonFiniteInput, match=r"first at \(0, 0\)"):
+        obs.gram
+    with pytest.raises(NonFiniteInput, match=r"at 1 entries, first at \(1, 1\)"):
+        gram(np.array([[1.0], [1e155]]))
+    # the largest entries that stay finite are accepted
+    assert np.isfinite(gram(np.array([[1e150, 1e150], [1e150, -1e150]]))).all()
+
+
 def test_connectivity_matches_lambda2_sign():
     # is_connected iff the second Laplacian eigenvalue is positive
     flips = 0

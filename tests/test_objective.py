@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fsgl.spectral
 from fsgl.errors import StepTooLarge
 from fsgl.graph import (
     ObservationSet,
@@ -15,6 +16,7 @@ from fsgl.graph import (
 )
 from fsgl.objective import (
     EdgeScores,
+    _row_sums,
     best_scored,
     edge_gradient,
     edge_terms,
@@ -248,20 +250,17 @@ def _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg):
     return EdgeScores(z, eta, rho, gain, grad)
 
 
-@pytest.mark.parametrize("n, k", [(30, 6), (40, 12)])
-def test_score_edges_bitwise_equal_to_reference(n, k):
-    # k = 12 reaches NumPy's pairwise row summation (8 terms and up)
-    rng = np.random.default_rng(n + k)
-    g = random_connected_graph(rng, n, density=0.6)
-    y = gram(rng.standard_normal((n, k)))
+def _assert_bitwise_equal_to_reference(g, y, states):
     m_arr, n_arr, w_arr = g.edge_arrays()
     ineligible = set()
-    for exact in (False, True):
-        state = smallest_eigenpairs(build_laplacian(g), k, alpha=0.5,
-                                    with_resolvent=exact)
+    for state in states:
+        exact = state.resolvent is not None
         # step sizes on every side of the eigen-gap thresholds, and large
-        # enough that some determinant factors go nonpositive
-        for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4):
+        # enough that some determinant factors go nonpositive (q >= 2 /
+        # (lambda_k + alpha) when the majorizer is used or k == n, so the
+        # last one makes every edge ineligible there)
+        lam_k = float(state.eigvals[-1])
+        for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4, 2.0 * (lam_k + state.alpha)):
             cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
             got = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
             ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
@@ -273,6 +272,77 @@ def test_score_edges_bitwise_equal_to_reference(n, k):
                 assert getattr(pre, name).tobytes() == getattr(ref, name).tobytes(), name
             ineligible.add(int(np.count_nonzero(~np.isfinite(got.grad))))
     assert 0 in ineligible and max(ineligible) > 0
+
+
+@pytest.mark.parametrize("n, k", [(20, 3), (30, 6), (30, 7), (30, 8), (40, 12),
+                                  (60, 24), (12, 12)])
+def test_score_edges_bitwise_equal_to_reference(n, k):
+    # k >= 8 reaches NumPy's pairwise row summation; k == n takes the
+    # full eigh, whose eigenvectors are laid out differently from dsyevr's
+    rng = np.random.default_rng(n + k)
+    g = random_connected_graph(rng, n, density=0.6)
+    y = gram(rng.standard_normal((n, k)))
+    lap = build_laplacian(g)
+    _assert_bitwise_equal_to_reference(g, y, [
+        smallest_eigenpairs(lap, k, alpha=0.5, with_resolvent=exact)
+        for exact in (False, True)])
+
+
+def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
+    real_syevr = fsgl.spectral._SYEVR
+
+    def failing_syevr(*args, **kwargs):
+        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
+        return w, z, m, isuppz, 1
+
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+    rng = np.random.default_rng(11)
+    g = random_connected_graph(rng, 30, density=0.6)
+    y = gram(rng.standard_normal((30, 9)))
+    lap = build_laplacian(g)
+    states = [smallest_eigenpairs(lap, 9, alpha=0.5, with_resolvent=exact)
+              for exact in (False, True)]
+    # the full eigh's first k columns: neither C- nor Fortran-contiguous
+    flags = states[0].eigvecs.flags
+    assert not flags.c_contiguous and not flags.f_contiguous
+    _assert_bitwise_equal_to_reference(g, y, states)
+
+
+def test_row_sums_bitwise_equal_to_numpy_row_sum():
+    # every branch: a running sum (k < 8), 8 strided running sums and a
+    # remainder (8 <= k <= 128), and recursive halves (k > 128)
+    rng = np.random.default_rng(3)
+    for k in [*range(1, 141), 200, 257, 300]:
+        for e in (0, 1, 2, 37):
+            a = rng.standard_normal((e, k)) * np.exp(rng.uniform(-40.0, 40.0, (e, k)))
+            a[rng.random((e, k)) < 0.1] = -0.0
+            a[rng.random((e, k)) < 0.1] = 0.0
+            a[:1] = -0.0  # NumPy's row sum of -0.0 terms is +0.0
+            want = a.sum(axis=1).tobytes()
+            assert _row_sums(np.ascontiguousarray(a.T)).tobytes() == want, (k, e)
+            assert _row_sums(a.T).tobytes() == want, (k, e)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_score_edges_on_empty_and_one_edge_batches(exact):
+    rng = np.random.default_rng(2)
+    g = random_connected_graph(rng, 10)
+    y = gram(rng.standard_normal((10, 4)))
+    state = smallest_eigenpairs(build_laplacian(g), 4, alpha=0.5, with_resolvent=exact)
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    cfg = SolverConfig(exact_logdet=exact)
+    empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
+    for name in ("z", "eta", "rho", "gain", "grad"):
+        assert getattr(empty, name).shape == (0,), name
+    assert best_scored(empty, m_arr[:0], n_arr[:0], w_arr[:0]) is None
+    full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+    for i in (0, m_arr.shape[0] - 1):
+        one = score_edges(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
+        for name in ("z", "eta", "rho", "gain", "grad"):
+            assert getattr(one, name).tobytes() == getattr(full, name)[i:i + 1].tobytes()
+        ref = _score_edges_reference(state, y, m_arr[i:i + 1], n_arr[i:i + 1],
+                                     w_arr[i:i + 1], cfg)
+        assert one.grad.tobytes() == ref.grad.tobytes()
 
 
 def test_best_scored_tie_breaks_lexicographic():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.graph import ObservationSet, complete_graph, gram, weaken_edge
+from fsgl.errors import FsglError, NonFiniteObjective
+from fsgl.graph import ObservationSet, WeightedGraph, complete_graph, gram, weaken_edge
 from fsgl.init_graph import init_sparse_graph
 from fsgl.solver import (
     SolveTrace,
@@ -37,6 +38,10 @@ def test_config_validation():
         SolverConfig(refresh_interval=0)
     with pytest.raises(ValueError):
         SolverConfig(solver_kind="random")
+    for name in ("epsilon", "alpha", "gamma", "mu"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{name: bad})
     assert SolverConfig().epsilon == 0.01
 
 
@@ -246,3 +251,15 @@ def test_zero_step_solve_logs_one_warning(caplog):
     assert g.edges == g0.edges
     assert [r.getMessage() for r in caplog.records] == [
         "no edge descends from the initial graph; returned unchanged"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_non_finite_initial_objective_is_a_typed_error(kind):
+    # finite weights and a finite Gram matrix whose smoothness term overflows
+    g0 = WeightedGraph(3, {(0, 1): 1e10, (1, 2): 1e10})
+    obs = ObservationSet(np.array([[1e150, 0.0], [-1e150, 1.0], [0.0, 2.0]]))
+    assert np.isfinite(obs.gram).all()
+    with pytest.raises(NonFiniteObjective, match="initial objective is inf") as info:
+        run_solver(g0, obs, SolverConfig(solver_kind=kind))
+    assert isinstance(info.value, FsglError)
