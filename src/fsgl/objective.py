@@ -157,12 +157,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
         return _row_sums(a[:half]) + _row_sums(a[half:])
     top = k - k % 8
     # r[j] runs over rows j, j + 8, j + 16, ... (the reduced axis stays
-    # outermost, so each column is a running sum); a single block of 8
-    # needs no reduction call.
-    if top == 8:
-        r = a[:8]
-    else:
-        r = np.add.reduce(a[:top].reshape(top // 8, 8, a.shape[1]), axis=0)
+    # outermost, so each column is a running sum).
+    r = np.add.reduce(a[:top].reshape(top // 8, 8, a.shape[1]), axis=0)
     s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for row in a[top:]:
         s += row
@@ -210,10 +206,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     eta = 1.0 - eps * q
     # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
     # eta <= 0, which makes the score +inf.
-    if m_arr.shape[0] and eta.min() > 0.0:
-        grad = np.log(eta)
-    else:
-        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
+    grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
     np.subtract(ez, grad, out=grad)
     grad += cfg.gamma * rho
     gain = (w_arr < eps) * float(cfg.mu)

@@ -164,7 +164,9 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     y = obs.gram
     g = g0
     trace = SolveTrace()
-    trace.initial_objective = objective_value(g, y, cfg)
+    # An overflow here is reported as NonFiniteObjective, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace.initial_objective = objective_value(g, y, cfg)
     if not np.isfinite(trace.initial_objective):
         raise NonFiniteObjective(
             f"initial objective is {float(trace.initial_objective)!r}; the "

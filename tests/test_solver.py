@@ -1,6 +1,7 @@
 """Solver configuration, trace bookkeeping, and the greedy loop."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -253,13 +254,15 @@ def test_zero_step_solve_logs_one_warning(caplog):
         "no edge descends from the initial graph; returned unchanged"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
 def test_non_finite_initial_objective_is_a_typed_error(kind):
     # finite weights and a finite Gram matrix whose smoothness term overflows
     g0 = WeightedGraph(3, {(0, 1): 1e10, (1, 2): 1e10})
     obs = ObservationSet(np.array([[1e150, 0.0], [-1e150, 1.0], [0.0, 2.0]]))
     assert np.isfinite(obs.gram).all()
-    with pytest.raises(NonFiniteObjective, match="initial objective is inf") as info:
-        run_solver(g0, obs, SolverConfig(solver_kind=kind))
+    # the overflow is reported once, as the error, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteObjective, match="initial objective is inf") as info:
+            run_solver(g0, obs, SolverConfig(solver_kind=kind))
     assert isinstance(info.value, FsglError)
