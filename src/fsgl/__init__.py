@@ -18,7 +18,6 @@ from .errors import (
     MissingEdge,
     NonFiniteInput,
     NonFiniteObjective,
-    StepTooLarge,
     TooLarge,
     ZeroReference,
 )
@@ -36,12 +35,7 @@ from .init_graph import init_sparse_graph, max_similarity_tree
 from .io import load_graph, load_observations, save_graph, save_observations
 from .objective import (
     EdgeDelta,
-    edge_gradient,
-    fiedler_delta,
-    logdet_delta,
     objective_value,
-    sparsity_delta,
-    trace_delta,
 )
 from .partition import (
     CheegerCut,
@@ -78,7 +72,6 @@ __all__ = [
     "SolveTrace",
     "SolverConfig",
     "SpectralState",
-    "StepTooLarge",
     "TooLarge",
     "WeightedGraph",
     "ZeroReference",
@@ -86,9 +79,7 @@ __all__ = [
     "brute_force_cheeger",
     "build_laplacian",
     "complete_graph",
-    "edge_gradient",
     "eigen_gap2",
-    "fiedler_delta",
     "gen_ground_truth",
     "gram",
     "greedy_step",
@@ -97,7 +88,6 @@ __all__ = [
     "is_connected",
     "load_graph",
     "load_observations",
-    "logdet_delta",
     "majorizer_quadform",
     "max_similarity_tree",
     "objective_value",
@@ -111,7 +101,5 @@ __all__ = [
     "save_graph",
     "save_observations",
     "smallest_eigenpairs",
-    "sparsity_delta",
-    "trace_delta",
     "weaken_edge",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import initial_graph, relative_error, run_benchmark
 from .datagen import gen_ground_truth, sample_gmm, sample_mvt
-from .errors import FsglError
+from .errors import FsglError, ZeroReference
 from .graph import ObservationSet, WeightedGraph, build_laplacian, is_connected
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
@@ -178,6 +178,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     x = load_observations(args.input)
     obs = ObservationSet(x)
     cfg = config_from_args(args, args.solver)
+    # A bad reference fails before the solve, not after it.
+    w_star = load_graph(args.truth, n=obs.n) if args.truth else None
+    if w_star is not None and w_star.edge_count == 0:
+        raise ZeroReference(f"{args.truth}: reference graph has no edges")
     g0 = initial_graph(obs, cfg)
     t0 = time.perf_counter()
     g, trace = run_solver(g0, obs, cfg)
@@ -192,8 +196,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"edges={g.edge_count} lambda2={lam2:.6f} "
           f"objective={trace.initial_objective:.6f}->{trace.final_objective:.6f} "
           f"ms={ms:.1f}")
-    if args.truth:
-        w_star = load_graph(args.truth, n=obs.n)
+    if w_star is not None:
         print(f"relative_error={relative_error(g, w_star):.6f}")
     if args.output:
         print(f"wrote {args.output}")

@@ -25,10 +25,6 @@ class InsufficientEigenpairs(FsglError):
     """Fewer eigenpairs retained than the requested quantity needs."""
 
 
-class StepTooLarge(FsglError):
-    """Weakening step would drive the determinant factor nonpositive."""
-
-
 class InvalidBudget(FsglError):
     """Extra-edge budget exceeds the number of available node pairs."""
 

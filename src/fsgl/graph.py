@@ -10,6 +10,7 @@ edge, keeping the edge set equal to the support of the adjacency matrix.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -32,7 +33,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class WeightedGraph:
-    """Undirected graph with positive edge weights and no self-loops.
+    """Undirected graph with finite positive edge weights and no self-loops.
 
     The edge state is read-only arrays sorted by (m, n): endpoints, weights,
     the key m * N + n and the Laplacian's index (keys n * N + m, endpoints
@@ -58,6 +59,8 @@ class WeightedGraph:
                 if not (0 <= m < self.n and 0 <= k < self.n):
                     raise ValueError(f"edge ({m},{k}) out of range for n={self.n}")
                 w = float(w)
+                if not math.isfinite(w):
+                    raise NonFiniteInput(f"edge ({m},{k}) has non-finite weight {w}")
                 if w <= 0.0:
                     raise ValueError(f"edge ({m},{k}) has nonpositive weight {w}")
                 canon[(m, k)] = w

@@ -4,10 +4,10 @@ A weakening step on edge (m, n) changes the objective through four
 channels: the smoothness trace (exact, linear in the step), the log
 determinant (bounded via a rank-1 determinant identity with a majorized
 quadratic form), the Fiedler value (bounded by an eigenvalue perturbation
-argument), and the off-diagonal l0 sparsity term. `edge_gradient` combines
-them into the greedy score; `score_edges` is the vectorized equivalent
-used in the solver inner loop (`edge_terms`: its part fixed by the edge
-set), and `objective_value` recomputes the exact objective for monitoring.
+argument), and the off-diagonal l0 sparsity term. `score_edges` combines
+them into the greedy score for a batch of edges, the only place the score
+is computed (`edge_terms`: its part fixed by the edge set), and
+`objective_value` recomputes the exact objective for monitoring.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
 the batch's endpoints into a (k, E) array, and `_row_sums` adds every
 edge's k terms in the order a per-edge row sum would, so the scores are
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooLarge
 from .graph import WeightedGraph, build_laplacian
 from .spectral import SpectralState
 
@@ -40,86 +39,6 @@ class EdgeDelta:
     grad_h: float       # total score; negative means the step helps
 
 
-def trace_delta(y: np.ndarray, m: int, n: int) -> float:
-    """Trace slope Z = 2 Y_mn - Y_mm - Y_nn (nonpositive for PSD Y).
-
-    The smoothness term changes exactly by eps * Z when the edge weight
-    drops by eps.
-    """
-    if m == n:
-        raise ValueError("m and n must differ")
-    return float(2.0 * y[m, n] - y[m, m] - y[n, n])
-
-
-def _quadform(state: SpectralState, m: int, n: int, exact: bool) -> float:
-    dv = state.eigvecs[m, :] - state.eigvecs[n, :]
-    q = float((dv * dv * state.majorizer_coeffs()).sum() + 2.0 / state.alpha)
-    if exact:
-        r = state.resolvent
-        if r is None:
-            raise ValueError("exact scoring requires a state with a resolvent")
-        q = float(r[m, m] + r[n, n] - 2.0 * r[m, n])
-    return q
-
-
-def logdet_delta(state: SpectralState, m: int, n: int, eps: float, *, exact: bool = False) -> float:
-    """Penalty -log(eta) for the log-determinant term.
-
-    eta = 1 - eps * q with q the (majorized) quadratic form of
-    (L + alpha I)^{-1}; majorization only overestimates the penalty.
-    Raises StepTooLarge when eps * q >= 1, which signals the step size must
-    shrink for this edge.
-    """
-    q = _quadform(state, m, n, exact)
-    eta = 1.0 - eps * q
-    if eta <= 0.0:
-        raise StepTooLarge(f"eps*q = {eps * q:.4f} >= 1 on edge ({m},{n})")
-    return -math.log(eta)
-
-
-def fiedler_delta(state: SpectralState, m: int, n: int, eps: float) -> float:
-    """Bound on the decrease of lambda_2 caused by the weakening.
-
-    The bound tightens with the eigen-gap: sqrt(2) eps |v2_m - v2_n| when
-    the gap exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, and
-    the norm bound 2 eps otherwise (also the regime used when lambda_2 is
-    degenerate and v2 is ambiguous).
-    """
-    gap = state.gap2
-    if gap > 4.0 * eps:
-        return SQRT2 * eps * abs(float(state.eigvecs[m, 1] - state.eigvecs[n, 1]))
-    if gap > 2.0 * eps:
-        return 2.0 * eps * abs(float(state.eigvecs[m, 1] - state.eigvecs[n, 1]))
-    return 2.0 * eps
-
-
-def sparsity_delta(w: float, eps: float, mu: float) -> float:
-    """Sparsity reward: -mu when this step removes the edge (w < eps)."""
-    if w <= 0:
-        raise ValueError("edge weight must be positive")
-    return -mu if w < eps else 0.0
-
-
-def edge_gradient(state: SpectralState, y: np.ndarray, g: WeightedGraph,
-                  edge: tuple[int, int], cfg) -> EdgeDelta:
-    """Combined score for weakening `edge` by cfg.epsilon.
-
-    grad_h = eps Z - log eta + gamma rho - mu I(w < eps). The trace and
-    sparsity parts are exact; the determinant and Fiedler parts are
-    conservative bounds, so a negative grad_h certifies descent.
-    """
-    m, n = edge if edge[0] < edge[1] else (edge[1], edge[0])
-    w = g.weight(m, n)
-    eps = cfg.epsilon
-    z = trace_delta(y, m, n)
-    pen = logdet_delta(state, m, n, eps, exact=cfg.exact_logdet)
-    rho = fiedler_delta(state, m, n, eps)
-    gain = cfg.mu if w < eps else 0.0
-    grad = eps * z + pen + cfg.gamma * rho - gain
-    eta = 1.0 - eps * _quadform(state, m, n, cfg.exact_logdet)
-    return EdgeDelta((m, n), z, eta, rho, gain, grad)
-
-
 @dataclass(frozen=True)
 class EdgeScores:
     """Vectorized per-edge scoring over a batch of candidate edges."""
@@ -129,6 +48,14 @@ class EdgeScores:
     rho: np.ndarray
     gain: np.ndarray
     grad: np.ndarray
+
+    def delta(self, i: int, m_arr: np.ndarray,
+              n_arr: np.ndarray) -> tuple[tuple[int, int], EdgeDelta]:
+        """Row i of the batch as (edge, EdgeDelta)."""
+        edge = (int(m_arr[i]), int(n_arr[i]))
+        return edge, EdgeDelta(edge, float(self.z[i]), float(self.eta[i]),
+                               float(self.rho[i]), float(self.gain[i]),
+                               float(self.grad[i]))
 
 
 def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float):
@@ -172,13 +99,24 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
                 n_arr: np.ndarray, w_arr: np.ndarray, cfg, terms=None) -> EdgeScores:
     """Score a batch of edges against one immutable spectral snapshot.
 
-    Mirrors `edge_gradient` arithmetic exactly; edges whose determinant
-    factor would go nonpositive get grad = +inf (ineligible at this step
-    size). The quadratic form runs eigen-major, on (k, E) arrays gathered
-    per eigenpair, and `_row_sums` adds each edge's k terms in the order
-    a per-edge row sum would, so scores do not depend on how the batch is
-    partitioned. `terms`, if given, is edge_terms(y, m_arr, n_arr,
-    cfg.epsilon); the bits are the same.
+    grad = eps z - log(eta) + gamma rho - gain for weakening each edge by
+    eps. z = 2 Y_mn - Y_mm - Y_nn is the exact trace slope. eta = 1 - eps q,
+    with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n: majorized
+    over the retained eigenpairs, or exact from the resolvent when
+    cfg.exact_logdet and the state has one; either way -log(eta) does not
+    underestimate the log-det penalty. rho bounds the Fiedler value's drop:
+    sqrt(2) eps |v2_m - v2_n| when the eigen-gap exceeds 4 eps, 2 eps
+    |v2_m - v2_n| when it exceeds 2 eps, else 2 eps. gain is mu when the
+    step removes the edge (w < eps), else 0. A negative grad therefore
+    certifies descent.
+
+    A step too large for an edge (eta <= 0) is not an error: that edge
+    gets grad = +inf, the solve counts it in `SolveTrace.ineligible` and
+    warns once per solve. The quadratic form runs eigen-major, on (k, E)
+    arrays gathered per eigenpair, and `_row_sums` adds each edge's k
+    terms in the order a per-edge row sum would, so scores do not depend
+    on how the batch is partitioned. `terms`, if given, is
+    edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
     """
     eps = cfg.epsilon
     z, ez = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
@@ -227,11 +165,7 @@ def best_scored(scores: EdgeScores, m_arr: np.ndarray, n_arr: np.ndarray,
     i = int(grad.argmin())
     if not np.isfinite(grad[i]):
         return None
-    edge = (int(m_arr[i]), int(n_arr[i]))
-    delta = EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
-                      float(scores.rho[i]), float(scores.gain[i]),
-                      float(grad[i]))
-    return edge, delta
+    return scores.delta(i, m_arr, n_arr)
 
 
 def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:

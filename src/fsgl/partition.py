@@ -22,7 +22,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import Disconnected, TooLarge
 from .graph import WeightedGraph, connected_components
-from .objective import EdgeDelta, score_edges
+from .objective import score_edges
 from .spectral import SpectralState
 
 BRUTE_FORCE_LIMIT = 16
@@ -214,7 +214,4 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     # Rows run in (m, n) order, so the smallest row that holds the best
     # block minimum is the winner by (grad, m, n).
     i = int(order[laid == best].min())
-    edge = (int(m_arr[i]), int(n_arr[i]))
-    return edge, EdgeDelta(edge, float(scores.z[i]), float(scores.eta[i]),
-                           float(scores.rho[i]), float(scores.gain[i]),
-                           float(grad[i]))
+    return scores.delta(i, m_arr, n_arr)

@@ -138,6 +138,53 @@ def test_solve_rejects_single_node(tmp_path, capsys, solver):
     assert "objective" not in captured.out
 
 
+@pytest.mark.parametrize("solver", ["greedy", "recursive"])
+@pytest.mark.parametrize("rows", [
+    "1.0,2.0,0.5\n-0.3,0.8,1.1\n",             # N = 2
+    "1.0\n2.0\n-0.5\n0.3\n-1.2\n0.7\n",    # K = 1
+])
+def test_solve_runs_at_smallest_sizes(tmp_path, capsys, rows, solver):
+    path = tmp_path / "x.csv"
+    path.write_text(rows)
+    truth = tmp_path / "t.csv"
+    truth.write_text("m,n,w\n0,1,1.0\n")
+    code = run_cli("solve", "--input", str(path), "--solver", solver,
+                   "--truth", str(truth))
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "solver=" in out and "relative_error=" in out
+    assert "nan" not in out and "inf" not in out
+
+
+MTX = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("t.csv", "m,n,w\n0,1,nan\n", "non-finite weight"),
+    ("t.csv", "m,n,w\n0,1,inf\n", "non-finite weight"),
+    ("t.mtx", MTX + "3 3 2\n1 2 nan\n2 1 nan\n", "non-finite weight"),
+    ("t.mtx", MTX + "2 3 1\n1 2 1.0\n", "must be square"),
+    ("t.csv", "m,n,w\n0,1,0.0\n", "nonpositive weight"),
+    ("t.csv", "m,n,w\n0,9,1.0\n", "out of range"),
+    ("t.csv", "m,n,w\n0,1\n", "malformed edge row"),
+    ("t.csv", "", "expected edge-list CSV"),
+    ("t.csv", "m,n,w\n", "no edges"),
+    ("t.csv", None, "No such file"),
+])
+def test_solve_rejects_bad_truth_before_solving(tmp_path, capsys, name, text, message):
+    x = tmp_path / "x.csv"
+    x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n")
+    truth = tmp_path / name
+    if text is not None:
+        truth.write_text(text)
+    code = run_cli("solve", "--input", str(x), "--truth", str(truth))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+    assert "solver=" not in captured.out and "relative_error=" not in captured.out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve")  # --input is required

@@ -51,6 +51,12 @@ def test_constructor_canonicalizes_and_validates():
         WeightedGraph(0)
 
 
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_weights(w):
+    with pytest.raises(NonFiniteInput, match="non-finite weight"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 2): w})
+
+
 def test_edge_arrays_sorted_lexicographically():
     for seed in range(20):
         rng = np.random.default_rng(seed)

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import fsgl.spectral
-from fsgl.errors import StepTooLarge
 from fsgl.graph import (
-    ObservationSet,
     WeightedGraph,
     build_laplacian,
     complete_graph,
@@ -18,15 +16,10 @@ from fsgl.objective import (
     EdgeScores,
     _row_sums,
     best_scored,
-    edge_gradient,
     edge_terms,
-    fiedler_delta,
-    logdet_delta,
     objective_value,
     score_edges,
     smoothness_trace,
-    sparsity_delta,
-    trace_delta,
 )
 from fsgl.solver import SolverConfig
 from fsgl.spectral import SpectralState, smallest_eigenpairs
@@ -44,24 +37,31 @@ def random_connected_graph(rng, n, density=0.5):
             return g
 
 
+def score_one(state, y, m, n, cfg, w=1.0):
+    """score_edges on the one-edge batch (m, n) with weight w."""
+    return score_edges(state, y, np.array([m]), np.array([n]), np.array([w]), cfg)
+
+
 def test_trace_delta_identity_observations():
     # Y = I gives Z = -2 for every pair; Y = all-ones gives Z = 0
     eye = np.eye(6)
     ones = np.ones((6, 6))
+    cfg = SolverConfig()
+    state = smallest_eigenpairs(build_laplacian(complete_graph(6)), 3, alpha=cfg.alpha)
     for (m, n) in ((0, 1), (2, 5), (3, 4)):
-        assert trace_delta(eye, m, n) == pytest.approx(-2.0)
-        assert trace_delta(ones, m, n) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        trace_delta(eye, 2, 2)
+        assert score_one(state, eye, m, n, cfg).z[0] == pytest.approx(-2.0)
+        assert score_one(state, ones, m, n, cfg).z[0] == pytest.approx(0.0)
 
 
 def test_trace_delta_nonpositive_for_gram():
+    cfg = SolverConfig()
+    state = smallest_eigenpairs(build_laplacian(complete_graph(8)), 3, alpha=cfg.alpha)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         y = gram(rng.standard_normal((8, int(rng.integers(1, 12)))))
         for _ in range(6):
             m, n = sorted(rng.choice(8, size=2, replace=False).tolist())
-            assert trace_delta(y, m, n) <= 1e-12
+            assert score_one(state, y, m, n, cfg).z[0] <= 1e-12
 
 
 def test_trace_delta_is_exact_smoothness_change():
@@ -74,76 +74,88 @@ def test_trace_delta_is_exact_smoothness_change():
         step = min(0.01, w)
         g2 = g.copy_with((m, n), w - step) if w > step else g.copy_with((m, n), 0.0)
         lhs = smoothness_trace(g2, y) - smoothness_trace(g, y)
-        assert lhs == pytest.approx(step * trace_delta(y, m, n), abs=1e-10)
+        state = smallest_eigenpairs(build_laplacian(g), 3)
+        z = score_one(state, y, m, n, SolverConfig(), w).z[0]
+        assert lhs == pytest.approx(step * z, abs=1e-10)
 
 
 def test_logdet_delta_majorizer_overestimates_true_drop():
     # -log eta with the surrogate form is >= the true log-det decrease
+    cfg = SolverConfig()
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 12))
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
         k = int(rng.integers(3, n + 1))
-        state = smallest_eigenpairs(lap, k, alpha=0.5)
+        state = smallest_eigenpairs(lap, k, alpha=cfg.alpha)
         (m, n2) = next(iter(g.edges))
-        eps = 0.01
-        pen = logdet_delta(state, m, n2, eps)
+        pen = -math.log(score_one(state, np.eye(n), m, n2, cfg).eta[0])
         e = np.zeros(n)
         e[m], e[n2] = 1.0, -1.0
-        shifted = lap.dense() + 0.5 * np.eye(n)
+        shifted = lap.dense() + cfg.alpha * np.eye(n)
         true_drop = (np.linalg.slogdet(shifted)[1]
-                     - np.linalg.slogdet(shifted - eps * np.outer(e, e))[1])
+                     - np.linalg.slogdet(shifted - cfg.epsilon * np.outer(e, e))[1])
         assert pen >= true_drop - 1e-10
 
 
 def test_logdet_delta_exact_matches_rank_one_determinant():
     # with the stored resolvent, eta equals det(A - eps E)/det(A) exactly
+    cfg = SolverConfig(exact_logdet=True)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 10))
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
-        state = smallest_eigenpairs(lap, 3, alpha=0.5, with_resolvent=True)
+        state = smallest_eigenpairs(lap, 3, alpha=cfg.alpha, with_resolvent=True)
         (m, n2) = next(iter(g.edges))
-        eps = 0.01
-        pen = logdet_delta(state, m, n2, eps, exact=True)
+        eta = score_one(state, np.eye(n), m, n2, cfg).eta[0]
         e = np.zeros(n)
         e[m], e[n2] = 1.0, -1.0
-        shifted = lap.dense() + 0.5 * np.eye(n)
-        ratio = (np.linalg.det(shifted - eps * np.outer(e, e))
+        shifted = lap.dense() + cfg.alpha * np.eye(n)
+        ratio = (np.linalg.det(shifted - cfg.epsilon * np.outer(e, e))
                  / np.linalg.det(shifted))
-        assert pen == pytest.approx(-math.log(ratio), rel=1e-9)
+        assert eta == pytest.approx(ratio, rel=1e-9)
 
 
 def test_logdet_delta_rejects_oversized_step():
     # an edgeless graph hits the ceiling q = 2/alpha = 4, so eps = 0.3
-    # drives eps * q = 1.2 past the determinant-positivity limit
-    g = WeightedGraph(3)
-    state = smallest_eigenpairs(build_laplacian(g), 3, alpha=0.5)
-    with pytest.raises(StepTooLarge):
-        logdet_delta(state, 0, 1, 0.3)
+    # drives eps * q = 1.2 past the determinant-positivity limit: the
+    # edge is ineligible (grad = +inf), not an error
+    state = smallest_eigenpairs(build_laplacian(WeightedGraph(3)), 3, alpha=0.5)
+    y = np.eye(3)
+    big = score_one(state, y, 0, 1, SolverConfig(epsilon=0.3))
+    assert big.eta[0] <= 0.0 and big.grad[0] == np.inf
     # a tame step on the same state stays finite
-    assert logdet_delta(state, 0, 1, 0.01) == pytest.approx(-math.log(0.96))
+    tame = score_one(state, y, 0, 1, SolverConfig(epsilon=0.01))
+    assert tame.eta[0] == pytest.approx(0.96) and np.isfinite(tame.grad[0])
 
 
 def test_fiedler_delta_gap_regimes():
-    eps = 0.01
+    cfg = SolverConfig(epsilon=0.01)
+    eps = cfg.epsilon
     vecs = np.zeros((4, 3))
     vecs[:, 1] = [0.5, -0.5, 0.5, -0.5]
     wide = SpectralState(np.array([0.0, 1.0, 2.0]), vecs, 0.5)   # gap 1 > 4 eps
     mid = SpectralState(np.array([0.0, 0.03, 0.06]), vecs, 0.5)  # gap 0.03
     tight = SpectralState(np.array([0.0, 0.01, 0.02]), vecs, 0.5)
+    y = np.eye(4)
+
+    def rho(state, m, n):
+        return score_one(state, y, m, n, cfg).rho[0]
+
     dv = 1.0
-    assert fiedler_delta(wide, 0, 1, eps) == pytest.approx(math.sqrt(2) * eps * dv)
-    assert fiedler_delta(mid, 0, 1, eps) == pytest.approx(2 * eps * dv)
-    assert fiedler_delta(tight, 0, 1, eps) == pytest.approx(2 * eps)
+    assert rho(wide, 0, 1) == pytest.approx(math.sqrt(2) * eps * dv)
+    assert rho(mid, 0, 1) == pytest.approx(2 * eps * dv)
+    assert rho(tight, 0, 1) == pytest.approx(2 * eps)
     # equal Fiedler entries in the wide regime: zero bound
-    assert fiedler_delta(wide, 0, 2, eps) == pytest.approx(0.0)
+    assert rho(wide, 0, 2) == pytest.approx(0.0)
 
 
 def test_fiedler_delta_bounds_true_change():
     # |lambda2(L) - lambda2(L - eps E)| <= rho in the wide-gap regime
+    cfg = SolverConfig()
+    eps = cfg.epsilon
     checked = 0
     for seed in range(300):
         rng = np.random.default_rng(seed)
@@ -151,7 +163,6 @@ def test_fiedler_delta_bounds_true_change():
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
         state = smallest_eigenpairs(lap, min(n, 4))
-        eps = 0.01
         if state.gap2 <= 4 * eps:
             continue
         (m, n2), w = next(iter(g.edges.items()))
@@ -161,51 +172,23 @@ def test_fiedler_delta_bounds_true_change():
         e[m], e[n2] = 1.0, -1.0
         lam2_after = np.linalg.eigvalsh(lap.dense() - eps * np.outer(e, e))[1]
         drop = abs(state.fiedler_value - lam2_after)
-        assert drop <= fiedler_delta(state, m, n2, eps) + 1e-10
+        assert drop <= score_one(state, np.eye(n), m, n2, cfg, w).rho[0] + 1e-10
         checked += 1
     assert checked > 100
 
 
 def test_sparsity_delta_boundary():
-    eps, mu = 0.01, 0.2
-    assert sparsity_delta(0.5, eps, mu) == 0.0
-    assert sparsity_delta(eps, eps, mu) == 0.0       # w == eps keeps the edge
-    assert sparsity_delta(0.5 * eps, eps, mu) == -mu  # strict w < eps removes it
-    with pytest.raises(ValueError):
-        sparsity_delta(0.0, eps, mu)
+    cfg = SolverConfig(epsilon=0.01, mu=0.2)
+    eps, mu = cfg.epsilon, cfg.mu
+    state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 3, alpha=cfg.alpha)
+    y = np.eye(4)
 
+    def gain(w):
+        return score_one(state, y, 0, 1, cfg, w).gain[0]
 
-def test_edge_gradient_combines_terms():
-    rng = np.random.default_rng(2)
-    g = random_connected_graph(rng, 8)
-    y = gram(rng.standard_normal((8, 5)))
-    cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(g), 5, alpha=cfg.alpha)
-    (m, n) = next(iter(g.edges))
-    d = edge_gradient(state, y, g, (n, m), cfg)  # order-insensitive
-    assert d.edge == (m, n)
-    expected = (cfg.epsilon * trace_delta(y, m, n)
-                + logdet_delta(state, m, n, cfg.epsilon)
-                + cfg.gamma * fiedler_delta(state, m, n, cfg.epsilon)
-                - (cfg.mu if g.weight(m, n) < cfg.epsilon else 0.0))
-    assert d.grad_h == pytest.approx(expected, abs=1e-14)
-    assert d.z <= 0.0 and 0.0 < d.eta <= 1.0 and d.rho >= 0.0
-
-
-def test_score_edges_matches_scalar_gradient():
-    # the vectorized scorer is bit-compatible with the scalar path
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 14))
-        g = random_connected_graph(rng, n)
-        y = gram(rng.standard_normal((n, 4)))
-        cfg = SolverConfig()
-        state = smallest_eigenpairs(build_laplacian(g), min(n, 6), alpha=cfg.alpha)
-        m_arr, n_arr, w_arr = g.edge_arrays()
-        scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
-        for i, (m, n2) in enumerate(zip(m_arr.tolist(), n_arr.tolist())):
-            d = edge_gradient(state, y, g, (m, n2), cfg)
-            assert scores.grad[i] == pytest.approx(d.grad_h, abs=1e-12)
+    assert gain(0.5) == 0.0
+    assert gain(eps) == 0.0       # w == eps keeps the edge
+    assert gain(0.5 * eps) == mu  # strict w < eps removes it
 
 
 def test_score_edges_batch_invariant():
@@ -391,10 +374,10 @@ def test_descent_soundness_single_step():
         state = smallest_eigenpairs(build_laplacian(g), min(n, 5), alpha=cfg.alpha)
         before = objective_value(g, y, cfg)
         for (m, n2) in list(g.edges)[:4]:
-            d = edge_gradient(state, y, g, (m, n2), cfg)
             w = g.weight(m, n2)
+            grad = score_one(state, y, m, n2, cfg, w).grad[0]
             g2 = g.copy_with((m, n2), max(0.0, w - cfg.epsilon))
             if w - cfg.epsilon <= 0 and not np.isclose(w, cfg.epsilon):
                 continue  # clamped partial step changes the accounting
             after = objective_value(g2, y, cfg)
-            assert after - before <= d.grad_h + 1e-8
+            assert after - before <= grad + 1e-8
