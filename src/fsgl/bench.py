@@ -25,15 +25,24 @@ SUMMARY_HEADER = ("generator,solver,ratio,re_mean,re_std,lambda2_mean,"
                   "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed")
 
 
+def check_reference(w_star: WeightedGraph, source: str = "reference graph") -> float:
+    """Frobenius norm of a reference adjacency; ZeroReference when it is 0.
+
+    The norm, not the edge count, decides: weights whose squares underflow
+    leave nothing to divide by.
+    """
+    denom = float(np.linalg.norm(w_star.adjacency()))
+    if denom == 0.0:
+        raise ZeroReference(f"{source} has no edges")
+    return denom
+
+
 def relative_error(w_hat: WeightedGraph, w_star: WeightedGraph) -> float:
     """Frobenius recovery error of the learned adjacency, relative."""
     if w_hat.n != w_star.n:
         raise ValueError("graphs must share the node set")
-    ref = w_star.adjacency()
-    denom = float(np.linalg.norm(ref))
-    if denom == 0.0:
-        raise ZeroReference("reference graph has no edges")
-    return float(np.linalg.norm(w_hat.adjacency() - ref) / denom)
+    denom = check_reference(w_star)
+    return float(np.linalg.norm(w_hat.adjacency() - w_star.adjacency()) / denom)
 
 
 def _lambda2(g: WeightedGraph) -> float:

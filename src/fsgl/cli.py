@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from .bench import initial_graph, relative_error, run_benchmark
+from .bench import check_reference, initial_graph, relative_error, run_benchmark
 from .datagen import gen_ground_truth, sample_gmm, sample_mvt
-from .errors import FsglError, ZeroReference
+from .errors import FsglError
 from .graph import ObservationSet, WeightedGraph, build_laplacian, is_connected
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
@@ -180,8 +180,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = config_from_args(args, args.solver)
     # A bad reference fails before the solve, not after it.
     w_star = load_graph(args.truth, n=obs.n) if args.truth else None
-    if w_star is not None and w_star.edge_count == 0:
-        raise ZeroReference(f"{args.truth}: reference graph has no edges")
+    if w_star is not None:
+        check_reference(w_star, f"{args.truth}: reference graph")
     g0 = initial_graph(obs, cfg)
     t0 = time.perf_counter()
     g, trace = run_solver(g0, obs, cfg)

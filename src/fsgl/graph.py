@@ -137,6 +137,8 @@ class WeightedGraph:
     def copy_with(self, edge: tuple[int, int], new_weight: float) -> "WeightedGraph":
         """New version with one edge set (or removed when weight ~ 0)."""
         key = canonical_edge(*edge)
+        if not math.isfinite(new_weight):
+            raise NonFiniteInput(f"edge {key} has non-finite weight {new_weight}")
         i = self._index(*key)
         if i >= 0:
             return self._with_weight(i, new_weight)

@@ -169,6 +169,7 @@ MTX = "%%MatrixMarket matrix coordinate real general\n"
     ("t.csv", "m,n,w\n0,1\n", "malformed edge row"),
     ("t.csv", "", "expected edge-list CSV"),
     ("t.csv", "m,n,w\n", "no edges"),
+    ("t.csv", "m,n,w\n0,1,1e-200\n", "no edges"),  # norm underflows to 0
     ("t.csv", None, "No such file"),
 ])
 def test_solve_rejects_bad_truth_before_solving(tmp_path, capsys, name, text, message):

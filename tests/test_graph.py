@@ -222,6 +222,15 @@ def test_copy_with_adds_and_removes():
     assert list(zip(m_arr.tolist(), n_arr.tolist())) == [(0, 1), (2, 3)]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_copy_with_rejects_non_finite_weights(bad):
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 0.5})
+    for edge in [(0, 1), (0, 2)]:  # an existing edge and a new one
+        with pytest.raises(NonFiniteInput):
+            g.copy_with(edge, bad)
+    assert g.edges == {(0, 1): 1.0, (1, 2): 0.5}
+
+
 def _assert_matches_reference(g, ref):
     keys = sorted(ref)
     m_arr, n_arr, w_arr = g.edge_arrays()

@@ -115,7 +115,7 @@ def test_logdet_delta_exact_matches_rank_one_determinant():
         shifted = lap.dense() + cfg.alpha * np.eye(n)
         ratio = (np.linalg.det(shifted - cfg.epsilon * np.outer(e, e))
                  / np.linalg.det(shifted))
-        assert eta == pytest.approx(ratio, rel=1e-9)
+        assert -math.log(eta) == pytest.approx(-math.log(ratio), rel=1e-9)
 
 
 def test_logdet_delta_rejects_oversized_step():
@@ -128,7 +128,8 @@ def test_logdet_delta_rejects_oversized_step():
     assert big.eta[0] <= 0.0 and big.grad[0] == np.inf
     # a tame step on the same state stays finite
     tame = score_one(state, y, 0, 1, SolverConfig(epsilon=0.01))
-    assert tame.eta[0] == pytest.approx(0.96) and np.isfinite(tame.grad[0])
+    assert -math.log(tame.eta[0]) == pytest.approx(-math.log(0.96))
+    assert np.isfinite(tame.grad[0])
 
 
 def test_fiedler_delta_gap_regimes():
