@@ -22,7 +22,6 @@ from .errors import (
     ZeroReference,
 )
 from .graph import (
-    LaplacianView,
     ObservationSet,
     WeightedGraph,
     build_laplacian,
@@ -43,10 +42,9 @@ from .partition import (
     brute_force_cheeger,
     partition_select,
 )
-from .solver import SolverConfig, SolveTrace, greedy_step, run_greedy, run_solver
+from .solver import SolverConfig, SolveTrace, greedy_step, run_solver
 from .spectral import (
     SpectralState,
-    eigen_gap2,
     majorizer_quadform,
     smallest_eigenpairs,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "InsufficientEigenpairs",
     "InvalidBudget",
     "InvalidDof",
-    "LaplacianView",
     "MissingEdge",
     "NonFiniteInput",
     "NonFiniteObjective",
@@ -79,7 +76,6 @@ __all__ = [
     "brute_force_cheeger",
     "build_laplacian",
     "complete_graph",
-    "eigen_gap2",
     "gen_ground_truth",
     "gram",
     "greedy_step",
@@ -94,7 +90,6 @@ __all__ = [
     "partition_select",
     "relative_error",
     "run_benchmark",
-    "run_greedy",
     "run_solver",
     "sample_gmm",
     "sample_mvt",

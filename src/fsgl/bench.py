@@ -45,10 +45,6 @@ def relative_error(w_hat: WeightedGraph, w_star: WeightedGraph) -> float:
     return float(np.linalg.norm(w_hat.adjacency() - w_star.adjacency()) / denom)
 
 
-def _lambda2(g: WeightedGraph) -> float:
-    return float(np.linalg.eigvalsh(build_laplacian(g).dense())[1])
-
-
 def default_budget(n: int, budget_b: int | None) -> int:
     """Extra-edge budget: configured value, else 3N capped at the pairs left."""
     available = n * (n - 1) // 2 - (n - 1)
@@ -173,11 +169,17 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     """Full sweep over generator x solver x ratio x trial, one cell at a time.
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
-    Per-cell failures are recorded in the report instead of aborting.
+    Per-cell failures are recorded in the report instead of aborting; a
+    bad size, trial count or ratio raises ValueError before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 2:
+        raise ValueError(f"node count must be >= 2, got {n}")
     ratios = [float(r) for r in ratios]
+    for r in ratios:
+        if not (np.isfinite(r) and r > 0.0):
+            raise ValueError(f"K/N ratio must be finite and positive, got {r}")
     jobs = []
     for gi, gen_name in enumerate(generators):
         for sol in solvers:
@@ -202,8 +204,9 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
             t0 = time.perf_counter()
             g, _ = run_solver(g0, obs, run_cfg)
             ms = (time.perf_counter() - t0) * 1e3
+            lam2 = float(np.linalg.eigvalsh(build_laplacian(g))[1])
             return BenchCell(gen_name, sol, ratio, trial,
-                             relative_error(g, gt.w_star), _lambda2(g),
+                             relative_error(g, gt.w_star), lam2,
                              g.edge_count, ms)
         except (FsglError, ValueError, np.linalg.LinAlgError) as exc:
             return BenchCell(gen_name, sol, ratio, trial, float("nan"),

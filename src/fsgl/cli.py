@@ -190,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         save_graph(g, args.output)
     if args.trace:
         trace.to_csv(args.trace)
-    lam2 = float(np.linalg.eigvalsh(build_laplacian(g).dense())[1])
+    lam2 = float(np.linalg.eigvalsh(build_laplacian(g))[1])
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "
@@ -231,15 +231,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_cheeger_check(args: argparse.Namespace) -> int:
-    if args.n > 16:
-        raise ValueError("exact enumeration needs n <= 16")
+    if not 2 <= args.n <= 16:
+        raise ValueError(f"exact enumeration needs 2 <= n <= 16, got {args.n}")
+    if not 0.0 < args.density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {args.density}")
     rng = np.random.default_rng(args.seed)
     violations = 0
     for trial in range(args.trials):
         g = _random_connected_unit_graph(args.n, args.density, rng)
         lap = build_laplacian(g)
-        lam2 = float(np.linalg.eigvalsh(lap.dense())[1])
-        d_max = float(np.max(lap.dense().diagonal()))
+        lam2 = float(np.linalg.eigvalsh(lap)[1])
+        d_max = float(np.max(lap.diagonal()))
         upper = float(np.sqrt(2.0 * lam2 * d_max))
         exact = brute_force_cheeger(g)
         state = smallest_eigenpairs(lap, min(3, g.n))

@@ -64,7 +64,7 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
         pairs.sort()
     weights = rng.uniform(0.5, 1.5, size=len(pairs))
     g = WeightedGraph(n, dict(zip(pairs, weights)))
-    theta = build_laplacian(g).dense() + rho * np.eye(n)
+    theta = build_laplacian(g) + rho * np.eye(n)
     cov = np.linalg.inv(theta)
     cov = 0.5 * (cov + cov.T)
     return GroundTruth(g, theta, cov, rho)

@@ -37,9 +37,9 @@ class WeightedGraph:
 
     The edge state is read-only arrays sorted by (m, n): endpoints, weights,
     the key m * N + n and the Laplacian's index (keys n * N + m, endpoints
-    [m; n]). A new version made by `copy_with` or `weaken_edge` copies only
-    the weight vector when an edge keeps a positive weight, and shares the
-    rest with its parent; removing an edge compacts them with one mask.
+    [m; n]). A new version made by `weaken_edge` copies only the weight
+    vector when an edge keeps a positive weight, and shares the rest with
+    its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
     freely across concurrent scoring workers. `edges` is a read-only
     {(m, n): w} view, built on first use.
@@ -127,25 +127,6 @@ class WeightedGraph:
         w_mat[n, m] = w
         return w_mat
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for m, n in zip(self._ms.tolist(), self._ns.tolist()):
-            adj[m].append(n)
-            adj[n].append(m)
-        return adj
-
-    def copy_with(self, edge: tuple[int, int], new_weight: float) -> "WeightedGraph":
-        """New version with one edge set (or removed when weight ~ 0)."""
-        key = canonical_edge(*edge)
-        if not math.isfinite(new_weight):
-            raise NonFiniteInput(f"edge {key} has non-finite weight {new_weight}")
-        i = self._index(*key)
-        if i >= 0:
-            return self._with_weight(i, new_weight)
-        if new_weight > WEIGHT_ZERO:
-            return WeightedGraph(self.n, {**self.edges, key: new_weight})
-        return self
-
     def _with_weight(self, i: int, new_weight: float) -> "WeightedGraph":
         """New version with edge i reweighted, or removed when weight ~ 0."""
         if new_weight > WEIGHT_ZERO:
@@ -163,36 +144,8 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
 
-class LaplacianView:
-    """Combinatorial Laplacian L = diag(W 1) - W derived from a graph.
-
-    Always a dense (N, N) ndarray, at every node count.
-    """
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, n: int, matrix: np.ndarray):
-        self.n = n
-        self.matrix = matrix
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-    def validate(self, w_fro: float | None = None):
-        """Assert row sums vanish and the spectrum is nonnegative."""
-        dense = self.dense()
-        if w_fro is None:
-            off = dense - np.diag(np.diag(dense))
-            w_fro = float(np.linalg.norm(off))
-        row_tol = 1e-12 * (1.0 + w_fro)
-        if np.max(np.abs(dense.sum(axis=1)), initial=0.0) > row_tol:
-            raise AssertionError("Laplacian rows do not sum to zero")
-        if self.n > 0 and np.linalg.eigvalsh(dense)[0] < -1e-9:
-            raise AssertionError("Laplacian is not positive semi-definite")
-
-
-def build_laplacian(g: WeightedGraph) -> LaplacianView:
-    """Dense Laplacian of `g`."""
+def build_laplacian(g: WeightedGraph) -> np.ndarray:
+    """Dense (N, N) Laplacian L = diag(W 1) - W of `g`."""
     w = g._ws
     size = g.n
     lap = np.zeros((size, size))
@@ -204,7 +157,7 @@ def build_laplacian(g: WeightedGraph) -> LaplacianView:
     # 0.0; the same sums, in the same order, as two np.add.at passes.
     flat[::size + 1] = np.bincount(g._ends, weights=np.concatenate([w, w]),
                                    minlength=size)
-    return LaplacianView(size, lap)
+    return lap
 
 
 def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> WeightedGraph:
@@ -214,7 +167,7 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     where E^{m,n} = (e_m - e_n)(e_m - e_n)^T. The edge entry is deleted
     once the clamped weight falls to numerical zero.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError("eps must be positive")
     key = canonical_edge(*edge)
     i = g._index(*key)
@@ -277,22 +230,9 @@ class ObservationSet:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff a traversal from node 0 reaches all nodes."""
-    if g.n <= 1:
-        return True
-    adj = g.neighbors()
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """True iff every node lies in one connected component."""
+    m, n, _ = g.edge_arrays()
+    return len(connected_components(g.n, zip(m.tolist(), n.tolist()))) == 1
 
 
 def connected_components(n: int, edge_list) -> list[list[int]]:

@@ -184,10 +184,10 @@ def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
     Dense determinant and eigendecomposition. Monitoring only, never part
     of the scoring loop.
     """
-    dense = build_laplacian(g).dense()
-    sign, logdet = np.linalg.slogdet(dense + cfg.alpha * np.eye(g.n))
+    lap = build_laplacian(g)
+    sign, logdet = np.linalg.slogdet(lap + cfg.alpha * np.eye(g.n))
     if sign <= 0:
         raise ValueError("L + alpha I is not positive definite")
-    lam2 = float(np.linalg.eigvalsh(dense)[1])
+    lam2 = float(np.linalg.eigvalsh(lap)[1])
     h = smoothness_trace(g, y) - logdet - cfg.gamma * lam2
     return h + cfg.mu * 2.0 * g.edge_count

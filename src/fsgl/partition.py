@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import get_lapack_funcs
 
 from .errors import Disconnected, TooLarge
 from .graph import WeightedGraph, connected_components
 from .objective import score_edges
-from .spectral import SpectralState
+from .spectral import SpectralState, smallest_eigenpairs
 
 BRUTE_FORCE_LIMIT = 16
 CONNECTIVITY_TOL = 1e-8
@@ -103,20 +101,13 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     return CheegerCut(tuple(sorted(inside)), cut_edges, cut / len(inside))
 
 
-_SYEVR, = get_lapack_funcs(("syevr",), (np.empty((2, 2)),))
-
-
-def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray):
-    """(lambda_2, Fiedler vector) of an induced sub-graph, unit weights, local order."""
+def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> SpectralState:
+    """Lowest two eigenpairs of an induced sub-graph, unit weights, local order."""
     lap = np.zeros((k, k))
     lap[lm, ln] = -1.0
     lap[ln, lm] = -1.0
     np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
-    # Direct LAPACK call: the Fiedler pair alone, no wrapper overhead.
-    vals, vecs, _, _, info = _SYEVR(lap, range="I", il=2, iu=2)
-    if info != 0:
-        vals, vecs = scipy.linalg.eigh(lap, subset_by_index=(1, 1), check_finite=False)
-    return float(vals[0]), vecs[:, 0]
+    return smallest_eigenpairs(lap, 2)
 
 
 def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
@@ -149,8 +140,8 @@ def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
         loc[node_ids] = ids[:k]
         lm = loc[m_arr[rows]]
         ln = loc[n_arr[rows]]
-        lam2, v2 = _local_fiedler(k, lm, ln)
-        if lam2 <= CONNECTIVITY_TOL:
+        local = _local_fiedler(k, lm, ln)
+        if local.fiedler_value <= CONNECTIVITY_TOL:
             comps = connected_components(k, zip(lm.tolist(), ln.tolist()))
             if len(comps) > 1:
                 label = np.empty(k, dtype=np.intp)
@@ -159,7 +150,7 @@ def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
                 for c, members in enumerate(comps):
                     split(node_ids[members], rows[label[lm] == c], depth)
                 return
-        order, t, _ = _sweep_prefix(k, lm, ln, v2)
+        order, t, _ = _sweep_prefix(k, lm, ln, local.fiedler_vector)
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
         m_in = in_s[lm]

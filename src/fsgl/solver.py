@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,12 +140,6 @@ def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: Solv
     if best is None or best[1].grad_h >= 0.0:
         return None
     return best
-
-
-def run_greedy(g0: WeightedGraph, obs: ObservationSet,
-               cfg: SolverConfig) -> tuple[WeightedGraph, SolveTrace]:
-    """Baseline greedy loop: always the exhaustive scan selector."""
-    return run_solver(g0, obs, replace(cfg, solver_kind="greedy"))
 
 
 def run_solver(g0: WeightedGraph, obs: ObservationSet,

@@ -3,6 +3,8 @@
 The solver only ever needs the low end of the spectrum: the Fiedler pair
 (lambda_2, v_2), its gap to the neighboring eigenvalues, and a truncated
 eigenbasis used to upper-bound quadratic forms of (L + alpha I)^{-1}.
+The recursive selector's cut plan takes its sub-graph Fiedler pairs from
+the same routine, so this is the one module that calls LAPACK.
 Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
 directly with the arguments `scipy.linalg.eigh(subset_by_index=...)` would
 pass, so the result is bitwise the same without the wrapper's per-call
@@ -18,7 +20,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InsufficientEigenpairs
-from .graph import LaplacianView
 
 logger = logging.getLogger("fsgl.spectral")
 
@@ -57,7 +58,18 @@ class SpectralState:
 
     @property
     def gap2(self) -> float:
-        return eigen_gap2(self)
+        """Distance from lambda_2 to its nearest neighboring eigenvalue.
+
+        With ascending eigenvalues this is min(l2 - l1, l3 - l2); values
+        beyond the third can only be farther away. A full 2 x 2 spectrum
+        has no third eigenvalue, so the gap is l2 - l1 alone.
+        """
+        lam = self.eigvals
+        if self.k < 3:
+            if self.k == 2 and self.n == 2:
+                return float(lam[1] - lam[0])
+            raise InsufficientEigenpairs("eigen-gap at lambda_2 needs three eigenvalues")
+        return float(min(lam[1] - lam[0], lam[2] - lam[1]))
 
     def majorizer_coeffs(self) -> np.ndarray:
         """Per-eigenpair weights (lambda_k + a)^-1 - a^-1 (all <= 0)."""
@@ -68,29 +80,14 @@ class SpectralState:
         return cached
 
 
-def eigen_gap2(state: SpectralState) -> float:
-    """Distance from lambda_2 to its nearest neighboring eigenvalue.
-
-    With ascending eigenvalues this is min(l2 - l1, l3 - l2); values
-    beyond the third can only be farther away. A full 2 x 2 spectrum has
-    no third eigenvalue, so the gap is l2 - l1 alone.
-    """
-    lam = state.eigvals
-    if state.k < 3:
-        if state.k == 2 and state.n == 2:
-            return float(lam[1] - lam[0])
-        raise InsufficientEigenpairs("eigen-gap at lambda_2 needs three eigenvalues")
-    return float(min(lam[1] - lam[0], lam[2] - lam[1]))
-
-
 def smallest_eigenpairs(
-    lap: LaplacianView,
+    lap: np.ndarray,
     k: int,
     *,
     alpha: float = 0.5,
     with_resolvent: bool = False,
 ) -> SpectralState:
-    """Compute the k smallest eigenpairs of a graph Laplacian.
+    """Compute the k smallest eigenpairs of a dense (N, N) graph Laplacian.
 
     One dense path for every size: dsyevr for the index range [1, k] with
     the workspace it asks for, exactly as `scipy.linalg.eigh(...,
@@ -99,26 +96,25 @@ def smallest_eigenpairs(
     finite symmetric input the full routine handles), the k lowest pairs
     of the full `np.linalg.eigh` are kept instead.
     """
-    n = lap.n
+    n = lap.shape[0]
     if not (2 <= k <= n):
         raise ValueError(f"k={k} must lie in [2, {n}]")
 
-    dense = lap.matrix
     if k < n:
         # Queried on every call (under a microsecond) instead of cached, so
         # the module holds no mutable state for threads to share.
         work, iwork, _ = _SYEVR_LWORK(n, lower=1)
         vals, vecs, _, _, info = _SYEVR(
-            dense, compute_v=1, range="I", lower=1, il=1, iu=k,
+            lap, compute_v=1, range="I", lower=1, il=1, iu=k,
             lwork=int(work), liwork=iwork)
         vals = vals[:k]
         if info != 0:
             logger.warning("dsyevr failed (info=%d); using full eigh", info)
-            vals, vecs = np.linalg.eigh(dense)
+            vals, vecs = np.linalg.eigh(lap)
             vals, vecs = vals[:k], vecs[:, :k]
     else:
-        vals, vecs = np.linalg.eigh(dense)
-    resolvent = np.linalg.inv(dense + alpha * np.eye(n)) if with_resolvent else None
+        vals, vecs = np.linalg.eigh(lap)
+    resolvent = np.linalg.inv(lap + alpha * np.eye(n)) if with_resolvent else None
     return SpectralState(vals, vecs, alpha, resolvent)
 
 

@@ -59,7 +59,7 @@ def test_criterion_1_determinant_identity():
         n = int(rng.integers(3, 13))
         g = random_connected(rng, n)
         alpha = 0.5 if trial % 2 == 0 else 1.0
-        shifted = build_laplacian(g).dense() + alpha * np.eye(n)
+        shifted = build_laplacian(g) + alpha * np.eye(n)
         r = np.linalg.inv(shifted)
         edges = list(g.edges)
         m, v = edges[int(rng.integers(len(edges)))]
@@ -89,7 +89,7 @@ def test_criterion_2_majorizer_dominates_exact_quadform():
         k = int(rng.integers(3, n))
         lap = build_laplacian(g)
         state = smallest_eigenpairs(lap, k, alpha=alpha)
-        r = np.linalg.inv(lap.dense() + alpha * np.eye(n))
+        r = np.linalg.inv(lap + alpha * np.eye(n))
         for m in range(n):
             for v in range(m + 1, n):
                 exact = r[m, m] + r[v, v] - 2.0 * r[m, v]
@@ -117,7 +117,7 @@ def test_criterion_3_fiedler_perturbation_bound():
         assert attempts < 20000, "gap condition rejected too many draws"
         n = int(rng.integers(5, 15))
         g = random_connected(rng, n, lo=0.5, hi=2.0)
-        lap = build_laplacian(g).dense()
+        lap = build_laplacian(g)
         vals, vecs = np.linalg.eigh(lap)
         if min(vals[1] - vals[0], vals[2] - vals[1]) <= 4.0 * eps:
             continue
@@ -145,9 +145,8 @@ def test_criterion_4_cheeger_inequality_and_sweep():
         n = int(rng.integers(3, 11))
         g = random_connected(rng, n, unit=True)
         lap = build_laplacian(g)
-        dense = lap.dense()
-        lam2 = float(np.linalg.eigvalsh(dense)[1])
-        dmax = float(dense.diagonal().max())
+        lam2 = float(np.linalg.eigvalsh(lap)[1])
+        dmax = float(lap.diagonal().max())
         phi = brute_force_cheeger(g).ratio
         assert lam2 / 2.0 <= phi + 1e-9
         assert phi <= np.sqrt(2.0 * lam2 * dmax) + 1e-9

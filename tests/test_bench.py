@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-
 from fsgl.bench import (
     RAW_HEADER,
     SUMMARY_HEADER,
@@ -110,6 +109,20 @@ def test_run_benchmark_records_failures():
 def test_run_benchmark_rejects_bad_trials():
     with pytest.raises(ValueError):
         run_benchmark(SolverConfig(), ratios=(0.2,), trials=0)
+
+
+@pytest.mark.parametrize("n, ratios, message", [
+    (1, (0.2,), "node count"),
+    (0, (0.2,), "node count"),
+    (8, (np.inf,), "ratio"),
+    (8, (np.nan,), "ratio"),
+    (8, (0.0,), "ratio"),
+    (8, (0.2, -1.0), "ratio"),
+])
+def test_run_benchmark_rejects_bad_size_and_ratios(n, ratios, message):
+    # a cell records its own ValueError, so one that escapes came before them
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(SolverConfig(), ratios=ratios, trials=1, n=n)
 
 
 def test_report_csv_layout():

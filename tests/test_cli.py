@@ -259,3 +259,31 @@ def test_cheeger_check_passes_on_small_graphs(capsys):
 def test_cheeger_check_rejects_large_n(capsys):
     assert run_cli("cheeger-check", "--n", "17") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "1"], "2 <= n <= 16"),
+    (["--n", "0"], "2 <= n <= 16"),
+    (["--density", "-3"], "density"),
+    (["--density", "0"], "density"),
+    (["--density", "1.5"], "density"),
+    (["--density", "nan"], "density"),
+])
+def test_cheeger_check_rejects_bad_input(capsys, args, message):
+    assert run_cli("cheeger-check", "--trials", "1", *args) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert "trial=" not in captured.out
+
+
+@pytest.mark.parametrize("args", [
+    ["--ratios", "inf"], ["--ratios", "nan"], ["--ratios", "0"],
+    ["--ratios", "0.2,-1"], ["--n", "1"],
+])
+def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
+    prefix = tmp_path / "bench"
+    code = run_cli("bench", "--trials", "1", "--generator", "gmm",
+                   "--solver", "greedy", "--output", str(prefix), *args)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "bench.raw.csv").exists()

@@ -16,7 +16,7 @@ def test_ground_truth_precision_covariance_inverse():
         n = int(rng.integers(2, 25))
         gt = gen_ground_truth(n, float(rng.uniform(0.05, 0.6)), seed=seed)
         assert np.max(np.abs(gt.cov @ gt.theta - np.eye(n))) < 1e-8
-        lap = build_laplacian(gt.w_star).dense()
+        lap = build_laplacian(gt.w_star)
         assert np.allclose(gt.theta, lap + gt.rho * np.eye(n), atol=1e-12)
         assert np.array_equal(gt.cov, gt.cov.T)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fsgl.spectral
 from fsgl.errors import Disconnected, TooLarge
 from fsgl.graph import (
     ObservationSet,
@@ -32,7 +33,7 @@ def random_connected_unit_graph(rng, n, density=0.35):
         mask = rng.random(iu.shape[0]) < density
         g = WeightedGraph(n, {(int(a), int(b)): 1.0
                               for a, b in zip(iu[mask], ju[mask])})
-        if np.linalg.eigvalsh(build_laplacian(g).dense())[1] > 1e-8:
+        if np.linalg.eigvalsh(build_laplacian(g))[1] > 1e-8:
             return g
 
 
@@ -97,7 +98,7 @@ def test_sweep_cut_within_cheeger_bounds():
         n = int(rng.integers(4, 13))
         g = random_connected_unit_graph(rng, n)
         lap = build_laplacian(g)
-        lam2 = float(np.linalg.eigvalsh(lap.dense())[1])
+        lam2 = float(np.linalg.eigvalsh(lap)[1])
         state = smallest_eigenpairs(lap, 3)
         sweep = approx_cheeger_cut(g, state)
         exact = brute_force_cheeger(g)
@@ -292,7 +293,7 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_cut_plan_blocks_cover_every_edge_once():
+def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
     rng = np.random.default_rng(3)
     ga = random_connected_unit_graph(rng, 5)
     edges = dict(ga.edges)
@@ -302,12 +303,27 @@ def test_cut_plan_blocks_cover_every_edge_once():
     for seed in range(4):
         obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
         graphs.append(init_sparse_graph(obs.gram, 40))
-    for g in graphs:
-        for v_min in (2, 4, 8):
-            plan = cut_plan(g, v_min)
-            assert all(b.shape[0] > 0 for b in plan)
-            np.testing.assert_array_equal(np.sort(np.concatenate(plan)),
-                                          np.arange(g.edge_count))
+    real_syevr = fsgl.spectral._SYEVR
+    failures = []
+
+    def failing_syevr(*args, **kwargs):
+        # dsyevr's own failure report: outputs as computed, info = 1
+        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
+        failures.append(1)
+        return w, z, m, isuppz, 1
+
+    # second pass: every sub-graph Fiedler pair comes from the full eigh
+    for fail in (False, True):
+        with monkeypatch.context() as mp:
+            if fail:
+                mp.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+            for g in graphs:
+                for v_min in (2, 4, 8):
+                    plan = cut_plan(g, v_min)
+                    assert all(b.shape[0] > 0 for b in plan)
+                    np.testing.assert_array_equal(np.sort(np.concatenate(plan)),
+                                                  np.arange(g.edge_count))
+    assert failures
 
 
 def test_partition_recursion_depth_bounded():
