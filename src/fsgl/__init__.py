@@ -32,10 +32,7 @@ from .graph import (
 )
 from .init_graph import init_sparse_graph, max_similarity_tree
 from .io import load_graph, load_observations, save_graph, save_observations
-from .objective import (
-    EdgeDelta,
-    objective_value,
-)
+from .objective import objective_value
 from .partition import (
     CheegerCut,
     approx_cheeger_cut,
@@ -56,7 +53,6 @@ __all__ = [
     "CheegerCut",
     "Disconnected",
     "DuplicateEdge",
-    "EdgeDelta",
     "FsglError",
     "GroundTruth",
     "InsufficientEigenpairs",

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import gen_ground_truth, sample_gmm, sample_mvt
+from .datagen import (check_dof, check_gmm, check_ground_truth, gen_ground_truth,
+                      sample_gmm, sample_mvt)
 from .errors import FsglError, ZeroReference
 from .graph import WeightedGraph, build_laplacian, complete_graph
 from .init_graph import init_sparse_graph
@@ -170,12 +171,16 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting; a
-    bad size, trial count or ratio raises ValueError before any cell runs.
+    bad trial count, size, ratio or parameter of a swept generator raises
+    ValueError (InvalidDof for the dof) before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n < 2:
-        raise ValueError(f"node count must be >= 2, got {n}")
+    check_ground_truth(n, density, rho)
+    if "gmm" in generators:
+        check_gmm(n_components, mean_scale)
+    if "mvt" in generators:
+        check_dof(nu)
     ratios = [float(r) for r in ratios]
     for r in ratios:
         if not (np.isfinite(r) and r > 0.0):

@@ -9,6 +9,7 @@ graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,30 @@ class GroundTruth:
     rho: float
 
 
+def check_ground_truth(n: int, density: float, rho: float) -> None:
+    """ValueError unless gen_ground_truth can use (n, density, rho)."""
+    if n < 2:
+        raise ValueError(f"node count must be >= 2, got {n}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"diagonal shift rho must be finite and positive, got {rho}")
+
+
+def check_gmm(n_components: int, mean_scale: float) -> None:
+    """ValueError unless sample_gmm can use (n_components, mean_scale)."""
+    if n_components < 1:
+        raise ValueError(f"need at least one mixture component, got {n_components}")
+    if not -math.inf < mean_scale < math.inf:
+        raise ValueError(f"mean scale must be finite, got {mean_scale}")
+
+
+def check_dof(nu: float) -> None:
+    """InvalidDof unless sample_mvt can use nu degrees of freedom."""
+    if not 2.0 < nu < math.inf:
+        raise InvalidDof(f"degrees of freedom must be finite and exceed 2, got {nu}")
+
+
 def gen_ground_truth(n: int, density: float, rho: float = 0.5,
                      seed: int = 0) -> GroundTruth:
     """Connected random graph with uniform [0.5, 1.5] edge weights.
@@ -40,12 +65,7 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     retries until the graph is connected (capped at 1000 draws, after
     which components are bridged with single edges).
     """
-    if n < 2:
-        raise ValueError("node count must be >= 2")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    if rho <= 0.0:
-        raise ValueError("diagonal shift rho must be positive")
+    check_ground_truth(n, density, rho)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     pairs: list[tuple[int, int]] = []
@@ -90,8 +110,7 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     """
     if k < 1:
         raise ValueError("sample count must be >= 1")
-    if n_components < 1:
-        raise ValueError("need at least one component")
+    check_gmm(n_components, mean_scale)
     rng = np.random.default_rng(seed)
     n = gt.cov.shape[0]
     root = _sym_sqrt(gt.cov)
@@ -113,8 +132,7 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     """
     if k < 1:
         raise ValueError("sample count must be >= 1")
-    if nu <= 2.0:
-        raise InvalidDof(f"degrees of freedom must exceed 2, got {nu}")
+    check_dof(nu)
     rng = np.random.default_rng(seed)
     n = gt.cov.shape[0]
     root = _sym_sqrt(gt.cov * ((nu - 2.0) / nu))

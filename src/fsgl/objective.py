@@ -6,8 +6,10 @@ determinant (bounded via a rank-1 determinant identity with a majorized
 quadratic form), the Fiedler value (bounded by an eigenvalue perturbation
 argument), and the off-diagonal l0 sparsity term. `score_edges` combines
 them into the greedy score for a batch of edges, the only place the score
-is computed (`edge_terms`: its part fixed by the edge set), and
-`objective_value` recomputes the exact objective for monitoring.
+is computed (`edge_terms`: its part fixed by the edge set);
+`selection` turns a batch's winning row into both selectors' result,
+with the one descent rule; and `objective_value` recomputes the exact
+objective for monitoring.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
 the batch's endpoints into a (k, E) array, and `_row_sums` adds every
 edge's k terms in the order a per-edge row sum would, so the scores are
@@ -27,18 +29,6 @@ from .spectral import SpectralState
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeDelta:
-    """Scored quantities for weakening one edge by the configured step."""
-
-    edge: tuple[int, int]
-    z: float            # trace slope, always <= 0
-    eta: float          # determinant factor in (0, 1]
-    rho: float          # Fiedler decrease bound, >= 0
-    sparsity_gain: float  # mu when the step removes the edge, else 0
-    grad_h: float       # total score; negative means the step helps
-
-
 @dataclass(frozen=True)
 class EdgeScores:
     """Vectorized per-edge scoring over a batch of candidate edges."""
@@ -48,14 +38,6 @@ class EdgeScores:
     rho: np.ndarray
     gain: np.ndarray
     grad: np.ndarray
-
-    def delta(self, i: int, m_arr: np.ndarray,
-              n_arr: np.ndarray) -> tuple[tuple[int, int], EdgeDelta]:
-        """Row i of the batch as (edge, EdgeDelta)."""
-        edge = (int(m_arr[i]), int(n_arr[i]))
-        return edge, EdgeDelta(edge, float(self.z[i]), float(self.eta[i]),
-                               float(self.rho[i]), float(self.gain[i]),
-                               float(self.grad[i]))
 
 
 def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float):
@@ -152,20 +134,33 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     return EdgeScores(z, eta, rho, gain, grad)
 
 
-def best_scored(scores: EdgeScores, m_arr: np.ndarray, n_arr: np.ndarray,
-                w_arr: np.ndarray) -> tuple[tuple[int, int], EdgeDelta] | None:
-    """Pick the batch argmin as an EdgeDelta, or None with no finite score.
+def selection(grad: np.ndarray, i: int, m_arr: np.ndarray,
+              n_arr: np.ndarray) -> tuple[tuple[int, int], float] | None:
+    """Both selectors' result for row i of a scored batch: ((m, n), grad[i]),
+    or None unless that score is finite and negative (no step descends)."""
+    score = float(grad[i])
+    if not -math.inf < score < 0.0:
+        return None
+    return (int(m_arr[i]), int(n_arr[i])), score
+
+
+def count_ineligible(trace, grad: np.ndarray) -> None:
+    """Add a scored batch's edges whose step is too large (grad = +inf) to
+    `trace.ineligible`, if a trace is given."""
+    if trace is not None:
+        trace.ineligible += int(np.count_nonzero(grad == np.inf))
+
+
+def best_scored(scores: EdgeScores, m_arr: np.ndarray,
+                n_arr: np.ndarray) -> tuple[tuple[int, int], float] | None:
+    """The batch argmin as a selection, or None (see `selection`).
 
     Requires (m_arr, n_arr) in lexicographic order so argmin's
     first-minimum rule realizes the lexicographic tie-break.
     """
     if m_arr.shape[0] == 0:
         return None
-    grad = scores.grad
-    i = int(grad.argmin())
-    if not np.isfinite(grad[i]):
-        return None
-    return scores.delta(i, m_arr, n_arr)
+    return selection(scores.grad, int(scores.grad.argmin()), m_arr, n_arr)
 
 
 def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import Disconnected, TooLarge
 from .graph import WeightedGraph, connected_components
-from .objective import score_edges
+from .objective import count_ineligible, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 BRUTE_FORCE_LIMIT = 16
@@ -110,15 +110,17 @@ def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> SpectralState:
     return smallest_eigenpairs(lap, 2)
 
 
-def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
-    """Edge-row blocks of the recursive Cheeger-cut decomposition of g.
+def cut_plan(g: WeightedGraph, v_min: int,
+             audit=None) -> tuple[np.ndarray, np.ndarray]:
+    """The recursive Cheeger-cut decomposition of g, laid out for `reduceat`.
 
     Every level, the top included, sweeps the Fiedler vector of the
     unit-weight sub-graph, to match the edge-count ratio the sweep
     minimizes; sub-graphs at or below v_min nodes become leaf blocks and
-    disconnected sub-graphs recurse per connected component. The blocks
-    (leaves and cut sets) partition the rows of g.edge_arrays(), and they
-    depend only on which edges g holds, not on their weights.
+    disconnected sub-graphs recurse per connected component. Returns
+    (rows, starts): the blocks (leaves and cut sets, never empty) end to
+    end, a partition of g.edge_arrays()'s rows, and where each begins. The
+    plan depends only on which edges g holds, not on their weights.
 
     `audit`, if set, receives (depth, node_count, s_size, rows, rows_g1,
     rows_g2, rows_cut) at every split, for instrumentation.
@@ -167,42 +169,33 @@ def cut_plan(g: WeightedGraph, v_min: int, audit=None) -> list[np.ndarray]:
         split(node_ids[~in_s], rows2, depth + 1)
 
     split(ids, np.arange(m_arr.shape[0], dtype=np.intp), 0)
-    return blocks
-
-
-def block_layout(plan: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(rows end to end, block starts) of a plan, whose blocks are never empty."""
-    starts = np.cumsum([0, *(b.shape[0] for b in plan)], dtype=np.intp)[:-1]
-    return np.concatenate([np.empty(0, np.intp), *plan]), starts
+    starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
+    return np.concatenate([np.empty(0, np.intp), *blocks]), starts
 
 
 def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
-                     layout=None, terms=None, trace=None):
+                     plan=None, terms=None, trace=None):
     """Recursive Cheeger-cut search for the best edge to weaken.
 
-    Equivalent to the exhaustive scan (same edge, same score, same
-    lexicographic tie-break) because the blocks of the plan only partition
-    the candidate edge set while all scores come from the global snapshot.
-    `layout` is block_layout(cut_plan(g, cfg.v_min)), built here when not
-    given; a caller that only weakens edges can keep passing the same one,
-    and `terms` (see `score_edges`). `trace` counts ineligible edges.
+    Returns what the exhaustive scan returns (see `selection`), because
+    the plan's blocks only partition the candidate edge set while all
+    scores come from the global snapshot. `plan` is cut_plan(g, cfg.v_min),
+    built here when not given; a caller that only weakens edges can keep
+    passing the same one, and `terms` (see `score_edges`). `trace` counts
+    ineligible edges.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    order, starts = block_layout(cut_plan(g, cfg.v_min)) if layout is None else layout
+    order, starts = cut_plan(g, cfg.v_min) if plan is None else plan
     # Every candidate edge is scored against the same global snapshot no
     # matter which block it lands in, so one vectorized pass covers them
     # all; one reduceat then takes each block's minimum.
-    scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms)
-    grad = scores.grad
-    if trace is not None:
-        trace.ineligible += int(np.count_nonzero(grad == np.inf))
+    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms).grad
+    count_ineligible(trace, grad)
     laid = grad[order]
     best = np.minimum.reduceat(laid, starts).min()
-    if not np.isfinite(best):
-        return None
     # Rows run in (m, n) order, so the smallest row that holds the best
-    # block minimum is the winner by (grad, m, n).
-    i = int(order[laid == best].min())
-    return scores.delta(i, m_arr, n_arr)
+    # block minimum is the winner by (grad, m, n); a NaN minimum holds none.
+    rows = order[laid == best]
+    return selection(grad, int(rows.min()), m_arr, n_arr) if rows.shape[0] else None

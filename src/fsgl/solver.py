@@ -6,7 +6,7 @@ and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
 (recursive); both return the same edge by construction. Next to the
 snapshot the solver keeps what the edge set fixes (scoring terms, the
-recursive arm's laid-out cut plan), rebuilt only when an edge goes.
+recursive arm's cut plan), rebuilt only when an edge goes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from . import partition as _partition
 from .errors import NonFiniteObjective
 from .graph import ObservationSet, WeightedGraph, build_laplacian, weaken_edge
-from .objective import EdgeDelta, best_scored, edge_terms, objective_value, score_edges
+from .objective import (best_scored, count_ineligible, edge_terms, objective_value,
+                        score_edges)
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -30,8 +31,8 @@ logger = logging.getLogger("fsgl.solver")
 class SolverConfig:
     """Step size, objective weights, and solver knobs.
 
-    budget_b and retained default to graph- and data-derived values
-    (3N extra edges, K retained eigenpairs) when left as None.
+    budget_b defaults to 3N extra edges when left as None. The spectral
+    snapshot retains min(N, max(3, K)) eigenpairs for K observations.
     """
 
     epsilon: float = 0.01
@@ -44,7 +45,6 @@ class SolverConfig:
     max_iters: int = 20000
     solver_kind: str = "greedy"
     exact_logdet: bool = False
-    retained: int | None = None
     objective_interval: int = 0
 
     def __post_init__(self):
@@ -114,32 +114,26 @@ class SolveTrace:
 
 
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:
-    """Fresh spectral snapshot for scoring, sized to the retained basis."""
-    want = cfg.retained if cfg.retained is not None else k_obs
-    k = min(g.n, max(3, want))
+    """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs."""
+    k = min(g.n, max(3, k_obs))
     return smallest_eigenpairs(
         build_laplacian(g), k, alpha=cfg.alpha, with_resolvent=cfg.exact_logdet,
     )
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
-                terms=None, trace=None) -> tuple[tuple[int, int], EdgeDelta] | None:
+                terms=None, trace=None) -> tuple[tuple[int, int], float] | None:
     """Exhaustive scan for the edge with the most negative score.
 
-    Returns None once no edge scores below zero (converged). Ties break on
-    the lexicographically smallest (m, n); ineligible edges (determinant
-    factor would go nonpositive) are skipped and counted into `trace`.
+    Returns ((m, n), grad), or None once no edge scores below zero
+    (converged). Ties break on the lexicographically smallest (m, n);
+    ineligible edges (determinant factor would go nonpositive) are skipped
+    and counted into `trace`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    if m_arr.shape[0] == 0:
-        return None
     scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
-    if trace is not None:
-        trace.ineligible += int(np.count_nonzero(scores.grad == np.inf))
-    best = best_scored(scores, m_arr, n_arr, w_arr)
-    if best is None or best[1].grad_h >= 0.0:
-        return None
-    return best
+    count_ineligible(trace, scores.grad)
+    return best_scored(scores, m_arr, n_arr)
 
 
 def run_solver(g0: WeightedGraph, obs: ObservationSet,
@@ -170,30 +164,28 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     state = compute_state(g, cfg, obs.k)
     trace.eigensolves += 1
     # A solve only deletes edges, so the edge count names the edge set.
-    terms, layout, context_edges = None, None, -1
+    terms, plan, context_edges = None, None, -1
     accepted = 0
     while accepted < cfg.max_iters:
         if g.edge_count != context_edges:
             m_arr, n_arr, _ = g.edge_arrays()
             terms, context_edges = edge_terms(y, m_arr, n_arr, cfg.epsilon), g.edge_count
             if cfg.solver_kind == "recursive":
-                layout = _partition.block_layout(_partition.cut_plan(g, cfg.v_min))
+                plan = _partition.cut_plan(g, cfg.v_min)
         if cfg.solver_kind == "recursive":
-            sel = _partition.partition_select(g, state, obs, cfg, layout, terms, trace)
-            if sel is not None and sel[1].grad_h >= 0.0:
-                sel = None
+            sel = _partition.partition_select(g, state, obs, cfg, plan, terms, trace)
         else:
             sel = greedy_step(g, y, state, cfg, terms, trace)
         if sel is None:
             trace.stop_reason = "no_descent"
             break
-        edge, delta = sel
+        edge, grad = sel
         g = weaken_edge(g, edge, cfg.epsilon)
         accepted += 1
         obj = float("nan")
         if cfg.objective_interval and accepted % cfg.objective_interval == 0:
             obj = objective_value(g, y, cfg)
-        trace.append(accepted, edge, delta.grad_h, obj, state.fiedler_value,
+        trace.append(accepted, edge, grad, obj, state.fiedler_value,
                      g.edge_count, (time.perf_counter() - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
             state = compute_state(g, cfg, obs.k)

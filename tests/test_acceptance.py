@@ -210,11 +210,11 @@ def test_criterion_6_recursive_selection_matches_exhaustive():
             exhaustive = greedy_step(g, obs.gram, state, cfg)
             recursive = partition_select(g, state, obs, cfg)
             if exhaustive is None:
-                assert recursive is None or recursive[1].grad_h >= 0.0
+                assert recursive is None or recursive[1] >= 0.0
                 break
             assert recursive is not None
             assert recursive[0] == exhaustive[0]
-            assert recursive[1].grad_h == exhaustive[1].grad_h
+            assert recursive[1] == exhaustive[1]
             g = weaken_edge(g, exhaustive[0], cfg.epsilon)
             compared += 1
         else:

@@ -13,8 +13,8 @@ from fsgl.bench import (
     run_benchmark,
 )
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import ZeroReference
-from fsgl.graph import WeightedGraph, complete_graph
+from fsgl.errors import InvalidDof, ZeroReference
+from fsgl.graph import WeightedGraph
 from fsgl.solver import SolverConfig
 
 
@@ -123,6 +123,33 @@ def test_run_benchmark_rejects_bad_size_and_ratios(n, ratios, message):
     # a cell records its own ValueError, so one that escapes came before them
     with pytest.raises(ValueError, match=message):
         run_benchmark(SolverConfig(), ratios=ratios, trials=1, n=n)
+
+
+@pytest.mark.parametrize("generator, kwargs, error, message", [
+    ("gmm", {"density": np.nan}, ValueError, "density"),
+    ("gmm", {"rho": -1.0}, ValueError, "rho"),
+    ("gmm", {"rho": np.nan}, ValueError, "rho"),
+    ("gmm", {"n_components": 0}, ValueError, "component"),
+    ("gmm", {"mean_scale": np.nan}, ValueError, "mean scale"),
+    ("mvt", {"nu": 2.0}, InvalidDof, "degrees of freedom"),
+    ("mvt", {"nu": np.nan}, InvalidDof, "degrees of freedom"),
+])
+def test_run_benchmark_rejects_bad_generator_parameters(generator, kwargs, error,
+                                                        message):
+    # cells record their own errors, so one that escapes came before them
+    with pytest.raises(error, match=message):
+        run_benchmark(SolverConfig(), ratios=(0.5,), trials=1, n=8,
+                      generators=(generator,), solvers=("greedy",), **kwargs)
+
+
+def test_run_benchmark_checks_only_swept_generators():
+    # a bad dof is no error when no mvt cell runs, nor a bad mixture for mvt
+    for generator, kwargs in (("gmm", {"nu": 2.0}),
+                              ("mvt", {"n_components": 0, "mean_scale": np.nan})):
+        report = run_benchmark(SolverConfig(), ratios=(0.5,), trials=1, n=8,
+                               generators=(generator,), solvers=("greedy",),
+                               **kwargs)
+        assert [c.ok for c in report.cells] == [True]
 
 
 def test_report_csv_layout():

@@ -2,7 +2,6 @@
 
 import logging
 
-import numpy as np
 import pytest
 
 from fsgl.cli import cli_main
@@ -40,6 +39,18 @@ def test_gen_different_seeds_differ(tmp_path):
             "--output", str(tmp_path / "b"))
     assert ((tmp_path / "a.x.csv").read_bytes()
             != (tmp_path / "b.x.csv").read_bytes())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rho", "nan"], "rho"), (["--rho", "inf"], "rho"),
+    (["--generator", "mvt", "--dof", "nan"], "degrees of freedom"),
+    (["--mean-scale", "inf"], "mean scale"),
+])
+def test_gen_rejects_bad_generator_parameters(tmp_path, capsys, args, message):
+    assert run_cli("gen", "--n", "8", "--output", str(tmp_path / "d"), *args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / "d.x.csv").exists()
 
 
 def test_gen_default_sample_count(tmp_path):
@@ -276,14 +287,28 @@ def test_cheeger_check_rejects_bad_input(capsys, args, message):
     assert "trial=" not in captured.out
 
 
+# What the error line calls the parameter behind each flag.
+BENCH_PARAMETER_NAMES = {
+    "--ratios": "ratio", "--n": "node count", "--density": "density",
+    "--rho": "rho", "--dof": "degrees of freedom", "--components": "component",
+    "--mean-scale": "mean scale",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["--ratios", "inf"], ["--ratios", "nan"], ["--ratios", "0"],
     ["--ratios", "0.2,-1"], ["--n", "1"],
+    ["--density", "nan"], ["--rho", "-1"], ["--rho", "nan"], ["--rho", "inf"],
+    ["--generator", "mvt", "--dof", "2"], ["--generator", "mvt", "--dof", "nan"],
+    ["--components", "0"], ["--mean-scale", "nan"],
 ])
 def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     prefix = tmp_path / "bench"
-    code = run_cli("bench", "--trials", "1", "--generator", "gmm",
-                   "--solver", "greedy", "--output", str(prefix), *args)
+    code = run_cli("bench", "--n", "8", "--trials", "1", "--ratios", "0.5",
+                   "--generator", "gmm", "--solver", "greedy",
+                   "--output", str(prefix), *args)
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and BENCH_PARAMETER_NAMES[args[-2]] in err
+    assert "failed cell" not in err
     assert not (tmp_path / "bench.raw.csv").exists()

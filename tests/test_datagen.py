@@ -45,6 +45,11 @@ def test_ground_truth_validation():
         gen_ground_truth(5, 1.5)
     with pytest.raises(ValueError):
         gen_ground_truth(5, 0.2, rho=0.0)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="rho"):
+            gen_ground_truth(5, 0.2, rho=bad)
+    with pytest.raises(ValueError, match="density"):
+        gen_ground_truth(5, np.nan)
 
 
 def test_ground_truth_deterministic():
@@ -62,8 +67,12 @@ def test_gmm_shapes_and_determinism():
     assert np.array_equal(obs.x, obs2.x)
     with pytest.raises(ValueError):
         sample_gmm(gt, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component"):
         sample_gmm(gt, 5, n_components=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mean scale"):
+            sample_gmm(gt, 5, mean_scale=bad)
+    assert sample_gmm(gt, 5, mean_scale=-1.0).x.shape == (12, 5)
 
 
 def test_gmm_single_component_zero_scale_is_gaussian():
@@ -127,6 +136,9 @@ def test_mvt_shapes_and_validation():
         sample_mvt(gt, 5, nu=2.0)
     with pytest.raises(InvalidDof):
         sample_mvt(gt, 5, nu=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidDof, match="degrees of freedom"):
+            sample_mvt(gt, 5, nu=bad)
     with pytest.raises(ValueError):
         sample_mvt(gt, 0)
 

@@ -319,7 +319,7 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
     empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
     for name in ("z", "eta", "rho", "gain", "grad"):
         assert getattr(empty, name).shape == (0,), name
-    assert best_scored(empty, m_arr[:0], n_arr[:0], w_arr[:0]) is None
+    assert best_scored(empty, m_arr[:0], n_arr[:0]) is None
     full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
     for i in (0, m_arr.shape[0] - 1):
         one = score_edges(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
@@ -333,21 +333,21 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
 def test_best_scored_tie_breaks_lexicographic():
     m_arr = np.array([0, 0, 1])
     n_arr = np.array([1, 2, 2])
-    w_arr = np.ones(3)
 
     def fake(grads):
         k = len(grads)
         return EdgeScores(np.zeros(k), np.ones(k), np.zeros(k),
-                          np.zeros(k), np.asarray(grads))
+                          np.zeros(k), np.asarray(grads, dtype=np.float64))
 
-    edge, delta = best_scored(fake([-1.0, -1.0, -1.0]), m_arr, n_arr, w_arr)
-    assert edge == (0, 1)  # first minimum wins on sorted arrays
-    assert delta.grad_h == -1.0
-    edge, _ = best_scored(fake([0.5, -1.0, -1.0]), m_arr, n_arr, w_arr)
-    assert edge == (0, 2)
-    assert best_scored(fake([np.inf] * 3), m_arr, n_arr, w_arr) is None
-    assert best_scored(fake([]), np.empty(0, int), np.empty(0, int),
-                       np.empty(0)) is None
+    sel = best_scored(fake([-1.0, -1.0, -1.0]), m_arr, n_arr)
+    assert sel == ((0, 1), -1.0)  # first minimum wins on sorted arrays
+    assert type(sel[0][0]) is int and type(sel[1]) is float
+    assert best_scored(fake([0.5, -1.0, -1.0]), m_arr, n_arr)[0] == (0, 2)
+    # a selection needs a finite, negative winning score
+    for grads in ([np.inf] * 3, [0.0, 0.5, np.inf], [np.nan, -1.0, -1.0],
+                  [-np.inf, -1.0, 0.0]):
+        assert best_scored(fake(grads), m_arr, n_arr) is None, grads
+    assert best_scored(fake([]), np.empty(0, int), np.empty(0, int)) is None
 
 
 def test_objective_value_matches_direct_formula():

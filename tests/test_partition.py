@@ -14,9 +14,7 @@ from fsgl.graph import (
 )
 from fsgl.objective import EdgeScores
 from fsgl.partition import (
-    CheegerCut,
     approx_cheeger_cut,
-    block_layout,
     brute_force_cheeger,
     cut_plan,
     partition_select,
@@ -117,6 +115,14 @@ def test_sweep_cut_requires_connected():
         approx_cheeger_cut(g, state)
 
 
+def plan_blocks(plan):
+    """The blocks of a laid-out cut plan, checked non-empty (reduceat needs it)."""
+    rows, starts = plan
+    blocks = np.split(rows, starts[1:])
+    assert starts[0] == 0 and all(b.shape[0] > 0 for b in blocks)
+    return blocks
+
+
 def solve_instance(seed, n, generator="gmm"):
     gt = gen_ground_truth(n, 0.2, seed=seed)
     k = max(3, round(0.2 * n))
@@ -138,11 +144,11 @@ def test_partition_select_equals_exhaustive_scan_stepwise():
             sel_p = partition_select(g, state, obs, cfg)
             sel_g = greedy_step(g, obs.gram, state, cfg)
             if sel_g is None:
-                assert sel_p is None or sel_p[1].grad_h >= 0.0
+                assert sel_p is None
                 break
             assert sel_p is not None
             assert sel_p[0] == sel_g[0]
-            assert sel_p[1].grad_h == sel_g[1].grad_h  # bitwise
+            assert sel_p[1] == sel_g[1]  # bitwise
             g = weaken_edge(g, sel_g[0], cfg.epsilon)
 
 
@@ -152,6 +158,7 @@ def test_partition_select_empty_graph():
     g = WeightedGraph(6)
     state = compute_state(g, cfg, obs.k)
     assert partition_select(g, state, obs, cfg) is None
+    assert greedy_step(g, obs.gram, state, cfg) is None
 
 
 def test_partition_audit_rows_partition_exactly():
@@ -173,22 +180,21 @@ def test_cut_plan_depends_on_edge_set_not_weights():
     # a weight-only step keeps the plan; deleting an edge makes a new one
     obs = solve_instance(4, 24)
     g = init_sparse_graph(obs.gram, 60)
-    plan = cut_plan(g, 4)
-    assert len(plan) > 1
+    rows, starts = cut_plan(g, 4)
+    assert starts.shape[0] > 1
     for edge in list(g.edges)[::7]:
         weaker = weaken_edge(g, edge, 0.3)
         assert weaker.edge_count == g.edge_count
-        replay = cut_plan(weaker, 4)
-        assert len(replay) == len(plan)
-        for a, b in zip(replay, plan):
-            np.testing.assert_array_equal(a, b)
+        replay_rows, replay_starts = cut_plan(weaker, 4)
+        np.testing.assert_array_equal(replay_rows, rows)
+        np.testing.assert_array_equal(replay_starts, starts)
     edge = next(iter(g.edges))
     smaller = weaken_edge(g, edge, g.edges[edge])
     assert smaller.edge_count == g.edge_count - 1
-    fresh = cut_plan(smaller, 4)
-    assert sum(b.shape[0] for b in fresh) == smaller.edge_count
-    assert (len(fresh) != len(plan)
-            or any(not np.array_equal(a, b) for a, b in zip(fresh, plan)))
+    fresh_rows, fresh_starts = cut_plan(smaller, 4)
+    assert fresh_rows.shape[0] == smaller.edge_count
+    assert not (np.array_equal(fresh_rows, rows)
+                and np.array_equal(fresh_starts, starts))
 
 
 def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
@@ -209,43 +215,22 @@ def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
         selected_on.append(trace.edge_counts[-1])
     assert len(set(selected_on)) > 1, "the solve should delete an edge"
     assert calls == sorted(set(selected_on), reverse=True)
-
-
-def test_run_solver_lays_out_each_plan_once(monkeypatch):
-    import fsgl.partition as partition
-
-    plans, laid_out = [], []
-    real_plan, real_layout = partition.cut_plan, partition.block_layout
-
-    def counted_plan(g, v_min):
-        plans.append(real_plan(g, v_min))
-        return plans[-1]
-
-    monkeypatch.setattr(partition, "cut_plan", counted_plan)
-    monkeypatch.setattr(partition, "block_layout",
-                        lambda plan: laid_out.append(plan) or real_layout(plan))
-    obs = solve_instance(3, 16)
-    g0 = init_sparse_graph(obs.gram, 30)
-    _, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive", epsilon=0.05))
-    assert 1 < len(plans) < len(trace)
-    assert len(laid_out) == len(plans)
-    assert all(a is b for a, b in zip(laid_out, plans))
-    plans.clear()
-    laid_out.clear()
+    calls.clear()
     run_solver(g0, obs, SolverConfig(solver_kind="greedy", epsilon=0.05))
-    assert plans == [] and laid_out == []
+    assert calls == []
 
 
 def _select_block_by_block(grad, m_arr, n_arr, plan):
     """The reduction as first written: an argmin per block, then the best
-    (grad, m, n) key over the finite block minima. Returns a row or None."""
+    (grad, m, n) key over the finite block minima. Returns a row, or None
+    when no finite block minimum is negative."""
     best = None
     for rows in plan:
         i = int(rows[grad[rows].argmin()])
         key = (grad[i], m_arr[i], n_arr[i])
         if np.isfinite(grad[i]) and (best is None or key < best[0]):
             best = (key, i)
-    return None if best is None else best[1]
+    return None if best is None or best[0][0] >= 0.0 else best[1]
 
 
 def test_block_reduction_matches_block_by_block_loop(monkeypatch):
@@ -265,11 +250,10 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
         e = g.edge_count
         for v_min in (2, 4, 8):
             plan = cut_plan(g, v_min)
-            assert all(b.shape[0] > 0 for b in plan)  # reduceat needs this
-            seen["singleton"] += sum(b.shape[0] == 1 for b in plan)
-            layout = block_layout(plan)
+            blocks = plan_blocks(plan)
+            seen["singleton"] += sum(b.shape[0] == 1 for b in blocks)
             block_of = np.empty(e, dtype=np.intp)
-            for b, rows in enumerate(plan):
+            for b, rows in enumerate(blocks):
                 block_of[rows] = b
             for trial in range(40):
                 grad = rng.integers(-3, 3, e).astype(np.float64)
@@ -277,17 +261,17 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
                                            np.zeros(e), grad)
                 trace = SolveTrace()
-                got = partition_select(g, None, obs, cfg, layout, None, trace)
-                want = _select_block_by_block(grad, m_arr, n_arr, plan)
+                got = partition_select(g, None, obs, cfg, plan, None, trace)
+                want = _select_block_by_block(grad, m_arr, n_arr, blocks)
                 inf_rows = int(np.isinf(grad).sum())
                 assert trace.ineligible == inf_rows
                 seen["inf_rows"] += inf_rows > 0
                 if want is None:
-                    assert got is None and inf_rows == e
+                    assert got is None
                     seen["none"] += 1
                     continue
                 assert got[0] == (int(m_arr[want]), int(n_arr[want]))
-                assert got[1].grad_h == grad[want] and got[1].z == -grad[want]
+                assert got[1] == grad[want]
                 tied = np.flatnonzero(grad == grad[want])
                 seen["cross_block_tie"] += len(set(block_of[tied])) > 1
     assert all(seen.values()), seen
@@ -320,8 +304,8 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
             for g in graphs:
                 for v_min in (2, 4, 8):
                     plan = cut_plan(g, v_min)
-                    assert all(b.shape[0] > 0 for b in plan)
-                    np.testing.assert_array_equal(np.sort(np.concatenate(plan)),
+                    plan_blocks(plan)
+                    np.testing.assert_array_equal(np.sort(plan[0]),
                                                   np.arange(g.edge_count))
     assert failures
 
@@ -353,8 +337,7 @@ def test_partition_handles_disconnected_candidates():
     sel_g = greedy_step(g, obs.gram, state, cfg)
     assert (sel_p is None) == (sel_g is None)
     if sel_g is not None:
-        assert sel_p[0] == sel_g[0]
-        assert sel_p[1].grad_h == sel_g[1].grad_h
+        assert sel_p == sel_g
 
 
 def test_full_runs_identical_across_selectors():
