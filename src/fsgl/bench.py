@@ -10,20 +10,15 @@ start from the sparse similarity initializer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import (check_dof, check_gmm, check_ground_truth, gen_ground_truth,
-                      sample_gmm, sample_mvt)
+from .datagen import check_dof, check_gmm, check_ground_truth, draw_instance
 from .errors import FsglError, ZeroReference
 from .graph import WeightedGraph, build_laplacian, complete_graph
 from .init_graph import init_sparse_graph
 from .solver import SolverConfig, run_solver
-
-RAW_HEADER = "generator,solver,ratio,trial,re,lambda2,edges,ms"
-SUMMARY_HEADER = ("generator,solver,ratio,re_mean,re_std,lambda2_mean,"
-                  "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed")
 
 
 def check_reference(w_star: WeightedGraph, source: str = "reference graph") -> float:
@@ -56,12 +51,9 @@ def default_budget(n: int, budget_b: int | None) -> int:
 
 def initial_graph(obs, cfg: SolverConfig) -> WeightedGraph:
     """Dense start for the greedy solver, sparse init for the recursive one."""
-    n = obs.n
-    if cfg.solver_kind == "recursive":
-        return init_sparse_graph(obs.gram, default_budget(n, cfg.budget_b))
-    if cfg.budget_b is not None:
-        return init_sparse_graph(obs.gram, default_budget(n, cfg.budget_b))
-    return complete_graph(n)
+    if cfg.solver_kind == "recursive" or cfg.budget_b is not None:
+        return init_sparse_graph(obs.gram, default_budget(obs.n, cfg.budget_b))
+    return complete_graph(obs.n)
 
 
 @dataclass(frozen=True)
@@ -99,49 +91,60 @@ class SummaryRow:
     failed: int
 
 
+def _columns(cls) -> list:
+    """The CSV columns of a bench dataclass: every field but `error`."""
+    return [f for f in fields(cls) if f.name != "error"]
+
+
+def _header(cls) -> str:
+    return ",".join(f.name for f in _columns(cls))
+
+
+def _csv(cls, rows) -> str:
+    """Header, then one line per row: repr for float fields, str otherwise."""
+    cols = _columns(cls)
+    lines = [_header(cls)]
+    for r in rows:
+        lines.append(",".join(repr(float(getattr(r, f.name))) if f.type == "float"
+                              else str(getattr(r, f.name)) for f in cols))
+    return "\n".join(lines) + "\n"
+
+
+RAW_HEADER = _header(BenchCell)
+SUMMARY_HEADER = _header(SummaryRow)
+
+
 @dataclass
 class BenchReport:
     n: int
     cells: list[BenchCell]
 
     def raw_csv(self) -> str:
-        lines = [RAW_HEADER]
-        for c in self.cells:
-            lines.append(f"{c.generator},{c.solver},{repr(float(c.ratio))},"
-                         f"{c.trial},{repr(c.re)},{repr(c.lambda2)},"
-                         f"{c.edges},{repr(c.ms)}")
-        return "\n".join(lines) + "\n"
+        return _csv(BenchCell, self.cells)
 
     def summary(self) -> list[SummaryRow]:
-        groups: dict[tuple[str, str, float], list[BenchCell]] = {}
+        """Mean and std of every cell metric `x` SummaryRow holds as `x_mean`,
+        over the ok cells of each (generator, solver, ratio) group."""
+        names = {f.name for f in fields(SummaryRow)}
+        keys = [f.name for f in fields(BenchCell) if f.name in names]
+        metrics = [f.name for f in fields(BenchCell) if f"{f.name}_mean" in names]
+        groups: dict[tuple, list[BenchCell]] = {}
         for c in self.cells:
-            groups.setdefault((c.generator, c.solver, c.ratio), []).append(c)
+            groups.setdefault(tuple(getattr(c, k) for k in keys), []).append(c)
         rows = []
-        for (gen, sol, ratio), cs in groups.items():
+        for key, cs in groups.items():
             ok = [c for c in cs if c.ok]
-
-            def stat(vals):
-                if not vals:
-                    return float("nan"), float("nan")
-                return float(np.mean(vals)), float(np.std(vals))
-
-            re_m, re_s = stat([c.re for c in ok])
-            l2_m, l2_s = stat([c.lambda2 for c in ok])
-            ed_m, ed_s = stat([c.edges for c in ok])
-            ms_m, ms_s = stat([c.ms for c in ok])
-            rows.append(SummaryRow(gen, sol, ratio, re_m, re_s, l2_m, l2_s,
-                                   ed_m, ed_s, ms_m, ms_s, len(cs) - len(ok)))
+            stats = {}
+            for m in metrics:
+                vals = [getattr(c, m) for c in ok]
+                stats[f"{m}_mean"] = float(np.mean(vals)) if ok else float("nan")
+                stats[f"{m}_std"] = float(np.std(vals)) if ok else float("nan")
+            rows.append(SummaryRow(**dict(zip(keys, key)), **stats,
+                                   failed=len(cs) - len(ok)))
         return rows
 
     def summary_csv(self) -> str:
-        lines = [SUMMARY_HEADER]
-        for r in self.summary():
-            lines.append(f"{r.generator},{r.solver},{repr(float(r.ratio))},"
-                         f"{repr(r.re_mean)},{repr(r.re_std)},"
-                         f"{repr(r.lambda2_mean)},{repr(r.lambda2_std)},"
-                         f"{repr(r.edges_mean)},{repr(r.edges_std)},"
-                         f"{repr(r.ms_mean)},{repr(r.ms_std)},{r.failed}")
-        return "\n".join(lines) + "\n"
+        return _csv(SummaryRow, self.summary())
 
     def table(self) -> str:
         lines = [f"{'generator':<10}{'solver':<11}{'ratio':>6}  "
@@ -154,12 +157,6 @@ class BenchReport:
                          f"{r.edges_mean:>7.1f}  {r.ms_mean:>10.1f}  "
                          f"{r.failed:>6d}")
         return "\n".join(lines) + "\n"
-
-
-def _cell_seeds(seed: int, gi: int, ri: int, trial: int) -> tuple[int, int]:
-    root = np.random.SeedSequence([seed, gi, ri, trial])
-    gt_ss, x_ss = root.spawn(2)
-    return int(gt_ss.generate_state(1)[0]), int(x_ss.generate_state(1)[0])
 
 
 def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
@@ -185,25 +182,12 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     for r in ratios:
         if not (np.isfinite(r) and r > 0.0):
             raise ValueError(f"K/N ratio must be finite and positive, got {r}")
-    jobs = []
-    for gi, gen_name in enumerate(generators):
-        for sol in solvers:
-            for ri, ratio in enumerate(ratios):
-                for trial in range(trials):
-                    jobs.append((gen_name, sol, gi, ri, ratio, trial))
 
-    def run_cell(job) -> BenchCell:
-        gen_name, sol, gi, ri, ratio, trial = job
+    def run_cell(gen_name, sol, gi, ri, ratio, trial) -> BenchCell:
         try:
-            s_gt, s_x = _cell_seeds(seed, gi, ri, trial)
-            gt = gen_ground_truth(n, density, rho, seed=s_gt)
             k = max(1, int(round(ratio * n)))
-            if gen_name == "gmm":
-                obs = sample_gmm(gt, k, n_components, mean_scale, seed=s_x)
-            elif gen_name == "mvt":
-                obs = sample_mvt(gt, k, nu, seed=s_x)
-            else:
-                raise ValueError(f"unknown generator {gen_name!r}")
+            gt, obs = draw_instance(n, k, gen_name, [seed, gi, ri, trial], density,
+                                    rho, nu, n_components, mean_scale)
             run_cfg = replace(cfg, solver_kind=sol)
             g0 = initial_graph(obs, run_cfg)
             t0 = time.perf_counter()
@@ -218,4 +202,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                              float("nan"), 0, float("nan"),
                              error=f"{type(exc).__name__}: {exc}")
 
-    return BenchReport(n, [run_cell(j) for j in jobs])
+    return BenchReport(n, [run_cell(gen_name, sol, gi, ri, ratio, trial)
+                           for gi, gen_name in enumerate(generators)
+                           for sol in solvers
+                           for ri, ratio in enumerate(ratios)
+                           for trial in range(trials)])

@@ -11,13 +11,14 @@ import argparse
 import logging
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from .bench import check_reference, initial_graph, relative_error, run_benchmark
-from .datagen import gen_ground_truth, sample_gmm, sample_mvt
+from .datagen import connected_pairs, draw_instance
 from .errors import FsglError
-from .graph import ObservationSet, WeightedGraph, build_laplacian, is_connected
+from .graph import ObservationSet, WeightedGraph, build_laplacian
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
 from .solver import SolverConfig, run_solver
@@ -25,7 +26,6 @@ from .spectral import smallest_eigenpairs
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--config", default=None,
                    help="flat key = value file; entries override flags")
     p.add_argument("-v", "--verbose", action="store_true",
@@ -33,20 +33,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.01, help="step size")
-    p.add_argument("--alpha", type=float, default=0.5, help="log-det shift")
-    p.add_argument("--gamma", type=float, default=0.5, help="connectivity weight")
-    p.add_argument("--mu", type=float, default=0.2, help="sparsity weight")
-    p.add_argument("--budget", type=int, default=None,
+    d = SolverConfig()
+    p.add_argument("--epsilon", type=float, default=d.epsilon, help="step size")
+    p.add_argument("--alpha", type=float, default=d.alpha, help="log-det shift")
+    p.add_argument("--gamma", type=float, default=d.gamma, help="connectivity weight")
+    p.add_argument("--mu", type=float, default=d.mu, help="sparsity weight")
+    p.add_argument("--budget", type=int, default=d.budget_b,
                    help="extra init edges beyond the tree (default 3N)")
-    p.add_argument("--vmin", type=int, default=8, help="recursion leaf size")
-    p.add_argument("--refresh", type=int, default=1,
+    p.add_argument("--refresh", type=int, default=d.refresh_interval,
                    help="spectral refresh period in accepted steps")
     p.add_argument("--exact-logdet", dest="exact_logdet", action="store_true",
+                   default=d.exact_logdet,
                    help="score with the exact resolvent instead of the majorizer")
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--generator", choices=("gmm", "mvt"), default=None)
     p.add_argument("--dof", type=float, default=3.0, help="t degrees of freedom")
     p.add_argument("--components", type=int, default=3, help="mixture components")
@@ -97,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="node count (<= 16)")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--density", type=float, default=0.35)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(p)
     p.set_defaults(func=cmd_cheeger_check)
     return parser
@@ -146,25 +149,15 @@ def apply_config_file(args: argparse.Namespace) -> None:
 def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
     return SolverConfig(
         epsilon=args.epsilon, alpha=args.alpha, gamma=args.gamma, mu=args.mu,
-        budget_b=args.budget, v_min=args.vmin, refresh_interval=args.refresh,
+        budget_b=args.budget, refresh_interval=args.refresh,
         solver_kind=kind, exact_logdet=args.exact_logdet)
-
-
-def _gen_seeds(seed: int) -> tuple[int, int]:
-    a, b = np.random.SeedSequence([seed]).spawn(2)
-    return int(a.generate_state(1)[0]), int(b.generate_state(1)[0])
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     k = args.k if args.k is not None else max(1, round(0.2 * n))
-    s_gt, s_x = _gen_seeds(args.seed)
-    gt = gen_ground_truth(n, args.density, args.rho, seed=s_gt)
-    generator = args.generator or "gmm"
-    if generator == "gmm":
-        obs = sample_gmm(gt, k, args.components, args.mean_scale, seed=s_x)
-    else:
-        obs = sample_mvt(gt, k, args.dof, seed=s_x)
+    gt, obs = draw_instance(n, k, args.generator or "gmm", [args.seed], args.density,
+                            args.rho, args.dof, args.components, args.mean_scale)
     x_path = f"{args.output}.x.csv"
     w_path = f"{args.output}.w.csv"
     save_observations(obs.x, x_path)
@@ -217,10 +210,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                            mean_scale=args.mean_scale, seed=args.seed)
     raw_path = f"{args.output}.raw.csv"
     summary_path = f"{args.output}.summary.csv"
-    with open(raw_path, "w") as fh:
-        fh.write(report.raw_csv())
-    with open(summary_path, "w") as fh:
-        fh.write(report.summary_csv())
+    Path(raw_path).write_text(report.raw_csv())
+    Path(summary_path).write_text(report.summary_csv())
     print(report.table(), end="")
     failed = [c for c in report.cells if not c.ok]
     for c in failed:
@@ -238,7 +229,8 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     violations = 0
     for trial in range(args.trials):
-        g = _random_connected_unit_graph(args.n, args.density, rng)
+        g = WeightedGraph(args.n, dict.fromkeys(
+            connected_pairs(args.n, args.density, rng), 1.0))
         lap = build_laplacian(g)
         lam2 = float(np.linalg.eigvalsh(lap)[1])
         d_max = float(np.max(lap.diagonal()))
@@ -262,19 +254,6 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _random_connected_unit_graph(n: int, density: float,
-                                 rng: np.random.Generator) -> WeightedGraph:
-    iu, ju = np.triu_indices(n, k=1)
-    for _ in range(10000):
-        mask = rng.random(iu.shape[0]) < density
-        g = WeightedGraph(n, {(int(a), int(b)): 1.0
-                              for a, b in zip(iu[mask], ju[mask])})
-        if is_connected(g):
-            return g
-    chain = {(i, i + 1): 1.0 for i in range(n - 1)}
-    return WeightedGraph(n, chain)
-
-
 def cli_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -286,10 +265,7 @@ def cli_main(argv=None) -> int:
             log.addHandler(handler)
             log.setLevel(logging.INFO)
         return args.func(args)
-    except FsglError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (FsglError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -57,31 +57,33 @@ def check_dof(nu: float) -> None:
         raise InvalidDof(f"degrees of freedom must be finite and exceed 2, got {nu}")
 
 
-def gen_ground_truth(n: int, density: float, rho: float = 0.5,
-                     seed: int = 0) -> GroundTruth:
-    """Connected random graph with uniform [0.5, 1.5] edge weights.
+def connected_pairs(n: int, density: float,
+                    rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Sorted node pairs of a connected random graph on n nodes.
 
-    Edges are sampled independently with probability `density`; sampling
-    retries until the graph is connected (capped at 1000 draws, after
-    which components are bridged with single edges).
+    Each pair is kept with probability `density`, redrawn until connected;
+    after 1000 draws, components are bridged with single edges instead.
     """
-    check_ground_truth(n, density, rho)
-    rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    pairs: list[tuple[int, int]] = []
-    comps: list[list[int]] = []
     for _ in range(1000):
         mask = rng.random(iu.shape[0]) < density
         pairs = [(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])]
         comps = connected_components(n, pairs)
         if len(comps) == 1:
-            break
-    if len(comps) > 1:
-        for ca, cb in zip(comps, comps[1:]):
-            a = ca[int(rng.integers(len(ca)))]
-            b = cb[int(rng.integers(len(cb)))]
-            pairs.append((a, b) if a < b else (b, a))
-        pairs.sort()
+            return pairs
+    for ca, cb in zip(comps, comps[1:]):
+        a = ca[int(rng.integers(len(ca)))]
+        b = cb[int(rng.integers(len(cb)))]
+        pairs.append((a, b) if a < b else (b, a))
+    return sorted(pairs)
+
+
+def gen_ground_truth(n: int, density: float, rho: float = 0.5,
+                     seed: int = 0) -> GroundTruth:
+    """`connected_pairs` graph with uniform [0.5, 1.5] edge weights."""
+    check_ground_truth(n, density, rho)
+    rng = np.random.default_rng(seed)
+    pairs = connected_pairs(n, density, rng)
     weights = rng.uniform(0.5, 1.5, size=len(pairs))
     g = WeightedGraph(n, dict(zip(pairs, weights)))
     theta = build_laplacian(g) + rho * np.eye(n)
@@ -139,3 +141,18 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     z = root @ rng.standard_normal((n, k))
     u = rng.chisquare(nu, size=k)
     return ObservationSet(z / np.sqrt(u / nu))
+
+
+def draw_instance(n: int, k: int, generator: str, entropy, density: float,
+                  rho: float, nu: float, n_components: int,
+                  mean_scale: float) -> tuple[GroundTruth, ObservationSet]:
+    """A ground truth and k observations from `generator` ("gmm" or "mvt"),
+    drawn from two seeds spawned by SeedSequence(entropy)."""
+    if generator not in ("gmm", "mvt"):
+        raise ValueError(f"unknown generator {generator!r}")
+    s_gt, s_x = (int(ss.generate_state(1)[0])
+                 for ss in np.random.SeedSequence(entropy).spawn(2))
+    gt = gen_ground_truth(n, density, rho, seed=s_gt)
+    if generator == "gmm":
+        return gt, sample_gmm(gt, k, n_components, mean_scale, seed=s_x)
+    return gt, sample_mvt(gt, k, nu, seed=s_x)

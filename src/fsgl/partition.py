@@ -25,6 +25,7 @@ from .spectral import SpectralState, smallest_eigenpairs
 
 BRUTE_FORCE_LIMIT = 16
 CONNECTIVITY_TOL = 1e-8
+LEAF_NODES = 8  # a solve's cut_plan leaf size; never changes the selected edge
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
 
     Returns what the exhaustive scan returns (see `selection`), because
     the plan's blocks only partition the candidate edge set while all
-    scores come from the global snapshot. `plan` is cut_plan(g, cfg.v_min),
+    scores come from the global snapshot. `plan` is cut_plan(g, LEAF_NODES),
     built here when not given; a caller that only weakens edges can keep
     passing the same one, and `terms` (see `score_edges`). `trace` counts
     ineligible edges.
@@ -187,7 +188,7 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    order, starts = cut_plan(g, cfg.v_min) if plan is None else plan
+    order, starts = cut_plan(g, LEAF_NODES) if plan is None else plan
     # Every candidate edge is scored against the same global snapshot no
     # matter which block it lands in, so one vectorized pass covers them
     # all; one reduceat then takes each block's minimum.

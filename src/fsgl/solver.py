@@ -33,6 +33,8 @@ class SolverConfig:
 
     budget_b defaults to 3N extra edges when left as None. The spectral
     snapshot retains min(N, max(3, K)) eigenpairs for K observations.
+    The recursive arm's leaf size is fixed at partition.LEAF_NODES: it
+    shapes the cut plan but never the selected edge.
     """
 
     epsilon: float = 0.01
@@ -40,7 +42,6 @@ class SolverConfig:
     gamma: float = 0.5
     mu: float = 0.2
     budget_b: int | None = None
-    v_min: int = 8
     refresh_interval: int = 1
     max_iters: int = 20000
     solver_kind: str = "greedy"
@@ -72,7 +73,6 @@ class SolveTrace:
     sums the edges scored +inf (step too large) over all steps.
     """
 
-    iters: list[int] = field(default_factory=list)
     edges_mn: list[tuple[int, int]] = field(default_factory=list)
     grad_h: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
@@ -89,8 +89,11 @@ class SolveTrace:
     def converged(self) -> bool:
         return self.stop_reason == "no_descent"
 
-    def append(self, it, edge, grad, obj, lam2, n_edges, elapsed_ms):
-        self.iters.append(it)
+    @property
+    def iters(self) -> list[int]:
+        return list(range(1, len(self) + 1))
+
+    def append(self, edge, grad, obj, lam2, n_edges, elapsed_ms):
         self.edges_mn.append(edge)
         self.grad_h.append(grad)
         self.objective.append(obj)
@@ -99,15 +102,15 @@ class SolveTrace:
         self.ms.append(elapsed_ms)
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.grad_h)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("iter,m,n,grad_h,objective,lambda2,edges,ms\n")
-            for i in range(len(self.iters)):
+            for i in range(len(self)):
                 m, n = self.edges_mn[i]
                 fh.write(
-                    f"{self.iters[i]},{m},{n},{self.grad_h[i]!r},"
+                    f"{i + 1},{m},{n},{self.grad_h[i]!r},"
                     f"{self.objective[i]!r},{self.lambda2[i]!r},"
                     f"{self.edge_counts[i]},{self.ms[i]:.3f}\n"
                 )
@@ -171,7 +174,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             m_arr, n_arr, _ = g.edge_arrays()
             terms, context_edges = edge_terms(y, m_arr, n_arr, cfg.epsilon), g.edge_count
             if cfg.solver_kind == "recursive":
-                plan = _partition.cut_plan(g, cfg.v_min)
+                plan = _partition.cut_plan(g, _partition.LEAF_NODES)
         if cfg.solver_kind == "recursive":
             sel = _partition.partition_select(g, state, obs, cfg, plan, terms, trace)
         else:
@@ -185,7 +188,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         obj = float("nan")
         if cfg.objective_interval and accepted % cfg.objective_interval == 0:
             obj = objective_value(g, y, cfg)
-        trace.append(accepted, edge, grad, obj, state.fiedler_value,
+        trace.append(edge, grad, obj, state.fiedler_value,
                      g.edge_count, (time.perf_counter() - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
             state = compute_state(g, cfg, obs.k)

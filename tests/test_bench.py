@@ -175,6 +175,12 @@ def test_report_csv_layout():
     assert "gmm" in table
 
 
+def test_csv_headers_are_the_dataclass_fields():
+    assert RAW_HEADER == "generator,solver,ratio,trial,re,lambda2,edges,ms"
+    assert SUMMARY_HEADER == ("generator,solver,ratio,re_mean,re_std,lambda2_mean,"
+                              "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed")
+
+
 def test_serial_benchmark_runs_are_identical():
     cfg = SolverConfig(max_iters=25)
     kwargs = dict(ratios=(0.2, 0.5), trials=2, n=9, generators=("gmm",),

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import argparse
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
-from fsgl.cli import cli_main
+from fsgl.cli import build_parser, cli_main
 from fsgl.io import load_graph, load_observations
 
 
@@ -209,6 +212,27 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--input", "x.csv", "--vmin", "4"),
+    ("bench", "--vmin", "4"),
+    ("solve", "--input", "x.csv", "--seed", "1"),
+])
+def test_removed_options_exit_two(capsys, argv):
+    # the leaf size never changed a selection and solve never read a seed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+def test_config_file_rejects_removed_vmin(tmp_path, capsys):
+    conf = tmp_path / "old.conf"
+    conf.write_text("vmin = 4\n")
+    code = run_cli("solve", "--input", str(tmp_path / "x.csv"),
+                   "--config", str(conf))
+    assert code == 1
+    assert "unknown option 'vmin'" in capsys.readouterr().err
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     prefix = tmp_path / "data"
     run_cli("gen", "--n", "10", "--k", "4", "--seed", "5",
@@ -312,3 +336,27 @@ def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     assert "error:" in err and BENCH_PARAMETER_NAMES[args[-2]] in err
     assert "failed cell" not in err
     assert not (tmp_path / "bench.raw.csv").exists()
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _long_options(p):
+    return {opt for a in p._actions for opt in a.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+def test_readme_cli_section_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    subs = _subparsers()
+    known = set().union(*(_long_options(p) for p in subs.values()))
+    assert named - known == set(), "README names options no subcommand has"
+    for command in ("solve", "bench"):
+        missing = _long_options(subs[command]) - named
+        assert missing == set(), f"README's CLI section omits {command} {missing}"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fsgl.datagen import gen_ground_truth, sample_gmm, sample_mvt
+from fsgl.datagen import (connected_pairs, draw_instance, gen_ground_truth, sample_gmm,
+                          sample_mvt)
 from fsgl.errors import InvalidDof
-from fsgl.graph import build_laplacian, is_connected
+from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
 
 
@@ -173,3 +174,32 @@ def test_mvt_heavier_tails_than_gaussian():
     z = heavy.x[0] / heavy.x[0].std()
     excess = float(np.mean(z ** 4) - 3.0)
     assert excess > 1.0, f"nu=3 marginal kurtosis {excess:.2f} not heavy"
+
+
+@pytest.mark.parametrize("generator", ["gmm", "mvt"])
+def test_draw_instance_matches_inline_recipe(generator):
+    entropy = [7, 1, 0, 2]
+    gt, obs = draw_instance(12, 5, generator, entropy, 0.3, 0.4, 4.0, 2, 1.5)
+    gt_ss, x_ss = np.random.SeedSequence(entropy).spawn(2)
+    ref_gt = gen_ground_truth(12, 0.3, 0.4, seed=int(gt_ss.generate_state(1)[0]))
+    s_x = int(x_ss.generate_state(1)[0])
+    if generator == "gmm":
+        ref_obs = sample_gmm(ref_gt, 5, 2, 1.5, seed=s_x)
+    else:
+        ref_obs = sample_mvt(ref_gt, 5, 4.0, seed=s_x)
+    assert gt.w_star.edges == ref_gt.w_star.edges
+    assert np.array_equal(gt.cov, ref_gt.cov)
+    assert np.array_equal(obs.x, ref_obs.x)
+
+
+def test_draw_instance_rejects_unknown_generator():
+    with pytest.raises(ValueError, match="unknown generator 'bogus'"):
+        draw_instance(8, 3, "bogus", [0], 0.3, 0.5, 3.0, 3, 1.0)
+
+
+def test_connected_pairs_bridges_after_failed_draws():
+    # density 0 never connects, so the components (single nodes) get bridged
+    pairs = connected_pairs(6, 0.0, np.random.default_rng(0))
+    assert len(pairs) == 5 and pairs == sorted(pairs)
+    assert all(a < b for a, b in pairs)
+    assert is_connected(WeightedGraph(6, dict.fromkeys(pairs, 1.0)))

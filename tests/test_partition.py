@@ -164,10 +164,9 @@ def test_partition_select_empty_graph():
 def test_partition_audit_rows_partition_exactly():
     # every split sends each candidate edge to exactly one side or the cut
     obs = solve_instance(1, 20)
-    cfg = SolverConfig(solver_kind="recursive", v_min=4)
     g = init_sparse_graph(obs.gram, 40)
     events = []
-    cut_plan(g, cfg.v_min, audit=events.append)
+    cut_plan(g, 4, audit=events.append)
     assert events, "recursion should split at least once"
     for depth, n_nodes, t, rows, r1, r2, rcut in events:
         assert 1 <= t < n_nodes
@@ -313,10 +312,9 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
 def test_partition_recursion_depth_bounded():
     # each split strictly shrinks the node set, so depth < N
     obs = solve_instance(2, 24)
-    cfg = SolverConfig(solver_kind="recursive", v_min=4)
     g = init_sparse_graph(obs.gram, 60)
     events = []
-    cut_plan(g, cfg.v_min, audit=events.append)
+    cut_plan(g, 4, audit=events.append)
     max_depth = max(e[0] for e in events)
     assert max_depth < 24
     for depth, n_nodes, *_ in events:
@@ -331,9 +329,9 @@ def test_partition_handles_disconnected_candidates():
     edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
     g = WeightedGraph(10, edges)
     obs = ObservationSet(rng.standard_normal((10, 4)))
-    cfg = SolverConfig(solver_kind="recursive", v_min=2)
+    cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)
-    sel_p = partition_select(g, state, obs, cfg)
+    sel_p = partition_select(g, state, obs, cfg, plan=cut_plan(g, 2))
     sel_g = greedy_step(g, obs.gram, state, cfg)
     assert (sel_p is None) == (sel_g is None)
     if sel_g is not None:
