@@ -22,7 +22,7 @@ from .graph import ObservationSet, WeightedGraph, build_laplacian
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
 from .solver import SolverConfig, run_solver
-from .spectral import smallest_eigenpairs
+from .spectral import lambda2, smallest_eigenpairs
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -183,7 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         save_graph(g, args.output)
     if args.trace:
         trace.to_csv(args.trace)
-    lam2 = float(np.linalg.eigvalsh(build_laplacian(g))[1])
+    lam2 = lambda2(build_laplacian(g))
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "
@@ -226,13 +226,15 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
         raise ValueError(f"exact enumeration needs 2 <= n <= 16, got {args.n}")
     if not 0.0 < args.density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {args.density}")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     violations = 0
     for trial in range(args.trials):
         g = WeightedGraph(args.n, dict.fromkeys(
             connected_pairs(args.n, args.density, rng), 1.0))
         lap = build_laplacian(g)
-        lam2 = float(np.linalg.eigvalsh(lap)[1])
+        lam2 = lambda2(lap)
         d_max = float(np.max(lap.diagonal()))
         upper = float(np.sqrt(2.0 * lam2 * d_max))
         exact = brute_force_cheeger(g)

@@ -4,17 +4,41 @@ The initializer grows a spanning tree that greedily follows the largest
 Gram entries, then tops it up with a fixed budget of the next-largest
 pairs. All selected edges start at unit weight, so the solver only ever
 removes mass. The result has N - 1 + B edges (fewer when the budget
-exceeds the remaining pairs) and is connected by construction.
+exceeds the remaining pairs) and is connected by construction. Both
+parts read one ranking of the pairs m < n, by (-Y_mn, m, n).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from .errors import InvalidBudget
 from .graph import WeightedGraph
+
+
+def _ranked_tree(y: np.ndarray):
+    """Ranked pairs (ms, ns) and the tree edges' ranks in attachment order.
+
+    Prim's rule on ranks: each outside node keeps its best rank to the
+    tree, and the one with the smallest attaches next. A tree node's
+    column is raised above every rank, so it never wins again.
+    """
+    n = y.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    order = np.lexsort((ju, iu, -y[iu, ju]))
+    ms, ns, top = iu[order], ju[order], order.shape[0]
+    rank = np.full((n, n), top)
+    rank[ms, ns] = rank[ns, ms] = np.arange(top)
+    rank[:, [ms[0], ns[0]]] = top
+    best = np.minimum(rank[ms[0]], rank[ns[0]])
+    tree = [0]
+    for _ in range(n - 2):
+        v = int(best.argmin())
+        tree.append(int(best[v]))
+        rank[:, v] = top
+        np.minimum(best, rank[v], out=best)
+        best[v] = top
+    return ms, ns, tree
 
 
 def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
@@ -30,31 +54,8 @@ def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError("similarity matrix must be square")
     if n < 2:
         return []
-    iu, ju = np.triu_indices(n, k=1)
-    vals = y[iu, ju]
-    first = np.lexsort((ju, iu, -vals))[0]
-    m0, n0 = int(iu[first]), int(ju[first])
-
-    attached = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int, int, int]] = []
-
-    def offer(node: int):
-        attached[node] = True
-        for other in range(n):
-            if not attached[other]:
-                a, b = (node, other) if node < other else (other, node)
-                heapq.heappush(heap, (-y[a, b], a, b, other))
-
-    edges = [(m0, n0)]
-    offer(m0)
-    offer(n0)
-    while len(edges) < n - 1:
-        _, a, b, outside = heapq.heappop(heap)
-        if attached[outside]:
-            continue
-        edges.append((a, b))
-        offer(outside)
-    return edges
+    ms, ns, tree = _ranked_tree(y)
+    return list(zip(ms[tree].tolist(), ns[tree].tolist()))
 
 
 def init_sparse_graph(y: np.ndarray, b: int) -> WeightedGraph:
@@ -70,17 +71,8 @@ def init_sparse_graph(y: np.ndarray, b: int) -> WeightedGraph:
     available = n * (n - 1) // 2 - (n - 1)
     if not 0 <= b <= available:
         raise InvalidBudget(f"edge budget must lie in [0, {available}], got {b}")
-    tree = max_similarity_tree(y)
-    selected = set(tree)
-    if b > 0:
-        iu, ju = np.triu_indices(n, k=1)
-        order = np.lexsort((ju, iu, -y[iu, ju]))
-        taken = 0
-        for idx in order:
-            if taken == b:
-                break
-            e = (int(iu[idx]), int(ju[idx]))
-            if e not in selected:
-                selected.add(e)
-                taken += 1
-    return WeightedGraph(n, {e: 1.0 for e in selected})
+    ms, ns, tree = _ranked_tree(y)
+    keep = np.zeros(ms.shape[0], dtype=bool)
+    keep[tree] = True
+    keep[np.flatnonzero(~keep)[:b]] = True
+    return WeightedGraph(n, dict.fromkeys(zip(ms[keep].tolist(), ns[keep].tolist()), 1.0))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph, build_laplacian
-from .spectral import SpectralState
+from .spectral import SpectralState, lambda2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,6 +183,5 @@ def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
     sign, logdet = np.linalg.slogdet(lap + cfg.alpha * np.eye(g.n))
     if sign <= 0:
         raise ValueError("L + alpha I is not positive definite")
-    lam2 = float(np.linalg.eigvalsh(lap)[1])
-    h = smoothness_trace(g, y) - logdet - cfg.gamma * lam2
+    h = smoothness_trace(g, y) - logdet - cfg.gamma * lambda2(lap)
     return h + cfg.mu * 2.0 * g.edge_count

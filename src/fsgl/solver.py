@@ -46,7 +46,6 @@ class SolverConfig:
     max_iters: int = 20000
     solver_kind: str = "greedy"
     exact_logdet: bool = False
-    objective_interval: int = 0
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "gamma", "mu"):
@@ -60,6 +59,8 @@ class SolverConfig:
             raise ValueError("gamma and mu must be nonnegative")
         if self.refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.solver_kind not in ("greedy", "recursive"):
             raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 
@@ -75,7 +76,6 @@ class SolveTrace:
 
     edges_mn: list[tuple[int, int]] = field(default_factory=list)
     grad_h: list[float] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
     lambda2: list[float] = field(default_factory=list)
     edge_counts: list[int] = field(default_factory=list)
     ms: list[float] = field(default_factory=list)
@@ -89,14 +89,9 @@ class SolveTrace:
     def converged(self) -> bool:
         return self.stop_reason == "no_descent"
 
-    @property
-    def iters(self) -> list[int]:
-        return list(range(1, len(self) + 1))
-
-    def append(self, edge, grad, obj, lam2, n_edges, elapsed_ms):
+    def append(self, edge, grad, lam2, n_edges, elapsed_ms):
         self.edges_mn.append(edge)
         self.grad_h.append(grad)
-        self.objective.append(obj)
         self.lambda2.append(lam2)
         self.edge_counts.append(n_edges)
         self.ms.append(elapsed_ms)
@@ -106,12 +101,11 @@ class SolveTrace:
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("iter,m,n,grad_h,objective,lambda2,edges,ms\n")
+            fh.write("iter,m,n,grad_h,lambda2,edges,ms\n")
             for i in range(len(self)):
                 m, n = self.edges_mn[i]
                 fh.write(
-                    f"{i + 1},{m},{n},{self.grad_h[i]!r},"
-                    f"{self.objective[i]!r},{self.lambda2[i]!r},"
+                    f"{i + 1},{m},{n},{self.grad_h[i]!r},{self.lambda2[i]!r},"
                     f"{self.edge_counts[i]},{self.ms[i]:.3f}\n"
                 )
 
@@ -146,9 +140,8 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     The spectral snapshot refreshes every cfg.refresh_interval accepted
     steps; with the default interval of 1 each accepted step is scored
     against a fresh snapshot, which is what the descent guarantee assumes.
-    The exact objective lands in the trace every cfg.objective_interval
-    accepted steps (0 records only the initial and final values); a
-    starting graph whose objective is not finite raises NonFiniteObjective.
+    The exact objective is computed for the initial and final graphs only;
+    a starting graph whose objective is not finite raises NonFiniteObjective.
     """
     if g0.n < 2:
         raise ValueError("need at least two nodes")
@@ -185,10 +178,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         edge, grad = sel
         g = weaken_edge(g, edge, cfg.epsilon)
         accepted += 1
-        obj = float("nan")
-        if cfg.objective_interval and accepted % cfg.objective_interval == 0:
-            obj = objective_value(g, y, cfg)
-        trace.append(edge, grad, obj, state.fiedler_value,
+        trace.append(edge, grad, state.fiedler_value,
                      g.edge_count, (time.perf_counter() - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
             state = compute_state(g, cfg, obs.k)

@@ -118,6 +118,15 @@ def smallest_eigenpairs(
     return SpectralState(vals, vecs, alpha, resolvent)
 
 
+def lambda2(lap: np.ndarray) -> float:
+    """Second-smallest eigenvalue of a dense Laplacian, from its full spectrum.
+
+    For reports and the exact objective; the solver's snapshots come from
+    `smallest_eigenpairs`.
+    """
+    return float(np.linalg.eigvalsh(lap)[1])
+
+
 def majorizer_quadform(state: SpectralState, m: int, n: int) -> float:
     """Upper bound on (e_m - e_n)^T (L + alpha I)^{-1} (e_m - e_n).
 

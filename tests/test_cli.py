@@ -79,7 +79,7 @@ def test_solve_round_trip(tmp_path, capsys):
     g = load_graph(out_graph, n=14)
     assert g.edge_count >= 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "iter,m,n,grad_h,objective,lambda2,edges,ms"
+    assert lines[0] == "iter,m,n,grad_h,lambda2,edges,ms"
 
 
 def test_verbose_flag_logs_info_to_stderr(tmp_path, capsys):
@@ -303,6 +303,8 @@ def test_cheeger_check_rejects_large_n(capsys):
     (["--density", "0"], "density"),
     (["--density", "1.5"], "density"),
     (["--density", "nan"], "density"),
+    (["--trials", "0"], "trials"),
+    (["--trials", "-3"], "trials"),
 ])
 def test_cheeger_check_rejects_bad_input(capsys, args, message):
     assert run_cli("cheeger-check", "--trials", "1", *args) == 1

@@ -20,19 +20,13 @@ from fsgl.partition import (
     partition_select,
 )
 from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, run_solver
-from fsgl.datagen import gen_ground_truth, sample_gmm, sample_mvt
+from fsgl.datagen import connected_pairs, gen_ground_truth, sample_gmm, sample_mvt
 from fsgl.init_graph import init_sparse_graph
 from fsgl.spectral import smallest_eigenpairs
 
 
 def random_connected_unit_graph(rng, n, density=0.35):
-    iu, ju = np.triu_indices(n, k=1)
-    while True:
-        mask = rng.random(iu.shape[0]) < density
-        g = WeightedGraph(n, {(int(a), int(b)): 1.0
-                              for a, b in zip(iu[mask], ju[mask])})
-        if np.linalg.eigvalsh(build_laplacian(g))[1] > 1e-8:
-            return g
+    return WeightedGraph(n, dict.fromkeys(connected_pairs(n, density, rng), 1.0))
 
 
 def test_brute_force_known_ratios():

@@ -1,7 +1,9 @@
 """Solver configuration, trace bookkeeping, and the greedy loop."""
 
 import logging
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteObjective
 from fsgl.graph import ObservationSet, WeightedGraph, complete_graph, weaken_edge
 from fsgl.init_graph import init_sparse_graph
-from fsgl.objective import score_edges
+from fsgl.objective import objective_value, score_edges
 from fsgl.solver import (
     SolverConfig,
     compute_state,
@@ -36,6 +38,8 @@ def test_config_validation():
         SolverConfig(mu=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(refresh_interval=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(solver_kind="random")
     for name in ("epsilon", "alpha", "gamma", "mu"):
@@ -77,7 +81,6 @@ def test_run_solver_accepted_steps_all_negative():
     g, trace = run_solver(g0, obs, SolverConfig())
     assert len(trace) > 0
     assert all(v < 0.0 for v in trace.grad_h)
-    assert trace.iters == list(range(1, len(trace) + 1))
     assert trace.edge_counts[-1] == g.edge_count
 
 
@@ -87,11 +90,14 @@ def test_run_solver_objective_monotone_with_fresh_snapshots():
     for seed in range(5):
         obs = small_instance(seed, n=10, k=4)
         g0 = init_sparse_graph(obs.gram, 8)
-        cfg = SolverConfig(refresh_interval=1, objective_interval=1)
+        cfg = SolverConfig(refresh_interval=1)
         g, trace = run_solver(g0, obs, cfg)
-        values = [trace.initial_objective] + trace.objective
-        values.append(trace.final_objective)
-        values = [v for v in values if np.isfinite(v)]
+        replayed, values = g0, [objective_value(g0, obs.gram, cfg)]
+        for edge in trace.edges_mn:
+            replayed = weaken_edge(replayed, edge, cfg.epsilon)
+            values.append(objective_value(replayed, obs.gram, cfg))
+        assert replayed.edges == g.edges
+        assert values[-1] == trace.final_objective
         drops = np.diff(values)
         assert np.all(drops <= 1e-8), f"seed {seed}: objective rose {drops.max()}"
 
@@ -165,14 +171,17 @@ def test_deterministic():
 def test_trace_csv_layout(tmp_path):
     obs = small_instance(7, n=8, k=3)
     g0 = complete_graph(obs.n)
-    g, trace = run_solver(g0, obs, SolverConfig(max_iters=5, objective_interval=1))
+    g, trace = run_solver(g0, obs, SolverConfig(max_iters=5))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,m,n,grad_h,objective,lambda2,edges,ms"
+    assert lines[0] == "iter,m,n,grad_h,lambda2,edges,ms"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = re.search(r"with columns\s+`([^`]+)`", readme)
+    assert documented and documented.group(1) == lines[0]
     assert len(lines) == len(trace) + 1
     first = lines[1].split(",")
-    assert len(first) == 8
+    assert len(first) == 7
     assert int(first[0]) == 1
     assert float(first[3]) == trace.grad_h[0]
 
