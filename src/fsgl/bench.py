@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import check_dof, check_gmm, check_ground_truth, draw_instance
+from .datagen import (GENERATORS, check_dof, check_generator, check_gmm,
+                      check_ground_truth, draw_instance)
 from .errors import FsglError, ZeroReference
 from .graph import WeightedGraph, build_laplacian, complete_graph
 from .init_graph import init_sparse_graph
@@ -161,7 +162,7 @@ class BenchReport:
 
 
 def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
-                  generators=("gmm", "mvt"), solvers=("greedy", "recursive"),
+                  generators=GENERATORS, solvers=("greedy", "recursive"),
                   density: float = 0.2, rho: float = 0.5, nu: float = 3.0,
                   n_components: int = 3, mean_scale: float = 1.0,
                   seed: int = 0) -> BenchReport:
@@ -169,11 +170,15 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting; a
-    bad trial count, size, ratio or parameter of a swept generator raises
-    ValueError (InvalidDof for the dof) before any cell runs.
+    bad trial count, generator or solver name, size, ratio or parameter
+    of a swept generator raises ValueError (InvalidDof for the dof) before
+    any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for name in generators:
+        check_generator(name)
+    configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
     check_ground_truth(n, density, rho)
     if "gmm" in generators:
         check_gmm(n_components, mean_scale)
@@ -189,10 +194,9 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
             k = max(1, int(round(ratio * n)))
             gt, obs = draw_instance(n, k, gen_name, [seed, gi, ri, trial], density,
                                     rho, nu, n_components, mean_scale)
-            run_cfg = replace(cfg, solver_kind=sol)
-            g0 = initial_graph(obs, run_cfg)
+            g0 = initial_graph(obs, configs[sol])
             t0 = time.perf_counter()
-            g, _ = run_solver(g0, obs, run_cfg)
+            g, _ = run_solver(g0, obs, configs[sol])
             ms = (time.perf_counter() - t0) * 1e3
             return BenchCell(gen_name, sol, ratio, trial,
                              relative_error(g, gt.w_star), lambda2(build_laplacian(g)),

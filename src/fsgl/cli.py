@@ -1,8 +1,10 @@
 """Command-line driver: data generation, solving, benchmarks, cut checks.
 
-Exit codes: 0 success, 1 data or solver error, 2 usage error. A config
-file in flat ``key = value`` form (keys named like the long flags) can
-be passed with --config; its values override command-line flags.
+Exit codes: 0 success, 1 data or solver error, 2 usage error. Each
+``key = value`` line of a --config file is parsed after the command
+line as the flag ``--key=value`` (``_`` read as ``-``; ``true`` and
+``false`` give ``--key`` and ``--no-key``), so it overrides that flag
+and a bad value exits 2; an unknown key or a malformed line exits 1.
 """
 
 from __future__ import annotations
@@ -16,20 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .bench import check_reference, initial_graph, relative_error, run_benchmark
-from .datagen import connected_pairs, draw_instance
+from .datagen import GENERATORS, connected_pairs, draw_instance
 from .errors import FsglError
 from .graph import ObservationSet, WeightedGraph, build_laplacian
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
 from .solver import SolverConfig, run_solver
 from .spectral import lambda2, smallest_eigenpairs
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="flat key = value file; entries override flags")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="log the fsgl logger's INFO messages to stderr")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -42,46 +37,50 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="extra init edges beyond the tree (default 3N)")
     p.add_argument("--refresh", type=int, default=d.refresh_interval,
                    help="spectral refresh period in accepted steps")
-    p.add_argument("--exact-logdet", dest="exact_logdet", action="store_true",
+    p.add_argument("--exact-logdet", action=argparse.BooleanOptionalAction,
                    default=d.exact_logdet,
                    help="score with the exact resolvent instead of the majorizer")
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--generator", choices=("gmm", "mvt"), default=None)
+    p.add_argument("--generator", choices=GENERATORS, default=None)
     p.add_argument("--dof", type=float, default=3.0, help="t degrees of freedom")
     p.add_argument("--components", type=int, default=3, help="mixture components")
-    p.add_argument("--mean-scale", dest="mean_scale", type=float, default=1.0)
+    p.add_argument("--mean-scale", type=float, default=1.0)
     p.add_argument("--density", type=float, default=0.2, help="edge probability")
     p.add_argument("--rho", type=float, default=0.5, help="precision diagonal shift")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fsgl",
+        prog="fsgl", allow_abbrev=False,
         description="Learn a sparse connected graph from few observations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a ground truth and observations")
+    def command(name, func, summary):
+        p = sub.add_parser(name, allow_abbrev=False, help=summary)
+        p.add_argument("--config", help="flat key = value file; entries override flags")
+        p.add_argument("-v", "--verbose", action=argparse.BooleanOptionalAction,
+                       default=False, help="log the fsgl logger's INFO lines to stderr")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, "generate a ground truth and observations")
     p.add_argument("--n", type=int, default=30, help="node count")
     p.add_argument("--k", type=int, default=None, help="sample count (default N/5)")
     p.add_argument("--output", default="data", help="output file prefix")
     _add_gen_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="learn a graph from an observation file")
+    p = command("solve", cmd_solve, "learn a graph from an observation file")
     p.add_argument("--input", required=True, help="observation matrix (.csv or .mtx)")
     p.add_argument("--output", default=None, help="learned graph edge-list CSV")
     p.add_argument("--truth", default=None, help="reference graph for relative error")
     p.add_argument("--solver", choices=("greedy", "recursive"), default="greedy")
     p.add_argument("--trace", default=None, help="per-step trace CSV")
     _add_solver_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="sweep generators, solvers, sample ratios")
+    p = command("bench", cmd_bench, "sweep generators, solvers, sample ratios")
     p.add_argument("--n", type=int, default=30, help="node count")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0",
@@ -91,59 +90,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="bench", help="output file prefix")
     _add_gen_flags(p)
     _add_solver_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("cheeger-check",
-                       help="verify cut bounds on random graphs")
+    p = command("cheeger-check", cmd_cheeger_check, "verify cut bounds on random graphs")
     p.add_argument("--n", type=int, default=8, help="node count (<= 16)")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--density", type=float, default=0.35)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_cheeger_check)
     return parser
 
 
-def _parse_value(text: str, current):
-    text = text.strip()
-    if text.lower() in ("none", "null"):
-        return None
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if current is None:
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                pass
-    return text
-
-
-def apply_config_file(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def config_entries(path: str) -> list[tuple[str, str]]:
+    """Each entry of a config file as (its flag, the error if no flag takes it)."""
+    entries = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (key and sep):
                 raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
-                raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-            setattr(args, key, _parse_value(value, getattr(args, key)))
+            flag = "--" + key.replace("_", "-")
+            unknown = f"{path}:{line_no}: unknown option {key!r}"
+            if flag in ("--config", "--help"):
+                raise ValueError(unknown)
+            if value.lower() == "false":
+                flag = "--no-" + flag[2:]
+            elif value.lower() != "true":
+                flag = f"{flag}={value}"
+            entries.append((flag, unknown))
+    return entries
+
+
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, then argv followed by the --config file's entries."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    entries = config_entries(args.config) if args.config else []
+    args, unknown = parser.parse_known_args([*argv, *(flag for flag, _ in entries)])
+    if unknown:
+        raise ValueError(dict(entries)[unknown[0]])
+    return args
 
 
 def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
@@ -198,10 +185,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = config_from_args(args, "greedy")
-    ratios = [float(tok) for tok in str(args.ratios).split(",") if tok.strip()]
+    ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
     if not ratios:
         raise ValueError("at least one K/N ratio is required")
-    generators = (args.generator,) if args.generator else ("gmm", "mvt")
+    generators = (args.generator,) if args.generator else GENERATORS
     solvers = (args.solver,) if args.solver else ("greedy", "recursive")
     report = run_benchmark(cfg, ratios, args.trials, n=args.n,
                            generators=generators, solvers=solvers,
@@ -256,13 +243,11 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def cli_main(argv: list[str]) -> int:
     log = logging.getLogger("fsgl")
     handler, level = logging.StreamHandler(sys.stderr), log.level
     try:
-        apply_config_file(args)
+        args = parse_command_line(argv)
         if args.verbose:
             log.addHandler(handler)
             log.setLevel(logging.INFO)

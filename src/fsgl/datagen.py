@@ -22,6 +22,8 @@ from .graph import (
     connected_components,
 )
 
+GENERATORS = ("gmm", "mvt")
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -31,6 +33,12 @@ class GroundTruth:
     theta: np.ndarray
     cov: np.ndarray
     rho: float
+
+
+def check_generator(name: str) -> None:
+    """ValueError unless draw_instance knows the generator `name`."""
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}")
 
 
 def check_ground_truth(n: int, density: float, rho: float) -> None:
@@ -148,8 +156,7 @@ def draw_instance(n: int, k: int, generator: str, entropy, density: float,
                   mean_scale: float) -> tuple[GroundTruth, ObservationSet]:
     """A ground truth and k observations from `generator` ("gmm" or "mvt"),
     drawn from two seeds spawned by SeedSequence(entropy)."""
-    if generator not in ("gmm", "mvt"):
-        raise ValueError(f"unknown generator {generator!r}")
+    check_generator(generator)
     s_gt, s_x = (int(ss.generate_state(1)[0])
                  for ss in np.random.SeedSequence(entropy).spawn(2))
     gt = gen_ground_truth(n, density, rho, seed=s_gt)

@@ -69,8 +69,8 @@ def init_sparse_graph(y: np.ndarray, b: int) -> WeightedGraph:
     if n < 2:
         raise ValueError("need at least two nodes")
     available = n * (n - 1) // 2 - (n - 1)
-    if not 0 <= b <= available:
-        raise InvalidBudget(f"edge budget must lie in [0, {available}], got {b}")
+    if type(b) is bool or not isinstance(b, (int, np.integer)) or not 0 <= b <= available:
+        raise InvalidBudget(f"edge budget must be an int in [0, {available}], got {b!r}")
     ms, ns, tree = _ranked_tree(y)
     keep = np.zeros(ms.shape[0], dtype=bool)
     keep[tree] = True

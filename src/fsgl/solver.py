@@ -57,10 +57,13 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if self.gamma < 0 or self.mu < 0:
             raise ValueError("gamma and mu must be nonnegative")
-        if self.refresh_interval < 1:
-            raise ValueError("refresh_interval must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        for name, low in (("budget_b", 0), ("refresh_interval", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if value is None and name == "budget_b":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.solver_kind not in ("greedy", "recursive"):
             raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 

@@ -94,16 +94,27 @@ def test_run_benchmark_same_instance_across_solvers():
 
 
 def test_run_benchmark_records_failures():
+    # a finite mean scale this large overflows only the gmm cell's Gram matrix
     cfg = SolverConfig(max_iters=5)
-    rep = run_benchmark(cfg, ratios=(0.2,), trials=1, n=8,
-                        generators=("gmm", "bogus"), solvers=("greedy",))
+    rep = run_benchmark(cfg, ratios=(0.2,), trials=1, n=8, mean_scale=1e200,
+                        generators=("gmm", "mvt"), solvers=("greedy",))
     ok = [c for c in rep.cells if c.ok]
     failed = [c for c in rep.cells if not c.ok]
     assert len(ok) == 1 and len(failed) == 1
-    assert "bogus" in failed[0].error
+    assert failed[0].generator == "gmm" and "Gram matrix" in failed[0].error
     summary = {r.generator: r for r in rep.summary()}
-    assert summary["bogus"].failed == 1
-    assert np.isnan(summary["bogus"].re_mean)
+    assert summary["gmm"].failed == 1
+    assert np.isnan(summary["gmm"].re_mean)
+
+
+@pytest.mark.parametrize("names, message", [
+    ({"generators": ("gmm", "bogus")}, "unknown generator 'bogus'"),
+    ({"solvers": ("greedy", "bogus")}, "unknown solver_kind 'bogus'"),
+])
+def test_run_benchmark_rejects_unknown_names(names, message):
+    # raised, not recorded as failed cells next to the good names' cells
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(SolverConfig(), ratios=(0.2,), trials=1, n=8, **names)
 
 
 def test_run_benchmark_rejects_bad_trials():

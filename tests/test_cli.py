@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fsgl.cli import build_parser, cli_main
+from fsgl.cli import build_parser, cli_main, parse_command_line
 from fsgl.io import load_graph, load_observations
 
 
@@ -317,7 +317,7 @@ def test_cheeger_check_rejects_bad_input(capsys, args, message):
 BENCH_PARAMETER_NAMES = {
     "--ratios": "ratio", "--n": "node count", "--density": "density",
     "--rho": "rho", "--dof": "degrees of freedom", "--components": "component",
-    "--mean-scale": "mean scale",
+    "--mean-scale": "mean scale", "--budget": "budget_b",
 }
 
 
@@ -326,7 +326,7 @@ BENCH_PARAMETER_NAMES = {
     ["--ratios", "0.2,-1"], ["--n", "1"],
     ["--density", "nan"], ["--rho", "-1"], ["--rho", "nan"], ["--rho", "inf"],
     ["--generator", "mvt", "--dof", "2"], ["--generator", "mvt", "--dof", "nan"],
-    ["--components", "0"], ["--mean-scale", "nan"],
+    ["--components", "0"], ["--mean-scale", "nan"], ["--budget", "-1"],
 ])
 def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     prefix = tmp_path / "bench"
@@ -359,6 +359,109 @@ def test_readme_cli_section_matches_parser():
     subs = _subparsers()
     known = set().union(*(_long_options(p) for p in subs.values()))
     assert named - known == set(), "README names options no subcommand has"
-    for command in ("solve", "bench"):
-        missing = _long_options(subs[command]) - named
+    for command, p in subs.items():
+        missing = _long_options(p) - named
         assert missing == set(), f"README's CLI section omits {command} {missing}"
+
+
+# Arguments each subcommand needs before any other flag parses.
+REQUIRED = {"solve": ["--input", "x.csv"]}
+
+
+def _flag_cases():
+    return [(command, opt) for command, p in _subparsers().items()
+            for opt in sorted(_long_options(p) - {"--config"})]
+
+
+@pytest.mark.parametrize("command, option", _flag_cases())
+def test_config_entry_parses_as_its_flag(tmp_path, command, option):
+    action = _subparsers()[command]._option_string_actions[option]
+    base = [command, *REQUIRED.get(command, [])]
+    if isinstance(action, argparse.BooleanOptionalAction):
+        negative = option.startswith("--no-")
+        key = option.removeprefix("--no-" if negative else "--")
+        if negative:  # switch it on first, so the entry has something to undo
+            base.append("--" + key)
+        flag, value = [option], "false" if negative else "true"
+    else:
+        value = (action.choices[-1] if action.choices
+                 else {int: "7", float: "0.75"}.get(action.type, "x"))
+        key, flag = option[2:], [option, value]
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{key.replace('-', '_')} = {value}\n")
+    flagged = parse_command_line([*base, *flag])
+    assert flagged != parse_command_line(base)
+    from_file = parse_command_line([*base, "--config", str(conf)])
+    assert vars(from_file) == {**vars(flagged), "config": str(conf)}
+
+
+def test_config_file_later_entries_win(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("epsilon = 0.1\nexact_logdet = TRUE\n"
+                    "epsilon = 0.2\nexact_logdet = false\n")
+    args = parse_command_line(["solve", "--input", "x.csv", "--exact-logdet",
+                               "--epsilon", "0.3", "--config", str(conf)])
+    assert args.epsilon == 0.2 and args.exact_logdet is False
+
+
+def _run_in(monkeypatch, capsys, cwd, argv):
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.split(" ms=")[0], err, sorted(p.name for p in cwd.iterdir())
+
+
+# Each value reaches its flag as written: a bad one fails as the flag
+# fails, and an odd but valid one (an output file named 7) works.
+@pytest.mark.parametrize("command, key, value, code", [
+    ("gen", "k", "2.5", 2),
+    ("gen", "mean_scale", "none", 2),
+    ("solve", "budget", "1.5", 2),
+    ("solve", "epsilon", "none", 2),
+    ("bench", "generator", "1", 2),
+    ("solve", "truth", "1", 1),
+    ("solve", "output", "7", 0),
+    ("solve", "trace", "0", 0),
+])
+def test_config_probe_behaves_like_its_flag(tmp_path, monkeypatch, capsys,
+                                            command, key, value, code):
+    x = tmp_path / "x.csv"
+    x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n")
+    base = {"gen": ["gen", "--n", "8", "--output", "d"],
+            "solve": ["solve", "--input", str(x)],
+            "bench": ["bench", "--n", "8", "--trials", "1", "--ratios", "0.5",
+                      "--solver", "greedy", "--output", "b"]}[command]
+    conf = tmp_path / "probe.conf"
+    conf.write_text(f"{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    by_flag = _run_in(monkeypatch, capsys, tmp_path / "flag", [*base, flag, value])
+    by_file = _run_in(monkeypatch, capsys, tmp_path / "file",
+                      [*base, "--config", str(conf)])
+    assert by_file == by_flag
+    assert by_file[0] == code and "Traceback" not in by_file[2]
+    if code == 2:
+        assert f"error: argument {flag}: invalid" in by_file[2]
+    if code == 0:
+        assert value in by_file[3]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "func", "x"),
+    ("gen", "command", "gen"),
+    ("solve", "config", "other.conf"),
+    ("solve", "eps", "0.05"),  # abbreviations of --epsilon are not accepted
+    ("solve", "help", "true"),
+])
+def test_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys, command, key, value):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"# comment\n{key} = {value}\n")
+    code = run_cli(command, *REQUIRED.get(command, []), "--output", str(tmp_path / "o"),
+                   "--config", str(conf))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{conf}:2: unknown option '{key}'" in err
+    assert list(tmp_path.iterdir()) == [conf]

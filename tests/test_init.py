@@ -74,6 +74,13 @@ def test_tree_tie_break_lexicographic():
     assert edges == [(0, 1), (0, 2), (0, 3)]
 
 
+def test_init_tie_order_is_lexicographic_in_m_then_n():
+    # all pairs tie: the tree is the star at 0, then the budget takes
+    # (1, 2), (1, 3), (1, 4); ranking by (n, m) would take (2, 3) third
+    g = init_sparse_graph(np.ones((5, 5)), 3)
+    assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+
+
 def test_init_edge_count_and_unit_weights():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -95,6 +102,10 @@ def test_init_budget_validation():
         init_sparse_graph(y, 11)
     with pytest.raises(InvalidBudget):
         init_sparse_graph(y, -1)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(InvalidBudget, match="int"):
+            init_sparse_graph(y, bad)
+    assert init_sparse_graph(y, np.int64(2)).edge_count == 7
     with pytest.raises(ValueError):
         init_sparse_graph(random_gram(rng, 1), 0)
 

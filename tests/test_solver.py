@@ -46,6 +46,13 @@ def test_config_validation():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
+    for name in ("budget_b", "refresh_interval", "max_iters"):
+        for bad in (1.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{name: bad})
+        assert getattr(SolverConfig(**{name: np.int64(4)}), name) == 4
+    with pytest.raises(ValueError, match="budget_b must be an integer >= 0"):
+        SolverConfig(budget_b=-1)
     assert SolverConfig().epsilon == 0.01
 
 
