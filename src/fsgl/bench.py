@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import (GENERATORS, check_dof, check_generator, check_gmm,
                       check_ground_truth, draw_instance)
-from .errors import FsglError, ZeroReference
+from .errors import FsglError, InvalidBudget, ZeroReference
 from .graph import WeightedGraph, build_laplacian, complete_graph
 from .init_graph import init_sparse_graph
 from .solver import SolverConfig, run_solver
@@ -44,9 +44,16 @@ def relative_error(w_hat: WeightedGraph, w_star: WeightedGraph) -> float:
 
 
 def default_budget(n: int, budget_b: int | None) -> int:
-    """Extra-edge budget: configured value, else 3N capped at the pairs left."""
+    """Extra-edge budget: configured value, else 3N capped at the pairs left.
+
+    A configured value above the pairs left beyond the tree raises
+    InvalidBudget.
+    """
     available = n * (n - 1) // 2 - (n - 1)
     if budget_b is not None:
+        if budget_b > available:
+            raise InvalidBudget(f"budget_b must be at most {available} at n={n} "
+                                f"(node pairs beyond the tree), got {budget_b}")
         return budget_b
     return min(3 * n, available)
 
@@ -171,8 +178,9 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting; a
     bad trial count, generator or solver name, size, ratio or parameter
-    of a swept generator raises ValueError (InvalidDof for the dof) before
-    any cell runs.
+    of a swept generator raises ValueError (InvalidDof for the dof, and
+    InvalidBudget for a budget above the pairs left beyond the tree)
+    before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -180,6 +188,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
         check_generator(name)
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
     check_ground_truth(n, density, rho)
+    default_budget(n, cfg.budget_b)
     if "gmm" in generators:
         check_gmm(n_components, mean_scale)
     if "mvt" in generators:

@@ -185,7 +185,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = config_from_args(args, "greedy")
-    ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
+    try:
+        ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--ratios takes comma-separated K/N ratios, "
+                         f"got {args.ratios!r}") from None
     if not ratios:
         raise ValueError("at least one K/N ratio is required")
     generators = (args.generator,) if args.generator else GENERATORS

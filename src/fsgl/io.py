@@ -13,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread
 
 from .errors import DuplicateEdge
 from .graph import WeightedGraph
@@ -28,6 +27,9 @@ def save_graph(g: WeightedGraph, path) -> None:
 
 
 def _dense_from_mm(path) -> np.ndarray:
+    # Imported here: scipy.io's import costs every process that never reads .mtx.
+    from scipy.io import mmread
+
     a = mmread(str(path))
     return a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=np.float64)
 

@@ -5,25 +5,62 @@ The solver only ever needs the low end of the spectrum: the Fiedler pair
 eigenbasis used to upper-bound quadratic forms of (L + alpha I)^{-1}.
 The recursive selector's cut plan takes its sub-graph Fiedler pairs from
 the same routine, so this is the one module that calls LAPACK.
+
 Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
-directly with the arguments `scipy.linalg.eigh(subset_by_index=...)` would
-pass, so the result is bitwise the same without the wrapper's per-call
-checks; a full `np.linalg.eigh` stands in when dsyevr reports failure.
+with the arguments `scipy.linalg.eigh(subset_by_index=...)` would pass,
+so the result is bitwise the same without the wrapper's per-call checks;
+a full `np.linalg.eigh` stands in when dsyevr reports failure.
+
+dsyevr is reached through SciPy's compiled `scipy.linalg._flapack`
+extension, loaded from its file next to the `scipy` package without
+running `scipy.linalg`'s package init, which would import hundreds of
+modules fsgl never calls. `eigh` takes its routine from that same
+extension (`get_lapack_funcs` looks it up there). Loading the extension
+registers it in `sys.modules` under its own name, so fsgl and
+`scipy.linalg` share one module whichever is imported first, and
+`_SYEVR` is the very object `scipy.linalg.lapack.dsyevr` is.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import logging
+import sys
+import sysconfig
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import InsufficientEigenpairs
 
 logger = logging.getLogger("fsgl.spectral")
 
-_SYEVR, _SYEVR_LWORK = get_lapack_funcs(("syevr", "syevr_lwork"), (np.empty((2, 2)),))
+_FLAPACK_NAME = "scipy.linalg._flapack"
+
+
+def _load_flapack(scipy_dir: Path):
+    """SciPy's LAPACK extension module, reused if already imported.
+
+    Called after `import scipy`, which on wheels that bundle OpenBLAS
+    makes the library loadable before the extension links against it.
+    """
+    module = sys.modules.get(_FLAPACK_NAME)
+    if module is not None:
+        return module
+    path = scipy_dir / "linalg" / f"_flapack{sysconfig.get_config_var('EXT_SUFFIX')}"
+    if not path.is_file():
+        raise ImportError(f"SciPy's LAPACK extension {path} is missing",
+                          name=_FLAPACK_NAME, path=str(path))
+    spec = importlib.util.spec_from_file_location(_FLAPACK_NAME, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack(Path(scipy.__file__).parent)
+_SYEVR, _SYEVR_LWORK = _flapack.dsyevr, _flapack.dsyevr_lwork
 
 
 @dataclass(frozen=True)

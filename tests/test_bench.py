@@ -13,7 +13,7 @@ from fsgl.bench import (
     run_benchmark,
 )
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import InvalidDof, ZeroReference
+from fsgl.errors import InvalidBudget, InvalidDof, ZeroReference
 from fsgl.graph import WeightedGraph
 from fsgl.solver import SolverConfig
 
@@ -56,6 +56,9 @@ def test_default_budget():
     assert default_budget(30, 17) == 17
     assert default_budget(4, None) == 3   # capped by the pairs left
     assert default_budget(30, 0) == 0
+    assert default_budget(8, 21) == 21    # 28 pairs, 7 in the tree
+    with pytest.raises(InvalidBudget, match="budget_b must be at most 21"):
+        default_budget(8, 22)
 
 
 def test_initial_graph_by_solver_kind():
@@ -134,6 +137,12 @@ def test_run_benchmark_rejects_bad_size_and_ratios(n, ratios, message):
     # a cell records its own ValueError, so one that escapes came before them
     with pytest.raises(ValueError, match=message):
         run_benchmark(SolverConfig(), ratios=ratios, trials=1, n=n)
+
+
+def test_run_benchmark_rejects_budget_beyond_pairs_left():
+    # every cell's init graph would raise it, so it is raised before any cell
+    with pytest.raises(InvalidBudget, match="budget_b"):
+        run_benchmark(SolverConfig(budget_b=22), ratios=(0.5,), trials=1, n=8)
 
 
 @pytest.mark.parametrize("generator, kwargs, error, message", [

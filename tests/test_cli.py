@@ -327,6 +327,7 @@ BENCH_PARAMETER_NAMES = {
     ["--density", "nan"], ["--rho", "-1"], ["--rho", "nan"], ["--rho", "inf"],
     ["--generator", "mvt", "--dof", "2"], ["--generator", "mvt", "--dof", "nan"],
     ["--components", "0"], ["--mean-scale", "nan"], ["--budget", "-1"],
+    ["--budget", "100"], ["--ratios", "x"],
 ])
 def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     prefix = tmp_path / "bench"

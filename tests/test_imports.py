@@ -1,7 +1,18 @@
-"""No module of the package or the test suite imports a name it never reads."""
+"""Imports: none unused, and none that start-up never needs.
+
+No module of the package or the test suite imports a name it never
+reads. No package module imports scipy.linalg or scipy.io at module
+level: their package inits load hundreds of modules fsgl never calls,
+which would double the start-up time of every process.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports only to re-export, so it is left out.
@@ -37,3 +48,84 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+LAZY_MODULES = ("scipy.linalg", "scipy.io")
+
+
+def eager_imports(source: str) -> list[str]:
+    """Imports of a LAZY_MODULES module (or one inside it) outside any function.
+
+    `from scipy import linalg` counts as importing scipy.linalg; imports
+    inside a function body run only when it is called, so they pass.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module] + [f"{child.module}.{alias.name}"
+                                          for alias in child.names]
+            else:
+                names = []
+            hit = next((name for name in names for m in LAZY_MODULES
+                        if name == m or name.startswith(m + ".")), None)
+            if hit is not None:
+                found.append(f"{hit} (line {child.lineno})")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_level_scipy_linalg_or_io():
+    assert eager_imports(
+        "import scipy\nimport scipy.linalg.lapack\nfrom scipy import io\n"
+        "from scipy.linalg import eigh\nif x:\n    import scipy.io as sio\n"
+        "class C:\n    from scipy import linalg\n"
+        "def f():\n    from scipy.io import mmread\n"
+        "from scipy import sparse\nimport scipy.iox\n") == [
+        "scipy.linalg.lapack (line 2)", "scipy.io (line 3)", "scipy.linalg (line 4)",
+        "scipy.io (line 6)", "scipy.linalg (line 8)"]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        eager = eager_imports(path.read_text())
+        if eager:
+            found[str(path.relative_to(ROOT))] = eager
+    assert found == {}
+
+
+# Run in a fresh interpreter: the test process has imported scipy.linalg.
+IMPORT_GUARD = """
+import sys
+{first}
+import fsgl
+lazy = {lazy!r}
+if {fresh}:
+    assert not [m for m in lazy if m in sys.modules], "import fsgl"
+    import fsgl.cli
+    assert not [m for m in lazy if m in sys.modules], "import fsgl.cli"
+    g = fsgl.load_graph(sys.argv[1])
+    assert g.n == 3 and g.edges == {{(0, 1): 2.0, (1, 2): 0.5}}, g.edges
+    assert "scipy.io" in sys.modules
+import scipy.linalg.lapack
+assert fsgl.spectral._SYEVR is scipy.linalg.lapack.dsyevr
+assert fsgl.spectral._SYEVR_LWORK is scipy.linalg.lapack.dsyevr_lwork
+"""
+
+
+@pytest.mark.parametrize("first", ["", "import scipy.linalg"])
+def test_start_up_skips_scipy_linalg_and_io(tmp_path, first):
+    # symmetric adjacency of the path 0 - 1 - 2
+    mtx = tmp_path / "adj.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                   "3 3 2\n2 1 2.0\n3 2 0.5\n")
+    script = IMPORT_GUARD.format(first=first, fresh=not first, lazy=LAZY_MODULES)
+    run = subprocess.run([sys.executable, "-c", script, str(mtx)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,7 @@
 """Eigenpair extraction, eigen-gap, and the resolvent majorizer."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -196,3 +198,10 @@ def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
     state = smallest_eigenpairs(lap, 5)
     assert np.array_equal(state.eigvals, full_vals[:5])
     assert np.array_equal(state.eigvecs, full_vecs[:, :5])
+
+
+def test_missing_lapack_extension_raises_import_error(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match="_flapack") as info:
+        fsgl.spectral._load_flapack(tmp_path)
+    assert info.value.path.startswith(str(tmp_path / "linalg" / "_flapack."))
