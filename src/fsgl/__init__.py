@@ -6,7 +6,7 @@ objective, either by a full scan or by a recursive spectral-cut search
 over partitioned edge sets.
 """
 
-from .bench import BenchReport, initial_graph, relative_error, run_benchmark
+from .bench import BenchReport, relative_error, run_benchmark
 from .datagen import GroundTruth, gen_ground_truth, sample_gmm, sample_mvt
 from .errors import (
     Disconnected,
@@ -30,7 +30,7 @@ from .graph import (
     is_connected,
     weaken_edge,
 )
-from .init_graph import init_sparse_graph, max_similarity_tree
+from .init_graph import init_sparse_graph, initial_graph, max_similarity_tree
 from .io import load_graph, load_observations, save_graph, save_observations
 from .objective import objective_value
 from .partition import (

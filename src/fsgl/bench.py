@@ -3,8 +3,7 @@
 Each cell of the sweep is (generator, solver, sample ratio, trial). The
 data for a cell is derived only from (seed, generator, ratio, trial), so
 both solvers see identical instances and wall-clock comparisons are
-fair. Greedy cells start from the dense complete graph; recursive cells
-start from the sparse similarity initializer.
+fair. Each cell starts from `init_graph.initial_graph`.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ import numpy as np
 
 from .datagen import (GENERATORS, check_dof, check_generator, check_gmm,
                       check_ground_truth, draw_instance)
-from .errors import FsglError, InvalidBudget, ZeroReference
-from .graph import WeightedGraph, build_laplacian, complete_graph
-from .init_graph import init_sparse_graph
-from .solver import SolverConfig, run_solver
+from .errors import FsglError, ZeroReference
+from .graph import WeightedGraph, build_laplacian
+from .init_graph import default_budget, initial_graph
+from .solver import SOLVERS, SolverConfig, run_solver
 from .spectral import lambda2
 
 
@@ -41,28 +40,6 @@ def relative_error(w_hat: WeightedGraph, w_star: WeightedGraph) -> float:
         raise ValueError("graphs must share the node set")
     denom = check_reference(w_star)
     return float(np.linalg.norm(w_hat.adjacency() - w_star.adjacency()) / denom)
-
-
-def default_budget(n: int, budget_b: int | None) -> int:
-    """Extra-edge budget: configured value, else 3N capped at the pairs left.
-
-    A configured value above the pairs left beyond the tree raises
-    InvalidBudget.
-    """
-    available = n * (n - 1) // 2 - (n - 1)
-    if budget_b is not None:
-        if budget_b > available:
-            raise InvalidBudget(f"budget_b must be at most {available} at n={n} "
-                                f"(node pairs beyond the tree), got {budget_b}")
-        return budget_b
-    return min(3 * n, available)
-
-
-def initial_graph(obs, cfg: SolverConfig) -> WeightedGraph:
-    """Dense start for the greedy solver, sparse init for the recursive one."""
-    if cfg.solver_kind == "recursive" or cfg.budget_b is not None:
-        return init_sparse_graph(obs.gram, default_budget(obs.n, cfg.budget_b))
-    return complete_graph(obs.n)
 
 
 @dataclass(frozen=True)
@@ -169,7 +146,7 @@ class BenchReport:
 
 
 def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
-                  generators=GENERATORS, solvers=("greedy", "recursive"),
+                  generators=GENERATORS, solvers=SOLVERS,
                   density: float = 0.2, rho: float = 0.5, nu: float = 3.0,
                   n_components: int = 3, mean_scale: float = 1.0,
                   seed: int = 0) -> BenchReport:

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import check_reference, initial_graph, relative_error, run_benchmark
+from .bench import check_reference, relative_error, run_benchmark
 from .datagen import GENERATORS, connected_pairs, draw_instance
 from .errors import FsglError
 from .graph import ObservationSet, WeightedGraph, build_laplacian
+from .init_graph import initial_graph
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import approx_cheeger_cut, brute_force_cheeger
-from .solver import SolverConfig, run_solver
+from .solver import SOLVERS, SolverConfig, run_solver
 from .spectral import lambda2, smallest_eigenpairs
 
 
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="observation matrix (.csv or .mtx)")
     p.add_argument("--output", default=None, help="learned graph edge-list CSV")
     p.add_argument("--truth", default=None, help="reference graph for relative error")
-    p.add_argument("--solver", choices=("greedy", "recursive"), default="greedy")
+    p.add_argument("--solver", choices=SOLVERS, default="greedy")
     p.add_argument("--trace", default=None, help="per-step trace CSV")
     _add_solver_flags(p)
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0",
                    help="comma-separated K/N ratios")
-    p.add_argument("--solver", choices=("greedy", "recursive"), default=None,
+    p.add_argument("--solver", choices=SOLVERS, default=None,
                    help="restrict to one solver (default both)")
     p.add_argument("--output", default="bench", help="output file prefix")
     _add_gen_flags(p)
@@ -193,7 +194,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not ratios:
         raise ValueError("at least one K/N ratio is required")
     generators = (args.generator,) if args.generator else GENERATORS
-    solvers = (args.solver,) if args.solver else ("greedy", "recursive")
+    solvers = (args.solver,) if args.solver else SOLVERS
     report = run_benchmark(cfg, ratios, args.trials, n=args.n,
                            generators=generators, solvers=solvers,
                            density=args.density, rho=args.rho, nu=args.dof,
@@ -225,11 +226,11 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
         g = WeightedGraph(args.n, dict.fromkeys(
             connected_pairs(args.n, args.density, rng), 1.0))
         lap = build_laplacian(g)
-        lam2 = lambda2(lap)
+        state = smallest_eigenpairs(lap, min(3, g.n))
+        lam2 = state.fiedler_value
         d_max = float(np.max(lap.diagonal()))
         upper = float(np.sqrt(2.0 * lam2 * d_max))
         exact = brute_force_cheeger(g)
-        state = smallest_eigenpairs(lap, min(3, g.n))
         sweep = approx_cheeger_cut(g, state)
         checks = [
             lam2 / 2.0 <= exact.ratio + 1e-9,
@@ -266,3 +267,7 @@ def cli_main(argv: list[str]) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

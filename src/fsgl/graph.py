@@ -41,8 +41,7 @@ class WeightedGraph:
     vector when an edge keeps a positive weight, and shares the rest with
     its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
-    freely across concurrent scoring workers. `edges` is a read-only
-    {(m, n): w} view, built on first use.
+    freely. `edges` is a read-only {(m, n): w} view, built on first use.
     """
 
     __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_tkeys", "_ends", "_edges")

@@ -1,11 +1,11 @@
-"""Sparse starting graphs built from observation similarity.
+"""Where a solve starts: the complete graph or a sparse similarity start.
 
-The initializer grows a spanning tree that greedily follows the largest
-Gram entries, then tops it up with a fixed budget of the next-largest
-pairs. All selected edges start at unit weight, so the solver only ever
-removes mass. The result has N - 1 + B edges (fewer when the budget
-exceeds the remaining pairs) and is connected by construction. Both
-parts read one ranking of the pairs m < n, by (-Y_mn, m, n).
+Greedy without a budget starts complete. The sparse initializer grows a
+spanning tree that greedily follows the largest Gram entries, then tops
+it up with a budget of the next-largest pairs, all at unit weight, so
+the solver only ever removes mass. The result has N - 1 + B edges and
+is connected by construction. Both parts read one ranking of the pairs
+m < n, by (-Y_mn, m, n).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidBudget
-from .graph import WeightedGraph
+from .graph import ObservationSet, WeightedGraph, complete_graph
+from .solver import SolverConfig
 
 
 def _ranked_tree(y: np.ndarray):
@@ -58,21 +59,40 @@ def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(ms[tree].tolist(), ns[tree].tolist()))
 
 
-def init_sparse_graph(y: np.ndarray, b: int) -> WeightedGraph:
+def default_budget(n: int, b: int | None) -> int:
+    """Extra-edge budget beyond the tree: `b`, or 3N capped at the pairs left.
+
+    `b` must be None or an int in [0, n(n-1)/2 - (n-1)], else InvalidBudget.
+    """
+    available = n * (n - 1) // 2 - (n - 1)
+    if b is None:
+        return min(3 * n, available)
+    if type(b) is bool or not isinstance(b, (int, np.integer)) or not 0 <= b <= available:
+        raise InvalidBudget(f"budget_b must be at most {available} at n={n} (node "
+                            f"pairs beyond the tree) and an int >= 0, got {b!r}")
+    return b
+
+
+def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:
     """Unit-weight starting graph: similarity spanning tree plus budget.
 
-    After the tree, the `b` largest off-diagonal entries not already in
-    it are added (ties again lexicographic), giving N - 1 + b edges.
+    After the tree, the `default_budget(N, b)` largest off-diagonal entries
+    not already in it are added (ties again lexicographic).
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes")
-    available = n * (n - 1) // 2 - (n - 1)
-    if type(b) is bool or not isinstance(b, (int, np.integer)) or not 0 <= b <= available:
-        raise InvalidBudget(f"edge budget must be an int in [0, {available}], got {b!r}")
+    b = default_budget(n, b)
     ms, ns, tree = _ranked_tree(y)
     keep = np.zeros(ms.shape[0], dtype=bool)
     keep[tree] = True
     keep[np.flatnonzero(~keep)[:b]] = True
     return WeightedGraph(n, dict.fromkeys(zip(ms[keep].tolist(), ns[keep].tolist()), 1.0))
+
+
+def initial_graph(obs: ObservationSet, cfg: SolverConfig) -> WeightedGraph:
+    """Complete graph for greedy without a budget, else the sparse init."""
+    if cfg.solver_kind == "recursive" or cfg.budget_b is not None:
+        return init_sparse_graph(obs.gram, cfg.budget_b)
+    return complete_graph(obs.n)

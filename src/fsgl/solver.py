@@ -26,6 +26,8 @@ from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
 
+SOLVERS = ("greedy", "recursive")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -64,7 +66,7 @@ class SolverConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.solver_kind not in ("greedy", "recursive"):
+        if self.solver_kind not in SOLVERS:
             raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 
 
@@ -146,6 +148,9 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     The exact objective is computed for the initial and final graphs only;
     a starting graph whose objective is not finite raises NonFiniteObjective.
     """
+    if g0.n != obs.n:
+        raise ValueError(f"start graph has {g0.n} nodes but the observations "
+                         f"have {obs.n} rows")
     if g0.n < 2:
         raise ValueError("need at least two nodes")
     y = obs.gram

@@ -7,14 +7,13 @@ from fsgl.bench import (
     SUMMARY_HEADER,
     BenchCell,
     BenchReport,
-    default_budget,
-    initial_graph,
     relative_error,
     run_benchmark,
 )
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, InvalidDof, ZeroReference
 from fsgl.graph import WeightedGraph
+from fsgl.init_graph import default_budget, initial_graph
 from fsgl.solver import SolverConfig
 
 
@@ -59,6 +58,10 @@ def test_default_budget():
     assert default_budget(8, 21) == 21    # 28 pairs, 7 in the tree
     with pytest.raises(InvalidBudget, match="budget_b must be at most 21"):
         default_budget(8, 22)
+    assert default_budget(8, np.int64(5)) == 5
+    for bad in (True, False, 2.0, 1.5, "3", -1):
+        with pytest.raises(InvalidBudget, match="budget_b"):
+            default_budget(8, bad)
 
 
 def test_initial_graph_by_solver_kind():

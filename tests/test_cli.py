@@ -1,14 +1,22 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import argparse
+import inspect
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
 from fsgl.io import load_graph, load_observations
+from fsgl.solver import SOLVERS, SolverConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -291,6 +299,14 @@ def test_cheeger_check_passes_on_small_graphs(capsys):
     assert "5/5" in out
 
 
+def test_cheeger_check_takes_lambda2_from_the_sweep_eigensolve(monkeypatch, capsys):
+    def full_spectrum(lap):
+        raise AssertionError("cheeger-check ran a second eigensolve")
+    monkeypatch.setattr("fsgl.cli.lambda2", full_spectrum)
+    assert run_cli("cheeger-check", "--n", "7", "--trials", "5", "--seed", "2") == 0
+    assert "5/5" in capsys.readouterr().out
+
+
 def test_cheeger_check_rejects_large_n(capsys):
     assert run_cli("cheeger-check", "--n", "17") == 1
     assert "error:" in capsys.readouterr().err
@@ -348,13 +364,33 @@ def _subparsers():
     return action.choices
 
 
+def test_solver_names_are_listed_once():
+    subs = _subparsers()
+    for command in ("solve", "bench"):
+        assert tuple(subs[command]._option_string_actions["--solver"].choices) == SOLVERS
+    assert inspect.signature(run_benchmark).parameters["solvers"].default == SOLVERS
+    assert [SolverConfig(solver_kind=kind).solver_kind for kind in SOLVERS] == list(SOLVERS)
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "stdout", "usage: fsgl"),
+    (["bench", "--n", "1"], 1, "stderr", "error:"),
+])
+def test_module_runs_the_cli(argv, code, stream, text):
+    run = subprocess.run([sys.executable, "-m", "fsgl.cli", *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == code, run.stderr
+    assert text in getattr(run, stream)
+
+
 def _long_options(p):
     return {opt for a in p._actions for opt in a.option_strings
             if opt.startswith("--") and opt != "--help"}
 
 
 def test_readme_cli_section_matches_parser():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z-]*", section))
     subs = _subparsers()

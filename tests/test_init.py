@@ -5,7 +5,7 @@ import pytest
 
 from fsgl.errors import InvalidBudget
 from fsgl.graph import gram, is_connected
-from fsgl.init_graph import init_sparse_graph, max_similarity_tree
+from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
 
 
 def random_gram(rng, n, k=None):
@@ -108,6 +108,14 @@ def test_init_budget_validation():
     assert init_sparse_graph(y, np.int64(2)).edge_count == 7
     with pytest.raises(ValueError):
         init_sparse_graph(random_gram(rng, 1), 0)
+
+
+def test_init_without_budget_takes_the_default():
+    for n in (2, 4, 9, 30):
+        y = random_gram(np.random.default_rng(n), n)
+        g = init_sparse_graph(y, None)
+        assert g.edges == init_sparse_graph(y, default_budget(n, None)).edges
+        assert g.edge_count == n - 1 + min(3 * n, (n - 1) * (n - 2) // 2)
 
 
 def test_init_extras_are_next_largest_pairs():

@@ -56,6 +56,13 @@ def test_config_validation():
     assert SolverConfig().epsilon == 0.01
 
 
+@pytest.mark.parametrize("start_nodes", [5, 10])
+def test_run_solver_rejects_start_graph_of_another_size(start_nodes):
+    obs = small_instance(0, n=8)
+    with pytest.raises(ValueError, match=f"{start_nodes} nodes .* 8 rows"):
+        run_solver(complete_graph(start_nodes), obs, SolverConfig())
+
+
 def test_compute_state_sizes_basis():
     g = complete_graph(10)
     cfg = SolverConfig()
