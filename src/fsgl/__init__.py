@@ -40,11 +40,7 @@ from .partition import (
     partition_select,
 )
 from .solver import SolverConfig, SolveTrace, greedy_step, run_solver
-from .spectral import (
-    SpectralState,
-    majorizer_quadform,
-    smallest_eigenpairs,
-)
+from .spectral import SpectralState, smallest_eigenpairs
 
 __version__ = "0.1.0"
 
@@ -80,7 +76,6 @@ __all__ = [
     "is_connected",
     "load_graph",
     "load_observations",
-    "majorizer_quadform",
     "max_similarity_tree",
     "objective_value",
     "partition_select",

@@ -164,7 +164,8 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
 
     Equivalent to subtracting min(eps, w) * E^{m,n} from the Laplacian,
     where E^{m,n} = (e_m - e_n)(e_m - e_n)^T. The edge entry is deleted
-    once the clamped weight falls to numerical zero.
+    once the clamped weight falls to numerical zero. A step too small to
+    change the weight in floating point raises ValueError.
     """
     if not eps > 0:  # NaN included
         raise ValueError("eps must be positive")
@@ -172,7 +173,10 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     i = g._index(*key)
     if i < 0:
         raise MissingEdge(f"edge {key} not in graph")
-    return g._with_weight(i, max(0.0, float(g._ws[i]) - eps))
+    w = float(g._ws[i])
+    if w - eps == w:
+        raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {key} unchanged")
+    return g._with_weight(i, max(0.0, w - eps))
 
 
 def gram(x: np.ndarray) -> np.ndarray:

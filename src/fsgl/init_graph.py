@@ -12,9 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidBudget
+from .errors import InvalidBudget, NonFiniteInput
 from .graph import ObservationSet, WeightedGraph, complete_graph
 from .solver import SolverConfig
+
+
+def _similarity(y) -> np.ndarray:
+    """`y` as a float array: square (else ValueError) and finite (else NonFiniteInput)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        raise ValueError(f"similarity matrix must be square, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("similarity matrix has a non-finite entry")
+    return y
 
 
 def _ranked_tree(y: np.ndarray):
@@ -49,10 +59,8 @@ def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
     the outside node with the strongest link to the tree. Ties prefer
     the lexicographically smallest (m, n) pair.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _similarity(y)
     n = y.shape[0]
-    if y.ndim != 2 or y.shape[1] != n:
-        raise ValueError("similarity matrix must be square")
     if n < 2:
         return []
     ms, ns, tree = _ranked_tree(y)
@@ -79,7 +87,7 @@ def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:
     After the tree, the `default_budget(N, b)` largest off-diagonal entries
     not already in it are added (ties again lexicographic).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _similarity(y)
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes")

@@ -54,10 +54,11 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
     first_line: dict[tuple[int, int], int] = {}
     top = -1
     for line_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.strip().split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed edge row {ln!r}")
-        m, k, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            a, b, v = ln.strip().split(",")
+            m, k, w = int(a), int(b), float(v)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: malformed edge row {ln!r}") from None
         key = (min(m, k), max(m, k))
         if key in first_line:
             raise DuplicateEdge(f"{path}:{line_no}: edge {key} already given "

@@ -9,7 +9,8 @@ them into the greedy score for a batch of edges, the only place the score
 is computed (`edge_terms`: its part fixed by the edge set);
 `selection` turns a batch's winning row into both selectors' result,
 with the one descent rule; and `objective_value` recomputes the exact
-objective for monitoring.
+objective for monitoring. The log-det term takes alpha from the config
+and the exact resolvent, when there is one, from the snapshot.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
 the batch's endpoints into a (k, E) array, and `_row_sums` adds every
 edge's k terms in the order a per-edge row sum would, so the scores are
@@ -83,9 +84,10 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
 
     grad = eps z - log(eta) + gamma rho - gain for weakening each edge by
     eps. z = 2 Y_mn - Y_mm - Y_nn is the exact trace slope. eta = 1 - eps q,
-    with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n: majorized
-    over the retained eigenpairs, or exact from the resolvent when
-    cfg.exact_logdet and the state has one; either way -log(eta) does not
+    with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n, alpha =
+    cfg.alpha: exact from the state's resolvent when it carries one (under
+    cfg.exact_logdet `solver.compute_state` attaches it), else majorized
+    over the retained eigenpairs; either way -log(eta) does not
     underestimate the log-det penalty. rho bounds the Fiedler value's drop:
     sqrt(2) eps |v2_m - v2_n| when the eigen-gap exceeds 4 eps, 2 eps
     |v2_m - v2_n| when it exceeds 2 eps, else 2 eps. gain is mu when the
@@ -116,13 +118,13 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     else:
         rho = np.full(m_arr.shape, 2.0 * eps)
 
-    if cfg.exact_logdet and state.resolvent is not None:
-        r = state.resolvent
+    r = state.resolvent
+    if r is not None:
         q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
     else:
         dv *= dv
-        dv *= state.majorizer_coeffs()[:, None]
-        q = _row_sums(dv) + 2.0 / state.alpha
+        dv *= (1.0 / (state.eigvals + cfg.alpha) - 1.0 / cfg.alpha)[:, None]
+        q = _row_sums(dv) + 2.0 / cfg.alpha
     eta = 1.0 - eps * q
     # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
     # eta <= 0, which makes the score +inf.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,11 +116,13 @@ class SolveTrace:
 
 
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:
-    """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs."""
-    k = min(g.n, max(3, k_obs))
-    return smallest_eigenpairs(
-        build_laplacian(g), k, alpha=cfg.alpha, with_resolvent=cfg.exact_logdet,
-    )
+    """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs,
+    and (L + alpha I)^{-1} under cfg.exact_logdet."""
+    lap = build_laplacian(g)
+    state = smallest_eigenpairs(lap, min(g.n, max(3, k_obs)))
+    if cfg.exact_logdet:
+        state = replace(state, resolvent=np.linalg.inv(lap + cfg.alpha * np.eye(g.n)))
+    return state
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,

@@ -1,10 +1,11 @@
-"""Smallest Laplacian eigenpairs, eigen-gap, and the resolvent majorizer.
+"""Smallest Laplacian eigenpairs and the eigen-gap.
 
 The solver only ever needs the low end of the spectrum: the Fiedler pair
 (lambda_2, v_2), its gap to the neighboring eigenvalues, and a truncated
-eigenbasis used to upper-bound quadratic forms of (L + alpha I)^{-1}.
-The recursive selector's cut plan takes its sub-graph Fiedler pairs from
-the same routine, so this is the one module that calls LAPACK.
+eigenbasis that `objective.score_edges` weights with `SolverConfig.alpha`
+to upper-bound quadratic forms of (L + alpha I)^{-1}. The recursive
+selector's cut plan takes its sub-graph Fiedler pairs from the same
+routine, so this is the one module that calls LAPACK.
 
 Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
 with the arguments `scipy.linalg.eigh(subset_by_index=...)` would pass,
@@ -69,12 +70,11 @@ class SpectralState:
 
     eigvals are sorted ascending; eigvecs holds the matching orthonormal
     vectors as columns. `resolvent` optionally carries the exact
-    (L + alpha I)^{-1} for exact determinant scoring.
+    (L + alpha I)^{-1}, attached by `solver.compute_state`.
     """
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    alpha: float
     resolvent: np.ndarray | None = None
 
     @property
@@ -108,22 +108,8 @@ class SpectralState:
             raise InsufficientEigenpairs("eigen-gap at lambda_2 needs three eigenvalues")
         return float(min(lam[1] - lam[0], lam[2] - lam[1]))
 
-    def majorizer_coeffs(self) -> np.ndarray:
-        """Per-eigenpair weights (lambda_k + a)^-1 - a^-1 (all <= 0)."""
-        cached = self.__dict__.get("_coeffs")
-        if cached is None:
-            cached = 1.0 / (self.eigvals + self.alpha) - 1.0 / self.alpha
-            object.__setattr__(self, "_coeffs", cached)
-        return cached
 
-
-def smallest_eigenpairs(
-    lap: np.ndarray,
-    k: int,
-    *,
-    alpha: float = 0.5,
-    with_resolvent: bool = False,
-) -> SpectralState:
+def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     """Compute the k smallest eigenpairs of a dense (N, N) graph Laplacian.
 
     One dense path for every size: dsyevr for the index range [1, k] with
@@ -151,8 +137,7 @@ def smallest_eigenpairs(
             vals, vecs = vals[:k], vecs[:, :k]
     else:
         vals, vecs = np.linalg.eigh(lap)
-    resolvent = np.linalg.inv(lap + alpha * np.eye(n)) if with_resolvent else None
-    return SpectralState(vals, vecs, alpha, resolvent)
+    return SpectralState(vals, vecs)
 
 
 def lambda2(lap: np.ndarray) -> float:
@@ -162,24 +147,3 @@ def lambda2(lap: np.ndarray) -> float:
     `smallest_eigenpairs`.
     """
     return float(np.linalg.eigvalsh(lap)[1])
-
-
-def majorizer_quadform(state: SpectralState, m: int, n: int) -> float:
-    """Upper bound on (e_m - e_n)^T (L + alpha I)^{-1} (e_m - e_n).
-
-    Evaluates the quadratic form of the PSD-dominating surrogate built from
-    the retained eigenpairs, in O(k) per pair. Equals the exact form when
-    all N eigenpairs are retained.
-    """
-    if m == n:
-        raise ValueError("m and n must differ")
-    dv = state.eigvecs[m, :] - state.eigvecs[n, :]
-    return float((dv * dv * state.majorizer_coeffs()).sum() + 2.0 / state.alpha)
-
-
-def exact_quadform(state: SpectralState, m: int, n: int) -> float:
-    """(e_m - e_n)^T (L + alpha I)^{-1} (e_m - e_n) from the stored inverse."""
-    r = state.resolvent
-    if r is None:
-        raise ValueError("state carries no exact resolvent")
-    return float(r[m, m] + r[n, n] - 2.0 * r[m, n])

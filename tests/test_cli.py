@@ -106,6 +106,17 @@ def test_verbose_flag_logs_info_to_stderr(tmp_path, capsys):
     assert logging.getLogger("fsgl").level == logging.NOTSET
 
 
+def test_solve_rejects_a_step_too_small_to_change_a_weight(tmp_path, capsys):
+    run_cli("gen", "--n", "3", "--output", str(tmp_path / "data"))
+    capsys.readouterr()
+    code = run_cli("solve", "--input", str(tmp_path / "data.x.csv"),
+                   "--epsilon", "1e-320")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: step 1e-320 leaves the weight 1.0 of edge" in captured.err
+    assert "objective" not in captured.out
+
+
 def test_solve_deterministic_output(tmp_path):
     prefix = tmp_path / "data"
     run_cli("gen", "--n", "12", "--k", "4", "--seed", "9",

@@ -137,6 +137,16 @@ def test_weaken_edge_missing_and_bad_eps():
             weaken_edge(g, (0, 1), bad)
 
 
+def test_weaken_edge_rejects_a_step_that_changes_nothing():
+    # 1.0 - 1e-320 rounds back to 1.0: the step would descend only on paper
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 0.5})
+    with pytest.raises(ValueError, match=r"step 1e-320 leaves the weight 1.0 "
+                                         r"of edge \(0, 1\) unchanged"):
+        weaken_edge(g, (1, 0), 1e-320)
+    # a step of a few ulps still counts
+    assert weaken_edge(g, (1, 0), 1e-15).weight(0, 1) < 1.0
+
+
 def test_gram_is_psd_and_cauchy_schwarz_holds():
     # 2 Y_mn <= Y_mm + Y_nn for every pair, any real X
     for seed in range(30):

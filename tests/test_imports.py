@@ -1,9 +1,10 @@
 """Imports: none unused, and none that start-up never needs.
 
 No module of the package or the test suite imports a name it never
-reads. No package module imports scipy.linalg or scipy.io at module
-level: their package inits load hundreds of modules fsgl never calls,
-which would double the start-up time of every process.
+reads, and the package re-exports exactly what its __init__ imports.
+No package module imports scipy.linalg or scipy.io at module level:
+their package inits load hundreds of modules fsgl never calls, which
+would double the start-up time of every process.
 """
 
 import ast
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fsgl
 
 ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports only to re-export, so it is left out.
@@ -48,6 +51,17 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_package_exports_what_it_imports():
+    # __init__ imports only to re-export, so its imports and __all__ must
+    # name the same objects: a name dropped from one list leaves the other
+    tree = ast.parse((ROOT / "src" / "fsgl" / "__init__.py").read_text())
+    imported = sorted(alias.asname or alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert fsgl.__all__ == sorted(fsgl.__all__)
+    assert imported == fsgl.__all__
+    assert [name for name in fsgl.__all__ if not hasattr(fsgl, name)] == []
 
 
 LAZY_MODULES = ("scipy.linalg", "scipy.io")

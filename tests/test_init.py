@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fsgl.errors import InvalidBudget
+from fsgl.errors import InvalidBudget, NonFiniteInput
 from fsgl.graph import gram, is_connected
 from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
 
@@ -144,3 +144,17 @@ def test_init_deterministic():
     a = init_sparse_graph(y, 7)
     b = init_sparse_graph(y, 7)
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize("start", [max_similarity_tree,
+                                   lambda y: init_sparse_graph(y, None)])
+def test_start_rejects_non_square_and_non_finite_similarity(start):
+    # a 3 x 5 matrix is not a similarity between nodes, and NaNs rank nothing
+    with pytest.raises(ValueError, match="must be square"):
+        start(np.arange(15.0).reshape(3, 5))
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        start(np.full((4, 4), np.nan))
+    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y[1, 2] = np.inf
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        start(y)

@@ -42,12 +42,15 @@ def test_graph_csv_malformed(tmp_path):
     path.write_text("a,b,c\n0,1,1.0\n")
     with pytest.raises(ValueError):
         load_graph(path)
-    path.write_text("m,n,w\n0,1\n")
-    with pytest.raises(ValueError):
-        load_graph(path)
-    path.write_text("m,n,w\n0,1,not_a_number\n")
-    with pytest.raises(ValueError):
-        load_graph(path)
+    # each bad row names the file and its line
+    for rows, line, row in (("0,1\n", 2, "0,1"),
+                            ("0,1,not_a_number\n", 2, "0,1,not_a_number"),
+                            ("0,1,1.0\n1,2,x\n", 3, "1,2,x"),
+                            ("0,1.5,1\n", 2, "0,1.5,1"),
+                            ("0,1,1.0,2\n", 2, "0,1,1.0,2")):
+        path.write_text("m,n,w\n" + rows)
+        with pytest.raises(ValueError, match=rf"bad.csv:{line}: malformed edge row '{row}'"):
+            load_graph(path)
 
 
 def test_graph_csv_rejects_duplicate_rows(tmp_path):

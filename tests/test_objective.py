@@ -22,7 +22,7 @@ from fsgl.objective import (
     score_edges,
     smoothness_trace,
 )
-from fsgl.solver import SolverConfig
+from fsgl.solver import SolverConfig, compute_state
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
 
@@ -48,7 +48,7 @@ def test_trace_delta_identity_observations():
     eye = np.eye(6)
     ones = np.ones((6, 6))
     cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(complete_graph(6)), 3, alpha=cfg.alpha)
+    state = smallest_eigenpairs(build_laplacian(complete_graph(6)), 3)
     for (m, n) in ((0, 1), (2, 5), (3, 4)):
         assert score_one(state, eye, m, n, cfg).z[0] == pytest.approx(-2.0)
         assert score_one(state, ones, m, n, cfg).z[0] == pytest.approx(0.0)
@@ -56,7 +56,7 @@ def test_trace_delta_identity_observations():
 
 def test_trace_delta_nonpositive_for_gram():
     cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(complete_graph(8)), 3, alpha=cfg.alpha)
+    state = smallest_eigenpairs(build_laplacian(complete_graph(8)), 3)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         y = gram(rng.standard_normal((8, int(rng.integers(1, 12)))))
@@ -89,7 +89,7 @@ def test_logdet_delta_majorizer_overestimates_true_drop():
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
         k = int(rng.integers(3, n + 1))
-        state = smallest_eigenpairs(lap, k, alpha=cfg.alpha)
+        state = smallest_eigenpairs(lap, k)
         (m, n2) = next(iter(g.edges))
         pen = -math.log(score_one(state, np.eye(n), m, n2, cfg).eta[0])
         e = np.zeros(n)
@@ -108,7 +108,7 @@ def test_logdet_delta_exact_matches_rank_one_determinant():
         n = int(rng.integers(4, 10))
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
-        state = smallest_eigenpairs(lap, 3, alpha=cfg.alpha, with_resolvent=True)
+        state = compute_state(g, cfg, 3)
         (m, n2) = next(iter(g.edges))
         eta = score_one(state, np.eye(n), m, n2, cfg).eta[0]
         e = np.zeros(n)
@@ -123,7 +123,7 @@ def test_logdet_delta_rejects_oversized_step():
     # an edgeless graph hits the ceiling q = 2/alpha = 4, so eps = 0.3
     # drives eps * q = 1.2 past the determinant-positivity limit: the
     # edge is ineligible (grad = +inf), not an error
-    state = smallest_eigenpairs(build_laplacian(WeightedGraph(3)), 3, alpha=0.5)
+    state = smallest_eigenpairs(build_laplacian(WeightedGraph(3)), 3)
     y = np.eye(3)
     big = score_one(state, y, 0, 1, SolverConfig(epsilon=0.3))
     assert big.eta[0] <= 0.0 and big.grad[0] == np.inf
@@ -138,9 +138,9 @@ def test_fiedler_delta_gap_regimes():
     eps = cfg.epsilon
     vecs = np.zeros((4, 3))
     vecs[:, 1] = [0.5, -0.5, 0.5, -0.5]
-    wide = SpectralState(np.array([0.0, 1.0, 2.0]), vecs, 0.5)   # gap 1 > 4 eps
-    mid = SpectralState(np.array([0.0, 0.03, 0.06]), vecs, 0.5)  # gap 0.03
-    tight = SpectralState(np.array([0.0, 0.01, 0.02]), vecs, 0.5)
+    wide = SpectralState(np.array([0.0, 1.0, 2.0]), vecs)   # gap 1 > 4 eps
+    mid = SpectralState(np.array([0.0, 0.03, 0.06]), vecs)  # gap 0.03
+    tight = SpectralState(np.array([0.0, 0.01, 0.02]), vecs)
     y = np.eye(4)
 
     def rho(state, m, n):
@@ -182,7 +182,7 @@ def test_fiedler_delta_bounds_true_change():
 def test_sparsity_delta_boundary():
     cfg = SolverConfig(epsilon=0.01, mu=0.2)
     eps, mu = cfg.epsilon, cfg.mu
-    state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 3, alpha=cfg.alpha)
+    state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 3)
     y = np.eye(4)
 
     def gain(w):
@@ -199,7 +199,7 @@ def test_score_edges_batch_invariant():
     g = random_connected_graph(rng, 12)
     y = gram(rng.standard_normal((12, 6)))
     cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(g), 6, alpha=cfg.alpha)
+    state = smallest_eigenpairs(build_laplacian(g), 6)
     m_arr, n_arr, w_arr = g.edge_arrays()
     full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
     idx = np.arange(0, m_arr.shape[0], 2)
@@ -213,12 +213,13 @@ def _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg):
     eps = cfg.epsilon
     diag = y.diagonal()
     z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
-    if cfg.exact_logdet and state.resolvent is not None:
+    if state.resolvent is not None:
         r = state.resolvent
         q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
     else:
         dv = state.eigvecs[m_arr, :] - state.eigvecs[n_arr, :]
-        q = (dv * dv * state.majorizer_coeffs()).sum(axis=1) + 2.0 / state.alpha
+        coeffs = 1.0 / (state.eigvals + cfg.alpha) - 1.0 / cfg.alpha
+        q = (dv * dv * coeffs).sum(axis=1) + 2.0 / cfg.alpha
     eta = 1.0 - eps * q
     ok = eta > 0.0
     pen = np.full(eta.shape, np.inf)
@@ -245,7 +246,8 @@ def _assert_bitwise_equal_to_reference(g, y, states):
         # (lambda_k + alpha) when the majorizer is used or k == n, so the
         # last one makes every edge ineligible there)
         lam_k = float(state.eigvals[-1])
-        for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4, 2.0 * (lam_k + state.alpha)):
+        alpha = SolverConfig().alpha
+        for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4, 2.0 * (lam_k + alpha)):
             cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
             got = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
             ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
@@ -267,10 +269,8 @@ def test_score_edges_bitwise_equal_to_reference(n, k):
     rng = np.random.default_rng(n + k)
     g = random_connected_graph(rng, n, density=0.6)
     y = gram(rng.standard_normal((n, k)))
-    lap = build_laplacian(g)
     _assert_bitwise_equal_to_reference(g, y, [
-        smallest_eigenpairs(lap, k, alpha=0.5, with_resolvent=exact)
-        for exact in (False, True)])
+        compute_state(g, SolverConfig(exact_logdet=exact), k) for exact in (False, True)])
 
 
 def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
@@ -284,8 +284,7 @@ def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
     rng = np.random.default_rng(11)
     g = random_connected_graph(rng, 30, density=0.6)
     y = gram(rng.standard_normal((30, 9)))
-    lap = build_laplacian(g)
-    states = [smallest_eigenpairs(lap, 9, alpha=0.5, with_resolvent=exact)
+    states = [compute_state(g, SolverConfig(exact_logdet=exact), 9)
               for exact in (False, True)]
     # the full eigh's first k columns: neither C- nor Fortran-contiguous
     flags = states[0].eigvecs.flags
@@ -313,7 +312,7 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
     rng = np.random.default_rng(2)
     g = random_connected_graph(rng, 10)
     y = gram(rng.standard_normal((10, 4)))
-    state = smallest_eigenpairs(build_laplacian(g), 4, alpha=0.5, with_resolvent=exact)
+    state = compute_state(g, SolverConfig(exact_logdet=exact), 4)
     m_arr, n_arr, w_arr = g.edge_arrays()
     cfg = SolverConfig(exact_logdet=exact)
     empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
@@ -373,7 +372,7 @@ def test_descent_soundness_single_step():
         g = random_connected_graph(rng, n)
         y = gram(rng.standard_normal((n, 4)))
         cfg = SolverConfig()
-        state = smallest_eigenpairs(build_laplacian(g), min(n, 5), alpha=cfg.alpha)
+        state = smallest_eigenpairs(build_laplacian(g), min(n, 5))
         before = objective_value(g, y, cfg)
         for (m, n2) in list(g.edges)[:4]:
             w = g.weight(m, n2)

@@ -10,7 +10,8 @@ import pytest
 
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteObjective
-from fsgl.graph import ObservationSet, WeightedGraph, complete_graph, weaken_edge
+from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete_graph,
+                        weaken_edge)
 from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import objective_value, score_edges
 from fsgl.solver import (
@@ -19,6 +20,7 @@ from fsgl.solver import (
     greedy_step,
     run_solver,
 )
+from fsgl.spectral import smallest_eigenpairs
 
 
 def small_instance(seed, n=12, k=3):
@@ -207,6 +209,34 @@ def test_trace_records_lambda2_of_scoring_snapshot():
     g, trace = run_solver(g0, obs, cfg)
     state0 = compute_state(g0, cfg, obs.k)
     assert trace.lambda2[0] == pytest.approx(state0.fiedler_value)
+
+
+def test_scores_take_alpha_from_the_config():
+    # the snapshot holds eigenpairs only, so a bare eigensolve and the
+    # solver's own snapshot score the same under a non-default alpha
+    gt = gen_ground_truth(12, 0.3, seed=1)
+    obs = sample_gmm(gt, 4, seed=2)
+    g = init_sparse_graph(obs.gram, None)
+    cfg = SolverConfig(alpha=2.0)
+    bare = smallest_eigenpairs(build_laplacian(g), 4)
+    state = compute_state(g, cfg, obs.k)
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    got = score_edges(bare, obs.gram, m_arr, n_arr, w_arr, cfg)
+    want = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
+    for name in ("z", "eta", "rho", "gain", "grad"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert greedy_step(g, obs.gram, bare, cfg) == greedy_step(g, obs.gram, state, cfg)
+
+
+def test_compute_state_attaches_exact_resolvent():
+    obs = small_instance(5, n=8, k=4)
+    g = init_sparse_graph(obs.gram, None)
+    lap = build_laplacian(g)
+    for alpha in (0.5, 2.0):
+        assert compute_state(g, SolverConfig(alpha=alpha), obs.k).resolvent is None
+        state = compute_state(g, SolverConfig(alpha=alpha, exact_logdet=True), obs.k)
+        ref = np.linalg.inv(lap + alpha * np.eye(8))
+        assert state.resolvent.tobytes() == ref.tobytes()
 
 
 def test_exact_logdet_no_worse_than_majorizer():

@@ -1,4 +1,4 @@
-"""Eigenpair extraction, eigen-gap, and the resolvent majorizer."""
+"""Eigenpair extraction, eigen-gap, and the resolvent majorizer's reference."""
 
 import sys
 
@@ -9,12 +9,8 @@ import scipy.linalg
 import fsgl.spectral
 from fsgl.errors import InsufficientEigenpairs
 from fsgl.graph import WeightedGraph, build_laplacian, complete_graph
-from fsgl.spectral import (
-    SpectralState,
-    exact_quadform,
-    majorizer_quadform,
-    smallest_eigenpairs,
-)
+from fsgl.spectral import SpectralState, smallest_eigenpairs
+from quadforms import exact_quadform, majorizer_quadform
 
 
 def random_connected_graph(rng, n, density=0.5):
@@ -114,15 +110,15 @@ def test_fiedler_value_monotone_under_weight_increase():
 
 
 def test_eigen_gap_definition_and_small_cases():
-    state = SpectralState(np.array([0.0, 1.0, 3.5]), np.eye(3), 0.5)
+    state = SpectralState(np.array([0.0, 1.0, 3.5]), np.eye(3))
     assert state.gap2 == pytest.approx(1.0)
-    state = SpectralState(np.array([0.0, 3.0, 3.5]), np.eye(3), 0.5)
+    state = SpectralState(np.array([0.0, 3.0, 3.5]), np.eye(3))
     assert state.gap2 == pytest.approx(0.5)
     # a 2-node graph has a complete spectrum with two eigenvalues
-    two = SpectralState(np.array([0.0, 2.0]), np.eye(2), 0.5)
+    two = SpectralState(np.array([0.0, 2.0]), np.eye(2))
     assert two.gap2 == pytest.approx(2.0)
     # truncated to fewer than three pairs on a larger graph: no gap
-    trunc = SpectralState(np.array([0.0, 1.0]), np.eye(3)[:, :2], 0.5)
+    trunc = SpectralState(np.array([0.0, 1.0]), np.eye(3)[:, :2])
     with pytest.raises(InsufficientEigenpairs):
         trunc.gap2
 
@@ -134,11 +130,11 @@ def test_majorizer_equals_exact_with_full_basis():
         n = int(rng.integers(3, 12))
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
-        state = smallest_eigenpairs(lap, n, with_resolvent=True)
+        state = smallest_eigenpairs(lap, n)
         for _ in range(5):
             m, n2 = sorted(rng.choice(n, size=2, replace=False).tolist())
-            q_m = majorizer_quadform(state, m, n2)
-            q_e = exact_quadform(state, m, n2)
+            q_m = majorizer_quadform(state, 0.5, m, n2)
+            q_e = exact_quadform(lap, 0.5, m, n2)
             assert abs(q_m - q_e) < 1e-9 * (1.0 + abs(q_e))
 
 
@@ -149,38 +145,29 @@ def test_majorizer_dominates_exact_when_truncated():
         g = random_connected_graph(rng, n)
         lap = build_laplacian(g)
         k = int(rng.integers(2, n))
-        full = smallest_eigenpairs(lap, n, with_resolvent=True)
         part = smallest_eigenpairs(lap, k)
         for _ in range(5):
             m, n2 = sorted(rng.choice(n, size=2, replace=False).tolist())
-            assert (majorizer_quadform(part, m, n2)
-                    >= exact_quadform(full, m, n2) - 1e-12)
+            assert (majorizer_quadform(part, 0.5, m, n2)
+                    >= exact_quadform(lap, 0.5, m, n2) - 1e-12)
 
 
 def test_majorizer_empty_graph_limit():
     # with no edges every eigenvalue is zero and the form collapses to 2/a
     g = WeightedGraph(5)
     for alpha in (0.25, 0.5, 1.0):
-        state = smallest_eigenpairs(build_laplacian(g), 3, alpha=alpha)
-        q = majorizer_quadform(state, 0, 1)
+        state = smallest_eigenpairs(build_laplacian(g), 3)
+        q = majorizer_quadform(state, alpha, 0, 1)
         assert q == pytest.approx(2.0 / alpha, rel=1e-9)
 
 
 def test_majorizer_validation():
-    state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 3)
+    lap = build_laplacian(complete_graph(4))
+    state = smallest_eigenpairs(lap, 3)
     with pytest.raises(ValueError):
-        majorizer_quadform(state, 2, 2)
+        majorizer_quadform(state, 0.5, 2, 2)
     with pytest.raises(ValueError):
-        exact_quadform(state, 0, 1)  # no resolvent stored
-
-
-def test_resolvent_matches_inverse():
-    rng = np.random.default_rng(5)
-    g = random_connected_graph(rng, 8)
-    lap = build_laplacian(g)
-    state = smallest_eigenpairs(lap, 4, alpha=0.5, with_resolvent=True)
-    ref = np.linalg.inv(lap + 0.5 * np.eye(8))
-    assert np.allclose(state.resolvent, ref, atol=1e-10)
+        exact_quadform(lap, 0.5, 2, 2)
 
 
 def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
