@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .datagen import (GENERATORS, check_dof, check_generator, check_gmm,
-                      check_ground_truth, draw_instance)
+                      check_ground_truth, check_samples, draw_instance)
 from .errors import FsglError, ZeroReference
 from .graph import WeightedGraph, build_laplacian
 from .init_graph import default_budget, initial_graph
@@ -155,9 +155,10 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting; a
     bad trial count, generator or solver name, size, ratio or parameter
-    of a swept generator raises ValueError (InvalidDof for the dof, and
-    InvalidBudget for a budget above the pairs left beyond the tree)
-    before any cell runs.
+    of a swept generator raises ValueError (InvalidDof for the dof,
+    InvalidBudget for a budget above the pairs left beyond the tree, and
+    TooLarge for a size or largest ratio whose arrays pass
+    datagen.MAX_ARRAY_BYTES) before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -174,11 +175,12 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     for r in ratios:
         if not (np.isfinite(r) and r > 0.0):
             raise ValueError(f"K/N ratio must be finite and positive, got {r}")
+    ks = [max(1, int(round(r * n))) for r in ratios]
+    check_samples(n, max(ks), f" (K/N ratio {max(ratios):g})")
 
     def run_cell(gen_name, sol, gi, ri, ratio, trial) -> BenchCell:
         try:
-            k = max(1, int(round(ratio * n)))
-            gt, obs = draw_instance(n, k, gen_name, [seed, gi, ri, trial], density,
+            gt, obs = draw_instance(n, ks[ri], gen_name, [seed, gi, ri, trial], density,
                                     rho, nu, n_components, mean_scale)
             g0 = initial_graph(obs, configs[sol])
             t0 = time.perf_counter()

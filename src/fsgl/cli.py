@@ -23,7 +23,7 @@ from .errors import FsglError
 from .graph import ObservationSet, WeightedGraph, build_laplacian
 from .init_graph import initial_graph
 from .io import load_graph, load_observations, save_graph, save_observations
-from .partition import approx_cheeger_cut, brute_force_cheeger
+from .partition import BRUTE_FORCE_LIMIT, approx_cheeger_cut, brute_force_cheeger
 from .solver import SOLVERS, SolverConfig, run_solver
 from .spectral import lambda2, smallest_eigenpairs
 
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
 
     p = command("cheeger-check", cmd_cheeger_check, "verify cut bounds on random graphs")
-    p.add_argument("--n", type=int, default=8, help="node count (<= 16)")
+    p.add_argument("--n", type=int, default=8,
+                   help=f"node count (<= {BRUTE_FORCE_LIMIT})")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--density", type=float, default=0.35)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -210,12 +211,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"failed cell {c.generator}/{c.solver}/ratio={c.ratio}/"
               f"trial={c.trial}: {c.error}", file=sys.stderr)
     print(f"wrote {raw_path} and {summary_path}")
+    if failed:
+        raise FsglError(f"{len(failed)} of {len(report.cells)} bench cells failed")
     return 0
 
 
 def cmd_cheeger_check(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= 16:
-        raise ValueError(f"exact enumeration needs 2 <= n <= 16, got {args.n}")
+    if not 2 <= args.n <= BRUTE_FORCE_LIMIT:
+        raise ValueError(f"exact enumeration needs 2 <= n <= {BRUTE_FORCE_LIMIT}, "
+                         f"got {args.n}")
     if not 0.0 < args.density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {args.density}")
     if args.trials < 1:

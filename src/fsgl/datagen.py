@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDof
+from .errors import InvalidDof, TooLarge
 from .graph import (
     ObservationSet,
     WeightedGraph,
@@ -23,6 +23,7 @@ from .graph import (
 )
 
 GENERATORS = ("gmm", "mvt")
+MAX_ARRAY_BYTES = 2**30  # the largest dense float64 array datagen allocates
 
 
 @dataclass(frozen=True)
@@ -41,20 +42,39 @@ def check_generator(name: str) -> None:
         raise ValueError(f"unknown generator {name!r}")
 
 
+def _check_array(rows: int, cols: int, what: str) -> None:
+    """TooLarge when a (rows, cols) float64 array passes MAX_ARRAY_BYTES."""
+    if 8 * rows * cols > MAX_ARRAY_BYTES:
+        raise TooLarge(f"{what} needs a {rows} x {cols} float64 array, above "
+                       f"the {MAX_ARRAY_BYTES >> 30} GiB ceiling")
+
+
 def check_ground_truth(n: int, density: float, rho: float) -> None:
-    """ValueError unless gen_ground_truth can use (n, density, rho)."""
+    """ValueError unless gen_ground_truth can use (n, density, rho);
+    TooLarge when its (N, N) arrays would pass MAX_ARRAY_BYTES."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
+    _check_array(n, n, f"node count {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if not 0.0 < rho < math.inf:
         raise ValueError(f"diagonal shift rho must be finite and positive, got {rho}")
 
 
+def check_samples(n: int, k: int, origin: str = "") -> None:
+    """ValueError unless k >= 1; TooLarge when the (N, K) observations
+    would pass MAX_ARRAY_BYTES. `origin` says where k came from."""
+    if k < 1:
+        raise ValueError(f"sample count must be >= 1, got {k}")
+    _check_array(n, k, f"sample count {k}{origin} at node count {n}")
+
+
 def check_gmm(n_components: int, mean_scale: float) -> None:
-    """ValueError unless sample_gmm can use (n_components, mean_scale)."""
+    """ValueError unless sample_gmm can use (n_components, mean_scale);
+    TooLarge when its component means would pass MAX_ARRAY_BYTES."""
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
+    _check_array(1, n_components, f"mixture component count {n_components}")
     if not -math.inf < mean_scale < math.inf:
         raise ValueError(f"mean scale must be finite, got {mean_scale}")
 
@@ -118,11 +138,10 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     while the pairwise structure stays governed by the graph. Returns
     the N x K observations, plus the component labels when asked.
     """
-    if k < 1:
-        raise ValueError("sample count must be >= 1")
+    n = gt.cov.shape[0]
+    check_samples(n, k)
     check_gmm(n_components, mean_scale)
     rng = np.random.default_rng(seed)
-    n = gt.cov.shape[0]
     root = _sym_sqrt(gt.cov)
     means = mean_scale * rng.standard_normal(n_components)
     labels = rng.integers(0, n_components, size=k)
@@ -140,11 +159,10 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     Gaussian covariance by (nu - 2) / nu keeps E[x x^T] = C, which needs
     nu > 2.
     """
-    if k < 1:
-        raise ValueError("sample count must be >= 1")
+    n = gt.cov.shape[0]
+    check_samples(n, k)
     check_dof(nu)
     rng = np.random.default_rng(seed)
-    n = gt.cov.shape[0]
     root = _sym_sqrt(gt.cov * ((nu - 2.0) / nu))
     z = root @ rng.standard_normal((n, k))
     u = rng.chisquare(nu, size=k)

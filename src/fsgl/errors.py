@@ -30,7 +30,8 @@ class InvalidBudget(FsglError):
 
 
 class TooLarge(FsglError):
-    """Graph too large for exhaustive subset enumeration."""
+    """Input too large for exhaustive subset enumeration, or a dense array
+    above datagen.MAX_ARRAY_BYTES."""
 
 
 class Disconnected(FsglError):

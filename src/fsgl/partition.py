@@ -1,14 +1,16 @@
 """Cheeger cuts and recursive divide-and-conquer edge selection.
 
 The recursive selector splits the candidate edge set with a Fiedler sweep
-cut of the unit-weight graph, recurses on the two induced sub-graphs, and
-keeps the cut edges as a block of their own. That plan depends only on
-which edges the graph holds, so a solve lays it out once per edge set and
-reuses it across the steps that only weaken weights. Each step scores
-every edge against the same global spectral snapshot and Gram matrix as
-the exhaustive scan and takes all block minima in one `reduceat`, so the
-result is an exact decomposition of the global argmin: every edge lands
-in exactly one block, whichever splits are taken.
+cut of the unit-weight graph, keeps the cut edges as a block of their
+own, and recurses on the edges of each side. A sub-graph is its edge rows
+and the nodes they touch, so a node without edges never enters a split.
+That plan depends only on which edges the graph holds, so a solve lays it
+out once per edge set and reuses it across the steps that only weaken
+weights. Each step scores every edge against the same global spectral
+snapshot and Gram matrix as the exhaustive scan and takes all block
+minima in one `reduceat`, so the result is an exact decomposition of the
+global argmin: every edge lands in exactly one block, whichever splits
+are taken.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import Disconnected, TooLarge
-from .graph import WeightedGraph, connected_components
+from .graph import WeightedGraph
 from .objective import count_ineligible, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
@@ -102,74 +104,56 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     return CheegerCut(tuple(sorted(inside)), cut_edges, cut / len(inside))
 
 
-def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> SpectralState:
-    """Lowest two eigenpairs of an induced sub-graph, unit weights, local order."""
+def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """Fiedler vector of a sub-graph on k local nodes, unit weights."""
     lap = np.zeros((k, k))
     lap[lm, ln] = -1.0
     lap[ln, lm] = -1.0
     np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
-    return smallest_eigenpairs(lap, 2)
+    return smallest_eigenpairs(lap, 2).fiedler_vector
 
 
-def cut_plan(g: WeightedGraph, v_min: int,
-             audit=None) -> tuple[np.ndarray, np.ndarray]:
+def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
     """The recursive Cheeger-cut decomposition of g, laid out for `reduceat`.
 
-    Every level, the top included, sweeps the Fiedler vector of the
-    unit-weight sub-graph, to match the edge-count ratio the sweep
-    minimizes; sub-graphs at or below v_min nodes become leaf blocks and
-    disconnected sub-graphs recurse per connected component. Returns
-    (rows, starts): the blocks (leaves and cut sets, never empty) end to
-    end, a partition of g.edge_arrays()'s rows, and where each begins. The
-    plan depends only on which edges g holds, not on their weights.
-
-    `audit`, if set, receives (depth, node_count, s_size, rows, rows_g1,
-    rows_g2, rows_cut) at every split, for instrumentation.
+    A sub-graph is a set of edge rows and the nodes those rows touch,
+    numbered in node order. One that touches at most v_min nodes becomes
+    a leaf block; a larger one is split by the sweep of its unit-weight
+    Fiedler vector, to match the edge-count ratio the sweep minimizes,
+    with the crossing rows kept as a block and both sides split again. A
+    disconnected sub-graph takes the same sweep, which finds a zero cut
+    when the vector separates its components. Returns (rows, starts): the
+    blocks (leaves and cut sets, never empty) end to end, a partition of
+    g.edge_arrays()'s rows, and where each begins. The plan depends only
+    on which edges g holds, not on their weights.
     """
     m_arr, n_arr, _ = g.edge_arrays()
-    ids = np.arange(g.n, dtype=np.intp)
     blocks: list[np.ndarray] = []
 
-    def split(node_ids: np.ndarray, rows: np.ndarray, depth: int) -> None:
+    def split(rows: np.ndarray, lm: np.ndarray, ln: np.ndarray, k: int) -> None:
+        # lm, ln: the rows' endpoints, numbered among the parent's k nodes
         if rows.shape[0] == 0:
             return
-        k = node_ids.shape[0]
+        touched = np.zeros(k, dtype=bool)
+        touched[lm] = True
+        touched[ln] = True
+        local = touched.cumsum() - 1
+        k = int(local[-1]) + 1
         if k <= v_min:
             blocks.append(rows)
             return
-        # Relabel endpoints to positions within node_ids; any consistent
-        # labeling works, the partition shape never changes the winner.
-        loc = np.empty(g.n, dtype=np.intp)
-        loc[node_ids] = ids[:k]
-        lm = loc[m_arr[rows]]
-        ln = loc[n_arr[rows]]
-        local = _local_fiedler(k, lm, ln)
-        if local.fiedler_value <= CONNECTIVITY_TOL:
-            comps = connected_components(k, zip(lm.tolist(), ln.tolist()))
-            if len(comps) > 1:
-                label = np.empty(k, dtype=np.intp)
-                for c, members in enumerate(comps):
-                    label[members] = c
-                for c, members in enumerate(comps):
-                    split(node_ids[members], rows[label[lm] == c], depth)
-                return
-        order, t, _ = _sweep_prefix(k, lm, ln, local.fiedler_vector)
+        lm, ln = local[lm], local[ln]
+        order, t, _ = _sweep_prefix(k, lm, ln, _local_fiedler(k, lm, ln))
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
-        m_in = in_s[lm]
-        n_in = in_s[ln]
-        rows1 = rows[m_in & n_in]
-        rows2 = rows[~m_in & ~n_in]
-        rows_cut = rows[m_in ^ n_in]
-        if audit is not None:
-            audit((depth, k, t, rows.shape[0],
-                   rows1.shape[0], rows2.shape[0], rows_cut.shape[0]))
-        if rows_cut.shape[0]:
-            blocks.append(rows_cut)
-        split(node_ids[in_s], rows1, depth + 1)
-        split(node_ids[~in_s], rows2, depth + 1)
+        m_in, n_in = in_s[lm], in_s[ln]
+        crossing = m_in ^ n_in
+        if crossing.any():
+            blocks.append(rows[crossing])
+        for side in (m_in & n_in, ~(m_in | n_in)):
+            split(rows[side], lm[side], ln[side], k)
 
-    split(ids, np.arange(m_arr.shape[0], dtype=np.intp), 0)
+    split(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)
     starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
     return np.concatenate([np.empty(0, np.intp), *blocks]), starts
 

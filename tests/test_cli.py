@@ -13,6 +13,7 @@ import pytest
 
 from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
+from fsgl.errors import NonFiniteObjective
 from fsgl.io import load_graph, load_observations
 from fsgl.solver import SOLVERS, SolverConfig
 
@@ -56,6 +57,9 @@ def test_gen_different_seeds_differ(tmp_path):
     (["--rho", "nan"], "rho"), (["--rho", "inf"], "rho"),
     (["--generator", "mvt", "--dof", "nan"], "degrees of freedom"),
     (["--mean-scale", "inf"], "mean scale"),
+    (["--n", "100000", "--k", "1"], "node count"),
+    (["--n", "5", "--k", "1000000000"], "sample count"),
+    (["--components", "1000000000"], "component count"),
 ])
 def test_gen_rejects_bad_generator_parameters(tmp_path, capsys, args, message):
     assert run_cli("gen", "--n", "8", "--output", str(tmp_path / "d"), *args) == 1
@@ -355,6 +359,7 @@ BENCH_PARAMETER_NAMES = {
     ["--generator", "mvt", "--dof", "2"], ["--generator", "mvt", "--dof", "nan"],
     ["--components", "0"], ["--mean-scale", "nan"], ["--budget", "-1"],
     ["--budget", "100"], ["--ratios", "x"],
+    ["--n", "100000"], ["--n", "3", "--ratios", "1e9"],
 ])
 def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     prefix = tmp_path / "bench"
@@ -366,6 +371,23 @@ def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     assert "error:" in err and BENCH_PARAMETER_NAMES[args[-2]] in err
     assert "failed cell" not in err
     assert not (tmp_path / "bench.raw.csv").exists()
+
+
+def test_bench_exits_1_after_writing_when_a_cell_fails(tmp_path, capsys, monkeypatch):
+    # a failed cell is a NaN row in the CSV files, so the run is not a success
+    def failing_solver(g0, obs, cfg):
+        raise NonFiniteObjective("boom")
+
+    monkeypatch.setattr("fsgl.bench.run_solver", failing_solver)
+    code = run_cli("bench", "--n", "6", "--trials", "1", "--ratios", "0.5",
+                   "--generator", "gmm", "--solver", "greedy",
+                   "--output", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "failed cell gmm/greedy" in err
+    assert "error: 1 of 1 bench cells failed" in err
+    assert (tmp_path / "bench.raw.csv").exists()
+    assert (tmp_path / "bench.summary.csv").exists()
 
 
 def _subparsers():

@@ -155,18 +155,66 @@ def test_partition_select_empty_graph():
     assert greedy_step(g, obs.gram, state, cfg) is None
 
 
-def test_partition_audit_rows_partition_exactly():
-    # every split sends each candidate edge to exactly one side or the cut
+def record_sweeps(monkeypatch):
+    """Patch partition._sweep_prefix to log (n, t, cut, order) at every split."""
+    import fsgl.partition as partition
+
+    real = partition._sweep_prefix
+    sweeps = []
+
+    def recording(n, m_arr, n_arr, v2):
+        order, t, cut = real(n, m_arr, n_arr, v2)
+        sweeps.append((n, t, cut, order))
+        return order, t, cut
+
+    monkeypatch.setattr(partition, "_sweep_prefix", recording)
+    return sweeps
+
+
+def test_cut_plan_splits_shrink_and_start_from_every_node(monkeypatch):
+    # every split leaves nodes on both sides of a sub-graph above v_min,
+    # so each side touches fewer nodes and the recursion ends
     obs = solve_instance(1, 20)
     g = init_sparse_graph(obs.gram, 40)
-    events = []
-    cut_plan(g, 4, audit=events.append)
-    assert events, "recursion should split at least once"
-    for depth, n_nodes, t, rows, r1, r2, rcut in events:
+    sweeps = record_sweeps(monkeypatch)
+    cut_plan(g, 4)
+    assert sweeps, "recursion should split at least once"
+    for n_nodes, t, _, _ in sweeps:
         assert 1 <= t < n_nodes
-        assert r1 + r2 + rcut == rows
-        assert rows > 0
-    assert events[0][0] == 0 and events[0][1] == 20
+        assert n_nodes > 4
+    assert sweeps[0][0] == 20
+
+
+def test_cut_plan_skips_nodes_without_edges(monkeypatch):
+    # edges among nodes 0-5 of 30: one leaf block, no eigensolve
+    import fsgl.partition as partition
+
+    rng = np.random.default_rng(5)
+    g = WeightedGraph(30, dict.fromkeys(connected_pairs(6, 0.5, rng), 1.0))
+    eigensolves = []
+    real = partition.smallest_eigenpairs
+    monkeypatch.setattr(partition, "smallest_eigenpairs",
+                        lambda lap, k: eigensolves.append(lap.shape) or real(lap, k))
+    rows, starts = cut_plan(g, 8)
+    assert eigensolves == []
+    np.testing.assert_array_equal(rows, np.arange(g.edge_count))
+    np.testing.assert_array_equal(starts, [0])
+
+
+def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
+    # two 5-node components: the first sweep cuts nothing and puts one
+    # component on each side
+    rng = np.random.default_rng(3)
+    ga = random_connected_unit_graph(rng, 5)
+    edges = dict(ga.edges)
+    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
+    g = WeightedGraph(10, edges)
+    sweeps = record_sweeps(monkeypatch)
+    rows, starts = cut_plan(g, 4)
+    n_nodes, t, cut, order = sweeps[0]
+    assert (n_nodes, t, cut) == (10, 5, 0)
+    assert sorted(order[:t].tolist()) in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(g.edge_count))
 
 
 def test_cut_plan_depends_on_edge_set_not_weights():
@@ -301,18 +349,6 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
                     np.testing.assert_array_equal(np.sort(plan[0]),
                                                   np.arange(g.edge_count))
     assert failures
-
-
-def test_partition_recursion_depth_bounded():
-    # each split strictly shrinks the node set, so depth < N
-    obs = solve_instance(2, 24)
-    g = init_sparse_graph(obs.gram, 60)
-    events = []
-    cut_plan(g, 4, audit=events.append)
-    max_depth = max(e[0] for e in events)
-    assert max_depth < 24
-    for depth, n_nodes, *_ in events:
-        assert n_nodes <= 24 - depth  # at least one node peels per level
 
 
 def test_partition_handles_disconnected_candidates():
