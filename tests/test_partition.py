@@ -1,5 +1,8 @@
 """Cheeger cuts and the recursive edge selector."""
 
+import sys
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,9 @@ from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, ru
 from fsgl.datagen import connected_pairs, gen_ground_truth, sample_gmm, sample_mvt
 from fsgl.init_graph import init_sparse_graph
 from fsgl.spectral import smallest_eigenpairs
+
+
+Sweep = namedtuple("Sweep", "depth n t cut order m_arr n_arr")
 
 
 def random_connected_unit_graph(rng, n, density=0.35):
@@ -156,7 +162,11 @@ def test_partition_select_empty_graph():
 
 
 def record_sweeps(monkeypatch):
-    """Patch partition._sweep_prefix to log (n, t, cut, order) at every split."""
+    """Patch partition._sweep_prefix to log a Sweep at every split.
+
+    depth counts the `split` frames of cut_plan below the first, so the
+    top-level sweep has depth 0.
+    """
     import fsgl.partition as partition
 
     real = partition._sweep_prefix
@@ -164,25 +174,36 @@ def record_sweeps(monkeypatch):
 
     def recording(n, m_arr, n_arr, v2):
         order, t, cut = real(n, m_arr, n_arr, v2)
-        sweeps.append((n, t, cut, order))
+        depth, frame = -1, sys._getframe(1)
+        while frame is not None:
+            code = frame.f_code
+            depth += code.co_name == "split" and code.co_filename == partition.__file__
+            frame = frame.f_back
+        sweeps.append(Sweep(depth, n, t, cut, order, m_arr, n_arr))
         return order, t, cut
 
     monkeypatch.setattr(partition, "_sweep_prefix", recording)
     return sweeps
 
 
-def test_cut_plan_splits_shrink_and_start_from_every_node(monkeypatch):
-    # every split leaves nodes on both sides of a sub-graph above v_min,
-    # so each side touches fewer nodes and the recursion ends
+def test_partition_audit_rows_partition_exactly(monkeypatch):
+    # every split sends each candidate edge to exactly one side or the cut
     obs = solve_instance(1, 20)
     g = init_sparse_graph(obs.gram, 40)
     sweeps = record_sweeps(monkeypatch)
     cut_plan(g, 4)
     assert sweeps, "recursion should split at least once"
-    for n_nodes, t, _, _ in sweeps:
-        assert 1 <= t < n_nodes
-        assert n_nodes > 4
-    assert sweeps[0][0] == 20
+    for sw in sweeps:
+        assert 1 <= sw.t < sw.n
+        assert sw.n > 4
+        in_s = np.zeros(sw.n, dtype=bool)
+        in_s[sw.order[:sw.t]] = True
+        m_in, n_in = in_s[sw.m_arr], in_s[sw.n_arr]
+        rows = sw.m_arr.shape[0]
+        r1, r2 = int((m_in & n_in).sum()), int((~(m_in | n_in)).sum())
+        assert r1 + r2 + sw.cut == rows
+        assert rows > 0
+    assert sweeps[0].depth == 0 and sweeps[0].n == 20
 
 
 def test_cut_plan_skips_nodes_without_edges(monkeypatch):
@@ -211,9 +232,9 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
     g = WeightedGraph(10, edges)
     sweeps = record_sweeps(monkeypatch)
     rows, starts = cut_plan(g, 4)
-    n_nodes, t, cut, order = sweeps[0]
-    assert (n_nodes, t, cut) == (10, 5, 0)
-    assert sorted(order[:t].tolist()) in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
+    first = sweeps[0]
+    assert (first.n, first.t, first.cut) == (10, 5, 0)
+    assert sorted(first.order[:first.t].tolist()) in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
     np.testing.assert_array_equal(np.sort(rows), np.arange(g.edge_count))
 
 
@@ -349,6 +370,18 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
                     np.testing.assert_array_equal(np.sort(plan[0]),
                                                   np.arange(g.edge_count))
     assert failures
+
+
+def test_partition_recursion_depth_bounded(monkeypatch):
+    # each split strictly shrinks the node set, so depth < N
+    obs = solve_instance(2, 24)
+    g = init_sparse_graph(obs.gram, 60)
+    sweeps = record_sweeps(monkeypatch)
+    cut_plan(g, 4)
+    max_depth = max(sw.depth for sw in sweeps)
+    assert max_depth < 24
+    for sw in sweeps:
+        assert sw.n <= 24 - sw.depth  # at least one node peels per level
 
 
 def test_partition_handles_disconnected_candidates():
