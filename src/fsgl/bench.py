@@ -13,8 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import (GENERATORS, check_dof, check_generator, check_gmm,
-                      check_ground_truth, check_samples, draw_instance)
+from .datagen import GENERATORS, check_instance, draw_instance
 from .errors import FsglError, ZeroReference
 from .graph import WeightedGraph, build_laplacian
 from .init_graph import default_budget, initial_graph
@@ -153,30 +152,30 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     """Full sweep over generator x solver x ratio x trial, one cell at a time.
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
-    Per-cell failures are recorded in the report instead of aborting; a
-    bad trial count, generator or solver name, size, ratio or parameter
-    of a swept generator raises ValueError (InvalidDof for the dof,
-    InvalidBudget for a budget above the pairs left beyond the tree, and
-    TooLarge for a size or largest ratio whose arrays pass
-    datagen.MAX_ARRAY_BYTES) before any cell runs.
+    Per-cell failures are recorded in the report instead of aborting. A
+    bad trial count, solver name or ratio raises ValueError, and a budget
+    above the pairs left beyond the tree InvalidBudget, before any cell
+    runs; so does anything `datagen.check_instance` refuses for the swept
+    generators at the largest ratio's sample count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for name in generators:
-        check_generator(name)
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
-    check_ground_truth(n, density, rho)
-    default_budget(n, cfg.budget_b)
-    if "gmm" in generators:
-        check_gmm(n_components, mean_scale)
-    if "mvt" in generators:
-        check_dof(nu)
     ratios = [float(r) for r in ratios]
     for r in ratios:
         if not (np.isfinite(r) and r > 0.0):
             raise ValueError(f"K/N ratio must be finite and positive, got {r}")
-    ks = [max(1, int(round(r * n))) for r in ratios]
-    check_samples(n, max(ks), f" (K/N ratio {max(ratios):g})")
+
+    def sample_count(r):  # r * n overflows only far above the size ceiling
+        try:
+            return max(1, int(round(r * n)))
+        except OverflowError:
+            return np.inf
+
+    ks = [sample_count(r) for r in ratios]
+    check_instance(n, max(ks), generators, seed, density, rho, nu, n_components,
+                   mean_scale, f" (K/N ratio {max(ratios):g})")
+    default_budget(n, cfg.budget_b)
 
     def run_cell(gen_name, sol, gi, ri, ratio, trial) -> BenchCell:
         try:

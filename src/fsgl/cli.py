@@ -145,8 +145,9 @@ def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     k = args.k if args.k is not None else max(1, round(0.2 * n))
-    gt, obs = draw_instance(n, k, args.generator or "gmm", [args.seed], args.density,
-                            args.rho, args.dof, args.components, args.mean_scale)
+    gt, obs = draw_instance(n, k, args.generator or GENERATORS[0], [args.seed],
+                            args.density, args.rho, args.dof, args.components,
+                            args.mean_scale)
     x_path = f"{args.output}.x.csv"
     w_path = f"{args.output}.w.csv"
     save_observations(obs.x, x_path)

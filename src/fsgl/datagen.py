@@ -4,7 +4,8 @@ A ground truth is a connected random graph whose shifted Laplacian acts
 as a precision matrix. Observations are drawn with that covariance from
 either a shared-covariance Gaussian mixture or a multivariate t, both of
 which are non-Gaussian while keeping the second moment tied to the
-graph.
+graph. `check_instance` is the one place that knows what a draw needs:
+which parameters each generator reads, and every bound on them.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class GroundTruth:
     theta: np.ndarray
     cov: np.ndarray
     rho: float
-
-
-def check_generator(name: str) -> None:
-    """ValueError unless draw_instance knows the generator `name`."""
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r}")
 
 
 def _check_array(rows: int, cols: int, what: str) -> None:
@@ -115,7 +110,11 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     weights = rng.uniform(0.5, 1.5, size=len(pairs))
     g = WeightedGraph(n, dict(zip(pairs, weights)))
     theta = build_laplacian(g) + rho * np.eye(n)
-    cov = np.linalg.inv(theta)
+    try:
+        cov = np.linalg.inv(theta)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"precision L + rho I is singular at rho={rho}; the "
+                         f"diagonal shift is too small for this graph") from None
     cov = 0.5 * (cov + cov.T)
     return GroundTruth(g, theta, cov, rho)
 
@@ -169,12 +168,36 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     return ObservationSet(z / np.sqrt(u / nu))
 
 
+def check_instance(n: int, k: int, generators, entropy, density: float,
+                   rho: float, nu: float, n_components: int, mean_scale: float,
+                   origin: str = "") -> None:
+    """Every check `draw_instance` makes, for each of `generators`, before
+    anything is allocated: the seed entropy, the ground truth's (n, density,
+    rho), the sample count k, then each generator's name and its own
+    parameters (n_components and mean_scale for gmm, nu for mvt). Raises
+    ValueError, InvalidDof or TooLarge; `origin` says where k came from."""
+    for s in np.atleast_1d(entropy):
+        if s < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {s}")
+    check_ground_truth(n, density, rho)
+    check_samples(n, k, origin)
+    for name in generators:
+        if name == "gmm":
+            check_gmm(n_components, mean_scale)
+        elif name == "mvt":
+            check_dof(nu)
+        else:
+            raise ValueError(f"unknown generator {name!r}")
+
+
 def draw_instance(n: int, k: int, generator: str, entropy, density: float,
                   rho: float, nu: float, n_components: int,
                   mean_scale: float) -> tuple[GroundTruth, ObservationSet]:
     """A ground truth and k observations from `generator` ("gmm" or "mvt"),
-    drawn from two seeds spawned by SeedSequence(entropy)."""
-    check_generator(generator)
+    drawn from two seeds spawned by SeedSequence(entropy). `check_instance`
+    refuses bad input before the seeds are spawned."""
+    check_instance(n, k, (generator,), entropy, density, rho, nu, n_components,
+                   mean_scale)
     s_gt, s_x = (int(ss.generate_state(1)[0])
                  for ss in np.random.SeedSequence(entropy).spawn(2))
     gt = gen_ground_truth(n, density, rho, seed=s_gt)

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import MissingEdge, NonFiniteInput
+from .errors import DuplicateEdge, MissingEdge, NonFiniteInput
 
 # Edge entries at or below this weight are dropped from the edge map.
 WEIGHT_ZERO = 1e-12
@@ -42,6 +42,8 @@ class WeightedGraph:
     its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
     freely. `edges` is a read-only {(m, n): w} view, built on first use.
+    The constructor takes a {(m, n): w} mapping; one that names a node pair
+    in both orders raises DuplicateEdge.
     """
 
     __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_tkeys", "_ends", "_edges")
@@ -52,11 +54,12 @@ class WeightedGraph:
         self.n = int(n)
         canon: dict[tuple[int, int], float] = {}
         if edges:
-            items = edges.items() if hasattr(edges, "items") else edges
-            for key, w in items:
+            for key, w in edges.items():
                 m, k = canonical_edge(int(key[0]), int(key[1]))
                 if not (0 <= m < self.n and 0 <= k < self.n):
                     raise ValueError(f"edge ({m},{k}) out of range for n={self.n}")
+                if (m, k) in canon:
+                    raise DuplicateEdge(f"edge ({m},{k}) given twice")
                 w = float(w)
                 if not math.isfinite(w):
                     raise NonFiniteInput(f"edge ({m},{k}) has non-finite weight {w}")
@@ -258,7 +261,7 @@ def connected_components(n: int, edge_list) -> list[list[int]]:
     return list(groups.values())
 
 
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Fully connected graph with uniform weights."""
-    edges = {(i, j): weight for i in range(n) for j in range(i + 1, n)}
+def complete_graph(n: int) -> WeightedGraph:
+    """Fully connected graph with unit weights."""
+    edges = {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)}
     return WeightedGraph(n, edges)

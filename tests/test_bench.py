@@ -11,7 +11,7 @@ from fsgl.bench import (
     run_benchmark,
 )
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import InvalidBudget, InvalidDof, ZeroReference
+from fsgl.errors import InvalidBudget, InvalidDof, TooLarge, ZeroReference
 from fsgl.graph import WeightedGraph
 from fsgl.init_graph import default_budget, initial_graph
 from fsgl.solver import SolverConfig
@@ -140,6 +140,16 @@ def test_run_benchmark_rejects_bad_size_and_ratios(n, ratios, message):
     # a cell records its own ValueError, so one that escapes came before them
     with pytest.raises(ValueError, match=message):
         run_benchmark(SolverConfig(), ratios=ratios, trials=1, n=n)
+
+
+@pytest.mark.parametrize("n, ratio, message", [
+    (3, 1e308, r"sample count inf \(K/N ratio 1e\+308\)"),
+    (10 ** 400, 1e9, "node count"),
+])
+def test_run_benchmark_rejects_a_sample_count_no_float_holds(n, ratio, message):
+    # r * n overflows a float here; that is a size error, not an OverflowError
+    with pytest.raises(TooLarge, match=message):
+        run_benchmark(SolverConfig(), ratios=(ratio,), trials=1, n=n)
 
 
 def test_run_benchmark_rejects_budget_beyond_pairs_left():

@@ -68,6 +68,47 @@ def test_gen_rejects_bad_generator_parameters(tmp_path, capsys, args, message):
     assert not (tmp_path / "d.x.csv").exists()
 
 
+def _forbid_ground_truth(monkeypatch):
+    def no_ground_truth(*a, **kw):
+        raise AssertionError("gen_ground_truth called on a draw that fails its checks")
+
+    monkeypatch.setattr("fsgl.datagen.gen_ground_truth", no_ground_truth)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--k", "0"], "error: sample count must be >= 1, got 0"),
+    (["--k", "1", "--components", "0"], "error: need at least one mixture component, got 0"),
+    (["--k", "1", "--generator", "mvt", "--dof", "2"],
+     "error: degrees of freedom must be finite and exceed 2, got 2.0"),
+    (["--k", "1", "--seed", "-1"], "error: seed must be a non-negative integer, got -1"),
+])
+def test_gen_checks_before_building_the_ground_truth(tmp_path, capsys, monkeypatch,
+                                                     args, message):
+    # at N = 3000 the ground truth alone is seconds and hundreds of MB
+    _forbid_ground_truth(monkeypatch)
+    assert run_cli("gen", "--n", "3000", "--output", str(tmp_path / "d"), *args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d.x.csv").exists()
+
+
+def test_gen_names_rho_when_the_precision_is_singular(tmp_path, capsys):
+    assert run_cli("gen", "--n", "5", "--rho", "1e-300",
+                   "--output", str(tmp_path / "d")) == 1
+    err = capsys.readouterr().err
+    assert "error: precision L + rho I is singular at rho=1e-300" in err
+
+
+def test_bench_rejects_a_negative_seed_before_any_cell(tmp_path, capsys, monkeypatch):
+    _forbid_ground_truth(monkeypatch)
+    code = run_cli("bench", "--n", "5", "--trials", "1", "--ratios", "0.4",
+                   "--seed", "-1", "--output", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be a non-negative integer, got -1" in err
+    assert "failed cell" not in err
+    assert not (tmp_path / "bench.raw.csv").exists()
+
+
 def test_gen_default_sample_count(tmp_path):
     run_cli("gen", "--n", "20", "--output", str(tmp_path / "d"))
     assert load_observations(tmp_path / "d.x.csv").shape == (20, 4)

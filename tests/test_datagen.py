@@ -203,3 +203,31 @@ def test_connected_pairs_bridges_after_failed_draws():
     assert len(pairs) == 5 and pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
     assert is_connected(WeightedGraph(6, dict.fromkeys(pairs, 1.0)))
+
+
+@pytest.mark.parametrize("generator, kwargs, error, message", [
+    ("gmm", {"k": 0}, ValueError, "sample count must be >= 1, got 0"),
+    ("gmm", {"n_components": 0}, ValueError, "need at least one mixture component"),
+    ("mvt", {"nu": 2.0}, InvalidDof, "degrees of freedom must be finite and exceed 2"),
+    ("gmm", {"entropy": [-1]}, ValueError, "seed must be a non-negative integer, got -1"),
+])
+def test_draw_instance_checks_before_building_the_ground_truth(monkeypatch, generator,
+                                                               kwargs, error, message):
+    # the (N, N) ground truth is the draw's first allocation, so a bad
+    # parameter must be refused before it is built
+    def no_ground_truth(*args, **kw):
+        raise AssertionError("gen_ground_truth called on a draw that fails its checks")
+
+    monkeypatch.setattr("fsgl.datagen.gen_ground_truth", no_ground_truth)
+    args = {"n": 3000, "k": 1, "generator": generator, "entropy": [0],
+            "density": 0.2, "rho": 0.5, "nu": 3.0, "n_components": 3,
+            "mean_scale": 1.0, **kwargs}
+    with pytest.raises(error, match=message):
+        draw_instance(**args)
+
+
+def test_singular_precision_names_rho():
+    # rho = 1e-300 vanishes against the Laplacian's diagonal, so L + rho I
+    # is L itself; the error names rho, not only the LAPACK failure
+    with pytest.raises(ValueError, match=r"L \+ rho I is singular at rho=1e-300"):
+        draw_instance(5, 1, "gmm", [0], 0.2, 1e-300, 3.0, 3, 1.0)

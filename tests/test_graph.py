@@ -6,7 +6,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from fsgl.errors import MissingEdge, NonFiniteInput
+from fsgl.errors import DuplicateEdge, MissingEdge, NonFiniteInput
 from fsgl.graph import (
     WEIGHT_ZERO,
     ObservationSet,
@@ -49,6 +49,14 @@ def test_constructor_canonicalizes_and_validates():
         WeightedGraph(3, {(0, 5): 1.0})
     with pytest.raises(ValueError):
         WeightedGraph(0)
+
+
+def test_constructor_rejects_a_pair_given_in_both_orders():
+    # one weight per unordered pair: the second one is an error, not a win
+    with pytest.raises(DuplicateEdge, match=r"edge \(0,1\) given twice"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 0): 2.0})
+    with pytest.raises(DuplicateEdge, match=r"edge \(1,2\)"):
+        WeightedGraph(3, {(2, 1): 1.0, (0, 1): 1.0, (1, 2): 1.0})
 
 
 @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
@@ -219,9 +227,9 @@ def test_connected_components_partition_nodes():
 
 
 def test_complete_graph_edge_count():
-    g = complete_graph(7, weight=2.0)
+    g = complete_graph(7)
     assert g.edge_count == 21
-    assert all(w == 2.0 for w in g.edges.values())
+    assert all(w == 1.0 for w in g.edges.values())
     assert is_connected(g)
 
 
