@@ -144,7 +144,9 @@ def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
-    k = args.k if args.k is not None else max(1, round(0.2 * n))
+    # Integer arithmetic, so a node count too large for a float still
+    # reaches draw_instance's typed check: round(0.2 * n) for any n it takes.
+    k = args.k if args.k is not None else max(1, (n + 2) // 5)
     gt, obs = draw_instance(n, k, args.generator or GENERATORS[0], [args.seed],
                             args.density, args.rho, args.dof, args.components,
                             args.mean_scale)
@@ -178,7 +180,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "
           f"objective={trace.initial_objective:.6f}->{trace.final_objective:.6f} "
-          f"ms={ms:.1f}")
+          f"ms={ms:.1f}"
+          + "".join(f" {phase}_ms={t:.1f}" for phase, t in trace.phase_ms.items()))
     if w_star is not None:
         print(f"relative_error={relative_error(g, w_star):.6f}")
     if args.output:

@@ -41,7 +41,9 @@ class WeightedGraph:
     vector when an edge keeps a positive weight, and shares the rest with
     its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
-    freely. `edges` is a read-only {(m, n): w} view, built on first use.
+    freely; the one exception never leaves a solve (`solver._Workspace`
+    views weights it writes). `edges` is a read-only {(m, n): w} view,
+    built on first use.
     The constructor takes a {(m, n): w} mapping; one that names a node pair
     in both orders raises DuplicateEdge.
     """
@@ -176,10 +178,15 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     i = g._index(*key)
     if i < 0:
         raise MissingEdge(f"edge {key} not in graph")
-    w = float(g._ws[i])
+    return g._with_weight(i, weakened_weight(float(g._ws[i]), eps, key))
+
+
+def weakened_weight(w: float, eps: float, edge: tuple[int, int]) -> float:
+    """max(0, w - eps): edge's weight after one step; a step too small to
+    change w in floating point raises ValueError."""
     if w - eps == w:
-        raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {key} unchanged")
-    return g._with_weight(i, max(0.0, w - eps))
+        raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {edge} unchanged")
+    return max(0.0, w - eps)
 
 
 def gram(x: np.ndarray) -> np.ndarray:

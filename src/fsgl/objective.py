@@ -111,21 +111,24 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     dv -= vt.take(n_arr, axis=1)
 
     gap = state.gap2
-    if gap > 4.0 * eps:
-        rho = SQRT2 * eps * np.abs(dv[1])
-    elif gap > 2.0 * eps:
-        rho = 2.0 * eps * np.abs(dv[1])
+    if gap > 2.0 * eps:
+        rho = np.abs(dv[1])
+        rho *= SQRT2 * eps if gap > 4.0 * eps else 2.0 * eps
     else:
         rho = np.full(m_arr.shape, 2.0 * eps)
 
+    # The tail runs in place on fresh arrays, with the bits of
+    # rho = c * |dv2|, q = sum + 2 / alpha and eta = 1 - eps * q.
     r = state.resolvent
     if r is not None:
         q = r[m_arr, m_arr] + r[n_arr, n_arr] - 2.0 * r[m_arr, n_arr]
     else:
         dv *= dv
         dv *= (1.0 / (state.eigvals + cfg.alpha) - 1.0 / cfg.alpha)[:, None]
-        q = _row_sums(dv) + 2.0 / cfg.alpha
-    eta = 1.0 - eps * q
+        q = _row_sums(dv)
+        q += 2.0 / cfg.alpha
+    q *= eps
+    eta = np.subtract(1.0, q, out=q)
     # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
     # eta <= 0, which makes the score +inf.
     grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)

@@ -4,9 +4,11 @@ Each iteration scores every candidate edge against an immutable spectral
 snapshot, weakens the best-scoring edge while its score stays negative,
 and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
-(recursive); both return the same edge by construction. Next to the
-snapshot the solver keeps what the edge set fixes (scoring terms, the
-recursive arm's cut plan), rebuilt only when an edge goes.
+(recursive); both return the same edge by construction. A solve keeps
+one workspace per edge set: the weights and the dense Laplacian, which a
+weakening step updates in place and from which each snapshot is taken,
+and what the edge set fixes (scoring terms, the recursive arm's cut
+plan). Only a step that deletes an edge builds a new one.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 
 from . import partition as _partition
 from .errors import NonFiniteObjective
-from .graph import ObservationSet, WeightedGraph, build_laplacian, weaken_edge
+from .graph import (WEIGHT_ZERO, ObservationSet, WeightedGraph, build_laplacian,
+                    weakened_weight)
 from .objective import (best_scored, count_ineligible, edge_terms, objective_value,
-                        score_edges)
+                        score_edges, selection)
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -76,7 +79,11 @@ class SolveTrace:
 
     stop_reason is "no_descent" when no edge scored below zero (converged)
     and "max_iters" when the step cap ended the solve first. ineligible
-    sums the edges scored +inf (step too large) over all steps.
+    sums the edges scored +inf (step too large) over all steps. phase_ms
+    splits the solve's time after the initial objective: "eigensolve"
+    (snapshots), "select" (scoring and selection), "rebuild" (a new edge
+    set's workspace: scoring terms, Laplacian, cut plan) and "mutate"
+    (in-place weakening steps).
     """
 
     edges_mn: list[tuple[int, int]] = field(default_factory=list)
@@ -89,6 +96,8 @@ class SolveTrace:
     stop_reason: str = "max_iters"
     eigensolves: int = 0
     ineligible: int = 0
+    phase_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(
+        ("eigensolve", "select", "rebuild", "mutate"), 0.0))
 
     @property
     def converged(self) -> bool:
@@ -118,11 +127,48 @@ class SolveTrace:
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:
     """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs,
     and (L + alpha I)^{-1} under cfg.exact_logdet."""
-    lap = build_laplacian(g)
-    state = smallest_eigenpairs(lap, min(g.n, max(3, k_obs)))
+    return _snapshot(build_laplacian(g), cfg, k_obs)
+
+
+def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
+    n = lap.shape[0]
+    state = smallest_eigenpairs(lap, min(n, max(3, k_obs)))
     if cfg.exact_logdet:
-        state = replace(state, resolvent=np.linalg.inv(lap + cfg.alpha * np.eye(g.n)))
+        state = replace(state, resolvent=np.linalg.inv(lap + cfg.alpha * np.eye(n)))
     return state
+
+
+class _Workspace:
+    """What a solve keeps while its edge set lasts.
+
+    `g` shares the edge set's read-only index arrays and views the first
+    half of a private weight buffer [w; w], which a weakening step writes
+    in place along with the dense Laplacian `lap`: the edge's two
+    off-diagonal entries, then the whole diagonal from the same bincount
+    over [w; w] that `build_laplacian` runs, so `lap` stays bitwise
+    `build_laplacian` of the graph `weaken_edge` would return. `terms`
+    (see `score_edges`) and the recursive arm's cut plan depend only on
+    the edge set; a deletion builds the next edge set's workspace.
+    """
+
+    __slots__ = ("g", "lap", "terms", "plan", "_w2", "_flat", "_diag")
+
+    def __init__(self, g: WeightedGraph, y: np.ndarray, eps: float):
+        m_arr, n_arr, w_arr = g.edge_arrays()
+        self._w2 = np.concatenate([w_arr, w_arr])
+        self.g = g._derive(self._w2[:g.edge_count])
+        self.lap = build_laplacian(self.g)
+        self._flat = self.lap.reshape(-1)
+        self._diag = self._flat[::g.n + 1]
+        self.terms = edge_terms(y, m_arr, n_arr, eps)
+        self.plan = None
+
+    def reweight(self, i: int, w: float) -> None:
+        """Set row i's weight to w > WEIGHT_ZERO, in place."""
+        g = self.g
+        self._w2[i] = self._w2[g.edge_count + i] = w
+        self._flat[g._keys[i]] = self._flat[g._tkeys[i]] = -w
+        self._diag[:] = np.bincount(g._ends, weights=self._w2, minlength=g.n)
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
@@ -156,44 +202,66 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     if g0.n < 2:
         raise ValueError("need at least two nodes")
     y = obs.gram
-    g = g0
     trace = SolveTrace()
     # An overflow here is reported as NonFiniteObjective, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.initial_objective = objective_value(g, y, cfg)
+        trace.initial_objective = objective_value(g0, y, cfg)
     if not np.isfinite(trace.initial_objective):
         raise NonFiniteObjective(
             f"initial objective is {float(trace.initial_objective)!r}; the "
             f"graph's weights or the observations are too large")
 
+    phase_ms = trace.phase_ms
+
+    def charge(phase: str, since: float) -> float:
+        now = time.perf_counter()
+        phase_ms[phase] += (now - since) * 1e3
+        return now
+
     t0 = time.perf_counter()
-    state = compute_state(g, cfg, obs.k)
+    work = _Workspace(g0, y, cfg.epsilon)
+    t = charge("rebuild", t0)
+    state = _snapshot(work.lap, cfg, obs.k)
     trace.eigensolves += 1
-    # A solve only deletes edges, so the edge count names the edge set.
-    terms, plan, context_edges = None, None, -1
+    t = charge("eigensolve", t)
     accepted = 0
     while accepted < cfg.max_iters:
-        if g.edge_count != context_edges:
-            m_arr, n_arr, _ = g.edge_arrays()
-            terms, context_edges = edge_terms(y, m_arr, n_arr, cfg.epsilon), g.edge_count
-            if cfg.solver_kind == "recursive":
-                plan = _partition.cut_plan(g, _partition.LEAF_NODES)
+        g = work.g
+        m_arr, n_arr, w_arr = g.edge_arrays()
         if cfg.solver_kind == "recursive":
-            sel = _partition.partition_select(g, state, obs, cfg, plan, terms, trace)
+            if work.plan is None:  # only for an edge set a step selects on
+                work.plan = _partition.cut_plan(g, _partition.LEAF_NODES)
+                t = charge("rebuild", t)
+            sel = _partition.partition_select(g, state, obs, cfg, work.plan, work.terms,
+                                              trace)
+            i = g._index(*sel[0]) if sel is not None else -1
+        elif m_arr.shape[0]:
+            grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, work.terms).grad
+            count_ineligible(trace, grad)
+            i = int(grad.argmin())
+            sel = selection(grad, i, m_arr, n_arr)
         else:
-            sel = greedy_step(g, y, state, cfg, terms, trace)
+            sel = None
+        t = charge("select", t)
         if sel is None:
             trace.stop_reason = "no_descent"
             break
-        edge, grad = sel
-        g = weaken_edge(g, edge, cfg.epsilon)
+        edge, grad_h = sel
+        w = weakened_weight(float(w_arr[i]), cfg.epsilon, edge)
+        if w > WEIGHT_ZERO:
+            work.reweight(i, w)
+            t = charge("mutate", t)
+        else:
+            work = _Workspace(g._with_weight(i, w), y, cfg.epsilon)
+            t = charge("rebuild", t)
         accepted += 1
-        trace.append(edge, grad, state.fiedler_value,
-                     g.edge_count, (time.perf_counter() - t0) * 1e3)
+        trace.append(edge, grad_h, state.fiedler_value, work.g.edge_count, (t - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
-            state = compute_state(g, cfg, obs.k)
+            state = _snapshot(work.lap, cfg, obs.k)
             trace.eigensolves += 1
+            t = charge("eigensolve", t)
 
+    g = work.g._derive(work.g.edge_arrays()[2].copy())
     trace.final_objective = objective_value(g, y, cfg)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)

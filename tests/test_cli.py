@@ -60,6 +60,7 @@ def test_gen_different_seeds_differ(tmp_path):
     (["--n", "100000", "--k", "1"], "node count"),
     (["--n", "5", "--k", "1000000000"], "sample count"),
     (["--components", "1000000000"], "component count"),
+    (["--n", "1" + "0" * 400], "node count"),
 ])
 def test_gen_rejects_bad_generator_parameters(tmp_path, capsys, args, message):
     assert run_cli("gen", "--n", "8", "--output", str(tmp_path / "d"), *args) == 1
@@ -129,6 +130,11 @@ def test_solve_round_trip(tmp_path, capsys):
     assert "solver=recursive" in out
     assert ("stop=no_descent" in out) != ("stop=max_iters" in out)
     assert "relative_error=" in out
+    phases = re.findall(r" (\w+)_ms=([0-9.]+)", out)
+    assert [p for p, _ in phases] == ["eigensolve", "select", "rebuild", "mutate"]
+    total = float(re.search(r" ms=([0-9.]+)", out).group(1))
+    # each field is rounded to 0.1 ms
+    assert sum(float(t) for _, t in phases) <= total + 0.25
     g = load_graph(out_graph, n=14)
     assert g.edge_count >= 0
     lines = trace.read_text().splitlines()

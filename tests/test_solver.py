@@ -2,7 +2,9 @@
 
 import logging
 import re
+import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete
                         weaken_edge)
 from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import objective_value, score_edges
+from fsgl.partition import partition_select
 from fsgl.solver import (
     SolverConfig,
     compute_state,
@@ -306,3 +309,120 @@ def test_non_finite_initial_objective_is_a_typed_error(kind):
         with pytest.raises(NonFiniteObjective, match="initial objective is inf") as info:
             run_solver(g0, obs, SolverConfig(solver_kind=kind))
     assert isinstance(info.value, FsglError)
+
+
+def _replay_bitwise(g0, obs, cfg, monkeypatch):
+    """Run a solve, then replay its trace with the public pieces
+    (weaken_edge, compute_state, greedy_step or partition_select): the same
+    edge and grad_h bits at every step, every Laplacian the solve handed
+    to the eigensolver bitwise build_laplacian of the replayed graph, and
+    the same final graph. Returns the solve's trace and the weights each
+    step found on its edge."""
+    import fsgl.solver
+
+    laps, real = [], fsgl.solver.smallest_eigenpairs
+
+    def capturing(lap, k):
+        laps.append(lap.copy())  # the solve's Laplacian is updated in place
+        return real(lap, k)
+
+    monkeypatch.setattr(fsgl.solver, "smallest_eigenpairs", capturing)
+    g_out, trace = run_solver(g0, obs, cfg)
+    monkeypatch.setattr(fsgl.solver, "smallest_eigenpairs", real)
+
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.int64)
+
+    def select(g, state):
+        if cfg.solver_kind == "recursive":
+            return partition_select(g, state, obs, cfg)
+        return greedy_step(g, obs.gram, state, cfg)
+
+    g, snapshots, found = g0, 0, []
+    assert np.array_equal(bits(laps[0]), bits(build_laplacian(g)))
+    state = compute_state(g, cfg, obs.k)
+    for step, (edge, grad) in enumerate(zip(trace.edges_mn, trace.grad_h)):
+        sel = select(g, state)
+        assert sel is not None and sel[0] == edge, step
+        assert bits(sel[1]) == bits(grad), step
+        found.append(g.weight(*edge))
+        g = weaken_edge(g, edge, cfg.epsilon)
+        assert trace.edge_counts[step] == g.edge_count
+        if (step + 1) % cfg.refresh_interval == 0:
+            snapshots += 1
+            assert np.array_equal(bits(laps[snapshots]), bits(build_laplacian(g))), step
+            state = compute_state(g, cfg, obs.k)
+    assert len(laps) == snapshots + 1 == trace.eigensolves
+    if trace.stop_reason == "no_descent":
+        assert select(g, state) is None
+    (m_want, n_want, w_want), (m_got, n_got, w_got) = g.edge_arrays(), g_out.edge_arrays()
+    assert np.array_equal(m_want, m_got) and np.array_equal(n_want, n_got)
+    assert np.array_equal(bits(w_want), bits(w_got))
+    assert trace.final_objective == objective_value(g, obs.gram, cfg)
+    return trace, found
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+@pytest.mark.parametrize("refresh", [1, 3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_solve_replays_bitwise_with_the_public_pieces(kind, refresh, exact, monkeypatch):
+    obs = small_instance(19, n=10, k=3)
+    start = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+    cfg = SolverConfig(solver_kind=kind, refresh_interval=refresh, exact_logdet=exact,
+                       epsilon=0.05)
+    trace, _ = _replay_bitwise(start, obs, cfg, monkeypatch)
+    assert trace.converged and len(set(trace.edge_counts)) > 1
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_solve_replays_bitwise_when_most_edges_go(kind, monkeypatch):
+    # K/N = 1.0 from the complete graph
+    obs = small_instance(12, n=9, k=9)
+    g0 = complete_graph(obs.n)
+    trace, _ = _replay_bitwise(g0, obs, SolverConfig(solver_kind=kind, epsilon=0.05),
+                               monkeypatch)
+    assert trace.edge_counts[-1] < g0.edge_count // 2
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_solve_replays_bitwise_to_a_cap_inside_an_edge_set(kind, monkeypatch):
+    obs = small_instance(13, n=10, k=3)
+    g0 = complete_graph(obs.n)
+    cfg = SolverConfig(solver_kind=kind, epsilon=0.05, refresh_interval=2)
+    counts = run_solver(g0, obs, cfg)[1].edge_counts
+    # stop two steps after a deletion, inside the edge set it left
+    cap = next(s for s in range(1, len(counts) - 1)
+               if counts[s - 1] > counts[s] == counts[s + 1]) + 2
+    trace, _ = _replay_bitwise(g0, obs, replace(cfg, max_iters=cap), monkeypatch)
+    assert trace.stop_reason == "max_iters" and len(trace) == cap
+    assert trace.edge_counts[-1] == trace.edge_counts[-2] < trace.edge_counts[-3]
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_solve_replays_bitwise_through_a_step_clamped_to_zero(kind, monkeypatch):
+    # 0.025 takes two full steps of 0.01, then one clamped from 0.005 to 0
+    obs = small_instance(28, n=10, k=3)
+    g0 = init_sparse_graph(obs.gram, 10)
+    g0 = WeightedGraph(g0.n, dict.fromkeys(g0.edges, 0.025))
+    cfg = SolverConfig(solver_kind=kind)
+    trace, found = _replay_bitwise(g0, obs, cfg, monkeypatch)
+    clamped = [s for s, w in enumerate(found) if 0.0 < w < cfg.epsilon]
+    assert clamped
+    s = clamped[0]
+    assert trace.edge_counts[s] == (trace.edge_counts[s - 1] if s else g0.edge_count) - 1
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_phase_totals_fit_inside_the_solve(kind):
+    obs = small_instance(19, n=10, k=3)
+    g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+    t0 = time.perf_counter()
+    _, trace = run_solver(g0, obs, SolverConfig(solver_kind=kind, epsilon=0.05))
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    assert len(set(trace.edge_counts)) > 1
+    phases = trace.phase_ms
+    assert list(phases) == ["eigensolve", "select", "rebuild", "mutate"]
+    assert all(t > 0.0 for t in phases.values())
+    assert sum(phases.values()) <= wall_ms
+    # the phases tile the loop: the time to the last step is charged too
+    assert sum(phases.values()) >= trace.ms[-1]
