@@ -27,6 +27,21 @@ def canonical_edge(m: int, n: int) -> tuple[int, int]:
     return (m, n) if m < n else (n, m)
 
 
+def checked_edge(m, n, w, size: int) -> tuple[tuple[int, int], float]:
+    """Canonical (m, n) and float w of an edge of a `size`-node graph: a
+    self-loop, a node outside [0, size) or a nonpositive weight raises
+    ValueError, a non-finite weight NonFiniteInput."""
+    m, n = canonical_edge(int(m), int(n))
+    if not (0 <= m and n < size):
+        raise ValueError(f"edge ({m},{n}) out of range for n={size}")
+    w = float(w)
+    if not math.isfinite(w):
+        raise NonFiniteInput(f"edge ({m},{n}) has non-finite weight {w}")
+    if w <= 0.0:
+        raise ValueError(f"edge ({m},{n}) has nonpositive weight {w}")
+    return (m, n), w
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -35,20 +50,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class WeightedGraph:
     """Undirected graph with finite positive edge weights and no self-loops.
 
-    The edge state is read-only arrays sorted by (m, n): endpoints, weights,
-    the key m * N + n and the Laplacian's index (keys n * N + m, endpoints
-    [m; n]). A new version made by `weaken_edge` copies only the weight
-    vector when an edge keeps a positive weight, and shares the rest with
-    its parent; removing an edge compacts them with one mask.
+    The edge state is read-only arrays sorted by (m, n): endpoints, weights
+    and the key m * N + n. A new version made by `weaken_edge` copies only
+    the weight vector when an edge keeps a positive weight, and shares the
+    rest with its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
-    freely; the one exception never leaves a solve (`solver._Workspace`
-    views weights it writes). `edges` is a read-only {(m, n): w} view,
-    built on first use.
+    freely; the one exception is `Laplacian.g`, whose weights its owner
+    writes. `edges` is a read-only {(m, n): w} view, built on first use.
     The constructor takes a {(m, n): w} mapping; one that names a node pair
     in both orders raises DuplicateEdge.
     """
 
-    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_tkeys", "_ends", "_edges")
+    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_edges")
 
     def __init__(self, n: int, edges=None):
         if n < 1:
@@ -57,38 +70,24 @@ class WeightedGraph:
         canon: dict[tuple[int, int], float] = {}
         if edges:
             for key, w in edges.items():
-                m, k = canonical_edge(int(key[0]), int(key[1]))
-                if not (0 <= m < self.n and 0 <= k < self.n):
-                    raise ValueError(f"edge ({m},{k}) out of range for n={self.n}")
+                (m, k), w = checked_edge(key[0], key[1], w, self.n)
                 if (m, k) in canon:
                     raise DuplicateEdge(f"edge ({m},{k}) given twice")
-                w = float(w)
-                if not math.isfinite(w):
-                    raise NonFiniteInput(f"edge ({m},{k}) has non-finite weight {w}")
-                if w <= 0.0:
-                    raise ValueError(f"edge ({m},{k}) has nonpositive weight {w}")
                 canon[(m, k)] = w
         mn = np.array(list(canon), dtype=np.intp).reshape(-1, 2)
         keys = mn[:, 0] * self.n + mn[:, 1]
         order = np.argsort(keys)
-        self._set_edges(mn[order, 0], mn[order, 1], keys[order])
+        self._ms, self._ns, self._keys = (_frozen(mn[order, 0]), _frozen(mn[order, 1]),
+                                          _frozen(keys[order]))
         self._ws = _frozen(np.array(list(canon.values()), dtype=np.float64)[order])
         self._edges = None
-
-    def _set_edges(self, ms, ns, keys) -> None:
-        self._ms, self._ns, self._keys = _frozen(ms), _frozen(ns), _frozen(keys)
-        self._tkeys = _frozen(ns * self.n + ms)
-        self._ends = _frozen(np.concatenate([ms, ns]))
 
     def _derive(self, ws, keep=None) -> "WeightedGraph":
         # A weight-only version shares the edge set's arrays; `keep` deletes edges.
         g = WeightedGraph.__new__(WeightedGraph)
         g.n, g._ws, g._edges = self.n, _frozen(ws), None
-        if keep is None:
-            g._ms, g._ns, g._keys, g._tkeys, g._ends = (
-                self._ms, self._ns, self._keys, self._tkeys, self._ends)
-        else:
-            g._set_edges(self._ms[keep], self._ns[keep], self._keys[keep])
+        arrays = (self._ms, self._ns, self._keys)
+        g._ms, g._ns, g._keys = arrays if keep is None else (_frozen(a[keep]) for a in arrays)
         return g
 
     def _index(self, m: int, n: int) -> int:
@@ -148,20 +147,43 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
 
+class Laplacian:
+    """Dense Laplacian `lap` = diag(W 1) - W of graph `g`, reweighted in place.
+
+    `g` shares its source's endpoint and key arrays and views the first
+    half of a private weight buffer [w; w]. `reweight` writes an edge's
+    new weight there and into `lap`: the two mirrored off-diagonal
+    entries, then the whole diagonal from one bincount over [w; w]. Per
+    node that adds the m-side weights in order, then the n-side ones, from
+    0.0: the same sums, in the same order, as two np.add.at passes. So
+    `lap` stays bitwise the Laplacian of a new graph with `g`'s weights.
+    """
+
+    __slots__ = ("g", "lap", "_w2", "_flat", "_diag", "_tkeys", "_ends")
+
+    def __init__(self, g: WeightedGraph):
+        size, w = g.n, g._ws
+        self._w2 = np.concatenate([w, w])
+        self.g = g._derive(self._w2[:w.shape[0]])
+        self._tkeys = g._ns * size + g._ms
+        self._ends = np.concatenate([g._ms, g._ns])
+        self.lap = np.zeros((size, size))
+        self._flat = self.lap.reshape(-1)
+        self._diag = self._flat[::size + 1]
+        self._flat[g._keys] = self._flat[self._tkeys] = -w
+        self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=size)
+
+    def reweight(self, i: int, w: float) -> None:
+        """Set edge row i's weight to w > WEIGHT_ZERO, in place."""
+        g = self.g
+        self._w2[i] = self._w2[g.edge_count + i] = w
+        self._flat[g._keys[i]] = self._flat[self._tkeys[i]] = -w
+        self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=g.n)
+
+
 def build_laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense (N, N) Laplacian L = diag(W 1) - W of `g`."""
-    w = g._ws
-    size = g.n
-    lap = np.zeros((size, size))
-    flat = lap.reshape(-1)
-    neg = -w
-    flat[g._keys] = neg
-    flat[g._tkeys] = neg
-    # Per node: the m-side weights in order, then the n-side ones, from
-    # 0.0; the same sums, in the same order, as two np.add.at passes.
-    flat[::size + 1] = np.bincount(g._ends, weights=np.concatenate([w, w]),
-                                   minlength=size)
-    return lap
+    return Laplacian(g).lap
 
 
 def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> WeightedGraph:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateEdge
-from .graph import WeightedGraph
+from .errors import DuplicateEdge, NonFiniteInput
+from .graph import WeightedGraph, checked_edge
 
 
 def save_graph(g: WeightedGraph, path) -> None:
@@ -34,25 +34,33 @@ def _dense_from_mm(path) -> np.ndarray:
     return a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=np.float64)
 
 
+def _checked(where: str, m, n, w, size: int):
+    """checked_edge(m, n, w, size), with `where` leading any error message."""
+    try:
+        return checked_edge(m, n, w, size)
+    except (ValueError, NonFiniteInput) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def load_graph(path, n: int | None = None) -> WeightedGraph:
-    """Read a graph from edge-list CSV or a Matrix Market adjacency."""
+    """Read a graph from edge-list CSV or a symmetric, zero-diagonal Matrix
+    Market adjacency."""
     path = Path(path)
     if path.suffix.lower() == ".mtx":
         w = _dense_from_mm(path)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"{path}: adjacency matrix must be square")
+        if not np.array_equal(w, w.T, equal_nan=True) or w.diagonal().any():
+            raise ValueError(f"{path}: adjacency matrix must be symmetric with a "
+                             f"zero diagonal")
         size = n if n is not None else w.shape[0]
-        iu, ju = np.triu_indices(w.shape[0], k=1)
-        keep = w[iu, ju] != 0.0
-        edges = {(int(a), int(b)): float(v)
-                 for a, b, v in zip(iu[keep], ju[keep], w[iu, ju][keep])}
-        return WeightedGraph(size, edges)
+        iu, ju = np.nonzero(np.triu(w, k=1))
+        return WeightedGraph(size, dict(_checked(str(path), a, b, w[a, b], size)
+                                        for a, b in zip(iu, ju)))
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].strip() != "m,n,w":
         raise ValueError(f"{path}: expected edge-list CSV with header m,n,w")
-    edges: dict[tuple[int, int], float] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    top = -1
+    rows: dict[tuple[int, int], tuple[int, int, int, float]] = {}
     for line_no, ln in enumerate(lines[1:], start=2):
         try:
             a, b, v = ln.strip().split(",")
@@ -60,14 +68,13 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
         except ValueError:
             raise ValueError(f"{path}:{line_no}: malformed edge row {ln!r}") from None
         key = (min(m, k), max(m, k))
-        if key in first_line:
+        if key in rows:
             raise DuplicateEdge(f"{path}:{line_no}: edge {key} already given "
-                                f"on line {first_line[key]}")
-        first_line[key] = line_no
-        edges[key] = w
-        top = max(top, m, k)
-    size = n if n is not None else top + 1
-    return WeightedGraph(size, edges)
+                                f"on line {rows[key][0]}")
+        rows[key] = (line_no, m, k, w)
+    size = n if n is not None else max((max(key) for key in rows), default=-1) + 1
+    return WeightedGraph(size, dict(_checked(f"{path}:{row[0]}", *row[1:], size)
+                                    for row in rows.values()))
 
 
 def save_observations(x: np.ndarray, path) -> None:

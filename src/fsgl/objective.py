@@ -156,18 +156,6 @@ def count_ineligible(trace, grad: np.ndarray) -> None:
         trace.ineligible += int(np.count_nonzero(grad == np.inf))
 
 
-def best_scored(scores: EdgeScores, m_arr: np.ndarray,
-                n_arr: np.ndarray) -> tuple[tuple[int, int], float] | None:
-    """The batch argmin as a selection, or None (see `selection`).
-
-    Requires (m_arr, n_arr) in lexicographic order so argmin's
-    first-minimum rule realizes the lexicographic tie-break.
-    """
-    if m_arr.shape[0] == 0:
-        return None
-    return selection(scores.grad, int(scores.grad.argmin()), m_arr, n_arr)
-
-
 def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
     """tr(L Y) evaluated over the edge support."""
     m_arr, n_arr, w_arr = g.edge_arrays()

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import partition as _partition
 from .errors import NonFiniteObjective
-from .graph import (WEIGHT_ZERO, ObservationSet, WeightedGraph, build_laplacian,
-                    weakened_weight)
-from .objective import (best_scored, count_ineligible, edge_terms, objective_value,
-                        score_edges, selection)
+from .graph import (WEIGHT_ZERO, Laplacian, ObservationSet, WeightedGraph,
+                    build_laplacian, weakened_weight)
+from .objective import count_ineligible, edge_terms, objective_value, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -139,36 +138,17 @@ def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
 
 
 class _Workspace:
-    """What a solve keeps while its edge set lasts.
+    """What a solve keeps while its edge set lasts: the graph and its
+    Laplacian, which a weakening step updates in place (see
+    `graph.Laplacian`), the scoring terms (see `score_edges`) and the
+    recursive arm's cut plan. A deletion builds the next edge set's."""
 
-    `g` shares the edge set's read-only index arrays and views the first
-    half of a private weight buffer [w; w], which a weakening step writes
-    in place along with the dense Laplacian `lap`: the edge's two
-    off-diagonal entries, then the whole diagonal from the same bincount
-    over [w; w] that `build_laplacian` runs, so `lap` stays bitwise
-    `build_laplacian` of the graph `weaken_edge` would return. `terms`
-    (see `score_edges`) and the recursive arm's cut plan depend only on
-    the edge set; a deletion builds the next edge set's workspace.
-    """
-
-    __slots__ = ("g", "lap", "terms", "plan", "_w2", "_flat", "_diag")
+    __slots__ = ("laplacian", "terms", "plan")
 
     def __init__(self, g: WeightedGraph, y: np.ndarray, eps: float):
-        m_arr, n_arr, w_arr = g.edge_arrays()
-        self._w2 = np.concatenate([w_arr, w_arr])
-        self.g = g._derive(self._w2[:g.edge_count])
-        self.lap = build_laplacian(self.g)
-        self._flat = self.lap.reshape(-1)
-        self._diag = self._flat[::g.n + 1]
-        self.terms = edge_terms(y, m_arr, n_arr, eps)
+        self.laplacian = Laplacian(g)
+        self.terms = edge_terms(y, *g.edge_arrays()[:2], eps)
         self.plan = None
-
-    def reweight(self, i: int, w: float) -> None:
-        """Set row i's weight to w > WEIGHT_ZERO, in place."""
-        g = self.g
-        self._w2[i] = self._w2[g.edge_count + i] = w
-        self._flat[g._keys[i]] = self._flat[g._tkeys[i]] = -w
-        self._diag[:] = np.bincount(g._ends, weights=self._w2, minlength=g.n)
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
@@ -176,14 +156,17 @@ def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: Solv
     """Exhaustive scan for the edge with the most negative score.
 
     Returns ((m, n), grad), or None once no edge scores below zero
-    (converged). Ties break on the lexicographically smallest (m, n);
-    ineligible edges (determinant factor would go nonpositive) are skipped
-    and counted into `trace`.
+    (converged); see `selection`. Edges run in (m, n) order, so argmin's
+    first minimum breaks ties on the lexicographically smallest (m, n).
+    `terms` is as in `score_edges`; ineligible edges (determinant factor
+    would go nonpositive) are skipped and counted into `trace`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
-    count_ineligible(trace, scores.grad)
-    return best_scored(scores, m_arr, n_arr)
+    if m_arr.shape[0] == 0:
+        return None
+    grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms).grad
+    count_ineligible(trace, grad)
+    return selection(grad, int(grad.argmin()), m_arr, n_arr)
 
 
 def run_solver(g0: WeightedGraph, obs: ObservationSet,
@@ -221,47 +204,43 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     t0 = time.perf_counter()
     work = _Workspace(g0, y, cfg.epsilon)
     t = charge("rebuild", t0)
-    state = _snapshot(work.lap, cfg, obs.k)
+    state = _snapshot(work.laplacian.lap, cfg, obs.k)
     trace.eigensolves += 1
     t = charge("eigensolve", t)
     accepted = 0
     while accepted < cfg.max_iters:
-        g = work.g
-        m_arr, n_arr, w_arr = g.edge_arrays()
+        g = work.laplacian.g
         if cfg.solver_kind == "recursive":
             if work.plan is None:  # only for an edge set a step selects on
                 work.plan = _partition.cut_plan(g, _partition.LEAF_NODES)
                 t = charge("rebuild", t)
             sel = _partition.partition_select(g, state, obs, cfg, work.plan, work.terms,
                                               trace)
-            i = g._index(*sel[0]) if sel is not None else -1
-        elif m_arr.shape[0]:
-            grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, work.terms).grad
-            count_ineligible(trace, grad)
-            i = int(grad.argmin())
-            sel = selection(grad, i, m_arr, n_arr)
         else:
-            sel = None
+            sel = greedy_step(g, y, state, cfg, work.terms, trace)
         t = charge("select", t)
         if sel is None:
             trace.stop_reason = "no_descent"
             break
         edge, grad_h = sel
-        w = weakened_weight(float(w_arr[i]), cfg.epsilon, edge)
+        i = g._index(*edge)
+        w = weakened_weight(float(g.edge_arrays()[2][i]), cfg.epsilon, edge)
         if w > WEIGHT_ZERO:
-            work.reweight(i, w)
+            work.laplacian.reweight(i, w)
             t = charge("mutate", t)
         else:
             work = _Workspace(g._with_weight(i, w), y, cfg.epsilon)
             t = charge("rebuild", t)
         accepted += 1
-        trace.append(edge, grad_h, state.fiedler_value, work.g.edge_count, (t - t0) * 1e3)
+        trace.append(edge, grad_h, state.fiedler_value, work.laplacian.g.edge_count,
+                     (t - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
-            state = _snapshot(work.lap, cfg, obs.k)
+            state = _snapshot(work.laplacian.lap, cfg, obs.k)
             trace.eigensolves += 1
             t = charge("eigensolve", t)
 
-    g = work.g._derive(work.g.edge_arrays()[2].copy())
+    g = work.laplacian.g
+    g = g._derive(g.edge_arrays()[2].copy())
     trace.final_objective = objective_value(g, y, cfg)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)

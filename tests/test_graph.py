@@ -340,8 +340,8 @@ def test_laplacian_bitwise_equal_to_indexed_construction(n):
 
 
 def test_laplacian_of_derived_graph_bitwise_equal_to_fresh_graph():
-    # weight-only versions reuse their parent's Laplacian index, deletions
-    # derive a new one; both must build what a new graph builds
+    # weight-only versions share their parent's edge arrays, deletions
+    # compact them; both must build what a new graph builds
     kinds = set()
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -356,8 +356,6 @@ def test_laplacian_of_derived_graph_bitwise_equal_to_fresh_graph():
             parent = g
             g = weaken_edge(g, (int(m_arr[i]), int(n_arr[i])), eps)
             kinds.add(g.edge_count < parent.edge_count)
-            if g.edge_count == parent.edge_count:
-                assert g._tkeys is parent._tkeys and g._ends is parent._ends
             fresh = WeightedGraph(g.n, dict(g.edges))
             assert (build_laplacian(g).tobytes()
                     == build_laplacian(fresh).tobytes())

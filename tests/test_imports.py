@@ -4,7 +4,8 @@ No module of the package or the test suite imports a name it never
 reads, and the package re-exports exactly what its __init__ imports.
 No package module imports scipy.linalg or scipy.io at module level:
 their package inits load hundreds of modules fsgl never calls, which
-would double the start-up time of every process.
+would double the start-up time of every process. Only graph.py reads a
+graph's edge keys or a Laplacian's index, so one module writes Laplacians.
 """
 
 import ast
@@ -110,6 +111,27 @@ def test_no_module_level_scipy_linalg_or_io():
         eager = eager_imports(path.read_text())
         if eager:
             found[str(path.relative_to(ROOT))] = eager
+    assert found == {}
+
+
+EDGE_INDEX = ("_keys", "_tkeys", "_ends")
+
+
+def edge_index_reads(source: str) -> list[str]:
+    """Attribute reads `x.a` in `source` for `a` in EDGE_INDEX."""
+    reads = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in EDGE_INDEX)
+    return [f"{attr} (line {line})" for line, attr in reads]
+
+
+def test_only_graph_module_reads_the_edge_index():
+    assert edge_index_reads("g._keys[i]\nlap._tkeys\n_ends = 1\nx.keys\nf(a._ends)\n") == [
+        "_keys (line 1)", "_tkeys (line 2)", "_ends (line 5)"]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        reads = edge_index_reads(path.read_text())
+        if reads and path.name != "graph.py":
+            found[str(path.relative_to(ROOT))] = reads
     assert found == {}
 
 

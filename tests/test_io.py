@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fsgl.errors import DuplicateEdge
+from fsgl.errors import DuplicateEdge, NonFiniteInput
 from fsgl.graph import WeightedGraph
 from fsgl.io import load_graph, load_observations, save_graph, save_observations
 
@@ -51,6 +51,19 @@ def test_graph_csv_malformed(tmp_path):
         path.write_text("m,n,w\n" + rows)
         with pytest.raises(ValueError, match=rf"bad.csv:{line}: malformed edge row '{row}'"):
             load_graph(path)
+    # so does each row that parses but is no edge
+    for rows, line, error, message, n in (
+            ("0,1,1.0\n2,2,1.0\n", 3, ValueError, r"self-loop \(2,2\)", None),
+            ("-1,2,1.0\n", 2, ValueError, r"edge \(-1,2\) out of range for n=3", None),
+            ("0,1,1.0\n0,5,1.0\n", 3, ValueError, r"edge \(0,5\) out of range for n=4", 4),
+            ("0,1,nan\n", 2, NonFiniteInput, r"edge \(0,1\) has non-finite weight nan", None),
+            ("0,1,1.0\n1,2,inf\n", 3, NonFiniteInput, r"edge \(1,2\) has non-finite weight inf",
+             None),
+            ("0,1,0.0\n", 2, ValueError, r"edge \(0,1\) has nonpositive weight 0.0", None),
+            ("1,0,-2.5\n", 2, ValueError, r"edge \(0,1\) has nonpositive weight -2.5", None)):
+        path.write_text("m,n,w\n" + rows)
+        with pytest.raises(error, match=rf"^\S*bad.csv:{line}: {message}"):
+            load_graph(path, n=n)
 
 
 def test_graph_csv_rejects_duplicate_rows(tmp_path):
@@ -82,6 +95,16 @@ def test_graph_matrix_market(tmp_path):
     mmwrite(str((tmp_path / "rect").with_suffix("")), bad)
     with pytest.raises(ValueError):
         load_graph(tmp_path / "rect.mtx")
+    # an asymmetric adjacency, or one with a self-loop, names the file
+    for name, entries in (("asym", {(0, 2): 1.0, (3, 1): 0.5}),
+                          ("loop", {(0, 2): 1.0, (2, 0): 1.0, (1, 1): 0.5})):
+        adj = np.zeros((4, 4))
+        for key, v in entries.items():
+            adj[key] = v
+        mmwrite(str(tmp_path / name), adj)
+        with pytest.raises(ValueError, match=rf"{name}.mtx: adjacency matrix must be "
+                                             "symmetric with a zero diagonal"):
+            load_graph(tmp_path / f"{name}.mtx")
 
 
 def test_observations_round_trip_byte_identical(tmp_path):

@@ -16,13 +16,12 @@ from fsgl.graph import (
 from fsgl.objective import (
     EdgeScores,
     _row_sums,
-    best_scored,
     edge_terms,
     objective_value,
     score_edges,
     smoothness_trace,
 )
-from fsgl.solver import SolverConfig, compute_state
+from fsgl.solver import SolverConfig, compute_state, greedy_step
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
 
@@ -318,7 +317,7 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
     empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
     for name in ("z", "eta", "rho", "gain", "grad"):
         assert getattr(empty, name).shape == (0,), name
-    assert best_scored(empty, m_arr[:0], n_arr[:0]) is None
+    assert greedy_step(WeightedGraph(10), y, state, cfg) is None
     full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
     for i in (0, m_arr.shape[0] - 1):
         one = score_edges(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
@@ -327,26 +326,6 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
         ref = _score_edges_reference(state, y, m_arr[i:i + 1], n_arr[i:i + 1],
                                      w_arr[i:i + 1], cfg)
         assert one.grad.tobytes() == ref.grad.tobytes()
-
-
-def test_best_scored_tie_breaks_lexicographic():
-    m_arr = np.array([0, 0, 1])
-    n_arr = np.array([1, 2, 2])
-
-    def fake(grads):
-        k = len(grads)
-        return EdgeScores(np.zeros(k), np.ones(k), np.zeros(k),
-                          np.zeros(k), np.asarray(grads, dtype=np.float64))
-
-    sel = best_scored(fake([-1.0, -1.0, -1.0]), m_arr, n_arr)
-    assert sel == ((0, 1), -1.0)  # first minimum wins on sorted arrays
-    assert type(sel[0][0]) is int and type(sel[1]) is float
-    assert best_scored(fake([0.5, -1.0, -1.0]), m_arr, n_arr)[0] == (0, 2)
-    # a selection needs a finite, negative winning score
-    for grads in ([np.inf] * 3, [0.0, 0.5, np.inf], [np.nan, -1.0, -1.0],
-                  [-np.inf, -1.0, 0.0]):
-        assert best_scored(fake(grads), m_arr, n_arr) is None, grads
-    assert best_scored(fake([]), np.empty(0, int), np.empty(0, int)) is None
 
 
 def test_objective_value_matches_direct_formula():

@@ -15,7 +15,7 @@ from fsgl.errors import FsglError, NonFiniteObjective
 from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete_graph,
                         weaken_edge)
 from fsgl.init_graph import init_sparse_graph
-from fsgl.objective import objective_value, score_edges
+from fsgl.objective import EdgeScores, objective_value, score_edges
 from fsgl.partition import partition_select
 from fsgl.solver import (
     SolverConfig,
@@ -92,6 +92,55 @@ def test_greedy_step_picks_global_argmin():
             one = score_edges(state, obs.gram, np.array([m]), np.array([n]),
                               np.array([w]), cfg)
             assert grad <= one.grad[0] + 1e-15
+
+
+def test_greedy_step_tie_breaks_lexicographic(monkeypatch):
+    import fsgl.solver
+
+    g = WeightedGraph(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+
+    def step(grads):
+        k = len(grads)
+        fake = EdgeScores(np.zeros(k), np.ones(k), np.zeros(k),
+                          np.zeros(k), np.asarray(grads, dtype=np.float64))
+        monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: fake)
+        return greedy_step(g if k else WeightedGraph(3), None, None, SolverConfig())
+
+    sel = step([-1.0, -1.0, -1.0])
+    assert sel == ((0, 1), -1.0)  # first minimum wins on sorted arrays
+    assert type(sel[0][0]) is int and type(sel[1]) is float
+    assert step([0.5, -1.0, -1.0])[0] == (0, 2)
+    # a selection needs a finite, negative winning score
+    for grads in ([np.inf] * 3, [0.0, 0.5, np.inf], [np.nan, -1.0, -1.0],
+                  [-np.inf, -1.0, 0.0]):
+        assert step(grads) is None, grads
+    assert step([]) is None
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+@pytest.mark.parametrize("max_iters", [4, 20000])
+def test_both_arms_select_only_through_the_public_selectors(kind, max_iters, monkeypatch):
+    import fsgl.partition
+    import fsgl.solver
+
+    calls = {"greedy": 0, "recursive": 0}
+
+    def counted(arm, real):
+        def wrapper(*args, **kwargs):
+            calls[arm] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fsgl.solver, "greedy_step",
+                        counted("greedy", fsgl.solver.greedy_step))
+    monkeypatch.setattr(fsgl.partition, "partition_select",
+                        counted("recursive", fsgl.partition.partition_select))
+    obs = small_instance(3, n=10, k=3)
+    _, trace = run_solver(complete_graph(obs.n), obs,
+                          SolverConfig(solver_kind=kind, max_iters=max_iters))
+    assert trace.stop_reason == ("max_iters" if max_iters == 4 else "no_descent")
+    assert calls[kind] == len(trace) + trace.converged
+    assert calls["recursive" if kind == "greedy" else "greedy"] == 0
 
 
 def test_run_solver_accepted_steps_all_negative():
