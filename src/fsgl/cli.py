@@ -231,8 +231,8 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     violations = 0
     for trial in range(args.trials):
-        g = WeightedGraph(args.n, dict.fromkeys(
-            connected_pairs(args.n, args.density, rng), 1.0))
+        ms, ns = np.array(connected_pairs(args.n, args.density, rng)).T
+        g = WeightedGraph.from_arrays(args.n, ms, ns, np.ones(ms.shape[0]))
         lap = build_laplacian(g)
         state = smallest_eigenpairs(lap, min(3, g.n))
         lam2 = state.fiedler_value

@@ -106,9 +106,8 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     """`connected_pairs` graph with uniform [0.5, 1.5] edge weights."""
     check_ground_truth(n, density, rho)
     rng = np.random.default_rng(seed)
-    pairs = connected_pairs(n, density, rng)
-    weights = rng.uniform(0.5, 1.5, size=len(pairs))
-    g = WeightedGraph(n, dict(zip(pairs, weights)))
+    ms, ns = np.array(connected_pairs(n, density, rng)).T
+    g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.5, 1.5, size=ms.shape[0]))
     theta = build_laplacian(g) + rho * np.eye(n)
     try:
         cov = np.linalg.inv(theta)

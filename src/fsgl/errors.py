@@ -30,8 +30,8 @@ class InvalidBudget(FsglError):
 
 
 class TooLarge(FsglError):
-    """Input too large for exhaustive subset enumeration, or a dense array
-    above datagen.MAX_ARRAY_BYTES."""
+    """Input too large for exhaustive subset enumeration, or arrays above
+    datagen.MAX_ARRAY_BYTES."""
 
 
 class Disconnected(FsglError):

@@ -27,24 +27,20 @@ def canonical_edge(m: int, n: int) -> tuple[int, int]:
     return (m, n) if m < n else (n, m)
 
 
-def checked_edge(m, n, w, size: int) -> tuple[tuple[int, int], float]:
-    """Canonical (m, n) and float w of an edge of a `size`-node graph: a
-    self-loop, a node outside [0, size) or a nonpositive weight raises
-    ValueError, a non-finite weight NonFiniteInput."""
-    m, n = canonical_edge(int(m), int(n))
-    if not (0 <= m and n < size):
-        raise ValueError(f"edge ({m},{n}) out of range for n={size}")
-    w = float(w)
-    if not math.isfinite(w):
-        raise NonFiniteInput(f"edge ({m},{n}) has non-finite weight {w}")
-    if w <= 0.0:
-        raise ValueError(f"edge ({m},{n}) has nonpositive weight {w}")
-    return (m, n), w
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# The largest node count whose edge keys m * N + n all fit an intp.
+MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
+
+# What each edge check raises, in the order the checks run.
+_EDGE_ERRORS = ((ValueError, "self-loop ({m},{n}) is not a valid edge"),
+                (ValueError, "edge ({m},{n}) out of range for n={size}"),
+                (NonFiniteInput, "edge ({m},{n}) has non-finite weight {w}"),
+                (ValueError, "edge ({m},{n}) has nonpositive weight {w}"),
+                (DuplicateEdge, "edge ({m},{n}) given twice"))
 
 
 class WeightedGraph:
@@ -57,30 +53,50 @@ class WeightedGraph:
     Nothing is ever written in place, so a graph instance can be shared
     freely; the one exception is `Laplacian.g`, whose weights its owner
     writes. `edges` is a read-only {(m, n): w} view, built on first use.
-    The constructor takes a {(m, n): w} mapping; one that names a node pair
-    in both orders raises DuplicateEdge.
+    Every graph is built by `from_arrays`; `WeightedGraph(n, {(m, n): w})`
+    passes a mapping's keys and values to it.
     """
 
     __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_edges")
 
     def __init__(self, n: int, edges=None):
-        if n < 1:
-            raise ValueError("node count must be >= 1")
-        self.n = int(n)
-        canon: dict[tuple[int, int], float] = {}
-        if edges:
-            for key, w in edges.items():
-                (m, k), w = checked_edge(key[0], key[1], w, self.n)
-                if (m, k) in canon:
-                    raise DuplicateEdge(f"edge ({m},{k}) given twice")
-                canon[(m, k)] = w
-        mn = np.array(list(canon), dtype=np.intp).reshape(-1, 2)
-        keys = mn[:, 0] * self.n + mn[:, 1]
-        order = np.argsort(keys)
-        self._ms, self._ns, self._keys = (_frozen(mn[order, 0]), _frozen(mn[order, 1]),
-                                          _frozen(keys[order]))
-        self._ws = _frozen(np.array(list(canon.values()), dtype=np.float64)[order])
-        self._edges = None
+        edges = edges or {}
+        # Objects, so a node beyond the intp range reaches _fill's range error.
+        pairs = np.array(list(edges), dtype=object).reshape(-1, 2)
+        self._fill(n, pairs[:, 0], pairs[:, 1], list(edges.values()))
+
+    @classmethod
+    def from_arrays(cls, n: int, ms, ns, ws) -> "WeightedGraph":
+        """Graph on n nodes with edges (ms[i], ns[i]) of weight ws[i], in any
+        order and orientation. The first edge in input order that is a
+        self-loop, names a node outside [0, n), has a non-finite
+        (NonFiniteInput) or nonpositive weight, or names an earlier edge's
+        pair (DuplicateEdge) raises; the error's `position` is its index."""
+        return cls.__new__(cls)._fill(n, ms, ns, ws)
+
+    def _fill(self, n: int, ms, ns, ws) -> "WeightedGraph":
+        self.n = n = int(n)
+        if not 1 <= n <= MAX_NODES:
+            raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
+        try:
+            m, k = np.asarray(ms, dtype=np.intp), np.asarray(ns, dtype=np.intp)
+        except OverflowError as exc:
+            raise ValueError(f"an edge's node is out of range for n={n}: {exc}") from None
+        lo, hi, w = np.minimum(m, k), np.maximum(m, k), np.asarray(ws, dtype=np.float64)
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")  # a pair's first edge sorts first
+        dup = np.zeros(keys.shape, dtype=bool)
+        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        fails = np.stack((lo == hi, (lo < 0) | (hi >= n), ~np.isfinite(w), w <= 0.0, dup))
+        if fails.any():
+            i = int(fails.any(axis=0).argmax())
+            kind, message = _EDGE_ERRORS[int(fails[:, i].argmax())]
+            exc = kind(message.format(m=lo[i], n=hi[i], w=float(w[i]), size=n))
+            exc.position = i
+            raise exc
+        self._ws, self._edges = _frozen(w[order]), None
+        self._ms, self._ns, self._keys = map(_frozen, (lo[order], hi[order], keys[order]))
+        return self
 
     def _derive(self, ws, keep=None) -> "WeightedGraph":
         # A weight-only version shares the edge set's arrays; `keep` deletes edges.
@@ -141,7 +157,7 @@ class WeightedGraph:
         return self._derive(self._ws[keep], keep)
 
     def __reduce__(self):
-        return WeightedGraph, (self.n, self.edges.copy())
+        return WeightedGraph.from_arrays, (self.n, self._ms, self._ns, self._ws)
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
@@ -292,5 +308,5 @@ def connected_components(n: int, edge_list) -> list[list[int]]:
 
 def complete_graph(n: int) -> WeightedGraph:
     """Fully connected graph with unit weights."""
-    edges = {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)}
-    return WeightedGraph(n, edges)
+    ms, ns = np.triu_indices(n, k=1)
+    return WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0]))

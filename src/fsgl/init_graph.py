@@ -12,9 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidBudget, NonFiniteInput
+from . import datagen
+from .errors import InvalidBudget, NonFiniteInput, TooLarge
 from .graph import ObservationSet, WeightedGraph, complete_graph
-from .solver import SolverConfig
+from .solver import SolverConfig, eigenpair_count
+
+# Arrays of one length alive at once at peak, measured with tracemalloc.
+# The sparse start ranks all N(N-1)/2 node pairs in 8 float64/intp
+# arrays. A solve on E edges holds 20 of length E: the graph's 4, its
+# Laplacian's 5, the scoring terms' 2, the scores and a deletion's copy;
+# plus the two (k, E) gathers score_edges makes for k eigenpairs.
+RANKING_ARRAYS = 8
+EDGE_ARRAYS = 20
 
 
 def _similarity(y) -> np.ndarray:
@@ -96,11 +105,26 @@ def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:
     keep = np.zeros(ms.shape[0], dtype=bool)
     keep[tree] = True
     keep[np.flatnonzero(~keep)[:b]] = True
-    return WeightedGraph(n, dict.fromkeys(zip(ms[keep].tolist(), ns[keep].tolist()), 1.0))
+    return WeightedGraph.from_arrays(n, ms[keep], ns[keep], np.ones(n - 1 + b))
 
 
 def initial_graph(obs: ObservationSet, cfg: SolverConfig) -> WeightedGraph:
-    """Complete graph for greedy without a budget, else the sparse init."""
-    if cfg.solver_kind == "recursive" or cfg.budget_b is not None:
+    """Complete graph for greedy without a budget, else the sparse init.
+
+    TooLarge, before anything is built, when building the start or solving
+    from it would hold more than datagen.MAX_ARRAY_BYTES in edge-length
+    arrays (RANKING_ARRAYS, EDGE_ARRAYS).
+    """
+    n = obs.n
+    sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
+    pairs = n * (n - 1) // 2
+    edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs
+    need = 8 * max(RANKING_ARRAYS * pairs if sparse else 0,
+                   (EDGE_ARRAYS + 2 * eigenpair_count(n, obs.k)) * edges)
+    if need > datagen.MAX_ARRAY_BYTES:
+        raise TooLarge(f"the {'sparse' if sparse else 'complete'} start at node count "
+                       f"{n} ({edges} edges, {obs.k} samples) needs {need:,} bytes of edge "
+                       f"arrays, above the {datagen.MAX_ARRAY_BYTES:,}-byte ceiling")
+    if sparse:
         return init_sparse_graph(obs.gram, cfg.budget_b)
-    return complete_graph(obs.n)
+    return complete_graph(n)

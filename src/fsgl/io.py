@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateEdge, NonFiniteInput
-from .graph import WeightedGraph, checked_edge
+from .errors import DuplicateEdge, FsglError
+from .graph import MAX_NODES, WeightedGraph
 
 
 def save_graph(g: WeightedGraph, path) -> None:
@@ -34,12 +34,14 @@ def _dense_from_mm(path) -> np.ndarray:
     return a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=np.float64)
 
 
-def _checked(where: str, m, n, w, size: int):
-    """checked_edge(m, n, w, size), with `where` leading any error message."""
+def _from_arrays(where, size: int, ms, ns, ws) -> WeightedGraph:
+    """WeightedGraph.from_arrays, where(i) leading an error about edge i."""
     try:
-        return checked_edge(m, n, w, size)
-    except (ValueError, NonFiniteInput) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        return WeightedGraph.from_arrays(size, ms, ns, ws)
+    except (ValueError, FsglError) as exc:
+        if not hasattr(exc, "position"):
+            raise
+        raise type(exc)(f"{where(exc.position)}: {exc}") from None
 
 
 def load_graph(path, n: int | None = None) -> WeightedGraph:
@@ -55,8 +57,7 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
                              f"zero diagonal")
         size = n if n is not None else w.shape[0]
         iu, ju = np.nonzero(np.triu(w, k=1))
-        return WeightedGraph(size, dict(_checked(str(path), a, b, w[a, b], size)
-                                        for a, b in zip(iu, ju)))
+        return _from_arrays(lambda i: path, size, iu, ju, w[iu, ju])
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].strip() != "m,n,w":
         raise ValueError(f"{path}: expected edge-list CSV with header m,n,w")
@@ -71,10 +72,13 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
         if key in rows:
             raise DuplicateEdge(f"{path}:{line_no}: edge {key} already given "
                                 f"on line {rows[key][0]}")
+        if key[0] <= -MAX_NODES or key[1] >= MAX_NODES:
+            raise ValueError(f"{path}:{line_no}: edge ({key[0]},{key[1]}) out of range "
+                             f"for any node count up to {MAX_NODES}")
         rows[key] = (line_no, m, k, w)
     size = n if n is not None else max((max(key) for key in rows), default=-1) + 1
-    return WeightedGraph(size, dict(_checked(f"{path}:{row[0]}", *row[1:], size)
-                                    for row in rows.values()))
+    line_nos, ms, ns, ws = np.array(list(rows.values()), dtype=object).reshape(-1, 4).T
+    return _from_arrays(lambda i: f"{path}:{line_nos[i]}", size, ms, ns, ws)
 
 
 def save_observations(x: np.ndarray, path) -> None:

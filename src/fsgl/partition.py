@@ -125,15 +125,19 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
     when the vector separates its components. Returns (rows, starts): the
     blocks (leaves and cut sets, never empty) end to end, a partition of
     g.edge_arrays()'s rows, and where each begins. The plan depends only
-    on which edges g holds, not on their weights.
+    on which edges g holds, not on their weights. Sub-graphs wait on a
+    stack of their own, inside side first, so nesting as deep as N needs
+    no Python recursion.
     """
     m_arr, n_arr, _ = g.edge_arrays()
     blocks: list[np.ndarray] = []
-
-    def split(rows: np.ndarray, lm: np.ndarray, ln: np.ndarray, k: int) -> None:
-        # lm, ln: the rows' endpoints, numbered among the parent's k nodes
+    # Sub-graphs still to split, depth first: rows, their endpoints
+    # numbered among the parent's k nodes, k, and how many splits lie above.
+    stack = [(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n, 0)]
+    while stack:
+        rows, lm, ln, k, depth = stack.pop()
         if rows.shape[0] == 0:
-            return
+            continue
         touched = np.zeros(k, dtype=bool)
         touched[lm] = True
         touched[ln] = True
@@ -141,7 +145,7 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
         k = int(local[-1]) + 1
         if k <= v_min:
             blocks.append(rows)
-            return
+            continue
         lm, ln = local[lm], local[ln]
         order, t, _ = _sweep_prefix(k, lm, ln, _local_fiedler(k, lm, ln))
         in_s = np.zeros(k, dtype=bool)
@@ -150,10 +154,9 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
         crossing = m_in ^ n_in
         if crossing.any():
             blocks.append(rows[crossing])
-        for side in (m_in & n_in, ~(m_in | n_in)):
-            split(rows[side], lm[side], ln[side], k)
-
-    split(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)
+        # The inside side goes last, so it is split first.
+        for side in (~(m_in | n_in), m_in & n_in):
+            stack.append((rows[side], lm[side], ln[side], k, depth + 1))
     starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
     return np.concatenate([np.empty(0, np.intp), *blocks]), starts
 

@@ -129,9 +129,14 @@ def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralSt
     return _snapshot(build_laplacian(g), cfg, k_obs)
 
 
+def eigenpair_count(n: int, k_obs: int) -> int:
+    """Eigenpairs a snapshot of n nodes retains for k_obs observations."""
+    return min(n, max(3, k_obs))
+
+
 def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
     n = lap.shape[0]
-    state = smallest_eigenpairs(lap, min(n, max(3, k_obs)))
+    state = smallest_eigenpairs(lap, eigenpair_count(n, k_obs))
     if cfg.exact_logdet:
         state = replace(state, resolvent=np.linalg.inv(lap + cfg.alpha * np.eye(n)))
     return state

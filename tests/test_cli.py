@@ -210,6 +210,30 @@ def test_solve_rejects_overflowing_gram(tmp_path, capsys, solver):
     assert "objective" not in captured.out
 
 
+@pytest.mark.parametrize("solver, start", [("greedy", "complete"), ("recursive", "sparse")])
+def test_solve_checks_its_edge_arrays_before_building_the_start(tmp_path, capsys,
+                                                               monkeypatch, solver, start):
+    # N = 12, K = 3 under a 4 KiB ceiling: every (N, N) array fits, but
+    # the start's and the solve's edge arrays do not
+    ceiling = 4096
+    assert 8 * 12 * 12 <= ceiling
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", ceiling)
+    for builder in ("complete_graph", "init_sparse_graph"):
+        monkeypatch.setattr(f"fsgl.init_graph.{builder}", _forbid(builder))
+    path = tmp_path / "x.csv"
+    path.write_text("0.5,-1.0,2.0\n" * 12)
+    assert run_cli("solve", "--input", str(path), "--solver", solver) == 1
+    captured = capsys.readouterr()
+    assert f"error: the {start} start at node count 12" in captured.err
+    assert "objective" not in captured.out
+
+
+def _forbid(name):
+    def forbidden(*a, **kw):
+        raise AssertionError(f"{name} called on a start that fails its size check")
+    return forbidden
+
+
 @pytest.mark.parametrize("solver", ["greedy", "recursive"])
 def test_solve_rejects_single_node(tmp_path, capsys, solver):
     path = tmp_path / "x.csv"

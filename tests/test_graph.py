@@ -6,7 +6,8 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from fsgl.errors import DuplicateEdge, MissingEdge, NonFiniteInput
+from edgecheck import reference_arrays
+from fsgl.errors import DuplicateEdge, FsglError, MissingEdge, NonFiniteInput
 from fsgl.graph import (
     WEIGHT_ZERO,
     ObservationSet,
@@ -63,6 +64,76 @@ def test_constructor_rejects_a_pair_given_in_both_orders():
 def test_constructor_rejects_non_finite_weights(w):
     with pytest.raises(NonFiniteInput, match="non-finite weight"):
         WeightedGraph(3, {(0, 1): 1.0, (1, 2): w})
+
+
+def random_edge_list(rng, n):
+    """(m, n, w) triples on n nodes: distinct pairs in either orientation,
+    and up to three defects at random places: a self-loop, a node out of
+    range, a NaN/inf or nonpositive weight, or a pair given again."""
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.permutation(iu.shape[0])[:int(rng.integers(iu.shape[0] + 1))]
+    flip = rng.random(pick.shape[0]) < 0.5
+    ms, ns = np.where(flip, ju[pick], iu[pick]), np.where(flip, iu[pick], ju[pick])
+    edges = list(zip(ms.tolist(), ns.tolist(), rng.uniform(0.1, 3.0, pick.shape[0]).tolist()))
+    for _ in range(int(rng.integers(4))):
+        a, b = rng.integers(n, size=2).tolist()
+        kind = int(rng.integers(6))
+        if kind == 0:
+            bad = (a, a, 1.0)
+        elif kind == 1:
+            bad = (a, int(rng.choice([-1 - b, n + b])), 1.0)
+        elif kind == 2:
+            bad = (a, a + 1, float(rng.choice([np.nan, np.inf, -np.inf])))
+        elif kind == 3:
+            bad = (a, a + 1, float(rng.choice([0.0, -0.0, -1.5])))
+        elif edges:
+            m, k, _ = edges[int(rng.integers(len(edges)))]
+            bad = (k, m, 0.5) if kind == 4 else (m, k, 0.5)
+        else:
+            continue
+        edges.insert(int(rng.integers(len(edges) + 1)), bad)
+    return edges
+
+
+OUTCOMES = ("graph", "self-loop", "out of range", "non-finite", "nonpositive", "given twice")
+
+
+def build_outcome(build):
+    """The arrays (ms, ns, ws, keys) a build makes, as dtype and bytes, or
+    the type, message and position of what it raises."""
+    try:
+        arrays = build()
+    except (ValueError, FsglError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    if isinstance(arrays, WeightedGraph):
+        arrays = (*arrays.edge_arrays(), arrays._keys)
+    return tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+
+def test_array_and_mapping_builds_match_the_per_edge_reference():
+    kinds = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        edges = random_edge_list(rng, n)
+        ms, ns, ws = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
+        expected = build_outcome(lambda: reference_arrays(n, edges))
+        assert build_outcome(lambda: WeightedGraph.from_arrays(n, ms, ns, ws)) == expected
+        mapping = {(m, k): w for m, k, w in edges}
+        expected = build_outcome(lambda: reference_arrays(
+            n, [(m, k, w) for (m, k), w in mapping.items()]))
+        assert build_outcome(lambda: WeightedGraph(n, mapping)) == expected
+        message = expected[1] if isinstance(expected[0], type) else "graph"
+        kinds.update(kind for kind in OUTCOMES if kind in message)
+    assert kinds == set(OUTCOMES)
+
+
+def test_node_beyond_the_index_range_is_out_of_range():
+    # such a node never reaches the bulk checks: it fits no intp array
+    for build in (lambda: WeightedGraph(3, {(0, 1): 1.0, (0, 10**20): 1.0}),
+                  lambda: WeightedGraph.from_arrays(3, [0, -10**20], [1, 2], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            build()
 
 
 def test_edge_arrays_sorted_lexicographically():
@@ -401,7 +472,11 @@ def test_edges_view_rejects_assignment():
 def test_pickled_graph_keeps_edges_and_read_only_arrays():
     g = random_graph(np.random.default_rng(2), 9)
     assert g.edges  # build the cached view before pickling
+    # a graph pickles as its arrays and unpickles through the array path
+    build, args = g.__reduce__()
+    assert build == WeightedGraph.from_arrays and args[0] == g.n
+    assert all(isinstance(a, np.ndarray) for a in args[1:])
     for copy in (pickle.loads(pickle.dumps(g)), deepcopy(g)):
         assert copy.n == g.n and copy.edges == g.edges
-        for a, b in zip(copy.edge_arrays(), g.edge_arrays()):
+        for a, b in zip((*copy.edge_arrays(), copy._keys), (*g.edge_arrays(), g._keys)):
             assert np.array_equal(a, b) and not a.flags.writeable

@@ -6,6 +6,8 @@ No package module imports scipy.linalg or scipy.io at module level:
 their package inits load hundreds of modules fsgl never calls, which
 would double the start-up time of every process. Only graph.py reads a
 graph's edge keys or a Laplacian's index, so one module writes Laplacians.
+Graphs are built from whole edge arrays: no per-edge Python loop, and no
+per-edge check function anywhere in the package.
 """
 
 import ast
@@ -132,6 +134,50 @@ def test_only_graph_module_reads_the_edge_index():
         reads = edge_index_reads(path.read_text())
         if reads and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = reads
+    assert found == {}
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+# What builds a graph's arrays, which must take every edge at once.
+BUILDERS = ("WeightedGraph.__init__", "WeightedGraph.from_arrays", "WeightedGraph._fill",
+            "complete_graph")
+
+
+def function_loops(source: str) -> dict[str, list[str]]:
+    """{name: its loops} for each module-level function ("f") and method
+    ("Class.f") in `source`; a comprehension counts as a loop."""
+    funcs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            funcs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            funcs += [(f"{node.name}.{f.name}", f) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+    return {name: [f"{type(n).__name__} (line {n.lineno})" for n in ast.walk(func)
+                   if isinstance(n, LOOPS)] for name, func in funcs}
+
+
+def test_graph_construction_has_no_per_edge_loop():
+    assert function_loops("class C:\n    def f(self):\n        [x for x in y]\n"
+                          "    def g(self):\n        pass\n"
+                          "def f(a):\n    for x in a:\n        pass\n") == {
+        "C.f": ["ListComp (line 3)"], "C.g": [], "f": ["For (line 7)"]}
+    loops = function_loops((ROOT / "src" / "fsgl" / "graph.py").read_text())
+    assert {name: loops[name] for name in BUILDERS} == dict.fromkeys(BUILDERS, [])
+
+
+def test_no_module_defines_or_imports_checked_edge():
+    # edges are checked in bulk by WeightedGraph.from_arrays, and only there
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        names += [alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        if "checked_edge" in names:
+            found[str(path.relative_to(ROOT))] = "checked_edge"
     assert found == {}
 
 

@@ -56,6 +56,8 @@ def test_graph_csv_malformed(tmp_path):
             ("0,1,1.0\n2,2,1.0\n", 3, ValueError, r"self-loop \(2,2\)", None),
             ("-1,2,1.0\n", 2, ValueError, r"edge \(-1,2\) out of range for n=3", None),
             ("0,1,1.0\n0,5,1.0\n", 3, ValueError, r"edge \(0,5\) out of range for n=4", 4),
+            ("0,1,1.0\n0,99999999999999999999,1.0\n", 3, ValueError,
+             r"edge \(0,99999999999999999999\) out of range", None),
             ("0,1,nan\n", 2, NonFiniteInput, r"edge \(0,1\) has non-finite weight nan", None),
             ("0,1,1.0\n1,2,inf\n", 3, NonFiniteInput, r"edge \(1,2\) has non-finite weight inf",
              None),

@@ -17,6 +17,7 @@ from fsgl.graph import (
 )
 from fsgl.objective import EdgeScores
 from fsgl.partition import (
+    LEAF_NODES,
     approx_cheeger_cut,
     brute_force_cheeger,
     cut_plan,
@@ -164,8 +165,8 @@ def test_partition_select_empty_graph():
 def record_sweeps(monkeypatch):
     """Patch partition._sweep_prefix to log a Sweep at every split.
 
-    depth counts the `split` frames of cut_plan below the first, so the
-    top-level sweep has depth 0.
+    depth is how many splits lie above the sub-graph being split, read
+    from cut_plan's stack frame, so the top-level sweep has depth 0.
     """
     import fsgl.partition as partition
 
@@ -174,12 +175,9 @@ def record_sweeps(monkeypatch):
 
     def recording(n, m_arr, n_arr, v2):
         order, t, cut = real(n, m_arr, n_arr, v2)
-        depth, frame = -1, sys._getframe(1)
-        while frame is not None:
-            code = frame.f_code
-            depth += code.co_name == "split" and code.co_filename == partition.__file__
-            frame = frame.f_back
-        sweeps.append(Sweep(depth, n, t, cut, order, m_arr, n_arr))
+        caller = sys._getframe(1)
+        assert caller.f_code is partition.cut_plan.__code__
+        sweeps.append(Sweep(caller.f_locals["depth"], n, t, cut, order, m_arr, n_arr))
         return order, t, cut
 
     monkeypatch.setattr(partition, "_sweep_prefix", recording)
@@ -382,6 +380,69 @@ def test_partition_recursion_depth_bounded(monkeypatch):
     assert max_depth < 24
     for sw in sweeps:
         assert sw.n <= 24 - sw.depth  # at least one node peels per level
+
+
+def recursive_plan(g, v_min):
+    """cut_plan as the recursion it was: each sub-graph's blocks in
+    pre-order, the inside side split before the outside one."""
+    import fsgl.partition as partition
+
+    m_arr, n_arr, _ = g.edge_arrays()
+    blocks = []
+
+    def split(rows, lm, ln, k):
+        if rows.shape[0] == 0:
+            return
+        touched = np.zeros(k, dtype=bool)
+        touched[lm] = touched[ln] = True
+        local = touched.cumsum() - 1
+        k = int(local[-1]) + 1
+        if k <= v_min:
+            blocks.append(rows)
+            return
+        lm, ln = local[lm], local[ln]
+        order, t, _ = partition._sweep_prefix(k, lm, ln, partition._local_fiedler(k, lm, ln))
+        in_s = np.zeros(k, dtype=bool)
+        in_s[order[:t]] = True
+        m_in, n_in = in_s[lm], in_s[ln]
+        if (m_in ^ n_in).any():
+            blocks.append(rows[m_in ^ n_in])
+        for side in (m_in & n_in, ~(m_in | n_in)):
+            split(rows[side], lm[side], ln[side], k)
+
+    split(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)
+    starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
+    return np.concatenate([np.empty(0, np.intp), *blocks]), starts
+
+
+def test_cut_plan_lays_blocks_out_in_recursive_pre_order():
+    for seed in range(4):
+        obs = solve_instance(seed, 40, "gmm" if seed % 2 == 0 else "mvt")
+        for b in (None, 0):
+            g = init_sparse_graph(obs.gram, b)
+            for v_min in (2, 4, 8):
+                for got, want in zip(cut_plan(g, v_min), recursive_plan(g, v_min)):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
+    # this N = 240 sparse start nests 112 splits deep; cut_plan keeps its
+    # sub-graphs on a stack of its own, not one Python frame per level
+    g = init_sparse_graph(solve_instance(2, 240).gram, None)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        rows, _ = cut_plan(g, LEAF_NODES)
+    finally:
+        sys.setrecursionlimit(limit)
+    np.testing.assert_array_equal(np.sort(rows), np.arange(g.edge_count))
+    sweeps = record_sweeps(monkeypatch)
+    cut_plan(g, LEAF_NODES)
+    assert max(sw.depth for sw in sweeps) == 112
 
 
 def test_partition_handles_disconnected_candidates():
