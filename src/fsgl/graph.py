@@ -11,6 +11,7 @@ edge, keeping the edge set equal to the support of the adjacency matrix.
 from __future__ import annotations
 
 import math
+import operator
 from types import MappingProxyType
 
 import numpy as np
@@ -21,7 +22,18 @@ from .errors import DuplicateEdge, MissingEdge, NonFiniteInput
 WEIGHT_ZERO = 1e-12
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: any integer type but bool; else TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def canonical_edge(m: int, n: int) -> tuple[int, int]:
+    m, n = _integer(m, "node id"), _integer(n, "node id")
     if m == n:
         raise ValueError(f"self-loop ({m},{n}) is not a valid edge")
     return (m, n) if m < n else (n, m)
@@ -75,7 +87,7 @@ class WeightedGraph:
         return cls.__new__(cls)._fill(n, ms, ns, ws)
 
     def _fill(self, n: int, ms, ns, ws) -> "WeightedGraph":
-        self.n = n = int(n)
+        self.n = n = _integer(n, "node count")
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
         try:

@@ -216,6 +216,41 @@ def test_weaken_edge_missing_and_bad_eps():
             weaken_edge(g, (0, 1), bad)
 
 
+def test_has_edge_rejects_float_node_ids():
+    g = WeightedGraph(3, {(0, 1): 1.0})
+    with pytest.raises(TypeError, match="node id must be an integer, got 0.0"):
+        g.has_edge(0.0, 1.0)
+
+
+def test_has_edge_rejects_bool_node_ids():
+    g = WeightedGraph(3, {(1, 2): 1.0})
+    with pytest.raises(TypeError, match="node id must be an integer, got True"):
+        g.has_edge(True, 2)
+
+
+def test_weaken_edge_rejects_float_node_ids():
+    g = WeightedGraph(3, {(0, 1): 1.0})
+    with pytest.raises(TypeError, match="node id must be an integer"):
+        weaken_edge(g, (0.0, 1.0), 0.1)
+
+
+def test_from_arrays_rejects_a_non_integer_node_count():
+    for bad in (2.7, 2.0, True, np.float64(3.0)):
+        with pytest.raises(TypeError, match="node count must be an integer"):
+            WeightedGraph.from_arrays(bad, [0], [1], [1.0])
+    assert WeightedGraph.from_arrays(np.int64(2), [0], [1], [1.0]).n == 2
+
+
+def test_weaken_edge_takes_a_numpy_row_and_names_it_plainly():
+    # a solve trace's edges are int64 rows; errors print them as (m, n)
+    g = WeightedGraph(4, {(0, 1): 1.0})
+    with pytest.raises(MissingEdge, match=r"^edge \(0, 3\) not in graph$"):
+        weaken_edge(g, np.array([0, 3]), 0.1)
+    assert weaken_edge(g, np.array([1, 0]), 0.25).weight(0, 1) == 0.75
+    assert canonical_edge(*np.array([3, 1])) == (1, 3)
+    assert all(type(v) is int for v in canonical_edge(np.int64(3), np.uint8(1)))
+
+
 def test_weaken_edge_rejects_a_step_that_changes_nothing():
     # 1.0 - 1e-320 rounds back to 1.0: the step would descend only on paper
     g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 0.5})

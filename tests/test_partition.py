@@ -270,9 +270,10 @@ def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
                                                 epsilon=0.05))
     assert len(trace) > 0
     # each accepted step selected on the edge set before its own step
-    selected_on = [g0.edge_count] + trace.edge_counts[:-1]
+    counts = trace.edge_counts.tolist()
+    selected_on = [g0.edge_count] + counts[:-1]
     if trace.stop_reason == "no_descent":
-        selected_on.append(trace.edge_counts[-1])
+        selected_on.append(counts[-1])
     assert len(set(selected_on)) > 1, "the solve should delete an edge"
     assert calls == sorted(set(selected_on), reverse=True)
     calls.clear()
@@ -469,6 +470,6 @@ def test_full_runs_identical_across_selectors():
         g0 = init_sparse_graph(obs.gram, 20)
         g_r, tr_r = run_solver(g0, obs, SolverConfig(solver_kind="recursive"))
         g_g, tr_g = run_solver(g0, obs, SolverConfig(solver_kind="greedy"))
-        assert tr_r.edges_mn == tr_g.edges_mn
-        assert tr_r.grad_h == tr_g.grad_h
+        assert np.array_equal(tr_r.edges_mn, tr_g.edges_mn)
+        assert np.array_equal(tr_r.grad_h, tr_g.grad_h)
         assert g_r.edges == g_g.edges

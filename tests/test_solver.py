@@ -3,6 +3,7 @@
 import logging
 import re
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from fsgl.objective import EdgeScores, objective_value, score_edges
 from fsgl.partition import partition_select
 from fsgl.solver import (
     SolverConfig,
+    SolveTrace,
     compute_state,
     greedy_step,
     run_solver,
@@ -231,15 +233,16 @@ def test_deterministic():
     g_a, tr_a = run_solver(g0, obs, cfg)
     g_b, tr_b = run_solver(g0, obs, cfg)
     assert g_a.edges == g_b.edges
-    assert tr_a.edges_mn == tr_b.edges_mn
-    assert tr_a.grad_h == tr_b.grad_h
+    assert np.array_equal(tr_a.edges_mn, tr_b.edges_mn)
+    assert np.array_equal(tr_a.grad_h, tr_b.grad_h)
     assert tr_a.final_objective == tr_b.final_objective
 
 
 def test_trace_csv_layout(tmp_path):
     obs = small_instance(7, n=8, k=3)
     g0 = complete_graph(obs.n)
-    g, trace = run_solver(g0, obs, SolverConfig(max_iters=5))
+    # 100 rows: past the first growth of the trace's columns
+    g, trace = run_solver(g0, obs, SolverConfig(max_iters=100))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -247,11 +250,60 @@ def test_trace_csv_layout(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = re.search(r"with columns\s+`([^`]+)`", readme)
     assert documented and documented.group(1) == lines[0]
-    assert len(lines) == len(trace) + 1
-    first = lines[1].split(",")
-    assert len(first) == 7
-    assert int(first[0]) == 1
-    assert float(first[3]) == trace.grad_h[0]
+    assert len(lines) == len(trace) + 1 == 101
+    for i, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        assert len(fields) == 7 and not any("np." in f for f in fields), line
+        assert int(fields[0]) == i + 1
+        assert [int(fields[1]), int(fields[2])] == trace.edges_mn[i].tolist()
+        assert float(fields[3]) == trace.grad_h[i]
+        assert float(fields[4]) == trace.lambda2[i]
+        assert int(fields[5]) == trace.edge_counts[i]
+        assert fields[6] == f"{trace.ms[i]:.3f}"
+
+
+def test_trace_columns_are_typed_and_read_only():
+    obs = small_instance(7, n=8, k=3)
+    _, trace = run_solver(complete_graph(obs.n), obs, SolverConfig(max_iters=70))
+    columns = {"edges_mn": (np.int64, (70, 2)), "grad_h": (np.float64, (70,)),
+               "lambda2": (np.float64, (70,)), "edge_counts": (np.int64, (70,)),
+               "ms": (np.float64, (70,))}
+    for name, (dtype, shape) in columns.items():
+        col = getattr(trace, name)
+        assert col.dtype == dtype and col.shape == shape, name
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0
+    empty = SolveTrace()
+    assert len(empty) == 0 and empty.edges_mn.shape == (0, 2) and empty.ms.shape == (0,)
+
+
+def test_trace_holds_at_most_about_two_rows_per_step():
+    # a row is 48 bytes of typed columns, which at most double past the
+    # rows in use; five Python objects a step took 132 bytes here
+    obs = small_instance(2, n=20, k=4)
+    g0 = complete_graph(obs.n)
+    tracemalloc.start()
+    try:
+        _, trace = run_solver(g0, obs, SolverConfig())
+        steps, held = len(trace), tracemalloc.get_traced_memory()[0]
+        del trace
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert steps >= 3000
+    assert held <= 120 * steps, f"{held / steps:.0f} B per step"
+
+
+def test_a_huge_step_cap_allocates_nothing_up_front():
+    # the trace's columns grow with the steps taken, never with the cap
+    obs = small_instance(2, n=8, k=3)
+    g0 = init_sparse_graph(obs.gram, 4)
+    g, trace = run_solver(g0, obs, SolverConfig(max_iters=2**62))
+    g_ref, ref = run_solver(g0, obs, SolverConfig())
+    assert trace.converged and len(trace) == len(ref) > 0
+    assert np.array_equal(trace.edges_mn, ref.edges_mn)
+    assert np.array_equal(trace.grad_h, ref.grad_h)
+    assert g.edges == g_ref.edges
 
 
 def test_trace_records_lambda2_of_scoring_snapshot():
@@ -392,7 +444,7 @@ def _replay_bitwise(g0, obs, cfg, monkeypatch):
     state = compute_state(g, cfg, obs.k)
     for step, (edge, grad) in enumerate(zip(trace.edges_mn, trace.grad_h)):
         sel = select(g, state)
-        assert sel is not None and sel[0] == edge, step
+        assert sel is not None and sel[0] == tuple(edge.tolist()), step
         assert bits(sel[1]) == bits(grad), step
         found.append(g.weight(*edge))
         g = weaken_edge(g, edge, cfg.epsilon)
