@@ -32,6 +32,20 @@ def _integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _node_ids(ids) -> np.ndarray:
+    """`ids` as an intp array. Unless they come as an integer array, each
+    type among them is checked once by `_integer`, in order of first use,
+    so the first float or bool id raises TypeError; an id past the intp
+    range raises OverflowError."""
+    a = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
+    if a.dtype.kind not in "iu":
+        values = a.ravel().tolist()
+        types = list(map(type, values))
+        for i in sorted(map(types.index, set(types))):  # per type, not per edge
+            _integer(values[i], "node id")
+    return np.asarray(a, dtype=np.intp)
+
+
 def canonical_edge(m: int, n: int) -> tuple[int, int]:
     m, n = _integer(m, "node id"), _integer(n, "node id")
     if m == n:
@@ -91,7 +105,7 @@ class WeightedGraph:
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
         try:
-            m, k = np.asarray(ms, dtype=np.intp), np.asarray(ns, dtype=np.intp)
+            m, k = _node_ids(ms), _node_ids(ns)
         except OverflowError as exc:
             raise ValueError(f"an edge's node is out of range for n={n}: {exc}") from None
         lo, hi, w = np.minimum(m, k), np.maximum(m, k), np.asarray(ws, dtype=np.float64)
@@ -119,10 +133,27 @@ class WeightedGraph:
         return g
 
     def _index(self, m: int, n: int) -> int:
-        """Position of canonical edge (m, n) in the arrays, or -1."""
+        """Position of canonical edge (m, n) in the arrays, or -1. A pair
+        outside 0 <= m < n < N has a key that may be another edge's."""
+        if not 0 <= m < n < self.n:
+            return -1
         key = m * self.n + n
         i = int(np.searchsorted(self._keys, key))
         return i if i < self._keys.shape[0] and self._keys[i] == key else -1
+
+    def _weakened(self, edge: tuple[int, int], eps: float) -> tuple[int, float]:
+        """Edge row i and its weight max(0, w - eps) after one step, 0.0 at
+        or below WEIGHT_ZERO; raises as `weaken_edge` does."""
+        if not eps > 0:  # NaN included
+            raise ValueError("eps must be positive")
+        key = canonical_edge(*edge)
+        i = self._index(*key)
+        if i < 0:
+            raise MissingEdge(f"edge {key} not in graph")
+        w = float(self._ws[i])
+        if w - eps == w:
+            raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {key} unchanged")
+        return i, w - eps if w - eps > WEIGHT_ZERO else 0.0
 
     @property
     def edges(self) -> MappingProxyType:
@@ -159,8 +190,8 @@ class WeightedGraph:
         return w_mat
 
     def _with_weight(self, i: int, new_weight: float) -> "WeightedGraph":
-        """New version with edge i reweighted, or removed when weight ~ 0."""
-        if new_weight > WEIGHT_ZERO:
+        """New version with edge i reweighted, or removed at weight 0.0."""
+        if new_weight:
             ws = self._ws.copy()
             ws[i] = new_weight
             return self._derive(ws)
@@ -176,10 +207,10 @@ class WeightedGraph:
 
 
 class Laplacian:
-    """Dense Laplacian `lap` = diag(W 1) - W of graph `g`, reweighted in place.
+    """Dense Laplacian `lap` = diag(W 1) - W of graph `g`, weakened in place.
 
     `g` shares its source's endpoint and key arrays and views the first
-    half of a private weight buffer [w; w]. `reweight` writes an edge's
+    half of a private weight buffer [w; w]. `weaken` writes an edge's
     new weight there and into `lap`: the two mirrored off-diagonal
     entries, then the whole diagonal from one bincount over [w; w]. Per
     node that adds the m-side weights in order, then the n-side ones, from
@@ -201,12 +232,16 @@ class Laplacian:
         self._flat[g._keys] = self._flat[self._tkeys] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=size)
 
-    def reweight(self, i: int, w: float) -> None:
-        """Set edge row i's weight to w > WEIGHT_ZERO, in place."""
+    def weaken(self, edge: tuple[int, int], eps: float) -> "Laplacian":
+        """`weaken_edge` on `g`: self, weakened in place, or the next edge set's."""
         g = self.g
+        i, w = g._weakened(edge, eps)
+        if not w:
+            return Laplacian(g._with_weight(i, w))
         self._w2[i] = self._w2[g.edge_count + i] = w
         self._flat[g._keys[i]] = self._flat[self._tkeys[i]] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=g.n)
+        return self
 
 
 def build_laplacian(g: WeightedGraph) -> np.ndarray:
@@ -222,21 +257,7 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     once the clamped weight falls to numerical zero. A step too small to
     change the weight in floating point raises ValueError.
     """
-    if not eps > 0:  # NaN included
-        raise ValueError("eps must be positive")
-    key = canonical_edge(*edge)
-    i = g._index(*key)
-    if i < 0:
-        raise MissingEdge(f"edge {key} not in graph")
-    return g._with_weight(i, weakened_weight(float(g._ws[i]), eps, key))
-
-
-def weakened_weight(w: float, eps: float, edge: tuple[int, int]) -> float:
-    """max(0, w - eps): edge's weight after one step; a step too small to
-    change w in floating point raises ValueError."""
-    if w - eps == w:
-        raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {edge} unchanged")
-    return max(0.0, w - eps)
+    return g._with_weight(*g._weakened(edge, eps))
 
 
 def gram(x: np.ndarray) -> np.ndarray:

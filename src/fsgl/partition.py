@@ -99,9 +99,11 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     m_arr, n_arr, _ = g.edge_arrays()
     order, t, cut = _sweep_prefix(g.n, m_arr, n_arr, state.fiedler_vector)
     side = order[:t] if t <= g.n - t else order[t:]
-    inside = frozenset(int(v) for v in side)
-    cut_edges = tuple(e for e in g.edges if (e[0] in inside) != (e[1] in inside))
-    return CheegerCut(tuple(sorted(inside)), cut_edges, cut / len(inside))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[side] = True
+    crossing = inside[m_arr] != inside[n_arr]
+    cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
+    return CheegerCut(tuple(sorted(side.tolist())), cut_edges, cut / side.shape[0])
 
 
 def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> np.ndarray:

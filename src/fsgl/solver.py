@@ -21,8 +21,7 @@ import numpy as np
 
 from . import partition as _partition
 from .errors import NonFiniteObjective
-from .graph import (WEIGHT_ZERO, Laplacian, ObservationSet, WeightedGraph,
-                    build_laplacian, weakened_weight)
+from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian
 from .objective import count_ineligible, edge_terms, objective_value, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
@@ -183,9 +182,9 @@ class _Workspace:
 
     __slots__ = ("laplacian", "terms", "plan")
 
-    def __init__(self, g: WeightedGraph, y: np.ndarray, eps: float):
-        self.laplacian = Laplacian(g)
-        self.terms = edge_terms(y, *g.edge_arrays()[:2], eps)
+    def __init__(self, laplacian: Laplacian, y: np.ndarray, eps: float):
+        self.laplacian = laplacian
+        self.terms = edge_terms(y, *laplacian.g.edge_arrays()[:2], eps)
         self.plan = None
 
 
@@ -240,7 +239,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         return now
 
     t0 = time.perf_counter()
-    work = _Workspace(g0, y, cfg.epsilon)
+    work = _Workspace(Laplacian(g0), y, cfg.epsilon)
     t = charge("rebuild", t0)
     state = _snapshot(work.laplacian.lap, cfg, obs.k)
     trace.eigensolves += 1
@@ -261,13 +260,11 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             trace.stop_reason = "no_descent"
             break
         edge, grad_h = sel
-        i = g._index(*edge)
-        w = weakened_weight(float(g.edge_arrays()[2][i]), cfg.epsilon, edge)
-        if w > WEIGHT_ZERO:
-            work.laplacian.reweight(i, w)
+        lap = work.laplacian.weaken(edge, cfg.epsilon)
+        if lap is work.laplacian:
             t = charge("mutate", t)
         else:
-            work = _Workspace(g._with_weight(i, w), y, cfg.epsilon)
+            work = _Workspace(lap, y, cfg.epsilon)
             t = charge("rebuild", t)
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, work.laplacian.g.edge_count,
@@ -277,8 +274,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             trace.eigensolves += 1
             t = charge("eigensolve", t)
 
-    g = work.laplacian.g
-    g = g._derive(g.edge_arrays()[2].copy())
+    g = WeightedGraph.from_arrays(g0.n, *work.laplacian.g.edge_arrays())  # copies weights
     trace.final_objective = objective_value(g, y, cfg)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)

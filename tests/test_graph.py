@@ -10,6 +10,7 @@ from edgecheck import reference_arrays
 from fsgl.errors import DuplicateEdge, FsglError, MissingEdge, NonFiniteInput
 from fsgl.graph import (
     WEIGHT_ZERO,
+    Laplacian,
     ObservationSet,
     WeightedGraph,
     build_laplacian,
@@ -259,6 +260,107 @@ def test_weaken_edge_rejects_a_step_that_changes_nothing():
         weaken_edge(g, (1, 0), 1e-320)
     # a step of a few ulps still counts
     assert weaken_edge(g, (1, 0), 1e-15).weight(0, 1) < 1.0
+
+
+# Pairs whose key m * N + n is that of edge (2, 5) on 10 nodes.
+ALIASES = [(1, 15), (15, 1), (-1, 35), (0, 25), (-2, 45)]
+
+
+def test_has_edge_matches_no_edge_outside_the_node_range():
+    g = WeightedGraph(10, {(2, 5): 1.0})
+    assert g.has_edge(2, 5)
+    assert [g.has_edge(*pair) for pair in ALIASES] == [False] * len(ALIASES)
+
+
+def test_weight_of_a_pair_outside_the_node_range_is_a_key_error():
+    g = WeightedGraph(10, {(2, 5): 1.0})
+    for pair in ALIASES:
+        with pytest.raises(KeyError):
+            g.weight(*pair)
+
+
+def test_weaken_edge_outside_the_node_range_is_a_missing_edge():
+    g = WeightedGraph(10, {(2, 5): 1.0})
+    for pair in ALIASES:
+        with pytest.raises(MissingEdge, match="not in graph"):
+            weaken_edge(g, pair, 0.5)
+    assert g.weight(2, 5) == 1.0
+
+
+def test_laplacian_weaken_outside_the_node_range_is_a_missing_edge():
+    lap = Laplacian(WeightedGraph(10, {(2, 5): 1.0}))
+    before = lap.lap.copy()
+    for pair in ALIASES:
+        with pytest.raises(MissingEdge, match="not in graph"):
+            lap.weaken(pair, 0.5)
+    assert lap.g.weight(2, 5) == 1.0 and np.array_equal(lap.lap, before)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightedGraph.from_arrays(3, [0.5], [1.9], [1.0]),
+    lambda: WeightedGraph.from_arrays(3, np.array([0.0]), np.array([2]), [1.0]),
+    lambda: WeightedGraph.from_arrays(3, np.array([True]), np.array([2]), [1.0]),
+    lambda: WeightedGraph.from_arrays(3, [0, True], [1, 2], [1.0, 1.0]),
+    lambda: WeightedGraph(3, {(0.0, 2.7): 1.0}),
+    lambda: WeightedGraph(3, {(True, 2): 1.0}),
+    lambda: WeightedGraph(3, {(0, 1): 1.0, (1, np.float64(2.0)): 1.0}),
+], ids=["float-list", "float-array", "bool-array", "bool-in-int-list", "float-key",
+        "bool-key", "numpy-float-key"])
+def test_graph_builds_reject_float_and_bool_node_ids(build):
+    # casting them to intp would truncate a float to a node, or True to node 1
+    with pytest.raises(TypeError, match="node id must be an integer"):
+        build()
+
+
+def test_graph_builds_take_node_ids_of_any_integer_type():
+    want = WeightedGraph.from_arrays(4, [0, 3], [1, 2], [1.0, 2.0])
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64,
+                  np.uint64, np.intp):
+        g = WeightedGraph.from_arrays(4, np.array([0, 3], dtype), np.array([1, 2], dtype),
+                                      [1.0, 2.0])
+        assert g.edges == want.edges, dtype
+    assert WeightedGraph(4, {(np.int64(0), 1): 1.0, (np.uint8(3), 2): 2.0}).edges == want.edges
+    assert WeightedGraph.from_arrays(4, np.array([]), np.array([]), []).edge_count == 0
+
+
+def test_laplacian_weaken_steps_are_bitwise_fresh_builds():
+    # In-place weakenings and deletions, checked against weaken_edge and a
+    # fresh build_laplacian after every step.
+    kinds = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g_ref = random_graph(rng, int(rng.integers(2, 41)), density=0.5)
+        lap = Laplacian(g_ref)
+        for _ in range(30):
+            if g_ref.edge_count == 0:
+                break
+            m_arr, n_arr, w_arr = g_ref.edge_arrays()
+            i = int(rng.integers(g_ref.edge_count))
+            edge = (int(m_arr[i]), int(n_arr[i]))
+            if rng.random() < 0.5:
+                edge = edge[::-1]
+            delete = bool(rng.random() < 0.25)
+            eps = float(w_arr[i]) if delete else float(rng.choice([0.01, 0.3, 2.5]))
+            before = lap
+            lap = lap.weaken(edge, eps)
+            g_ref = weaken_edge(g_ref, edge, eps)
+            kinds.add((delete, lap is before))
+            assert (lap is before) == (lap.g.edge_count == before.g.edge_count)
+            assert lap.lap.tobytes() == build_laplacian(g_ref).tobytes()
+            for got, want in zip(lap.g.edge_arrays(), g_ref.edge_arrays()):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if g_ref.edge_count:
+            # a step too small to change the weight raises the same on both paths
+            edge = tuple(int(a[0]) for a in g_ref.edge_arrays()[:2])
+            tiny = float(g_ref.edge_arrays()[2][0]) * 1e-18
+            errors = []
+            for step in (lambda: weaken_edge(g_ref, edge, tiny), lambda: lap.weaken(edge, tiny)):
+                with pytest.raises(ValueError, match="unchanged") as info:
+                    step()
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+            assert lap.lap.tobytes() == build_laplacian(g_ref).tobytes()
+    assert kinds == {(False, True), (True, False), (False, False)}
 
 
 def test_gram_is_psd_and_cauchy_schwarz_holds():

@@ -4,8 +4,9 @@ No module of the package or the test suite imports a name it never
 reads, and the package re-exports exactly what its __init__ imports.
 No package module imports scipy.linalg or scipy.io at module level:
 their package inits load hundreds of modules fsgl never calls, which
-would double the start-up time of every process. Only graph.py reads a
-graph's edge keys or a Laplacian's index, so one module writes Laplacians.
+would double the start-up time of every process. Only graph.py reads
+another object's private members, so one module owns the edge index, the
+edge step and every Laplacian write.
 Graphs are built from whole edge arrays: no per-edge Python loop, and no
 per-edge check function anywhere in the package.
 """
@@ -116,25 +117,39 @@ def test_no_module_level_scipy_linalg_or_io():
     assert found == {}
 
 
-EDGE_INDEX = ("_keys", "_tkeys", "_ends")
-
-
-def edge_index_reads(source: str) -> list[str]:
-    """Attribute reads `x.a` in `source` for `a` in EDGE_INDEX."""
+def foreign_private_reads(source: str) -> list[str]:
+    """Reads `x._a` in `source` of a single-underscore attribute of any
+    object but `self` or `cls` (a dunder such as `x.__name__` passes)."""
     reads = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Attribute) and node.attr in EDGE_INDEX)
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                   and not (isinstance(node.value, ast.Name)
+                            and node.value.id in ("self", "cls")))
     return [f"{attr} (line {line})" for line, attr in reads]
 
 
-def test_only_graph_module_reads_the_edge_index():
-    assert edge_index_reads("g._keys[i]\nlap._tkeys\n_ends = 1\nx.keys\nf(a._ends)\n") == [
-        "_keys (line 1)", "_tkeys (line 2)", "_ends (line 5)"]
+def test_only_graph_module_reads_private_members_of_other_objects():
+    # graph.py owns the edge index and the edge step; every other module
+    # goes through public methods
+    assert foreign_private_reads(
+        "g._keys[i]\nself._w2\ncls._x\nlap._tkeys = 1\nx.keys\nf(a.b._ends)\n"
+        "t.__name__\nx.__y\n") == [
+        "_keys (line 1)", "_tkeys (line 4)", "_ends (line 6)", "__y (line 8)"]
     found = {}
     for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        reads = edge_index_reads(path.read_text())
+        reads = foreign_private_reads(path.read_text())
         if reads and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = reads
     assert found == {}
+
+
+def test_solver_leaves_the_weakening_rule_to_the_graph():
+    # a step is `Laplacian.weaken`: the solve neither clamps nor deletes
+    tree = ast.parse((ROOT / "src" / "fsgl" / "solver.py").read_text())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "WEIGHT_ZERO" not in names
+    assert [name for name in names if "weaken" in name.lower()] == []
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
