@@ -14,22 +14,23 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .datagen import GENERATORS, check_instance, draw_instance
-from .errors import FsglError, ZeroReference
+from .errors import FsglError, NonFiniteInput, ZeroReference
 from .graph import WeightedGraph, build_laplacian
 from .init_graph import default_budget, initial_graph
 from .solver import SOLVERS, SolverConfig, run_solver
-from .spectral import lambda2
+from .spectral import smallest_eigenpairs
 
 
 def check_reference(w_star: WeightedGraph, source: str = "reference graph") -> float:
-    """Frobenius norm of a reference adjacency; ZeroReference when it is 0.
-
-    The norm, not the edge count, decides: weights whose squares underflow
-    leave nothing to divide by.
-    """
-    denom = float(np.linalg.norm(w_star.adjacency()))
+    """Frobenius norm of a reference adjacency: ZeroReference when it is 0
+    (weights whose squares underflow leave nothing to divide by), and
+    NonFiniteInput when it overflows (every error would read 0)."""
+    with np.errstate(over="ignore"):
+        denom = float(np.linalg.norm(w_star.adjacency()))
     if denom == 0.0:
         raise ZeroReference(f"{source} has no edges")
+    if not np.isfinite(denom):
+        raise NonFiniteInput(f"{source}'s Frobenius norm overflows: its weights are too large")
     return denom
 
 
@@ -185,9 +186,9 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
             t0 = time.perf_counter()
             g, _ = run_solver(g0, obs, configs[sol])
             ms = (time.perf_counter() - t0) * 1e3
-            return BenchCell(gen_name, sol, ratio, trial,
-                             relative_error(g, gt.w_star), lambda2(build_laplacian(g)),
-                             g.edge_count, ms)
+            lam2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
+            return BenchCell(gen_name, sol, ratio, trial, relative_error(g, gt.w_star),
+                             lam2, g.edge_count, ms)
         except (FsglError, ValueError, np.linalg.LinAlgError) as exc:
             return BenchCell(gen_name, sol, ratio, trial, float("nan"),
                              float("nan"), 0, float("nan"),

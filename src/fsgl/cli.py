@@ -25,7 +25,7 @@ from .init_graph import initial_graph
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import BRUTE_FORCE_LIMIT, approx_cheeger_cut, brute_force_cheeger
 from .solver import SOLVERS, SolverConfig, run_solver
-from .spectral import lambda2, smallest_eigenpairs
+from .spectral import smallest_eigenpairs
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -37,7 +37,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=d.budget_b,
                    help="extra init edges beyond the tree (default 3N)")
     p.add_argument("--refresh", type=int, default=d.refresh_interval,
-                   help="spectral refresh period in accepted steps")
+                   help="steps per snapshot; above 1 is approximate (descent not certified)")
     p.add_argument("--exact-logdet", action=argparse.BooleanOptionalAction,
                    default=d.exact_logdet,
                    help="score with the exact resolvent instead of the majorizer")
@@ -175,7 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         save_graph(g, args.output)
     if args.trace:
         trace.to_csv(args.trace)
-    lam2 = lambda2(build_laplacian(g))
+    lam2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "

@@ -117,7 +117,9 @@ class WeightedGraph:
         if fails.any():
             i = int(fails.any(axis=0).argmax())
             kind, message = _EDGE_ERRORS[int(fails[:, i].argmax())]
-            exc = kind(message.format(m=lo[i], n=hi[i], w=float(w[i]), size=n))
+            # the ids as given: a uint64 id past intp wrapped to a negative node
+            a, b = sorted((int(np.asarray(ms)[i]), int(np.asarray(ns)[i])))
+            exc = kind(message.format(m=a, n=b, w=float(w[i]), size=n))
             exc.position = i
             raise exc
         self._ws, self._edges = _frozen(w[order]), None
@@ -231,6 +233,9 @@ class Laplacian:
         self._diag = self._flat[::size + 1]
         self._flat[g._keys] = self._flat[self._tkeys] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=size)
+        bad = np.flatnonzero(~np.isfinite(self._diag))  # weakening keeps it finite
+        if bad.shape[0]:
+            raise NonFiniteInput(f"node {bad[0]}'s weighted degree overflows")
 
     def weaken(self, edge: tuple[int, int], eps: float) -> "Laplacian":
         """`weaken_edge` on `g`: self, weakened in place, or the next edge set's."""

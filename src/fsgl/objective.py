@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph, build_laplacian
-from .spectral import SpectralState, lambda2
+from .spectral import SpectralState, smallest_eigenpairs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,14 +167,12 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
 
 
 def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
-    """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off.
-
-    Dense determinant and eigendecomposition. Monitoring only, never part
-    of the scoring loop.
-    """
-    lap = build_laplacian(g)
-    sign, logdet = np.linalg.slogdet(lap + cfg.alpha * np.eye(g.n))
-    if sign <= 0:
+    """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
+    from one full spectrum l_1 <= ... <= l_N of L: log det = sum log(l_i + a),
+    after checking l_1 + a > 0. Monitoring only, never in the scoring loop."""
+    state = smallest_eigenpairs(build_laplacian(g), g.n)
+    shifted = state.eigvals + cfg.alpha
+    if not shifted[0] > 0:
         raise ValueError("L + alpha I is not positive definite")
-    h = smoothness_trace(g, y) - logdet - cfg.gamma * lambda2(lap)
+    h = smoothness_trace(g, y) - np.log(shifted).sum() - cfg.gamma * state.fiedler_value
     return h + cfg.mu * 2.0 * g.edge_count

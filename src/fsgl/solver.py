@@ -52,8 +52,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "gamma", "mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be finite and not a bool, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.alpha <= 0:

@@ -3,9 +3,11 @@
 The solver only ever needs the low end of the spectrum: the Fiedler pair
 (lambda_2, v_2), its gap to the neighboring eigenvalues, and a truncated
 eigenbasis that `objective.score_edges` weights with `SolverConfig.alpha`
-to upper-bound quadratic forms of (L + alpha I)^{-1}. The recursive
-selector's cut plan takes its sub-graph Fiedler pairs from the same
-routine, so this is the one module that calls LAPACK.
+to upper-bound quadratic forms of (L + alpha I)^{-1}. Every eigenvalue
+and determinant of a Laplacian comes from `smallest_eigenpairs`, for the
+sub-graph Fiedler pairs, the exact objective and each reported lambda_2
+too; the one other LAPACK call on a solve's Laplacian is the exact
+resolvent's `np.linalg.inv` in `solver.compute_state`.
 
 Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
 with the arguments `scipy.linalg.eigh(subset_by_index=...)` would pass,
@@ -139,11 +141,3 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
         vals, vecs = np.linalg.eigh(lap)
     return SpectralState(vals, vecs)
 
-
-def lambda2(lap: np.ndarray) -> float:
-    """Second-smallest eigenvalue of a dense Laplacian, from its full spectrum.
-
-    For reports and the exact objective; the solver's snapshots come from
-    `smallest_eigenpairs`.
-    """
-    return float(np.linalg.eigvalsh(lap)[1])

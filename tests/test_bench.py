@@ -1,17 +1,21 @@
 """Benchmark harness: error metric, cell seeding, and report layout."""
 
+import warnings
+
 import numpy as np
 import pytest
+from eigencount import counted_eigensolves
 from fsgl.bench import (
     RAW_HEADER,
     SUMMARY_HEADER,
     BenchCell,
     BenchReport,
+    check_reference,
     relative_error,
     run_benchmark,
 )
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import InvalidBudget, InvalidDof, TooLarge, ZeroReference
+from fsgl.errors import InvalidBudget, InvalidDof, NonFiniteInput, TooLarge, ZeroReference
 from fsgl.graph import WeightedGraph
 from fsgl.init_graph import default_budget, initial_graph
 from fsgl.solver import SolverConfig
@@ -29,6 +33,29 @@ def test_relative_error_oracles():
         relative_error(a, empty)
     with pytest.raises(ValueError):
         relative_error(a, WeightedGraph(4, {(0, 1): 1.0}))
+
+
+def test_reference_whose_norm_overflows_is_non_finite_input():
+    # an infinite norm would make every relative error 0 or NaN
+    big = WeightedGraph(3, {(0, 1): 1e200, (1, 2): 1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: check_reference(big, "t.csv"), lambda: relative_error(big, big)):
+            with pytest.raises(NonFiniteInput, match="Frobenius norm overflows"):
+                call()
+    # a reference it accepts keeps its norm's bits
+    for w in (1e-150, 1.0, 1e150):
+        ok = WeightedGraph(3, {(0, 1): w, (1, 2): 2.0 * w})
+        assert check_reference(ok) == float(np.linalg.norm(ok.adjacency()))
+
+
+def test_run_benchmark_takes_each_cells_lambda2_from_two_eigenpairs(monkeypatch):
+    import fsgl.bench
+    calls = counted_eigensolves(monkeypatch, fsgl.bench)
+    rep = run_benchmark(SolverConfig(max_iters=10), ratios=(0.3,), trials=2, n=8,
+                        generators=("gmm",))
+    assert all(c.ok for c in rep.cells) and len(rep.cells) == 4
+    assert calls == [2] * 4
 
 
 def test_relative_error_matches_manual_frobenius():

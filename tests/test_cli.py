@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from eigencount import counted_eigensolves
 from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
 from fsgl.errors import NonFiniteObjective
@@ -278,6 +279,7 @@ MTX = "%%MatrixMarket matrix coordinate real general\n"
     ("t.csv", "", "expected edge-list CSV"),
     ("t.csv", "m,n,w\n", "no edges"),
     ("t.csv", "m,n,w\n0,1,1e-200\n", "no edges"),  # norm underflows to 0
+    ("t.csv", "m,n,w\n0,1,1e200\n1,2,1e200\n", "Frobenius norm overflows"),
     ("t.csv", None, "No such file"),
 ])
 def test_solve_rejects_bad_truth_before_solving(tmp_path, capsys, name, text, message):
@@ -386,11 +388,21 @@ def test_cheeger_check_passes_on_small_graphs(capsys):
 
 
 def test_cheeger_check_takes_lambda2_from_the_sweep_eigensolve(monkeypatch, capsys):
-    def full_spectrum(lap):
-        raise AssertionError("cheeger-check ran a second eigensolve")
-    monkeypatch.setattr("fsgl.cli.lambda2", full_spectrum)
+    import fsgl.cli
+    calls = counted_eigensolves(monkeypatch, fsgl.cli)
     assert run_cli("cheeger-check", "--n", "7", "--trials", "5", "--seed", "2") == 0
     assert "5/5" in capsys.readouterr().out
+    assert calls == [3] * 5  # one eigensolve per trial
+
+
+def test_solve_reports_lambda2_from_two_eigenpairs(tmp_path, monkeypatch, capsys):
+    import fsgl.cli
+    x = tmp_path / "x.csv"
+    x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n0.1,0.4\n")
+    calls = counted_eigensolves(monkeypatch, fsgl.cli)
+    assert run_cli("solve", "--input", str(x)) == 0
+    assert calls == [2]
+    assert re.search(r" lambda2=\d+\.\d{6} ", capsys.readouterr().out)
 
 
 def test_cheeger_check_rejects_large_n(capsys):

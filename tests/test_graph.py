@@ -137,6 +137,32 @@ def test_node_beyond_the_index_range_is_out_of_range():
             build()
 
 
+def test_unsigned_node_id_past_the_intp_range_is_named_as_given():
+    # an intp cast wraps 2**64 - 1 to -1, a node the caller never gave
+    top = 2**64 - 1
+    for ms, ns, position in (([top], [1], 0), ([0, 1], [1, top], 1), ([1, top], [0, 2], 1)):
+        with pytest.raises(ValueError, match=rf"edge \({min(ms[position], ns[position])},"
+                                             rf"{top}\) out of range for n=3") as info:
+            WeightedGraph.from_arrays(3, np.array(ms, np.uint64), np.array(ns, np.uint64),
+                                      np.ones(len(ms)))
+        assert info.value.position == position
+    # two such ids are distinct nodes, and an earlier bad edge still comes first
+    with pytest.raises(ValueError, match=rf"edge \({top - 1},{top}\) out of range"):
+        WeightedGraph.from_arrays(3, np.array([top], np.uint64), np.array([top - 1], np.uint64),
+                                  [1.0])
+    with pytest.raises(ValueError, match="edge \\(0,1\\) has nonpositive weight") as info:
+        WeightedGraph.from_arrays(3, np.array([0, top], np.uint64), [1, 1], [-1.0, 1.0])
+    assert info.value.position == 0
+
+
+def test_laplacian_of_a_degree_that_overflows_is_non_finite_input():
+    # every weight is finite; node 1's degree, their sum, is not
+    g = WeightedGraph(3, {(0, 1): 1e308, (1, 2): 1e308})
+    for build in (build_laplacian, Laplacian):
+        with pytest.raises(NonFiniteInput, match="node 1's weighted degree overflows"):
+            build(g)
+
+
 def test_edge_arrays_sorted_lexicographically():
     for seed in range(20):
         rng = np.random.default_rng(seed)

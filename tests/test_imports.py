@@ -8,7 +8,9 @@ would double the start-up time of every process. Only graph.py reads
 another object's private members, so one module owns the edge index, the
 edge step and every Laplacian write.
 Graphs are built from whole edge arrays: no per-edge Python loop, and no
-per-edge check function anywhere in the package.
+per-edge check function anywhere in the package. Only spectral.py calls
+an eigenvalue or determinant routine (datagen's covariance square root
+aside), so every spectrum of a Laplacian comes from one eigensolver.
 """
 
 import ast
@@ -150,6 +152,47 @@ def test_solver_leaves_the_weakening_rule_to_the_graph():
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "WEIGHT_ZERO" not in names
     assert [name for name in names if "weaken" in name.lower()] == []
+
+
+# What computes eigenvalues or determinants; only spectral.py may call them.
+EIGEN_CALLS = ("eigh", "eigvalsh", "eig", "eigvals", "slogdet", "det")
+# datagen's covariance square root is not of a Laplacian.
+EIGEN_CALL_EXCEPTIONS = {"src/fsgl/datagen.py": [("_sym_sqrt", "eigh")]}
+
+
+def eigen_calls(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing function or None, name) for each call in `source` of a
+    function named in EIGEN_CALLS, as an attribute (`np.linalg.eigh(a)`)
+    or a bare name (`eigh(a)`)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in EIGEN_CALLS:
+                    found.append((func, name))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_spectral_module_computes_eigenvalues_or_determinants():
+    # every eigenvalue and determinant of a Laplacian comes from
+    # smallest_eigenpairs: one eigensolver, not an LU or a second spectrum
+    assert eigen_calls("np.linalg.eigh(a)\ndef f():\n    return slogdet(b)[1]\n"
+                       "x.det\nclass C:\n    def g(self):\n        la.eigvals(c)\n"
+                       "f(eig)\nnp.linalg.inv(d)\nsp.eigsh(e)\n") == [
+        (None, "eigh"), ("f", "slogdet"), ("g", "eigvals")]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        calls = eigen_calls(path.read_text())
+        if calls and path.name != "spectral.py":
+            found[str(path.relative_to(ROOT))] = calls
+    assert found == EIGEN_CALL_EXCEPTIONS
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fsgl.spectral
+from eigencount import counted_eigensolves
 from fsgl.graph import (
     WeightedGraph,
     build_laplacian,
@@ -341,6 +342,35 @@ def test_objective_value_matches_direct_formula():
                - cfg.gamma * np.linalg.eigvalsh(lap)[1]
                + cfg.mu * 2.0 * g.edge_count)
         assert objective_value(g, y, cfg) == pytest.approx(ref, abs=1e-9)
+
+
+def test_objective_value_takes_one_full_spectrum(monkeypatch):
+    # log det(L + aI), its positive-definiteness check and l2 all come from
+    # one smallest_eigenpairs call: no LU factorization, no second spectrum
+    import fsgl.objective
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("objective_value called another LAPACK routine")
+    rng = np.random.default_rng(3)
+    cases = [(random_connected_graph(rng, n), gram(rng.standard_normal((n, 3))))
+             for n in (2, 7)]
+    calls = counted_eigensolves(monkeypatch, fsgl.objective)
+    for name in ("slogdet", "det", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for g, y in cases:
+        objective_value(g, y, SolverConfig())
+    assert calls == [2, 7]
+
+
+def test_objective_value_rejects_a_spectrum_at_minus_alpha(monkeypatch):
+    # l_1 + alpha = 0 leaves L + alpha I singular: no log det to take
+    import fsgl.objective
+    cfg = SolverConfig()
+    state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 4)
+    singular = SpectralState(state.eigvals - state.eigvals[0] - cfg.alpha, state.eigvecs)
+    monkeypatch.setattr(fsgl.objective, "smallest_eigenpairs", lambda lap, k: singular)
+    with pytest.raises(ValueError, match="not positive definite"):
+        objective_value(complete_graph(4), np.eye(4), cfg)
 
 
 def test_descent_soundness_single_step():

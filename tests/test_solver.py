@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import FsglError, NonFiniteObjective
+from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete_graph,
                         weaken_edge)
 from fsgl.init_graph import init_sparse_graph
@@ -58,6 +58,10 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SolverConfig(**{name: bad})
         assert getattr(SolverConfig(**{name: np.int64(4)}), name) == 4
+    for name in ("epsilon", "alpha", "gamma", "mu"):
+        for bad in (True, False, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must be finite and not a bool"):
+                SolverConfig(**{name: bad})
     with pytest.raises(ValueError, match="budget_b must be an integer >= 0"):
         SolverConfig(budget_b=-1)
     assert SolverConfig().epsilon == 0.01
@@ -410,6 +414,17 @@ def test_non_finite_initial_objective_is_a_typed_error(kind):
         with pytest.raises(NonFiniteObjective, match="initial objective is inf") as info:
             run_solver(g0, obs, SolverConfig(solver_kind=kind))
     assert isinstance(info.value, FsglError)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_start_graph_whose_degree_overflows_is_non_finite_input(kind):
+    # finite weights whose sum at node 1 overflows: no eigensolver error, no warning
+    g0 = WeightedGraph(3, {(0, 1): 1e308, (1, 2): 1e308})
+    obs = ObservationSet(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="node 1's weighted degree overflows"):
+            run_solver(g0, obs, SolverConfig(solver_kind=kind))
 
 
 def _replay_bitwise(g0, obs, cfg, monkeypatch):
