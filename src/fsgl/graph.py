@@ -78,7 +78,8 @@ class WeightedGraph:
     rest with its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
     freely; the one exception is `Laplacian.g`, whose weights its owner
-    writes. `edges` is a read-only {(m, n): w} view, built on first use.
+    writes until it hands the graph out, as `run_solver` does on return.
+    `edges` is a read-only {(m, n): w} view, built on first use.
     Every graph is built by `from_arrays`; `WeightedGraph(n, {(m, n): w})`
     passes a mapping's keys and values to it.
     """

@@ -31,6 +31,8 @@ def _dense_from_mm(path) -> np.ndarray:
     from scipy.io import mmread
 
     a = mmread(str(path))
+    if a.dtype.kind == "c":  # the float cast below would keep only the real parts
+        raise ValueError(f"{path}: complex Matrix Market entries are not supported")
     return a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=np.float64)
 
 

@@ -170,6 +170,8 @@ def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
     """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
     from one full spectrum l_1 <= ... <= l_N of L: log det = sum log(l_i + a),
     after checking l_1 + a > 0. Monitoring only, never in the scoring loop."""
+    if g.n < 2:
+        raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
     state = smallest_eigenpairs(build_laplacian(g), g.n)
     shifted = state.eigvals + cfg.alpha
     if not shifted[0] > 0:

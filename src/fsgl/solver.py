@@ -4,16 +4,17 @@ Each iteration scores every candidate edge against an immutable spectral
 snapshot, weakens the best-scoring edge while its score stays negative,
 and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
-(recursive); both return the same edge by construction. A solve keeps
-one workspace per edge set: the weights and the dense Laplacian, which a
-weakening step updates in place and from which each snapshot is taken,
-and what the edge set fixes (scoring terms, the recursive arm's cut
-plan). Only a step that deletes an edge builds a new one.
+(recursive); both return the same edge by construction. A solve holds
+one `graph.Laplacian`, which a weakening step updates in place and from
+which each snapshot is taken, and what its edge set fixes: the scoring
+terms and the recursive arm's cut plan. Only a step that deletes an edge
+builds a new one; the solve returns the last Laplacian's graph.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -53,7 +54,9 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("epsilon", "alpha", "gamma", "mu"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+            # a real number (no str, None, complex or list); NaN fails the compare
+            if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+                    or not -np.inf < value < np.inf):
                 raise ValueError(f"{name} must be finite and not a bool, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -68,6 +71,8 @@ class SolverConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.exact_logdet, (bool, np.bool_)):
+            raise ValueError(f"exact_logdet must be a bool, got {self.exact_logdet!r}")
         if self.solver_kind not in SOLVERS:
             raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 
@@ -104,8 +109,8 @@ class SolveTrace:
     sums the edges scored +inf (step too large) over all steps. phase_ms
     splits the solve's time after the initial objective: "eigensolve"
     (snapshots), "select" (scoring and selection), "rebuild" (a new edge
-    set's workspace: scoring terms, Laplacian, cut plan) and "mutate"
-    (in-place weakening steps).
+    set's Laplacian and scoring terms, and the cut plan it is first
+    selected on) and "mutate" (in-place weakening steps).
     """
 
     initial_objective: float = float("nan")
@@ -175,20 +180,6 @@ def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
     return state
 
 
-class _Workspace:
-    """What a solve keeps while its edge set lasts: the graph and its
-    Laplacian, which a weakening step updates in place (see
-    `graph.Laplacian`), the scoring terms (see `score_edges`) and the
-    recursive arm's cut plan. A deletion builds the next edge set's."""
-
-    __slots__ = ("laplacian", "terms", "plan")
-
-    def __init__(self, laplacian: Laplacian, y: np.ndarray, eps: float):
-        self.laplacian = laplacian
-        self.terms = edge_terms(y, *laplacian.g.edge_arrays()[:2], eps)
-        self.plan = None
-
-
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
                 terms=None, trace=None) -> tuple[tuple[int, int], float] | None:
     """Exhaustive scan for the edge with the most negative score.
@@ -240,47 +231,45 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         return now
 
     t0 = time.perf_counter()
-    work = _Workspace(Laplacian(g0), y, cfg.epsilon)
+    lap = Laplacian(g0)
+    terms, plan = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon), None
     t = charge("rebuild", t0)
-    state = _snapshot(work.laplacian.lap, cfg, obs.k)
+    state = _snapshot(lap.lap, cfg, obs.k)
     trace.eigensolves += 1
     t = charge("eigensolve", t)
     accepted = 0
     while accepted < cfg.max_iters:
-        g = work.laplacian.g
         if cfg.solver_kind == "recursive":
-            if work.plan is None:  # only for an edge set a step selects on
-                work.plan = _partition.cut_plan(g, _partition.LEAF_NODES)
+            if plan is None:  # only for an edge set a step selects on
+                plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES)
                 t = charge("rebuild", t)
-            sel = _partition.partition_select(g, state, obs, cfg, work.plan, work.terms,
-                                              trace)
+            sel = _partition.partition_select(lap.g, state, obs, cfg, plan, terms, trace)
         else:
-            sel = greedy_step(g, y, state, cfg, work.terms, trace)
+            sel = greedy_step(lap.g, y, state, cfg, terms, trace)
         t = charge("select", t)
         if sel is None:
             trace.stop_reason = "no_descent"
             break
         edge, grad_h = sel
-        lap = work.laplacian.weaken(edge, cfg.epsilon)
-        if lap is work.laplacian:
+        weakened = lap.weaken(edge, cfg.epsilon)
+        if weakened is lap:
             t = charge("mutate", t)
         else:
-            work = _Workspace(lap, y, cfg.epsilon)
+            lap, plan = weakened, None
+            terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
             t = charge("rebuild", t)
         accepted += 1
-        trace.append(edge, grad_h, state.fiedler_value, work.laplacian.g.edge_count,
-                     (t - t0) * 1e3)
+        trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
-            state = _snapshot(work.laplacian.lap, cfg, obs.k)
+            state = _snapshot(lap.lap, cfg, obs.k)
             trace.eigensolves += 1
             t = charge("eigensolve", t)
 
-    g = WeightedGraph.from_arrays(g0.n, *work.laplacian.g.edge_arrays())  # copies weights
-    trace.final_objective = objective_value(g, y, cfg)
+    trace.final_objective = objective_value(lap.g, y, cfg)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
     if accepted == 0 and trace.converged:
         logger.warning("no edge descends from the initial graph; returned unchanged")
     logger.info("%s solve: %d steps, stop=%s, %d eigensolves", cfg.solver_kind,
                 accepted, trace.stop_reason, trace.eigensolves)
-    return g, trace
+    return lap.g, trace

@@ -296,6 +296,19 @@ def test_solve_rejects_bad_truth_before_solving(tmp_path, capsys, name, text, me
     assert "solver=" not in captured.out and "relative_error=" not in captured.out
 
 
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix coordinate complex general\n2 1 2\n1 1 1.0 5.0\n2 1 2.0 0.0\n",
+    "%%MatrixMarket matrix array complex general\n2 1\n1.0 5.0\n2.0 0.0\n",
+], ids=["coordinate", "array"])
+def test_solve_refuses_complex_matrix_market_input(tmp_path, capsys, text):
+    path = tmp_path / "c.mtx"
+    path.write_text(text)
+    assert run_cli("solve", "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "complex Matrix Market" in captured.err
+    assert "solver=" not in captured.out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve")  # --input is required

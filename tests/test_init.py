@@ -1,11 +1,21 @@
 """Similarity-guided sparse initialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, NonFiniteInput
-from fsgl.graph import gram, is_connected
-from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
+from fsgl.graph import complete_graph, gram, is_connected
+from fsgl.init_graph import (
+    EDGE_ARRAYS,
+    RANKING_ARRAYS,
+    default_budget,
+    init_sparse_graph,
+    max_similarity_tree,
+)
+from fsgl.solver import SolverConfig, eigenpair_count, run_solver
 
 
 def random_gram(rng, n, k=None):
@@ -158,3 +168,35 @@ def test_start_rejects_non_square_and_non_finite_similarity(start):
     y[1, 2] = np.inf
     with pytest.raises(NonFiniteInput, match="non-finite"):
         start(y)
+
+
+def traced_peak(build):
+    """Peak bytes tracemalloc sees while build() runs, and its result."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [200, 300, 400])
+def test_sparse_start_peak_fits_its_ranking_arrays(n):
+    # initial_graph's size ceiling counts RANKING_ARRAYS pair-length arrays
+    y = gram(np.random.default_rng(n).standard_normal((n, 8)))
+    _, peak = traced_peak(lambda: init_sparse_graph(y, None))
+    pairs = n * (n - 1) // 2
+    assert peak <= 8 * (RANKING_ARRAYS * pairs + 4 * n) + 4096, f"{peak / (8 * pairs):.2f}"
+
+
+@pytest.mark.parametrize("n, k", [(80, 16), (120, 24)])
+def test_complete_start_solve_peak_fits_its_edge_arrays(n, k):
+    # initial_graph's size ceiling counts EDGE_ARRAYS + 2k edge-length
+    # arrays for a solve from the complete graph, deletions included
+    obs = sample_gmm(gen_ground_truth(n, 0.3, seed=3), k, seed=13)
+    obs.gram  # the Gram matrix is the observations', not the solve's
+    (g, trace), peak = traced_peak(
+        lambda: run_solver(complete_graph(n), obs, SolverConfig(epsilon=0.05, max_iters=150)))
+    edges = n * (n - 1) // 2
+    assert len(trace) == 150 and g.edge_count < edges
+    limit = 8 * ((EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges + 4 * n) + 4096
+    assert peak <= limit, f"{peak / (8 * edges):.2f} edge-length arrays"

@@ -1,5 +1,7 @@
 """Edge-list and observation file round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,26 @@ def test_observations_malformed(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_observations(empty)
+
+
+COMPLEX_MTX = {
+    "coordinate": "%%MatrixMarket matrix coordinate complex general\n"
+                  "2 2 3\n1 1 1.0 5.0\n2 1 2.0 0.0\n2 2 0.5 0.0\n",
+    "array": "%%MatrixMarket matrix array complex general\n"
+             "2 2\n1.0 5.0\n2.0 0.0\n0.0 0.0\n0.5 0.0\n",
+    "graph": "%%MatrixMarket matrix coordinate complex symmetric\n"
+             "3 3 2\n2 1 1.0 5.0\n3 2 2.0 0.0\n",
+}
+
+
+@pytest.mark.parametrize("layout", list(COMPLEX_MTX))
+def test_complex_matrix_market_is_refused(tmp_path, layout):
+    # a float cast would keep only the real parts (1+5j read as 1.0)
+    path = tmp_path / f"{layout}.mtx"
+    path.write_text(COMPLEX_MTX[layout])
+    load = load_graph if layout == "graph" else load_observations
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{layout}.mtx: complex Matrix Market "
+                                             "entries are not supported"):
+            load(path)

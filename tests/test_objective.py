@@ -391,3 +391,9 @@ def test_descent_soundness_single_step():
                 continue  # clamped partial step changes the accounting
             after = objective_value(g2, y, cfg)
             assert after - before <= grad + 1e-8
+
+
+def test_objective_value_needs_two_nodes():
+    # lambda2, and so the objective, is undefined on one node
+    with pytest.raises(ValueError, match="at least two nodes: lambda2 is undefined"):
+        objective_value(WeightedGraph(1), np.eye(1), SolverConfig())

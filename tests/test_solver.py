@@ -1,6 +1,7 @@
 """Solver configuration, trace bookkeeping, and the greedy loop."""
 
 import logging
+import pickle
 import re
 import time
 import tracemalloc
@@ -50,7 +51,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(solver_kind="random")
     for name in ("epsilon", "alpha", "gamma", "mu"):
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, "0.1", None, 1 + 2j, [0.5]):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
     for name in ("budget_b", "refresh_interval", "max_iters"):
@@ -62,6 +63,10 @@ def test_config_validation():
         for bad in (True, False, np.True_):
             with pytest.raises(ValueError, match=f"{name} must be finite and not a bool"):
                 SolverConfig(**{name: bad})
+    for bad in ("false", 0.5, [0], 1, None):
+        with pytest.raises(ValueError, match="exact_logdet must be a bool"):
+            SolverConfig(exact_logdet=bad)
+    assert SolverConfig(exact_logdet=np.True_).exact_logdet
     with pytest.raises(ValueError, match="budget_b must be an integer >= 0"):
         SolverConfig(budget_b=-1)
     assert SolverConfig().epsilon == 0.01
@@ -174,6 +179,33 @@ def test_run_solver_objective_monotone_with_fresh_snapshots():
         assert values[-1] == trace.final_objective
         drops = np.diff(values)
         assert np.all(drops <= 1e-8), f"seed {seed}: objective rose {drops.max()}"
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_run_solver_returns_its_own_graph_without_a_copy(kind, monkeypatch):
+    obs = small_instance(5, n=10, k=3)
+    g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 8)
+    cfg = SolverConfig(solver_kind=kind, epsilon=0.05)
+    builds, from_arrays = [], WeightedGraph.from_arrays.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return from_arrays(cls, *args)
+
+    monkeypatch.setattr(WeightedGraph, "from_arrays", classmethod(counted))
+    g, trace = run_solver(g0, obs, cfg)
+    monkeypatch.undo()
+    assert builds == [] and len(set(trace.edge_counts)) > 1  # deletions included
+    replayed = g0
+    for edge in trace.edges_mn:
+        replayed = weaken_edge(replayed, edge, cfg.epsilon)
+    weights = g.edge_arrays()[2]
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    for other in (replayed, pickle.loads(pickle.dumps(g))):
+        for got, want in zip(other.edge_arrays(), g.edge_arrays()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_run_solver_stops_at_max_iters():
