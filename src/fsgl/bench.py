@@ -44,7 +44,8 @@ def relative_error(w_hat: WeightedGraph, w_star: WeightedGraph) -> float:
 
 @dataclass(frozen=True)
 class BenchCell:
-    """One benchmark run; `error` is empty unless the cell failed."""
+    """One benchmark run, with its solve's accepted `steps` and `stop`
+    reason; a failed cell has 0, "" and a non-empty `error`."""
 
     generator: str
     solver: str
@@ -54,6 +55,8 @@ class BenchCell:
     lambda2: float
     edges: int
     ms: float
+    steps: int = 0
+    stop: str = ""
     error: str = ""
 
     @property
@@ -184,11 +187,11 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                                     rho, nu, n_components, mean_scale)
             g0 = initial_graph(obs, configs[sol])
             t0 = time.perf_counter()
-            g, _ = run_solver(g0, obs, configs[sol])
+            g, trace = run_solver(g0, obs, configs[sol])
             ms = (time.perf_counter() - t0) * 1e3
             lam2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
             return BenchCell(gen_name, sol, ratio, trial, relative_error(g, gt.w_star),
-                             lam2, g.edge_count, ms)
+                             lam2, g.edge_count, ms, len(trace), trace.stop_reason)
         except (FsglError, ValueError, np.linalg.LinAlgError) as exc:
             return BenchCell(gen_name, sol, ratio, trial, float("nan"),
                              float("nan"), 0, float("nan"),

@@ -231,7 +231,7 @@ def cmd_cheeger_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     violations = 0
     for trial in range(args.trials):
-        ms, ns = np.array(connected_pairs(args.n, args.density, rng)).T
+        ms, ns = connected_pairs(args.n, args.density, rng)
         g = WeightedGraph.from_arrays(args.n, ms, ns, np.ones(ms.shape[0]))
         lap = build_laplacian(g)
         state = smallest_eigenpairs(lap, min(3, g.n))

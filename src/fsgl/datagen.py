@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDof, TooLarge
-from .graph import (
-    ObservationSet,
-    WeightedGraph,
-    build_laplacian,
-    connected_components,
-)
+from .graph import ObservationSet, WeightedGraph, build_laplacian, component_labels
 
 GENERATORS = ("gmm", "mvt")
 MAX_ARRAY_BYTES = 2**30  # the largest dense float64 array datagen allocates
@@ -81,8 +76,9 @@ def check_dof(nu: float) -> None:
 
 
 def connected_pairs(n: int, density: float,
-                    rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Sorted node pairs of a connected random graph on n nodes.
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (ms, ns) of a connected random graph on n nodes, m < n,
+    in (m, n) order.
 
     Each pair is kept with probability `density`, redrawn until connected;
     after 1000 draws, components are bridged with single edges instead.
@@ -90,15 +86,20 @@ def connected_pairs(n: int, density: float,
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(1000):
         mask = rng.random(iu.shape[0]) < density
-        pairs = [(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])]
-        comps = connected_components(n, pairs)
-        if len(comps) == 1:
-            return pairs
-    for ca, cb in zip(comps, comps[1:]):
-        a = ca[int(rng.integers(len(ca)))]
-        b = cb[int(rng.integers(len(cb)))]
-        pairs.append((a, b) if a < b else (b, a))
-    return sorted(pairs)
+        ms, ns = iu[mask], ju[mask]
+        labels = component_labels(n, ms, ns)
+        if not labels.any():
+            return ms, ns
+    # components in order of their smallest node, each one's members ascending
+    nodes = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[nodes], return_index=True, return_counts=True)
+    # bridge j joins a random member of component j to one of component j + 1
+    sides = np.repeat(np.arange(sizes.shape[0]), 2)[1:-1]
+    ends = nodes[starts[sides] + rng.integers(sizes[sides])].reshape(-1, 2)
+    ms = np.concatenate([ms, ends.min(axis=1)])
+    ns = np.concatenate([ns, ends.max(axis=1)])
+    order = np.argsort(ms * n + ns)
+    return ms[order], ns[order]
 
 
 def gen_ground_truth(n: int, density: float, rho: float = 0.5,
@@ -106,7 +107,7 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     """`connected_pairs` graph with uniform [0.5, 1.5] edge weights."""
     check_ground_truth(n, density, rho)
     rng = np.random.default_rng(seed)
-    ms, ns = np.array(connected_pairs(n, density, rng)).T
+    ms, ns = connected_pairs(n, density, rng)
     g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.5, 1.5, size=ms.shape[0]))
     theta = build_laplacian(g) + rho * np.eye(n)
     try:

@@ -322,27 +322,21 @@ class ObservationSet:
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every node lies in one connected component."""
     m, n, _ = g.edge_arrays()
-    return len(connected_components(g.n, zip(m.tolist(), n.tolist()))) == 1
+    return not component_labels(g.n, m, n).any()
 
 
-def connected_components(n: int, edge_list) -> list[list[int]]:
-    """Connected components of the graph on nodes [0, n) with given edges."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m, k in edge_list:
-        ra, rb = find(m), find(k)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+def component_labels(n: int, ms, ns) -> np.ndarray:
+    """Each node of the graph on nodes [0, n) with edges (ms[i], ns[i]),
+    labelled with the smallest node of its component: each round jumps
+    every label to its label's label, then hooks the larger of each edge's
+    two labels onto the smaller, until a round changes nothing."""
+    labels, last = np.arange(n), None
+    while not np.array_equal(labels, last):
+        last, labels = labels, labels[labels]
+        lm, ln = labels[ms], labels[ns]
+        np.minimum.at(labels, lm, ln)
+        np.minimum.at(labels, ln, lm)
+    return labels
 
 
 def complete_graph(n: int) -> WeightedGraph:

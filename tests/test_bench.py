@@ -1,6 +1,7 @@
 """Benchmark harness: error metric, cell seeding, and report layout."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from fsgl.bench import (
     relative_error,
     run_benchmark,
 )
-from fsgl.datagen import gen_ground_truth, sample_gmm
+from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, InvalidDof, NonFiniteInput, TooLarge, ZeroReference
 from fsgl.graph import WeightedGraph
 from fsgl.init_graph import default_budget, initial_graph
-from fsgl.solver import SolverConfig
+from fsgl.solver import SolverConfig, run_solver
 
 
 def test_relative_error_oracles():
@@ -126,6 +127,23 @@ def test_run_benchmark_same_instance_across_solvers():
     assert len({c.re for c in greedy.values()}) == 3
 
 
+def test_cells_report_their_solves_steps_and_stop_reason():
+    # each cell's steps and stop equal a direct solve of the same draw; this
+    # step size ends some solves at the cap and lets the rest converge
+    cfg = SolverConfig(epsilon=0.25, max_iters=40)
+    generators = ("gmm", "mvt")
+    rep = run_benchmark(cfg, ratios=(0.5,), trials=2, n=10, generators=generators)
+    raw = rep.raw_csv().splitlines()[1:]
+    for c, line in zip(rep.cells, raw, strict=True):
+        _, obs = draw_instance(10, 5, c.generator, [0, generators.index(c.generator), 0,
+                                                     c.trial], 0.2, 0.5, 3.0, 3, 1.0)
+        solve_cfg = replace(cfg, solver_kind=c.solver)
+        g, trace = run_solver(initial_graph(obs, solve_cfg), obs, solve_cfg)
+        assert (c.steps, c.stop, c.edges) == (len(trace), trace.stop_reason, g.edge_count)
+        assert line.endswith(f",{len(trace)},{trace.stop_reason}")
+    assert {c.stop for c in rep.cells} == {"max_iters", "no_descent"}
+
+
 def test_run_benchmark_records_failures():
     # a finite mean scale this large overflows only the gmm cell's Gram matrix
     cfg = SolverConfig(max_iters=5)
@@ -135,6 +153,8 @@ def test_run_benchmark_records_failures():
     failed = [c for c in rep.cells if not c.ok]
     assert len(ok) == 1 and len(failed) == 1
     assert failed[0].generator == "gmm" and "Gram matrix" in failed[0].error
+    assert (failed[0].steps, failed[0].stop) == (0, "")
+    assert (ok[0].steps, ok[0].stop) == (5, "max_iters")
     summary = {r.generator: r for r in rep.summary()}
     assert summary["gmm"].failed == 1
     assert np.isnan(summary["gmm"].re_mean)
@@ -224,6 +244,7 @@ def test_report_csv_layout():
     assert raw[0] == RAW_HEADER
     assert len(raw) == 4
     assert raw[1].startswith("gmm,greedy,0.2,0,0.5,")
+    assert raw[3] == "gmm,greedy,0.2,2,nan,nan,0,nan,0,"  # a failed cell
     summary = rep.summary_csv().splitlines()
     assert summary[0] == SUMMARY_HEADER
     row = rep.summary()[0]
@@ -236,7 +257,7 @@ def test_report_csv_layout():
 
 
 def test_csv_headers_are_the_dataclass_fields():
-    assert RAW_HEADER == "generator,solver,ratio,trial,re,lambda2,edges,ms"
+    assert RAW_HEADER == "generator,solver,ratio,trial,re,lambda2,edges,ms,steps,stop"
     assert SUMMARY_HEADER == ("generator,solver,ratio,re_mean,re_std,lambda2_mean,"
                               "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed")
 

@@ -386,7 +386,7 @@ def test_bench_writes_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "re (mean+/-std)" in out
     raw = (tmp_path / "bench.raw.csv").read_text().splitlines()
-    assert raw[0] == "generator,solver,ratio,trial,re,lambda2,edges,ms"
+    assert raw[0] == "generator,solver,ratio,trial,re,lambda2,edges,ms,steps,stop"
     assert len(raw) == 2
     summary = (tmp_path / "bench.summary.csv").read_text().splitlines()
     assert len(summary) == 2

@@ -8,6 +8,7 @@ from fsgl.datagen import (connected_pairs, draw_instance, gen_ground_truth, samp
 from fsgl.errors import InvalidDof
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
+from unionfind import reference_pairs
 
 
 def test_ground_truth_precision_covariance_inverse():
@@ -199,10 +200,25 @@ def test_draw_instance_rejects_unknown_generator():
 
 def test_connected_pairs_bridges_after_failed_draws():
     # density 0 never connects, so the components (single nodes) get bridged
-    pairs = connected_pairs(6, 0.0, np.random.default_rng(0))
+    ms, ns = connected_pairs(6, 0.0, np.random.default_rng(0))
+    pairs = list(zip(ms.tolist(), ns.tolist()))
     assert len(pairs) == 5 and pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
     assert is_connected(WeightedGraph(6, dict.fromkeys(pairs, 1.0)))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.2, 1.0])
+def test_connected_pairs_match_the_pair_list_draw(density):
+    # the same pairs, in the same order, from the same random stream; at
+    # density 0 every draw fails and single nodes are bridged, at 0.05 most
+    # draws of 10 or more nodes fail and larger components are bridged too
+    for seed in range(40):
+        n = 2 + seed % 23
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ms, ns = connected_pairs(n, density, rng)
+        assert list(zip(ms.tolist(), ns.tolist())) == reference_pairs(n, density, ref_rng)
+        assert ms.dtype == ns.dtype == np.intp
+        assert rng.random() == ref_rng.random()  # the stream stays in step
 
 
 @pytest.mark.parametrize("generator, kwargs, error, message", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgecheck import reference_arrays
+from unionfind import connected_components, reference_labels
 from fsgl.errors import DuplicateEdge, FsglError, MissingEdge, NonFiniteInput
 from fsgl.graph import (
     WEIGHT_ZERO,
@@ -16,7 +17,7 @@ from fsgl.graph import (
     build_laplacian,
     canonical_edge,
     complete_graph,
-    connected_components,
+    component_labels,
     gram,
     is_connected,
     weaken_edge,
@@ -451,13 +452,68 @@ def test_connected_components_partition_nodes():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 15))
         g = random_graph(rng, n, density=0.2)
-        comps = connected_components(n, list(g.edges))
+        labels = component_labels(n, *g.edge_arrays()[:2])
+        comps = [np.flatnonzero(labels == root).tolist() for root in np.unique(labels)]
         flat = sorted(v for c in comps for v in c)
         assert flat == list(range(n))
         if len(comps) == 1:
             assert is_connected(g)
         else:
             assert not is_connected(g)
+
+
+def shuffled_edges(rng, ms, ns):
+    """The edges (ms[i], ns[i]) in random order, each in random orientation."""
+    order = rng.permutation(ms.shape[0])
+    ms, ns = ms[order], ns[order]
+    flip = rng.random(ms.shape[0]) < 0.5
+    return np.where(flip, ns, ms), np.where(flip, ms, ns)
+
+
+def test_component_labels_match_union_find_on_shuffled_edges():
+    connected = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        g = random_graph(rng, n, density=float(rng.uniform(0.0, 0.2)))
+        ms, ns = shuffled_edges(rng, *g.edge_arrays()[:2])
+        expected = reference_labels(n, zip(ms.tolist(), ns.tolist()))
+        np.testing.assert_array_equal(component_labels(n, ms, ns), expected)
+        assert is_connected(g) == (not expected.any())
+        connected += is_connected(g)
+    assert 0 < connected < 200  # both outcomes exercised
+
+
+def test_component_labels_of_a_shuffled_path():
+    # a path through the nodes in random order, its edges shuffled too:
+    # the worst case for propagating one label along edges
+    rng = np.random.default_rng(7)
+    n = 10_000
+    walk = rng.permutation(n)
+    ms, ns = shuffled_edges(rng, walk[:-1], walk[1:])
+    np.testing.assert_array_equal(component_labels(n, ms, ns), np.zeros(n))
+    assert is_connected(WeightedGraph.from_arrays(n, ms, ns, np.ones(n - 1)))
+    # cut one edge: the two halves are labelled by their smallest nodes
+    ms, ns = ms[1:], ns[1:]
+    expected = reference_labels(n, zip(ms.tolist(), ns.tolist()))
+    assert len(np.unique(expected)) == 2
+    np.testing.assert_array_equal(component_labels(n, ms, ns), expected)
+    assert not is_connected(WeightedGraph.from_arrays(n, ms, ns, np.ones(n - 2)))
+
+
+def test_component_labels_of_isolated_nodes():
+    none = np.array([], dtype=np.intp)
+    np.testing.assert_array_equal(component_labels(1, none, none), [0])
+    assert is_connected(WeightedGraph(1))
+    np.testing.assert_array_equal(component_labels(5, none, none), np.arange(5))
+    assert not is_connected(WeightedGraph(5))
+    # nodes 0, 3 and 6 have no edge; 1-4-2 and 5-7 are joined
+    g = WeightedGraph(8, {(4, 1): 1.0, (2, 4): 1.0, (7, 5): 1.0})
+    labels = component_labels(8, *g.edge_arrays()[:2])
+    np.testing.assert_array_equal(labels, [0, 1, 1, 3, 1, 5, 6, 5])
+    np.testing.assert_array_equal(labels, reference_labels(8, g.edges))
+    assert [c for c in connected_components(8, g.edges) if len(c) > 1] == [[1, 2, 4], [5, 7]]
+    assert not is_connected(g)
 
 
 def test_complete_graph_edge_count():

@@ -7,10 +7,11 @@ their package inits load hundreds of modules fsgl never calls, which
 would double the start-up time of every process. Only graph.py reads
 another object's private members, so one module owns the edge index, the
 edge step and every Laplacian write.
-Graphs are built from whole edge arrays: no per-edge Python loop, and no
-per-edge check function anywhere in the package. Only spectral.py calls
-an eigenvalue or determinant routine (datagen's covariance square root
-aside), so every spectrum of a Laplacian comes from one eigensolver.
+Graphs are built, and their components found, from whole edge arrays: no
+per-edge Python loop, and no per-edge check function anywhere in the
+package. Only spectral.py calls an eigenvalue or determinant routine
+(datagen's covariance square root aside), so every spectrum of a
+Laplacian comes from one eigensolver.
 """
 
 import ast
@@ -202,18 +203,24 @@ BUILDERS = ("WeightedGraph.__init__", "WeightedGraph.from_arrays", "WeightedGrap
             "complete_graph")
 
 
-def function_loops(source: str) -> dict[str, list[str]]:
-    """{name: its loops} for each module-level function ("f") and method
-    ("Class.f") in `source`; a comprehension counts as a loop."""
-    funcs = []
+def functions(source: str) -> dict[str, ast.FunctionDef]:
+    """{name: node} of each module-level function ("f") and method
+    ("Class.f") in `source`."""
+    funcs = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
-            funcs.append((node.name, node))
+            funcs[node.name] = node
         elif isinstance(node, ast.ClassDef):
-            funcs += [(f"{node.name}.{f.name}", f) for f in node.body
-                      if isinstance(f, ast.FunctionDef)]
+            funcs.update((f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef))
+    return funcs
+
+
+def function_loops(source: str) -> dict[str, list[str]]:
+    """{name: its loops} for each function and method in `source`; a
+    comprehension counts as a loop."""
     return {name: [f"{type(n).__name__} (line {n.lineno})" for n in ast.walk(func)
-                   if isinstance(n, LOOPS)] for name, func in funcs}
+                   if isinstance(n, LOOPS)] for name, func in functions(source).items()}
 
 
 def test_graph_construction_has_no_per_edge_loop():
@@ -223,6 +230,25 @@ def test_graph_construction_has_no_per_edge_loop():
         "C.f": ["ListComp (line 3)"], "C.g": [], "f": ["For (line 7)"]}
     loops = function_loops((ROOT / "src" / "fsgl" / "graph.py").read_text())
     assert {name: loops[name] for name in BUILDERS} == dict.fromkeys(BUILDERS, [])
+
+
+# Connectivity comes from whole edge arrays: each function's only loop is
+# component_labels' fixpoint and connected_pairs' redraws, and none of
+# them turns an array into Python objects.
+CONNECTIVITY = {("graph.py", "is_connected"): [],
+                ("graph.py", "component_labels"): ["While"],
+                ("datagen.py", "connected_pairs"): ["For"]}
+
+
+def test_connectivity_has_no_per_edge_loop():
+    found = {}
+    for (module, name), allowed in CONNECTIVITY.items():
+        nodes = list(ast.walk(functions((ROOT / "src" / "fsgl" / module).read_text())[name]))
+        loops = [type(n).__name__ for n in nodes if isinstance(n, LOOPS)]
+        tolists = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr == "tolist"]
+        if loops != allowed or tolists:
+            found[name] = (loops, tolists)
+    assert found == {}
 
 
 def test_no_module_defines_or_imports_checked_edge():

@@ -33,7 +33,8 @@ Sweep = namedtuple("Sweep", "depth n t cut order m_arr n_arr")
 
 
 def random_connected_unit_graph(rng, n, density=0.35):
-    return WeightedGraph(n, dict.fromkeys(connected_pairs(n, density, rng), 1.0))
+    ms, ns = connected_pairs(n, density, rng)
+    return WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0]))
 
 
 def test_brute_force_known_ratios():
@@ -209,7 +210,8 @@ def test_cut_plan_skips_nodes_without_edges(monkeypatch):
     import fsgl.partition as partition
 
     rng = np.random.default_rng(5)
-    g = WeightedGraph(30, dict.fromkeys(connected_pairs(6, 0.5, rng), 1.0))
+    ms, ns = connected_pairs(6, 0.5, rng)
+    g = WeightedGraph.from_arrays(30, ms, ns, np.ones(ms.shape[0]))
     eigensolves = []
     real = partition.smallest_eigenpairs
     monkeypatch.setattr(partition, "smallest_eigenpairs",
