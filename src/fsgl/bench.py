@@ -78,6 +78,8 @@ class SummaryRow:
     ms_mean: float
     ms_std: float
     failed: int
+    zero_step: int
+    max_iters: int
 
 
 def _columns(cls) -> list:
@@ -113,7 +115,8 @@ class BenchReport:
 
     def summary(self) -> list[SummaryRow]:
         """Mean and std of every cell metric `x` SummaryRow holds as `x_mean`,
-        over the ok cells of each (generator, solver, ratio) group."""
+        over the ok cells of each (generator, solver, ratio) group; how many
+        cells failed, and how many ok solves took no step or hit max_iters."""
         names = {f.name for f in fields(SummaryRow)}
         keys = [f.name for f in fields(BenchCell) if f.name in names]
         metrics = [f.name for f in fields(BenchCell) if f"{f.name}_mean" in names]
@@ -128,8 +131,9 @@ class BenchReport:
                 vals = [getattr(c, m) for c in ok]
                 stats[f"{m}_mean"] = float(np.mean(vals)) if ok else float("nan")
                 stats[f"{m}_std"] = float(np.std(vals)) if ok else float("nan")
-            rows.append(SummaryRow(**dict(zip(keys, key)), **stats,
-                                   failed=len(cs) - len(ok)))
+            rows.append(SummaryRow(**dict(zip(keys, key)), **stats, failed=len(cs) - len(ok),
+                                   zero_step=sum(c.steps == 0 for c in ok),
+                                   max_iters=sum(c.stop == "max_iters" for c in ok)))
         return rows
 
     def summary_csv(self) -> str:
@@ -138,13 +142,13 @@ class BenchReport:
     def table(self) -> str:
         lines = [f"{'generator':<10}{'solver':<11}{'ratio':>6}  "
                  f"{'re (mean+/-std)':>22}  {'lambda2':>9}  {'edges':>7}  "
-                 f"{'ms':>10}  {'failed':>6}"]
+                 f"{'ms':>10}  {'failed':>6}  {'0-step':>6}  {'max_iters':>9}"]
         for r in self.summary():
             re_col = f"{r.re_mean:.4f} +/- {r.re_std:.4f}"
             lines.append(f"{r.generator:<10}{r.solver:<11}{r.ratio:>6.2f}  "
                          f"{re_col:>22}  {r.lambda2_mean:>9.4f}  "
                          f"{r.edges_mean:>7.1f}  {r.ms_mean:>10.1f}  "
-                         f"{r.failed:>6d}")
+                         f"{r.failed:>6d}  {r.zero_step:>6d}  {r.max_iters:>9d}")
         return "\n".join(lines) + "\n"
 
 

@@ -17,9 +17,16 @@ import numpy as np
 
 from .errors import InvalidDof, TooLarge
 from .graph import ObservationSet, WeightedGraph, build_laplacian, component_labels
+from .spectral import smallest_eigenpairs
 
 GENERATORS = ("gmm", "mvt")
-MAX_ARRAY_BYTES = 2**30  # the largest dense float64 array datagen allocates
+MAX_ARRAY_BYTES = 2**30  # the most float64 array memory datagen holds at once
+# (N, N) and (N, K) arrays a draw holds at once at its peak, measured with
+# tracemalloc: the truth's precision and covariance, the square root's
+# input, eigenvectors, LAPACK workspace and product, then the samples and
+# their transforms (3 at N = 2, where the K-length vectors weigh most).
+DRAW_ARRAYS = 7
+SAMPLE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -32,19 +39,20 @@ class GroundTruth:
     rho: float
 
 
-def _check_array(rows: int, cols: int, what: str) -> None:
-    """TooLarge when a (rows, cols) float64 array passes MAX_ARRAY_BYTES."""
-    if 8 * rows * cols > MAX_ARRAY_BYTES:
-        raise TooLarge(f"{what} needs a {rows} x {cols} float64 array, above "
-                       f"the {MAX_ARRAY_BYTES >> 30} GiB ceiling")
+def _check_size(entries, what: str) -> None:
+    """TooLarge, saying what `what` needs, when `entries` float64 values
+    held at once pass MAX_ARRAY_BYTES."""
+    if 8 * entries > MAX_ARRAY_BYTES:
+        raise TooLarge(f"{what}, above the {MAX_ARRAY_BYTES >> 30} GiB ceiling")
 
 
 def check_ground_truth(n: int, density: float, rho: float) -> None:
     """ValueError unless gen_ground_truth can use (n, density, rho);
-    TooLarge when its (N, N) arrays would pass MAX_ARRAY_BYTES."""
+    TooLarge when a draw's DRAW_ARRAYS (N, N) arrays would pass MAX_ARRAY_BYTES."""
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
-    _check_array(n, n, f"node count {n}")
+    _check_size(DRAW_ARRAYS * n * n,
+                f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if not 0.0 < rho < math.inf:
@@ -52,11 +60,14 @@ def check_ground_truth(n: int, density: float, rho: float) -> None:
 
 
 def check_samples(n: int, k: int, origin: str = "") -> None:
-    """ValueError unless k >= 1; TooLarge when the (N, K) observations
-    would pass MAX_ARRAY_BYTES. `origin` says where k came from."""
+    """ValueError unless k >= 1; TooLarge when a draw's SAMPLE_ARRAYS
+    (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would pass
+    MAX_ARRAY_BYTES. `origin` says where k came from."""
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
-    _check_array(n, k, f"sample count {k}{origin} at node count {n}")
+    _check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
+                f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
+                f"{n} x {k} float64 arrays on top of the ground truth's")
 
 
 def check_gmm(n_components: int, mean_scale: float) -> None:
@@ -64,7 +75,8 @@ def check_gmm(n_components: int, mean_scale: float) -> None:
     TooLarge when its component means would pass MAX_ARRAY_BYTES."""
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
-    _check_array(1, n_components, f"mixture component count {n_components}")
+    _check_size(n_components, f"mixture component count {n_components} needs a "
+                f"1 x {n_components} float64 array")
     if not -math.inf < mean_scale < math.inf:
         raise ValueError(f"mean scale must be finite, got {mean_scale}")
 
@@ -120,8 +132,11 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
 
 
 def _sym_sqrt(c: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition."""
-    lam, v = np.linalg.eigh(c)
+    """Symmetric PSD square root from c's full spectrum."""
+    state = smallest_eigenpairs(c, c.shape[0])
+    # the product's rounding, so each seed's draw, depends on v being C-ordered
+    lam, v = state.eigvals, np.ascontiguousarray(state.eigvecs)
+    del state  # frees the Fortran-ordered copy before the product
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
 
 

@@ -1,27 +1,22 @@
-"""Smallest Laplacian eigenpairs and the eigen-gap.
+"""Smallest eigenpairs of a symmetric matrix, and the eigen-gap.
 
-The solver only ever needs the low end of the spectrum: the Fiedler pair
-(lambda_2, v_2), its gap to the neighboring eigenvalues, and a truncated
-eigenbasis that `objective.score_edges` weights with `SolverConfig.alpha`
-to upper-bound quadratic forms of (L + alpha I)^{-1}. Every eigenvalue
-and determinant of a Laplacian comes from `smallest_eigenpairs`, for the
-sub-graph Fiedler pairs, the exact objective and each reported lambda_2
-too; the one other LAPACK call on a solve's Laplacian is the exact
-resolvent's `np.linalg.inv` in `solver.compute_state`.
+The solver only needs the low end of a Laplacian's spectrum: the Fiedler
+pair (lambda_2, v_2), its gap to the neighboring eigenvalues, and a
+truncated eigenbasis that `objective.score_edges` weights with
+`SolverConfig.alpha` to upper-bound quadratic forms of (L + alpha I)^{-1}.
+Every eigenvalue and determinant in fsgl comes from `smallest_eigenpairs`,
+datagen's covariance square root included; the one other LAPACK call on a
+solve's Laplacian is the exact resolvent's `np.linalg.inv`.
 
-Every size takes one path: LAPACK's dsyevr on the dense Laplacian, called
-with the arguments `scipy.linalg.eigh(subset_by_index=...)` would pass,
-so the result is bitwise the same without the wrapper's per-call checks;
-a full `np.linalg.eigh` stands in when dsyevr reports failure.
-
-dsyevr is reached through SciPy's compiled `scipy.linalg._flapack`
-extension, loaded from its file next to the `scipy` package without
-running `scipy.linalg`'s package init, which would import hundreds of
-modules fsgl never calls. `eigh` takes its routine from that same
-extension (`get_lapack_funcs` looks it up there). Loading the extension
-registers it in `sys.modules` under its own name, so fsgl and
-`scipy.linalg` share one module whichever is imported first, and
-`_SYEVR` is the very object `scipy.linalg.lapack.dsyevr` is.
+A partial spectrum comes from LAPACK's dsyevr, called as
+`scipy.linalg.eigh(subset_by_index=...)` calls it, so with its bits; a
+full one, or one dsyevr fails on, from dsyevd, the routine that
+`np.linalg.eigh` runs, whose bits the tests hold it to. Both come from
+SciPy's compiled `scipy.linalg._flapack` extension, loaded from its file
+without running `scipy.linalg`'s package init, which imports hundreds of
+modules fsgl never calls. Loading registers it in `sys.modules` under its
+own name, so fsgl and `scipy.linalg` share one module whichever is
+imported first, and `_SYEVR` is `scipy.linalg.lapack.dsyevr` itself.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ def _load_flapack(scipy_dir: Path):
 
 
 _flapack = _load_flapack(Path(scipy.__file__).parent)
-_SYEVR, _SYEVR_LWORK = _flapack.dsyevr, _flapack.dsyevr_lwork
+_SYEVR, _SYEVR_LWORK, _SYEVD = _flapack.dsyevr, _flapack.dsyevr_lwork, _flapack.dsyevd
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,8 @@ class SpectralState:
     """Immutable snapshot of the k smallest eigenpairs of a Laplacian.
 
     eigvals are sorted ascending; eigvecs holds the matching orthonormal
-    vectors as columns. `resolvent` optionally carries the exact
-    (L + alpha I)^{-1}, attached by `solver.compute_state`.
+    vectors as Fortran-ordered columns. `resolvent` optionally carries the
+    exact (L + alpha I)^{-1}, attached by `solver.compute_state`.
     """
 
     eigvals: np.ndarray
@@ -112,14 +107,13 @@ class SpectralState:
 
 
 def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
-    """Compute the k smallest eigenpairs of a dense (N, N) graph Laplacian.
+    """Compute the k smallest eigenpairs of a dense symmetric (N, N) matrix.
 
-    One dense path for every size: dsyevr for the index range [1, k] with
-    the workspace it asks for, exactly as `scipy.linalg.eigh(...,
-    subset_by_index=(0, k - 1))` calls it, or the full `np.linalg.eigh`
-    when k equals the node count. When dsyevr reports failure (it can on
-    finite symmetric input the full routine handles), the k lowest pairs
-    of the full `np.linalg.eigh` are kept instead.
+    dsyevr for the index range [1, k] with the workspace it asks for,
+    exactly as `scipy.linalg.eigh(..., subset_by_index=(0, k - 1))` calls
+    it. When k equals N, or dsyevr reports failure (it can on finite
+    symmetric input the full routine handles), the k lowest pairs of
+    dsyevd, bitwise `np.linalg.eigh`'s; LinAlgError if that fails too.
     """
     n = lap.shape[0]
     if not (2 <= k <= n):
@@ -132,12 +126,10 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
         vals, vecs, _, _, info = _SYEVR(
             lap, compute_v=1, range="I", lower=1, il=1, iu=k,
             lwork=int(work), liwork=iwork)
-        vals = vals[:k]
-        if info != 0:
-            logger.warning("dsyevr failed (info=%d); using full eigh", info)
-            vals, vecs = np.linalg.eigh(lap)
-            vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        vals, vecs = np.linalg.eigh(lap)
-    return SpectralState(vals, vecs)
-
+        if info == 0:
+            return SpectralState(vals[:k], vecs)
+        logger.warning("dsyevr failed (info=%d); using the full dsyevd", info)
+    vals, vecs, info = _SYEVD(lap, compute_v=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return SpectralState(vals[:k], vecs[:, :k])

@@ -259,7 +259,33 @@ def test_report_csv_layout():
 def test_csv_headers_are_the_dataclass_fields():
     assert RAW_HEADER == "generator,solver,ratio,trial,re,lambda2,edges,ms,steps,stop"
     assert SUMMARY_HEADER == ("generator,solver,ratio,re_mean,re_std,lambda2_mean,"
-                              "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed")
+                              "lambda2_std,edges_mean,edges_std,ms_mean,ms_std,failed,"
+                              "zero_step,max_iters")
+
+
+def test_summary_counts_zero_step_and_max_iters_stops():
+    # per row: ok solves that took no step, and ok solves the step cap
+    # ended; a failed cell (0 steps, no stop) counts only as failed
+    cells = [
+        BenchCell("gmm", "greedy", 0.2, 0, 1.0, 0.5, 10, 1.0, 0, "no_descent"),
+        BenchCell("gmm", "greedy", 0.2, 1, 0.9, 0.4, 9, 2.0, 40, "max_iters"),
+        BenchCell("gmm", "greedy", 0.2, 2, 0.8, 0.3, 8, 3.0, 7, "no_descent"),
+        BenchCell("gmm", "greedy", 0.2, 3, float("nan"), float("nan"), 0,
+                  float("nan"), error="ValueError: boom"),
+        BenchCell("gmm", "greedy", 1.0, 0, 0.7, 0.2, 7, 4.0, 0, "no_descent"),
+        BenchCell("gmm", "greedy", 1.0, 1, 0.6, 0.1, 6, 5.0, 0, "no_descent"),
+        BenchCell("mvt", "greedy", 0.2, 0, 0.5, 0.1, 5, 6.0, 20, "max_iters"),
+    ]
+    rep = BenchReport(10, cells)
+    counts = [(r.generator, r.ratio, r.failed, r.zero_step, r.max_iters)
+              for r in rep.summary()]
+    assert counts == [("gmm", 0.2, 1, 1, 1), ("gmm", 1.0, 0, 2, 0), ("mvt", 0.2, 0, 0, 1)]
+    assert [line.split(",")[-3:] for line in rep.summary_csv().splitlines()[1:]] == [
+        ["1", "1", "1"], ["0", "2", "0"], ["0", "0", "1"]]
+    header, *rows = rep.table().splitlines()
+    assert header.split()[-3:] == ["failed", "0-step", "max_iters"]
+    assert [row.split()[-3:] for row in rows] == [["1", "1", "1"], ["0", "2", "0"],
+                                                  ["0", "0", "1"]]
 
 
 def test_serial_benchmark_runs_are_identical():

@@ -14,6 +14,7 @@ import pytest
 from eigencount import counted_eigensolves
 from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
+from fsgl.datagen import DRAW_ARRAYS, SAMPLE_ARRAYS
 from fsgl.errors import NonFiniteObjective
 from fsgl.io import load_graph, load_observations
 from fsgl.solver import SOLVERS, SolverConfig
@@ -89,6 +90,23 @@ def test_gen_checks_before_building_the_ground_truth(tmp_path, capsys, monkeypat
     # at N = 3000 the ground truth alone is seconds and hundreds of MB
     _forbid_ground_truth(monkeypatch)
     assert run_cli("gen", "--n", "3000", "--output", str(tmp_path / "d"), *args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d.x.csv").exists()
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (12, 2, "error: node count 12 needs 7 12 x 12 float64 arrays at once"),
+    (2, 200, "error: sample count 200 at node count 2 needs 3 2 x 200 float64 arrays"),
+])
+def test_gen_counts_every_array_a_draw_holds(tmp_path, capsys, monkeypatch, n, k, message):
+    # under a 4 KiB ceiling one (N, N) and one (N, K) array fit, but the
+    # draw holds DRAW_ARRAYS and SAMPLE_ARRAYS of them at once
+    ceiling = 4096
+    assert 8 * max(n * n, n * k) <= ceiling
+    assert 8 * (DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k) > ceiling
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", ceiling)
+    _forbid_ground_truth(monkeypatch)
+    assert run_cli("gen", "--n", str(n), "--k", str(k), "--output", str(tmp_path / "d")) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d.x.csv").exists()
 

@@ -1,10 +1,12 @@
 """Ground-truth graphs and the two non-Gaussian observation samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fsgl.datagen import (connected_pairs, draw_instance, gen_ground_truth, sample_gmm,
-                          sample_mvt)
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, _sym_sqrt, connected_pairs,
+                          draw_instance, gen_ground_truth, sample_gmm, sample_mvt)
 from fsgl.errors import InvalidDof
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
@@ -247,3 +249,30 @@ def test_singular_precision_names_rho():
     # is L itself; the error names rho, not only the LAPACK failure
     with pytest.raises(ValueError, match=r"L \+ rho I is singular at rho=1e-300"):
         draw_instance(5, 1, "gmm", [0], 0.2, 1e-300, 3.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("generator", ["gmm", "mvt"])
+@pytest.mark.parametrize("n, k", [(300, 60), (600, 120), (1000, 200), (2, 200_000)])
+def test_draw_peak_fits_its_counted_arrays(generator, n, k):
+    # check_samples bounds DRAW_ARRAYS (N, N) and SAMPLE_ARRAYS (N, K)
+    # float64 arrays held at once; a draw must never hold more
+    draw_instance(3, 1, generator, [0], 0.2, 0.5, 3.0, 3, 1.0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        draw_instance(n, k, generator, [n], 0.2, 0.5, 3.0, 3, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k) + 4096, (
+        f"{peak / (8 * n * n):.2f} (N, N) arrays")
+
+
+def test_covariance_root_is_bitwise_the_numpy_eigh_root():
+    # the root, so every drawn sample, keeps the bits of np.linalg.eigh's
+    # spectrum with C-ordered eigenvectors
+    for n in range(2, 61):
+        cov = gen_ground_truth(n, 0.2, seed=n).cov
+        for c in (cov, cov * (1.0 / 3.0)):
+            lam, v = np.linalg.eigh(c)
+            root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
+            assert _sym_sqrt(c).tobytes() == root.tobytes(), n

@@ -9,9 +9,9 @@ another object's private members, so one module owns the edge index, the
 edge step and every Laplacian write.
 Graphs are built, and their components found, from whole edge arrays: no
 per-edge Python loop, and no per-edge check function anywhere in the
-package. Only spectral.py calls an eigenvalue or determinant routine
-(datagen's covariance square root aside), so every spectrum of a
-Laplacian comes from one eigensolver.
+package. Only spectral.py calls an eigenvalue or determinant routine, so
+every spectrum in fsgl comes from one eigensolver, and spectral.py calls
+no np.linalg routine: both its LAPACK routines come from one extension.
 """
 
 import ast
@@ -157,8 +157,6 @@ def test_solver_leaves_the_weakening_rule_to_the_graph():
 
 # What computes eigenvalues or determinants; only spectral.py may call them.
 EIGEN_CALLS = ("eigh", "eigvalsh", "eig", "eigvals", "slogdet", "det")
-# datagen's covariance square root is not of a Laplacian.
-EIGEN_CALL_EXCEPTIONS = {"src/fsgl/datagen.py": [("_sym_sqrt", "eigh")]}
 
 
 def eigen_calls(source: str) -> list[tuple[str | None, str]]:
@@ -182,8 +180,9 @@ def eigen_calls(source: str) -> list[tuple[str | None, str]]:
 
 
 def test_only_spectral_module_computes_eigenvalues_or_determinants():
-    # every eigenvalue and determinant of a Laplacian comes from
-    # smallest_eigenpairs: one eigensolver, not an LU or a second spectrum
+    # every eigenvalue and determinant, of a Laplacian or of datagen's
+    # covariance, comes from smallest_eigenpairs: one eigensolver, not an
+    # LU or a second spectrum, and no module is let off
     assert eigen_calls("np.linalg.eigh(a)\ndef f():\n    return slogdet(b)[1]\n"
                        "x.det\nclass C:\n    def g(self):\n        la.eigvals(c)\n"
                        "f(eig)\nnp.linalg.inv(d)\nsp.eigsh(e)\n") == [
@@ -193,7 +192,24 @@ def test_only_spectral_module_computes_eigenvalues_or_determinants():
         calls = eigen_calls(path.read_text())
         if calls and path.name != "spectral.py":
             found[str(path.relative_to(ROOT))] = calls
-    assert found == EIGEN_CALL_EXCEPTIONS
+    assert found == {}
+
+
+def linalg_names(source: str) -> list[str]:
+    """Sorted names `x` that `source` reads as `np.linalg.x` or `numpy.linalg.x`."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)
+                   and node.value.value.id in ("np", "numpy")})
+
+
+def test_spectral_module_calls_no_numpy_linalg_routine():
+    # full and partial spectra both come from SciPy's LAPACK extension;
+    # np.linalg lends only the error a failed full spectrum raises, as eigh does
+    assert linalg_names("np.linalg.eigh(a)\nx = numpy.linalg.norm\nraise np.linalg.LinAlgError\n"
+                        "sp.linalg.eigh(b)\nlinalg.inv(c)\n") == ["LinAlgError", "eigh", "norm"]
+    source = (ROOT / "src" / "fsgl" / "spectral.py").read_text()
+    assert linalg_names(source) == ["LinAlgError"]
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -281,6 +297,7 @@ if {fresh}:
 import scipy.linalg.lapack
 assert fsgl.spectral._SYEVR is scipy.linalg.lapack.dsyevr
 assert fsgl.spectral._SYEVR_LWORK is scipy.linalg.lapack.dsyevr_lwork
+assert fsgl.spectral._SYEVD is scipy.linalg.lapack.dsyevd
 """
 
 

@@ -1,6 +1,7 @@
 """Per-edge scoring terms and the exact objective."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def _assert_bitwise_equal_to_reference(g, y, states):
                                   (60, 24), (12, 12)])
 def test_score_edges_bitwise_equal_to_reference(n, k):
     # k >= 8 reaches NumPy's pairwise row summation; k == n takes the
-    # full eigh, whose eigenvectors are laid out differently from dsyevr's
+    # full dsyevd instead of dsyevr
     rng = np.random.default_rng(n + k)
     g = random_connected_graph(rng, n, density=0.6)
     y = gram(rng.standard_normal((n, k)))
@@ -286,10 +287,16 @@ def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
     y = gram(rng.standard_normal((30, 9)))
     states = [compute_state(g, SolverConfig(exact_logdet=exact), 9)
               for exact in (False, True)]
-    # the full eigh's first k columns: neither C- nor Fortran-contiguous
-    flags = states[0].eigvecs.flags
-    assert not flags.c_contiguous and not flags.f_contiguous
+    # the full dsyevd's first k columns, Fortran-ordered as dsyevr's are
+    assert all(state.eigvecs.flags.f_contiguous for state in states)
     _assert_bitwise_equal_to_reference(g, y, states)
+    # the scores do not depend on the layout: C-ordered eigenvectors, and
+    # strided ones that are neither C- nor Fortran-contiguous, give the same bits
+    strided = np.repeat(states[0].eigvecs, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    for order in (np.ascontiguousarray, lambda v: np.repeat(v, 2, axis=1)[:, ::2]):
+        _assert_bitwise_equal_to_reference(
+            g, y, [replace(state, eigvecs=order(state.eigvecs)) for state in states])
 
 
 def test_row_sums_bitwise_equal_to_numpy_row_sum():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import fsgl.spectral
+from fsgl.datagen import connected_pairs, gen_ground_truth
 from fsgl.errors import InsufficientEigenpairs
 from fsgl.graph import WeightedGraph, build_laplacian, complete_graph
 from fsgl.spectral import SpectralState, smallest_eigenpairs
@@ -192,3 +193,66 @@ def test_missing_lapack_extension_raises_import_error(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="_flapack") as info:
         fsgl.spectral._load_flapack(tmp_path)
     assert info.value.path.startswith(str(tmp_path / "linalg" / "_flapack."))
+
+
+def full_spectrum_inputs():
+    """Seeded symmetric matrices: weighted graph Laplacians at N = 2 to 240
+    and datagen covariances, as drawn and t-scaled, at N = 2 to 60."""
+    rng = np.random.default_rng(27)
+    for n in [*range(2, 41), 48, 64, 80, 100, 128, 160, 200, 240]:
+        ms, ns = connected_pairs(n, float(rng.uniform(0.05, 1.0)), rng)
+        g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.01, 2.0, ms.shape[0]))
+        yield build_laplacian(g)
+    for n in range(2, 61, 2):
+        for seed in range(2):
+            cov = gen_ground_truth(n, 0.2, seed=seed).cov
+            yield cov
+            yield cov * (1.0 / 3.0)
+
+
+def _no_syevr(*args, **kwargs):
+    raise AssertionError("dsyevr called for a full spectrum")
+
+
+def test_full_spectrum_is_bitwise_numpy_eigh(monkeypatch):
+    # k = N takes dsyevd alone, and it has the bits of np.linalg.eigh
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR", _no_syevr)
+    count = 0
+    for a in full_spectrum_inputs():
+        vals, vecs = np.linalg.eigh(a)
+        state = smallest_eigenpairs(a, a.shape[0])
+        assert state.eigvals.tobytes() == vals.tobytes()
+        assert state.eigvecs.tobytes() == vecs.tobytes()
+        count += 1
+    assert count == 47 + 120
+
+
+def test_dsyevr_failure_falls_back_to_bitwise_numpy_eigh(monkeypatch):
+    real_syevr = fsgl.spectral._SYEVR
+
+    def failing_syevr(*args, **kwargs):
+        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
+        return w, z, m, isuppz, 2
+
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+    for a in full_spectrum_inputs():
+        n = a.shape[0]
+        vals, vecs = np.linalg.eigh(a)
+        for k in sorted({2, n // 2, n - 1} & set(range(2, n))):
+            state = smallest_eigenpairs(a, k)
+            assert state.eigvals.tobytes() == vals[:k].tobytes()
+            assert state.eigvecs.tobytes() == vecs[:, :k].tobytes()
+
+
+def test_full_spectrum_failure_raises_linalg_error(monkeypatch):
+    # what np.linalg.eigh raises when LAPACK does not converge, at k = N
+    # and after a failed dsyevr
+    real_syevr, real_syevd = fsgl.spectral._SYEVR, fsgl.spectral._SYEVD
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR",
+                        lambda *a, **kw: (*real_syevr(*a, **kw)[:4], 1))
+    monkeypatch.setattr(fsgl.spectral, "_SYEVD",
+                        lambda *a, **kw: (*real_syevd(*a, **kw)[:2], 1))
+    lap = build_laplacian(complete_graph(5))
+    for k in (5, 3):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            smallest_eigenpairs(lap, k)
