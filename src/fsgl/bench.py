@@ -16,7 +16,7 @@ import numpy as np
 from .datagen import GENERATORS, check_instance, draw_instance
 from .errors import FsglError, NonFiniteInput, ZeroReference
 from .graph import WeightedGraph, build_laplacian
-from .init_graph import default_budget, initial_graph
+from .init_graph import check_start, default_budget, initial_graph
 from .solver import SOLVERS, SolverConfig, run_solver
 from .spectral import smallest_eigenpairs
 
@@ -164,7 +164,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     bad trial count, solver name or ratio raises ValueError, and a budget
     above the pairs left beyond the tree InvalidBudget, before any cell
     runs; so does anything `datagen.check_instance` refuses for the swept
-    generators at the largest ratio's sample count.
+    generators, or `init_graph.check_start` for the swept solvers, at the
+    largest ratio's sample count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -184,6 +185,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     check_instance(n, max(ks), generators, seed, density, rho, nu, n_components,
                    mean_scale, f" (K/N ratio {max(ratios):g})")
     default_budget(n, cfg.budget_b)
+    for config in configs.values():
+        check_start(n, max(ks), config)
 
     def run_cell(gen_name, sol, gi, ri, ratio, trial) -> BenchCell:
         try:

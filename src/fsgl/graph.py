@@ -95,10 +95,12 @@ class WeightedGraph:
     @classmethod
     def from_arrays(cls, n: int, ms, ns, ws) -> "WeightedGraph":
         """Graph on n nodes with edges (ms[i], ns[i]) of weight ws[i], in any
-        order and orientation. The first edge in input order that is a
-        self-loop, names a node outside [0, n), has a non-finite
-        (NonFiniteInput) or nonpositive weight, or names an earlier edge's
-        pair (DuplicateEdge) raises; the error's `position` is its index."""
+        order and orientation. ms, ns and ws must be 1-D and of one length,
+        else ValueError before any edge is checked. The first edge in input
+        order that is a self-loop, names a node outside [0, n), has a
+        non-finite (NonFiniteInput) or nonpositive weight, or names an
+        earlier edge's pair (DuplicateEdge) raises; the error's `position`
+        is its index."""
         return cls.__new__(cls)._fill(n, ms, ns, ws)
 
     def _fill(self, n: int, ms, ns, ws) -> "WeightedGraph":
@@ -109,7 +111,11 @@ class WeightedGraph:
             m, k = _node_ids(ms), _node_ids(ns)
         except OverflowError as exc:
             raise ValueError(f"an edge's node is out of range for n={n}: {exc}") from None
-        lo, hi, w = np.minimum(m, k), np.maximum(m, k), np.asarray(ws, dtype=np.float64)
+        w = np.asarray(ws, dtype=np.float64)
+        if not (m.ndim == 1 and m.shape == k.shape == w.shape):
+            raise ValueError(f"ms, ns and ws must be 1-D and of one length, got shapes "
+                             f"{m.shape}, {k.shape} and {w.shape}")
+        lo, hi = np.minimum(m, k), np.maximum(m, k)
         keys = lo * n + hi
         order = np.argsort(keys, kind="stable")  # a pair's first edge sorts first
         dup = np.zeros(keys.shape, dtype=bool)

@@ -108,23 +108,30 @@ def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:
     return WeightedGraph.from_arrays(n, ms[keep], ns[keep], np.ones(n - 1 + b))
 
 
-def initial_graph(obs: ObservationSet, cfg: SolverConfig) -> WeightedGraph:
-    """Complete graph for greedy without a budget, else the sparse init.
+def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
+    """Whether `initial_graph` starts sparse for n nodes, k samples and cfg:
+    the complete graph for greedy without a budget, else the sparse init.
 
-    TooLarge, before anything is built, when building the start or solving
-    from it would hold more than datagen.MAX_ARRAY_BYTES in edge-length
-    arrays (RANKING_ARRAYS, EDGE_ARRAYS).
+    InvalidBudget for a budget above the pairs left beyond the tree, and
+    TooLarge when building the start or solving from it would hold more
+    than datagen.MAX_ARRAY_BYTES in edge-length arrays (RANKING_ARRAYS,
+    EDGE_ARRAYS); the need grows with k, so the largest k bounds a sweep.
     """
-    n = obs.n
     sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
     pairs = n * (n - 1) // 2
     edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs
     need = 8 * max(RANKING_ARRAYS * pairs if sparse else 0,
-                   (EDGE_ARRAYS + 2 * eigenpair_count(n, obs.k)) * edges)
+                   (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges)
     if need > datagen.MAX_ARRAY_BYTES:
         raise TooLarge(f"the {'sparse' if sparse else 'complete'} start at node count "
-                       f"{n} ({edges} edges, {obs.k} samples) needs {need:,} bytes of edge "
+                       f"{n} ({edges} edges, {k} samples) needs {need:,} bytes of edge "
                        f"arrays, above the {datagen.MAX_ARRAY_BYTES:,}-byte ceiling")
-    if sparse:
+    return sparse
+
+
+def initial_graph(obs: ObservationSet, cfg: SolverConfig) -> WeightedGraph:
+    """Complete graph for greedy without a budget, else the sparse init;
+    `check_start` refuses a start it cannot hold before anything is built."""
+    if check_start(obs.n, obs.k, cfg):
         return init_sparse_graph(obs.gram, cfg.budget_b)
-    return complete_graph(n)
+    return complete_graph(obs.n)

@@ -77,17 +77,14 @@ class SolverConfig:
             raise ValueError(f"unknown solver_kind {self.solver_kind!r}")
 
 
-# The per-step columns, in `SolveTrace.append`'s argument order: dtype and
-# the shape of one row (48 bytes in all).
-_COLUMNS = ((np.int64, (2,)), (np.float64, ()), (np.float64, ()), (np.int64, ()),
-            (np.float64, ()))
-# Rows a new trace has room for; the columns double each time they fill.
-_FIRST_ROWS = 64
+# One accepted step, in `SolveTrace.append`'s argument order (48 bytes).
+_ROW = np.dtype([("edges_mn", np.int64, (2,)), ("grad_h", np.float64),
+                 ("lambda2", np.float64), ("edge_counts", np.int64), ("ms", np.float64)])
 
 
-def _column_view(i: int) -> property:
+def _field_view(name: str) -> property:
     def rows(self) -> np.ndarray:
-        view = self._columns[i][:self._rows]
+        view = self._buf[:self._rows][name]
         view.flags.writeable = False
         return view
     return property(rows)
@@ -97,12 +94,12 @@ def _column_view(i: int) -> property:
 class SolveTrace:
     """Per-iteration log of the solve: one row per accepted step.
 
-    The rows live in typed columns, each read as a read-only array of
-    length len(trace): `edges_mn` (S, 2) int64, the weakened edge (m, n);
-    `grad_h` float64, its score; `lambda2` float64, the Fiedler value of
-    the snapshot it was scored on; `edge_counts` int64, the edge count
-    after the step; and `ms` float64, the solve's clock after the step.
-    Storage starts small and doubles when full.
+    The rows live in one structured buffer; each field reads as a
+    read-only array of length len(trace): `edges_mn` (S, 2) int64, the
+    weakened edge (m, n); `grad_h` float64, its score; `lambda2` float64,
+    the Fiedler value of the snapshot it was scored on; `edge_counts`
+    int64, the edge count after the step; and `ms` float64, the solve's
+    clock after the step. Storage starts at 64 rows and doubles when full.
 
     stop_reason is "no_descent" when no edge scored below zero (converged)
     and "max_iters" when the step cap ended the solve first. ineligible
@@ -121,14 +118,13 @@ class SolveTrace:
     phase_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(
         ("eigensolve", "select", "rebuild", "mutate"), 0.0))
     _rows: int = field(default=0, init=False, repr=False)
-    _columns: tuple[np.ndarray, ...] = field(init=False, repr=False, default_factory=lambda: tuple(
-        np.empty((_FIRST_ROWS, *shape), dtype) for dtype, shape in _COLUMNS))
+    _buf: np.ndarray = field(default_factory=lambda: np.empty(64, _ROW), init=False, repr=False)
 
-    edges_mn = _column_view(0)
-    grad_h = _column_view(1)
-    lambda2 = _column_view(2)
-    edge_counts = _column_view(3)
-    ms = _column_view(4)
+    edges_mn = _field_view("edges_mn")
+    grad_h = _field_view("grad_h")
+    lambda2 = _field_view("lambda2")
+    edge_counts = _field_view("edge_counts")
+    ms = _field_view("ms")
 
     @property
     def converged(self) -> bool:
@@ -136,10 +132,10 @@ class SolveTrace:
 
     def append(self, edge, grad, lam2, n_edges, elapsed_ms):
         i = self._rows
-        if i == self._columns[0].shape[0]:
-            self._columns = tuple(_doubled(col) for col in self._columns)
-        edges, grads, lam2s, counts, ms = self._columns
-        edges[i], grads[i], lam2s[i], counts[i], ms[i] = edge, grad, lam2, n_edges, elapsed_ms
+        if i == self._buf.shape[0]:  # copy into 2i rows; no temporary half
+            self._buf, old = np.empty(2 * i, _ROW), self._buf
+            self._buf[:i] = old
+        self._buf[i] = (edge, grad, lam2, n_edges, elapsed_ms)
         self._rows = i + 1
 
     def __len__(self):
@@ -147,18 +143,11 @@ class SolveTrace:
 
     def to_csv(self, path):
         # tolist() gives Python scalars, whose reprs carry no "np." prefix
-        rows = zip(self.edges_mn.tolist(), self.grad_h.tolist(), self.lambda2.tolist(),
-                   self.edge_counts.tolist(), self.ms.tolist())
         with open(path, "w") as fh:
             fh.write("iter,m,n,grad_h,lambda2,edges,ms\n")
-            for i, ((m, n), grad, lam2, n_edges, ms) in enumerate(rows, 1):
+            for i, ((m, n), grad, lam2, n_edges, ms) in enumerate(
+                    self._buf[:self._rows].tolist(), 1):
                 fh.write(f"{i},{m},{n},{grad!r},{lam2!r},{n_edges},{ms:.3f}\n")
-
-
-def _doubled(col: np.ndarray) -> np.ndarray:
-    out = np.empty((2 * col.shape[0], *col.shape[1:]), col.dtype)
-    out[:col.shape[0]] = col
-    return out
 
 
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:

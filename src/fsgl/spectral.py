@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import importlib.util
 import logging
+import math
 import sys
 import sysconfig
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .errors import InsufficientEigenpairs
+from .errors import InsufficientEigenpairs, NonFiniteInput
 
 logger = logging.getLogger("fsgl.spectral")
 
@@ -111,9 +112,10 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
 
     dsyevr for the index range [1, k] with the workspace it asks for,
     exactly as `scipy.linalg.eigh(..., subset_by_index=(0, k - 1))` calls
-    it. When k equals N, or dsyevr reports failure (it can on finite
-    symmetric input the full routine handles), the k lowest pairs of
-    dsyevd, bitwise `np.linalg.eigh`'s; LinAlgError if that fails too.
+    it. When k equals N, or dsyevr fails (it can on finite symmetric
+    input the full routine handles), the k lowest pairs of dsyevd,
+    bitwise `np.linalg.eigh`'s; LinAlgError if that fails too. A
+    symmetric matrix with a non-finite entry raises NonFiniteInput.
     """
     n = lap.shape[0]
     if not (2 <= k <= n):
@@ -123,12 +125,17 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
         # Queried on every call (under a microsecond) instead of cached, so
         # the module holds no mutable state for threads to share.
         work, iwork, _ = _SYEVR_LWORK(n, lower=1)
-        vals, vecs, _, _, info = _SYEVR(
+        vals, vecs, m, _, info = _SYEVR(
             lap, compute_v=1, range="I", lower=1, il=1, iu=k,
             lwork=int(work), liwork=iwork)
-        if info == 0:
+        # On a non-finite matrix info stays 0, but dsyevr finds fewer than
+        # k eigenvalues or a non-finite lowest one.
+        if info == 0 and m == k and math.isfinite(vals[0]):
             return SpectralState(vals[:k], vecs)
-        logger.warning("dsyevr failed (info=%d); using the full dsyevd", info)
+        logger.warning("dsyevr failed (info=%d, %d of %d eigenvalues); using the full "
+                       "dsyevd", info, m, k)
+    if not np.isfinite(lap).all():  # dsyevd can return finite eigenvalues on a NaN
+        raise NonFiniteInput("matrix has a non-finite entry")
     vals, vecs, info = _SYEVD(lap, compute_v=1, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -205,6 +205,18 @@ def test_run_benchmark_rejects_budget_beyond_pairs_left():
         run_benchmark(SolverConfig(budget_b=22), ratios=(0.5,), trials=1, n=8)
 
 
+def test_run_benchmark_refuses_a_start_too_large_before_any_draw(monkeypatch):
+    # at N = 60, K = 12 every draw fits a 400 kB ceiling, but the complete
+    # start's edge arrays do not: no cell could run, so none draws
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 400_000)
+    draws = []
+    monkeypatch.setattr("fsgl.bench.draw_instance", lambda *a, **kw: draws.append(a))
+    with pytest.raises(TooLarge, match="complete start at node count 60 .* needs 623,040 bytes"):
+        run_benchmark(SolverConfig(), [0.2], 2, n=60, generators=("gmm",),
+                      solvers=("greedy",))
+    assert draws == []
+
+
 @pytest.mark.parametrize("generator, kwargs, error, message", [
     ("gmm", {"density": np.nan}, ValueError, "density"),
     ("gmm", {"rho": -1.0}, ValueError, "rho"),

@@ -111,6 +111,20 @@ def test_gen_counts_every_array_a_draw_holds(tmp_path, capsys, monkeypatch, n, k
     assert not (tmp_path / "d.x.csv").exists()
 
 
+def test_bench_refuses_a_start_too_large_before_writing(tmp_path, capsys, monkeypatch):
+    # the draws fit a 400 kB ceiling at N = 60, the complete start does not
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 400_000)
+    _forbid_ground_truth(monkeypatch)
+    code = run_cli("bench", "--n", "60", "--trials", "2", "--ratios", "0.2",
+                   "--generator", "gmm", "--solver", "greedy",
+                   "--output", str(tmp_path / "bench"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: the complete start at node count 60" in err
+    assert "failed cell" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_names_rho_when_the_precision_is_singular(tmp_path, capsys):
     assert run_cli("gen", "--n", "5", "--rho", "1e-300",
                    "--output", str(tmp_path / "d")) == 1

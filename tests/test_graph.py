@@ -1,6 +1,7 @@
 """Graph container, Laplacian construction, and edge mutation."""
 
 import pickle
+import re
 from copy import deepcopy
 
 import numpy as np
@@ -348,6 +349,20 @@ def test_graph_builds_take_node_ids_of_any_integer_type():
         assert g.edges == want.edges, dtype
     assert WeightedGraph(4, {(np.int64(0), 1): 1.0, (np.uint8(3), 2): 2.0}).edges == want.edges
     assert WeightedGraph.from_arrays(4, np.array([]), np.array([]), []).edge_count == 0
+
+
+@pytest.mark.parametrize("ms, ns, ws, shapes", [
+    ([0, 1], [2], [1.0, 1.0], "(2,), (1,) and (2,)"),
+    ([0, 1], [1], [1.0, 1.0], "(2,), (1,) and (2,)"),
+    (0, 1, 1.0, "(), () and ()"),
+    ([0, 1], [1, 2], [1.0], "(2,), (2,) and (1,)"),
+    ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "(1, 2), (1, 2) and (1, 2)"),
+    ([0, 0], [0], [-1.0, 1.0], "(2,), (1,) and (2,)"),
+], ids=["short-ns-broadcast", "short-ns", "scalars", "short-ws", "2-D", "before-edge-checks"])
+def test_from_arrays_requires_three_1d_inputs_of_one_length(ms, ns, ws, shapes):
+    # broadcasting [0, 1] against [2] would give edges (0, 2) and (1, 2)
+    with pytest.raises(ValueError, match=re.escape(f"of one length, got shapes {shapes}")):
+        WeightedGraph.from_arrays(3, ms, ns, ws)
 
 
 def test_laplacian_weaken_steps_are_bitwise_fresh_builds():

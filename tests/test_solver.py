@@ -20,6 +20,7 @@ from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import EdgeScores, objective_value, score_edges
 from fsgl.partition import partition_select
 from fsgl.solver import (
+    _ROW,
     SolverConfig,
     SolveTrace,
     compute_state,
@@ -328,6 +329,24 @@ def test_trace_holds_at_most_about_two_rows_per_step():
         tracemalloc.stop()
     assert steps >= 3000
     assert held <= 120 * steps, f"{held / steps:.0f} B per step"
+
+
+def test_trace_growth_peaks_at_one_and_a_half_capacities():
+    # a full buffer of n rows is copied into a fresh one of 2n: n + 2n at
+    # the peak, 1.5 times the final capacity; concatenating it with an
+    # empty copy of itself would hold 2n more, 2 times
+    assert _ROW.itemsize == 48
+    tracemalloc.start()
+    try:
+        trace = SolveTrace()
+        for i in range(10_000):
+            trace.append((i, i + 1), -1.0, 0.5, 3, float(i))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capacity = trace._buf.nbytes
+    assert len(trace) == 10_000 and trace.edges_mn[-1].tolist() == [9_999, 10_000]
+    assert peak <= 1.55 * capacity, f"peak {peak / capacity:.3f} x capacity"
 
 
 def test_a_huge_step_cap_allocates_nothing_up_front():

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import fsgl.spectral
 from fsgl.datagen import connected_pairs, gen_ground_truth
-from fsgl.errors import InsufficientEigenpairs
+from fsgl.errors import InsufficientEigenpairs, NonFiniteInput
 from fsgl.graph import WeightedGraph, build_laplacian, complete_graph
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 from quadforms import exact_quadform, majorizer_quadform
@@ -256,3 +256,48 @@ def test_full_spectrum_failure_raises_linalg_error(monkeypatch):
     for k in (5, 3):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             smallest_eigenpairs(lap, k)
+
+
+def non_finite_matrices():
+    """Symmetric matrices with a NaN or an inf, and the k to ask them for:
+    the ones dsyevr finds no eigenvalue on, and one it returns -inf and NaN
+    for, both with info = 0."""
+    yield np.full((4, 4), np.nan), 2
+    base = 2.0 * np.eye(5) - 0.1
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (3, 1)):
+            a = base.copy()
+            a[i, j] = a[j, i] = value
+            yield a, 2
+    a = base.copy()
+    a[2, 2] = -np.inf
+    yield a, 2
+
+
+def test_non_finite_matrix_raises_at_every_k():
+    # neither LAPACK routine reports a failure on these: dsyevr finds
+    # fewer than k eigenvalues, or non-finite ones, and dsyevd returns
+    # NaNs, or on a NaN diagonal finite eigenvalues
+    count = 0
+    for a, k_partial in non_finite_matrices():
+        for k in (k_partial, a.shape[0]):
+            with pytest.raises(NonFiniteInput, match="non-finite entry"):
+                smallest_eigenpairs(a, k)
+            count += 1
+    assert count == 16
+
+
+def test_dsyevr_finding_too_few_eigenvalues_falls_back(monkeypatch):
+    # m < k with info = 0 is a failure like any other: the full routine answers
+    real_syevr = fsgl.spectral._SYEVR
+
+    def short_syevr(*args, **kwargs):
+        w, z, m, isuppz, info = real_syevr(*args, **kwargs)
+        return w, z, m - 1, isuppz, info
+
+    lap = build_laplacian(random_connected_graph(np.random.default_rng(5), 10))
+    vals, vecs = np.linalg.eigh(lap)
+    monkeypatch.setattr(fsgl.spectral, "_SYEVR", short_syevr)
+    state = smallest_eigenpairs(lap, 4)
+    assert state.eigvals.tobytes() == vals[:4].tobytes()
+    assert state.eigvecs.tobytes() == vecs[:, :4].tobytes()
