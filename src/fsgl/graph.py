@@ -150,19 +150,17 @@ class WeightedGraph:
         i = int(np.searchsorted(self._keys, key))
         return i if i < self._keys.shape[0] and self._keys[i] == key else -1
 
-    def _weakened(self, edge: tuple[int, int], eps: float) -> tuple[int, float]:
-        """Edge row i and its weight max(0, w - eps) after one step, 0.0 at
-        or below WEIGHT_ZERO; raises as `weaken_edge` does."""
+    def _step(self, i: int, eps: float) -> float:
+        """Edge row i's weight after one step: w - eps, or 0.0 at or below
+        WEIGHT_ZERO. The one weakening rule: eps must be positive, and a
+        step too small to change w in floating point raises ValueError."""
         if not eps > 0:  # NaN included
             raise ValueError("eps must be positive")
-        key = canonical_edge(*edge)
-        i = self._index(*key)
-        if i < 0:
-            raise MissingEdge(f"edge {key} not in graph")
         w = float(self._ws[i])
         if w - eps == w:
-            raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {key} unchanged")
-        return i, w - eps if w - eps > WEIGHT_ZERO else 0.0
+            edge = (int(self._ms[i]), int(self._ns[i]))
+            raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {edge} unchanged")
+        return w - eps if w - eps > WEIGHT_ZERO else 0.0
 
     @property
     def edges(self) -> MappingProxyType:
@@ -244,10 +242,14 @@ class Laplacian:
         if bad.shape[0]:
             raise NonFiniteInput(f"node {bad[0]}'s weighted degree overflows")
 
-    def weaken(self, edge: tuple[int, int], eps: float) -> "Laplacian":
-        """`weaken_edge` on `g`: self, weakened in place, or the next edge set's."""
+    def weaken(self, i: int, eps: float) -> "Laplacian":
+        """`weaken_edge` on row i of `g`'s edge arrays, the row a selector
+        returns: self, weakened in place, or the next edge set's. A row
+        outside [0, edge_count) raises IndexError and changes nothing."""
         g = self.g
-        i, w = g._weakened(edge, eps)
+        if not 0 <= i < g.edge_count:  # numpy would wrap a negative row
+            raise IndexError(f"edge row {i} out of range for {g.edge_count} edges")
+        w = g._step(i, eps)
         if not w:
             return Laplacian(g._with_weight(i, w))
         self._w2[i] = self._w2[g.edge_count + i] = w
@@ -269,7 +271,11 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     once the clamped weight falls to numerical zero. A step too small to
     change the weight in floating point raises ValueError.
     """
-    return g._with_weight(*g._weakened(edge, eps))
+    key = canonical_edge(*edge)
+    i = g._index(*key)
+    if i < 0:
+        raise MissingEdge(f"edge {key} not in graph")
+    return g._with_weight(i, g._step(i, eps))
 
 
 def gram(x: np.ndarray) -> np.ndarray:

@@ -130,8 +130,13 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     q *= eps
     eta = np.subtract(1.0, q, out=q)
     # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
-    # eta <= 0, which makes the score +inf.
-    grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
+    # eta <= 0, which makes the score +inf. The masked log is needed only
+    # then (or on NaN, or an empty batch); where it writes, its bits are
+    # the plain log's.
+    if eta.shape[0] and eta.min() > 0.0:
+        grad = np.log(eta)
+    else:
+        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
     np.subtract(ez, grad, out=grad)
     grad += cfg.gamma * rho
     gain = (w_arr < eps) * float(cfg.mu)
@@ -140,19 +145,21 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
 
 
 def selection(grad: np.ndarray, i: int, m_arr: np.ndarray,
-              n_arr: np.ndarray) -> tuple[tuple[int, int], float] | None:
-    """Both selectors' result for row i of a scored batch: ((m, n), grad[i]),
-    or None unless that score is finite and negative (no step descends)."""
+              n_arr: np.ndarray) -> tuple[tuple[int, int], float, int] | None:
+    """Both selectors' result for row i of a scored batch: ((m, n), grad[i], i),
+    the row being the one `graph.Laplacian.weaken` takes, or None unless
+    that score is finite and negative (no step descends)."""
     score = float(grad[i])
     if not -math.inf < score < 0.0:
         return None
-    return (int(m_arr[i]), int(n_arr[i])), score
+    return (int(m_arr[i]), int(n_arr[i])), score, i
 
 
 def count_ineligible(trace, grad: np.ndarray) -> None:
     """Add a scored batch's edges whose step is too large (grad = +inf) to
-    `trace.ineligible`, if a trace is given."""
-    if trace is not None:
+    `trace.ineligible`, if a trace is given. A batch whose largest score
+    is below +inf has none; a NaN maximum is counted like any other."""
+    if trace is not None and grad.shape[0] and not grad.max() < math.inf:
         trace.ineligible += int(np.count_nonzero(grad == np.inf))
 
 

@@ -4,13 +4,15 @@ The recursive selector splits the candidate edge set with a Fiedler sweep
 cut of the unit-weight graph, keeps the cut edges as a block of their
 own, and recurses on the edges of each side. A sub-graph is its edge rows
 and the nodes they touch, so a node without edges never enters a split.
-That plan depends only on which edges the graph holds, so a solve lays it
-out once per edge set and reuses it across the steps that only weaken
-weights. Each step scores every edge against the same global spectral
-snapshot and Gram matrix as the exhaustive scan and takes all block
-minima in one `reduceat`, so the result is an exact decomposition of the
-global argmin: every edge lands in exactly one block, whichever splits
-are taken.
+That plan depends only on which edges the graph holds. A solve lays it
+out once, for its start graph, and `drop_row` takes each deleted edge out
+of its block, so from the first deletion on the solve selects over the
+start graph's decomposition restricted to the surviving edges, not a
+fresh sweep of each edge set. Each step scores every edge against the
+same global spectral snapshot and Gram matrix as the exhaustive scan and
+takes all block minima in one `reduceat`, so the result is an exact
+decomposition of the global argmin: any partition of the edges into
+blocks, this one included, selects the same edge.
 """
 
 from __future__ import annotations
@@ -163,16 +165,36 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([np.empty(0, np.intp), *blocks]), starts
 
 
+def drop_row(plan: tuple[np.ndarray, np.ndarray], i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plan of a graph that lost edge row i: row i leaves its block,
+    the rows above it move down by one, as the edge arrays' rows do, and
+    a block left empty is dropped (`reduceat` takes no empty block). The
+    blocks stay a partition of the remaining rows; `plan` is not changed.
+    """
+    rows, starts = plan
+    hit = rows == i
+    at = int(hit.argmax())
+    if not hit[at]:
+        raise ValueError(f"row {i} is in no block of the plan")
+    b = int(np.searchsorted(starts, at, side="right")) - 1
+    end = starts[b + 1] if b + 1 < starts.shape[0] else rows.shape[0]
+    head = starts[:b + 1] if end - starts[b] > 1 else starts[:b]
+    rows = rows[~hit]
+    rows[rows > i] -= 1
+    return rows, np.concatenate([head, starts[b + 1:] - 1])
+
+
 def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
                      plan=None, terms=None, trace=None):
     """Recursive Cheeger-cut search for the best edge to weaken.
 
     Returns what the exhaustive scan returns (see `selection`), because
     the plan's blocks only partition the candidate edge set while all
-    scores come from the global snapshot. `plan` is cut_plan(g, LEAF_NODES),
-    built here when not given; a caller that only weakens edges can keep
-    passing the same one, and `terms` (see `score_edges`). `trace` counts
-    ineligible edges.
+    scores come from the global snapshot. `plan` is any such partition of
+    g's edge rows, laid out as `cut_plan` returns it; when not given,
+    cut_plan(g, LEAF_NODES) is built here. A solve passes the plan of its
+    start graph, kept current by `drop_row`. `terms` is as in
+    `score_edges`; `trace` counts ineligible edges.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
@@ -183,9 +205,9 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     # all; one reduceat then takes each block's minimum.
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms).grad
     count_ineligible(trace, grad)
-    laid = grad[order]
-    best = np.minimum.reduceat(laid, starts).min()
-    # Rows run in (m, n) order, so the smallest row that holds the best
+    best = np.minimum.reduceat(grad[order], starts).min()
+    # Rows run in (m, n) order, so the first row that holds the best
     # block minimum is the winner by (grad, m, n); a NaN minimum holds none.
-    rows = order[laid == best]
-    return selection(grad, int(rows.min()), m_arr, n_arr) if rows.shape[0] else None
+    hit = grad == best
+    i = int(hit.argmax())
+    return selection(grad, i, m_arr, n_arr) if hit[i] else None

@@ -4,11 +4,13 @@ Each iteration scores every candidate edge against an immutable spectral
 snapshot, weakens the best-scoring edge while its score stays negative,
 and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
-(recursive); both return the same edge by construction. A solve holds
-one `graph.Laplacian`, which a weakening step updates in place and from
-which each snapshot is taken, and what its edge set fixes: the scoring
-terms and the recursive arm's cut plan. Only a step that deletes an edge
-builds a new one; the solve returns the last Laplacian's graph.
+(recursive); both return the same edge, and its row, by construction.
+A solve holds one `graph.Laplacian`, which a weakening step updates in
+place at the selected row and from which each snapshot is taken, and
+what its edge set fixes: the scoring terms. Only a step that deletes an
+edge builds a new one; the solve returns the last Laplacian's graph. The
+recursive arm lays out one cut plan per solve, for the start graph, and
+drops each deleted row from it (`partition.drop_row`).
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class SolveTrace:
     sums the edges scored +inf (step too large) over all steps. phase_ms
     splits the solve's time after the initial objective: "eigensolve"
     (snapshots), "select" (scoring and selection), "rebuild" (a new edge
-    set's Laplacian and scoring terms, and the cut plan it is first
-    selected on) and "mutate" (in-place weakening steps).
+    set's Laplacian and scoring terms; the recursive arm's cut plan,
+    built once per solve, and a deletion's update to it) and "mutate"
+    (in-place weakening steps).
     """
 
     initial_objective: float = float("nan")
@@ -170,10 +173,10 @@ def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
-                terms=None, trace=None) -> tuple[tuple[int, int], float] | None:
+                terms=None, trace=None) -> tuple[tuple[int, int], float, int] | None:
     """Exhaustive scan for the edge with the most negative score.
 
-    Returns ((m, n), grad), or None once no edge scores below zero
+    Returns ((m, n), grad, row), or None once no edge scores below zero
     (converged); see `selection`. Edges run in (m, n) order, so argmin's
     first minimum breaks ties on the lexicographically smallest (m, n).
     `terms` is as in `score_edges`; ineligible edges (determinant factor
@@ -221,17 +224,16 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
 
     t0 = time.perf_counter()
     lap = Laplacian(g0)
-    terms, plan = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon), None
+    terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
+    recursive = cfg.solver_kind == "recursive"
+    plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES) if recursive else None
     t = charge("rebuild", t0)
     state = _snapshot(lap.lap, cfg, obs.k)
     trace.eigensolves += 1
     t = charge("eigensolve", t)
     accepted = 0
     while accepted < cfg.max_iters:
-        if cfg.solver_kind == "recursive":
-            if plan is None:  # only for an edge set a step selects on
-                plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES)
-                t = charge("rebuild", t)
+        if recursive:
             sel = _partition.partition_select(lap.g, state, obs, cfg, plan, terms, trace)
         else:
             sel = greedy_step(lap.g, y, state, cfg, terms, trace)
@@ -239,13 +241,15 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         if sel is None:
             trace.stop_reason = "no_descent"
             break
-        edge, grad_h = sel
-        weakened = lap.weaken(edge, cfg.epsilon)
+        edge, grad_h, row = sel
+        weakened = lap.weaken(row, cfg.epsilon)
         if weakened is lap:
             t = charge("mutate", t)
         else:
-            lap, plan = weakened, None
+            lap = weakened
             terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
+            if recursive:
+                plan = _partition.drop_row(plan, row)
             t = charge("rebuild", t)
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)

@@ -104,7 +104,8 @@ class SpectralState:
             if self.k == 2 and self.n == 2:
                 return float(lam[1] - lam[0])
             raise InsufficientEigenpairs("eigen-gap at lambda_2 needs three eigenvalues")
-        return float(min(lam[1] - lam[0], lam[2] - lam[1]))
+        l1, l2, l3 = lam[:3].tolist()
+        return min(l2 - l1, l3 - l2)
 
 
 def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
@@ -114,13 +115,16 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     exactly as `scipy.linalg.eigh(..., subset_by_index=(0, k - 1))` calls
     it. When k equals N, or dsyevr fails (it can on finite symmetric
     input the full routine handles), the k lowest pairs of dsyevd,
-    bitwise `np.linalg.eigh`'s; LinAlgError if that fails too. A
-    symmetric matrix with a non-finite entry raises NonFiniteInput.
+    bitwise `np.linalg.eigh`'s; LinAlgError if that fails too. Both
+    routines read the lower triangle only, so the upper one is never
+    checked: a non-finite entry on or below the diagonal raises
+    NonFiniteInput at every k, and one above it changes no answer.
     """
     n = lap.shape[0]
     if not (2 <= k <= n):
         raise ValueError(f"k={k} must lie in [2, {n}]")
 
+    failed = None
     if k < n:
         # Queried on every call (under a microsecond) instead of cached, so
         # the module holds no mutable state for threads to share.
@@ -132,10 +136,14 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
         # k eigenvalues or a non-finite lowest one.
         if info == 0 and m == k and math.isfinite(vals[0]):
             return SpectralState(vals[:k], vecs)
+        failed = (info, m)
+    # dsyevd can return finite eigenvalues on a NaN; the triangle it reads
+    # is checked only when the whole matrix fails
+    if not np.isfinite(lap).all() and not np.isfinite(np.tril(lap)).all():
+        raise NonFiniteInput("matrix has a non-finite entry on or below the diagonal")
+    if failed is not None:
         logger.warning("dsyevr failed (info=%d, %d of %d eigenvalues); using the full "
-                       "dsyevd", info, m, k)
-    if not np.isfinite(lap).all():  # dsyevd can return finite eigenvalues on a NaN
-        raise NonFiniteInput("matrix has a non-finite entry")
+                       "dsyevd", *failed, k)
     vals, vecs, info = _SYEVD(lap, compute_v=1, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

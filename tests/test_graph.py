@@ -315,13 +315,15 @@ def test_weaken_edge_outside_the_node_range_is_a_missing_edge():
     assert g.weight(2, 5) == 1.0
 
 
-def test_laplacian_weaken_outside_the_node_range_is_a_missing_edge():
-    lap = Laplacian(WeightedGraph(10, {(2, 5): 1.0}))
+def test_laplacian_weaken_outside_the_row_range_changes_nothing():
+    # a negative row would wrap to an edge from the end
+    lap = Laplacian(WeightedGraph(10, {(2, 5): 1.0, (3, 4): 2.0}))
     before = lap.lap.copy()
-    for pair in ALIASES:
-        with pytest.raises(MissingEdge, match="not in graph"):
-            lap.weaken(pair, 0.5)
-    assert lap.g.weight(2, 5) == 1.0 and np.array_equal(lap.lap, before)
+    for row in (-1, -2, 2, 3, np.intp(-1), np.int64(2)):
+        with pytest.raises(IndexError, match=f"edge row {row} out of range for 2 edges"):
+            lap.weaken(row, 0.5)
+    assert lap.g.edges == {(2, 5): 1.0, (3, 4): 2.0}
+    assert np.array_equal(lap.lap, before)
 
 
 @pytest.mark.parametrize("build", [
@@ -384,7 +386,7 @@ def test_laplacian_weaken_steps_are_bitwise_fresh_builds():
             delete = bool(rng.random() < 0.25)
             eps = float(w_arr[i]) if delete else float(rng.choice([0.01, 0.3, 2.5]))
             before = lap
-            lap = lap.weaken(edge, eps)
+            lap = lap.weaken(i, eps)
             g_ref = weaken_edge(g_ref, edge, eps)
             kinds.add((delete, lap is before))
             assert (lap is before) == (lap.g.edge_count == before.g.edge_count)
@@ -396,7 +398,7 @@ def test_laplacian_weaken_steps_are_bitwise_fresh_builds():
             edge = tuple(int(a[0]) for a in g_ref.edge_arrays()[:2])
             tiny = float(g_ref.edge_arrays()[2][0]) * 1e-18
             errors = []
-            for step in (lambda: weaken_edge(g_ref, edge, tiny), lambda: lap.weaken(edge, tiny)):
+            for step in (lambda: weaken_edge(g_ref, edge, tiny), lambda: lap.weaken(0, tiny)):
                 with pytest.raises(ValueError, match="unchanged") as info:
                     step()
                 errors.append(str(info.value))

@@ -18,12 +18,13 @@ from fsgl.graph import (
 from fsgl.objective import (
     EdgeScores,
     _row_sums,
+    count_ineligible,
     edge_terms,
     objective_value,
     score_edges,
     smoothness_trace,
 )
-from fsgl.solver import SolverConfig, compute_state, greedy_step
+from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
 
@@ -334,6 +335,60 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
         ref = _score_edges_reference(state, y, m_arr[i:i + 1], n_arr[i:i + 1],
                                      w_arr[i:i + 1], cfg)
         assert one.grad.tobytes() == ref.grad.tobytes()
+
+
+def test_plain_log_is_bitwise_the_masked_log():
+    # score_edges takes the plain log when every eta is positive; the
+    # lengths cover NumPy's SIMD loop tails, the offsets unaligned starts
+    rng = np.random.default_rng(29)
+    lengths = [*range(1, 70), *(8 * j + r for j in (64, 127, 892) for r in range(8))]
+    checked = 0
+    for length in lengths:
+        for offset in (0, 1):
+            a = 10.0 ** rng.uniform(-300.0, 300.0, length + offset)
+            a[rng.random(a.shape[0]) < 0.2] = rng.uniform(0.5, 1.0)  # eta's usual range
+            a = a[offset:]
+            masked = np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
+            assert np.log(a).tobytes() == masked.tobytes(), (length, offset)
+            checked += 1
+    assert checked == 2 * len(lengths)
+
+
+def test_ineligible_edges_take_the_masked_log_and_are_counted():
+    # steps at which some determinant factors, majorized or exact, go nonpositive
+    rng = np.random.default_rng(6)
+    g = random_connected_graph(rng, 12, density=0.3)
+    y = gram(rng.standard_normal((12, 4)))
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    for exact, eps in ((False, 0.3), (True, 1.5)):
+        cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
+        state = compute_state(g, cfg, 4)
+        with np.errstate(all="raise"):  # a plain log of eta <= 0 would warn
+            scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+        bad = scores.eta <= 0.0
+        assert 0 < np.count_nonzero(bad) < bad.shape[0], exact
+        assert (scores.grad[bad] == np.inf).all()
+        assert np.isfinite(scores.grad[~bad]).all()
+        ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
+        assert scores.grad.tobytes() == ref.grad.tobytes()
+        trace = SolveTrace()
+        count_ineligible(trace, scores.grad)
+        assert trace.ineligible == np.count_nonzero(bad)
+
+
+def test_count_ineligible_counts_inf_past_nan():
+    # counted only when the maximum is not below +inf, which a NaN is not
+    rng = np.random.default_rng(8)
+    count_ineligible(None, np.array([np.inf]))
+    for length in (0, 1, 2, 5, 40):
+        for trial in range(50):
+            grad = rng.standard_normal(length)
+            grad[rng.random(length) < rng.choice([0.0, 0.2, 1.0])] = np.inf
+            grad[rng.random(length) < rng.choice([0.0, 0.2, 1.0])] = np.nan
+            grad[rng.random(length) < 0.1] = -np.inf
+            trace = SolveTrace(ineligible=3)
+            count_ineligible(trace, grad)
+            assert trace.ineligible == 3 + np.count_nonzero(grad == np.inf), grad
 
 
 def test_objective_value_matches_direct_formula():

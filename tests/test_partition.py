@@ -21,6 +21,7 @@ from fsgl.partition import (
     approx_cheeger_cut,
     brute_force_cheeger,
     cut_plan,
+    drop_row,
     partition_select,
 )
 from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, run_solver
@@ -259,7 +260,7 @@ def test_cut_plan_depends_on_edge_set_not_weights():
                 and np.array_equal(fresh_starts, starts))
 
 
-def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
+def test_run_solver_builds_one_plan_per_solve(monkeypatch):
     import fsgl.partition as partition
 
     calls = []
@@ -271,16 +272,81 @@ def test_run_solver_builds_one_plan_per_edge_set(monkeypatch):
     _, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive",
                                                 epsilon=0.05))
     assert len(trace) > 0
-    # each accepted step selected on the edge set before its own step
-    counts = trace.edge_counts.tolist()
-    selected_on = [g0.edge_count] + counts[:-1]
-    if trace.stop_reason == "no_descent":
-        selected_on.append(counts[-1])
-    assert len(set(selected_on)) > 1, "the solve should delete an edge"
-    assert calls == sorted(set(selected_on), reverse=True)
+    assert trace.edge_counts[-1] < g0.edge_count, "the solve should delete an edge"
+    assert calls == [g0.edge_count]
     calls.clear()
     run_solver(g0, obs, SolverConfig(solver_kind="greedy", epsilon=0.05))
     assert calls == []
+
+
+def check_dropped(old, new, i):
+    """new is drop_row(old, i): non-empty blocks that partition the
+    remaining rows, each an old block without row i, renumbered. Returns
+    which block emptied: None, "inner" or "last"."""
+    renumbered = [b[b != i] - (b[b != i] > i) for b in plan_blocks(old)]
+    want = [b for b in renumbered if b.shape[0]]
+    got = plan_blocks(new)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.intp
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(np.sort(new[0]), np.arange(old[0].shape[0] - 1))
+    if len(want) == len(renumbered):
+        return None
+    return "last" if renumbered[-1].shape[0] == 0 else "inner"
+
+
+def test_drop_row_keeps_a_partition_through_recursive_solves(monkeypatch):
+    import fsgl.partition as partition
+
+    real = partition.drop_row
+    seen = {None: 0, "inner": 0, "last": 0}
+
+    def checked(plan, i):
+        before = tuple(a.copy() for a in plan)
+        new = real(plan, i)
+        for a, b in zip(plan, before):
+            np.testing.assert_array_equal(a, b)  # the old plan is left as it was
+        seen[check_dropped(plan, new, i)] += 1
+        return new
+
+    monkeypatch.setattr(partition, "drop_row", checked)
+    # the N = 12 solve's one deletion empties the plan's last block, a singleton
+    for seed, n, generator in ((1, 12, "mvt"), (2, 16, "gmm"), (0, 24, "gmm"),
+                               (3, 30, "gmm")):
+        obs = solve_instance(seed, n, generator)
+        g0 = init_sparse_graph(obs.gram, 3 * n)
+        g, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive", epsilon=0.05))
+        assert g.edge_count == trace.edge_counts[-1] < g0.edge_count
+    assert all(seen.values()), seen
+
+
+def test_drop_row_drops_a_block_it_empties():
+    # blocks [2, 0] [1] [4] [3]: emptying the last block, a middle one, then
+    # the first row of a longer block
+    plan = (np.array([2, 0, 1, 4, 3], dtype=np.intp), np.array([0, 2, 3, 4], dtype=np.intp))
+    for i, rows, starts, emptied in ((3, [2, 0, 1, 3], [0, 2, 3], "last"),
+                                     (1, [1, 0, 2], [0, 2], "inner"),
+                                     (1, [0, 1], [0, 1], None)):
+        new = drop_row(plan, i)
+        assert check_dropped(plan, new, i) == emptied
+        np.testing.assert_array_equal(new[0], rows)
+        np.testing.assert_array_equal(new[1], starts)
+        plan = new
+    with pytest.raises(ValueError, match="row 2 is in no block"):
+        drop_row(plan, 2)
+    # the same edge through a plan whose last block emptied: a path of
+    # four edges loses its last one, and the winner is in the new last block
+    obs = solve_instance(3, 5)
+    g = WeightedGraph(5, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0})
+    start = (np.array([1, 0, 2, 3], dtype=np.intp), np.array([0, 2, 3], dtype=np.intp))
+    g = weaken_edge(g, (3, 4), 1.0)
+    plan = drop_row(start, 3)
+    np.testing.assert_array_equal(plan[1], [0, 2])
+    cfg = SolverConfig(solver_kind="recursive")
+    state = compute_state(g, cfg, obs.k)
+    sel = greedy_step(g, obs.gram, state, cfg)
+    assert sel[2] == 2 and partition_select(g, state, obs, cfg, plan) == sel
 
 
 def _select_block_by_block(grad, m_arr, n_arr, plan):

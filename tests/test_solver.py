@@ -97,8 +97,10 @@ def test_greedy_step_picks_global_argmin():
         sel = greedy_step(g, obs.gram, state, cfg)
         if sel is None:
             continue
-        edge, grad = sel
+        edge, grad, row = sel
         assert grad < 0.0
+        m_arr, n_arr, _ = g.edge_arrays()
+        assert edge == (m_arr[row], n_arr[row])
         # no other edge, scored on its own, scores strictly lower
         for (m, n), w in g.edges.items():
             one = score_edges(state, obs.gram, np.array([m]), np.array([n]),
@@ -119,9 +121,9 @@ def test_greedy_step_tie_breaks_lexicographic(monkeypatch):
         return greedy_step(g if k else WeightedGraph(3), None, None, SolverConfig())
 
     sel = step([-1.0, -1.0, -1.0])
-    assert sel == ((0, 1), -1.0)  # first minimum wins on sorted arrays
-    assert type(sel[0][0]) is int and type(sel[1]) is float
-    assert step([0.5, -1.0, -1.0])[0] == (0, 2)
+    assert sel == ((0, 1), -1.0, 0)  # first minimum wins on sorted arrays
+    assert type(sel[0][0]) is int and type(sel[1]) is float and type(sel[2]) is int
+    assert step([0.5, -1.0, -1.0]) == ((0, 2), -1.0, 1)
     # a selection needs a finite, negative winning score
     for grads in ([np.inf] * 3, [0.0, 0.5, np.inf], [np.nan, -1.0, -1.0],
                   [-np.inf, -1.0, 0.0]):

@@ -171,7 +171,7 @@ def test_majorizer_validation():
         exact_quadform(lap, 0.5, 2, 2)
 
 
-def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
+def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch, caplog):
     real_syevr = fsgl.spectral._SYEVR
 
     def failing_syevr(*args, **kwargs):
@@ -183,7 +183,10 @@ def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch):
     lap = build_laplacian(random_connected_graph(rng, 12))
     full_vals, full_vecs = np.linalg.eigh(lap)
     monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
-    state = smallest_eigenpairs(lap, 5)
+    with caplog.at_level("WARNING", logger="fsgl"):
+        state = smallest_eigenpairs(lap, 5)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dsyevr failed (info=1, 5 of 5 eigenvalues); using the full dsyevd"]
     assert np.array_equal(state.eigvals, full_vals[:5])
     assert np.array_equal(state.eigvecs, full_vecs[:, :5])
 
@@ -285,6 +288,25 @@ def test_non_finite_matrix_raises_at_every_k():
                 smallest_eigenpairs(a, k)
             count += 1
     assert count == 16
+
+
+def test_non_finite_entry_gets_one_answer_at_every_k(caplog):
+    # both routines read the lower triangle: a bad entry above the diagonal
+    # changes no answer, one below it raises, and neither logs a fallback
+    base = 2.0 * np.eye(5) - 0.1
+    want = np.linalg.eigvalsh(base)
+    for value in (np.nan, np.inf, -np.inf):
+        above, below = base.copy(), base.copy()
+        above[1, 3] = below[3, 1] = value
+        with caplog.at_level("WARNING", logger="fsgl"):
+            for k in range(2, 6):
+                state = smallest_eigenpairs(above, k)
+                np.testing.assert_allclose(state.eigvals, want[:k], rtol=0, atol=1e-14)
+                with pytest.raises(NonFiniteInput, match="on or below the diagonal"):
+                    smallest_eigenpairs(below, k)
+        assert caplog.records == []
+    full = smallest_eigenpairs(above, 5)
+    assert full.eigvals.tobytes() == np.linalg.eigh(base)[0].tobytes()
 
 
 def test_dsyevr_finding_too_few_eigenvalues_falls_back(monkeypatch):
