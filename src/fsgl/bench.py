@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import GENERATORS, check_instance, draw_instance
+from .datagen import GENERATORS, check_instance, draw_instance, sample_count
 from .errors import FsglError, NonFiniteInput, ZeroReference
 from .graph import WeightedGraph, build_laplacian
 from .init_graph import check_start, default_budget, initial_graph
@@ -152,6 +152,16 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
+def timed_solve(obs, cfg: SolverConfig):
+    """(g, trace, ms, lambda2): `run_solver` from `initial_graph`, its wall-clock
+    ms and the learned graph's Fiedler value, for `fsgl solve` and each bench cell."""
+    g0 = initial_graph(obs, cfg)
+    t0 = time.perf_counter()
+    g, trace = run_solver(g0, obs, cfg)
+    ms = (time.perf_counter() - t0) * 1e3
+    return g, trace, ms, smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
+
+
 def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                   generators=GENERATORS, solvers=SOLVERS,
                   density: float = 0.2, rho: float = 0.5, nu: float = 3.0,
@@ -171,17 +181,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
         raise ValueError("trials must be >= 1")
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
     ratios = [float(r) for r in ratios]
-    for r in ratios:
-        if not (np.isfinite(r) and r > 0.0):
-            raise ValueError(f"K/N ratio must be finite and positive, got {r}")
-
-    def sample_count(r):  # r * n overflows only far above the size ceiling
-        try:
-            return max(1, int(round(r * n)))
-        except OverflowError:
-            return np.inf
-
-    ks = [sample_count(r) for r in ratios]
+    ks = [sample_count(n, r) for r in ratios]
     check_instance(n, max(ks), generators, seed, density, rho, nu, n_components,
                    mean_scale, f" (K/N ratio {max(ratios):g})")
     default_budget(n, cfg.budget_b)
@@ -192,11 +192,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
         try:
             gt, obs = draw_instance(n, ks[ri], gen_name, [seed, gi, ri, trial], density,
                                     rho, nu, n_components, mean_scale)
-            g0 = initial_graph(obs, configs[sol])
-            t0 = time.perf_counter()
-            g, trace = run_solver(g0, obs, configs[sol])
-            ms = (time.perf_counter() - t0) * 1e3
-            lam2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
+            g, trace, ms, lam2 = timed_solve(obs, configs[sol])
             return BenchCell(gen_name, sol, ratio, trial, relative_error(g, gt.w_star),
                              lam2, g.edge_count, ms, len(trace), trace.stop_reason)
         except (FsglError, ValueError, np.linalg.LinAlgError) as exc:

@@ -12,19 +12,17 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .bench import check_reference, relative_error, run_benchmark
-from .datagen import GENERATORS, connected_pairs, draw_instance
+from .bench import check_reference, relative_error, run_benchmark, timed_solve
+from .datagen import GENERATORS, connected_pairs, draw_instance, sample_count
 from .errors import FsglError
 from .graph import ObservationSet, WeightedGraph, build_laplacian
-from .init_graph import initial_graph
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import BRUTE_FORCE_LIMIT, approx_cheeger_cut, brute_force_cheeger
-from .solver import SOLVERS, SolverConfig, run_solver
+from .solver import SOLVERS, SolverConfig
 from .spectral import smallest_eigenpairs
 
 
@@ -144,9 +142,7 @@ def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
-    # Integer arithmetic, so a node count too large for a float still
-    # reaches draw_instance's typed check: round(0.2 * n) for any n it takes.
-    k = args.k if args.k is not None else max(1, (n + 2) // 5)
+    k = args.k if args.k is not None else sample_count(n, 0.2)
     gt, obs = draw_instance(n, k, args.generator or GENERATORS[0], [args.seed],
                             args.density, args.rho, args.dof, args.components,
                             args.mean_scale)
@@ -167,15 +163,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     w_star = load_graph(args.truth, n=obs.n) if args.truth else None
     if w_star is not None:
         check_reference(w_star, f"{args.truth}: reference graph")
-    g0 = initial_graph(obs, cfg)
-    t0 = time.perf_counter()
-    g, trace = run_solver(g0, obs, cfg)
-    ms = (time.perf_counter() - t0) * 1e3
+    g, trace, ms, lam2 = timed_solve(obs, cfg)
     if args.output:
         save_graph(g, args.output)
     if args.trace:
         trace.to_csv(args.trace)
-    lam2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
           f"edges={g.edge_count} lambda2={lam2:.6f} "

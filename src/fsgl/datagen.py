@@ -183,6 +183,17 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     return ObservationSet(z / np.sqrt(u / nu))
 
 
+def sample_count(n: int, ratio: float) -> int | float:
+    """K = max(1, round(ratio * n)) of a finite, positive K/N ratio (else
+    ValueError), or inf, which the size checks refuse, when ratio * n overflows."""
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"K/N ratio must be finite and positive, got {ratio}")
+    try:
+        return max(1, round(ratio * n))
+    except OverflowError:
+        return math.inf
+
+
 def check_instance(n: int, k: int, generators, entropy, density: float,
                    rho: float, nu: float, n_components: int, mean_scale: float,
                    origin: str = "") -> None:

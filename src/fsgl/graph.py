@@ -33,17 +33,21 @@ def _integer(value, what: str) -> int:
 
 
 def _node_ids(ids) -> np.ndarray:
-    """`ids` as an intp array. Unless they come as an integer array, each
-    type among them is checked once by `_integer`, in order of first use,
-    so the first float or bool id raises TypeError; an id past the intp
-    range raises OverflowError."""
+    """`ids` as an intp array, or as an object array of Python ints when one
+    lies past the intp range, so that `_fill` checks each id as given. Unless
+    they come as an integer array, each type among them is checked once by
+    `_integer`, in order of first use: the first float or bool id raises TypeError."""
     a = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
-    if a.dtype.kind not in "iu":
-        values = a.ravel().tolist()
-        types = list(map(type, values))
-        for i in sorted(map(types.index, set(types))):  # per type, not per edge
-            _integer(values[i], "node id")
-    return np.asarray(a, dtype=np.intp)
+    if a.dtype.kind == "i" or a.dtype.kind == "u" and a.max(initial=0) <= np.iinfo(np.intp).max:
+        return np.asarray(a, dtype=np.intp)
+    values = a.ravel().tolist()
+    types = list(map(type, values))
+    for i in sorted(map(types.index, set(types))):  # per type, not per edge
+        _integer(values[i], "node id")
+    try:
+        return np.array(values, dtype=np.intp).reshape(a.shape)
+    except OverflowError:
+        return np.array(list(map(operator.index, values)), dtype=object).reshape(a.shape)
 
 
 def canonical_edge(m: int, n: int) -> tuple[int, int]:
@@ -97,20 +101,17 @@ class WeightedGraph:
         """Graph on n nodes with edges (ms[i], ns[i]) of weight ws[i], in any
         order and orientation. ms, ns and ws must be 1-D and of one length,
         else ValueError before any edge is checked. The first edge in input
-        order that is a self-loop, names a node outside [0, n), has a
-        non-finite (NonFiniteInput) or nonpositive weight, or names an
-        earlier edge's pair (DuplicateEdge) raises; the error's `position`
-        is its index."""
+        order that is a self-loop, names a node outside [0, n) (past intp
+        too), has a non-finite (NonFiniteInput) or nonpositive weight, or
+        repeats edge `earlier`'s pair (DuplicateEdge) raises; the error's
+        `position` is its index."""
         return cls.__new__(cls)._fill(n, ms, ns, ws)
 
     def _fill(self, n: int, ms, ns, ws) -> "WeightedGraph":
         self.n = n = _integer(n, "node count")
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
-        try:
-            m, k = _node_ids(ms), _node_ids(ns)
-        except OverflowError as exc:
-            raise ValueError(f"an edge's node is out of range for n={n}: {exc}") from None
+        m, k = _node_ids(ms), _node_ids(ns)
         w = np.asarray(ws, dtype=np.float64)
         if not (m.ndim == 1 and m.shape == k.shape == w.shape):
             raise ValueError(f"ms, ns and ws must be 1-D and of one length, got shapes "
@@ -124,10 +125,10 @@ class WeightedGraph:
         if fails.any():
             i = int(fails.any(axis=0).argmax())
             kind, message = _EDGE_ERRORS[int(fails[:, i].argmax())]
-            # the ids as given: a uint64 id past intp wrapped to a negative node
-            a, b = sorted((int(np.asarray(ms)[i]), int(np.asarray(ns)[i])))
-            exc = kind(message.format(m=a, n=b, w=float(w[i]), size=n))
+            exc = kind(message.format(m=int(lo[i]), n=int(hi[i]), w=float(w[i]), size=n))
             exc.position = i
+            if kind is DuplicateEdge:  # every row before i is sound, so one shares its pair
+                exc.earlier = int(order[np.flatnonzero(order == i)[0] - 1])
             raise exc
         self._ws, self._edges = _frozen(w[order]), None
         self._ms, self._ns, self._keys = map(_frozen, (lo[order], hi[order], keys[order]))

@@ -36,19 +36,26 @@ def _dense_from_mm(path) -> np.ndarray:
     return a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=np.float64)
 
 
-def _from_arrays(where, size: int, ms, ns, ws) -> WeightedGraph:
-    """WeightedGraph.from_arrays, where(i) leading an error about edge i."""
+def _from_arrays(path, size: int, ms, ns, ws, first_line=None) -> WeightedGraph:
+    """WeightedGraph.from_arrays, naming `path`, or `path:line` when edge i is
+    on line first_line + i (a repeated pair also names its first line)."""
     try:
         return WeightedGraph.from_arrays(size, ms, ns, ws)
     except (ValueError, FsglError) as exc:
         if not hasattr(exc, "position"):
             raise
-        raise type(exc)(f"{where(exc.position)}: {exc}") from None
+        i = exc.position
+        if isinstance(exc, DuplicateEdge):  # only an edge list can repeat a pair
+            pair = min(ms[i], ns[i]), max(ms[i], ns[i])
+            exc = DuplicateEdge(f"edge {pair} already given on line {first_line + exc.earlier}")
+        where = path if first_line is None else f"{path}:{first_line + i}"
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def load_graph(path, n: int | None = None) -> WeightedGraph:
     """Read a graph from edge-list CSV or a symmetric, zero-diagonal Matrix
-    Market adjacency."""
+    Market adjacency. CSV rows are only parsed here and `from_arrays` checks
+    the edges, so the first bad row is named; an inferred N is capped at MAX_NODES."""
     path = Path(path)
     if path.suffix.lower() == ".mtx":
         w = _dense_from_mm(path)
@@ -59,28 +66,20 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
                              f"zero diagonal")
         size = n if n is not None else w.shape[0]
         iu, ju = np.nonzero(np.triu(w, k=1))
-        return _from_arrays(lambda i: path, size, iu, ju, w[iu, ju])
+        return _from_arrays(path, size, iu, ju, w[iu, ju])
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].strip() != "m,n,w":
         raise ValueError(f"{path}: expected edge-list CSV with header m,n,w")
-    rows: dict[tuple[int, int], tuple[int, int, int, float]] = {}
+    rows = []
     for line_no, ln in enumerate(lines[1:], start=2):
         try:
             a, b, v = ln.strip().split(",")
-            m, k, w = int(a), int(b), float(v)
+            rows.append((int(a), int(b), float(v)))
         except ValueError:
             raise ValueError(f"{path}:{line_no}: malformed edge row {ln!r}") from None
-        key = (min(m, k), max(m, k))
-        if key in rows:
-            raise DuplicateEdge(f"{path}:{line_no}: edge {key} already given "
-                                f"on line {rows[key][0]}")
-        if key[0] <= -MAX_NODES or key[1] >= MAX_NODES:
-            raise ValueError(f"{path}:{line_no}: edge ({key[0]},{key[1]}) out of range "
-                             f"for any node count up to {MAX_NODES}")
-        rows[key] = (line_no, m, k, w)
-    size = n if n is not None else max((max(key) for key in rows), default=-1) + 1
-    line_nos, ms, ns, ws = np.array(list(rows.values()), dtype=object).reshape(-1, 4).T
-    return _from_arrays(lambda i: f"{path}:{line_nos[i]}", size, ms, ns, ws)
+    ms, ns, ws = zip(*rows) if rows else ((), (), ())
+    size = n if n is not None else min(max(ms + ns, default=-1) + 1, MAX_NODES)
+    return _from_arrays(path, size, ms, ns, ws, first_line=2)
 
 
 def save_observations(x: np.ndarray, path) -> None:

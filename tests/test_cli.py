@@ -78,6 +78,14 @@ def _forbid_ground_truth(monkeypatch):
     monkeypatch.setattr("fsgl.datagen.gen_ground_truth", no_ground_truth)
 
 
+def test_gen_default_sample_count_of_a_node_count_no_float_holds(tmp_path, capsys):
+    # 0.2 * n overflows a float: the node count's size error, not an OverflowError
+    n = 10**400
+    assert run_cli("gen", "--n", str(n), "--output", str(tmp_path / "d")) == 1
+    assert capsys.readouterr().err == (f"error: node count {n} needs {DRAW_ARRAYS} {n} x {n} "
+                                       f"float64 arrays at once, above the 1 GiB ceiling\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--k", "0"], "error: sample count must be >= 1, got 0"),
     (["--k", "1", "--components", "0"], "error: need at least one mixture component, got 0"),
@@ -441,13 +449,82 @@ def test_cheeger_check_takes_lambda2_from_the_sweep_eigensolve(monkeypatch, caps
 
 
 def test_solve_reports_lambda2_from_two_eigenpairs(tmp_path, monkeypatch, capsys):
+    # the solve and its lambda2 come from bench.timed_solve
+    import fsgl.bench
     import fsgl.cli
     x = tmp_path / "x.csv"
     x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n0.1,0.4\n")
-    calls = counted_eigensolves(monkeypatch, fsgl.cli)
+    calls = counted_eigensolves(monkeypatch, fsgl.bench)
+    cli_calls = counted_eigensolves(monkeypatch, fsgl.cli)
     assert run_cli("solve", "--input", str(x)) == 0
-    assert calls == [2]
+    assert calls == [2] and cli_calls == []
     assert re.search(r" lambda2=\d+\.\d{6} ", capsys.readouterr().out)
+
+
+# Recorded from `fsgl bench --n 12 --trials 2 --ratios 0.2,1.0 --seed 3`
+# (raw CSV, ms column dropped) and from `fsgl solve` on `gen --n 12 --k 4
+# --seed 9` (ms fields dropped), before solve and bench shared one timed solve.
+RECORDED_SWEEP = """\
+generator,solver,ratio,trial,re,lambda2,edges,steps,stop
+gmm,greedy,0.2,0,1.774485411252806,4.0,58,800,no_descent
+gmm,greedy,0.2,1,1.5637654130580827,1.9522756767118228,51,1500,no_descent
+gmm,greedy,1.0,0,0.971547196317435,0.0,4,6549,no_descent
+gmm,greedy,1.0,1,0.9613196592762816,0.0,4,6490,no_descent
+gmm,recursive,0.2,0,1.6710862326175855,0.032646091072540545,46,197,no_descent
+gmm,recursive,0.2,1,1.3818745504299643,0.8902277713535581,40,700,no_descent
+gmm,recursive,1.0,0,0.971547196317435,0.0,4,4649,no_descent
+gmm,recursive,1.0,1,0.9613196592762816,0.0,4,4590,no_descent
+mvt,greedy,0.2,0,1.6854101989043084,8.0,63,300,no_descent
+mvt,greedy,0.2,1,2.0173582336291576,11.999999999999996,66,0,no_descent
+mvt,greedy,1.0,0,0.9497536424355478,0.09289408997061453,16,6003,no_descent
+mvt,greedy,1.0,1,0.9622699293327426,1.863692115262781e-16,4,6384,no_descent
+mvt,recursive,0.2,0,1.4483926932503222,3.320543922078489,46,100,no_descent
+mvt,recursive,0.2,1,1.6848216273452739,4.621676534967164,47,0,no_descent
+mvt,recursive,1.0,0,0.9617739953636255,0.0922308288719981,15,4128,no_descent
+mvt,recursive,1.0,1,0.9622699293327426,1.863692115262781e-16,4,4484,no_descent
+"""
+RECORDED_SOLVE = ("solver=recursive steps=787 stop=no_descent eigensolves=788 ineligible=0 "
+                  "edges=40 lambda2=0.000000 objective=111.142007->55.618766\n"
+                  "relative_error=1.215759\n")
+
+
+def counted_timed_solves(monkeypatch):
+    """The solver kind of every `bench.timed_solve` call from now on."""
+    import fsgl.bench
+    import fsgl.cli
+    calls, real = [], fsgl.bench.timed_solve
+
+    def counting(obs, cfg):
+        calls.append(cfg.solver_kind)
+        return real(obs, cfg)
+    for module in (fsgl.bench, fsgl.cli):
+        monkeypatch.setattr(module, "timed_solve", counting)
+    return calls
+
+
+def test_bench_runs_one_timed_solve_per_cell_and_keeps_its_rows(tmp_path, monkeypatch, capsys):
+    calls = counted_timed_solves(monkeypatch)
+    assert run_cli("bench", "--n", "12", "--trials", "2", "--ratios", "0.2,1.0", "--seed", "3",
+                   "--output", str(tmp_path / "b")) == 0
+    assert calls == (["greedy"] * 4 + ["recursive"] * 4) * 2
+    rows = [line.split(",") for line in (tmp_path / "b.raw.csv").read_text().splitlines()]
+    ms = rows[0].index("ms")
+    assert "".join(",".join(r[:ms] + r[ms + 1:]) + "\n" for r in rows) == RECORDED_SWEEP
+
+
+def test_solve_runs_one_timed_solve_and_prints_the_recorded_line(tmp_path, monkeypatch,
+                                                                 capsys):
+    import fsgl.cli
+    assert run_cli("gen", "--n", "12", "--k", "4", "--seed", "9",
+                   "--output", str(tmp_path / "d")) == 0
+    capsys.readouterr()
+    calls = counted_timed_solves(monkeypatch)
+    assert run_cli("solve", "--input", str(tmp_path / "d.x.csv"), "--solver", "recursive",
+                   "--truth", str(tmp_path / "d.w.csv")) == 0
+    assert calls == ["recursive"]
+    assert re.sub(r" (\w+_)?ms=[0-9.]+", "", capsys.readouterr().out) == RECORDED_SOLVE
+    # the CLI neither starts, runs nor times a solve itself
+    assert not {"time", "initial_graph", "run_solver"} & set(vars(fsgl.cli))
 
 
 def test_cheeger_check_rejects_large_n(capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, _sym_sqrt, connected_pairs,
-                          draw_instance, gen_ground_truth, sample_gmm, sample_mvt)
+                          draw_instance, gen_ground_truth, sample_count, sample_gmm,
+                          sample_mvt)
 from fsgl.errors import InvalidDof
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
@@ -276,3 +277,12 @@ def test_covariance_root_is_bitwise_the_numpy_eigh_root():
             lam, v = np.linalg.eigh(c)
             root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
             assert _sym_sqrt(c).tobytes() == root.tobytes(), n
+
+
+def test_sample_count_at_one_fifth_is_the_integer_rule():
+    # the rule fsgl gen once used for its default K, with no float in it
+    ns = np.arange(1, 10**6 + 1)
+    assert [sample_count(n, 0.2) for n in ns.tolist()] == np.maximum(1, (ns + 2) // 5).tolist()
+    # a product no float holds is an infinite count, which the size checks refuse
+    assert sample_count(10**400, 0.2) == sample_count(10, 1e308) == np.inf
+    assert sample_count(3, 0.01) == 1 and sample_count(30, 1.0) == 30

@@ -7,7 +7,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from edgecheck import reference_arrays
+from edgecheck import random_edge_list, reference_arrays
 from unionfind import connected_components, reference_labels
 from fsgl.errors import DuplicateEdge, FsglError, MissingEdge, NonFiniteInput
 from fsgl.graph import (
@@ -69,45 +69,17 @@ def test_constructor_rejects_non_finite_weights(w):
         WeightedGraph(3, {(0, 1): 1.0, (1, 2): w})
 
 
-def random_edge_list(rng, n):
-    """(m, n, w) triples on n nodes: distinct pairs in either orientation,
-    and up to three defects at random places: a self-loop, a node out of
-    range, a NaN/inf or nonpositive weight, or a pair given again."""
-    iu, ju = np.triu_indices(n, k=1)
-    pick = rng.permutation(iu.shape[0])[:int(rng.integers(iu.shape[0] + 1))]
-    flip = rng.random(pick.shape[0]) < 0.5
-    ms, ns = np.where(flip, ju[pick], iu[pick]), np.where(flip, iu[pick], ju[pick])
-    edges = list(zip(ms.tolist(), ns.tolist(), rng.uniform(0.1, 3.0, pick.shape[0]).tolist()))
-    for _ in range(int(rng.integers(4))):
-        a, b = rng.integers(n, size=2).tolist()
-        kind = int(rng.integers(6))
-        if kind == 0:
-            bad = (a, a, 1.0)
-        elif kind == 1:
-            bad = (a, int(rng.choice([-1 - b, n + b])), 1.0)
-        elif kind == 2:
-            bad = (a, a + 1, float(rng.choice([np.nan, np.inf, -np.inf])))
-        elif kind == 3:
-            bad = (a, a + 1, float(rng.choice([0.0, -0.0, -1.5])))
-        elif edges:
-            m, k, _ = edges[int(rng.integers(len(edges)))]
-            bad = (k, m, 0.5) if kind == 4 else (m, k, 0.5)
-        else:
-            continue
-        edges.insert(int(rng.integers(len(edges) + 1)), bad)
-    return edges
-
-
 OUTCOMES = ("graph", "self-loop", "out of range", "non-finite", "nonpositive", "given twice")
 
 
 def build_outcome(build):
     """The arrays (ms, ns, ws, keys) a build makes, as dtype and bytes, or
-    the type, message and position of what it raises."""
+    the type, message, position and earlier row of what it raises."""
     try:
         arrays = build()
     except (ValueError, FsglError) as exc:
-        return type(exc), str(exc), getattr(exc, "position", None)
+        return (type(exc), str(exc), getattr(exc, "position", None),
+                getattr(exc, "earlier", None))
     if isinstance(arrays, WeightedGraph):
         arrays = (*arrays.edge_arrays(), arrays._keys)
     return tuple((a.dtype.str, a.tobytes()) for a in arrays)

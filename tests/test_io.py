@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fsgl.errors import DuplicateEdge, NonFiniteInput
+from edgecheck import random_edge_list, reference_arrays
+from fsgl.errors import DuplicateEdge, FsglError, NonFiniteInput
 from fsgl.graph import WeightedGraph
 from fsgl.io import load_graph, load_observations, save_graph, save_observations
 
@@ -77,6 +78,48 @@ def test_graph_csv_rejects_duplicate_rows(tmp_path):
         with pytest.raises(DuplicateEdge,
                            match=r"dup.csv:4: edge \(0, 1\) already given on line 2"):
             load_graph(path)
+
+
+def test_graph_csv_rows_get_the_per_edge_reference_outcome(tmp_path):
+    # the edge lists test_graph checks from_arrays on, written as files:
+    # the reference's error at its position, led by that row's line
+    path = tmp_path / "g.csv"
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        edges = random_edge_list(rng, n)
+        path.write_text("m,n,w\n" + "".join(f"{m},{k},{w!r}\n" for m, k, w in edges))
+        try:
+            ms, ns, ws, _ = reference_arrays(n, edges)
+        except (ValueError, FsglError) as exc:
+            message = str(exc)
+            if isinstance(exc, DuplicateEdge):
+                m, k, _ = edges[exc.position]
+                message = (f"edge {(min(m, k), max(m, k))} already given "
+                           f"on line {exc.earlier + 2}")
+            with pytest.raises((ValueError, FsglError)) as info:
+                load_graph(path, n=n)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == f"{path}:{exc.position + 2}: {message}"
+            continue
+        g = load_graph(path, n=n)
+        for got, want in zip(g.edge_arrays(), (ms, ns, ws)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("first, error, message", [
+    ("3,3,1.0", ValueError, r"self-loop \(3,3\) is not a valid edge"),
+    ("0,1,nan", NonFiniteInput, r"edge \(0,1\) has non-finite weight nan"),
+    ("0,1,-1.0", ValueError, r"edge \(0,1\) has nonpositive weight -1.0"),
+    ("0,7,1.0", ValueError, r"edge \(0,7\) out of range for n=4")])
+@pytest.mark.parametrize("later", ["1,2,1.0\n2,1,1.0\n", f"0,{10**20},1.0\n"],
+                         ids=["duplicate", "huge-id"])
+def test_graph_csv_names_the_first_bad_row(tmp_path, first, error, message, later):
+    # line 2 is bad, so a later duplicate or oversized id is not what is named
+    path = tmp_path / "g.csv"
+    path.write_text(f"m,n,w\n{first}\n0,2,1.0\n{later}")
+    with pytest.raises(error, match=rf"^\S*g.csv:2: {message}$"):
+        load_graph(path, n=4)
 
 
 def test_graph_node_count_inference(tmp_path):
