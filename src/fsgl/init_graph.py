@@ -27,12 +27,18 @@ EDGE_ARRAYS = 20
 
 
 def _similarity(y) -> np.ndarray:
-    """`y` as a float array: square (else ValueError) and finite (else NonFiniteInput)."""
+    """`y` as a float array: square and symmetric (else ValueError) and
+    finite (else NonFiniteInput)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise NonFiniteInput("similarity matrix has a non-finite entry")
+    bad = np.argwhere(y != y.T)
+    if bad.shape[0]:
+        i, j = bad[0]
+        raise ValueError(f"similarity matrix must be symmetric: y[{i}, {j}] = "
+                         f"{float(y[i, j])!r} but y[{j}, {i}] = {float(y[j, i])!r}")
     return y
 
 

@@ -67,11 +67,14 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
         size = n if n is not None else w.shape[0]
         iu, ju = np.nonzero(np.triu(w, k=1))
         return _from_arrays(path, size, iu, ju, w[iu, ju])
-    lines = path.read_text().strip().splitlines()
+    # Blank lines above the header are skipped, but line numbers count them.
+    lines = path.read_text().rstrip().splitlines()
+    top = next((i for i, ln in enumerate(lines) if ln.strip()), 0)
+    lines, first = lines[top:], top + 2  # first: the first edge row's line number
     if not lines or lines[0].strip() != "m,n,w":
         raise ValueError(f"{path}: expected edge-list CSV with header m,n,w")
     rows = []
-    for line_no, ln in enumerate(lines[1:], start=2):
+    for line_no, ln in enumerate(lines[1:], start=first):
         try:
             a, b, v = ln.strip().split(",")
             rows.append((int(a), int(b), float(v)))
@@ -79,7 +82,7 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
             raise ValueError(f"{path}:{line_no}: malformed edge row {ln!r}") from None
     ms, ns, ws = zip(*rows) if rows else ((), (), ())
     size = n if n is not None else min(max(ms + ns, default=-1) + 1, MAX_NODES)
-    return _from_arrays(path, size, ms, ns, ws, first_line=2)
+    return _from_arrays(path, size, ms, ns, ws, first_line=first)
 
 
 def save_observations(x: np.ndarray, path) -> None:

@@ -4,13 +4,14 @@ The recursive selector splits the candidate edge set with a Fiedler sweep
 cut of the unit-weight graph, keeps the cut edges as a block of their
 own, and recurses on the edges of each side. A sub-graph is its edge rows
 and the nodes they touch, so a node without edges never enters a split.
-That plan depends only on which edges the graph holds. A solve lays it
-out once, for its start graph, and `drop_row` takes each deleted edge out
-of its block, so from the first deletion on the solve selects over the
-start graph's decomposition restricted to the surviving edges, not a
-fresh sweep of each edge set. Each step scores every edge against the
-same global spectral snapshot and Gram matrix as the exhaustive scan and
-takes all block minima in one `reduceat`, so the result is an exact
+That plan depends only on which edges the graph holds, and it is one
+block label per edge row. A solve labels its start graph once and
+deletes a deleted edge's label with `np.delete`, as the edge arrays drop
+its row, so from the first deletion on the solve selects over the start
+graph's decomposition restricted to the surviving edges, not a fresh
+sweep of each edge set. Each step scores every edge against the same
+global spectral snapshot and Gram matrix as the exhaustive scan and
+takes all block minima in one `np.minimum.at`, so the result is an exact
 decomposition of the global argmin: any partition of the edges into
 blocks, this one included, selects the same edge.
 """
@@ -18,7 +19,7 @@ blocks, this one included, selects the same edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -117,8 +118,8 @@ def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> np.ndarray:
     return smallest_eigenpairs(lap, 2).fiedler_vector
 
 
-def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """The recursive Cheeger-cut decomposition of g, laid out for `reduceat`.
+def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
+    """The recursive Cheeger-cut decomposition of g, one block label per edge row.
 
     A sub-graph is a set of edge rows and the nodes those rows touch,
     numbered in node order. One that touches at most v_min nodes becomes
@@ -126,15 +127,16 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
     Fiedler vector, to match the edge-count ratio the sweep minimizes,
     with the crossing rows kept as a block and both sides split again. A
     disconnected sub-graph takes the same sweep, which finds a zero cut
-    when the vector separates its components. Returns (rows, starts): the
-    blocks (leaves and cut sets, never empty) end to end, a partition of
-    g.edge_arrays()'s rows, and where each begins. The plan depends only
-    on which edges g holds, not on their weights. Sub-graphs wait on a
-    stack of their own, inside side first, so nesting as deep as N needs
-    no Python recursion.
+    when the vector separates its components. Returns `block`, an intp
+    array over g.edge_arrays()'s rows: block[i] is the id of the block
+    (leaf or cut set) that holds row i, the ids 0, 1, ... numbered in
+    recursive pre-order. The plan depends only on which edges g holds,
+    not on their weights. Sub-graphs wait on a stack of their own, inside
+    side first, so nesting as deep as N needs no Python recursion.
     """
     m_arr, n_arr, _ = g.edge_arrays()
-    blocks: list[np.ndarray] = []
+    block = np.full(m_arr.shape[0], -1, dtype=np.intp)
+    ids = count()
     # Sub-graphs still to split, depth first: rows, their endpoints
     # numbered among the parent's k nodes, k, and how many splits lie above.
     stack = [(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n, 0)]
@@ -148,7 +150,7 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
         local = touched.cumsum() - 1
         k = int(local[-1]) + 1
         if k <= v_min:
-            blocks.append(rows)
+            block[rows] = next(ids)
             continue
         lm, ln = local[lm], local[ln]
         order, t, _ = _sweep_prefix(k, lm, ln, _local_fiedler(k, lm, ln))
@@ -157,31 +159,11 @@ def cut_plan(g: WeightedGraph, v_min: int) -> tuple[np.ndarray, np.ndarray]:
         m_in, n_in = in_s[lm], in_s[ln]
         crossing = m_in ^ n_in
         if crossing.any():
-            blocks.append(rows[crossing])
+            block[rows[crossing]] = next(ids)
         # The inside side goes last, so it is split first.
         for side in (~(m_in | n_in), m_in & n_in):
             stack.append((rows[side], lm[side], ln[side], k, depth + 1))
-    starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
-    return np.concatenate([np.empty(0, np.intp), *blocks]), starts
-
-
-def drop_row(plan: tuple[np.ndarray, np.ndarray], i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The plan of a graph that lost edge row i: row i leaves its block,
-    the rows above it move down by one, as the edge arrays' rows do, and
-    a block left empty is dropped (`reduceat` takes no empty block). The
-    blocks stay a partition of the remaining rows; `plan` is not changed.
-    """
-    rows, starts = plan
-    hit = rows == i
-    at = int(hit.argmax())
-    if not hit[at]:
-        raise ValueError(f"row {i} is in no block of the plan")
-    b = int(np.searchsorted(starts, at, side="right")) - 1
-    end = starts[b + 1] if b + 1 < starts.shape[0] else rows.shape[0]
-    head = starts[:b + 1] if end - starts[b] > 1 else starts[:b]
-    rows = rows[~hit]
-    rows[rows > i] -= 1
-    return rows, np.concatenate([head, starts[b + 1:] - 1])
+    return block
 
 
 def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
@@ -191,21 +173,25 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     Returns what the exhaustive scan returns (see `selection`), because
     the plan's blocks only partition the candidate edge set while all
     scores come from the global snapshot. `plan` is any such partition of
-    g's edge rows, laid out as `cut_plan` returns it; when not given,
-    cut_plan(g, LEAF_NODES) is built here. A solve passes the plan of its
-    start graph, kept current by `drop_row`. `terms` is as in
-    `score_edges`; `trace` counts ineligible edges.
+    g's edge rows, one non-negative block label per row as `cut_plan`
+    returns it; when not given, cut_plan(g, LEAF_NODES) is built here. A
+    solve passes the plan of its start graph, with each deleted row's
+    label taken out by `np.delete`. `terms` is as in `score_edges`;
+    `trace` counts ineligible edges.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    order, starts = cut_plan(g, LEAF_NODES) if plan is None else plan
+    block = cut_plan(g, LEAF_NODES) if plan is None else plan
     # Every candidate edge is scored against the same global snapshot no
     # matter which block it lands in, so one vectorized pass covers them
-    # all; one reduceat then takes each block's minimum.
+    # all; one minimum.at then takes each block's minimum. A label that
+    # no row holds any more (its block was emptied) keeps +inf.
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms).grad
     count_ineligible(trace, grad)
-    best = np.minimum.reduceat(grad[order], starts).min()
+    minima = np.full(int(block.max()) + 1, np.inf)
+    np.minimum.at(minima, block, grad)
+    best = minima.min()
     # Rows run in (m, n) order, so the first row that holds the best
     # block minimum is the winner by (grad, m, n); a NaN minimum holds none.
     hit = grad == best

@@ -9,8 +9,8 @@ A solve holds one `graph.Laplacian`, which a weakening step updates in
 place at the selected row and from which each snapshot is taken, and
 what its edge set fixes: the scoring terms. Only a step that deletes an
 edge builds a new one; the solve returns the last Laplacian's graph. The
-recursive arm lays out one cut plan per solve, for the start graph, and
-drops each deleted row from it (`partition.drop_row`).
+recursive arm labels the start graph's edge rows with one cut plan per
+solve and deletes each deleted row's label from it (`np.delete`).
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             lap = weakened
             terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
             if recursive:
-                plan = _partition.drop_row(plan, row)
+                plan = np.delete(plan, row)
             t = charge("rebuild", t)
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
@@ -263,6 +263,9 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
     if accepted == 0 and trace.converged:
         logger.warning("no edge descends from the initial graph; returned unchanged")
+    if not trace.converged:
+        logger.warning("max_iters = %d ended the solve after %d steps with %d edges left",
+                       cfg.max_iters, accepted, lap.g.edge_count)
     logger.info("%s solve: %d steps, stop=%s, %d eigensolves", cfg.solver_kind,
                 accepted, trace.stop_reason, trace.eigensolves)
     return lap.g, trace

@@ -170,6 +170,26 @@ def test_start_rejects_non_square_and_non_finite_similarity(start):
         start(y)
 
 
+
+@pytest.mark.parametrize("start", [max_similarity_tree,
+                                   lambda y: init_sparse_graph(y, None)])
+def test_start_rejects_asymmetric_similarity(start):
+    # only the upper triangle is ranked, so y[0, 3] alone would pick (0, 3)
+    y = np.eye(4)
+    y[0, 3] = 5.0
+    with pytest.raises(ValueError, match=r"symmetric: y\[0, 3\] = 5.0 but y\[3, 0\] = 0.0"):
+        start(y)
+    # the first asymmetric entry in row-major order is named
+    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y[3, 1] += 1.0
+    y[2, 0] += 1.0
+    with pytest.raises(ValueError, match=r"y\[0, 2\] = .* but y\[2, 0\]"):
+        start(y)
+    # a finite check comes first
+    y[1, 1] = np.nan
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        start(y)
+
 def traced_peak(build):
     """Peak bytes tracemalloc sees while build() runs, and its result."""
     tracemalloc.start()

@@ -71,6 +71,22 @@ def test_graph_csv_malformed(tmp_path):
             load_graph(path, n=n)
 
 
+
+def test_graph_csv_counts_blank_lines_before_the_header(tmp_path):
+    path = tmp_path / "lead.csv"
+    for text, error, message in (
+            ("\n\nm,n,w\n0,1,1.0\n0,1,nan\n", NonFiniteInput,
+             r"lead.csv:5: edge \(0,1\) has non-finite weight nan"),
+            ("\n \nm,n,w\n0,1,1.0\n1,2\n\n\n", ValueError,
+             r"lead.csv:5: malformed edge row '1,2'"),
+            ("\n\n\nm,n,w\n0,1,1.0\n1,2,0.5\n1,0,2.0\n", DuplicateEdge,
+             r"lead.csv:7: edge \(0, 1\) already given on line 5")):
+        path.write_text(text)
+        with pytest.raises(error, match=rf"^\S*{message}$"):
+            load_graph(path)
+    path.write_text("\n\nm,n,w\n0,1,1.0\n\n")
+    assert load_graph(path).edges == {(0, 1): 1.0}
+
 def test_graph_csv_rejects_duplicate_rows(tmp_path):
     path = tmp_path / "dup.csv"
     for rows in ("0,1,1.0\n1,2,0.5\n1,0,2.0\n", "0,1,1.0\n1,2,0.5\n0,1,1.0\n"):

@@ -21,7 +21,6 @@ from fsgl.partition import (
     approx_cheeger_cut,
     brute_force_cheeger,
     cut_plan,
-    drop_row,
     partition_select,
 )
 from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, run_solver
@@ -118,11 +117,12 @@ def test_sweep_cut_requires_connected():
         approx_cheeger_cut(g, state)
 
 
-def plan_blocks(plan):
-    """The blocks of a laid-out cut plan, checked non-empty (reduceat needs it)."""
-    rows, starts = plan
-    blocks = np.split(rows, starts[1:])
-    assert starts[0] == 0 and all(b.shape[0] > 0 for b in blocks)
+def plan_blocks(block):
+    """The rows of each block of a cut plan, by block id. Checks that no
+    row keeps the -1 sentinel and that a fresh plan uses every id."""
+    assert block.dtype == np.intp and (block >= 0).all()
+    blocks = [np.flatnonzero(block == b) for b in range(int(block.max(initial=-1)) + 1)]
+    assert all(b.shape[0] > 0 for b in blocks)
     return blocks
 
 
@@ -217,10 +217,9 @@ def test_cut_plan_skips_nodes_without_edges(monkeypatch):
     real = partition.smallest_eigenpairs
     monkeypatch.setattr(partition, "smallest_eigenpairs",
                         lambda lap, k: eigensolves.append(lap.shape) or real(lap, k))
-    rows, starts = cut_plan(g, 8)
+    block = cut_plan(g, 8)
     assert eigensolves == []
-    np.testing.assert_array_equal(rows, np.arange(g.edge_count))
-    np.testing.assert_array_equal(starts, [0])
+    np.testing.assert_array_equal(block, np.zeros(g.edge_count))
 
 
 def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
@@ -232,32 +231,30 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
     edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
     g = WeightedGraph(10, edges)
     sweeps = record_sweeps(monkeypatch)
-    rows, starts = cut_plan(g, 4)
+    block = cut_plan(g, 4)
     first = sweeps[0]
     assert (first.n, first.t, first.cut) == (10, 5, 0)
     assert sorted(first.order[:first.t].tolist()) in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
-    np.testing.assert_array_equal(np.sort(rows), np.arange(g.edge_count))
+    assert block.shape == (g.edge_count,)
+    plan_blocks(block)
 
 
 def test_cut_plan_depends_on_edge_set_not_weights():
     # a weight-only step keeps the plan; deleting an edge makes a new one
     obs = solve_instance(4, 24)
     g = init_sparse_graph(obs.gram, 60)
-    rows, starts = cut_plan(g, 4)
-    assert starts.shape[0] > 1
+    block = cut_plan(g, 4)
+    assert block.max() > 0
     for edge in list(g.edges)[::7]:
         weaker = weaken_edge(g, edge, 0.3)
         assert weaker.edge_count == g.edge_count
-        replay_rows, replay_starts = cut_plan(weaker, 4)
-        np.testing.assert_array_equal(replay_rows, rows)
-        np.testing.assert_array_equal(replay_starts, starts)
+        np.testing.assert_array_equal(cut_plan(weaker, 4), block)
     edge = next(iter(g.edges))
     smaller = weaken_edge(g, edge, g.edges[edge])
     assert smaller.edge_count == g.edge_count - 1
-    fresh_rows, fresh_starts = cut_plan(smaller, 4)
-    assert fresh_rows.shape[0] == smaller.edge_count
-    assert not (np.array_equal(fresh_rows, rows)
-                and np.array_equal(fresh_starts, starts))
+    fresh = cut_plan(smaller, 4)
+    assert fresh.shape[0] == smaller.edge_count
+    assert not np.array_equal(fresh, block)
 
 
 def test_run_solver_builds_one_plan_per_solve(monkeypatch):
@@ -279,70 +276,47 @@ def test_run_solver_builds_one_plan_per_solve(monkeypatch):
     assert calls == []
 
 
-def check_dropped(old, new, i):
-    """new is drop_row(old, i): non-empty blocks that partition the
-    remaining rows, each an old block without row i, renumbered. Returns
-    which block emptied: None, "inner" or "last"."""
-    renumbered = [b[b != i] - (b[b != i] > i) for b in plan_blocks(old)]
-    want = [b for b in renumbered if b.shape[0]]
-    got = plan_blocks(new)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == np.intp
-        np.testing.assert_array_equal(g, w)
-    np.testing.assert_array_equal(np.sort(new[0]), np.arange(old[0].shape[0] - 1))
-    if len(want) == len(renumbered):
-        return None
-    return "last" if renumbered[-1].shape[0] == 0 else "inner"
-
-
-def test_drop_row_keeps_a_partition_through_recursive_solves(monkeypatch):
+def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch):
+    # each step's plan is the start graph's labels of the edges left, matched
+    # by (m, n); a deletion that empties a block leaves its id unused
     import fsgl.partition as partition
 
-    real = partition.drop_row
-    seen = {None: 0, "inner": 0, "last": 0}
+    real = partition.partition_select
+    seen = {"steps": 0, "emptied": 0, "last_emptied": 0}
 
-    def checked(plan, i):
-        before = tuple(a.copy() for a in plan)
-        new = real(plan, i)
-        for a, b in zip(plan, before):
-            np.testing.assert_array_equal(a, b)  # the old plan is left as it was
-        seen[check_dropped(plan, new, i)] += 1
-        return new
+    def checked(g, state, obs, cfg, plan, terms, trace):
+        m_arr, n_arr, _ = g.edge_arrays()
+        keep = np.isin(keys0, m_arr * g.n + n_arr)
+        np.testing.assert_array_equal(keys0[keep], m_arr * g.n + n_arr)
+        assert plan.dtype == np.intp
+        np.testing.assert_array_equal(plan, plan0[keep])
+        seen["steps"] += 1
+        seen["emptied"] += np.unique(plan).shape[0] < plan0.max() + 1
+        seen["last_emptied"] += plan.max() < plan0.max()
+        return real(g, state, obs, cfg, plan, terms, trace)
 
-    monkeypatch.setattr(partition, "drop_row", checked)
+    monkeypatch.setattr(partition, "partition_select", checked)
     # the N = 12 solve's one deletion empties the plan's last block, a singleton
     for seed, n, generator in ((1, 12, "mvt"), (2, 16, "gmm"), (0, 24, "gmm"),
                                (3, 30, "gmm")):
         obs = solve_instance(seed, n, generator)
         g0 = init_sparse_graph(obs.gram, 3 * n)
+        m0, n0, _ = g0.edge_arrays()
+        keys0, plan0 = m0 * n + n0, cut_plan(g0, LEAF_NODES)
         g, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive", epsilon=0.05))
         assert g.edge_count == trace.edge_counts[-1] < g0.edge_count
     assert all(seen.values()), seen
 
 
-def test_drop_row_drops_a_block_it_empties():
-    # blocks [2, 0] [1] [4] [3]: emptying the last block, a middle one, then
-    # the first row of a longer block
-    plan = (np.array([2, 0, 1, 4, 3], dtype=np.intp), np.array([0, 2, 3, 4], dtype=np.intp))
-    for i, rows, starts, emptied in ((3, [2, 0, 1, 3], [0, 2, 3], "last"),
-                                     (1, [1, 0, 2], [0, 2], "inner"),
-                                     (1, [0, 1], [0, 1], None)):
-        new = drop_row(plan, i)
-        assert check_dropped(plan, new, i) == emptied
-        np.testing.assert_array_equal(new[0], rows)
-        np.testing.assert_array_equal(new[1], starts)
-        plan = new
-    with pytest.raises(ValueError, match="row 2 is in no block"):
-        drop_row(plan, 2)
-    # the same edge through a plan whose last block emptied: a path of
-    # four edges loses its last one, and the winner is in the new last block
+def test_selection_through_a_plan_whose_last_block_emptied():
+    # a path of four edges in blocks {0, 1}, {2}, {3} loses its last edge:
+    # block 2 empties, and the winner is in block 1, the new last block
     obs = solve_instance(3, 5)
     g = WeightedGraph(5, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0})
-    start = (np.array([1, 0, 2, 3], dtype=np.intp), np.array([0, 2, 3], dtype=np.intp))
+    start = np.array([0, 0, 1, 2], dtype=np.intp)
     g = weaken_edge(g, (3, 4), 1.0)
-    plan = drop_row(start, 3)
-    np.testing.assert_array_equal(plan[1], [0, 2])
+    plan = np.delete(start, 3)
+    np.testing.assert_array_equal(plan, [0, 0, 1])
     cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)
     sel = greedy_step(g, obs.gram, state, cfg)
@@ -351,8 +325,9 @@ def test_drop_row_drops_a_block_it_empties():
 
 def _select_block_by_block(grad, m_arr, n_arr, plan):
     """The reduction as first written: an argmin per block, then the best
-    (grad, m, n) key over the finite block minima. Returns a row, or None
-    when no finite block minimum is negative."""
+    (grad, m, n) key over the finite block minima. plan is the list of
+    each block's rows. Returns a row, or None when no finite block
+    minimum is negative."""
     best = None
     for rows in plan:
         i = int(rows[grad[rows].argmin()])
@@ -364,27 +339,28 @@ def _select_block_by_block(grad, m_arr, n_arr, plan):
 
 def test_block_reduction_matches_block_by_block_loop(monkeypatch):
     # synthetic scores with few distinct values (ties across blocks) and
-    # +inf rows, reduced over real plans, against the loop as a reference
+    # +inf rows, reduced over real plans, against the loop as a reference;
+    # each plan also runs with its ids spread out, so some ids label no row
     import fsgl.partition as partition
 
     rng = np.random.default_rng(17)
     scores = {}
     monkeypatch.setattr(partition, "score_edges", lambda *args: scores["now"])
     cfg = SolverConfig(solver_kind="recursive")
-    seen = {"cross_block_tie": 0, "singleton": 0, "none": 0, "inf_rows": 0}
+    seen = {"cross_block_tie": 0, "singleton": 0, "none": 0, "inf_rows": 0,
+            "unused_ids": 0}
     for seed in range(4):
         obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
         g = init_sparse_graph(obs.gram, 40)
         m_arr, n_arr, _ = g.edge_arrays()
         e = g.edge_count
         for v_min in (2, 4, 8):
-            plan = cut_plan(g, v_min)
-            blocks = plan_blocks(plan)
+            block_of = cut_plan(g, v_min)
+            blocks = plan_blocks(block_of)
             seen["singleton"] += sum(b.shape[0] == 1 for b in blocks)
-            block_of = np.empty(e, dtype=np.intp)
-            for b, rows in enumerate(blocks):
-                block_of[rows] = b
-            for trial in range(40):
+            ids = rng.permutation(3 * len(blocks))[:len(blocks)]
+            for plan in (block_of, ids[block_of]) * 40:
+                seen["unused_ids"] += plan.max() + 1 > len(blocks)
                 grad = rng.integers(-3, 3, e).astype(np.float64)
                 grad[rng.random(e) < rng.choice([0.0, 0.3, 0.9, 1.0])] = np.inf
                 scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
@@ -432,10 +408,9 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
                 mp.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
             for g in graphs:
                 for v_min in (2, 4, 8):
-                    plan = cut_plan(g, v_min)
-                    plan_blocks(plan)
-                    np.testing.assert_array_equal(np.sort(plan[0]),
-                                                  np.arange(g.edge_count))
+                    block = cut_plan(g, v_min)
+                    assert block.shape == (g.edge_count,)
+                    plan_blocks(block)
     assert failures
 
 
@@ -452,11 +427,12 @@ def test_partition_recursion_depth_bounded(monkeypatch):
 
 
 def recursive_plan(g, v_min):
-    """cut_plan as the recursion it was: each sub-graph's blocks in
-    pre-order, the inside side split before the outside one."""
+    """cut_plan as the recursion it was: each sub-graph's blocks labelled
+    in pre-order, the inside side split before the outside one."""
     import fsgl.partition as partition
 
     m_arr, n_arr, _ = g.edge_arrays()
+    block = np.full(m_arr.shape[0], -1, dtype=np.intp)
     blocks = []
 
     def split(rows, lm, ln, k):
@@ -480,8 +456,9 @@ def recursive_plan(g, v_min):
             split(rows[side], lm[side], ln[side], k)
 
     split(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)
-    starts = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.intp)[:-1]
-    return np.concatenate([np.empty(0, np.intp), *blocks]), starts
+    for b, rows in enumerate(blocks):
+        block[rows] = b
+    return block
 
 
 def test_cut_plan_lays_blocks_out_in_recursive_pre_order():
@@ -490,9 +467,9 @@ def test_cut_plan_lays_blocks_out_in_recursive_pre_order():
         for b in (None, 0):
             g = init_sparse_graph(obs.gram, b)
             for v_min in (2, 4, 8):
-                for got, want in zip(cut_plan(g, v_min), recursive_plan(g, v_min)):
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
+                got, want = cut_plan(g, v_min), recursive_plan(g, v_min)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
@@ -505,10 +482,11 @@ def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
     try:
-        rows, _ = cut_plan(g, LEAF_NODES)
+        block = cut_plan(g, LEAF_NODES)
     finally:
         sys.setrecursionlimit(limit)
-    np.testing.assert_array_equal(np.sort(rows), np.arange(g.edge_count))
+    assert block.shape == (g.edge_count,)
+    plan_blocks(block)
     sweeps = record_sweeps(monkeypatch)
     cut_plan(g, LEAF_NODES)
     assert max(sw.depth for sw in sweeps) == 112

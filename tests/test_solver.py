@@ -455,6 +455,25 @@ def test_zero_step_solve_logs_one_warning(caplog):
         "no edge descends from the initial graph; returned unchanged"]
 
 
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_max_iters_stop_logs_one_warning(kind, caplog):
+    obs = small_instance(2, n=10, k=3)
+    g0 = init_sparse_graph(obs.gram, 10)
+    cfg = SolverConfig(solver_kind=kind, epsilon=0.05)
+    with caplog.at_level(logging.WARNING, logger="fsgl"):
+        _, full = run_solver(g0, obs, cfg)
+    assert full.stop_reason == "no_descent" and len(full) > 5
+    assert caplog.records == []
+    for cap in (0, 5):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fsgl"):
+            g, trace = run_solver(g0, obs, replace(cfg, max_iters=cap))
+        assert trace.stop_reason == "max_iters" and len(trace) == cap
+        assert [r.getMessage() for r in caplog.records] == [
+            f"max_iters = {cap} ended the solve after {cap} steps with "
+            f"{g.edge_count} edges left"]
+
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
 def test_non_finite_initial_objective_is_a_typed_error(kind):
     # finite weights and a finite Gram matrix whose smoothness term overflows
