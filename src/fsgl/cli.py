@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 data or solver error, 2 usage error. Each
 ``key = value`` line of a --config file is parsed after the command
 line as the flag ``--key=value`` (``_`` read as ``-``; ``true`` and
-``false`` give ``--key`` and ``--no-key``), so it overrides that flag
-and a bad value exits 2; an unknown key or a malformed line exits 1.
+``false`` give a boolean flag's ``--key`` and ``--no-key``), so it
+overrides that flag and a bad value exits 2; an unknown key or a
+malformed line exits 1.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_entries(path: str) -> list[tuple[str, str]]:
-    """Each entry of a config file as (its flag, the error if no flag takes it)."""
+def config_entries(path: str, booleans: set[str]) -> list[tuple[str, str]]:
+    """Each entry of a config file as (its flag, the error if no flag takes it).
+    `booleans` holds the flags with a ``--no-`` form: the bool-valued ones."""
     entries = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -114,9 +116,9 @@ def config_entries(path: str) -> list[tuple[str, str]]:
             unknown = f"{path}:{line_no}: unknown option {key!r}"
             if flag in ("--config", "--help"):
                 raise ValueError(unknown)
-            if value.lower() == "false":
-                flag = "--no-" + flag[2:]
-            elif value.lower() != "true":
+            if flag in booleans and value.lower() in ("true", "false"):
+                flag = flag if value.lower() == "true" else "--no-" + flag[2:]
+            else:
                 flag = f"{flag}={value}"
             entries.append((flag, unknown))
     return entries
@@ -126,7 +128,9 @@ def parse_command_line(argv: list[str]) -> argparse.Namespace:
     """Parse argv, then argv followed by the --config file's entries."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    entries = config_entries(args.config) if args.config else []
+    booleans = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
+                if isinstance(value, bool)}
+    entries = config_entries(args.config, booleans) if args.config else []
     args, unknown = parser.parse_known_args([*argv, *(flag for flag, _ in entries)])
     if unknown:
         raise ValueError(dict(entries)[unknown[0]])

@@ -79,7 +79,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
-                n_arr: np.ndarray, w_arr: np.ndarray, cfg, terms=None) -> EdgeScores:
+                n_arr: np.ndarray, w_arr: np.ndarray, cfg, terms=None,
+                trace=None) -> EdgeScores:
     """Score a batch of edges against one immutable spectral snapshot.
 
     grad = eps z - log(eta) + gamma rho - gain for weakening each edge by
@@ -94,12 +95,12 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     step removes the edge (w < eps), else 0. A negative grad therefore
     certifies descent.
 
-    A step too large for an edge (eta <= 0) is not an error: that edge
-    gets grad = +inf, the solve counts it in `SolveTrace.ineligible` and
-    warns once per solve. The quadratic form runs eigen-major, on (k, E)
-    arrays gathered per eigenpair, and `_row_sums` adds each edge's k
-    terms in the order a per-edge row sum would, so scores do not depend
-    on how the batch is partitioned. `terms`, if given, is
+    A step too large for an edge (eta <= 0, or NaN) is not an error: that
+    edge gets grad = +inf, is added to `trace.ineligible` when a trace is
+    given, and the solve warns once. The quadratic form runs eigen-major,
+    on (k, E) arrays gathered per eigenpair, and `_row_sums` adds each
+    edge's k terms in the order a per-edge row sum would, so scores do not
+    depend on how the batch is partitioned. `terms`, if given, is
     edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
     """
     eps = cfg.epsilon
@@ -131,12 +132,15 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     eta = np.subtract(1.0, q, out=q)
     # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
     # eta <= 0, which makes the score +inf. The masked log is needed only
-    # then (or on NaN, or an empty batch); where it writes, its bits are
-    # the plain log's.
+    # then (or on NaN, or an empty batch), so only it counts ineligible
+    # edges; where it writes, its bits are the plain log's.
     if eta.shape[0] and eta.min() > 0.0:
         grad = np.log(eta)
     else:
-        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eta > 0.0)
+        eligible = eta > 0.0
+        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eligible)
+        if trace is not None:
+            trace.ineligible += int(np.count_nonzero(~eligible))
     np.subtract(ez, grad, out=grad)
     grad += cfg.gamma * rho
     gain = (w_arr < eps) * float(cfg.mu)
@@ -153,14 +157,6 @@ def selection(grad: np.ndarray, i: int, m_arr: np.ndarray,
     if not -math.inf < score < 0.0:
         return None
     return (int(m_arr[i]), int(n_arr[i])), score, i
-
-
-def count_ineligible(trace, grad: np.ndarray) -> None:
-    """Add a scored batch's edges whose step is too large (grad = +inf) to
-    `trace.ineligible`, if a trace is given. A batch whose largest score
-    is below +inf has none; a NaN maximum is counted like any other."""
-    if trace is not None and grad.shape[0] and not grad.max() < math.inf:
-        trace.ineligible += int(np.count_nonzero(grad == np.inf))
 
 
 def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
@@ -182,6 +178,6 @@ def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
     state = smallest_eigenpairs(build_laplacian(g), g.n)
     shifted = state.eigvals + cfg.alpha
     if not shifted[0] > 0:
-        raise ValueError("L + alpha I is not positive definite")
+        raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")
     h = smoothness_trace(g, y) - np.log(shifted).sum() - cfg.gamma * state.fiedler_value
     return h + cfg.mu * 2.0 * g.edge_count

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import Disconnected, TooLarge
 from .graph import WeightedGraph
-from .objective import count_ineligible, score_edges, selection
+from .objective import score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 BRUTE_FORCE_LIMIT = 16
@@ -138,10 +138,10 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
     block = np.full(m_arr.shape[0], -1, dtype=np.intp)
     ids = count()
     # Sub-graphs still to split, depth first: rows, their endpoints
-    # numbered among the parent's k nodes, k, and how many splits lie above.
-    stack = [(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n, 0)]
+    # numbered among the parent's k nodes, and k.
+    stack = [(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)]
     while stack:
-        rows, lm, ln, k, depth = stack.pop()
+        rows, lm, ln, k = stack.pop()
         if rows.shape[0] == 0:
             continue
         touched = np.zeros(k, dtype=bool)
@@ -162,7 +162,7 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
             block[rows[crossing]] = next(ids)
         # The inside side goes last, so it is split first.
         for side in (~(m_in | n_in), m_in & n_in):
-            stack.append((rows[side], lm[side], ln[side], k, depth + 1))
+            stack.append((rows[side], lm[side], ln[side], k))
     return block
 
 
@@ -174,10 +174,9 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     the plan's blocks only partition the candidate edge set while all
     scores come from the global snapshot. `plan` is any such partition of
     g's edge rows, one non-negative block label per row as `cut_plan`
-    returns it; when not given, cut_plan(g, LEAF_NODES) is built here. A
-    solve passes the plan of its start graph, with each deleted row's
-    label taken out by `np.delete`. `terms` is as in `score_edges`;
-    `trace` counts ineligible edges.
+    returns it (cut_plan(g, LEAF_NODES) when not given); a solve passes
+    its start graph's plan, each deleted row's label taken out by
+    `np.delete`. `terms` and `trace` are as in `score_edges`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
@@ -187,13 +186,10 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     # matter which block it lands in, so one vectorized pass covers them
     # all; one minimum.at then takes each block's minimum. A label that
     # no row holds any more (its block was emptied) keeps +inf.
-    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms).grad
-    count_ineligible(trace, grad)
+    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
     minima = np.full(int(block.max()) + 1, np.inf)
     np.minimum.at(minima, block, grad)
-    best = minima.min()
-    # Rows run in (m, n) order, so the first row that holds the best
-    # block minimum is the winner by (grad, m, n); a NaN minimum holds none.
-    hit = grad == best
-    i = int(hit.argmax())
-    return selection(grad, i, m_arr, n_arr) if hit[i] else None
+    # Rows run in (m, n) order, so the first row that holds the best block
+    # minimum, argmin's row, is the winner by (grad, m, n); a NaN holds none.
+    i = int(grad.argmin())
+    return selection(grad, i, m_arr, n_arr) if grad[i] == minima.min() else None

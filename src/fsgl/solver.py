@@ -6,11 +6,11 @@ and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
 (recursive); both return the same edge, and its row, by construction.
 A solve holds one `graph.Laplacian`, which a weakening step updates in
-place at the selected row and from which each snapshot is taken, and
-what its edge set fixes: the scoring terms. Only a step that deletes an
-edge builds a new one; the solve returns the last Laplacian's graph. The
-recursive arm labels the start graph's edge rows with one cut plan per
-solve and deletes each deleted row's label from it (`np.delete`).
+place at the selected row and from which each snapshot is taken. Only a
+step that deletes an edge builds a new one; the solve returns the last
+Laplacian's graph. What the edge set fixes, the scoring terms and the
+recursive arm's cut plan, is computed once per solve for the start
+graph, and a deletion drops the deleted row from each (`np.delete`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import partition as _partition
 from .errors import NonFiniteObjective
 from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian
-from .objective import count_ineligible, edge_terms, objective_value, score_edges, selection
+from .objective import edge_terms, objective_value, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -107,10 +107,10 @@ class SolveTrace:
     and "max_iters" when the step cap ended the solve first. ineligible
     sums the edges scored +inf (step too large) over all steps. phase_ms
     splits the solve's time after the initial objective: "eigensolve"
-    (snapshots), "select" (scoring and selection), "rebuild" (a new edge
-    set's Laplacian and scoring terms; the recursive arm's cut plan,
-    built once per solve, and a deletion's update to it) and "mutate"
-    (in-place weakening steps).
+    (snapshots), "select" (scoring and selection), "rebuild" (the scoring
+    terms and the recursive arm's cut plan, once per solve; a deletion's
+    new Laplacian and its updates to both) and "mutate" (in-place
+    weakening steps).
     """
 
     initial_objective: float = float("nan")
@@ -156,7 +156,7 @@ class SolveTrace:
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:
     """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs,
     and (L + alpha I)^{-1} under cfg.exact_logdet."""
-    return _snapshot(build_laplacian(g), cfg, k_obs)
+    return _snapshot(build_laplacian(g), cfg, eigenpair_count(g.n, k_obs))
 
 
 def eigenpair_count(n: int, k_obs: int) -> int:
@@ -164,11 +164,14 @@ def eigenpair_count(n: int, k_obs: int) -> int:
     return min(n, max(3, k_obs))
 
 
-def _snapshot(lap: np.ndarray, cfg: SolverConfig, k_obs: int) -> SpectralState:
-    n = lap.shape[0]
-    state = smallest_eigenpairs(lap, eigenpair_count(n, k_obs))
+def _snapshot(lap: np.ndarray, cfg: SolverConfig, k: int) -> SpectralState:
+    state = smallest_eigenpairs(lap, k)
     if cfg.exact_logdet:
-        state = replace(state, resolvent=np.linalg.inv(lap + cfg.alpha * np.eye(n)))
+        try:
+            resolvent = np.linalg.inv(lap + cfg.alpha * np.eye(lap.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"L + alpha I is singular at alpha={cfg.alpha!r}") from None
+        state = replace(state, resolvent=resolvent)
     return state
 
 
@@ -179,14 +182,13 @@ def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: Solv
     Returns ((m, n), grad, row), or None once no edge scores below zero
     (converged); see `selection`. Edges run in (m, n) order, so argmin's
     first minimum breaks ties on the lexicographically smallest (m, n).
-    `terms` is as in `score_edges`; ineligible edges (determinant factor
-    would go nonpositive) are skipped and counted into `trace`.
+    `terms` and `trace` are as in `score_edges`: ineligible edges
+    (determinant factor would go nonpositive) are skipped and counted.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     if m_arr.shape[0] == 0:
         return None
-    grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms).grad
-    count_ineligible(trace, grad)
+    grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace).grad
     return selection(grad, int(grad.argmin()), m_arr, n_arr)
 
 
@@ -225,10 +227,11 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     t0 = time.perf_counter()
     lap = Laplacian(g0)
     terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
+    k = eigenpair_count(g0.n, obs.k)
     recursive = cfg.solver_kind == "recursive"
     plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES) if recursive else None
     t = charge("rebuild", t0)
-    state = _snapshot(lap.lap, cfg, obs.k)
+    state = _snapshot(lap.lap, cfg, k)
     trace.eigensolves += 1
     t = charge("eigensolve", t)
     accepted = 0
@@ -247,14 +250,14 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             t = charge("mutate", t)
         else:
             lap = weakened
-            terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
+            terms = tuple(np.delete(term, row) for term in terms)
             if recursive:
                 plan = np.delete(plan, row)
             t = charge("rebuild", t)
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
         if accepted % cfg.refresh_interval == 0:
-            state = _snapshot(lap.lap, cfg, obs.k)
+            state = _snapshot(lap.lap, cfg, k)
             trace.eigensolves += 1
             t = charge("eigensolve", t)
 

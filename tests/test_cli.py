@@ -209,6 +209,16 @@ def test_solve_rejects_a_step_too_small_to_change_a_weight(tmp_path, capsys):
     assert "objective" not in captured.out
 
 
+def test_solve_names_alpha_when_the_exact_resolvent_is_singular(tmp_path, capsys):
+    run_cli("gen", "--n", "30", "--output", str(tmp_path / "t30"))
+    capsys.readouterr()
+    code = run_cli("solve", "--input", str(tmp_path / "t30.x.csv"), "--exact-logdet",
+                   "--alpha", "1e-300")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: L + alpha I is singular at alpha=1e-300" in err
+
+
 def test_solve_deterministic_output(tmp_path):
     prefix = tmp_path / "data"
     run_cli("gen", "--n", "12", "--k", "4", "--seed", "9",
@@ -670,6 +680,16 @@ def test_config_entry_parses_as_its_flag(tmp_path, command, option):
     assert vars(from_file) == {**vars(flagged), "config": str(conf)}
 
 
+def test_bool_valued_flags_have_a_no_form():
+    # parse_command_line reads a config true/false as --key/--no-key for
+    # each flag whose parsed value is a bool
+    for command, p in _subparsers().items():
+        base = parse_command_line([command, *REQUIRED.get(command, [])])
+        for a in p._actions:
+            if isinstance(getattr(base, a.dest, None), bool):
+                assert isinstance(a, argparse.BooleanOptionalAction), (command, a.dest)
+
+
 def test_config_file_later_entries_win(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("epsilon = 0.1\nexact_logdet = TRUE\n"
@@ -697,6 +717,8 @@ def _run_in(monkeypatch, capsys, cwd, argv):
     ("gen", "mean_scale", "none", 2),
     ("solve", "budget", "1.5", 2),
     ("solve", "epsilon", "none", 2),
+    ("solve", "epsilon", "false", 2),  # true/false switch only the boolean flags
+    ("gen", "seed", "true", 2),
     ("bench", "generator", "1", 2),
     ("solve", "truth", "1", 1),
     ("solve", "output", "7", 0),
@@ -730,6 +752,7 @@ def test_config_probe_behaves_like_its_flag(tmp_path, monkeypatch, capsys,
     ("solve", "config", "other.conf"),
     ("solve", "eps", "0.05"),  # abbreviations of --epsilon are not accepted
     ("solve", "help", "true"),
+    ("gen", "warp_factor", "false"),
 ])
 def test_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys, command, key, value):
     conf = tmp_path / "bad.conf"

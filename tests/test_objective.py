@@ -18,7 +18,6 @@ from fsgl.graph import (
 from fsgl.objective import (
     EdgeScores,
     _row_sums,
-    count_ineligible,
     edge_terms,
     objective_value,
     score_edges,
@@ -355,40 +354,38 @@ def test_plain_log_is_bitwise_the_masked_log():
 
 
 def test_ineligible_edges_take_the_masked_log_and_are_counted():
-    # steps at which some determinant factors, majorized or exact, go nonpositive
+    # steps at which some determinant factors, majorized or exact, go
+    # nonpositive, and an exact resolvent with a NaN at one node, whose
+    # edges' eta is NaN
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, 12, density=0.3)
     y = gram(rng.standard_normal((12, 4)))
     m_arr, n_arr, w_arr = g.edge_arrays()
-    for exact, eps in ((False, 0.3), (True, 1.5)):
+    for exact, eps, nan_node in ((False, 0.3, None), (True, 1.5, None), (True, 0.01, 5)):
         cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
         state = compute_state(g, cfg, 4)
+        if nan_node is not None:
+            r = state.resolvent.copy()
+            r[nan_node, nan_node] = np.nan
+            state = replace(state, resolvent=r)
+        terms = edge_terms(y, m_arr, n_arr, eps)
+        trace = SolveTrace(ineligible=3)
         with np.errstate(all="raise"):  # a plain log of eta <= 0 would warn
-            scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
-        bad = scores.eta <= 0.0
+            scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace)
+        bad = ~(scores.eta > 0.0)
         assert 0 < np.count_nonzero(bad) < bad.shape[0], exact
+        assert np.isnan(scores.eta).any() == (nan_node is not None)
         assert (scores.grad[bad] == np.inf).all()
         assert np.isfinite(scores.grad[~bad]).all()
         ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
         assert scores.grad.tobytes() == ref.grad.tobytes()
-        trace = SolveTrace()
-        count_ineligible(trace, scores.grad)
-        assert trace.ineligible == np.count_nonzero(bad)
-
-
-def test_count_ineligible_counts_inf_past_nan():
-    # counted only when the maximum is not below +inf, which a NaN is not
-    rng = np.random.default_rng(8)
-    count_ineligible(None, np.array([np.inf]))
-    for length in (0, 1, 2, 5, 40):
-        for trial in range(50):
-            grad = rng.standard_normal(length)
-            grad[rng.random(length) < rng.choice([0.0, 0.2, 1.0])] = np.inf
-            grad[rng.random(length) < rng.choice([0.0, 0.2, 1.0])] = np.nan
-            grad[rng.random(length) < 0.1] = -np.inf
-            trace = SolveTrace(ineligible=3)
-            count_ineligible(trace, grad)
-            assert trace.ineligible == 3 + np.count_nonzero(grad == np.inf), grad
+        assert trace.ineligible == 3 + np.count_nonzero(bad)
+        # the same batch without a trace, or with every eta positive, counts nothing
+        again = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
+        assert again.grad.tobytes() == scores.grad.tobytes()
+        ok = ~bad
+        score_edges(state, y, m_arr[ok], n_arr[ok], w_arr[ok], cfg, None, trace)
+        assert trace.ineligible == 3 + np.count_nonzero(bad)
 
 
 def test_objective_value_matches_direct_formula():
@@ -431,7 +428,7 @@ def test_objective_value_rejects_a_spectrum_at_minus_alpha(monkeypatch):
     state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 4)
     singular = SpectralState(state.eigvals - state.eigvals[0] - cfg.alpha, state.eigvecs)
     monkeypatch.setattr(fsgl.objective, "smallest_eigenpairs", lambda lap, k: singular)
-    with pytest.raises(ValueError, match="not positive definite"):
+    with pytest.raises(ValueError, match="not positive definite at alpha=0.5$"):
         objective_value(complete_graph(4), np.eye(4), cfg)
 
 

@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import fsgl.solver
 import fsgl.spectral
 from fsgl.errors import Disconnected, TooLarge
 from fsgl.graph import (
@@ -23,7 +24,7 @@ from fsgl.partition import (
     cut_plan,
     partition_select,
 )
-from fsgl.solver import SolveTrace, SolverConfig, compute_state, greedy_step, run_solver
+from fsgl.solver import SolverConfig, compute_state, greedy_step, run_solver
 from fsgl.datagen import connected_pairs, gen_ground_truth, sample_gmm, sample_mvt
 from fsgl.init_graph import init_sparse_graph
 from fsgl.spectral import smallest_eigenpairs
@@ -164,22 +165,37 @@ def test_partition_select_empty_graph():
     assert greedy_step(g, obs.gram, state, cfg) is None
 
 
-def record_sweeps(monkeypatch):
-    """Patch partition._sweep_prefix to log a Sweep at every split.
+def record_sweeps(monkeypatch, v_min):
+    """Patch partition._sweep_prefix to log a Sweep at every split of a
+    cut_plan(g, v_min) call.
 
-    depth is how many splits lie above the sub-graph being split, read
-    from cut_plan's stack frame, so the top-level sweep has depth 0.
+    depth is how many splits lie above the sub-graph being split, worked
+    out from the splits: cut_plan walks depth first, inside side first,
+    and sweeps a side only when it has edges and touches more than v_min
+    nodes, so each sweep is the next such side still pending, one level
+    below the split that made it, or a new top-level sweep (depth 0).
     """
     import fsgl.partition as partition
 
     real = partition._sweep_prefix
-    sweeps = []
+    sweeps, pending = [], []  # pending: (depth, local m, local n) of sides to sweep
 
     def recording(n, m_arr, n_arr, v2):
         order, t, cut = real(n, m_arr, n_arr, v2)
-        caller = sys._getframe(1)
-        assert caller.f_code is partition.cut_plan.__code__
-        sweeps.append(Sweep(caller.f_locals["depth"], n, t, cut, order, m_arr, n_arr))
+        depth = 0
+        if pending:
+            depth, lm, ln = pending.pop()
+            assert np.array_equal(lm, m_arr) and np.array_equal(ln, n_arr)
+        sweeps.append(Sweep(depth, n, t, cut, order, m_arr, n_arr))
+        in_s = np.zeros(n, dtype=bool)
+        in_s[order[:t]] = True
+        m_in, n_in = in_s[m_arr], in_s[n_arr]
+        for side in (~(m_in | n_in), m_in & n_in):  # the inside side pops first
+            touched = np.zeros(n, dtype=bool)
+            touched[m_arr[side]] = touched[n_arr[side]] = True
+            if touched.sum() > v_min:
+                local = touched.cumsum() - 1
+                pending.append((depth + 1, local[m_arr[side]], local[n_arr[side]]))
         return order, t, cut
 
     monkeypatch.setattr(partition, "_sweep_prefix", recording)
@@ -190,7 +206,7 @@ def test_partition_audit_rows_partition_exactly(monkeypatch):
     # every split sends each candidate edge to exactly one side or the cut
     obs = solve_instance(1, 20)
     g = init_sparse_graph(obs.gram, 40)
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = record_sweeps(monkeypatch, 4)
     cut_plan(g, 4)
     assert sweeps, "recursion should split at least once"
     for sw in sweeps:
@@ -230,7 +246,7 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
     edges = dict(ga.edges)
     edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
     g = WeightedGraph(10, edges)
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = record_sweeps(monkeypatch, 4)
     block = cut_plan(g, 4)
     first = sweeps[0]
     assert (first.n, first.t, first.cut) == (10, 5, 0)
@@ -240,7 +256,9 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
 
 
 def test_cut_plan_depends_on_edge_set_not_weights():
-    # a weight-only step keeps the plan; deleting an edge makes a new one
+    # a weight-only step keeps the plan; deleting an edge makes a new one,
+    # labelled 0, 1, ... afresh, which selects what the old plan with the
+    # deleted row's label taken out selects
     obs = solve_instance(4, 24)
     g = init_sparse_graph(obs.gram, 60)
     block = cut_plan(g, 4)
@@ -254,26 +272,40 @@ def test_cut_plan_depends_on_edge_set_not_weights():
     assert smaller.edge_count == g.edge_count - 1
     fresh = cut_plan(smaller, 4)
     assert fresh.shape[0] == smaller.edge_count
-    assert not np.array_equal(fresh, block)
+    plan_blocks(fresh)
+    m_arr, n_arr, _ = g.edge_arrays()
+    row = int(np.flatnonzero((m_arr == edge[0]) & (n_arr == edge[1]))[0])
+    cfg = SolverConfig(solver_kind="recursive", alpha=2.0)  # some edge descends
+    state = compute_state(smaller, cfg, obs.k)
+    sel = partition_select(smaller, state, obs, cfg, fresh)
+    assert sel is not None
+    restricted = np.delete(block, row)
+    assert not np.array_equal(fresh, restricted)  # same shape, other blocks
+    assert partition_select(smaller, state, obs, cfg, restricted) == sel
 
 
 def test_run_solver_builds_one_plan_per_solve(monkeypatch):
+    # and computes the scoring terms once per solve, on either arm
     import fsgl.partition as partition
 
-    calls = []
-    real = partition.cut_plan
+    calls, terms = [], []
+    real, real_terms = partition.cut_plan, fsgl.solver.edge_terms
     monkeypatch.setattr(partition, "cut_plan",
                         lambda g, v_min: calls.append(g.edge_count) or real(g, v_min))
+    monkeypatch.setattr(fsgl.solver, "edge_terms",
+                        lambda y, m, n, eps: terms.append(m.shape[0]) or real_terms(y, m, n, eps))
     obs = solve_instance(3, 16)
     g0 = init_sparse_graph(obs.gram, 30)
     _, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive",
                                                 epsilon=0.05))
     assert len(trace) > 0
     assert trace.edge_counts[-1] < g0.edge_count, "the solve should delete an edge"
-    assert calls == [g0.edge_count]
+    assert calls == [g0.edge_count] and terms == [g0.edge_count]
     calls.clear()
-    run_solver(g0, obs, SolverConfig(solver_kind="greedy", epsilon=0.05))
-    assert calls == []
+    terms.clear()
+    _, trace = run_solver(g0, obs, SolverConfig(solver_kind="greedy", epsilon=0.05))
+    assert trace.edge_counts[-1] < g0.edge_count
+    assert calls == [] and terms == [g0.edge_count]
 
 
 def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch):
@@ -324,31 +356,32 @@ def test_selection_through_a_plan_whose_last_block_emptied():
 
 
 def _select_block_by_block(grad, m_arr, n_arr, plan):
-    """The reduction as first written: an argmin per block, then the best
-    (grad, m, n) key over the finite block minima. plan is the list of
-    each block's rows. Returns a row, or None when no finite block
-    minimum is negative."""
-    best = None
-    for rows in plan:
-        i = int(rows[grad[rows].argmin()])
-        key = (grad[i], m_arr[i], n_arr[i])
-        if np.isfinite(grad[i]) and (best is None or key < best[0]):
-            best = (key, i)
-    return None if best is None or best[0][0] >= 0.0 else best[1]
+    """The reduction as a loop: an argmin per block, then the best
+    (grad, m, n) key over the block minima. plan is the list of each
+    block's rows. Returns a row, or None when a NaN is anywhere (as in
+    greedy_step, whose argmin stops at it) or the best minimum is not
+    finite and negative."""
+    if np.isnan(grad).any():
+        return None
+    best = min((grad[i], m_arr[i], n_arr[i], i)
+               for i in (int(rows[grad[rows].argmin()]) for rows in plan))
+    return best[3] if -np.inf < best[0] < 0.0 else None
 
 
 def test_block_reduction_matches_block_by_block_loop(monkeypatch):
     # synthetic scores with few distinct values (ties across blocks) and
-    # +inf rows, reduced over real plans, against the loop as a reference;
-    # each plan also runs with its ids spread out, so some ids label no row
+    # +inf, -inf and NaN rows, reduced over real plans, against the loop as
+    # a reference and against greedy_step; each plan also runs with its ids
+    # spread out, so some ids label no row
     import fsgl.partition as partition
 
     rng = np.random.default_rng(17)
     scores = {}
     monkeypatch.setattr(partition, "score_edges", lambda *args: scores["now"])
+    monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: scores["now"])
     cfg = SolverConfig(solver_kind="recursive")
     seen = {"cross_block_tie": 0, "singleton": 0, "none": 0, "inf_rows": 0,
-            "unused_ids": 0}
+            "all_inf": 0, "neg_inf_rows": 0, "nan_rows": 0, "unused_ids": 0}
     for seed in range(4):
         obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
         g = init_sparse_graph(obs.gram, 40)
@@ -363,14 +396,18 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 seen["unused_ids"] += plan.max() + 1 > len(blocks)
                 grad = rng.integers(-3, 3, e).astype(np.float64)
                 grad[rng.random(e) < rng.choice([0.0, 0.3, 0.9, 1.0])] = np.inf
+                grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = -np.inf
+                grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = np.nan
                 scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
                                            np.zeros(e), grad)
-                trace = SolveTrace()
-                got = partition_select(g, None, obs, cfg, plan, None, trace)
+                with np.errstate(invalid="ignore"):  # minimum.at meeting a NaN
+                    got = partition_select(g, None, obs, cfg, plan)
                 want = _select_block_by_block(grad, m_arr, n_arr, blocks)
-                inf_rows = int(np.isinf(grad).sum())
-                assert trace.ineligible == inf_rows
-                seen["inf_rows"] += inf_rows > 0
+                assert got == greedy_step(g, None, None, cfg)
+                seen["inf_rows"] += (grad == np.inf).any()
+                seen["all_inf"] += (grad == np.inf).all()
+                seen["neg_inf_rows"] += (grad == -np.inf).any()
+                seen["nan_rows"] += np.isnan(grad).any()
                 if want is None:
                     assert got is None
                     seen["none"] += 1
@@ -418,7 +455,7 @@ def test_partition_recursion_depth_bounded(monkeypatch):
     # each split strictly shrinks the node set, so depth < N
     obs = solve_instance(2, 24)
     g = init_sparse_graph(obs.gram, 60)
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = record_sweeps(monkeypatch, 4)
     cut_plan(g, 4)
     max_depth = max(sw.depth for sw in sweeps)
     assert max_depth < 24
@@ -487,7 +524,7 @@ def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
         sys.setrecursionlimit(limit)
     assert block.shape == (g.edge_count,)
     plan_blocks(block)
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = record_sweeps(monkeypatch, LEAF_NODES)
     cut_plan(g, LEAF_NODES)
     assert max(sw.depth for sw in sweeps) == 112
 
