@@ -82,8 +82,9 @@ class WeightedGraph:
     rest with its parent; removing an edge compacts them with one mask.
     Nothing is ever written in place, so a graph instance can be shared
     freely; the one exception is `Laplacian.g`, whose weights its owner
-    writes until it hands the graph out, as `run_solver` does on return.
-    `edges` is a read-only {(m, n): w} view, built on first use.
+    writes, dropping the `edges` view, until it hands the graph out, as
+    `run_solver` does on return. `edges` is a read-only {(m, n): w} view,
+    built on first use.
     Every graph is built by `from_arrays`; `WeightedGraph(n, {(m, n): w})`
     passes a mapping's keys and values to it.
     """
@@ -254,6 +255,7 @@ class Laplacian:
         if not w:
             return Laplacian(g._with_weight(i, w))
         self._w2[i] = self._w2[g.edge_count + i] = w
+        g._edges = None
         self._flat[g._keys[i]] = self._flat[self._tkeys[i]] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=g.n)
         return self

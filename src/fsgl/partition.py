@@ -131,22 +131,20 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
     array over g.edge_arrays()'s rows: block[i] is the id of the block
     (leaf or cut set) that holds row i, the ids 0, 1, ... numbered in
     recursive pre-order. The plan depends only on which edges g holds,
-    not on their weights. Sub-graphs wait on a stack of their own, inside
-    side first, so nesting as deep as N needs no Python recursion.
+    not on their weights. Sub-graphs wait on a stack of their own, as their
+    edge rows alone, so nesting as deep as N needs no Python recursion.
     """
     m_arr, n_arr, _ = g.edge_arrays()
     block = np.full(m_arr.shape[0], -1, dtype=np.intp)
     ids = count()
-    # Sub-graphs still to split, depth first: rows, their endpoints
-    # numbered among the parent's k nodes, and k.
-    stack = [(np.arange(m_arr.shape[0], dtype=np.intp), m_arr, n_arr, g.n)]
+    stack = [np.arange(m_arr.shape[0], dtype=np.intp)]  # depth first
     while stack:
-        rows, lm, ln, k = stack.pop()
+        rows = stack.pop()
         if rows.shape[0] == 0:
             continue
-        touched = np.zeros(k, dtype=bool)
-        touched[lm] = True
-        touched[ln] = True
+        lm, ln = m_arr[rows], n_arr[rows]
+        touched = np.zeros(g.n, dtype=bool)
+        touched[lm] = touched[ln] = True
         local = touched.cumsum() - 1
         k = int(local[-1]) + 1
         if k <= v_min:
@@ -161,8 +159,7 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
         if crossing.any():
             block[rows[crossing]] = next(ids)
         # The inside side goes last, so it is split first.
-        for side in (~(m_in | n_in), m_in & n_in):
-            stack.append((rows[side], lm[side], ln[side], k))
+        stack += rows[~(m_in | n_in)], rows[m_in & n_in]
     return block
 
 

@@ -104,7 +104,8 @@ class SolveTrace:
     clock after the step. Storage starts at 64 rows and doubles when full.
 
     stop_reason is "no_descent" when no edge scored below zero (converged)
-    and "max_iters" when the step cap ended the solve first. ineligible
+    and "max_iters" when the step cap ended the solve first. eigensolves
+    counts snapshots, each taken for a step that will be scored. ineligible
     sums the edges scored +inf (step too large) over all steps. phase_ms
     splits the solve's time after the initial objective: "eigensolve"
     (snapshots), "select" (scoring and selection), "rebuild" (the scoring
@@ -196,9 +197,11 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
                cfg: SolverConfig) -> tuple[WeightedGraph, SolveTrace]:
     """Weaken edges until no step lowers the objective bound.
 
-    The spectral snapshot refreshes every cfg.refresh_interval accepted
-    steps; with the default interval of 1 each accepted step is scored
-    against a fresh snapshot, which is what the descent guarantee assumes.
+    A step whose count of earlier steps is a multiple of r =
+    cfg.refresh_interval first takes a fresh spectral snapshot, so a solve
+    runs ceil(max_iters / r) eigensolves if capped, 1 + steps // r if
+    converged. With the default r = 1 each step is scored against a fresh
+    snapshot, which is what the descent guarantee assumes.
     The exact objective is computed for the initial and final graphs only;
     a starting graph whose objective is not finite raises NonFiniteObjective.
     """
@@ -231,11 +234,12 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     recursive = cfg.solver_kind == "recursive"
     plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES) if recursive else None
     t = charge("rebuild", t0)
-    state = _snapshot(lap.lap, cfg, k)
-    trace.eigensolves += 1
-    t = charge("eigensolve", t)
     accepted = 0
     while accepted < cfg.max_iters:
+        if accepted % cfg.refresh_interval == 0:
+            state = _snapshot(lap.lap, cfg, k)
+            trace.eigensolves += 1
+            t = charge("eigensolve", t)
         if recursive:
             sel = _partition.partition_select(lap.g, state, obs, cfg, plan, terms, trace)
         else:
@@ -256,10 +260,6 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             t = charge("rebuild", t)
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
-        if accepted % cfg.refresh_interval == 0:
-            state = _snapshot(lap.lap, cfg, k)
-            trace.eigensolves += 1
-            t = charge("eigensolve", t)
 
     trace.final_objective = objective_value(lap.g, y, cfg)
     if trace.ineligible:

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from fsgl.bench import default_budget, run_benchmark
+from fsgl.bench import run_benchmark
 from fsgl.datagen import gen_ground_truth, sample_gmm, sample_mvt
 from fsgl.graph import (WeightedGraph, build_laplacian, gram, is_connected,
                         weaken_edge)
-from fsgl.init_graph import init_sparse_graph, max_similarity_tree
+from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
 from fsgl.objective import objective_value
 from fsgl.partition import (approx_cheeger_cut, brute_force_cheeger,
                             partition_select)

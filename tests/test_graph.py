@@ -379,6 +379,14 @@ def test_laplacian_weaken_steps_are_bitwise_fresh_builds():
     assert kinds == {(False, True), (True, False), (False, False)}
 
 
+def test_laplacian_weaken_in_place_refreshes_the_edges_view():
+    lap = Laplacian(complete_graph(4))
+    assert dict(lap.g.edges)[(0, 1)] == 1.0  # builds the view
+    assert lap.weaken(0, 0.25) is lap
+    assert dict(lap.g.edges)[(0, 1)] == lap.g.weight(0, 1) == 0.75
+    assert lap.g.edges == WeightedGraph.from_arrays(4, *lap.g.edge_arrays()).edges
+
+
 def test_gram_is_psd_and_cauchy_schwarz_holds():
     # 2 Y_mn <= Y_mm + Y_nn for every pair, any real X
     for seed in range(30):

@@ -14,6 +14,7 @@ from fsgl.graph import (
     WeightedGraph,
     build_laplacian,
     complete_graph,
+    component_labels,
     weaken_edge,
 )
 from fsgl.objective import EdgeScores
@@ -420,6 +421,9 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
 
 
 def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
+    # and match the recursive reference, also where a sub-graph falls apart
+    import fsgl.partition as partition
+
     rng = np.random.default_rng(3)
     ga = random_connected_unit_graph(rng, 5)
     edges = dict(ga.edges)
@@ -429,6 +433,19 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
     for seed in range(4):
         obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
         graphs.append(init_sparse_graph(obs.gram, 40))
+    for seed in range(12):  # sparse, mostly disconnected, isolated nodes too
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(6, 31))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.shape[0]) < rng.uniform(0.05, 0.3)
+        graphs.append(WeightedGraph.from_arrays(n, iu[keep], ju[keep], np.ones(keep.sum())))
+    real_sweep, apart = partition._sweep_prefix, []
+
+    def sweep(k, lm, ln, v2):  # every swept node has an edge
+        apart.append(bool(component_labels(k, lm, ln).any()))
+        return real_sweep(k, lm, ln, v2)
+
+    monkeypatch.setattr(partition, "_sweep_prefix", sweep)
     real_syevr = fsgl.spectral._SYEVR
     failures = []
 
@@ -444,11 +461,12 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
             if fail:
                 mp.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
             for g in graphs:
-                for v_min in (2, 4, 8):
+                for v_min in range(2, 10):
                     block = cut_plan(g, v_min)
                     assert block.shape == (g.edge_count,)
                     plan_blocks(block)
-    assert failures
+                    np.testing.assert_array_equal(block, recursive_plan(g, v_min))
+    assert failures and any(apart) and not all(apart)
 
 
 def test_partition_recursion_depth_bounded(monkeypatch):

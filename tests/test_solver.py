@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigencount import counted_eigensolves
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete_graph,
@@ -457,22 +458,32 @@ def test_zero_step_solve_logs_one_warning(caplog):
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
-def test_max_iters_stop_logs_one_warning(kind, caplog):
+def test_max_iters_stop_logs_one_warning(kind, monkeypatch, caplog):
+    import fsgl.solver
+
     obs = small_instance(2, n=10, k=3)
     g0 = init_sparse_graph(obs.gram, 10)
     cfg = SolverConfig(solver_kind=kind, epsilon=0.05)
     with caplog.at_level(logging.WARNING, logger="fsgl"):
         _, full = run_solver(g0, obs, cfg)
-    assert full.stop_reason == "no_descent" and len(full) > 5
+    assert full.stop_reason == "no_descent" and len(full) > 6
     assert caplog.records == []
-    for cap in (0, 5):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="fsgl"):
-            g, trace = run_solver(g0, obs, replace(cfg, max_iters=cap))
-        assert trace.stop_reason == "max_iters" and len(trace) == cap
-        assert [r.getMessage() for r in caplog.records] == [
-            f"max_iters = {cap} ended the solve after {cap} steps with "
-            f"{g.edge_count} edges left"]
+    calls = counted_eigensolves(monkeypatch, fsgl.solver)
+    for refresh in (1, 3):
+        for cap in (0, 5, 6):
+            caplog.clear()
+            calls.clear()
+            with caplog.at_level(logging.WARNING, logger="fsgl"):
+                g, trace = run_solver(g0, obs, replace(cfg, max_iters=cap,
+                                                       refresh_interval=refresh))
+            assert trace.stop_reason == "max_iters" and len(trace) == cap
+            # a snapshot only for a step that is scored: none after the last
+            assert trace.eigensolves == len(calls) == -(-cap // refresh)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"max_iters = {cap} ended the solve after {cap} steps with "
+                f"{g.edge_count} edges left"]
+            if cap == 0:
+                assert g.edges == g0.edges
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
 def test_non_finite_initial_objective_is_a_typed_error(kind):
@@ -527,22 +538,23 @@ def _replay_bitwise(g0, obs, cfg, monkeypatch):
         return greedy_step(g, obs.gram, state, cfg)
 
     g, snapshots, found = g0, 0, []
-    assert np.array_equal(bits(laps[0]), bits(build_laplacian(g)))
-    state = compute_state(g, cfg, obs.k)
-    for step, (edge, grad) in enumerate(zip(trace.edges_mn, trace.grad_h)):
+    # a converged solve's last scan finds no edge
+    for step in range(len(trace) + trace.converged):
+        if step % cfg.refresh_interval == 0:
+            assert np.array_equal(bits(laps[snapshots]), bits(build_laplacian(g))), step
+            state = compute_state(g, cfg, obs.k)
+            snapshots += 1
         sel = select(g, state)
+        if step == len(trace):
+            assert sel is None
+            break
+        edge = trace.edges_mn[step]
         assert sel is not None and sel[0] == tuple(edge.tolist()), step
-        assert bits(sel[1]) == bits(grad), step
+        assert bits(sel[1]) == bits(trace.grad_h[step]), step
         found.append(g.weight(*edge))
         g = weaken_edge(g, edge, cfg.epsilon)
         assert trace.edge_counts[step] == g.edge_count
-        if (step + 1) % cfg.refresh_interval == 0:
-            snapshots += 1
-            assert np.array_equal(bits(laps[snapshots]), bits(build_laplacian(g))), step
-            state = compute_state(g, cfg, obs.k)
-    assert len(laps) == snapshots + 1 == trace.eigensolves
-    if trace.stop_reason == "no_descent":
-        assert select(g, state) is None
+    assert len(laps) == snapshots == trace.eigensolves
     (m_want, n_want, w_want), (m_got, n_got, w_got) = g.edge_arrays(), g_out.edge_arrays()
     assert np.array_equal(m_want, m_got) and np.array_equal(n_want, n_got)
     assert np.array_equal(bits(w_want), bits(w_got))
