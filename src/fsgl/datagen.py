@@ -24,7 +24,8 @@ MAX_ARRAY_BYTES = 2**30  # the most float64 array memory datagen holds at once
 # (N, N) and (N, K) arrays a draw holds at once at its peak, measured with
 # tracemalloc: the truth's precision and covariance, the square root's
 # input, eigenvectors, LAPACK workspace and product, then the samples and
-# their transforms (3 at N = 2, where the K-length vectors weigh most).
+# their transforms (at most 3; the samplers shift or scale in place, so
+# 2.5 at N = 2, where the K-length vectors weigh most).
 DRAW_ARRAYS = 7
 SAMPLE_ARRAYS = 3
 
@@ -159,7 +160,9 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     root = _sym_sqrt(gt.cov)
     means = mean_scale * rng.standard_normal(n_components)
     labels = rng.integers(0, n_components, size=k)
-    obs = ObservationSet(root @ rng.standard_normal((n, k)) + means[labels])
+    x = root @ rng.standard_normal((n, k))
+    x += means[labels]  # in place: one (N, K) array fewer at the peak
+    obs = ObservationSet(x)
     if return_components:
         return obs, labels
     return obs
@@ -179,8 +182,8 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     rng = np.random.default_rng(seed)
     root = _sym_sqrt(gt.cov * ((nu - 2.0) / nu))
     z = root @ rng.standard_normal((n, k))
-    u = rng.chisquare(nu, size=k)
-    return ObservationSet(z / np.sqrt(u / nu))
+    z /= np.sqrt(rng.chisquare(nu, size=k) / nu)
+    return ObservationSet(z)
 
 
 def sample_count(n: int, ratio: float) -> int | float:

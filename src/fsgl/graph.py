@@ -32,6 +32,15 @@ def _integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def real_array(a, what: str) -> np.ndarray:
+    """`a` as a float64 array. Complex input raises ValueError, naming
+    `what` and the dtype, since the cast would keep only the real parts."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
+
+
 def _node_ids(ids) -> np.ndarray:
     """`ids` as an intp array, or as an object array of Python ints when one
     lies past the intp range, so that `_fill` checks each id as given. Unless
@@ -113,7 +122,7 @@ class WeightedGraph:
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
         m, k = _node_ids(ms), _node_ids(ns)
-        w = np.asarray(ws, dtype=np.float64)
+        w = real_array(ws, "ws")
         if not (m.ndim == 1 and m.shape == k.shape == w.shape):
             raise ValueError(f"ms, ns and ws must be 1-D and of one length, got shapes "
                              f"{m.shape}, {k.shape} and {w.shape}")
@@ -287,7 +296,7 @@ def gram(x: np.ndarray) -> np.ndarray:
     Raises NonFiniteInput when an entry of Y overflows (or X holds one),
     since every score and the objective would then be NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("x must be an N x K matrix with K >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +317,7 @@ class ObservationSet:
     __slots__ = ("x", "_gram")
 
     def __init__(self, x: np.ndarray):
-        self.x = np.asarray(x, dtype=np.float64)
+        self.x = real_array(x, "x")
         if self.x.ndim != 2 or self.x.shape[1] < 1:
             raise ValueError("x must be an N x K matrix with K >= 1")
         bad = np.argwhere(~np.isfinite(self.x))

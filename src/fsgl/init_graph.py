@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datagen
 from .errors import InvalidBudget, NonFiniteInput, TooLarge
-from .graph import ObservationSet, WeightedGraph, complete_graph
+from .graph import ObservationSet, WeightedGraph, complete_graph, real_array
 from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
@@ -27,9 +27,9 @@ EDGE_ARRAYS = 20
 
 
 def _similarity(y) -> np.ndarray:
-    """`y` as a float array: square and symmetric (else ValueError) and
-    finite (else NonFiniteInput)."""
-    y = np.asarray(y, dtype=np.float64)
+    """`y` as a float array: real, square and symmetric (else ValueError)
+    and finite (else NonFiniteInput)."""
+    y = real_array(y, "similarity matrix")
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {y.shape}")
     if not np.isfinite(y).all():

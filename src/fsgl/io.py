@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateEdge, FsglError
-from .graph import MAX_NODES, WeightedGraph
+from .graph import MAX_NODES, WeightedGraph, real_array
 
 
 def save_graph(g: WeightedGraph, path) -> None:
@@ -86,7 +86,7 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
 
 
 def save_observations(x: np.ndarray, path) -> None:
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     lines = [",".join(repr(float(v)) for v in row) for row in x]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -9,8 +9,9 @@ them into the greedy score for a batch of edges, the only place the score
 is computed (`edge_terms`: its part fixed by the edge set);
 `selection` turns a batch's winning row into both selectors' result,
 with the one descent rule; and `objective_value` recomputes the exact
-objective for monitoring. The log-det term takes alpha from the config
-and the exact resolvent, when there is one, from the snapshot.
+objective for monitoring, from the Laplacian a solve holds. The log-det
+term takes alpha from the config and the exact resolvent, when there is
+one, from the snapshot.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
 the batch's endpoints into a (k, E) array, and `_row_sums` adds every
 edge's k terms in the order a per-edge row sum would, so the scores are
@@ -87,7 +88,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     eps. z = 2 Y_mn - Y_mm - Y_nn is the exact trace slope. eta = 1 - eps q,
     with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n, alpha =
     cfg.alpha: exact from the state's resolvent when it carries one (under
-    cfg.exact_logdet `solver.compute_state` attaches it), else majorized
+    cfg.exact_logdet each solver snapshot attaches it), else majorized
     over the retained eigenpairs; either way -log(eta) does not
     underestimate the log-det penalty. rho bounds the Fiedler value's drop:
     sqrt(2) eps |v2_m - v2_n| when the eigen-gap exceeds 4 eps, 2 eps
@@ -169,13 +170,14 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
     return float((w_arr * per_edge).sum())
 
 
-def objective_value(g: WeightedGraph, y: np.ndarray, cfg) -> float:
+def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
     """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
     from one full spectrum l_1 <= ... <= l_N of L: log det = sum log(l_i + a),
-    after checking l_1 + a > 0. Monitoring only, never in the scoring loop."""
+    after checking l_1 + a > 0. Monitoring only, never in the scoring loop.
+    `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
         raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
-    state = smallest_eigenpairs(build_laplacian(g), g.n)
+    state = smallest_eigenpairs(build_laplacian(g) if lap is None else lap, g.n)
     shifted = state.eigvals + cfg.alpha
     if not shifted[0] > 0:
         raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")

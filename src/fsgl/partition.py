@@ -181,12 +181,14 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     block = cut_plan(g, LEAF_NODES) if plan is None else plan
     # Every candidate edge is scored against the same global snapshot no
     # matter which block it lands in, so one vectorized pass covers them
-    # all; one minimum.at then takes each block's minimum. A label that
-    # no row holds any more (its block was emptied) keeps +inf.
+    # all; one fmin.at then takes each block's minimum, skipping NaN, so a
+    # NaN score warns no more than the scan does. A label that no row
+    # holds any more (its block was emptied) keeps +inf.
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
     minima = np.full(int(block.max()) + 1, np.inf)
-    np.minimum.at(minima, block, grad)
+    np.fmin.at(minima, block, grad)
     # Rows run in (m, n) order, so the first row that holds the best block
-    # minimum, argmin's row, is the winner by (grad, m, n); a NaN holds none.
+    # minimum, argmin's row, is the winner by (grad, m, n). A NaN score is
+    # argmin's row and fails the compare, so none is selected, as in the scan.
     i = int(grad.argmin())
     return selection(grad, i, m_arr, n_arr) if grad[i] == minima.min() else None

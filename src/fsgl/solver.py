@@ -6,11 +6,12 @@ and refreshes the snapshot on a configurable cadence. Selection is either
 an exhaustive scan (greedy) or the recursive Cheeger-cut decomposition
 (recursive); both return the same edge, and its row, by construction.
 A solve holds one `graph.Laplacian`, which a weakening step updates in
-place at the selected row and from which each snapshot is taken. Only a
-step that deletes an edge builds a new one; the solve returns the last
-Laplacian's graph. What the edge set fixes, the scoring terms and the
-recursive arm's cut plan, is computed once per solve for the start
-graph, and a deletion drops the deleted row from each (`np.delete`).
+place at the selected row and from which each snapshot and both
+objectives are taken. Only a step that deletes an edge builds a new one,
+so a solve builds one per edge set; it returns the last one's graph.
+What the edge set fixes, the scoring terms and the recursive arm's cut
+plan, is computed once per solve for the start graph, and a deletion
+drops the deleted row from each (`np.delete`).
 """
 
 from __future__ import annotations
@@ -106,12 +107,14 @@ class SolveTrace:
     stop_reason is "no_descent" when no edge scored below zero (converged)
     and "max_iters" when the step cap ended the solve first. eigensolves
     counts snapshots, each taken for a step that will be scored. ineligible
-    sums the edges scored +inf (step too large) over all steps. phase_ms
-    splits the solve's time after the initial objective: "eigensolve"
-    (snapshots), "select" (scoring and selection), "rebuild" (the scoring
-    terms and the recursive arm's cut plan, once per solve; a deletion's
-    new Laplacian and its updates to both) and "mutate" (in-place
-    weakening steps).
+    sums the edges scored +inf (step too large) over all steps. Both
+    objectives read the solve's own Laplacian: the start graph's, built
+    with the initial objective, and the learned graph's. phase_ms splits
+    the solve's time after the initial objective, so it leaves out that
+    start Laplacian: "eigensolve" (snapshots), "select" (scoring and
+    selection), "rebuild" (the scoring terms and the recursive arm's cut
+    plan, once per solve; a deletion's new Laplacian and its updates to
+    both) and "mutate" (in-place weakening steps).
     """
 
     initial_objective: float = float("nan")
@@ -212,9 +215,10 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         raise ValueError("need at least two nodes")
     y = obs.gram
     trace = SolveTrace()
-    # An overflow here is reported as NonFiniteObjective, not as a warning.
+    # An overflow here is NonFiniteInput or NonFiniteObjective, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.initial_objective = objective_value(g0, y, cfg)
+        lap = Laplacian(g0)
+        trace.initial_objective = objective_value(g0, y, cfg, lap.lap)
     if not np.isfinite(trace.initial_objective):
         raise NonFiniteObjective(
             f"initial objective is {float(trace.initial_objective)!r}; the "
@@ -228,7 +232,6 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         return now
 
     t0 = time.perf_counter()
-    lap = Laplacian(g0)
     terms = edge_terms(y, *lap.g.edge_arrays()[:2], cfg.epsilon)
     k = eigenpair_count(g0.n, obs.k)
     recursive = cfg.solver_kind == "recursive"
@@ -261,7 +264,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
 
-    trace.final_objective = objective_value(lap.g, y, cfg)
+    trace.final_objective = objective_value(lap.g, y, cfg, lap.lap)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
     if accepted == 0 and trace.converged:

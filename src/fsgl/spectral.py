@@ -68,7 +68,8 @@ class SpectralState:
 
     eigvals are sorted ascending; eigvecs holds the matching orthonormal
     vectors as Fortran-ordered columns. `resolvent` optionally carries the
-    exact (L + alpha I)^{-1}, attached by `solver.compute_state`.
+    exact (L + alpha I)^{-1}, attached under cfg.exact_logdet by
+    `solver._snapshot`, which takes a solve's snapshots and `compute_state`'s.
     """
 
     eigvals: np.ndarray
@@ -119,7 +120,15 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     routines read the lower triangle only, so the upper one is never
     checked: a non-finite entry on or below the diagonal raises
     NonFiniteInput at every k, and one above it changes no answer.
+    Anything but an ndarray raises TypeError; a matrix that is not square
+    and 2-D, or complex, raises ValueError (LAPACK would keep the real part).
     """
+    if not isinstance(lap, np.ndarray):
+        raise TypeError(f"lap must be a NumPy array, got {type(lap).__name__}")
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ValueError(f"lap must be a square 2-D matrix, got shape {lap.shape}")
+    if lap.dtype.kind == "c":
+        raise ValueError(f"lap must be real, got dtype {lap.dtype}")
     n = lap.shape[0]
     if not (2 <= k <= n):
         raise ValueError(f"k={k} must lie in [2, {n}]")

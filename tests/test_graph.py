@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import warnings
 from copy import deepcopy
 
 import numpy as np
@@ -415,6 +416,30 @@ def test_observation_set_caches_gram():
             ObservationSet(x_bad)
     with pytest.raises(ValueError):
         gram(np.zeros(3))
+
+
+def test_graph_builds_reject_complex_weights():
+    # the float cast would keep the real parts: edge (0, 1) of weight 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ws must be real, got dtype complex128"):
+            WeightedGraph.from_arrays(3, [0], [1], np.array([1 + 2j]))
+        with pytest.raises(ValueError, match="ws must be real, got dtype complex128"):
+            WeightedGraph(3, {(0, 1): 1.0, (1, 2): np.complex64(2.0)})
+
+
+def test_gram_rejects_complex_observations():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+            gram(np.array([[1.0, 2j], [3.0, 4.0]]))
+
+
+def test_observation_set_rejects_complex_observations():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+            ObservationSet(np.ones((3, 2)) + 0j)
 
 
 def test_gram_overflow_is_non_finite_input():

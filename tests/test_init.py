@@ -1,6 +1,7 @@
 """Similarity-guided sparse initialization."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ def test_start_rejects_non_square_and_non_finite_similarity(start):
     with pytest.raises(NonFiniteInput, match="non-finite"):
         start(y)
 
+
+
+@pytest.mark.parametrize("start", [max_similarity_tree,
+                                   lambda y: init_sparse_graph(y, None)])
+def test_start_rejects_complex_similarity(start):
+    # the real parts alone would rank the pairs
+    y = gram(np.random.default_rng(0).standard_normal((4, 2))) + 0j
+    y[0, 1] = y[1, 0] = 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="similarity matrix must be real, got dtype "
+                                             "complex128"):
+            start(y)
 
 
 @pytest.mark.parametrize("start", [max_similarity_tree,

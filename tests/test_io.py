@@ -182,6 +182,15 @@ def test_observations_round_trip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_observations_rejects_complex_input(tmp_path):
+    path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+            save_observations(np.array([[1.0, 2.0 + 1j]]), path)
+    assert not path.exists()
+
+
 def test_observations_single_row(tmp_path):
     path = tmp_path / "x.csv"
     save_observations(np.array([[1.0, 2.0, 3.0]]), path)

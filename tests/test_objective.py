@@ -421,6 +421,24 @@ def test_objective_value_takes_one_full_spectrum(monkeypatch):
     assert calls == [2, 7]
 
 
+def test_objective_value_on_the_callers_laplacian_is_bitwise_the_same(monkeypatch):
+    # a solve passes the Laplacian it holds; given one, none is built
+    import fsgl.objective
+
+    rng = np.random.default_rng(5)
+    cfg = SolverConfig()
+    graphs = [random_connected_graph(rng, n) for n in (2, 7, 12)]
+    graphs += [WeightedGraph(2), WeightedGraph(6)]  # no edges: L = 0
+    cases = [(g, gram(rng.standard_normal((g.n, 3))), build_laplacian(g)) for g in graphs]
+    own = [objective_value(g, y, cfg) for g, y, _ in cases]
+
+    def forbidden(g):
+        raise AssertionError("objective_value built a Laplacian it was given")
+    monkeypatch.setattr(fsgl.objective, "build_laplacian", forbidden)
+    given = [objective_value(g, y, cfg, lap) for g, y, lap in cases]
+    assert np.array(given).tobytes() == np.array(own).tobytes()
+
+
 def test_objective_value_rejects_a_spectrum_at_minus_alpha(monkeypatch):
     # l_1 + alpha = 0 leaves L + alpha I singular: no log det to take
     import fsgl.objective

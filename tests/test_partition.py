@@ -1,6 +1,7 @@
 """Cheeger cuts and the recursive edge selector."""
 
 import sys
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -401,8 +402,7 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = np.nan
                 scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
                                            np.zeros(e), grad)
-                with np.errstate(invalid="ignore"):  # minimum.at meeting a NaN
-                    got = partition_select(g, None, obs, cfg, plan)
+                got = partition_select(g, None, obs, cfg, plan)
                 want = _select_block_by_block(grad, m_arr, n_arr, blocks)
                 assert got == greedy_step(g, None, None, cfg)
                 seen["inf_rows"] += (grad == np.inf).any()
@@ -418,6 +418,28 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 tied = np.flatnonzero(grad == grad[want])
                 seen["cross_block_tie"] += len(set(block_of[tied])) > 1
     assert all(seen.values()), seen
+
+
+def test_a_nan_score_makes_neither_selector_warn(monkeypatch):
+    # both select nothing, the scan because argmin stops at the NaN and the
+    # recursive arm because the block minima skip it
+    import fsgl.partition as partition
+
+    obs = solve_instance(0, 20, "gmm")
+    g = init_sparse_graph(obs.gram, 40)
+    plan = cut_plan(g, LEAF_NODES)
+    e = g.edge_count
+    cfg = SolverConfig(solver_kind="recursive")
+    for nan_rows in ([e // 2], [0, e - 1], list(range(e))):
+        grad = -np.arange(1.0, e + 1.0)
+        grad[nan_rows] = np.nan
+        scores = EdgeScores(-grad, np.ones(e), np.zeros(e), np.zeros(e), grad)
+        monkeypatch.setattr(partition, "score_edges", lambda *args: scores)
+        monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: scores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert partition_select(g, None, obs, cfg, plan) is None
+            assert greedy_step(g, None, None, cfg) is None
 
 
 def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):

@@ -15,8 +15,8 @@ import pytest
 from eigencount import counted_eigensolves
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
-from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, complete_graph,
-                        weaken_edge)
+from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
+                        complete_graph, weaken_edge)
 from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import EdgeScores, objective_value, score_edges
 from fsgl.partition import partition_select
@@ -558,6 +558,7 @@ def _replay_bitwise(g0, obs, cfg, monkeypatch):
     (m_want, n_want, w_want), (m_got, n_got, w_got) = g.edge_arrays(), g_out.edge_arrays()
     assert np.array_equal(m_want, m_got) and np.array_equal(n_want, n_got)
     assert np.array_equal(bits(w_want), bits(w_got))
+    assert trace.initial_objective == objective_value(g0, obs.gram, cfg)
     assert trace.final_objective == objective_value(g, obs.gram, cfg)
     return trace, found
 
@@ -610,6 +611,29 @@ def test_solve_replays_bitwise_through_a_step_clamped_to_zero(kind, monkeypatch)
     assert clamped
     s = clamped[0]
     assert trace.edge_counts[s] == (trace.edge_counts[s - 1] if s else g0.edge_count) - 1
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_a_solve_builds_one_laplacian_per_edge_set(kind, monkeypatch):
+    # the start graph's, read by the initial objective, the snapshots and
+    # the final objective, then one per deletion; none for monitoring
+    obs = small_instance(19, n=10, k=3)
+    g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+    builds, real = [], Laplacian.__init__
+
+    def counted(self, g):
+        builds.append(g.edge_count)
+        real(self, g)
+
+    cfg = SolverConfig(solver_kind=kind, epsilon=0.05)
+    monkeypatch.setattr(Laplacian, "__init__", counted)
+    g, trace = run_solver(g0, obs, cfg)
+    monkeypatch.undo()
+    deletions = g0.edge_count - g.edge_count
+    assert deletions > 0 and len(builds) == 1 + deletions
+    assert builds == list(range(g0.edge_count, g.edge_count - 1, -1))
+    assert trace.initial_objective == objective_value(g0, obs.gram, cfg)
+    assert trace.final_objective == objective_value(g, obs.gram, cfg)
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])

@@ -1,6 +1,8 @@
 """Eigenpair extraction, eigen-gap, and the resolvent majorizer's reference."""
 
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +93,26 @@ def test_eigenpairs_input_validation():
         smallest_eigenpairs(lap, 1)
     with pytest.raises(ValueError):
         smallest_eigenpairs(lap, 6)
+
+
+def test_eigenpairs_reject_a_non_array_and_a_wrong_shape():
+    lap = build_laplacian(complete_graph(4))
+    with pytest.raises(TypeError, match="lap must be a NumPy array, got list"):
+        smallest_eigenpairs(lap.tolist(), 2)
+    for bad in (lap[:3], lap[:, :3], lap[0], lap[None], np.array(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            smallest_eigenpairs(bad, 2)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_eigenpairs_reject_a_complex_matrix(k):
+    # both LAPACK routines would take the real part (dsyevr below k = N, dsyevd at N)
+    lap = build_laplacian(complete_graph(4)) + 0j
+    lap[0, 1] = lap[1, 0] = -1 + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lap must be real, got dtype complex128"):
+            smallest_eigenpairs(lap, k)
 
 
 def test_fiedler_value_monotone_under_weight_increase():
