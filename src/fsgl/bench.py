@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import GENERATORS, check_instance, draw_instance, sample_count
 from .errors import FsglError, NonFiniteInput, ZeroReference
-from .graph import WeightedGraph, build_laplacian
+from .graph import WeightedGraph, build_laplacian, integer
 from .init_graph import check_start, default_budget, initial_graph
 from .solver import SOLVERS, SolverConfig, run_solver
 from .spectral import smallest_eigenpairs
@@ -171,13 +171,13 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting. A
-    bad trial count, solver name or ratio raises ValueError, and a budget
-    above the pairs left beyond the tree InvalidBudget, before any cell
-    runs; so does anything `datagen.check_instance` refuses for the swept
+    non-integer trial count raises TypeError; a trial count below 1, a bad
+    solver name or ratio ValueError; and a budget above the pairs left
+    beyond the tree InvalidBudget, before any cell runs; so does anything `datagen.check_instance` refuses for the swept
     generators, or `init_graph.check_start` for the swept solvers, at the
     largest ratio's sample count.
     """
-    if trials < 1:
+    if integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
     ratios = [float(r) for r in ratios]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDof, TooLarge
-from .graph import ObservationSet, WeightedGraph, build_laplacian, component_labels
+from .graph import (ObservationSet, WeightedGraph, build_laplacian, check_shift,
+                    component_labels, integer)
 from .spectral import smallest_eigenpairs
 
 GENERATORS = ("gmm", "mvt")
@@ -48,8 +49,11 @@ def _check_size(entries, what: str) -> None:
 
 
 def check_ground_truth(n: int, density: float, rho: float) -> None:
-    """ValueError unless gen_ground_truth can use (n, density, rho);
-    TooLarge when a draw's DRAW_ARRAYS (N, N) arrays would pass MAX_ARRAY_BYTES."""
+    """TypeError unless n is an integer; ValueError unless gen_ground_truth
+    can use (n, density, rho); TooLarge when a draw's DRAW_ARRAYS (N, N)
+    arrays would pass MAX_ARRAY_BYTES. Whether rho is large enough for the
+    drawn graph is checked after the draw, by `graph.check_shift`."""
+    integer(n, "node count")
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
     _check_size(DRAW_ARRAYS * n * n,
@@ -63,17 +67,21 @@ def check_ground_truth(n: int, density: float, rho: float) -> None:
 def check_samples(n: int, k: int, origin: str = "") -> None:
     """ValueError unless k >= 1; TooLarge when a draw's SAMPLE_ARRAYS
     (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would pass
-    MAX_ARRAY_BYTES. `origin` says where k came from."""
+    MAX_ARRAY_BYTES; then TypeError unless k is an integer, so that
+    `sample_count`'s inf is TooLarge. `origin` says where k came from."""
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     _check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
                 f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
                 f"{n} x {k} float64 arrays on top of the ground truth's")
+    integer(k, "sample count")
 
 
 def check_gmm(n_components: int, mean_scale: float) -> None:
-    """ValueError unless sample_gmm can use (n_components, mean_scale);
-    TooLarge when its component means would pass MAX_ARRAY_BYTES."""
+    """TypeError unless n_components is an integer; ValueError unless
+    sample_gmm can use (n_components, mean_scale); TooLarge when its
+    component means would pass MAX_ARRAY_BYTES."""
+    integer(n_components, "mixture component count")
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
     _check_size(n_components, f"mixture component count {n_components} needs a "
@@ -122,10 +130,12 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     rng = np.random.default_rng(seed)
     ms, ns = connected_pairs(n, density, rng)
     g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.5, 1.5, size=ms.shape[0]))
-    theta = build_laplacian(g) + rho * np.eye(n)
+    theta = build_laplacian(g)
     try:
+        check_shift(theta, rho, "rho")
+        theta.flat[::n + 1] += rho  # L + rho I, the bits of L + rho * np.eye(n)
         cov = np.linalg.inv(theta)
-    except np.linalg.LinAlgError:
+    except ValueError:  # check_shift's, or inv's LinAlgError
         raise ValueError(f"precision L + rho I is singular at rho={rho}; the "
                          f"diagonal shift is too small for this graph") from None
     cov = 0.5 * (cov + cov.T)
@@ -204,7 +214,8 @@ def check_instance(n: int, k: int, generators, entropy, density: float,
     anything is allocated: the seed entropy, the ground truth's (n, density,
     rho), the sample count k, then each generator's name and its own
     parameters (n_components and mean_scale for gmm, nu for mvt). Raises
-    ValueError, InvalidDof or TooLarge; `origin` says where k came from."""
+    TypeError (a count that is not an integer), ValueError, InvalidDof or
+    TooLarge; `origin` says where k came from."""
     for s in np.atleast_1d(entropy):
         if s < 0:
             raise ValueError(f"seed must be a non-negative integer, got {s}")

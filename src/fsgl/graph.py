@@ -22,7 +22,7 @@ from .errors import DuplicateEdge, MissingEdge, NonFiniteInput
 WEIGHT_ZERO = 1e-12
 
 
-def _integer(value, what: str) -> int:
+def integer(value, what: str) -> int:
     """`value` as an int: any integer type but bool; else TypeError."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
@@ -45,14 +45,14 @@ def _node_ids(ids) -> np.ndarray:
     """`ids` as an intp array, or as an object array of Python ints when one
     lies past the intp range, so that `_fill` checks each id as given. Unless
     they come as an integer array, each type among them is checked once by
-    `_integer`, in order of first use: the first float or bool id raises TypeError."""
+    `integer`, in order of first use: the first float or bool id raises TypeError."""
     a = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
     if a.dtype.kind == "i" or a.dtype.kind == "u" and a.max(initial=0) <= np.iinfo(np.intp).max:
         return np.asarray(a, dtype=np.intp)
     values = a.ravel().tolist()
     types = list(map(type, values))
     for i in sorted(map(types.index, set(types))):  # per type, not per edge
-        _integer(values[i], "node id")
+        integer(values[i], "node id")
     try:
         return np.array(values, dtype=np.intp).reshape(a.shape)
     except OverflowError:
@@ -60,7 +60,7 @@ def _node_ids(ids) -> np.ndarray:
 
 
 def canonical_edge(m: int, n: int) -> tuple[int, int]:
-    m, n = _integer(m, "node id"), _integer(n, "node id")
+    m, n = integer(m, "node id"), integer(n, "node id")
     if m == n:
         raise ValueError(f"self-loop ({m},{n}) is not a valid edge")
     return (m, n) if m < n else (n, m)
@@ -118,7 +118,7 @@ class WeightedGraph:
         return cls.__new__(cls)._fill(n, ms, ns, ws)
 
     def _fill(self, n: int, ms, ns, ws) -> "WeightedGraph":
-        self.n = n = _integer(n, "node count")
+        self.n = n = integer(n, "node count")
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
         m, k = _node_ids(ms), _node_ids(ns)
@@ -273,6 +273,18 @@ class Laplacian:
 def build_laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense (N, N) Laplacian L = diag(W 1) - W of `g`."""
     return Laplacian(g).lap
+
+
+def check_shift(lap: np.ndarray, c: float, name: str) -> None:
+    """ValueError, naming the shift `name`, unless L + c I is positive
+    definite in floating point for the dense Laplacian `lap`: the one rule
+    for alpha and rho. L's lowest eigenvalue is 0 only to within rounding,
+    so c must exceed n eps ||L||_2, NumPy's `matrix_rank` tolerance, with
+    ||L||_2 bounded by Gershgorin's 2 max_i L_ii: no factorisation needed."""
+    tol = lap.shape[0] * np.finfo(np.float64).eps * 2.0 * lap.diagonal().max()
+    if not c > tol:
+        raise ValueError(f"L + {name} I is singular at {name}={c!r}; a shift this "
+                         f"small is lost in rounding against L's zero eigenvalue")
 
 
 def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> WeightedGraph:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, build_laplacian
+from .graph import WeightedGraph, build_laplacian, check_shift
 from .spectral import SpectralState, smallest_eigenpairs
 
 SQRT2 = math.sqrt(2.0)
@@ -88,13 +88,13 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     eps. z = 2 Y_mn - Y_mm - Y_nn is the exact trace slope. eta = 1 - eps q,
     with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n, alpha =
     cfg.alpha: exact from the state's resolvent when it carries one (under
-    cfg.exact_logdet each solver snapshot attaches it), else majorized
-    over the retained eigenpairs; either way -log(eta) does not
-    underestimate the log-det penalty. rho bounds the Fiedler value's drop:
-    sqrt(2) eps |v2_m - v2_n| when the eigen-gap exceeds 4 eps, 2 eps
-    |v2_m - v2_n| when it exceeds 2 eps, else 2 eps. gain is mu when the
-    step removes the edge (w < eps), else 0. A negative grad therefore
-    certifies descent.
+    cfg.exact_logdet each solver snapshot attaches it, from the full
+    spectrum), else majorized over the retained eigenpairs; either way
+    -log(eta) does not underestimate the log-det penalty. rho bounds the
+    Fiedler value's drop: sqrt(2) eps |v2_m - v2_n| when the eigen-gap
+    exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
+    gain is mu when the step removes the edge (w < eps), else 0. A
+    negative grad therefore certifies descent.
 
     A step too large for an edge (eta <= 0, or NaN) is not an error: that
     edge gets grad = +inf, is added to `trace.ineligible` when a trace is
@@ -173,11 +173,15 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
 def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
     """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
     from one full spectrum l_1 <= ... <= l_N of L: log det = sum log(l_i + a),
-    after checking l_1 + a > 0. Monitoring only, never in the scoring loop.
+    once `graph.check_shift` has refused an alpha lost in rounding against
+    l_1 = 0; the check l_1 + a > 0 stays as a safeguard. Monitoring only,
+    never in the scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
         raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
-    state = smallest_eigenpairs(build_laplacian(g) if lap is None else lap, g.n)
+    lap = build_laplacian(g) if lap is None else lap
+    check_shift(lap, cfg.alpha, "alpha")
+    state = smallest_eigenpairs(lap, g.n)
     shifted = state.eigvals + cfg.alpha
     if not shifted[0] > 0:
         raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")

@@ -19,13 +19,13 @@ from __future__ import annotations
 import logging
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import partition as _partition
 from .errors import NonFiniteObjective
-from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian
+from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian, check_shift
 from .objective import edge_terms, objective_value, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
@@ -158,8 +158,11 @@ class SolveTrace:
 
 
 def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralState:
-    """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs,
-    and (L + alpha I)^{-1} under cfg.exact_logdet."""
+    """Fresh spectral snapshot for scoring: min(N, max(3, K)) eigenpairs.
+    Under cfg.exact_logdet they are the lowest of the full spectrum
+    L = V diag(l) V^T, which also gives the exact resolvent
+    (L + alpha I)^{-1} = V diag(1 / (l + alpha)) V^T, once
+    `graph.check_shift` has refused an alpha lost in rounding."""
     return _snapshot(build_laplacian(g), cfg, eigenpair_count(g.n, k_obs))
 
 
@@ -169,14 +172,12 @@ def eigenpair_count(n: int, k_obs: int) -> int:
 
 
 def _snapshot(lap: np.ndarray, cfg: SolverConfig, k: int) -> SpectralState:
-    state = smallest_eigenpairs(lap, k)
-    if cfg.exact_logdet:
-        try:
-            resolvent = np.linalg.inv(lap + cfg.alpha * np.eye(lap.shape[0]))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"L + alpha I is singular at alpha={cfg.alpha!r}") from None
-        state = replace(state, resolvent=resolvent)
-    return state
+    if not cfg.exact_logdet:
+        return smallest_eigenpairs(lap, k)
+    check_shift(lap, cfg.alpha, "alpha")
+    full = smallest_eigenpairs(lap, lap.shape[0])
+    v = full.eigvecs
+    return SpectralState(full.eigvals[:k], v[:, :k], (v / (full.eigvals + cfg.alpha)) @ v.T)
 
 
 def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
@@ -221,8 +222,8 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         trace.initial_objective = objective_value(g0, y, cfg, lap.lap)
     if not np.isfinite(trace.initial_objective):
         raise NonFiniteObjective(
-            f"initial objective is {float(trace.initial_objective)!r}; the "
-            f"graph's weights or the observations are too large")
+            f"initial objective is {float(trace.initial_objective)!r}; the graph's "
+            f"weights, the observations, gamma={cfg.gamma!r} or mu={cfg.mu!r} are too large")
 
     phase_ms = trace.phase_ms
 

@@ -5,8 +5,8 @@ pair (lambda_2, v_2), its gap to the neighboring eigenvalues, and a
 truncated eigenbasis that `objective.score_edges` weights with
 `SolverConfig.alpha` to upper-bound quadratic forms of (L + alpha I)^{-1}.
 Every eigenvalue and determinant in fsgl comes from `smallest_eigenpairs`,
-datagen's covariance square root included; the one other LAPACK call on a
-solve's Laplacian is the exact resolvent's `np.linalg.inv`.
+datagen's covariance square root included, and so does every factorisation
+of a solve's Laplacian: the exact resolvent is taken from a full spectrum.
 
 A partial spectrum comes from LAPACK's dsyevr, called as
 `scipy.linalg.eigh(subset_by_index=...)` calls it, so with its bits; a
@@ -69,7 +69,9 @@ class SpectralState:
     eigvals are sorted ascending; eigvecs holds the matching orthonormal
     vectors as Fortran-ordered columns. `resolvent` optionally carries the
     exact (L + alpha I)^{-1}, attached under cfg.exact_logdet by
-    `solver._snapshot`, which takes a solve's snapshots and `compute_state`'s.
+    `solver._snapshot`, which takes a solve's snapshots and `compute_state`'s:
+    V diag(1 / (l + alpha)) V^T of the full spectrum L = V diag(l) V^T,
+    whose k lowest pairs are then the snapshot's.
     """
 
     eigvals: np.ndarray

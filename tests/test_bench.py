@@ -175,6 +175,16 @@ def test_run_benchmark_rejects_bad_trials():
         run_benchmark(SolverConfig(), ratios=(0.2,), trials=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+    ({"n": 6.0}, "node count must be an integer, got 6.0"),
+])
+def test_run_benchmark_rejects_a_count_that_is_not_an_integer(kwargs, message):
+    # both once failed mid-sweep: range() on 1.5, an IndexError on 6.0
+    with pytest.raises(TypeError, match=message):
+        run_benchmark(SolverConfig(), [0.2], **{"trials": 1, "n": 6, **kwargs})
+
+
 @pytest.mark.parametrize("n, ratios, message", [
     (1, (0.2,), "node count"),
     (0, (0.2,), "node count"),

@@ -219,6 +219,34 @@ def test_solve_names_alpha_when_the_exact_resolvent_is_singular(tmp_path, capsys
     assert "error: L + alpha I is singular at alpha=1e-300" in err
 
 
+def test_solve_refuses_an_alpha_lost_in_rounding_with_one_message(tmp_path, capsys):
+    # alpha = 1e-300 once gave a wrong objective (greedy, exit 0), "not
+    # positive definite" (recursive) and "singular" (--exact-logdet)
+    run_cli("gen", "--n", "30", "--output", str(tmp_path / "t30"))
+    capsys.readouterr()
+    errors = []
+    for extra in ([], ["--solver", "recursive"], ["--exact-logdet"]):
+        assert run_cli("solve", "--input", str(tmp_path / "t30.x.csv"),
+                       "--alpha", "1e-300", *extra) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "error: L + alpha I is singular at alpha=1e-300" in errors[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--mu", "1e308"], "initial objective is inf; "),
+    (["--gamma", "1e308"], "initial objective is -inf; "),
+])
+def test_solve_names_gamma_and_mu_when_the_objective_overflows(tmp_path, capsys,
+                                                              args, message):
+    run_cli("gen", "--n", "30", "--output", str(tmp_path / "t30"))
+    capsys.readouterr()
+    assert run_cli("solve", "--input", str(tmp_path / "t30.x.csv"), *args) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"{args[0][2:]}=1e+308" in err
+
+
 def test_solve_deterministic_output(tmp_path):
     prefix = tmp_path / "data"
     run_cli("gen", "--n", "12", "--k", "4", "--seed", "9",

@@ -229,6 +229,10 @@ def test_connected_pairs_match_the_pair_list_draw(density):
     ("gmm", {"n_components": 0}, ValueError, "need at least one mixture component"),
     ("mvt", {"nu": 2.0}, InvalidDof, "degrees of freedom must be finite and exceed 2"),
     ("gmm", {"entropy": [-1]}, ValueError, "seed must be a non-negative integer, got -1"),
+    ("gmm", {"n": 3000.0}, TypeError, "node count must be an integer, got 3000.0"),
+    ("mvt", {"k": 2.5}, TypeError, "sample count must be an integer, got 2.5"),
+    ("gmm", {"n_components": 2.5}, TypeError,
+     "mixture component count must be an integer, got 2.5"),
 ])
 def test_draw_instance_checks_before_building_the_ground_truth(monkeypatch, generator,
                                                                kwargs, error, message):
@@ -250,6 +254,15 @@ def test_singular_precision_names_rho():
     # is L itself; the error names rho, not only the LAPACK failure
     with pytest.raises(ValueError, match=r"L \+ rho I is singular at rho=1e-300"):
         draw_instance(5, 1, "gmm", [0], 0.2, 1e-300, 3.0, 3, 1.0)
+
+
+def test_a_rho_lost_in_rounding_is_refused_on_every_draw():
+    # rho = 1e-300 is far below the rounding of L's zero eigenvalue, so
+    # inv(L + rho I) is noise (up to 2e15 where the truth is 3e298) when
+    # it succeeds; check_shift refuses it whatever graph is drawn
+    for seed in range(8):
+        with pytest.raises(ValueError, match=r"L \+ rho I is singular at rho=1e-300"):
+            gen_ground_truth(30, 0.2, 1e-300, seed)
 
 
 @pytest.mark.parametrize("generator", ["gmm", "mvt"])

@@ -18,6 +18,7 @@ from fsgl.graph import (
     WeightedGraph,
     build_laplacian,
     canonical_edge,
+    check_shift,
     complete_graph,
     component_labels,
     gram,
@@ -170,6 +171,24 @@ def test_laplacian_matches_definition_and_invariants():
         row_tol = 1e-12 * (1.0 + float(np.linalg.norm(w)))
         assert np.max(np.abs(lap.sum(axis=1))) <= row_tol
         assert np.linalg.eigvalsh(lap)[0] >= -1e-9
+
+
+def test_check_shift_refuses_a_shift_within_rounding_of_zero():
+    # tol = n eps 2 max_i L_ii bounds the rounding of L's zero eigenvalue;
+    # c = tol is refused and the next float up accepted
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(2, 30)))
+        lap = build_laplacian(g)
+        tol = lap.shape[0] * 2.0**-52 * 2.0 * lap.diagonal().max()
+        assert abs(np.linalg.eigvalsh(lap)[0]) <= tol
+        with pytest.raises(ValueError, match=r"^L \+ rho I is singular at rho="):
+            check_shift(lap, tol, "rho")
+        check_shift(lap, np.nextafter(tol, np.inf), "rho")
+    # no edge, no rounding: every positive shift is exact
+    check_shift(build_laplacian(WeightedGraph(3)), 5e-324, "alpha")
+    with pytest.raises(ValueError, match=r"L \+ alpha I is singular at alpha=0.0;"):
+        check_shift(build_laplacian(WeightedGraph(3)), 0.0, "alpha")
 
 
 def test_laplacian_dense_above_former_sparse_limit():

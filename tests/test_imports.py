@@ -12,6 +12,7 @@ per-edge Python loop, and no per-edge check function anywhere in the
 package. Only spectral.py calls an eigenvalue or determinant routine, so
 every spectrum in fsgl comes from one eigensolver, and spectral.py calls
 no np.linalg routine: both its LAPACK routines come from one extension.
+solver.py and objective.py read no np.linalg name at all.
 """
 
 import ast
@@ -210,6 +211,15 @@ def test_spectral_module_calls_no_numpy_linalg_routine():
                         "sp.linalg.eigh(b)\nlinalg.inv(c)\n") == ["LinAlgError", "eigh", "norm"]
     source = (ROOT / "src" / "fsgl" / "spectral.py").read_text()
     assert linalg_names(source) == ["LinAlgError"]
+
+
+def test_solver_and_objective_read_no_numpy_linalg_name():
+    # every factorisation of a solve's Laplacian, the exact resolvent's
+    # included, is a spectrum from smallest_eigenpairs, and graph.check_shift
+    # decides the shift without one
+    found = {name: linalg_names((ROOT / "src" / "fsgl" / name).read_text())
+             for name in ("solver.py", "objective.py")}
+    assert found == {"solver.py": [], "objective.py": []}
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,

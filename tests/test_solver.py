@@ -394,11 +394,17 @@ def test_compute_state_attaches_exact_resolvent():
     obs = small_instance(5, n=8, k=4)
     g = init_sparse_graph(obs.gram, None)
     lap = build_laplacian(g)
+    # the resolvent and the retained pairs come from one full spectrum
+    full = smallest_eigenpairs(lap, 8)
     for alpha in (0.5, 2.0):
         assert compute_state(g, SolverConfig(alpha=alpha), obs.k).resolvent is None
         state = compute_state(g, SolverConfig(alpha=alpha, exact_logdet=True), obs.k)
+        want = (full.eigvecs / (full.eigvals + alpha)) @ full.eigvecs.T
+        assert state.resolvent.tobytes() == want.tobytes()
+        assert state.eigvals.tobytes() == full.eigvals[:4].tobytes()
+        assert state.eigvecs.tobytes() == full.eigvecs[:, :4].tobytes()
         ref = np.linalg.inv(lap + alpha * np.eye(8))
-        assert state.resolvent.tobytes() == ref.tobytes()
+        assert np.abs(state.resolvent - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_exact_logdet_no_worse_than_majorizer():
