@@ -2,8 +2,8 @@
 
 Edges are stored once, keyed by the unordered pair (m, n) with m < n, so
 symmetry holds by construction. A graph holds three parallel arrays in
-(m, n) lexicographic order: endpoints m and n and weights w, plus the
-linear key m * N + n, so finding an edge is one binary search. Weights
+(m, n) lexicographic order: endpoints m and n and weights w, so finding
+an edge is a binary search for m's run of rows, then one for n in it. Weights
 are strictly positive; a weight driven to (numerical) zero removes the
 edge, keeping the edge set equal to the support of the adjacency matrix.
 """
@@ -71,7 +71,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The largest node count whose edge keys m * N + n all fit an intp.
+# The largest node count whose sort keys m * N + n all fit an intp.
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
 
 # What each edge check raises, in the order the checks run.
@@ -85,20 +85,19 @@ _EDGE_ERRORS = ((ValueError, "self-loop ({m},{n}) is not a valid edge"),
 class WeightedGraph:
     """Undirected graph with finite positive edge weights and no self-loops.
 
-    The edge state is read-only arrays sorted by (m, n): endpoints, weights
-    and the key m * N + n. A new version made by `weaken_edge` copies only
-    the weight vector when an edge keeps a positive weight, and shares the
-    rest with its parent; removing an edge compacts them with one mask.
-    Nothing is ever written in place, so a graph instance can be shared
-    freely; the one exception is `Laplacian.g`, whose weights its owner
-    writes, dropping the `edges` view, until it hands the graph out, as
-    `run_solver` does on return. `edges` is a read-only {(m, n): w} view,
-    built on first use.
-    Every graph is built by `from_arrays`; `WeightedGraph(n, {(m, n): w})`
-    passes a mapping's keys and values to it.
+    The edge state is three read-only arrays sorted by (m, n): endpoints
+    and weights. A new version made by `weaken_edge` copies only the
+    weight vector when an edge keeps a positive weight, and shares the
+    endpoints with its parent; removing an edge compacts them with one
+    mask. Nothing is ever written in place, so a graph instance can be
+    shared freely; the one exception is `Laplacian.g`, whose weights its
+    owner writes, dropping the `edges` view, until it hands the graph out,
+    as `run_solver` does on return. `edges` is a read-only {(m, n): w}
+    view, built on first use. Edges from outside enter through
+    `from_arrays`; `WeightedGraph(n, {(m, n): w})` passes a mapping to it.
     """
 
-    __slots__ = ("n", "_ms", "_ns", "_ws", "_keys", "_edges")
+    __slots__ = ("n", "_ms", "_ns", "_ws", "_edges")
 
     def __init__(self, n: int, edges=None):
         edges = edges or {}
@@ -141,25 +140,25 @@ class WeightedGraph:
                 exc.earlier = int(order[np.flatnonzero(order == i)[0] - 1])
             raise exc
         self._ws, self._edges = _frozen(w[order]), None
-        self._ms, self._ns, self._keys = map(_frozen, (lo[order], hi[order], keys[order]))
+        self._ms, self._ns = _frozen(lo[order]), _frozen(hi[order])
         return self
 
     def _derive(self, ws, keep=None) -> "WeightedGraph":
         # A weight-only version shares the edge set's arrays; `keep` deletes edges.
         g = WeightedGraph.__new__(WeightedGraph)
         g.n, g._ws, g._edges = self.n, _frozen(ws), None
-        arrays = (self._ms, self._ns, self._keys)
-        g._ms, g._ns, g._keys = arrays if keep is None else (_frozen(a[keep]) for a in arrays)
+        arrays = (self._ms, self._ns)
+        g._ms, g._ns = arrays if keep is None else (_frozen(a[keep]) for a in arrays)
         return g
 
     def _index(self, m: int, n: int) -> int:
-        """Position of canonical edge (m, n) in the arrays, or -1. A pair
-        outside 0 <= m < n < N has a key that may be another edge's."""
+        """Position of canonical edge (m, n) in the arrays, or -1: n's row in
+        node m's run [lo, hi). Ids outside 0 <= m < n < N may not fit an intp."""
         if not 0 <= m < n < self.n:
             return -1
-        key = m * self.n + n
-        i = int(np.searchsorted(self._keys, key))
-        return i if i < self._keys.shape[0] and self._keys[i] == key else -1
+        lo, hi = np.searchsorted(self._ms, (m, m + 1)).tolist()
+        i = lo + int(np.searchsorted(self._ns[lo:hi], n))
+        return i if i < hi and self._ns[i] == n else -1
 
     def _step(self, i: int, eps: float) -> float:
         """Edge row i's weight after one step: w - eps, or 0.0 at or below
@@ -227,27 +226,25 @@ class WeightedGraph:
 class Laplacian:
     """Dense Laplacian `lap` = diag(W 1) - W of graph `g`, weakened in place.
 
-    `g` shares its source's endpoint and key arrays and views the first
-    half of a private weight buffer [w; w]. `weaken` writes an edge's
-    new weight there and into `lap`: the two mirrored off-diagonal
-    entries, then the whole diagonal from one bincount over [w; w]. Per
+    `g` shares its source's endpoint arrays and views the first half of a
+    private weight buffer [w; w]. `weaken` writes an edge's new weight
+    there and into `lap`: the two mirrored off-diagonal entries (m, n) and
+    (n, m), then the whole diagonal from one bincount over [w; w]. Per
     node that adds the m-side weights in order, then the n-side ones, from
     0.0: the same sums, in the same order, as two np.add.at passes. So
     `lap` stays bitwise the Laplacian of a new graph with `g`'s weights.
     """
 
-    __slots__ = ("g", "lap", "_w2", "_flat", "_diag", "_tkeys", "_ends")
+    __slots__ = ("g", "lap", "_w2", "_diag", "_ends")
 
     def __init__(self, g: WeightedGraph):
         size, w = g.n, g._ws
         self._w2 = np.concatenate([w, w])
         self.g = g._derive(self._w2[:w.shape[0]])
-        self._tkeys = g._ns * size + g._ms
         self._ends = np.concatenate([g._ms, g._ns])
         self.lap = np.zeros((size, size))
-        self._flat = self.lap.reshape(-1)
-        self._diag = self._flat[::size + 1]
-        self._flat[g._keys] = self._flat[self._tkeys] = -w
+        self._diag = self.lap.reshape(-1)[::size + 1]
+        self.lap[g._ms, g._ns] = self.lap[g._ns, g._ms] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=size)
         bad = np.flatnonzero(~np.isfinite(self._diag))  # weakening keeps it finite
         if bad.shape[0]:
@@ -265,7 +262,8 @@ class Laplacian:
             return Laplacian(g._with_weight(i, w))
         self._w2[i] = self._w2[g.edge_count + i] = w
         g._edges = None
-        self._flat[g._keys[i]] = self._flat[self._tkeys[i]] = -w
+        m, n = g._ms[i], g._ns[i]
+        self.lap[m, n] = self.lap[n, m] = -w
         self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=g.n)
         return self
 

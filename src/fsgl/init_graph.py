@@ -19,11 +19,11 @@ from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
 # The sparse start ranks all N(N-1)/2 node pairs in 8 float64/intp
-# arrays. A solve on E edges holds 20 of length E: the graph's 4, its
-# Laplacian's 5, the scoring terms' 2, the scores and a deletion's copy;
+# arrays. A solve on E edges holds 18 of length E: the graph's 3, its
+# Laplacian's 4, the scoring terms' 2, the scores and a deletion's copy;
 # plus the two (k, E) gathers score_edges makes for k eigenpairs.
 RANKING_ARRAYS = 8
-EDGE_ARRAYS = 20
+EDGE_ARRAYS = 18
 
 
 def _similarity(y) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, build_laplacian, check_shift
+from .graph import WeightedGraph, build_laplacian, check_shift, component_labels
 from .spectral import SpectralState, smallest_eigenpairs
 
 SQRT2 = math.sqrt(2.0)
@@ -172,18 +172,24 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
 
 def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
     """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
-    from one full spectrum l_1 <= ... <= l_N of L: log det = sum log(l_i + a),
-    once `graph.check_shift` has refused an alpha lost in rounding against
-    l_1 = 0; the check l_1 + a > 0 stays as a safeguard. Monitoring only,
-    never in the scoring loop.
+    from one full spectrum l_1 <= ... <= l_N of L, once `graph.check_shift`
+    has refused an alpha lost in rounding against l_1 = 0. L has exactly
+    one zero eigenvalue per connected component, so with c components
+    log det = c log a + sum_{i>c} log(l_i + a): the c lowest computed
+    eigenvalues, zero only to within rounding, enter as exactly 0. The
+    check l_1 + a > 0 stays as a safeguard. Monitoring only, never in the
+    scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
         raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
     lap = build_laplacian(g) if lap is None else lap
     check_shift(lap, cfg.alpha, "alpha")
     state = smallest_eigenpairs(lap, g.n)
+    m_arr, n_arr, _ = g.edge_arrays()
+    c = int(np.count_nonzero(component_labels(g.n, m_arr, n_arr) == np.arange(g.n)))
     shifted = state.eigvals + cfg.alpha
     if not shifted[0] > 0:
         raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")
-    h = smoothness_trace(g, y) - np.log(shifted).sum() - cfg.gamma * state.fiedler_value
+    logdet = c * math.log(cfg.alpha) + np.log(shifted[c:]).sum()
+    h = smoothness_trace(g, y) - logdet - cfg.gamma * state.fiedler_value
     return h + cfg.mu * 2.0 * g.edge_count

@@ -54,19 +54,19 @@ def brute_force_cheeger(g: WeightedGraph) -> CheegerCut:
         raise TooLarge(f"brute force enumeration capped at {BRUTE_FORCE_LIMIT} nodes")
     if n < 2:
         raise ValueError("need at least two nodes")
-    edges = list(g.edges.keys())
+    m_arr, n_arr, _ = g.edge_arrays()
     best = None
     for size in range(1, n // 2 + 1):
-        for subset in combinations(range(n), size):
-            inside = frozenset(subset)
-            cut = sum(1 for (a, b) in edges if (a in inside) != (b in inside))
-            ratio = cut / size
-            if best is None or ratio < best[0]:
-                best = (ratio, subset)
-    s = best[1]
-    inside = frozenset(s)
-    cut_edges = tuple(e for e in edges if (e[0] in inside) != (e[1] in inside))
-    return CheegerCut(s, cut_edges, best[0])
+        subsets = np.array(list(combinations(range(n), size)))  # lexicographic
+        inside = (subsets[:, :, None] == np.arange(n)).any(axis=1)  # membership rows
+        cuts = np.count_nonzero(inside[:, m_arr] != inside[:, n_arr], axis=1)
+        j = int(cuts.argmin())  # the first subset with the fewest cut edges
+        ratio = int(cuts[j]) / size
+        if best is None or ratio < best[0]:
+            best = (ratio, inside[j])
+    crossing = best[1][m_arr] != best[1][n_arr]
+    cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
+    return CheegerCut(tuple(np.flatnonzero(best[1]).tolist()), cut_edges, best[0])
 
 
 def _sweep_prefix(n: int, m_arr: np.ndarray, n_arr: np.ndarray, v2: np.ndarray):

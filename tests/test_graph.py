@@ -76,14 +76,17 @@ OUTCOMES = ("graph", "self-loop", "out of range", "non-finite", "nonpositive", "
 
 def build_outcome(build):
     """The arrays (ms, ns, ws, keys) a build makes, as dtype and bytes, or
-    the type, message, position and earlier row of what it raises."""
+    the type, message, position and earlier row of what it raises. A
+    graph's keys m * N + n come from its returned arrays, so comparing
+    them checks the sort order."""
     try:
         arrays = build()
     except (ValueError, FsglError) as exc:
         return (type(exc), str(exc), getattr(exc, "position", None),
                 getattr(exc, "earlier", None))
     if isinstance(arrays, WeightedGraph):
-        arrays = (*arrays.edge_arrays(), arrays._keys)
+        ms, ns, ws = arrays.edge_arrays()
+        arrays = (ms, ns, ws, ms * arrays.n + ns)
     return tuple((a.dtype.str, a.tobytes()) for a in arrays)
 
 
@@ -305,6 +308,42 @@ def test_weaken_edge_outside_the_node_range_is_a_missing_edge():
         with pytest.raises(MissingEdge, match="not in graph"):
             weaken_edge(g, pair, 0.5)
     assert g.weight(2, 5) == 1.0
+
+
+def lookup_graphs():
+    """Seeded graphs whose node runs start and end at both array ends: some
+    nodes isolated, no edges at all, or none at the first or last node."""
+    graphs = [WeightedGraph(1), WeightedGraph(5), WeightedGraph(4, {(1, 2): 0.5})]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        g = random_graph(rng, n, density=float(rng.uniform(0.1, 0.9)))
+        ms, ns, ws = g.edge_arrays()
+        # keep every edge, or drop node 0's, or node n - 1's
+        keep = [np.full(ms.shape, True), ms != 0, ns != n - 1][seed % 3]
+        graphs.append(WeightedGraph.from_arrays(n, ms[keep], ns[keep], ws[keep]))
+    return graphs
+
+
+def test_edge_lookup_matches_a_dict_oracle_on_every_pair():
+    # weight, has_edge and weaken_edge find an edge by node m's run of
+    # rows, then n within it; every pair near the node range, both orders
+    for g in lookup_graphs():
+        oracle = dict(g.edges)
+        for m in range(-1, g.n + 1):
+            for n in range(-1, g.n + 1):
+                if m == n:
+                    continue
+                key = (min(m, n), max(m, n))
+                assert g.has_edge(m, n) == (key in oracle)
+                if key in oracle:
+                    assert g.weight(m, n) == oracle[key]
+                    assert weaken_edge(g, (m, n), 0.125).weight(m, n) == oracle[key] - 0.125
+                else:
+                    with pytest.raises(KeyError):
+                        g.weight(m, n)
+                    with pytest.raises(MissingEdge, match=re.escape(f"edge {key} not in graph")):
+                        weaken_edge(g, (m, n), 0.125)
 
 
 def test_laplacian_weaken_outside_the_row_range_changes_nothing():
@@ -738,5 +777,5 @@ def test_pickled_graph_keeps_edges_and_read_only_arrays():
     assert all(isinstance(a, np.ndarray) for a in args[1:])
     for copy in (pickle.loads(pickle.dumps(g)), deepcopy(g)):
         assert copy.n == g.n and copy.edges == g.edges
-        for a, b in zip((*copy.edge_arrays(), copy._keys), (*g.edge_arrays(), g._keys)):
+        for a, b in zip(copy.edge_arrays(), g.edge_arrays()):
             assert np.array_equal(a, b) and not a.flags.writeable

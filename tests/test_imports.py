@@ -6,7 +6,9 @@ No package module imports scipy.linalg or scipy.io at module level:
 their package inits load hundreds of modules fsgl never calls, which
 would double the start-up time of every process. Only graph.py reads
 another object's private members, so one module owns the edge index, the
-edge step and every Laplacian write.
+edge step and every Laplacian write; it is also the only one that reads a
+graph's `edges` mapping, so every other module takes an edge set as its
+sorted arrays.
 Graphs are built, and their components found, from whole edge arrays: no
 per-edge Python loop, and no per-edge check function anywhere in the
 package. Only spectral.py calls an eigenvalue or determinant routine, so
@@ -144,6 +146,25 @@ def test_only_graph_module_reads_private_members_of_other_objects():
         reads = foreign_private_reads(path.read_text())
         if reads and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = reads
+    assert found == {}
+
+
+def edges_reads(source: str) -> list[int]:
+    """Lines of `source` that name an `.edges` attribute of any object."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "edges"})
+
+
+def test_only_graph_module_reads_the_edge_mapping():
+    # the {(m, n): w} view is for callers outside the package; inside it an
+    # edge set is its sorted arrays, from edge_arrays()
+    assert edges_reads("g.edges\nx = list(a.b.edges.keys())\nedges = 1\nf(edges)\n"
+                       "g.edge_arrays()\nt.edges_mn\ndict(h.edges)\n") == [1, 2, 7]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = edges_reads(path.read_text())
+        if lines and path.name != "graph.py":
+            found[str(path.relative_to(ROOT))] = lines
     assert found == {}
 
 

@@ -450,6 +450,33 @@ def test_objective_value_rejects_a_spectrum_at_minus_alpha(monkeypatch):
         objective_value(complete_graph(4), np.eye(4), cfg)
 
 
+def log_det_term(g, alpha):
+    """-objective_value with Y = 0, gamma = 0 and mu = 0: log det(L + aI)."""
+    cfg = SolverConfig(alpha=alpha, gamma=0.0, mu=0.0)
+    return -objective_value(g, np.zeros((g.n, g.n)), cfg)
+
+
+@pytest.mark.parametrize("alpha", [1e-10, 1e-12])
+def test_log_det_enters_the_zero_eigenvalue_as_exactly_zero(alpha):
+    # the computed l_1 of K_30 is about 9e-16, not 0; summed as l_1 + a it
+    # puts the term off by 8.9e-6 at a = 1e-10 and by 8.9e-4 at 1e-12
+    g = complete_graph(30)
+    lam = np.linalg.eigvalsh(build_laplacian(g))
+    expected = math.log(alpha) + np.log(lam[1:] + alpha).sum()
+    assert log_det_term(g, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_log_det_enters_one_log_alpha_per_component():
+    # two triangles, then the same with an isolated node, then no edges
+    alpha = 1e-10
+    triangles = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 0.5, (3, 4): 1.5, (3, 5): 1.0, (4, 5): 1.0}
+    for g, c in ((WeightedGraph(6, triangles), 2), (WeightedGraph(7, triangles), 3),
+                 (WeightedGraph(4), 4)):
+        lam = np.linalg.eigvalsh(build_laplacian(g))
+        expected = c * math.log(alpha) + np.log(lam[c:] + alpha).sum()
+        assert log_det_term(g, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_descent_soundness_single_step():
     # actual objective drop never exceeds the predicted score by > 1e-8
     for seed in range(15):

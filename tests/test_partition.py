@@ -7,6 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from subsetcut import reference_cheeger
 import fsgl.solver
 import fsgl.spectral
 from fsgl.errors import Disconnected, TooLarge
@@ -92,6 +93,24 @@ def test_brute_force_subset_never_majority():
         expect = tuple(e for e in g.edges if (e[0] in inside) != (e[1] in inside))
         assert cut.cut_edges == expect
         assert cut.ratio == pytest.approx(len(cut.cut_edges) / len(cut.s))
+
+
+def test_brute_force_matches_the_per_subset_reference():
+    # connected, disconnected and edgeless graphs, weighted: every field
+    # equal, as Python ints and floats
+    kinds = set()
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 11))
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(iu.shape[0]) < [0.0, 0.15, 0.4, 0.8][seed % 4]
+        g = WeightedGraph.from_arrays(n, iu[mask], ju[mask], rng.uniform(0.1, 3.0, mask.sum()))
+        cut, ref = brute_force_cheeger(g), reference_cheeger(g)
+        assert (cut.s, cut.cut_edges, cut.ratio) == (ref.s, ref.cut_edges, ref.ratio)
+        assert type(cut.ratio) is float
+        assert all(type(v) is int for v in cut.s + sum(cut.cut_edges, ()))
+        kinds.add((g.edge_count > 0, bool(component_labels(n, iu[mask], ju[mask]).any())))
+    assert kinds == {(False, True), (True, True), (True, False)}
 
 
 def test_sweep_cut_within_cheeger_bounds():

@@ -18,7 +18,7 @@ from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
                         complete_graph, weaken_edge)
 from fsgl.init_graph import init_sparse_graph
-from fsgl.objective import EdgeScores, objective_value, score_edges
+from fsgl.objective import EdgeScores, objective_value, score_edges, smoothness_trace
 from fsgl.partition import partition_select
 from fsgl.solver import (
     _ROW,
@@ -617,6 +617,29 @@ def test_solve_replays_bitwise_through_a_step_clamped_to_zero(kind, monkeypatch)
     assert clamped
     s = clamped[0]
     assert trace.edge_counts[s] == (trace.edge_counts[s - 1] if s else g0.edge_count) - 1
+
+
+def full_spectrum_objective(g, y, cfg):
+    """The objective with log det summed as log(l_i + alpha) over the whole
+    computed spectrum, zero eigenvalues' rounding included."""
+    lam = np.linalg.eigvalsh(build_laplacian(g))
+    return (smoothness_trace(g, y) - np.log(lam + cfg.alpha).sum() - cfg.gamma * lam[1]
+            + cfg.mu * 2.0 * g.edge_count)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_exact_zero_eigenvalues_move_the_replay_objectives_by_rounding_only(kind):
+    # at the default alpha = 0.5, entering l_1 = 0 exactly (per component)
+    # changes initial_objective and final_objective by at most 1e-12 relative
+    instances = [(small_instance(19, n=10, k=3), 0.05), (small_instance(12, n=9, k=9), 0.05),
+                 (small_instance(13, n=10, k=3), 0.05), (small_instance(28, n=10, k=3), 0.01)]
+    for obs, eps in instances:
+        cfg = SolverConfig(solver_kind=kind, epsilon=eps)
+        g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+        g, trace = run_solver(g0, obs, cfg)
+        for graph, value in ((g0, trace.initial_objective), (g, trace.final_objective)):
+            expected = full_spectrum_objective(graph, obs.gram, cfg)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
