@@ -15,10 +15,9 @@ import numpy as np
 
 from .datagen import GENERATORS, check_instance, draw_instance, sample_count
 from .errors import FsglError, NonFiniteInput, ZeroReference
-from .graph import WeightedGraph, build_laplacian, integer
+from .graph import WeightedGraph, integer
 from .init_graph import check_start, default_budget, initial_graph
 from .solver import SOLVERS, SolverConfig, run_solver
-from .spectral import smallest_eigenpairs
 
 
 def check_reference(w_star: WeightedGraph, source: str = "reference graph") -> float:
@@ -153,13 +152,14 @@ class BenchReport:
 
 
 def timed_solve(obs, cfg: SolverConfig):
-    """(g, trace, ms, lambda2): `run_solver` from `initial_graph`, its wall-clock
-    ms and the learned graph's Fiedler value, for `fsgl solve` and each bench cell."""
+    """(g, trace, ms): `run_solver` from `initial_graph` and its wall-clock ms,
+    for `fsgl solve` and each bench cell; both report the learned graph's
+    Fiedler value as `trace.final_lambda2`."""
     g0 = initial_graph(obs, cfg)
     t0 = time.perf_counter()
     g, trace = run_solver(g0, obs, cfg)
     ms = (time.perf_counter() - t0) * 1e3
-    return g, trace, ms, smallest_eigenpairs(build_laplacian(g), 2).fiedler_value
+    return g, trace, ms
 
 
 def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
@@ -171,9 +171,10 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
 
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting. A
-    non-integer trial count raises TypeError; a trial count below 1, a bad
-    solver name or ratio ValueError; and a budget above the pairs left
-    beyond the tree InvalidBudget, before any cell runs; so does anything `datagen.check_instance` refuses for the swept
+    non-integer trial count raises TypeError; a trial count below 1, no
+    ratio at all, a bad solver name or ratio ValueError; and a budget above
+    the pairs left beyond the tree InvalidBudget, before any cell runs; so
+    does anything `datagen.check_instance` refuses for the swept
     generators, or `init_graph.check_start` for the swept solvers, at the
     largest ratio's sample count.
     """
@@ -181,6 +182,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
         raise ValueError("trials must be >= 1")
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
     ratios = [float(r) for r in ratios]
+    if not ratios:
+        raise ValueError("ratios must hold at least one K/N ratio")
     ks = [sample_count(n, r) for r in ratios]
     check_instance(n, max(ks), generators, seed, density, rho, nu, n_components,
                    mean_scale, f" (K/N ratio {max(ratios):g})")
@@ -192,9 +195,9 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
         try:
             gt, obs = draw_instance(n, ks[ri], gen_name, [seed, gi, ri, trial], density,
                                     rho, nu, n_components, mean_scale)
-            g, trace, ms, lam2 = timed_solve(obs, configs[sol])
+            g, trace, ms = timed_solve(obs, configs[sol])
             return BenchCell(gen_name, sol, ratio, trial, relative_error(g, gt.w_star),
-                             lam2, g.edge_count, ms, len(trace), trace.stop_reason)
+                             trace.final_lambda2, g.edge_count, ms, len(trace), trace.stop_reason)
         except (FsglError, ValueError, np.linalg.LinAlgError) as exc:
             return BenchCell(gen_name, sol, ratio, trial, float("nan"),
                              float("nan"), 0, float("nan"),

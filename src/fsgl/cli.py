@@ -167,14 +167,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     w_star = load_graph(args.truth, n=obs.n) if args.truth else None
     if w_star is not None:
         check_reference(w_star, f"{args.truth}: reference graph")
-    g, trace, ms, lam2 = timed_solve(obs, cfg)
+    g, trace, ms = timed_solve(obs, cfg)
     if args.output:
         save_graph(g, args.output)
     if args.trace:
         trace.to_csv(args.trace)
     print(f"solver={args.solver} steps={len(trace)} stop={trace.stop_reason} "
           f"eigensolves={trace.eigensolves} ineligible={trace.ineligible} "
-          f"edges={g.edge_count} lambda2={lam2:.6f} "
+          f"edges={g.edge_count} lambda2={trace.final_lambda2:.6f} "
           f"objective={trace.initial_objective:.6f}->{trace.final_objective:.6f} "
           f"ms={ms:.1f}"
           + "".join(f" {phase}_ms={t:.1f}" for phase, t in trace.phase_ms.items()))
@@ -192,8 +192,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--ratios takes comma-separated K/N ratios, "
                          f"got {args.ratios!r}") from None
-    if not ratios:
-        raise ValueError("at least one K/N ratio is required")
     generators = (args.generator,) if args.generator else GENERATORS
     solvers = (args.solver,) if args.solver else SOLVERS
     report = run_benchmark(cfg, ratios, args.trials, n=args.n,

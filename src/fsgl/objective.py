@@ -8,8 +8,9 @@ argument), and the off-diagonal l0 sparsity term. `score_edges` combines
 them into the greedy score for a batch of edges, the only place the score
 is computed (`edge_terms`: its part fixed by the edge set);
 `selection` turns a batch's winning row into both selectors' result,
-with the one descent rule; and `objective_value` recomputes the exact
-objective for monitoring, from the Laplacian a solve holds. The log-det
+with the one descent rule; and `objective_and_fiedler` recomputes the
+exact objective for monitoring, and the Fiedler value it used, from the
+Laplacian a solve holds (`objective_value` keeps the first). The log-det
 term takes alpha from the config and the exact resolvent, when there is
 one, from the snapshot.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
@@ -170,15 +171,17 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
     return float((w_arr * per_edge).sum())
 
 
-def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
-    """Exact objective tr(LY) - log det(L + aI) - gamma l2 + mu |W|_0,off
-    from one full spectrum l_1 <= ... <= l_N of L, once `graph.check_shift`
-    has refused an alpha lost in rounding against l_1 = 0. L has exactly
-    one zero eigenvalue per connected component, so with c components
-    log det = c log a + sum_{i>c} log(l_i + a): the c lowest computed
-    eigenvalues, zero only to within rounding, enter as exactly 0. The
-    check l_1 + a > 0 stays as a safeguard. Monitoring only, never in the
-    scoring loop.
+def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
+                          lap=None) -> tuple[float, float]:
+    """(h, l2): the exact objective h = tr(LY) - log det(L + aI) - gamma l2
+    + mu |W|_0,off and the Fiedler value l2 it used, from one full spectrum
+    l_1 <= ... <= l_N of L, once `graph.check_shift` has refused an alpha
+    lost in rounding against l_1 = 0. L has exactly one zero eigenvalue per
+    connected component, and `component_labels` counts the c components:
+    log det = c log a + sum_{i>c} log(l_i + a), and l2 is the computed
+    l_2 when c = 1 and exactly 0.0 when c >= 2, so neither term reads the
+    rounding noise of a zero eigenvalue. The check l_1 + a > 0 stays as a
+    safeguard. Monitoring only, never in the scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
         raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
@@ -191,5 +194,11 @@ def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
     if not shifted[0] > 0:
         raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")
     logdet = c * math.log(cfg.alpha) + np.log(shifted[c:]).sum()
-    h = smoothness_trace(g, y) - logdet - cfg.gamma * state.fiedler_value
-    return h + cfg.mu * 2.0 * g.edge_count
+    lambda2 = state.fiedler_value if c == 1 else 0.0
+    h = smoothness_trace(g, y) - logdet - cfg.gamma * lambda2
+    return h + cfg.mu * 2.0 * g.edge_count, lambda2
+
+
+def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:
+    """The exact objective alone: `objective_and_fiedler`'s first value."""
+    return objective_and_fiedler(g, y, cfg, lap)[0]

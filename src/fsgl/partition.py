@@ -14,6 +14,9 @@ global spectral snapshot and Gram matrix as the exhaustive scan and
 takes all block minima in one `np.minimum.at`, so the result is an exact
 decomposition of the global argmin: any partition of the edges into
 blocks, this one included, selects the same edge.
+Connectivity is read from the edges (`graph.is_connected`), never from
+a threshold on l2: `approx_cheeger_cut` refuses a disconnected graph,
+and a connected one is cut however small its l2.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from itertools import combinations, count
 import numpy as np
 
 from .errors import Disconnected, TooLarge
-from .graph import WeightedGraph
+from .graph import WeightedGraph, is_connected
 from .objective import score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 BRUTE_FORCE_LIMIT = 16
-CONNECTIVITY_TOL = 1e-8
 LEAF_NODES = 8  # a solve's cut_plan leaf size; never changes the selected edge
 
 
@@ -96,9 +98,11 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     Nodes are sorted by their Fiedler-vector entries and the best of the
     n-1 prefix splits is taken; the reported subset is the side with at
     most half the nodes. Cheeger's inequality guarantees ratio >= l2 / 2.
+    A disconnected g, as `graph.is_connected` decides from its edges,
+    raises Disconnected; a connected one is cut however small its l2.
     """
-    if state.fiedler_value <= CONNECTIVITY_TOL:
-        raise Disconnected("sweep cut needs a connected graph (lambda_2 > tol)")
+    if not is_connected(g):
+        raise Disconnected("sweep cut needs a connected graph")
     m_arr, n_arr, _ = g.edge_arrays()
     order, t, cut = _sweep_prefix(g.n, m_arr, n_arr, state.fiedler_vector)
     side = order[:t] if t <= g.n - t else order[t:]

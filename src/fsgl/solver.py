@@ -26,7 +26,7 @@ import numpy as np
 from . import partition as _partition
 from .errors import NonFiniteObjective
 from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian, check_shift
-from .objective import edge_terms, objective_value, score_edges, selection
+from .objective import edge_terms, objective_and_fiedler, objective_value, score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -109,7 +109,10 @@ class SolveTrace:
     counts snapshots, each taken for a step that will be scored. ineligible
     sums the edges scored +inf (step too large) over all steps. Both
     objectives read the solve's own Laplacian: the start graph's, built
-    with the initial objective, and the learned graph's. phase_ms splits
+    with the initial objective, and the learned graph's. final_lambda2 is
+    the learned graph's Fiedler value, from the final objective's full
+    spectrum (`objective_and_fiedler`): exactly 0.0 when the graph is
+    disconnected, so it is never rounding noise. phase_ms splits
     the solve's time after the initial objective, so it leaves out that
     start Laplacian: "eigensolve" (snapshots), "select" (scoring and
     selection), "rebuild" (the scoring terms and the recursive arm's cut
@@ -119,6 +122,7 @@ class SolveTrace:
 
     initial_objective: float = float("nan")
     final_objective: float = float("nan")
+    final_lambda2: float = float("nan")
     stop_reason: str = "max_iters"
     eigensolves: int = 0
     ineligible: int = 0
@@ -162,8 +166,13 @@ def compute_state(g: WeightedGraph, cfg: SolverConfig, k_obs: int) -> SpectralSt
     Under cfg.exact_logdet they are the lowest of the full spectrum
     L = V diag(l) V^T, which also gives the exact resolvent
     (L + alpha I)^{-1} = V diag(1 / (l + alpha)) V^T, once
-    `graph.check_shift` has refused an alpha lost in rounding."""
-    return _snapshot(build_laplacian(g), cfg, eigenpair_count(g.n, k_obs))
+    `graph.check_shift` has refused an alpha lost in rounding. A solve
+    checks alpha only in its two objectives: weakening never raises a
+    diagonal entry, so the check's tolerance only shrinks as it runs."""
+    lap = build_laplacian(g)
+    if cfg.exact_logdet:
+        check_shift(lap, cfg.alpha, "alpha")
+    return _snapshot(lap, cfg, eigenpair_count(g.n, k_obs))
 
 
 def eigenpair_count(n: int, k_obs: int) -> int:
@@ -174,7 +183,6 @@ def eigenpair_count(n: int, k_obs: int) -> int:
 def _snapshot(lap: np.ndarray, cfg: SolverConfig, k: int) -> SpectralState:
     if not cfg.exact_logdet:
         return smallest_eigenpairs(lap, k)
-    check_shift(lap, cfg.alpha, "alpha")
     full = smallest_eigenpairs(lap, lap.shape[0])
     v = full.eigvecs
     return SpectralState(full.eigvals[:k], v[:, :k], (v / (full.eigvals + cfg.alpha)) @ v.T)
@@ -206,8 +214,9 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     runs ceil(max_iters / r) eigensolves if capped, 1 + steps // r if
     converged. With the default r = 1 each step is scored against a fresh
     snapshot, which is what the descent guarantee assumes.
-    The exact objective is computed for the initial and final graphs only;
-    a starting graph whose objective is not finite raises NonFiniteObjective.
+    The exact objective is computed for the initial and final graphs only,
+    the final one with the learned graph's Fiedler value; a starting graph
+    whose objective is not finite raises NonFiniteObjective.
     """
     if g0.n != obs.n:
         raise ValueError(f"start graph has {g0.n} nodes but the observations "
@@ -265,7 +274,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         accepted += 1
         trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
 
-    trace.final_objective = objective_value(lap.g, y, cfg, lap.lap)
+    trace.final_objective, trace.final_lambda2 = objective_and_fiedler(lap.g, y, cfg, lap.lap)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
     if accepted == 0 and trace.converged:

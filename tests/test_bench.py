@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from eigencount import counted_eigensolves
 from fsgl.bench import (
     RAW_HEADER,
     SUMMARY_HEADER,
@@ -50,13 +49,32 @@ def test_reference_whose_norm_overflows_is_non_finite_input():
         assert check_reference(ok) == float(np.linalg.norm(ok.adjacency()))
 
 
-def test_run_benchmark_takes_each_cells_lambda2_from_two_eigenpairs(monkeypatch):
+def test_run_benchmark_takes_each_cells_lambda2_from_its_trace(monkeypatch):
+    # bench.py runs no eigensolve: a cell's lambda2 is the final objective's
     import fsgl.bench
-    calls = counted_eigensolves(monkeypatch, fsgl.bench)
+    assert not hasattr(fsgl.bench, "smallest_eigenpairs")
+    assert not hasattr(fsgl.bench, "build_laplacian")
+    traces, real = [], fsgl.bench.run_solver
+
+    def solving(g0, obs, cfg):
+        g, trace = real(g0, obs, cfg)
+        traces.append(trace)
+        return g, trace
+    monkeypatch.setattr(fsgl.bench, "run_solver", solving)
     rep = run_benchmark(SolverConfig(max_iters=10), ratios=(0.3,), trials=2, n=8,
                         generators=("gmm",))
     assert all(c.ok for c in rep.cells) and len(rep.cells) == 4
-    assert calls == [2] * 4
+    assert [c.lambda2 for c in rep.cells] == [t.final_lambda2 for t in traces]
+    assert all(c.lambda2 > 0.0 for c in rep.cells)
+
+
+def test_run_benchmark_refuses_no_ratio_before_any_cell(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a cell ran")
+    monkeypatch.setattr("fsgl.bench.draw_instance", forbidden)
+    for ratios in ([], (), iter([])):
+        with pytest.raises(ValueError, match="^ratios must hold at least one K/N ratio$"):
+            run_benchmark(SolverConfig(), ratios=ratios, trials=1, n=8)
 
 
 def test_relative_error_matches_manual_frobenius():

@@ -486,40 +486,58 @@ def test_cheeger_check_takes_lambda2_from_the_sweep_eigensolve(monkeypatch, caps
     assert calls == [3] * 5  # one eigensolve per trial
 
 
-def test_solve_reports_lambda2_from_two_eigenpairs(tmp_path, monkeypatch, capsys):
-    # the solve and its lambda2 come from bench.timed_solve
+def test_solve_reports_lambda2_from_the_final_objective(tmp_path, monkeypatch, capsys):
+    # bench.py runs no eigensolve: after its snapshots the solve runs one
+    # more eigensolve of the learned graph, the final objective's, and the
+    # line prints that one's lambda2, trace.final_lambda2
     import fsgl.bench
     import fsgl.cli
+    import fsgl.objective
+    import fsgl.solver
+    assert not hasattr(fsgl.bench, "smallest_eigenpairs")
+    assert not hasattr(fsgl.bench, "build_laplacian")
     x = tmp_path / "x.csv"
     x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n0.1,0.4\n")
-    calls = counted_eigensolves(monkeypatch, fsgl.bench)
+    traces, real = [], fsgl.bench.run_solver
+
+    def solving(g0, obs, cfg):
+        g, trace = real(g0, obs, cfg)
+        traces.append(trace)
+        return g, trace
+    monkeypatch.setattr(fsgl.bench, "run_solver", solving)
+    objective_calls = counted_eigensolves(monkeypatch, fsgl.objective)
+    snapshot_calls = counted_eigensolves(monkeypatch, fsgl.solver)
     cli_calls = counted_eigensolves(monkeypatch, fsgl.cli)
     assert run_cli("solve", "--input", str(x)) == 0
-    assert calls == [2] and cli_calls == []
-    assert re.search(r" lambda2=\d+\.\d{6} ", capsys.readouterr().out)
+    (trace,) = traces
+    assert objective_calls == [4, 4] and cli_calls == []  # initial and final objective
+    assert len(snapshot_calls) == trace.eigensolves
+    lam2 = re.search(r" lambda2=(\d+\.\d{6}) ", capsys.readouterr().out)
+    assert lam2 and lam2.group(1) == f"{trace.final_lambda2:.6f}"
 
 
 # Recorded from `fsgl bench --n 12 --trials 2 --ratios 0.2,1.0 --seed 3`
 # (raw CSV, ms column dropped) and from `fsgl solve` on `gen --n 12 --k 4
-# --seed 9` (ms fields dropped), before solve and bench shared one timed solve.
+# --seed 9` (ms fields dropped), before solve and bench shared one timed solve;
+# lambda2 is each solve's trace.final_lambda2.
 RECORDED_SWEEP = """\
 generator,solver,ratio,trial,re,lambda2,edges,steps,stop
-gmm,greedy,0.2,0,1.774485411252806,4.0,58,800,no_descent
-gmm,greedy,0.2,1,1.5637654130580827,1.9522756767118228,51,1500,no_descent
+gmm,greedy,0.2,0,1.774485411252806,4.000000000000003,58,800,no_descent
+gmm,greedy,0.2,1,1.5637654130580827,1.9522756767118201,51,1500,no_descent
 gmm,greedy,1.0,0,0.971547196317435,0.0,4,6549,no_descent
 gmm,greedy,1.0,1,0.9613196592762816,0.0,4,6490,no_descent
-gmm,recursive,0.2,0,1.6710862326175855,0.032646091072540545,46,197,no_descent
-gmm,recursive,0.2,1,1.3818745504299643,0.8902277713535581,40,700,no_descent
+gmm,recursive,0.2,0,1.6710862326175855,0.03264609107253996,46,197,no_descent
+gmm,recursive,0.2,1,1.3818745504299643,0.8902277713535587,40,700,no_descent
 gmm,recursive,1.0,0,0.971547196317435,0.0,4,4649,no_descent
 gmm,recursive,1.0,1,0.9613196592762816,0.0,4,4590,no_descent
 mvt,greedy,0.2,0,1.6854101989043084,8.0,63,300,no_descent
 mvt,greedy,0.2,1,2.0173582336291576,11.999999999999996,66,0,no_descent
-mvt,greedy,1.0,0,0.9497536424355478,0.09289408997061453,16,6003,no_descent
-mvt,greedy,1.0,1,0.9622699293327426,1.863692115262781e-16,4,6384,no_descent
-mvt,recursive,0.2,0,1.4483926932503222,3.320543922078489,46,100,no_descent
+mvt,greedy,1.0,0,0.9497536424355478,0.09289408997061457,16,6003,no_descent
+mvt,greedy,1.0,1,0.9622699293327426,0.0,4,6384,no_descent
+mvt,recursive,0.2,0,1.4483926932503222,3.3205439220784925,46,100,no_descent
 mvt,recursive,0.2,1,1.6848216273452739,4.621676534967164,47,0,no_descent
-mvt,recursive,1.0,0,0.9617739953636255,0.0922308288719981,15,4128,no_descent
-mvt,recursive,1.0,1,0.9622699293327426,1.863692115262781e-16,4,4484,no_descent
+mvt,recursive,1.0,0,0.9617739953636255,0.09223082887199842,15,4128,no_descent
+mvt,recursive,1.0,1,0.9622699293327426,0.0,4,4484,no_descent
 """
 RECORDED_SOLVE = ("solver=recursive steps=787 stop=no_descent eigensolves=788 ineligible=0 "
                   "edges=40 lambda2=0.000000 objective=111.142007->55.618766\n"

@@ -14,7 +14,8 @@ per-edge Python loop, and no per-edge check function anywhere in the
 package. Only spectral.py calls an eigenvalue or determinant routine, so
 every spectrum in fsgl comes from one eigensolver, and spectral.py calls
 no np.linalg routine: both its LAPACK routines come from one extension.
-solver.py and objective.py read no np.linalg name at all.
+solver.py and objective.py read no np.linalg name at all. No module
+decides connectivity by comparing a Fiedler value with a threshold.
 """
 
 import ast
@@ -295,6 +296,31 @@ def test_connectivity_has_no_per_edge_loop():
         tolists = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr == "tolist"]
         if loops != allowed or tolists:
             found[name] = (loops, tolists)
+    assert found == {}
+
+
+def fiedler_comparisons(source: str) -> list[int]:
+    """Lines of `source` with a comparison that has a `.fiedler_value`
+    attribute anywhere in one of its operands."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Compare)
+                   for operand in [node.left, *node.comparators]
+                   for sub in ast.walk(operand)
+                   if isinstance(sub, ast.Attribute) and sub.attr == "fiedler_value"})
+
+
+def test_no_module_thresholds_the_fiedler_value():
+    # a graph is connected when its component labels say so; its computed
+    # l2 carries rounding noise, so no module decides it with a threshold
+    assert fiedler_comparisons(
+        "if s.fiedler_value <= TOL:\n    pass\nx = 0 < abs(st.fiedler_value)\n"
+        "lam2 = s.fiedler_value\nok = lam2 > 1e-8\nf(s.fiedler_value)\n"
+        "y = a == b.c.fiedler_value < 1\nz = s.fiedler_vector > 0\n") == [1, 3, 7]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = fiedler_comparisons(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
     assert found == {}
 
 

@@ -19,6 +19,7 @@ from fsgl.objective import (
     EdgeScores,
     _row_sums,
     edge_terms,
+    objective_and_fiedler,
     objective_value,
     score_edges,
     smoothness_trace,
@@ -475,6 +476,37 @@ def test_log_det_enters_one_log_alpha_per_component():
         lam = np.linalg.eigvalsh(build_laplacian(g))
         expected = c * math.log(alpha) + np.log(lam[c:] + alpha).sum()
         assert log_det_term(g, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# Two triangles whose computed l_2, one of L's two zero eigenvalues, is
+# 1.5e-15 rather than 0 (1.1e-15 with a seventh, isolated node).
+NOISY_TRIANGLES = {(0, 1): 1.8, (0, 2): 2.9, (1, 2): 0.9, (3, 4): 2.9, (3, 5): 1.3,
+                   (4, 5): 1.6}
+
+
+def test_fiedler_term_of_a_disconnected_graph_is_exactly_zero():
+    # with c >= 2 components the Fiedler term reads l_2 = 0, as log det
+    # reads l_1 ... l_c = 0, so gamma changes no bit of the objective
+    for n in (6, 7):
+        g = WeightedGraph(n, NOISY_TRIANGLES)
+        y = gram(np.random.default_rng(n).standard_normal((n, 3)))
+        assert smallest_eigenpairs(build_laplacian(g), n).fiedler_value != 0.0
+        values = [objective_and_fiedler(g, y, SolverConfig(gamma=gamma))
+                  for gamma in (0.0, 5.0, 50.0)]
+        assert [lam2 for _, lam2 in values] == [0.0] * 3
+        assert len({np.float64(h).tobytes() for h, _ in values}) == 1
+        assert [objective_value(g, y, SolverConfig(gamma=gamma))
+                for gamma in (0.0, 5.0, 50.0)] == [h for h, _ in values]
+
+
+def test_objective_and_fiedler_reads_l2_of_a_connected_graph_from_its_spectrum():
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 9):
+        g = random_connected_graph(rng, n)
+        y = gram(rng.standard_normal((n, 3)))
+        h, lam2 = objective_and_fiedler(g, y, SolverConfig())
+        assert lam2 == smallest_eigenpairs(build_laplacian(g), n).fiedler_value > 0.0
+        assert h == objective_value(g, y, SolverConfig())
 
 
 def test_descent_soundness_single_step():

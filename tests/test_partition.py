@@ -139,6 +139,21 @@ def test_sweep_cut_requires_connected():
         approx_cheeger_cut(g, state)
 
 
+def test_sweep_cut_takes_a_connected_graph_however_small_its_l2():
+    # connectivity comes from the edges: a 1e-10 bridge keeps the path
+    # connected, l2 = 1e-10, and the sweep cuts across it
+    g = WeightedGraph(4, {(0, 1): 1.0, (1, 2): 1e-10, (2, 3): 1.0})
+    state = smallest_eigenpairs(build_laplacian(g), 3)
+    assert 0.0 < state.fiedler_value < 1e-9
+    cut = approx_cheeger_cut(g, state)
+    assert (cut.s, cut.cut_edges, cut.ratio) == ((0, 1), ((1, 2),), 0.5)
+    assert cut.ratio >= state.fiedler_value / 2.0
+    # without the bridge it is two components, whatever the spectrum says
+    g = WeightedGraph(4, {(0, 1): 1.0, (2, 3): 1.0})
+    with pytest.raises(Disconnected, match="needs a connected graph"):
+        approx_cheeger_cut(g, state)
+
+
 def plan_blocks(block):
     """The rows of each block of a cut plan, by block id. Checks that no
     row keeps the -1 sentinel and that a fresh plan uses every id."""

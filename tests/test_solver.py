@@ -16,7 +16,7 @@ from eigencount import counted_eigensolves
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
-                        complete_graph, weaken_edge)
+                        complete_graph, is_connected, weaken_edge)
 from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import EdgeScores, objective_value, score_edges, smoothness_trace
 from fsgl.partition import partition_select
@@ -663,6 +663,51 @@ def test_a_solve_builds_one_laplacian_per_edge_set(kind, monkeypatch):
     assert builds == list(range(g0.edge_count, g.edge_count - 1, -1))
     assert trace.initial_objective == objective_value(g0, obs.gram, cfg)
     assert trace.final_objective == objective_value(g, obs.gram, cfg)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+def test_final_lambda2_is_exactly_zero_when_the_learned_graph_is_disconnected(kind):
+    # K/N = 1.0 empties the graph into components; K/N = 0.2 keeps it whole
+    # (the recursive arm's seed 12 disconnects at both)
+    connected = set()
+    for seed in (12, 13, 19):
+        for k in (2, 10):
+            obs = small_instance(seed, n=10, k=k)
+            g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+            g, trace = run_solver(g0, obs, SolverConfig(solver_kind=kind))
+            if is_connected(g):
+                lam2 = smallest_eigenpairs(build_laplacian(g), g.n).fiedler_value
+                assert trace.final_lambda2 == lam2 > 0.0
+            else:
+                assert trace.final_lambda2 == 0.0
+            connected.add((k, is_connected(g)))
+    assert (2, True) in connected and (10, False) in connected
+
+
+@pytest.mark.parametrize("kind", ["greedy", "recursive"])
+@pytest.mark.parametrize("max_iters", [0, 3, 40])
+def test_an_exact_solve_checks_alpha_in_its_two_objectives_only(kind, max_iters,
+                                                                monkeypatch):
+    # weakening never raises a diagonal entry, so the initial objective's
+    # check covers every snapshot; compute_state, outside a solve, checks
+    import fsgl.objective
+    import fsgl.solver
+    calls, real = [], fsgl.objective.check_shift
+
+    def counting(lap, c, name):
+        calls.append(name)
+        return real(lap, c, name)
+    for module in (fsgl.objective, fsgl.solver):
+        monkeypatch.setattr(module, "check_shift", counting)
+    obs = small_instance(19, n=10, k=3)
+    g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
+    cfg = SolverConfig(solver_kind=kind, exact_logdet=True, max_iters=max_iters)
+    trace = run_solver(g0, obs, cfg)[1]
+    assert len(trace) == max_iters and trace.eigensolves == max_iters
+    assert calls == ["alpha", "alpha"]
+    compute_state(g0, cfg, obs.k)
+    compute_state(g0, replace(cfg, exact_logdet=False), obs.k)
+    assert calls == ["alpha"] * 3
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
