@@ -223,16 +223,26 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
 
+def edge_laplacian(n: int, ms: np.ndarray, ns: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense Laplacian diag(W 1) - W on nodes [0, n) of the distinct edges
+    (ms[i], ns[i]) of weight w[i], unchecked: the one layout of every
+    Laplacian, `Laplacian`'s and a cut plan's unit-weight sub-graphs'."""
+    lap = np.zeros((n, n))
+    lap[ms, ns] = lap[ns, ms] = -w
+    lap.reshape(-1)[::n + 1] = np.bincount(np.concatenate([ms, ns]),
+                                           weights=np.concatenate([w, w]), minlength=n)
+    return lap
+
+
 class Laplacian:
     """Dense Laplacian `lap` = diag(W 1) - W of graph `g`, weakened in place.
 
     `g` shares its source's endpoint arrays and views the first half of a
     private weight buffer [w; w]. `weaken` writes an edge's new weight
-    there and into `lap`: the two mirrored off-diagonal entries (m, n) and
-    (n, m), then the whole diagonal from one bincount over [w; w]. Per
-    node that adds the m-side weights in order, then the n-side ones, from
-    0.0: the same sums, in the same order, as two np.add.at passes. So
-    `lap` stays bitwise the Laplacian of a new graph with `g`'s weights.
+    there and into `lap` as `edge_laplacian` lays it out: -w at (m, n) and
+    (n, m), then the whole diagonal from one bincount over [w; w], adding
+    each node's m-side weights in order, then its n-side ones, from 0.0.
+    So `lap` stays bitwise the Laplacian of a new graph with `g`'s weights.
     """
 
     __slots__ = ("g", "lap", "_w2", "_diag", "_ends")
@@ -242,10 +252,8 @@ class Laplacian:
         self._w2 = np.concatenate([w, w])
         self.g = g._derive(self._w2[:w.shape[0]])
         self._ends = np.concatenate([g._ms, g._ns])
-        self.lap = np.zeros((size, size))
+        self.lap = edge_laplacian(size, g._ms, g._ns, w)
         self._diag = self.lap.reshape(-1)[::size + 1]
-        self.lap[g._ms, g._ns] = self.lap[g._ns, g._ms] = -w
-        self._diag[:] = np.bincount(self._ends, weights=self._w2, minlength=size)
         bad = np.flatnonzero(~np.isfinite(self._diag))  # weakening keeps it finite
         if bad.shape[0]:
             raise NonFiniteInput(f"node {bad[0]}'s weighted degree overflows")

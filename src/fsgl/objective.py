@@ -9,10 +9,10 @@ them into the greedy score for a batch of edges, the only place the score
 is computed (`edge_terms`: its part fixed by the edge set);
 `selection` turns a batch's winning row into both selectors' result,
 with the one descent rule; and `objective_and_fiedler` recomputes the
-exact objective for monitoring, and the Fiedler value it used, from the
-Laplacian a solve holds (`objective_value` keeps the first). The log-det
-term takes alpha from the config and the exact resolvent, when there is
-one, from the snapshot.
+exact objective for monitoring, and the Fiedler value it used by the one
+rule for l2 (`fiedler_value`), from the Laplacian a solve holds
+(`objective_value` keeps the first). The log-det term takes alpha from
+the config and the exact resolvent, when there is one, from the snapshot.
 `score_edges` works eigen-major: it gathers each retained eigenvector at
 the batch's endpoints into a (k, E) array, and `_row_sums` adds every
 edge's k terms in the order a per-edge row sum would, so the scores are
@@ -171,6 +171,12 @@ def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
     return float((w_arr * per_edge).sum())
 
 
+def fiedler_value(state: SpectralState, connected: bool) -> float:
+    """A graph's l2 from a spectrum of its Laplacian: the computed l_2 when
+    the graph is connected, exactly 0.0 when not, never a zero's rounding noise."""
+    return state.fiedler_value if connected else 0.0
+
+
 def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
                           lap=None) -> tuple[float, float]:
     """(h, l2): the exact objective h = tr(LY) - log det(L + aI) - gamma l2
@@ -178,9 +184,8 @@ def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
     l_1 <= ... <= l_N of L, once `graph.check_shift` has refused an alpha
     lost in rounding against l_1 = 0. L has exactly one zero eigenvalue per
     connected component, and `component_labels` counts the c components:
-    log det = c log a + sum_{i>c} log(l_i + a), and l2 is the computed
-    l_2 when c = 1 and exactly 0.0 when c >= 2, so neither term reads the
-    rounding noise of a zero eigenvalue. The check l_1 + a > 0 stays as a
+    log det = c log a + sum_{i>c} log(l_i + a) and l2 = fiedler_value(state,
+    c == 1), so neither term reads the rounding noise of a zero eigenvalue. The check l_1 + a > 0 stays as a
     safeguard. Monitoring only, never in the scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
@@ -194,7 +199,7 @@ def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
     if not shifted[0] > 0:
         raise ValueError(f"L + alpha I is not positive definite at alpha={cfg.alpha!r}")
     logdet = c * math.log(cfg.alpha) + np.log(shifted[c:]).sum()
-    lambda2 = state.fiedler_value if c == 1 else 0.0
+    lambda2 = fiedler_value(state, c == 1)
     h = smoothness_trace(g, y) - logdet - cfg.gamma * lambda2
     return h + cfg.mu * 2.0 * g.edge_count, lambda2
 

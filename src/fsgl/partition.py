@@ -3,20 +3,14 @@
 The recursive selector splits the candidate edge set with a Fiedler sweep
 cut of the unit-weight graph, keeps the cut edges as a block of their
 own, and recurses on the edges of each side. A sub-graph is its edge rows
-and the nodes they touch, so a node without edges never enters a split.
-That plan depends only on which edges the graph holds, and it is one
-block label per edge row. A solve labels its start graph once and
-deletes a deleted edge's label with `np.delete`, as the edge arrays drop
-its row, so from the first deletion on the solve selects over the start
-graph's decomposition restricted to the surviving edges, not a fresh
-sweep of each edge set. Each step scores every edge against the same
-global spectral snapshot and Gram matrix as the exhaustive scan and
-takes all block minima in one `np.minimum.at`, so the result is an exact
-decomposition of the global argmin: any partition of the edges into
-blocks, this one included, selects the same edge.
-Connectivity is read from the edges (`graph.is_connected`), never from
-a threshold on l2: `approx_cheeger_cut` refuses a disconnected graph,
-and a connected one is cut however small its l2.
+and the nodes they touch, and its Laplacian comes from graph.py, as every
+Laplacian does. The plan, one block label per edge row, depends only on
+which edges the graph holds: a solve labels its start graph once and
+drops a deleted edge's label with `np.delete`. Each step scores every
+edge against the exhaustive scan's snapshot and Gram matrix and takes
+all block minima in one `np.fmin.at`, so any partition of the edges into
+blocks, this one included, selects the scan's edge. Connectivity is read
+from the edges (`graph.is_connected`), never from a threshold on l2.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .errors import Disconnected, TooLarge
-from .graph import WeightedGraph, is_connected
+from .graph import WeightedGraph, edge_laplacian, is_connected
 from .objective import score_edges, selection
 from .spectral import SpectralState, smallest_eigenpairs
 
@@ -42,6 +36,14 @@ class CheegerCut:
     s: tuple[int, ...]
     cut_edges: tuple[tuple[int, int], ...]
     ratio: float
+
+
+def _cheeger_cut(inside: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray) -> CheegerCut:
+    """The CheegerCut of the node subset that the boolean mask `inside` holds."""
+    crossing = inside[m_arr] != inside[n_arr]
+    cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
+    s = tuple(np.flatnonzero(inside).tolist())
+    return CheegerCut(s, cut_edges, len(cut_edges) / len(s))
 
 
 def brute_force_cheeger(g: WeightedGraph) -> CheegerCut:
@@ -66,9 +68,8 @@ def brute_force_cheeger(g: WeightedGraph) -> CheegerCut:
         ratio = int(cuts[j]) / size
         if best is None or ratio < best[0]:
             best = (ratio, inside[j])
-    crossing = best[1][m_arr] != best[1][n_arr]
-    cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
-    return CheegerCut(tuple(np.flatnonzero(best[1]).tolist()), cut_edges, best[0])
+    return _cheeger_cut(best[1], m_arr, n_arr)
+
 
 
 def _sweep_prefix(n: int, m_arr: np.ndarray, n_arr: np.ndarray, v2: np.ndarray):
@@ -104,22 +105,9 @@ def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     if not is_connected(g):
         raise Disconnected("sweep cut needs a connected graph")
     m_arr, n_arr, _ = g.edge_arrays()
-    order, t, cut = _sweep_prefix(g.n, m_arr, n_arr, state.fiedler_vector)
-    side = order[:t] if t <= g.n - t else order[t:]
-    inside = np.zeros(g.n, dtype=bool)
-    inside[side] = True
-    crossing = inside[m_arr] != inside[n_arr]
-    cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
-    return CheegerCut(tuple(sorted(side.tolist())), cut_edges, cut / side.shape[0])
-
-
-def _local_fiedler(k: int, lm: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    """Fiedler vector of a sub-graph on k local nodes, unit weights."""
-    lap = np.zeros((k, k))
-    lap[lm, ln] = -1.0
-    lap[ln, lm] = -1.0
-    np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
-    return smallest_eigenpairs(lap, 2).fiedler_vector
+    order, t, _ = _sweep_prefix(g.n, m_arr, n_arr, state.fiedler_vector)
+    inside = order.argsort() < t  # the first t nodes of the sweep order
+    return _cheeger_cut(inside if t <= g.n - t else ~inside, m_arr, n_arr)
 
 
 def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
@@ -155,7 +143,8 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
             block[rows] = next(ids)
             continue
         lm, ln = local[lm], local[ln]
-        order, t, _ = _sweep_prefix(k, lm, ln, _local_fiedler(k, lm, ln))
+        unit = edge_laplacian(k, lm, ln, np.ones(lm.shape[0]))
+        order, t, _ = _sweep_prefix(k, lm, ln, smallest_eigenpairs(unit, 2).fiedler_vector)
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
         m_in, n_in = in_s[lm], in_s[ln]
@@ -183,11 +172,9 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     if m_arr.shape[0] == 0:
         return None
     block = cut_plan(g, LEAF_NODES) if plan is None else plan
-    # Every candidate edge is scored against the same global snapshot no
-    # matter which block it lands in, so one vectorized pass covers them
-    # all; one fmin.at then takes each block's minimum, skipping NaN, so a
-    # NaN score warns no more than the scan does. A label that no row
-    # holds any more (its block was emptied) keeps +inf.
+    # One fmin.at takes each block's minimum, skipping NaN, so a NaN score
+    # warns no more than the scan does; a label that no row holds any more
+    # (its block was emptied) keeps +inf.
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
     minima = np.full(int(block.max()) + 1, np.inf)
     np.fmin.at(minima, block, grad)

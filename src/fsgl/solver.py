@@ -9,9 +9,10 @@ A solve holds one `graph.Laplacian`, which a weakening step updates in
 place at the selected row and from which each snapshot and both
 objectives are taken. Only a step that deletes an edge builds a new one,
 so a solve builds one per edge set; it returns the last one's graph.
-What the edge set fixes, the scoring terms and the recursive arm's cut
-plan, is computed once per solve for the start graph, and a deletion
-drops the deleted row from each (`np.delete`).
+What the edge set fixes (the scoring terms, the recursive arm's cut plan
+and connectedness) is computed once for the start graph; a deletion drops
+its row from the first two (`np.delete`) and, while connected, checks the
+third again: edges only go, so a disconnected set stays so.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import numpy as np
 
 from . import partition as _partition
 from .errors import NonFiniteObjective
-from .graph import Laplacian, ObservationSet, WeightedGraph, build_laplacian, check_shift
-from .objective import edge_terms, objective_and_fiedler, objective_value, score_edges, selection
+from .graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian, check_shift,
+                    is_connected)
+from .objective import (edge_terms, fiedler_value, objective_and_fiedler, objective_value,
+                        score_edges, selection)
 from .spectral import SpectralState, smallest_eigenpairs
 
 logger = logging.getLogger("fsgl.solver")
@@ -100,24 +103,22 @@ class SolveTrace:
     The rows live in one structured buffer; each field reads as a
     read-only array of length len(trace): `edges_mn` (S, 2) int64, the
     weakened edge (m, n); `grad_h` float64, its score; `lambda2` float64,
-    the Fiedler value of the snapshot it was scored on; `edge_counts`
-    int64, the edge count after the step; and `ms` float64, the solve's
-    clock after the step. Storage starts at 64 rows and doubles when full.
+    the Fiedler value of the snapshot it was scored on, 0.0 if the
+    snapshot's edge set is disconnected; `edge_counts` int64, the edge
+    count after the step; and `ms` float64, the solve's clock after the
+    step. Storage starts at 64 rows and doubles when full.
 
     stop_reason is "no_descent" when no edge scored below zero (converged)
     and "max_iters" when the step cap ended the solve first. eigensolves
     counts snapshots, each taken for a step that will be scored. ineligible
-    sums the edges scored +inf (step too large) over all steps. Both
-    objectives read the solve's own Laplacian: the start graph's, built
-    with the initial objective, and the learned graph's. final_lambda2 is
-    the learned graph's Fiedler value, from the final objective's full
-    spectrum (`objective_and_fiedler`): exactly 0.0 when the graph is
-    disconnected, so it is never rounding noise. phase_ms splits
-    the solve's time after the initial objective, so it leaves out that
-    start Laplacian: "eigensolve" (snapshots), "select" (scoring and
-    selection), "rebuild" (the scoring terms and the recursive arm's cut
-    plan, once per solve; a deletion's new Laplacian and its updates to
-    both) and "mutate" (in-place weakening steps).
+    sums the edges scored +inf (step too large) over all steps.
+    final_lambda2 is the learned graph's Fiedler value, from the final
+    objective's full spectrum; it and `lambda2` follow
+    `objective.fiedler_value`. phase_ms splits the solve's time after the
+    initial objective, so it leaves out that start Laplacian: "eigensolve"
+    (snapshots), "select" (scoring and selection), "rebuild" (what the
+    edge set fixes, once per solve and again at each deletion, with that
+    deletion's new Laplacian) and "mutate" (in-place weakening steps).
     """
 
     initial_objective: float = float("nan")
@@ -246,11 +247,13 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     k = eigenpair_count(g0.n, obs.k)
     recursive = cfg.solver_kind == "recursive"
     plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES) if recursive else None
+    connected = is_connected(lap.g)
     t = charge("rebuild", t0)
     accepted = 0
     while accepted < cfg.max_iters:
         if accepted % cfg.refresh_interval == 0:
             state = _snapshot(lap.lap, cfg, k)
+            lambda2 = fiedler_value(state, connected)
             trace.eigensolves += 1
             t = charge("eigensolve", t)
         if recursive:
@@ -267,12 +270,13 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             t = charge("mutate", t)
         else:
             lap = weakened
+            connected = connected and is_connected(lap.g)
             terms = tuple(np.delete(term, row) for term in terms)
             if recursive:
                 plan = np.delete(plan, row)
             t = charge("rebuild", t)
         accepted += 1
-        trace.append(edge, grad_h, state.fiedler_value, lap.g.edge_count, (t - t0) * 1e3)
+        trace.append(edge, grad_h, lambda2, lap.g.edge_count, (t - t0) * 1e3)
 
     trace.final_objective, trace.final_lambda2 = objective_and_fiedler(lap.g, y, cfg, lap.lap)
     if trace.ineligible:

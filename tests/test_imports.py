@@ -8,7 +8,8 @@ would double the start-up time of every process. Only graph.py reads
 another object's private members, so one module owns the edge index, the
 edge step and every Laplacian write; it is also the only one that reads a
 graph's `edges` mapping, so every other module takes an edge set as its
-sorted arrays.
+sorted arrays, and the only one that lays out a matrix diagonal by hand,
+so every Laplacian, a cut plan's sub-graphs' included, has one layout.
 Graphs are built, and their components found, from whole edge arrays: no
 per-edge Python loop, and no per-edge check function anywhere in the
 package. Only spectral.py calls an eigenvalue or determinant routine, so
@@ -320,6 +321,63 @@ def test_no_module_thresholds_the_fiedler_value():
     for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
         lines = fiedler_comparisons(path.read_text())
         if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def call_name(call: ast.Call) -> str | None:
+    """The name a call calls, as attribute (`np.bincount(x)`) or bare name."""
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def called_names(node) -> set[str | None]:
+    """Names of the functions called anywhere inside `node`."""
+    return {call_name(sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+
+
+# What counts a node's degree, and what lays a vector out as a diagonal.
+DEGREE_CALLS = {"bincount", "sum"}
+DIAGONAL_CALLS = {"diag", "diagflat"}
+
+
+def diagonal_writes(source: str) -> list[int]:
+    """Lines of `source` that lay out a matrix diagonal by hand: a call of
+    `fill_diagonal`; a write to an `a[i, i]` subscript, one index twice;
+    and a write to any subscript, or a `diag` or `diagflat` call, of a
+    value that counts degrees (calls `bincount` or `sum`)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = call_name(node)
+            if name == "fill_diagonal" or (name in DIAGONAL_CALLS and node.args
+                                           and called_names(node.args[0]) & DEGREE_CALLS):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if not isinstance(t, ast.Subscript):
+                    continue
+                idx = t.slice
+                twice = (isinstance(idx, ast.Tuple) and len(idx.elts) == 2
+                         and ast.dump(idx.elts[0]) == ast.dump(idx.elts[1]))
+                if twice or called_names(node.value) & DEGREE_CALLS:
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_graph_module_lays_out_a_laplacian_diagonal():
+    # graph.Laplacian writes every Laplacian's degrees, a sub-graph's in
+    # partition included, so no second layout can drift from it
+    assert diagonal_writes(
+        "np.fill_diagonal(lap, deg)\nlap[i, i] = 2.0\nd[:] = np.bincount(e, minlength=n)\n"
+        "a = np.diag(w.sum(axis=1)) - w\nx = np.bincount(e)\ntheta.flat[::n + 1] += rho\n"
+        "lap[i, j] = -1.0\nv = np.diag(m)\nfill_diagonal(a, 0)\nb[k] += c.sum()\n") == [
+        1, 2, 3, 4, 9, 10]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = diagonal_writes(path.read_text())
+        if lines and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}
 

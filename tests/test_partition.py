@@ -537,9 +537,20 @@ def test_partition_recursion_depth_bounded(monkeypatch):
         assert sw.n <= 24 - sw.depth  # at least one node peels per level
 
 
+def hand_built_fiedler(k, lm, ln):
+    """Fiedler vector of a sub-graph on k local nodes, unit weights, from a
+    Laplacian laid out here by hand rather than by graph.py."""
+    lap = np.zeros((k, k))
+    lap[lm, ln] = -1.0
+    lap[ln, lm] = -1.0
+    np.fill_diagonal(lap, np.bincount(lm, minlength=k) + np.bincount(ln, minlength=k))
+    return smallest_eigenpairs(lap, 2).fiedler_vector
+
+
 def recursive_plan(g, v_min):
     """cut_plan as the recursion it was: each sub-graph's blocks labelled
-    in pre-order, the inside side split before the outside one."""
+    in pre-order, the inside side split before the outside one, each
+    split's Fiedler vector from `hand_built_fiedler`."""
     import fsgl.partition as partition
 
     m_arr, n_arr, _ = g.edge_arrays()
@@ -557,7 +568,7 @@ def recursive_plan(g, v_min):
             blocks.append(rows)
             return
         lm, ln = local[lm], local[ln]
-        order, t, _ = partition._sweep_prefix(k, lm, ln, partition._local_fiedler(k, lm, ln))
+        order, t, _ = partition._sweep_prefix(k, lm, ln, hand_built_fiedler(k, lm, ln))
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
         m_in, n_in = in_s[lm], in_s[ln]
@@ -570,6 +581,54 @@ def recursive_plan(g, v_min):
     for b, rows in enumerate(blocks):
         block[rows] = b
     return block
+
+
+def test_cut_plan_splits_by_the_hand_built_laplacians_fiedler_vectors(monkeypatch):
+    # every split's Laplacian comes from graph.py; its Fiedler vector and the
+    # plan's labels are bitwise those of a hand-built local Laplacian, on
+    # connected graphs, disconnected ones and ones with isolated nodes
+    import fsgl.partition as partition
+
+    graphs = []
+    for seed in range(12):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(10, 31))
+        if seed % 3 < 2:  # connected, or two connected components side by side
+            a = n if seed % 3 == 0 else int(rng.integers(4, n - 3))
+            ms, ns = connected_pairs(a, 0.3, rng)
+            if a < n:
+                ms2, ns2 = connected_pairs(n - a, 0.3, rng)
+                ms, ns = np.concatenate([ms, ms2 + a]), np.concatenate([ns, ns2 + a])
+        else:  # sparse, and the last quarter of the nodes keep no edge
+            iu, ju = np.triu_indices(n - n // 4, k=1)
+            keep = rng.random(iu.shape[0]) < rng.uniform(0.08, 0.3)
+            ms, ns = iu[keep], ju[keep]
+        graphs.append(WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0])))
+    real_sweep, splits = partition._sweep_prefix, []
+
+    def bits(a):
+        return a.view(np.int64).tolist()
+
+    def sweep(k, lm, ln, v2):
+        splits.append(bits(v2) == bits(hand_built_fiedler(k, lm, ln)))
+        return real_sweep(k, lm, ln, v2)
+
+    monkeypatch.setattr(partition, "_sweep_prefix", sweep)
+    kinds = set()
+    for g in graphs:
+        m_arr, n_arr, _ = g.edge_arrays()
+        labels = component_labels(g.n, m_arr, n_arr)
+        isolated = np.bincount(np.concatenate([m_arr, n_arr]), minlength=g.n) == 0
+        kinds.add((bool(labels.any()), bool(isolated.any())))
+        for v_min in range(2, 9):
+            got = cut_plan(g, v_min)
+            with monkeypatch.context() as mp:
+                mp.setattr(partition, "_sweep_prefix", real_sweep)
+                want = recursive_plan(g, v_min)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    assert splits and all(splits)
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_cut_plan_lays_blocks_out_in_recursive_pre_order():

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from eigencount import counted_eigensolves
-from fsgl.datagen import gen_ground_truth, sample_gmm
+from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
                         complete_graph, is_connected, weaken_edge)
-from fsgl.init_graph import init_sparse_graph
+from fsgl.init_graph import init_sparse_graph, initial_graph
 from fsgl.objective import EdgeScores, objective_value, score_edges, smoothness_trace
 from fsgl.partition import partition_select
 from fsgl.solver import (
@@ -682,6 +682,86 @@ def test_final_lambda2_is_exactly_zero_when_the_learned_graph_is_disconnected(ki
                 assert trace.final_lambda2 == 0.0
             connected.add((k, is_connected(g)))
     assert (2, True) in connected and (10, False) in connected
+
+
+def replay_snapshots(g0, obs, cfg, trace):
+    """Replay `trace` with the public pieces (compute_state, greedy_step,
+    weaken_edge), checking each row's edge and grad_h bits. Returns, per
+    row, the computed l2 of the snapshot the row was scored on, whether
+    that snapshot's edge set is connected, and whether the row's own is."""
+    g, rows = g0, []
+    for step, edge in enumerate(trace.edges_mn):
+        if step % cfg.refresh_interval == 0:
+            state, snapshot_connected = compute_state(g, cfg, obs.k), is_connected(g)
+        sel = greedy_step(g, obs.gram, state, cfg)
+        assert sel is not None and sel[0] == tuple(edge.tolist()), step
+        assert np.float64(sel[1]).view(np.int64) == trace.grad_h[step].view(np.int64), step
+        rows.append((state.fiedler_value, snapshot_connected, is_connected(g)))
+        g = weaken_edge(g, edge, cfg.epsilon)
+    lam2, snapshot_connected, connected = map(np.array, zip(*rows))
+    return lam2, snapshot_connected, connected
+
+
+def criterion_8_cell(generator, trial):
+    """The start graph and observations of criterion 8's K/N = 0.2 cell
+    (N = 30, seed 0, recursive arm) for this generator and trial."""
+    gi = ("gmm", "mvt").index(generator)
+    _, obs = draw_instance(30, 6, generator, [0, gi, 0, trial], 0.2, 0.5, 3.0, 3, 1.0)
+    return initial_graph(obs, SolverConfig(solver_kind="recursive")), obs
+
+
+@pytest.mark.parametrize("cell", [("gmm", 0), ("gmm", 2), ("gmm", 6), ("gmm", 8),
+                                  ("mvt", 3), ("mvt", 8), ("small", 12)],
+                         ids=lambda cell: f"{cell[0]}-{cell[1]}")
+def test_trace_lambda2_is_exactly_zero_on_a_disconnected_snapshot(cell):
+    # criterion 8's disconnected K/N = 0.2 cells, and a K/N = 1.0 solve at
+    # N = 10: their disconnected snapshots compute l2 as rounding noise,
+    # some of it negative, and the trace reads it as 0.0, as the final
+    # objective does; every other row is the replayed snapshot's l2, bitwise
+    if cell[0] == "small":
+        obs = small_instance(cell[1], n=10, k=10)
+        g0 = init_sparse_graph(obs.gram, 10)
+    else:
+        g0, obs = criterion_8_cell(*cell)
+    cfg = SolverConfig(solver_kind="recursive")
+    g, trace = run_solver(g0, obs, cfg)
+    lam2, snapshot_connected, _ = replay_snapshots(g0, obs, cfg, trace)
+    rows = trace.lambda2.view(np.int64)
+    assert not snapshot_connected.all() and (lam2[~snapshot_connected] != 0.0).any()
+    assert (rows[~snapshot_connected] == 0).all()  # +0.0, not -0.0
+    assert np.array_equal(rows[snapshot_connected], lam2[snapshot_connected].view(np.int64))
+    assert not (trace.lambda2 < 0.0).any()
+    assert not is_connected(g) and trace.final_lambda2 == 0.0
+
+
+def test_a_stale_snapshot_row_keeps_its_snapshots_connectivity():
+    # refresh 3: the deletion that disconnects the graph falls early in a
+    # snapshot's window, so the window's later rows are scored on a snapshot
+    # of a connected edge set and record its l2; from the next snapshot on,
+    # rows read 0.0. The solve is capped two snapshots after the deletion.
+    obs = small_instance(13, n=10, k=10)
+    g0 = init_sparse_graph(obs.gram, 10)
+    cfg = SolverConfig(solver_kind="recursive", refresh_interval=3)
+    full = run_solver(g0, obs, cfg)[1]
+    g, cut = g0, None
+    for step, edge in enumerate(full.edges_mn):
+        g = weaken_edge(g, edge, cfg.epsilon)
+        if not is_connected(g):
+            cut = step
+            break
+    assert cut is not None and cut % 3 < 2  # rows after it share its snapshot
+    capped = replace(cfg, max_iters=cut - cut % 3 + 9)
+    g, trace = run_solver(g0, obs, capped)
+    assert trace.stop_reason == "max_iters" and not is_connected(g)
+    assert np.array_equal(trace.edges_mn, full.edges_mn[:len(trace)])
+    lam2, snapshot_connected, connected = replay_snapshots(g0, obs, capped, trace)
+    stale = snapshot_connected & ~connected
+    assert np.flatnonzero(stale).tolist() == list(range(cut + 1, cut - cut % 3 + 3))
+    rows = trace.lambda2.view(np.int64)
+    assert np.array_equal(rows[snapshot_connected], lam2[snapshot_connected].view(np.int64))
+    assert (trace.lambda2[stale] > 0.0).all()
+    assert (rows[~snapshot_connected] == 0).all()
+    assert (lam2[~snapshot_connected] != 0.0).any()
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
