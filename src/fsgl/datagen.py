@@ -152,8 +152,7 @@ def _sym_sqrt(c: np.ndarray) -> np.ndarray:
 
 
 def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
-               mean_scale: float = 1.0, seed: int = 0,
-               return_components: bool = False):
+               mean_scale: float = 1.0, seed: int = 0) -> ObservationSet:
     """K samples from a Gaussian mixture sharing the truth covariance.
 
     Each component carries a scalar offset m_c ~ N(0, mean_scale^2)
@@ -161,7 +160,7 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     offset shifts along the all-ones vector, which every Laplacian
     quadratic form annihilates, so the mixture is non-Gaussian per node
     while the pairwise structure stays governed by the graph. Returns
-    the N x K observations, plus the component labels when asked.
+    the N x K observations.
     """
     n = gt.cov.shape[0]
     check_samples(n, k)
@@ -172,10 +171,7 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     labels = rng.integers(0, n_components, size=k)
     x = root @ rng.standard_normal((n, k))
     x += means[labels]  # in place: one (N, K) array fewer at the peak
-    obs = ObservationSet(x)
-    if return_components:
-        return obs, labels
-    return obs
+    return ObservationSet(x)
 
 
 def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,

@@ -33,10 +33,10 @@ def integer(value, what: str) -> int:
 
 
 def real_array(a, what: str) -> np.ndarray:
-    """`a` as a float64 array. Complex input raises ValueError, naming
-    `what` and the dtype, since the cast would keep only the real parts."""
+    """`a` as a float64 array. A dtype other than integer or float (complex,
+    bool, str, object) raises ValueError naming `what` and the dtype."""
     a = np.asarray(a)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real, got dtype {a.dtype}")
     return np.asarray(a, dtype=np.float64)
 

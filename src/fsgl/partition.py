@@ -2,15 +2,16 @@
 
 The recursive selector splits the candidate edge set with a Fiedler sweep
 cut of the unit-weight graph, keeps the cut edges as a block of their
-own, and recurses on the edges of each side. A sub-graph is its edge rows
-and the nodes they touch, and its Laplacian comes from graph.py, as every
-Laplacian does. The plan, one block label per edge row, depends only on
-which edges the graph holds: a solve labels its start graph once and
-drops a deleted edge's label with `np.delete`. Each step scores every
-edge against the exhaustive scan's snapshot and Gram matrix and takes
-all block minima in one `np.fmin.at`, so any partition of the edges into
-blocks, this one included, selects the scan's edge. Connectivity is read
-from the edges (`graph.is_connected`), never from a threshold on l2.
+own, and recurses on the edges of each side; a split is the node mask of
+the sweep's best prefix. A sub-graph is its edge rows and the nodes they
+touch, and its Laplacian comes from graph.py, as every Laplacian does.
+The plan, one block label per edge row, depends only on which edges the
+graph holds: a solve labels its start graph once and drops a deleted
+edge's label with `np.delete`. Each step scores every edge against the
+exhaustive scan's snapshot and Gram matrix and takes all block minima in
+one `np.fmin.at`, so any partition of the edges into blocks, this one
+included, selects the scan's edge. Connectivity is read from the edges
+(`graph.is_connected`), never from a threshold on l2.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ class CheegerCut:
 
 
 def _cheeger_cut(inside: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray) -> CheegerCut:
-    """The CheegerCut of the node subset that the boolean mask `inside` holds."""
+    """The CheegerCut of the boolean node mask `inside`, or of its
+    complement when that holds fewer nodes."""
+    if 2 * np.count_nonzero(inside) > inside.shape[0]:
+        inside = ~inside
     crossing = inside[m_arr] != inside[n_arr]
     cut_edges = tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
     s = tuple(np.flatnonzero(inside).tolist())
@@ -71,11 +75,11 @@ def brute_force_cheeger(g: WeightedGraph) -> CheegerCut:
     return _cheeger_cut(best[1], m_arr, n_arr)
 
 
-
-def _sweep_prefix(n: int, m_arr: np.ndarray, n_arr: np.ndarray, v2: np.ndarray):
+def _sweep_side(n: int, m_arr: np.ndarray, n_arr: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Best prefix split of nodes sorted by Fiedler entries.
 
-    Returns (sorted node order, prefix length t, cut edge count). Cut
+    Returns the node mask of the first t nodes of v2's stable sort, for
+    the first t in [1, n) with the fewest cut edges / min(t, n - t). Cut
     counts for all n-1 prefixes come from one difference-array pass, so
     the sweep is O(n + |E|) after the sort.
     """
@@ -90,24 +94,22 @@ def _sweep_prefix(n: int, m_arr: np.ndarray, n_arr: np.ndarray, v2: np.ndarray):
     cuts = diff.cumsum()[1:n]
     prefix = np.arange(1, n)
     t = int((cuts / np.minimum(prefix, n - prefix)).argmin()) + 1
-    return order, t, int(cuts[t - 1])
+    return pos < t
 
 
 def approx_cheeger_cut(g: WeightedGraph, state: SpectralState) -> CheegerCut:
     """Fiedler sweep cut: the standard linear-time approximate Cheeger cut.
 
-    Nodes are sorted by their Fiedler-vector entries and the best of the
-    n-1 prefix splits is taken; the reported subset is the side with at
-    most half the nodes. Cheeger's inequality guarantees ratio >= l2 / 2.
-    A disconnected g, as `graph.is_connected` decides from its edges,
-    raises Disconnected; a connected one is cut however small its l2.
+    The best of the n-1 prefix splits of the nodes sorted by their Fiedler
+    entries (`_sweep_side`), reported as its side with at most half the
+    nodes. Cheeger's inequality guarantees ratio >= l2 / 2. A disconnected
+    g, as `graph.is_connected` decides from its edges, raises
+    Disconnected; a connected one is cut however small its l2.
     """
     if not is_connected(g):
         raise Disconnected("sweep cut needs a connected graph")
     m_arr, n_arr, _ = g.edge_arrays()
-    order, t, _ = _sweep_prefix(g.n, m_arr, n_arr, state.fiedler_vector)
-    inside = order.argsort() < t  # the first t nodes of the sweep order
-    return _cheeger_cut(inside if t <= g.n - t else ~inside, m_arr, n_arr)
+    return _cheeger_cut(_sweep_side(g.n, m_arr, n_arr, state.fiedler_vector), m_arr, n_arr)
 
 
 def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
@@ -117,7 +119,8 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
     numbered in node order. One that touches at most v_min nodes becomes
     a leaf block; a larger one is split by the sweep of its unit-weight
     Fiedler vector, to match the edge-count ratio the sweep minimizes,
-    with the crossing rows kept as a block and both sides split again. A
+    into the rows inside and outside the sweep's node mask, with the
+    crossing rows kept as a block and both sides split again. A
     disconnected sub-graph takes the same sweep, which finds a zero cut
     when the vector separates its components. Returns `block`, an intp
     array over g.edge_arrays()'s rows: block[i] is the id of the block
@@ -144,10 +147,8 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
             continue
         lm, ln = local[lm], local[ln]
         unit = edge_laplacian(k, lm, ln, np.ones(lm.shape[0]))
-        order, t, _ = _sweep_prefix(k, lm, ln, smallest_eigenpairs(unit, 2).fiedler_vector)
-        in_s = np.zeros(k, dtype=bool)
-        in_s[order[:t]] = True
-        m_in, n_in = in_s[lm], in_s[ln]
+        inside = _sweep_side(k, lm, ln, smallest_eigenpairs(unit, 2).fiedler_vector)
+        m_in, n_in = inside[lm], inside[ln]
         crossing = m_in ^ n_in
         if crossing.any():
             block[rows[crossing]] = next(ids)

@@ -90,14 +90,22 @@ def test_gmm_single_component_zero_scale_is_gaussian():
     assert abs(np.mean(obs.x)) < 1.0
 
 
+def gmm_draw(n_components, k, seed):
+    """The component offsets (before mean_scale) and labels that
+    sample_gmm(..., seed=seed) draws first from its random stream."""
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal(n_components)
+    return means, rng.integers(0, n_components, size=k)
+
+
 def test_gmm_covariance_recovered_within_components():
     # pooled within-component second moment approaches the truth at large
     # K; k = 50 N sits near the Monte Carlo noise floor, so fixed seeds
     for gt_seed, x_seed in ((2, 102), (7, 107)):
         gt = gen_ground_truth(10, 0.5, seed=gt_seed)
         k = 50 * 10
-        obs, labels = sample_gmm(gt, k, n_components=3, mean_scale=1.0,
-                                 seed=x_seed, return_components=True)
+        obs = sample_gmm(gt, k, n_components=3, mean_scale=1.0, seed=x_seed)
+        _, labels = gmm_draw(3, k, x_seed)
         centered = np.empty_like(obs.x)
         for c in range(3):
             cols = labels == c
@@ -112,11 +120,13 @@ def test_gmm_offsets_invisible_to_laplacian_forms():
     # component offsets shift along the all-ones vector, which every
     # Laplacian quadratic form annihilates: tr(L Y) is offset-free
     gt = gen_ground_truth(8, 0.4, seed=4)
-    flat, labels = sample_gmm(gt, 25, n_components=4, mean_scale=0.0,
-                              seed=13, return_components=True)
-    shifted, labels2 = sample_gmm(gt, 25, n_components=4, mean_scale=5.0,
-                                  seed=13, return_components=True)
-    assert np.array_equal(labels, labels2)
+    flat = sample_gmm(gt, 25, n_components=4, mean_scale=0.0, seed=13)
+    shifted = sample_gmm(gt, 25, n_components=4, mean_scale=5.0, seed=13)
+    # the same draw, each column shifted by its component's offset alone
+    means, labels = gmm_draw(4, 25, 13)
+    np.testing.assert_allclose(shifted.x - flat.x,
+                               np.broadcast_to(5.0 * means[labels], flat.x.shape),
+                               rtol=0, atol=1e-12)
     a = smoothness_trace(gt.w_star, flat.gram)
     b = smoothness_trace(gt.w_star, shifted.gram)
     assert a == pytest.approx(b, rel=1e-9)

@@ -486,6 +486,37 @@ def test_graph_builds_reject_complex_weights():
             WeightedGraph(3, {(0, 1): 1.0, (1, 2): np.complex64(2.0)})
 
 
+NOT_REAL = [  # (input, its dtype), each of which a float cast would accept
+    (np.array([True]), "bool"),
+    (np.array(["2.5"]), "<U3"),
+    (np.array([2.5], dtype=object), "object"),
+]
+
+
+@pytest.mark.parametrize("ws, dtype", NOT_REAL)
+def test_graph_builds_reject_weights_of_no_real_dtype(ws, dtype):
+    # not a weight of 1.0 for True, nor 2.5 parsed from a string
+    with pytest.raises(ValueError, match=f"ws must be real, got dtype {dtype}"):
+        WeightedGraph.from_arrays(3, [0], [1], ws)
+
+
+@pytest.mark.parametrize("x, dtype", NOT_REAL)
+def test_observations_of_no_real_dtype_are_refused(x, dtype):
+    x = np.repeat(x, 6).reshape(3, 2)
+    for build in (gram, ObservationSet):
+        with pytest.raises(ValueError, match=f"x must be real, got dtype {dtype}"):
+            build(x)
+
+
+def test_python_bools_and_strings_are_no_weights_or_observations():
+    with pytest.raises(ValueError, match="ws must be real, got dtype bool"):
+        WeightedGraph(3, {(0, 1): True})
+    with pytest.raises(ValueError, match="ws must be real, got dtype <U3"):
+        WeightedGraph.from_arrays(3, [0], [1], ["2.5"])
+    with pytest.raises(ValueError, match="x must be real, got dtype <U1"):
+        ObservationSet([["1", "2"], ["3", "4"]])
+
+
 def test_gram_rejects_complex_observations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

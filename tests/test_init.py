@@ -187,6 +187,18 @@ def test_start_rejects_complex_similarity(start):
 
 @pytest.mark.parametrize("start", [max_similarity_tree,
                                    lambda y: init_sparse_graph(y, None)])
+@pytest.mark.parametrize("dtype", [bool, str, object])
+def test_start_rejects_similarity_of_no_real_dtype(start, dtype):
+    # a float cast would rank parsed strings, or bools as 0 and 1
+    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y = (y > 0) if dtype is bool else y.astype(dtype)
+    with pytest.raises(ValueError, match=f"similarity matrix must be real, got dtype "
+                                         f"{y.dtype}"):
+        start(y)
+
+
+@pytest.mark.parametrize("start", [max_similarity_tree,
+                                   lambda y: init_sparse_graph(y, None)])
 def test_start_rejects_asymmetric_similarity(start):
     # only the upper triangle is ranked, so y[0, 3] alone would pick (0, 3)
     y = np.eye(4)

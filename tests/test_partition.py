@@ -17,6 +17,7 @@ from fsgl.graph import (
     build_laplacian,
     complete_graph,
     component_labels,
+    is_connected,
     weaken_edge,
 )
 from fsgl.objective import EdgeScores
@@ -33,7 +34,7 @@ from fsgl.init_graph import init_sparse_graph
 from fsgl.spectral import smallest_eigenpairs
 
 
-Sweep = namedtuple("Sweep", "depth n t cut order m_arr n_arr")
+Sweep = namedtuple("Sweep", "depth n inside m_arr n_arr")
 
 
 def random_connected_unit_graph(rng, n, density=0.35):
@@ -154,6 +155,82 @@ def test_sweep_cut_takes_a_connected_graph_however_small_its_l2():
         approx_cheeger_cut(g, state)
 
 
+def brute_sweep(n, m_arr, n_arr, v2):
+    """The sweep as the pair (order, t): v2's stable sort order and the
+    first prefix length t in [1, n) with the fewest crossing edges per
+    node of its smaller side, each prefix's crossings counted on its own."""
+    order = v2.argsort(kind="stable")
+    inside, best = np.zeros(n, dtype=bool), None
+    for t in range(1, n):
+        inside[order[t - 1]] = True  # the first t nodes of the order
+        ratio = np.count_nonzero(inside[m_arr] != inside[n_arr]) / min(t, n - t)
+        if best is None or ratio < best[0]:
+            best = (ratio, t)
+    return order, best[1]
+
+
+def seeded_graphs(size, seed0=0):
+    """`size` unit-weight graphs on 4 to 59 nodes, by seed, in turn:
+    connected, two connected components side by side, and sparse with
+    the last quarter of the nodes left without an edge."""
+    for seed in range(seed0, seed0 + size):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 60))
+        if seed % 3 == 0:
+            ms, ns = connected_pairs(n, rng.uniform(0.05, 0.5), rng)
+        elif seed % 3 == 1:
+            a = int(rng.integers(2, n - 1))
+            ms, ns = connected_pairs(a, 0.3, rng)
+            ms2, ns2 = connected_pairs(n - a, 0.3, rng)
+            ms, ns = np.concatenate([ms, ms2 + a]), np.concatenate([ns, ns2 + a])
+        else:
+            iu, ju = np.triu_indices(n - n // 4, k=1)
+            keep = rng.random(iu.shape[0]) < rng.uniform(0.1, 0.4)
+            ms, ns = iu[keep], ju[keep]
+        yield WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0]))
+
+
+def test_sweep_side_is_the_best_prefix_counted_by_brute_force():
+    # Fiedler vectors of connected graphs, two components and isolated
+    # nodes, and vectors with many ties, where the stable order decides
+    import fsgl.partition as partition
+
+    larger = 0
+    for i, g in enumerate(seeded_graphs(60)):
+        m_arr, n_arr, _ = g.edge_arrays()
+        v2 = smallest_eigenpairs(build_laplacian(g), 2).fiedler_vector
+        ties = np.random.default_rng(i).integers(0, 4, g.n).astype(float)
+        for v in (v2, ties):
+            order, t = brute_sweep(g.n, m_arr, n_arr, v)
+            inside = partition._sweep_side(g.n, m_arr, n_arr, v)
+            assert inside.dtype == bool
+            np.testing.assert_array_equal(inside, np.isin(np.arange(g.n), order[:t]))
+            larger += t > g.n - t
+    assert larger > 0  # the best prefix is the larger side too
+
+
+def test_sweep_cut_is_the_smaller_side_of_the_best_prefix():
+    # the side with at most half the nodes, the prefix itself at a tie,
+    # as the prefix's node set rebuilt from the sweep order by argsort
+    larger = 0
+    for g in seeded_graphs(300):
+        if not is_connected(g):
+            continue
+        m_arr, n_arr, _ = g.edge_arrays()
+        state = smallest_eigenpairs(build_laplacian(g), 3)
+        order, t = brute_sweep(g.n, m_arr, n_arr, state.fiedler_vector)
+        inside = order.argsort() < t
+        side = inside if t <= g.n - t else ~inside
+        crossing = side[m_arr] != side[n_arr]
+        cut = approx_cheeger_cut(g, state)
+        assert len(cut.s) <= g.n // 2
+        assert cut.s == tuple(np.flatnonzero(side).tolist())
+        assert cut.cut_edges == tuple(zip(m_arr[crossing].tolist(), n_arr[crossing].tolist()))
+        assert cut.ratio == crossing.sum() / side.sum()
+        larger += t > g.n - t
+    assert larger > 0
+
+
 def plan_blocks(block):
     """The rows of each block of a cut plan, by block id. Checks that no
     row keeps the -1 sentinel and that a fresh plan uses every id."""
@@ -202,7 +279,7 @@ def test_partition_select_empty_graph():
 
 
 def record_sweeps(monkeypatch, v_min):
-    """Patch partition._sweep_prefix to log a Sweep at every split of a
+    """Patch partition._sweep_side to log a Sweep at every split of a
     cut_plan(g, v_min) call.
 
     depth is how many splits lie above the sub-graph being split, worked
@@ -213,48 +290,42 @@ def record_sweeps(monkeypatch, v_min):
     """
     import fsgl.partition as partition
 
-    real = partition._sweep_prefix
+    real = partition._sweep_side
     sweeps, pending = [], []  # pending: (depth, local m, local n) of sides to sweep
 
     def recording(n, m_arr, n_arr, v2):
-        order, t, cut = real(n, m_arr, n_arr, v2)
+        inside = real(n, m_arr, n_arr, v2)
         depth = 0
         if pending:
             depth, lm, ln = pending.pop()
             assert np.array_equal(lm, m_arr) and np.array_equal(ln, n_arr)
-        sweeps.append(Sweep(depth, n, t, cut, order, m_arr, n_arr))
-        in_s = np.zeros(n, dtype=bool)
-        in_s[order[:t]] = True
-        m_in, n_in = in_s[m_arr], in_s[n_arr]
+        sweeps.append(Sweep(depth, n, inside, m_arr, n_arr))
+        m_in, n_in = inside[m_arr], inside[n_arr]
         for side in (~(m_in | n_in), m_in & n_in):  # the inside side pops first
             touched = np.zeros(n, dtype=bool)
             touched[m_arr[side]] = touched[n_arr[side]] = True
             if touched.sum() > v_min:
                 local = touched.cumsum() - 1
                 pending.append((depth + 1, local[m_arr[side]], local[n_arr[side]]))
-        return order, t, cut
+        return inside
 
-    monkeypatch.setattr(partition, "_sweep_prefix", recording)
+    monkeypatch.setattr(partition, "_sweep_side", recording)
     return sweeps
 
 
 def test_partition_audit_rows_partition_exactly(monkeypatch):
-    # every split sends each candidate edge to exactly one side or the cut
+    # every split is a node mask with nodes on both sides, taken of a
+    # sub-graph that has edges and touches more than v_min nodes
     obs = solve_instance(1, 20)
     g = init_sparse_graph(obs.gram, 40)
     sweeps = record_sweeps(monkeypatch, 4)
     cut_plan(g, 4)
     assert sweeps, "recursion should split at least once"
     for sw in sweeps:
-        assert 1 <= sw.t < sw.n
+        assert sw.inside.dtype == bool and sw.inside.shape == (sw.n,)
+        assert 1 <= np.count_nonzero(sw.inside) < sw.n
         assert sw.n > 4
-        in_s = np.zeros(sw.n, dtype=bool)
-        in_s[sw.order[:sw.t]] = True
-        m_in, n_in = in_s[sw.m_arr], in_s[sw.n_arr]
-        rows = sw.m_arr.shape[0]
-        r1, r2 = int((m_in & n_in).sum()), int((~(m_in | n_in)).sum())
-        assert r1 + r2 + sw.cut == rows
-        assert rows > 0
+        assert sw.m_arr.shape[0] > 0
     assert sweeps[0].depth == 0 and sweeps[0].n == 20
 
 
@@ -285,8 +356,9 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
     sweeps = record_sweeps(monkeypatch, 4)
     block = cut_plan(g, 4)
     first = sweeps[0]
-    assert (first.n, first.t, first.cut) == (10, 5, 0)
-    assert sorted(first.order[:first.t].tolist()) in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
+    assert first.n == 10
+    assert not (first.inside[first.m_arr] != first.inside[first.n_arr]).any()
+    assert np.flatnonzero(first.inside).tolist() in ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
     assert block.shape == (g.edge_count,)
     plan_blocks(block)
 
@@ -495,13 +567,13 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(iu.shape[0]) < rng.uniform(0.05, 0.3)
         graphs.append(WeightedGraph.from_arrays(n, iu[keep], ju[keep], np.ones(keep.sum())))
-    real_sweep, apart = partition._sweep_prefix, []
+    real_sweep, apart = partition._sweep_side, []
 
     def sweep(k, lm, ln, v2):  # every swept node has an edge
         apart.append(bool(component_labels(k, lm, ln).any()))
         return real_sweep(k, lm, ln, v2)
 
-    monkeypatch.setattr(partition, "_sweep_prefix", sweep)
+    monkeypatch.setattr(partition, "_sweep_side", sweep)
     real_syevr = fsgl.spectral._SYEVR
     failures = []
 
@@ -550,9 +622,8 @@ def hand_built_fiedler(k, lm, ln):
 def recursive_plan(g, v_min):
     """cut_plan as the recursion it was: each sub-graph's blocks labelled
     in pre-order, the inside side split before the outside one, each
-    split's Fiedler vector from `hand_built_fiedler`."""
-    import fsgl.partition as partition
-
+    split's Fiedler vector from `hand_built_fiedler` and its inside
+    nodes scattered from `brute_sweep`'s order and prefix length."""
     m_arr, n_arr, _ = g.edge_arrays()
     block = np.full(m_arr.shape[0], -1, dtype=np.intp)
     blocks = []
@@ -568,7 +639,7 @@ def recursive_plan(g, v_min):
             blocks.append(rows)
             return
         lm, ln = local[lm], local[ln]
-        order, t, _ = partition._sweep_prefix(k, lm, ln, hand_built_fiedler(k, lm, ln))
+        order, t = brute_sweep(k, lm, ln, hand_built_fiedler(k, lm, ln))
         in_s = np.zeros(k, dtype=bool)
         in_s[order[:t]] = True
         m_in, n_in = in_s[lm], in_s[ln]
@@ -604,7 +675,7 @@ def test_cut_plan_splits_by_the_hand_built_laplacians_fiedler_vectors(monkeypatc
             keep = rng.random(iu.shape[0]) < rng.uniform(0.08, 0.3)
             ms, ns = iu[keep], ju[keep]
         graphs.append(WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0])))
-    real_sweep, splits = partition._sweep_prefix, []
+    real_sweep, splits = partition._sweep_side, []
 
     def bits(a):
         return a.view(np.int64).tolist()
@@ -613,7 +684,7 @@ def test_cut_plan_splits_by_the_hand_built_laplacians_fiedler_vectors(monkeypatc
         splits.append(bits(v2) == bits(hand_built_fiedler(k, lm, ln)))
         return real_sweep(k, lm, ln, v2)
 
-    monkeypatch.setattr(partition, "_sweep_prefix", sweep)
+    monkeypatch.setattr(partition, "_sweep_side", sweep)
     kinds = set()
     for g in graphs:
         m_arr, n_arr, _ = g.edge_arrays()
@@ -623,7 +694,7 @@ def test_cut_plan_splits_by_the_hand_built_laplacians_fiedler_vectors(monkeypatc
         for v_min in range(2, 9):
             got = cut_plan(g, v_min)
             with monkeypatch.context() as mp:
-                mp.setattr(partition, "_sweep_prefix", real_sweep)
+                mp.setattr(partition, "_sweep_side", real_sweep)
                 want = recursive_plan(g, v_min)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -640,6 +711,19 @@ def test_cut_plan_lays_blocks_out_in_recursive_pre_order():
                 got, want = cut_plan(g, v_min), recursive_plan(g, v_min)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+
+def test_cut_plan_is_the_recursion_on_300_seeded_graphs():
+    kinds = set()
+    for g in seeded_graphs(300, 1000):
+        m_arr, n_arr, _ = g.edge_arrays()
+        isolated = np.bincount(np.concatenate([m_arr, n_arr]), minlength=g.n) == 0
+        kinds.add((is_connected(g), bool(isolated.any())))
+        for v_min in (2, 4, 8):
+            got, want = cut_plan(g, v_min), recursive_plan(g, v_min)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    assert kinds == {(True, False), (False, False), (False, True)}
 
 
 def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
