@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import GENERATORS, check_instance, draw_instance, sample_count
 from .errors import FsglError, NonFiniteInput, ZeroReference
-from .graph import WeightedGraph, integer
+from .graph import WeightedGraph, integer, real
 from .init_graph import check_start, default_budget, initial_graph
 from .solver import SOLVERS, SolverConfig, run_solver
 
@@ -181,7 +181,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     if integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     configs = {sol: replace(cfg, solver_kind=sol) for sol in solvers}
-    ratios = [float(r) for r in ratios]
+    ratios = [real(r, "K/N ratio") for r in ratios]
     if not ratios:
         raise ValueError("ratios must hold at least one K/N ratio")
     ks = [sample_count(n, r) for r in ratios]

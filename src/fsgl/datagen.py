@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDof, TooLarge
 from .graph import (ObservationSet, WeightedGraph, build_laplacian, check_shift,
-                    component_labels, integer)
+                    component_labels, integer, real)
 from .spectral import smallest_eigenpairs
 
 GENERATORS = ("gmm", "mvt")
@@ -49,18 +49,20 @@ def _check_size(entries, what: str) -> None:
 
 
 def check_ground_truth(n: int, density: float, rho: float) -> None:
-    """TypeError unless n is an integer; ValueError unless gen_ground_truth
-    can use (n, density, rho); TooLarge when a draw's DRAW_ARRAYS (N, N)
-    arrays would pass MAX_ARRAY_BYTES. Whether rho is large enough for the
-    drawn graph is checked after the draw, by `graph.check_shift`."""
+    """TypeError unless n is an integer (`graph.integer`); ValueError unless
+    gen_ground_truth can use (n, density, rho): n >= 2, and finite reals
+    (`graph.real`) density in [0, 1] and rho > 0; TooLarge when a draw's
+    DRAW_ARRAYS (N, N) arrays would pass MAX_ARRAY_BYTES. Whether rho is
+    large enough for the drawn graph is checked after the draw, by
+    `graph.check_shift`."""
     integer(n, "node count")
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
     _check_size(DRAW_ARRAYS * n * n,
                 f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
-    if not 0.0 <= density <= 1.0:
+    if not 0.0 <= real(density, "density") <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    if not 0.0 < rho < math.inf:
+    if real(rho, "diagonal shift rho") <= 0.0:
         raise ValueError(f"diagonal shift rho must be finite and positive, got {rho}")
 
 
@@ -79,20 +81,21 @@ def check_samples(n: int, k: int, origin: str = "") -> None:
 
 def check_gmm(n_components: int, mean_scale: float) -> None:
     """TypeError unless n_components is an integer; ValueError unless
-    sample_gmm can use (n_components, mean_scale); TooLarge when its
-    component means would pass MAX_ARRAY_BYTES."""
+    sample_gmm can use (n_components, mean_scale): at least one component
+    and a finite real scale (`graph.real`); TooLarge when its component
+    means would pass MAX_ARRAY_BYTES."""
     integer(n_components, "mixture component count")
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
     _check_size(n_components, f"mixture component count {n_components} needs a "
                 f"1 x {n_components} float64 array")
-    if not -math.inf < mean_scale < math.inf:
-        raise ValueError(f"mean scale must be finite, got {mean_scale}")
+    real(mean_scale, "mean scale")
 
 
 def check_dof(nu: float) -> None:
-    """InvalidDof unless sample_mvt can use nu degrees of freedom."""
-    if not 2.0 < nu < math.inf:
+    """InvalidDof unless sample_mvt can use nu degrees of freedom: a finite
+    real (`graph.real`) above 2."""
+    if real(nu, "degrees of freedom", InvalidDof) <= 2.0:
         raise InvalidDof(f"degrees of freedom must be finite and exceed 2, got {nu}")
 
 
@@ -193,9 +196,10 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
 
 
 def sample_count(n: int, ratio: float) -> int | float:
-    """K = max(1, round(ratio * n)) of a finite, positive K/N ratio (else
-    ValueError), or inf, which the size checks refuse, when ratio * n overflows."""
-    if not 0.0 < ratio < math.inf:
+    """K = max(1, round(ratio * n)) of a K/N ratio that is a finite real
+    (`graph.real`) above 0, else ValueError; or inf, which the size checks
+    refuse, when ratio * n overflows."""
+    if real(ratio, "K/N ratio") <= 0.0:
         raise ValueError(f"K/N ratio must be finite and positive, got {ratio}")
     try:
         return max(1, round(ratio * n))
@@ -210,10 +214,10 @@ def check_instance(n: int, k: int, generators, entropy, density: float,
     anything is allocated: the seed entropy, the ground truth's (n, density,
     rho), the sample count k, then each generator's name and its own
     parameters (n_components and mean_scale for gmm, nu for mvt). Raises
-    TypeError (a count that is not an integer), ValueError, InvalidDof or
-    TooLarge; `origin` says where k came from."""
-    for s in np.atleast_1d(entropy):
-        if s < 0:
+    TypeError (a count or seed entry that is not an integer), ValueError,
+    InvalidDof or TooLarge; `origin` says where k came from."""
+    for s in np.array(entropy, dtype=object).ravel():
+        if integer(s, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {s}")
     check_ground_truth(n, density, rho)
     check_samples(n, k, origin)

@@ -10,8 +10,9 @@ edge, keeping the edge set equal to the support of the adjacency matrix.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import operator
+import numbers
 from types import MappingProxyType
 
 import numpy as np
@@ -22,23 +23,56 @@ from .errors import DuplicateEdge, MissingEdge, NonFiniteInput
 WEIGHT_ZERO = 1e-12
 
 
-def integer(value, what: str) -> int:
-    """`value` as an int: any integer type but bool; else TypeError."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+def integer(value, what: str, error=TypeError) -> int:
+    """`value` as an int: a Python or NumPy integer, never a bool; else
+    `error` naming `what`. fsgl's one type test for a count."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a real number: a `numbers.Real` but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def real(value, what: str, error=ValueError) -> float:
+    """`value` as a float: a finite real number, never a bool; else `error`
+    naming `what`. An int too large for a float counts as not finite.
+    fsgl's one type test for a real parameter."""
+    with contextlib.suppress(OverflowError):  # float() of an int past float64
+        if _is_real(value) and math.isfinite(x := float(value)):
+            return x
+    raise error(f"{what} must be finite and not a bool, got {value!r}")
+
+
+def _first_of_each_type(values: list) -> list:
+    """The first element of each type in `values`, in order of first use,
+    so a check per type, not per element, finds the first stray one."""
+    types = list(map(type, values))
+    return [values[i] for i in sorted(map(types.index, set(types)))]
 
 
 def real_array(a, what: str) -> np.ndarray:
-    """`a` as a float64 array. A dtype other than integer or float (complex,
-    bool, str, object) raises ValueError naming `what` and the dtype."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be real, got dtype {a.dtype}")
-    return np.asarray(a, dtype=np.float64)
+    """`a` as a float64 array; else ValueError naming `what`. A dtype other
+    than integer or float (complex, bool, str, object) is refused with the
+    dtype. Input that is not an ndarray is judged by its elements too: a
+    bool among numbers is refused, and ints past int64, which NumPy keeps
+    as objects, are cast to float when every element is real (one past
+    float64 is refused)."""
+    arr = np.asarray(a)
+    if isinstance(a, np.ndarray) or arr.dtype.kind not in "iufO":
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{what} must be real, got dtype {arr.dtype}")
+        return np.asarray(arr, dtype=np.float64)
+    values = np.array(a, dtype=object).ravel().tolist()
+    for value in _first_of_each_type(values):
+        if not _is_real(value):
+            raise ValueError(f"{what} must be real, got {value!r}")
+    try:
+        return np.array(values, dtype=np.float64).reshape(arr.shape)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer past the float64 range") from None
 
 
 def _node_ids(ids) -> np.ndarray:
@@ -50,13 +84,12 @@ def _node_ids(ids) -> np.ndarray:
     if a.dtype.kind == "i" or a.dtype.kind == "u" and a.max(initial=0) <= np.iinfo(np.intp).max:
         return np.asarray(a, dtype=np.intp)
     values = a.ravel().tolist()
-    types = list(map(type, values))
-    for i in sorted(map(types.index, set(types))):  # per type, not per edge
-        integer(values[i], "node id")
+    for value in _first_of_each_type(values):
+        integer(value, "node id")
     try:
         return np.array(values, dtype=np.intp).reshape(a.shape)
     except OverflowError:
-        return np.array(list(map(operator.index, values)), dtype=object).reshape(a.shape)
+        return np.array(list(map(int, values)), dtype=object).reshape(a.shape)
 
 
 def canonical_edge(m: int, n: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datagen
 from .errors import InvalidBudget, NonFiniteInput, TooLarge
-from .graph import ObservationSet, WeightedGraph, complete_graph, real_array
+from .graph import ObservationSet, WeightedGraph, complete_graph, integer, real_array
 from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
@@ -85,15 +85,17 @@ def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
 def default_budget(n: int, b: int | None) -> int:
     """Extra-edge budget beyond the tree: `b`, or 3N capped at the pairs left.
 
-    `b` must be None or an int in [0, n(n-1)/2 - (n-1)], else InvalidBudget.
+    `n` must be an integer, else TypeError; `b` must be None or an integer
+    in [0, n(n-1)/2 - (n-1)], else InvalidBudget.
     """
+    n = integer(n, "node count")
     available = n * (n - 1) // 2 - (n - 1)
     if b is None:
         return min(3 * n, available)
-    if type(b) is bool or not isinstance(b, (int, np.integer)) or not 0 <= b <= available:
+    if not 0 <= integer(b, "budget_b", InvalidBudget) <= available:
         raise InvalidBudget(f"budget_b must be at most {available} at n={n} (node "
                             f"pairs beyond the tree) and an int >= 0, got {b!r}")
-    return b
+    return int(b)
 
 
 def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:

@@ -18,7 +18,6 @@ third again: edges only go, so a disconnected set stays so.
 from __future__ import annotations
 
 import logging
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import partition as _partition
 from .errors import NonFiniteObjective
 from .graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian, check_shift,
-                    is_connected)
+                    integer, is_connected, real)
 from .objective import (edge_terms, fiedler_value, objective_and_fiedler, objective_value,
                         score_edges, selection)
 from .spectral import SpectralState, smallest_eigenpairs
@@ -41,7 +40,9 @@ SOLVERS = ("greedy", "recursive")
 class SolverConfig:
     """Step size, objective weights, and solver knobs.
 
-    budget_b defaults to 3N extra edges when left as None. The spectral
+    budget_b defaults to 3N extra edges when left as None; any budget,
+    0 included, gives the greedy solver the sparse start (tree plus
+    budget) instead of the complete graph. The spectral
     snapshot retains min(N, max(3, K)) eigenpairs for K observations.
     The recursive arm's leaf size is fixed at partition.LEAF_NODES: it
     shapes the cut plan but never the selected edge.
@@ -59,11 +60,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "gamma", "mu"):
-            value = getattr(self, name)
-            # a real number (no str, None, complex or list); NaN fails the compare
-            if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-                    or not -np.inf < value < np.inf):
-                raise ValueError(f"{name} must be finite and not a bool, got {value!r}")
+            real(getattr(self, name), name)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.alpha <= 0:
@@ -74,8 +71,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name == "budget_b":
                 continue
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < low):
+            if integer(value, name, ValueError) < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.exact_logdet, (bool, np.bool_)):
             raise ValueError(f"exact_logdet must be a bool, got {self.exact_logdet!r}")

@@ -33,6 +33,7 @@ import numpy as np
 import scipy
 
 from .errors import InsufficientEigenpairs, NonFiniteInput
+from .graph import integer
 
 logger = logging.getLogger("fsgl.spectral")
 
@@ -122,7 +123,8 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     routines read the lower triangle only, so the upper one is never
     checked: a non-finite entry on or below the diagonal raises
     NonFiniteInput at every k, and one above it changes no answer.
-    Anything but an ndarray raises TypeError; a matrix that is not square
+    Anything but an ndarray, or a k that is not an integer
+    (`graph.integer`), raises TypeError; a matrix that is not square
     and 2-D, or complex, raises ValueError (LAPACK would keep the real part).
     """
     if not isinstance(lap, np.ndarray):
@@ -132,7 +134,7 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     if lap.dtype.kind == "c":
         raise ValueError(f"lap must be real, got dtype {lap.dtype}")
     n = lap.shape[0]
-    if not (2 <= k <= n):
+    if not (2 <= integer(k, "k") <= n):
         raise ValueError(f"k={k} must lie in [2, {n}]")
 
     failed = None

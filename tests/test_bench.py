@@ -110,6 +110,14 @@ def test_default_budget():
             default_budget(8, bad)
 
 
+def test_default_budget_refuses_a_node_count_that_is_not_an_integer():
+    # 10.0 once gave the float budget 30.0
+    for bad in (10.0, True, "10"):
+        with pytest.raises(TypeError, match="node count must be an integer"):
+            default_budget(bad, None)
+    assert type(default_budget(np.int64(10), None)) is int
+
+
 def test_initial_graph_by_solver_kind():
     gt = gen_ground_truth(12, 0.3, seed=0)
     obs = sample_gmm(gt, 4, seed=1)
@@ -210,6 +218,7 @@ def test_run_benchmark_rejects_a_count_that_is_not_an_integer(kwargs, message):
     (8, (np.nan,), "ratio"),
     (8, (0.0,), "ratio"),
     (8, (0.2, -1.0), "ratio"),
+    (8, (True,), "K/N ratio must be finite and not a bool, got True"),
 ])
 def test_run_benchmark_rejects_bad_size_and_ratios(n, ratios, message):
     # a cell records its own ValueError, so one that escapes came before them
@@ -253,6 +262,10 @@ def test_run_benchmark_refuses_a_start_too_large_before_any_draw(monkeypatch):
     ("gmm", {"mean_scale": np.nan}, ValueError, "mean scale"),
     ("mvt", {"nu": 2.0}, InvalidDof, "degrees of freedom"),
     ("mvt", {"nu": np.nan}, InvalidDof, "degrees of freedom"),
+    ("gmm", {"density": True}, ValueError, "density must be finite and not a bool"),
+    ("gmm", {"rho": "0.5"}, ValueError, "rho must be finite and not a bool"),
+    ("gmm", {"mean_scale": False}, ValueError, "mean scale must be finite and not a bool"),
+    ("mvt", {"nu": True}, InvalidDof, "degrees of freedom must be finite and not a bool"),
 ])
 def test_run_benchmark_rejects_bad_generator_parameters(generator, kwargs, error,
                                                         message):

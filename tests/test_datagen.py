@@ -243,6 +243,15 @@ def test_connected_pairs_match_the_pair_list_draw(density):
     ("mvt", {"k": 2.5}, TypeError, "sample count must be an integer, got 2.5"),
     ("gmm", {"n_components": 2.5}, TypeError,
      "mixture component count must be an integer, got 2.5"),
+    ("gmm", {"density": True}, ValueError, "density must be finite and not a bool, got True"),
+    ("gmm", {"density": "0.2"}, ValueError, "density must be finite and not a bool, got '0.2'"),
+    ("gmm", {"rho": True}, ValueError, "diagonal shift rho must be finite and not a bool"),
+    ("gmm", {"rho": "0.5"}, ValueError, "diagonal shift rho must be finite and not a bool"),
+    ("gmm", {"mean_scale": True}, ValueError, "mean scale must be finite and not a bool"),
+    ("gmm", {"mean_scale": "1"}, ValueError, "mean scale must be finite and not a bool"),
+    ("mvt", {"nu": True}, InvalidDof, "degrees of freedom must be finite and not a bool"),
+    ("mvt", {"nu": "3"}, InvalidDof, "degrees of freedom must be finite and not a bool"),
+    ("gmm", {"entropy": [0, 1.5]}, TypeError, "seed must be an integer, got 1.5"),
 ])
 def test_draw_instance_checks_before_building_the_ground_truth(monkeypatch, generator,
                                                                kwargs, error, message):
@@ -309,3 +318,10 @@ def test_sample_count_at_one_fifth_is_the_integer_rule():
     # a product no float holds is an infinite count, which the size checks refuse
     assert sample_count(10**400, 0.2) == sample_count(10, 1e308) == np.inf
     assert sample_count(3, 0.01) == 1 and sample_count(30, 1.0) == 30
+
+
+def test_sample_count_refuses_a_ratio_that_is_no_finite_real():
+    # True once read as the ratio 1.0, and 10**400 compared below inf
+    for bad in (True, np.True_, "0.2", 10**400):
+        with pytest.raises(ValueError, match="K/N ratio must be finite and not a bool"):
+            sample_count(30, bad)

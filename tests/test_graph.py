@@ -517,6 +517,29 @@ def test_python_bools_and_strings_are_no_weights_or_observations():
         ObservationSet([["1", "2"], ["3", "4"]])
 
 
+def test_a_bool_among_numbers_is_no_weight_or_observation():
+    # NumPy casts [1, True] to int64 and [1.5, True] to float64: the dtype
+    # hides the bool, so each type among the elements is checked
+    with pytest.raises(ValueError, match="ws must be real, got True"):
+        WeightedGraph(3, {(0, 1): 1, (1, 2): True})
+    with pytest.raises(ValueError, match="ws must be real, got False"):
+        WeightedGraph.from_arrays(3, [0, 1], [1, 2], [1.5, False])
+    for build in (gram, ObservationSet):
+        with pytest.raises(ValueError, match="x must be real, got True"):
+            build([[1.0, True], [0.5, 2.0]])
+
+
+def test_ints_past_int64_are_cast_and_past_float64_refused():
+    # NumPy keeps an int past int64 as an object, which alone is no reason to refuse it
+    g = WeightedGraph(3, {(0, 1): 2**70, (1, 2): 1})
+    assert g.weight(0, 1) == 2.0**70 and g.weight(1, 2) == 1.0
+    assert ObservationSet([[2**70, 1], [2, 3]]).x.tolist() == [[2.0**70, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match="^ws holds an integer past the float64 range$"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 2): 10**400})
+    with pytest.raises(ValueError, match="^x holds an integer past the float64 range$"):
+        ObservationSet([[1, 10**400], [2, 3]])
+
+
 def test_gram_rejects_complex_observations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

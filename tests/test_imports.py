@@ -17,6 +17,8 @@ every spectrum in fsgl comes from one eigensolver, and spectral.py calls
 no np.linalg routine: both its LAPACK routines come from one extension.
 solver.py and objective.py read no np.linalg name at all. No module
 decides connectivity by comparing a Fiedler value with a threshold.
+Only graph.py tests whether a scalar is an int or a float, in
+`graph.integer` and `graph.real`, which every other check calls.
 """
 
 import ast
@@ -377,6 +379,37 @@ def test_only_graph_module_lays_out_a_laplacian_diagonal():
     found = {}
     for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
         lines = diagonal_writes(path.read_text())
+        if lines and path.name != "graph.py":
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+# The scalar types a hand-written number check names; graph.integer and
+# graph.real hold fsgl's only such checks.
+SCALAR_TYPES = {"numbers.Real", "numbers.Integral", "int", "float", "np.integer",
+                "np.floating", "numpy.integer", "numpy.floating"}
+
+
+def scalar_type_tests(source: str) -> list[int]:
+    """Lines of `source` with an `isinstance` call whose type argument names
+    a SCALAR_TYPES type, alone or in a tuple."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and call_name(node) == "isinstance"
+                   and len(node.args) == 2
+                   for sub in ast.walk(node.args[1]) if ast.unparse(sub) in SCALAR_TYPES})
+
+
+def test_only_graph_module_tests_whether_a_scalar_is_a_number():
+    # a count goes through graph.integer and a real parameter through
+    # graph.real, so no two checks can disagree on what a number is
+    assert scalar_type_tests(
+        "isinstance(x, bool)\nisinstance(v, numbers.Real)\nisinstance(k, (int, np.integer))\n"
+        "isinstance(a, np.ndarray)\nif isinstance(f, (bool, float)):\n    pass\n"
+        "type(b) is int\nisinstance(y, numpy.floating)\nisinstance(z, numbers.Integral)\n") == [
+        2, 3, 5, 8, 9]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = scalar_type_tests(path.read_text())
         if lines and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

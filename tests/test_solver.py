@@ -53,7 +53,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(solver_kind="random")
     for name in ("epsilon", "alpha", "gamma", "mu"):
-        for bad in (np.nan, np.inf, "0.1", None, 1 + 2j, [0.5]):
+        for bad in (np.nan, np.inf, "0.1", None, 1 + 2j, [0.5], 10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
     for name in ("budget_b", "refresh_interval", "max_iters"):

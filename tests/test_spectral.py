@@ -331,6 +331,17 @@ def test_non_finite_entry_gets_one_answer_at_every_k(caplog):
     assert full.eigvals.tobytes() == np.linalg.eigh(base)[0].tobytes()
 
 
+def test_a_k_that_is_not_an_integer_is_refused_before_lapack(caplog):
+    # 2.5 once reached dsyevr, logged a false failure and broke a slice
+    lap = build_laplacian(complete_graph(5))
+    with caplog.at_level("WARNING", logger="fsgl"):
+        for bad in (2.5, 3.0, True, np.float64(2.0), "2"):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                smallest_eigenpairs(lap, bad)
+    assert caplog.records == []
+    assert smallest_eigenpairs(lap, np.int64(2)).eigvals.shape == (2,)
+
+
 def test_dsyevr_finding_too_few_eigenvalues_falls_back(monkeypatch):
     # m < k with info = 0 is a failure like any other: the full routine answers
     real_syevr = fsgl.spectral._SYEVR
