@@ -67,16 +67,17 @@ def check_ground_truth(n: int, density: float, rho: float) -> None:
 
 
 def check_samples(n: int, k: int, origin: str = "") -> None:
-    """ValueError unless k >= 1; TooLarge when a draw's SAMPLE_ARRAYS
-    (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would pass
-    MAX_ARRAY_BYTES; then TypeError unless k is an integer, so that
-    `sample_count`'s inf is TooLarge. `origin` says where k came from."""
+    """TypeError unless k is an integer or `sample_count`'s inf, which is
+    TooLarge below; ValueError unless k >= 1; TooLarge when a draw's
+    SAMPLE_ARRAYS (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would
+    pass MAX_ARRAY_BYTES. `origin` says where k came from."""
+    if k != math.inf:
+        integer(k, "sample count")
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     _check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
                 f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
                 f"{n} x {k} float64 arrays on top of the ground truth's")
-    integer(k, "sample count")
 
 
 def check_gmm(n_components: int, mean_scale: float) -> None:

@@ -23,6 +23,13 @@ from .errors import DuplicateEdge, MissingEdge, NonFiniteInput
 WEIGHT_ZERO = 1e-12
 
 
+def step_deletes(w, eps):
+    """Whether a step of `eps` removes an edge of weight `w` (a float or an
+    array of them): w - eps is not above WEIGHT_ZERO. The one deletion rule,
+    which `WeightedGraph._step` applies and the score's l0 gain reads."""
+    return w - eps <= WEIGHT_ZERO
+
+
 def integer(value, what: str, error=TypeError) -> int:
     """`value` as an int: a Python or NumPy integer, never a bool; else
     `error` naming `what`. fsgl's one type test for a count."""
@@ -194,8 +201,8 @@ class WeightedGraph:
         return i if i < hi and self._ns[i] == n else -1
 
     def _step(self, i: int, eps: float) -> float:
-        """Edge row i's weight after one step: w - eps, or 0.0 at or below
-        WEIGHT_ZERO. The one weakening rule: eps must be positive, and a
+        """Edge row i's weight after one step: w - eps, or 0.0 where
+        `step_deletes`. The one weakening rule: eps must be positive, and a
         step too small to change w in floating point raises ValueError."""
         if not eps > 0:  # NaN included
             raise ValueError("eps must be positive")
@@ -203,7 +210,7 @@ class WeightedGraph:
         if w - eps == w:
             edge = (int(self._ms[i]), int(self._ns[i]))
             raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {edge} unchanged")
-        return w - eps if w - eps > WEIGHT_ZERO else 0.0
+        return 0.0 if step_deletes(w, eps) else w - eps
 
     @property
     def edges(self) -> MappingProxyType:
@@ -331,8 +338,8 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
 
     Equivalent to subtracting min(eps, w) * E^{m,n} from the Laplacian,
     where E^{m,n} = (e_m - e_n)(e_m - e_n)^T. The edge entry is deleted
-    once the clamped weight falls to numerical zero. A step too small to
-    change the weight in floating point raises ValueError.
+    where `step_deletes`: once the clamped weight falls to numerical zero.
+    A step too small to change the weight in floating point raises ValueError.
     """
     key = canonical_edge(*edge)
     i = g._index(*key)

@@ -4,7 +4,8 @@ A weakening step on edge (m, n) changes the objective through four
 channels: the smoothness trace (exact, linear in the step), the log
 determinant (bounded via a rank-1 determinant identity with a majorized
 quadratic form), the Fiedler value (bounded by an eigenvalue perturbation
-argument), and the off-diagonal l0 sparsity term. `score_edges` combines
+argument), and the off-diagonal l0 sparsity term, which pays mu on the
+step that `graph.step_deletes` says removes the edge. `score_edges` combines
 them into the greedy score for a batch of edges, the only place the score
 is computed (`edge_terms`: its part fixed by the edge set);
 `selection` turns a batch's winning row into both selectors' result,
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, build_laplacian, check_shift, component_labels
+from .graph import (WeightedGraph, build_laplacian, check_shift, component_labels,
+                    step_deletes)
 from .spectral import SpectralState, smallest_eigenpairs
 
 SQRT2 = math.sqrt(2.0)
@@ -94,8 +96,9 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     -log(eta) does not underestimate the log-det penalty. rho bounds the
     Fiedler value's drop: sqrt(2) eps |v2_m - v2_n| when the eigen-gap
     exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
-    gain is mu when the step removes the edge (w < eps), else 0. A
-    negative grad therefore certifies descent.
+    gain is mu on the step that removes the edge, by the rule
+    `graph.step_deletes` that `weaken_edge` applies, else 0. A negative
+    grad therefore certifies descent.
 
     A step too large for an edge (eta <= 0, or NaN) is not an error: that
     edge gets grad = +inf, is added to `trace.ineligible` when a trace is
@@ -145,7 +148,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
             trace.ineligible += int(np.count_nonzero(~eligible))
     np.subtract(ez, grad, out=grad)
     grad += cfg.gamma * rho
-    gain = (w_arr < eps) * float(cfg.mu)
+    gain = step_deletes(w_arr, eps) * float(cfg.mu)
     grad -= gain
     return EdgeScores(z, eta, rho, gain, grad)
 

@@ -1,5 +1,6 @@
 """Ground-truth graphs and the two non-Gaussian observation samplers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,19 @@ def test_draw_instance_checks_before_building_the_ground_truth(monkeypatch, gene
             "mean_scale": 1.0, **kwargs}
     with pytest.raises(error, match=message):
         draw_instance(**args)
+
+
+@pytest.mark.parametrize("k", ["3", None, -np.inf])
+def test_a_sample_count_that_is_no_integer_is_named(k):
+    # typed before it is compared: a string or None never reaches `k < 1`,
+    # and only sample_count's +inf goes on to the size check
+    message = re.escape(f"sample count must be an integer, got {k!r}")
+    with pytest.raises(TypeError, match=message):
+        draw_instance(5, k, "gmm", [0], 0.2, 0.5, 3.0, 3, 1.0)
+    gt = gen_ground_truth(5, 0.2, seed=0)
+    for sample in (sample_gmm, sample_mvt):
+        with pytest.raises(TypeError, match=message):
+            sample(gt, k)
 
 
 def test_singular_precision_names_rho():

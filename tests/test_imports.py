@@ -18,7 +18,9 @@ no np.linalg routine: both its LAPACK routines come from one extension.
 solver.py and objective.py read no np.linalg name at all. No module
 decides connectivity by comparing a Fiedler value with a threshold.
 Only graph.py tests whether a scalar is an int or a float, in
-`graph.integer` and `graph.real`, which every other check calls.
+`graph.integer` and `graph.real`, which every other check calls. Only
+graph.py decides when a step deletes an edge (`graph.step_deletes`): no
+other module reads WEIGHT_ZERO or compares an edge weight with the step.
 """
 
 import ast
@@ -177,8 +179,55 @@ def test_solver_leaves_the_weakening_rule_to_the_graph():
     tree = ast.parse((ROOT / "src" / "fsgl" / "solver.py").read_text())
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "WEIGHT_ZERO" not in names
     assert [name for name in names if "weaken" in name.lower()] == []
+
+
+def _is_weight(node) -> bool:
+    """Whether `node` names an edge weight: `w`, `ws`, `weight(s)`, a name
+    that starts `w_`, or a `.weight`, `.weights` or `._ws` attribute."""
+    if isinstance(node, ast.Name):
+        return node.id in ("w", "ws", "weight", "weights") or node.id.startswith("w_")
+    return isinstance(node, ast.Attribute) and node.attr in ("weight", "weights", "_ws")
+
+
+def _is_step(node) -> bool:
+    """Whether `node` names a step size: `eps`, `epsilon` or `.epsilon`."""
+    return (isinstance(node, ast.Name) and node.id in ("eps", "epsilon")
+            or isinstance(node, ast.Attribute) and node.attr == "epsilon")
+
+
+def deletion_rules(source: str) -> list[int]:
+    """Lines of `source` that name WEIGHT_ZERO (read or imported), or hold a
+    comparison that names both an edge weight and a step size."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == "WEIGHT_ZERO"
+                or isinstance(node, ast.Attribute) and node.attr == "WEIGHT_ZERO"
+                or isinstance(node, ast.alias) and node.name == "WEIGHT_ZERO"):
+            lines.add(node.lineno)
+        if isinstance(node, ast.Compare):
+            subs = list(ast.walk(node))
+            if any(map(_is_weight, subs)) and any(map(_is_step, subs)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_graph_module_decides_when_a_step_deletes():
+    # `graph.step_deletes` is the one deletion rule: the step applies it and
+    # the score's l0 gain reads it, so no other module compares a weight
+    # with the step or reads the weight floor
+    assert deletion_rules(
+        "gain = (w_arr < eps) * mu\nif w - cfg.epsilon <= 1e-12:\n    pass\n"
+        "from .graph import WEIGHT_ZERO as Z\nok = gap > 2.0 * eps\n"
+        "x = graph.WEIGHT_ZERO\nkeep = eps >= g.weight(m, n)\n"
+        "d = step_deletes(w_arr, eps)\nif ws.min() > 0:\n    pass\n"
+        "y = self.epsilon <= 0\n") == [1, 2, 4, 6, 7]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = deletion_rules(path.read_text())
+        if lines and path.name != "graph.py":
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
 
 
 # What computes eigenvalues or determinants; only spectral.py may call them.

@@ -13,6 +13,7 @@ from fsgl.graph import (
     build_laplacian,
     complete_graph,
     gram,
+    step_deletes,
     weaken_edge,
 )
 from fsgl.objective import (
@@ -191,8 +192,42 @@ def test_sparsity_delta_boundary():
         return score_one(state, y, 0, 1, cfg, w).gain[0]
 
     assert gain(0.5) == 0.0
-    assert gain(eps) == 0.0       # w == eps keeps the edge
-    assert gain(0.5 * eps) == mu  # strict w < eps removes it
+    assert gain(eps + 1e-11) == 0.0  # w - eps above WEIGHT_ZERO keeps the edge
+    assert gain(eps + 1e-13) == mu   # w - eps within WEIGHT_ZERO removes it
+    assert gain(eps) == mu           # w == eps removes it
+    assert gain(0.5 * eps) == mu
+
+
+def weights_stepped_from_one(eps):
+    """Each weight an edge of weight 1.0 holds before a step of `eps`, as
+    `weaken_edge` computes them, until the step that deletes it."""
+    g, ws = WeightedGraph(2, {(0, 1): 1.0}), []
+    while g.edge_count:
+        ws.append(g.weight(0, 1))
+        g = weaken_edge(g, (0, 1), eps)
+    return ws
+
+
+def test_gain_is_paid_exactly_on_the_steps_that_delete():
+    # every eps = i / 1000: the weights met from 1.0, w = eps, and two just
+    # above it, one within WEIGHT_ZERO and one not. gain > 0 on exactly the
+    # rows weaken_edge empties, including the last steps from 1.0 that
+    # start at or above eps (eps = 0.1, 0.125, 0.2, 0.25 and 0.5)
+    cfg = SolverConfig(mu=0.2)
+    state = smallest_eigenpairs(build_laplacian(complete_graph(2)), 2)
+    y = np.eye(2)
+    at_or_above = set()
+    for i in range(1, 1000):
+        eps = i / 1000
+        w_arr = np.array([*weights_stepped_from_one(eps), eps, eps + 1e-13, eps + 1e-11])
+        deletes = np.array([weaken_edge(WeightedGraph(2, {(0, 1): w}), (0, 1), eps)
+                            .edge_count == 0 for w in w_arr.tolist()])
+        m_arr, n_arr = np.zeros(w_arr.shape, dtype=np.intp), np.ones(w_arr.shape, dtype=np.intp)
+        got = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps))
+        assert np.array_equal(got.gain > 0.0, deletes), eps
+        if (deletes[:-3] & (w_arr[:-3] >= eps)).any():
+            at_or_above.add(eps)
+    assert at_or_above == {0.1, 0.125, 0.2, 0.25, 0.5}
 
 
 def test_score_edges_batch_invariant():
@@ -233,7 +268,7 @@ def _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg):
         rho = 2.0 * eps * np.abs(state.eigvecs[m_arr, 1] - state.eigvecs[n_arr, 1])
     else:
         rho = np.full(m_arr.shape, 2.0 * eps)
-    gain = np.where(w_arr < eps, cfg.mu, 0.0)
+    gain = np.where(step_deletes(w_arr, eps), cfg.mu, 0.0)
     grad = eps * z + pen + cfg.gamma * rho - gain
     return EdgeScores(z, eta, rho, gain, grad)
 

@@ -710,6 +710,19 @@ def criterion_8_cell(generator, trial):
     return initial_graph(obs, SolverConfig(solver_kind="recursive")), obs
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.125, 0.25])
+def test_mu_changes_the_solve_where_the_last_step_starts_at_eps(eps):
+    # from weight 1.0 these steps leave a last step that starts at w >= eps
+    # and still deletes the edge; the score pays mu on it as on any other
+    # deletion, so mu = 5 weakens other edges, or scores them otherwise,
+    # than mu = 0
+    g0, obs = criterion_8_cell("gmm", 0)
+    a, b = (run_solver(g0, obs, SolverConfig(epsilon=eps, mu=mu, solver_kind="recursive"))[1]
+            for mu in (0.0, 5.0))
+    assert (a.edges_mn.tobytes(), a.grad_h.tobytes()) != (b.edges_mn.tobytes(),
+                                                          b.grad_h.tobytes())
+
+
 @pytest.mark.parametrize("cell", [("gmm", 0), ("gmm", 2), ("gmm", 6), ("gmm", 8),
                                   ("mvt", 3), ("mvt", 8), ("small", 12)],
                          ids=lambda cell: f"{cell[0]}-{cell[1]}")
