@@ -19,11 +19,12 @@ from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
 # The sparse start ranks all N(N-1)/2 node pairs in 8 float64/intp
-# arrays. A solve on E edges holds 18 of length E: the graph's 3, its
-# Laplacian's 4, the scoring terms' 2, the scores and a deletion's copy;
-# plus the two (k, E) gathers score_edges makes for k eigenpairs.
+# arrays. A solve on E edges stays within 17 of length E (tracemalloc read
+# 13.7-15.1 from the complete graph at N = 80-200): the graph's and its
+# Laplacian's, the carried eps z (edge_terms), the scores and a deletion's
+# copy; plus the two (k, E) gathers score_edges makes for k eigenpairs.
 RANKING_ARRAYS = 8
-EDGE_ARRAYS = 18
+EDGE_ARRAYS = 17
 
 
 def _similarity(y) -> np.ndarray:

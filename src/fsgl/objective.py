@@ -7,7 +7,8 @@ quadratic form), the Fiedler value (bounded by an eigenvalue perturbation
 argument), and the off-diagonal l0 sparsity term, which pays mu on the
 step that `graph.step_deletes` says removes the edge. `score_edges` combines
 them into the greedy score for a batch of edges, the only place the score
-is computed (`edge_terms`: its part fixed by the edge set);
+is computed, and returns it with its two bounded terms (`EdgeScores`); the
+two exact ones are `edge_terms`, the part fixed by the edge set, and mu;
 `selection` turns a batch's winning row into both selectors' result,
 with the one descent rule; and `objective_and_fiedler` recomputes the
 exact objective for monitoring, and the Fiedler value it used by the one
@@ -36,20 +37,18 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class EdgeScores:
-    """Vectorized per-edge scoring over a batch of candidate edges."""
+    """A batch's scores `grad` and the two bounded terms in them, eta and rho."""
 
-    z: np.ndarray
     eta: np.ndarray
     rho: np.ndarray
-    gain: np.ndarray
     grad: np.ndarray
 
 
-def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float):
-    """(z, eps * z): the trace slopes of the edges and their step."""
+def edge_terms(y: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, eps: float) -> np.ndarray:
+    """eps z, z = 2 Y_mn - Y_mm - Y_nn: each edge's exact tr(LY) change per step."""
     diag = y.diagonal()
-    z = 2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr]
-    return z, eps * z
+    with np.errstate(over="ignore"):  # past the float range, eps z reads -inf quietly
+        return eps * (2.0 * y[m_arr, n_arr] - diag[m_arr] - diag[n_arr])
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -87,8 +86,8 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
                 trace=None) -> EdgeScores:
     """Score a batch of edges against one immutable spectral snapshot.
 
-    grad = eps z - log(eta) + gamma rho - gain for weakening each edge by
-    eps. z = 2 Y_mn - Y_mm - Y_nn is the exact trace slope. eta = 1 - eps q,
+    grad = eps z - log(eta) + gamma rho - mu for weakening each edge by
+    eps. eps z is the exact trace change (`edge_terms`). eta = 1 - eps q,
     with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n, alpha =
     cfg.alpha: exact from the state's resolvent when it carries one (under
     cfg.exact_logdet each solver snapshot attaches it, from the full
@@ -96,12 +95,13 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     -log(eta) does not underestimate the log-det penalty. rho bounds the
     Fiedler value's drop: sqrt(2) eps |v2_m - v2_n| when the eigen-gap
     exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
-    gain is mu on the step that removes the edge, by the rule
-    `graph.step_deletes` that `weaken_edge` applies, else 0. A negative
-    grad therefore certifies descent.
+    mu is subtracted, in place, on exactly the rows whose step removes the
+    edge by the rule `graph.step_deletes` that `weaken_edge` applies. A
+    negative grad therefore certifies descent.
 
     A step too large for an edge (eta <= 0, or NaN) is not an error: that
-    edge gets grad = +inf, is added to `trace.ineligible` when a trace is
+    edge gets grad = +inf exactly, whatever its other terms overflow to, and
+    no overflow warns; it is added to `trace.ineligible` when a trace is
     given, and the solve warns once. The quadratic form runs eigen-major,
     on (k, E) arrays gathered per eigenpair, and `_row_sums` adds each
     edge's k terms in the order a per-edge row sum would, so scores do not
@@ -109,7 +109,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
     """
     eps = cfg.epsilon
-    z, ez = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
+    ez = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
     # LAPACK returns eigenvectors Fortran-ordered, so the transpose is a
     # C-ordered view and each eigenpair's row gathers contiguously.
     vt = state.eigvecs.T
@@ -133,24 +133,32 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
         dv *= (1.0 / (state.eigvals + cfg.alpha) - 1.0 / cfg.alpha)[:, None]
         q = _row_sums(dv)
         q += 2.0 / cfg.alpha
-    q *= eps
-    eta = np.subtract(1.0, q, out=q)
-    # grad = eps z - log(eta) + gamma rho - gain; the log is -inf where
-    # eta <= 0, which makes the score +inf. The masked log is needed only
-    # then (or on NaN, or an empty batch), so only it counts ineligible
-    # edges; where it writes, its bits are the plain log's.
-    if eta.shape[0] and eta.min() > 0.0:
+    # grad = eps z - log(eta) + gamma rho - mu. Every eta = 1 - eps q is
+    # positive exactly when eps max(q) < 1, since a product rounds
+    # monotonically (a Python one overflows to inf without a warning).
+    if q.shape[0] and eps * float(q.max()) < 1.0:
+        q *= eps
+        eta = np.subtract(1.0, q, out=q)
         grad = np.log(eta)
+        np.subtract(ez, grad, out=grad)
+        grad += cfg.gamma * rho
     else:
-        eligible = eta > 0.0
-        grad = np.log(eta, out=np.full(eta.shape, -np.inf), where=eligible)
+        # A step too large for some edge (or a NaN, or an empty batch). A
+        # step that large can overflow eps q and gamma rho, and an infinite
+        # term meet -inf or 0, so the sum runs quietly and the ineligible rows
+        # get +inf last. Where the masked log writes, its bits are the plain log's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q *= eps
+            eta = np.subtract(1.0, q, out=q)
+            ineligible = ~(eta > 0.0)
+            grad = np.log(eta, out=np.zeros(eta.shape), where=~ineligible)
+            np.subtract(ez, grad, out=grad)
+            grad += cfg.gamma * rho
+        grad[ineligible] = np.inf
         if trace is not None:
-            trace.ineligible += int(np.count_nonzero(~eligible))
-    np.subtract(ez, grad, out=grad)
-    grad += cfg.gamma * rho
-    gain = step_deletes(w_arr, eps) * float(cfg.mu)
-    grad -= gain
-    return EdgeScores(z, eta, rho, gain, grad)
+            trace.ineligible += int(np.count_nonzero(ineligible))
+    np.subtract(grad, float(cfg.mu), out=grad, where=step_deletes(w_arr, eps))
+    return EdgeScores(eta, rho, grad)
 
 
 def selection(grad: np.ndarray, i: int, m_arr: np.ndarray,

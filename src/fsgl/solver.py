@@ -9,10 +9,10 @@ A solve holds one `graph.Laplacian`, which a weakening step updates in
 place at the selected row and from which each snapshot and both
 objectives are taken. Only a step that deletes an edge builds a new one,
 so a solve builds one per edge set; it returns the last one's graph.
-What the edge set fixes (the scoring terms, the recursive arm's cut plan
-and connectedness) is computed once for the start graph; a deletion drops
-its row from the first two (`np.delete`) and, while connected, checks the
-third again: edges only go, so a disconnected set stays so.
+What the edge set fixes (the score's term `edge_terms`, the recursive
+arm's cut plan and connectedness) is computed once for the start graph; a
+deletion drops its row from the first two (`np.delete`) and, while
+connected, checks the third again: edges only go, so a disconnected set stays so.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
         else:
             lap = weakened
             connected = connected and is_connected(lap.g)
-            terms = tuple(np.delete(term, row) for term in terms)
+            terms = np.delete(terms, row)
             if recursive:
                 plan = np.delete(plan, row)
             t = charge("rebuild", t)

@@ -248,7 +248,7 @@ def test_run_benchmark_refuses_a_start_too_large_before_any_draw(monkeypatch):
     monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 400_000)
     draws = []
     monkeypatch.setattr("fsgl.bench.draw_instance", lambda *a, **kw: draws.append(a))
-    with pytest.raises(TooLarge, match="complete start at node count 60 .* needs 594,720 bytes"):
+    with pytest.raises(TooLarge, match="complete start at node count 60 .* needs 580,560 bytes"):
         run_benchmark(SolverConfig(), [0.2], 2, n=60, generators=("gmm",),
                       solvers=("greedy",))
     assert draws == []

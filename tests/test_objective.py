@@ -8,6 +8,7 @@ import pytest
 
 import fsgl.spectral
 from eigencount import counted_eigensolves
+from fsgl.datagen import draw_instance
 from fsgl.graph import (
     WeightedGraph,
     build_laplacian,
@@ -25,7 +26,7 @@ from fsgl.objective import (
     score_edges,
     smoothness_trace,
 )
-from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step
+from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step, run_solver
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
 
@@ -46,26 +47,27 @@ def score_one(state, y, m, n, cfg, w=1.0):
     return score_edges(state, y, np.array([m]), np.array([n]), np.array([w]), cfg)
 
 
+def term_one(y, m, n, eps=1.0):
+    """edge_terms of the one edge (m, n): eps z, which is z at eps = 1."""
+    return edge_terms(y, np.array([m]), np.array([n]), eps)[0]
+
+
 def test_trace_delta_identity_observations():
     # Y = I gives Z = -2 for every pair; Y = all-ones gives Z = 0
     eye = np.eye(6)
     ones = np.ones((6, 6))
-    cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(complete_graph(6)), 3)
     for (m, n) in ((0, 1), (2, 5), (3, 4)):
-        assert score_one(state, eye, m, n, cfg).z[0] == pytest.approx(-2.0)
-        assert score_one(state, ones, m, n, cfg).z[0] == pytest.approx(0.0)
+        assert term_one(eye, m, n) == pytest.approx(-2.0)
+        assert term_one(ones, m, n) == pytest.approx(0.0)
 
 
 def test_trace_delta_nonpositive_for_gram():
-    cfg = SolverConfig()
-    state = smallest_eigenpairs(build_laplacian(complete_graph(8)), 3)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         y = gram(rng.standard_normal((8, int(rng.integers(1, 12)))))
         for _ in range(6):
             m, n = sorted(rng.choice(8, size=2, replace=False).tolist())
-            assert score_one(state, y, m, n, cfg).z[0] <= 1e-12
+            assert term_one(y, m, n) <= 1e-12
 
 
 def test_trace_delta_is_exact_smoothness_change():
@@ -78,9 +80,7 @@ def test_trace_delta_is_exact_smoothness_change():
         step = min(0.01, w)
         g2 = weaken_edge(g, (m, n), step)
         lhs = smoothness_trace(g2, y) - smoothness_trace(g, y)
-        state = smallest_eigenpairs(build_laplacian(g), 3)
-        z = score_one(state, y, m, n, SolverConfig(), w).z[0]
-        assert lhs == pytest.approx(step * z, abs=1e-10)
+        assert lhs == pytest.approx(term_one(y, m, n, step), abs=1e-10)
 
 
 def test_logdet_delta_majorizer_overestimates_true_drop():
@@ -183,19 +183,23 @@ def test_fiedler_delta_bounds_true_change():
 
 
 def test_sparsity_delta_boundary():
+    # the score at mu is the score at mu = 0, less exactly mu where the step deletes
     cfg = SolverConfig(epsilon=0.01, mu=0.2)
     eps, mu = cfg.epsilon, cfg.mu
     state = smallest_eigenpairs(build_laplacian(complete_graph(4)), 3)
     y = np.eye(4)
 
-    def gain(w):
-        return score_one(state, y, 0, 1, cfg, w).gain[0]
+    def pays(w):
+        free = score_one(state, y, 0, 1, replace(cfg, mu=0.0), w).grad[0]
+        score = score_one(state, y, 0, 1, cfg, w).grad[0]
+        assert score in (free, free - mu), w
+        return score != free
 
-    assert gain(0.5) == 0.0
-    assert gain(eps + 1e-11) == 0.0  # w - eps above WEIGHT_ZERO keeps the edge
-    assert gain(eps + 1e-13) == mu   # w - eps within WEIGHT_ZERO removes it
-    assert gain(eps) == mu           # w == eps removes it
-    assert gain(0.5 * eps) == mu
+    assert not pays(0.5)
+    assert not pays(eps + 1e-11)  # w - eps above WEIGHT_ZERO keeps the edge
+    assert pays(eps + 1e-13)      # w - eps within WEIGHT_ZERO removes it
+    assert pays(eps)              # w == eps removes it
+    assert pays(0.5 * eps)
 
 
 def weights_stepped_from_one(eps):
@@ -210,8 +214,9 @@ def weights_stepped_from_one(eps):
 
 def test_gain_is_paid_exactly_on_the_steps_that_delete():
     # every eps = i / 1000: the weights met from 1.0, w = eps, and two just
-    # above it, one within WEIGHT_ZERO and one not. gain > 0 on exactly the
-    # rows weaken_edge empties, including the last steps from 1.0 that
+    # above it, one within WEIGHT_ZERO and one not. The score at mu is the
+    # score at mu = 0 less mu on exactly the rows weaken_edge empties, and
+    # the same bits elsewhere, including the last steps from 1.0 that
     # start at or above eps (eps = 0.1, 0.125, 0.2, 0.25 and 0.5)
     cfg = SolverConfig(mu=0.2)
     state = smallest_eigenpairs(build_laplacian(complete_graph(2)), 2)
@@ -223,8 +228,10 @@ def test_gain_is_paid_exactly_on_the_steps_that_delete():
         deletes = np.array([weaken_edge(WeightedGraph(2, {(0, 1): w}), (0, 1), eps)
                             .edge_count == 0 for w in w_arr.tolist()])
         m_arr, n_arr = np.zeros(w_arr.shape, dtype=np.intp), np.ones(w_arr.shape, dtype=np.intp)
-        got = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps))
-        assert np.array_equal(got.gain > 0.0, deletes), eps
+        got = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps)).grad
+        free = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps, mu=0.0)).grad
+        assert np.array_equal(got != free, deletes), eps
+        assert got.tobytes() == np.where(deletes, free - cfg.mu, free).tobytes(), eps
         if (deletes[:-3] & (w_arr[:-3] >= eps)).any():
             at_or_above.add(eps)
     assert at_or_above == {0.1, 0.125, 0.2, 0.25, 0.5}
@@ -270,7 +277,7 @@ def _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg):
         rho = np.full(m_arr.shape, 2.0 * eps)
     gain = np.where(step_deletes(w_arr, eps), cfg.mu, 0.0)
     grad = eps * z + pen + cfg.gamma * rho - gain
-    return EdgeScores(z, eta, rho, gain, grad)
+    return EdgeScores(eta, rho, grad)
 
 
 def _assert_bitwise_equal_to_reference(g, y, states):
@@ -291,7 +298,7 @@ def _assert_bitwise_equal_to_reference(g, y, states):
             # the edge set's terms computed once give the same bits
             terms = edge_terms(y, m_arr, n_arr, eps)
             pre = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
-            for name in ("z", "eta", "rho", "gain", "grad"):
+            for name in ("eta", "rho", "grad"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
                 assert getattr(pre, name).tobytes() == getattr(ref, name).tobytes(), name
             ineligible.add(int(np.count_nonzero(~np.isfinite(got.grad))))
@@ -359,13 +366,13 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
     m_arr, n_arr, w_arr = g.edge_arrays()
     cfg = SolverConfig(exact_logdet=exact)
     empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
-    for name in ("z", "eta", "rho", "gain", "grad"):
+    for name in ("eta", "rho", "grad"):
         assert getattr(empty, name).shape == (0,), name
     assert greedy_step(WeightedGraph(10), y, state, cfg) is None
     full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
     for i in (0, m_arr.shape[0] - 1):
         one = score_edges(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
-        for name in ("z", "eta", "rho", "gain", "grad"):
+        for name in ("eta", "rho", "grad"):
             assert getattr(one, name).tobytes() == getattr(full, name)[i:i + 1].tobytes()
         ref = _score_edges_reference(state, y, m_arr[i:i + 1], n_arr[i:i + 1],
                                      w_arr[i:i + 1], cfg)
@@ -422,6 +429,27 @@ def test_ineligible_edges_take_the_masked_log_and_are_counted():
         ok = ~bad
         score_edges(state, y, m_arr[ok], n_arr[ok], w_arr[ok], cfg, None, trace)
         assert trace.ineligible == 3 + np.count_nonzero(bad)
+
+
+def test_huge_steps_score_inf_without_a_warning():
+    # eps q, eps z and gamma rho overflow, and gamma = 0 meets rho = inf:
+    # every ineligible row still scores exactly +inf, counted once, and
+    # neither the scoring nor a solve warns (pytest makes a warning an error)
+    for n, k, eps, gamma in ((12, 4, 1e308, 0.5), (8, 2, 1e200, 1e300), (3, 1, 1e308, 0.0)):
+        _, obs = draw_instance(n, k, "gmm", [0], 0.2, 0.5, 3.0, 3, 1.0)
+        g = complete_graph(n)
+        cfg = SolverConfig(epsilon=eps, gamma=gamma)
+        m_arr, n_arr, w_arr = g.edge_arrays()
+        state = compute_state(g, cfg, obs.k)
+        trace = SolveTrace()
+        for terms in (None, edge_terms(obs.gram, m_arr, n_arr, eps)):
+            scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace)
+            assert not (scores.eta > 0.0).any(), n
+            assert (scores.grad == np.inf).all(), n
+        assert trace.ineligible == 2 * m_arr.shape[0]
+        learned, solve = run_solver(g, obs, cfg)
+        assert solve.stop_reason == "no_descent" and len(solve) == 0
+        assert solve.ineligible == m_arr.shape[0] and learned.edge_count == g.edge_count
 
 
 def test_objective_value_matches_direct_formula():

@@ -20,7 +20,7 @@ from fsgl.graph import (
     is_connected,
     weaken_edge,
 )
-from fsgl.objective import EdgeScores
+from fsgl.objective import EdgeScores, edge_terms
 from fsgl.partition import (
     LEAF_NODES,
     approx_cheeger_cut,
@@ -416,15 +416,24 @@ def test_run_solver_builds_one_plan_per_solve(monkeypatch):
     assert calls == [] and terms == [g0.edge_count]
 
 
+def assert_terms_of(terms, y, g, cfg):
+    """`terms` is bitwise edge_terms of g's edges."""
+    m_arr, n_arr, _ = g.edge_arrays()
+    want = edge_terms(y, m_arr, n_arr, cfg.epsilon)
+    assert terms.shape == want.shape and terms.tobytes() == want.tobytes()
+
+
 def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch):
     # each step's plan is the start graph's labels of the edges left, matched
-    # by (m, n); a deletion that empties a block leaves its id unused
+    # by (m, n); a deletion that empties a block leaves its id unused. The
+    # terms carried with it are the edges' own, bit for bit
     import fsgl.partition as partition
 
     real = partition.partition_select
     seen = {"steps": 0, "emptied": 0, "last_emptied": 0}
 
     def checked(g, state, obs, cfg, plan, terms, trace):
+        assert_terms_of(terms, obs.gram, g, cfg)
         m_arr, n_arr, _ = g.edge_arrays()
         keep = np.isin(keys0, m_arr * g.n + n_arr)
         np.testing.assert_array_equal(keys0[keep], m_arr * g.n + n_arr)
@@ -445,6 +454,30 @@ def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch)
         keys0, plan0 = m0 * n + n0, cut_plan(g0, LEAF_NODES)
         g, trace = run_solver(g0, obs, SolverConfig(solver_kind="recursive", epsilon=0.05))
         assert g.edge_count == trace.edge_counts[-1] < g0.edge_count
+    assert all(seen.values()), seen
+
+
+def test_greedy_solve_carries_the_terms_of_surviving_edges(monkeypatch):
+    # the scan's twin of the check above: at each step of a greedy solve,
+    # sparse or complete start, the carried terms are edge_terms of the
+    # edges left, bit for bit, also after deletions
+    real = fsgl.solver.greedy_step
+    seen = {"steps": 0, "after_deletion": 0}
+
+    def checked(g, y, state, cfg, terms, trace):
+        assert_terms_of(terms, y, g, cfg)
+        seen["steps"] += 1
+        seen["after_deletion"] += g.edge_count < start
+        return real(g, y, state, cfg, terms, trace)
+
+    monkeypatch.setattr(fsgl.solver, "greedy_step", checked)
+    for seed, n, generator, complete in ((1, 12, "mvt", True), (2, 16, "gmm", False),
+                                         (3, 30, "gmm", False)):
+        obs = solve_instance(seed, n, generator)
+        g0 = complete_graph(n) if complete else init_sparse_graph(obs.gram, 3 * n)
+        start = g0.edge_count
+        g, trace = run_solver(g0, obs, SolverConfig(epsilon=0.25 if complete else 0.05))
+        assert g.edge_count == trace.edge_counts[-1] < start
     assert all(seen.values()), seen
 
 
@@ -506,8 +539,7 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 grad[rng.random(e) < rng.choice([0.0, 0.3, 0.9, 1.0])] = np.inf
                 grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = -np.inf
                 grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = np.nan
-                scores["now"] = EdgeScores(-grad, np.ones(e), np.zeros(e),
-                                           np.zeros(e), grad)
+                scores["now"] = EdgeScores(np.ones(e), np.zeros(e), grad)
                 got = partition_select(g, None, obs, cfg, plan)
                 want = _select_block_by_block(grad, m_arr, n_arr, blocks)
                 assert got == greedy_step(g, None, None, cfg)
@@ -539,7 +571,7 @@ def test_a_nan_score_makes_neither_selector_warn(monkeypatch):
     for nan_rows in ([e // 2], [0, e - 1], list(range(e))):
         grad = -np.arange(1.0, e + 1.0)
         grad[nan_rows] = np.nan
-        scores = EdgeScores(-grad, np.ones(e), np.zeros(e), np.zeros(e), grad)
+        scores = EdgeScores(np.ones(e), np.zeros(e), grad)
         monkeypatch.setattr(partition, "score_edges", lambda *args: scores)
         monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: scores)
         with warnings.catch_warnings():

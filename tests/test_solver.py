@@ -116,8 +116,7 @@ def test_greedy_step_tie_breaks_lexicographic(monkeypatch):
 
     def step(grads):
         k = len(grads)
-        fake = EdgeScores(np.zeros(k), np.ones(k), np.zeros(k),
-                          np.zeros(k), np.asarray(grads, dtype=np.float64))
+        fake = EdgeScores(np.ones(k), np.zeros(k), np.asarray(grads, dtype=np.float64))
         monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: fake)
         return greedy_step(g if k else WeightedGraph(3), None, None, SolverConfig())
 
@@ -385,7 +384,7 @@ def test_scores_take_alpha_from_the_config():
     m_arr, n_arr, w_arr = g.edge_arrays()
     got = score_edges(bare, obs.gram, m_arr, n_arr, w_arr, cfg)
     want = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
-    for name in ("z", "eta", "rho", "gain", "grad"):
+    for name in ("eta", "rho", "grad"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert greedy_step(g, obs.gram, bare, cfg) == greedy_step(g, obs.gram, state, cfg)
 
