@@ -41,9 +41,9 @@ class GroundTruth:
     rho: float
 
 
-def _check_size(entries, what: str) -> None:
+def check_size(entries, what: str) -> None:
     """TooLarge, saying what `what` needs, when `entries` float64 values
-    held at once pass MAX_ARRAY_BYTES."""
+    held at once pass MAX_ARRAY_BYTES, the one size ceiling in fsgl."""
     if 8 * entries > MAX_ARRAY_BYTES:
         raise TooLarge(f"{what}, above the {MAX_ARRAY_BYTES >> 30} GiB ceiling")
 
@@ -58,8 +58,8 @@ def check_ground_truth(n: int, density: float, rho: float) -> None:
     integer(n, "node count")
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
-    _check_size(DRAW_ARRAYS * n * n,
-                f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
+    check_size(DRAW_ARRAYS * n * n,
+               f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
     if not 0.0 <= real(density, "density") <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if real(rho, "diagonal shift rho") <= 0.0:
@@ -75,9 +75,9 @@ def check_samples(n: int, k: int, origin: str = "") -> None:
         integer(k, "sample count")
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
-    _check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
-                f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
-                f"{n} x {k} float64 arrays on top of the ground truth's")
+    check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
+               f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
+               f"{n} x {k} float64 arrays on top of the ground truth's")
 
 
 def check_gmm(n_components: int, mean_scale: float) -> None:
@@ -88,8 +88,8 @@ def check_gmm(n_components: int, mean_scale: float) -> None:
     integer(n_components, "mixture component count")
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
-    _check_size(n_components, f"mixture component count {n_components} needs a "
-                f"1 x {n_components} float64 array")
+    check_size(n_components, f"mixture component count {n_components} needs a "
+               f"1 x {n_components} float64 array")
     real(mean_scale, "mean scale")
 
 

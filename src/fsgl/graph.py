@@ -349,24 +349,8 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix Y = X X^T of an N x K observation matrix.
-
-    Raises NonFiniteInput when an entry of Y overflows (or X holds one),
-    since every score and the objective would then be NaN.
-    """
-    x = real_array(x, "x")
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("x must be an N x K matrix with K >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = x @ x.T
-        y = 0.5 * (y + y.T)
-    bad = np.argwhere(~np.isfinite(y))
-    if bad.shape[0]:
-        row, col = bad[0]
-        raise NonFiniteInput(
-            f"Gram matrix X X^T is non-finite at {bad.shape[0]} entries, first "
-            f"at ({row}, {col}): the observations are too large")
-    return y
+    """Gram matrix Y = X X^T of an N x K observation matrix: `ObservationSet.gram`."""
+    return ObservationSet(x).gram
 
 
 class ObservationSet:
@@ -383,7 +367,7 @@ class ObservationSet:
             row, col = bad[0]
             raise NonFiniteInput(
                 f"{bad.shape[0]} non-finite observation(s), first at row {row}, "
-                f"column {col}: {self.x[row, col]!r}")
+                f"column {col}: {float(self.x[row, col])!r}")
         self._gram = None
 
     @property
@@ -396,8 +380,18 @@ class ObservationSet:
 
     @property
     def gram(self) -> np.ndarray:
+        """Y = X X^T, computed once; NonFiniteInput if an entry overflows."""
         if self._gram is None:
-            self._gram = gram(self.x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = self.x @ self.x.T
+                y = 0.5 * (y + y.T)
+            bad = np.argwhere(~np.isfinite(y))
+            if bad.shape[0]:
+                row, col = bad[0]
+                raise NonFiniteInput(
+                    f"Gram matrix X X^T is non-finite at {bad.shape[0]} entries, first "
+                    f"at ({row}, {col}): the observations are too large")
+            self._gram = y
         return self._gram
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import datagen
-from .errors import InvalidBudget, NonFiniteInput, TooLarge
+from .errors import InvalidBudget, NonFiniteInput
 from .graph import ObservationSet, WeightedGraph, complete_graph, integer, real_array
 from .solver import SolverConfig, eigenpair_count
 
@@ -122,19 +122,18 @@ def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
     the complete graph for greedy without a budget, else the sparse init.
 
     InvalidBudget for a budget above the pairs left beyond the tree, and
-    TooLarge when building the start or solving from it would hold more
-    than datagen.MAX_ARRAY_BYTES in edge-length arrays (RANKING_ARRAYS,
+    TooLarge (`datagen.check_size`) when building the start or solving from
+    it would pass the ceiling in edge-length arrays (RANKING_ARRAYS,
     EDGE_ARRAYS); the need grows with k, so the largest k bounds a sweep.
     """
     sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
     pairs = n * (n - 1) // 2
     edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs
-    need = 8 * max(RANKING_ARRAYS * pairs if sparse else 0,
-                   (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges)
-    if need > datagen.MAX_ARRAY_BYTES:
-        raise TooLarge(f"the {'sparse' if sparse else 'complete'} start at node count "
-                       f"{n} ({edges} edges, {k} samples) needs {need:,} bytes of edge "
-                       f"arrays, above the {datagen.MAX_ARRAY_BYTES:,}-byte ceiling")
+    entries = max(RANKING_ARRAYS * pairs if sparse else 0,
+                  (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges)
+    datagen.check_size(entries, f"the {'sparse' if sparse else 'complete'} start at node "
+                       f"count {n} ({edges} edges, {k} samples) needs {8 * entries:,} "
+                       f"bytes of edge arrays")
     return sparse
 
 

@@ -9,8 +9,8 @@ step that `graph.step_deletes` says removes the edge. `score_edges` combines
 them into the greedy score for a batch of edges, the only place the score
 is computed, and returns it with its two bounded terms (`EdgeScores`); the
 two exact ones are `edge_terms`, the part fixed by the edge set, and mu;
-`selection` turns a batch's winning row into both selectors' result,
-with the one descent rule; and `objective_and_fiedler` recomputes the
+`selection` makes both selectors' pick from a batch's scores, with the
+one descent rule; and `objective_and_fiedler` recomputes the
 exact objective for monitoring, and the Fiedler value it used by the one
 rule for l2 (`fiedler_value`), from the Laplacian a solve holds
 (`objective_value` keeps the first). The log-det term takes alpha from
@@ -97,7 +97,10 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
     mu is subtracted, in place, on exactly the rows whose step removes the
     edge by the rule `graph.step_deletes` that `weaken_edge` applies. A
-    negative grad therefore certifies descent.
+    negative grad therefore certifies descent. The objective charges 2 mu
+    per edge (`objective_and_fiedler`), so on a step that deletes, the
+    score credits mu of the 2 mu the objective drops: it stays an upper
+    bound on the change, mu looser than on other steps.
 
     A step too large for an edge (eta <= 0, or NaN) is not an error: that
     edge gets grad = +inf exactly, whatever its other terms overflow to, and
@@ -161,11 +164,15 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     return EdgeScores(eta, rho, grad)
 
 
-def selection(grad: np.ndarray, i: int, m_arr: np.ndarray,
+def selection(grad: np.ndarray, m_arr: np.ndarray,
               n_arr: np.ndarray) -> tuple[tuple[int, int], float, int] | None:
-    """Both selectors' result for row i of a scored batch: ((m, n), grad[i], i),
-    the row being the one `graph.Laplacian.weaken` takes, or None unless
-    that score is finite and negative (no step descends)."""
+    """Both selectors' pick from a scored batch: ((m, n), grad[i], i) for
+    argmin's row i, the first at the lowest (score, m, n), or None for an
+    empty batch and unless that score is finite and negative (a NaN is
+    argmin's row, so it selects nothing)."""
+    if grad.shape[0] == 0:
+        return None
+    i = int(grad.argmin())
     score = float(grad[i])
     if not -math.inf < score < 0.0:
         return None
@@ -196,11 +203,14 @@ def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
     lost in rounding against l_1 = 0. L has exactly one zero eigenvalue per
     connected component, and `component_labels` counts the c components:
     log det = c log a + sum_{i>c} log(l_i + a) and l2 = fiedler_value(state,
-    c == 1), so neither term reads the rounding noise of a zero eigenvalue. The check l_1 + a > 0 stays as a
-    safeguard. Monitoring only, never in the scoring loop.
+    c == 1), so neither term reads the rounding noise of a zero eigenvalue.
+    The check l_1 + a > 0 stays as a safeguard. |W|_0,off counts both
+    off-diagonal entries of an edge, 2 mu per edge, where `score_edges`
+    credits a deletion with mu alone. Monitoring only, never in the
+    scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
-        raise ValueError("the objective needs at least two nodes: lambda2 is undefined")
+        raise ValueError("need at least two nodes: lambda2 is undefined")
     lap = build_laplacian(g) if lap is None else lap
     check_shift(lap, cfg.alpha, "alpha")
     state = smallest_eigenpairs(lap, g.n)

@@ -8,10 +8,11 @@ touch, and its Laplacian comes from graph.py, as every Laplacian does.
 The plan, one block label per edge row, depends only on which edges the
 graph holds: a solve labels its start graph once and drops a deleted
 edge's label with `np.delete`. Each step scores every edge against the
-exhaustive scan's snapshot and Gram matrix and takes all block minima in
-one `np.fmin.at`, so any partition of the edges into blocks, this one
-included, selects the scan's edge. Connectivity is read from the edges
-(`graph.is_connected`), never from a threshold on l2.
+exhaustive scan's snapshot and Gram matrix, picks as the scan does
+(`objective.selection`) and, for a picked row only, takes all block
+minima in one `np.fmin.at`, so any partition of the edges into blocks,
+this one included, selects the scan's edge. Connectivity is read from
+the edges (`graph.is_connected`), never from a threshold on l2.
 """
 
 from __future__ import annotations
@@ -165,22 +166,21 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     the plan's blocks only partition the candidate edge set while all
     scores come from the global snapshot. `plan` is any such partition of
     g's edge rows, one non-negative block label per row as `cut_plan`
-    returns it (cut_plan(g, LEAF_NODES) when not given); a solve passes
-    its start graph's plan, each deleted row's label taken out by
-    `np.delete`. `terms` and `trace` are as in `score_edges`.
+    returns it (cut_plan(g, LEAF_NODES) when not given, built only once
+    `selection` has picked a row); a solve passes its start graph's plan,
+    each deleted row's label taken out by `np.delete`. `terms` and `trace`
+    are as in `score_edges`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    if m_arr.shape[0] == 0:
+    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
+    sel = selection(grad, m_arr, n_arr)
+    if sel is None:
         return None
     block = cut_plan(g, LEAF_NODES) if plan is None else plan
     # One fmin.at takes each block's minimum, skipping NaN, so a NaN score
     # warns no more than the scan does; a label that no row holds any more
-    # (its block was emptied) keeps +inf.
-    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
+    # (its block was emptied) keeps +inf. The picked row is the first that
+    # holds the best block minimum, so it is the winner by (grad, m, n).
     minima = np.full(int(block.max()) + 1, np.inf)
     np.fmin.at(minima, block, grad)
-    # Rows run in (m, n) order, so the first row that holds the best block
-    # minimum, argmin's row, is the winner by (grad, m, n). A NaN score is
-    # argmin's row and fails the compare, so none is selected, as in the scan.
-    i = int(grad.argmin())
-    return selection(grad, i, m_arr, n_arr) if grad[i] == minima.min() else None
+    return sel if sel[1] == minima.min() else None

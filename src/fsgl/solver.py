@@ -190,16 +190,13 @@ def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: Solv
     """Exhaustive scan for the edge with the most negative score.
 
     Returns ((m, n), grad, row), or None once no edge scores below zero
-    (converged); see `selection`. Edges run in (m, n) order, so argmin's
-    first minimum breaks ties on the lexicographically smallest (m, n).
+    (converged); `selection` makes the pick, ties to the smallest (m, n).
     `terms` and `trace` are as in `score_edges`: ineligible edges
     (determinant factor would go nonpositive) are skipped and counted.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    if m_arr.shape[0] == 0:
-        return None
-    grad = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace).grad
-    return selection(grad, int(grad.argmin()), m_arr, n_arr)
+    return selection(score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace).grad,
+                     m_arr, n_arr)
 
 
 def run_solver(g0: WeightedGraph, obs: ObservationSet,
@@ -212,14 +209,12 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     converged. With the default r = 1 each step is scored against a fresh
     snapshot, which is what the descent guarantee assumes.
     The exact objective is computed for the initial and final graphs only,
-    the final one with the learned graph's Fiedler value; a starting graph
-    whose objective is not finite raises NonFiniteObjective.
+    the final one with the learned graph's Fiedler value; the first refuses
+    one node, and raises NonFiniteObjective unless it is finite.
     """
     if g0.n != obs.n:
         raise ValueError(f"start graph has {g0.n} nodes but the observations "
                          f"have {obs.n} rows")
-    if g0.n < 2:
-        raise ValueError("need at least two nodes")
     y = obs.gram
     trace = SolveTrace()
     # An overflow here is NonFiniteInput or NonFiniteObjective, not a warning.

@@ -833,3 +833,12 @@ def test_pickled_graph_keeps_edges_and_read_only_arrays():
         assert copy.n == g.n and copy.edges == g.edges
         for a, b in zip(copy.edge_arrays(), g.edge_arrays()):
             assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_gram_names_a_non_finite_observation_by_row_and_column():
+    # gram is ObservationSet's Gram matrix, so it refuses a NaN observation
+    # as the set does, never as an overflow
+    x = np.ones((3, 2))
+    x[1, 0] = np.nan
+    with pytest.raises(NonFiniteInput, match=r"row 1, column 0: nan$"):
+        gram(x)

@@ -21,6 +21,9 @@ Only graph.py tests whether a scalar is an int or a float, in
 `graph.integer` and `graph.real`, which every other check calls. Only
 graph.py decides when a step deletes an edge (`graph.step_deletes`): no
 other module reads WEIGHT_ZERO or compares an edge weight with the step.
+Only datagen.py names MAX_ARRAY_BYTES: every size refusal goes through
+`datagen.check_size`. Neither selector calls argmin: `objective.selection`
+makes the one pick.
 """
 
 import ast
@@ -509,3 +512,36 @@ def test_start_up_skips_scipy_linalg_and_io(tmp_path, first):
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.returncode == 0, run.stderr
+
+
+def names_of(source: str, name: str) -> list[int]:
+    """Lines of `source` that read, write or import `name`, bare or as an
+    attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.alias) and name in (node.name, node.asname)})
+
+
+def test_only_datagen_names_the_size_ceiling():
+    # datagen.check_size holds the one ceiling, so a start's edge arrays and
+    # a draw's arrays are refused by one test with one text
+    assert names_of("x = datagen.MAX_ARRAY_BYTES\nfrom .datagen import MAX_ARRAY_BYTES as M\n"
+                    "if 8 * n > MAX_ARRAY_BYTES:\n    pass\ns = 'MAX_ARRAY_BYTES'\n"
+                    "check_size(n, what)\n", "MAX_ARRAY_BYTES") == [1, 2, 3]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = names_of(path.read_text(), "MAX_ARRAY_BYTES")
+        if lines and path.name != "datagen.py":
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def test_neither_selector_calls_argmin():
+    # objective.selection makes the pick, the empty batch included, for both
+    found = {}
+    for module, name in (("solver.py", "greedy_step"), ("partition.py", "partition_select")):
+        func = functions((ROOT / "src" / "fsgl" / module).read_text())[name]
+        if "argmin" in called_names(func):
+            found[name] = "argmin"
+    assert found == {}

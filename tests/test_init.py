@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from fsgl.datagen import gen_ground_truth, sample_gmm
-from fsgl.errors import InvalidBudget, NonFiniteInput
+from fsgl.errors import InvalidBudget, NonFiniteInput, TooLarge
 from fsgl.graph import complete_graph, gram, is_connected
 from fsgl.init_graph import (
     EDGE_ARRAYS,
     RANKING_ARRAYS,
+    check_start,
     default_budget,
     init_sparse_graph,
     max_similarity_tree,
@@ -246,3 +247,12 @@ def test_complete_start_solve_peak_fits_its_edge_arrays(n, k):
     assert len(trace) == 150 and g.edge_count < edges
     limit = 8 * ((EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges + 4 * n) + 4096
     assert peak <= limit, f"{peak / (8 * edges):.2f} edge-length arrays"
+
+
+def test_check_start_refuses_at_datagen_size_ceiling():
+    # the start's edge arrays meet the one ceiling a draw meets, and its
+    # refusal ends as a draw's does
+    with pytest.raises(TooLarge, match=r"the complete start at node count 20000 "
+                       r"\(199990000 edges, 4000 samples\) needs [\d,]+ bytes of edge "
+                       r"arrays, above the 1 GiB ceiling$"):
+        check_start(20000, 4000, SolverConfig())

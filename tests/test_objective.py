@@ -24,8 +24,10 @@ from fsgl.objective import (
     objective_and_fiedler,
     objective_value,
     score_edges,
+    selection,
     smoothness_trace,
 )
+from fsgl.init_graph import init_sparse_graph
 from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step, run_solver
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
@@ -572,17 +574,34 @@ def test_objective_and_fiedler_reads_l2_of_a_connected_graph_from_its_spectrum()
         assert h == objective_value(g, y, SolverConfig())
 
 
+def deleting_instance():
+    """(g, y): the 21-edge sparse start of a 12-node, 4-sample gmm draw,
+    every weight set to eps, so that each edge's step deletes it."""
+    _, obs = draw_instance(12, 4, "gmm", [0], 0.2, 0.5, 3.0, 3, 1.0)
+    m_arr, n_arr, _ = init_sparse_graph(obs.gram, 10).edge_arrays()
+    eps = SolverConfig().epsilon
+    return WeightedGraph.from_arrays(12, m_arr, n_arr, np.full(m_arr.shape, eps)), obs.gram
+
+
 def test_descent_soundness_single_step():
     # actual objective drop never exceeds the predicted score by > 1e-8
+    cases = []
     for seed in range(15):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 14))
         g = random_connected_graph(rng, n)
-        y = gram(rng.standard_normal((n, 4)))
-        cfg = SolverConfig()
-        state = smallest_eigenpairs(build_laplacian(g), min(n, 5))
+        cases.append((g, gram(rng.standard_normal((n, 4))), SolverConfig(), min(n, 5),
+                      list(g.edges)[:4]))
+    # every step deletes its edge, at three l0 weights: the score credits
+    # mu for the deletion where the objective charges 2 mu per edge, so
+    # the bound holds with mu to spare
+    g, y = deleting_instance()
+    for mu in (0.0, 0.2, 1.0):
+        cases.append((g, y, SolverConfig(mu=mu), 5, list(g.edges)))
+    for g, y, cfg, k, edges in cases:
+        state = smallest_eigenpairs(build_laplacian(g), k)
         before = objective_value(g, y, cfg)
-        for (m, n2) in list(g.edges)[:4]:
+        for (m, n2) in edges:
             w = g.weight(m, n2)
             grad = score_one(state, y, m, n2, cfg, w).grad[0]
             g2 = weaken_edge(g, (m, n2), cfg.epsilon)
@@ -596,3 +615,13 @@ def test_objective_value_needs_two_nodes():
     # lambda2, and so the objective, is undefined on one node
     with pytest.raises(ValueError, match="at least two nodes: lambda2 is undefined"):
         objective_value(WeightedGraph(1), np.eye(1), SolverConfig())
+
+
+def test_selection_picks_nothing_from_an_empty_batch_or_a_nan_minimum():
+    # the pick is argmin's row, so a NaN anywhere before or at the first
+    # minimum is the row taken, and it fails the descent test
+    m_arr, n_arr = np.array([0, 0, 1]), np.array([1, 2, 2])
+    empty = np.array([], dtype=np.intp)
+    assert selection(np.array([]), empty, empty) is None
+    assert selection(np.array([-1.0, np.nan, -2.0]), m_arr, n_arr) is None
+    assert selection(np.array([0.5, -2.0, -2.0]), m_arr, n_arr) == ((0, 2), -2.0, 1)

@@ -805,3 +805,26 @@ def test_full_runs_identical_across_selectors():
         assert np.array_equal(tr_r.edges_mn, tr_g.edges_mn)
         assert np.array_equal(tr_r.grad_h, tr_g.grad_h)
         assert g_r.edges == g_g.edges
+
+
+def test_partition_select_plans_only_for_a_picked_row(monkeypatch):
+    # with no plan given, the cut plan is built only once selection has
+    # picked a descending row
+    import fsgl.partition as partition
+
+    obs = solve_instance(0, 12)
+    g = init_sparse_graph(obs.gram, 12)
+    e = g.edge_count
+    cfg = SolverConfig(solver_kind="recursive")
+    calls = []
+    real = partition.cut_plan
+    monkeypatch.setattr(partition, "cut_plan",
+                        lambda g, v_min: calls.append(v_min) or real(g, v_min))
+    for grad, planned in (([0.5] * e, []), ([np.nan] + [-1.0] * (e - 1), []),
+                          ([-1.0] * e, [LEAF_NODES])):
+        scores = EdgeScores(np.ones(e), np.zeros(e), np.array(grad))
+        monkeypatch.setattr(partition, "score_edges", lambda *args: scores)
+        calls.clear()
+        sel = partition_select(g, None, obs, cfg)
+        assert calls == planned
+        assert (sel is None) == (planned == [])

@@ -816,3 +816,9 @@ def test_phase_totals_fit_inside_the_solve(kind):
     assert sum(phases.values()) <= wall_ms
     # the phases tile the loop: the time to the last step is charged too
     assert sum(phases.values()) >= trace.ms[-1]
+
+
+def test_run_solver_leaves_the_two_node_minimum_to_the_objective():
+    obs = ObservationSet(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="^need at least two nodes: lambda2 is undefined$"):
+        run_solver(WeightedGraph(1), obs, SolverConfig())
