@@ -45,7 +45,7 @@ def check_size(entries, what: str) -> None:
     """TooLarge, saying what `what` needs, when `entries` float64 values
     held at once pass MAX_ARRAY_BYTES, the one size ceiling in fsgl."""
     if 8 * entries > MAX_ARRAY_BYTES:
-        raise TooLarge(f"{what}, above the {MAX_ARRAY_BYTES >> 30} GiB ceiling")
+        raise TooLarge(f"{what}, above the {MAX_ARRAY_BYTES / 2**30:g} GiB ceiling")
 
 
 def check_ground_truth(n: int, density: float, rho: float) -> None:

@@ -249,10 +249,14 @@ def test_complete_start_solve_peak_fits_its_edge_arrays(n, k):
     assert peak <= limit, f"{peak / (8 * edges):.2f} edge-length arrays"
 
 
-def test_check_start_refuses_at_datagen_size_ceiling():
+def test_check_start_refuses_at_datagen_size_ceiling(monkeypatch):
     # the start's edge arrays meet the one ceiling a draw meets, and its
-    # refusal ends as a draw's does
+    # refusal ends as a draw's does, under a lowered ceiling too
     with pytest.raises(TooLarge, match=r"the complete start at node count 20000 "
                        r"\(199990000 edges, 4000 samples\) needs [\d,]+ bytes of edge "
                        r"arrays, above the 1 GiB ceiling$"):
         check_start(20000, 4000, SolverConfig())
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 400_000)
+    with pytest.raises(TooLarge, match=r"needs 580,560 bytes of edge arrays, "
+                       r"above the 0.000372529 GiB ceiling$"):
+        check_start(60, 12, SolverConfig())

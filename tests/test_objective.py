@@ -17,6 +17,7 @@ from fsgl.graph import (
     step_deletes,
     weaken_edge,
 )
+from fsgl.init_graph import init_sparse_graph
 from fsgl.objective import (
     EdgeScores,
     _row_sums,
@@ -27,7 +28,6 @@ from fsgl.objective import (
     selection,
     smoothness_trace,
 )
-from fsgl.init_graph import init_sparse_graph
 from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step, run_solver
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 
@@ -618,8 +618,8 @@ def test_objective_value_needs_two_nodes():
 
 
 def test_selection_picks_nothing_from_an_empty_batch_or_a_nan_minimum():
-    # the pick is argmin's row, so a NaN anywhere before or at the first
-    # minimum is the row taken, and it fails the descent test
+    # the pick is argmin's row, and argmin stops at the first NaN, so a
+    # NaN anywhere is the row taken, and it fails the descent test
     m_arr, n_arr = np.array([0, 0, 1]), np.array([1, 2, 2])
     empty = np.array([], dtype=np.intp)
     assert selection(np.array([]), empty, empty) is None
