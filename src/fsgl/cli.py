@@ -144,6 +144,15 @@ def config_from_args(args: argparse.Namespace, kind: str) -> SolverConfig:
         solver_kind=kind, exact_logdet=args.exact_logdet)
 
 
+def check_output_dir(flag: str, path: str) -> None:
+    """NotADirectoryError, naming `flag` and the directory, unless `path`'s
+    directory exists: a command refuses an output it could not write
+    before its work, not after it."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{flag}: {directory} is not an existing directory")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     k = args.k if args.k is not None else sample_count(n, 0.2)
@@ -167,6 +176,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     w_star = load_graph(args.truth, n=obs.n) if args.truth else None
     if w_star is not None:
         check_reference(w_star, f"{args.truth}: reference graph")
+    for flag, path in (("--output", args.output), ("--trace", args.trace)):
+        if path:
+            check_output_dir(flag, path)
     g, trace, ms = timed_solve(obs, cfg)
     if args.output:
         save_graph(g, args.output)
@@ -194,13 +206,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          f"got {args.ratios!r}") from None
     generators = (args.generator,) if args.generator else GENERATORS
     solvers = (args.solver,) if args.solver else SOLVERS
+    raw_path = f"{args.output}.raw.csv"
+    summary_path = f"{args.output}.summary.csv"
+    check_output_dir("--output", raw_path)
     report = run_benchmark(cfg, ratios, args.trials, n=args.n,
                            generators=generators, solvers=solvers,
                            density=args.density, rho=args.rho, nu=args.dof,
                            n_components=args.components,
                            mean_scale=args.mean_scale, seed=args.seed)
-    raw_path = f"{args.output}.raw.csv"
-    summary_path = f"{args.output}.summary.csv"
     Path(raw_path).write_text(report.raw_csv())
     Path(summary_path).write_text(report.summary_csv())
     print(report.table(), end="")

@@ -48,56 +48,61 @@ def check_size(entries, what: str) -> None:
         raise TooLarge(f"{what}, above the {MAX_ARRAY_BYTES / 2**30:g} GiB ceiling")
 
 
-def check_ground_truth(n: int, density: float, rho: float) -> None:
+def check_ground_truth(n: int, density: float, rho: float) -> tuple[int, float, float]:
     """TypeError unless n is an integer (`graph.integer`); ValueError unless
     gen_ground_truth can use (n, density, rho): n >= 2, and finite reals
     (`graph.real`) density in [0, 1] and rho > 0; TooLarge when a draw's
     DRAW_ARRAYS (N, N) arrays would pass MAX_ARRAY_BYTES. Whether rho is
     large enough for the drawn graph is checked after the draw, by
-    `graph.check_shift`."""
-    integer(n, "node count")
+    `graph.check_shift`. Returns the three as the Python numbers checked."""
+    n = integer(n, "node count")
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
     check_size(DRAW_ARRAYS * n * n,
                f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
-    if not 0.0 <= real(density, "density") <= 1.0:
+    if not 0.0 <= (d := real(density, "density")) <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    if real(rho, "diagonal shift rho") <= 0.0:
+    if (r := real(rho, "diagonal shift rho")) <= 0.0:
         raise ValueError(f"diagonal shift rho must be finite and positive, got {rho}")
+    return n, d, r
 
 
-def check_samples(n: int, k: int, origin: str = "") -> None:
+def check_samples(n: int, k: int, origin: str = "") -> int:
     """TypeError unless k is an integer or `sample_count`'s inf, which is
     TooLarge below; ValueError unless k >= 1; TooLarge when a draw's
     SAMPLE_ARRAYS (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would
-    pass MAX_ARRAY_BYTES. `origin` says where k came from."""
+    pass MAX_ARRAY_BYTES. `origin` says where k came from. Returns k as
+    the Python int checked."""
     if k != math.inf:
-        integer(k, "sample count")
+        k = integer(k, "sample count")
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
                f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
                f"{n} x {k} float64 arrays on top of the ground truth's")
+    return k
 
 
-def check_gmm(n_components: int, mean_scale: float) -> None:
+def check_gmm(n_components: int, mean_scale: float) -> tuple[int, float]:
     """TypeError unless n_components is an integer; ValueError unless
     sample_gmm can use (n_components, mean_scale): at least one component
     and a finite real scale (`graph.real`); TooLarge when its component
-    means would pass MAX_ARRAY_BYTES."""
-    integer(n_components, "mixture component count")
+    means would pass MAX_ARRAY_BYTES. Returns the two as the Python
+    numbers checked."""
+    n_components = integer(n_components, "mixture component count")
     if n_components < 1:
         raise ValueError(f"need at least one mixture component, got {n_components}")
     check_size(n_components, f"mixture component count {n_components} needs a "
                f"1 x {n_components} float64 array")
-    real(mean_scale, "mean scale")
+    return n_components, real(mean_scale, "mean scale")
 
 
-def check_dof(nu: float) -> None:
+def check_dof(nu: float) -> float:
     """InvalidDof unless sample_mvt can use nu degrees of freedom: a finite
-    real (`graph.real`) above 2."""
-    if real(nu, "degrees of freedom", InvalidDof) <= 2.0:
+    real (`graph.real`) above 2. Returns nu as the Python float checked."""
+    if (x := real(nu, "degrees of freedom", InvalidDof)) <= 2.0:
         raise InvalidDof(f"degrees of freedom must be finite and exceed 2, got {nu}")
+    return x
 
 
 def connected_pairs(n: int, density: float,
@@ -130,7 +135,7 @@ def connected_pairs(n: int, density: float,
 def gen_ground_truth(n: int, density: float, rho: float = 0.5,
                      seed: int = 0) -> GroundTruth:
     """`connected_pairs` graph with uniform [0.5, 1.5] edge weights."""
-    check_ground_truth(n, density, rho)
+    n, density, rho = check_ground_truth(n, density, rho)
     rng = np.random.default_rng(seed)
     ms, ns = connected_pairs(n, density, rng)
     g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.5, 1.5, size=ms.shape[0]))
@@ -167,8 +172,8 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     the N x K observations.
     """
     n = gt.cov.shape[0]
-    check_samples(n, k)
-    check_gmm(n_components, mean_scale)
+    k = check_samples(n, k)
+    n_components, mean_scale = check_gmm(n_components, mean_scale)
     rng = np.random.default_rng(seed)
     root = _sym_sqrt(gt.cov)
     means = mean_scale * rng.standard_normal(n_components)
@@ -187,8 +192,8 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     nu > 2.
     """
     n = gt.cov.shape[0]
-    check_samples(n, k)
-    check_dof(nu)
+    k = check_samples(n, k)
+    nu = check_dof(nu)
     rng = np.random.default_rng(seed)
     root = _sym_sqrt(gt.cov * ((nu - 2.0) / nu))
     z = root @ rng.standard_normal((n, k))
@@ -200,10 +205,10 @@ def sample_count(n: int, ratio: float) -> int | float:
     """K = max(1, round(ratio * n)) of a K/N ratio that is a finite real
     (`graph.real`) above 0, else ValueError; or inf, which the size checks
     refuse, when ratio * n overflows."""
-    if real(ratio, "K/N ratio") <= 0.0:
+    if (r := real(ratio, "K/N ratio")) <= 0.0:
         raise ValueError(f"K/N ratio must be finite and positive, got {ratio}")
     try:
-        return max(1, round(ratio * n))
+        return max(1, round(r * n))
     except OverflowError:
         return math.inf
 
@@ -220,7 +225,7 @@ def check_instance(n: int, k: int, generators, entropy, density: float,
     for s in np.array(entropy, dtype=object).ravel():
         if integer(s, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {s}")
-    check_ground_truth(n, density, rho)
+    n, density, rho = check_ground_truth(n, density, rho)
     check_samples(n, k, origin)
     for name in generators:
         if name == "gmm":

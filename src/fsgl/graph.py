@@ -206,7 +206,7 @@ class WeightedGraph:
         step too small to change w in floating point raises ValueError."""
         if not eps > 0:  # NaN included
             raise ValueError("eps must be positive")
-        w = float(self._ws[i])
+        eps, w = float(eps), float(self._ws[i])  # a float32 eps steps in float64 too
         if w - eps == w:
             edge = (int(self._ms[i]), int(self._ns[i]))
             raise ValueError(f"step {eps!r} leaves the weight {w!r} of edge {edge} unchanged")

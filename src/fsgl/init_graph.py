@@ -125,7 +125,9 @@ def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
     TooLarge (`datagen.check_size`) when building the start or solving from
     it would pass the ceiling in edge-length arrays (RANKING_ARRAYS,
     EDGE_ARRAYS); the need grows with k, so the largest k bounds a sweep.
+    n and k must be integers (`graph.integer`), else TypeError.
     """
+    n, k = integer(n, "node count"), integer(k, "sample count")
     sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
     pairs = n * (n - 1) // 2
     edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs

@@ -160,7 +160,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
         grad[ineligible] = np.inf
         if trace is not None:
             trace.ineligible += int(np.count_nonzero(ineligible))
-    np.subtract(grad, float(cfg.mu), out=grad, where=step_deletes(w_arr, eps))
+    np.subtract(grad, cfg.mu, out=grad, where=step_deletes(w_arr, eps))
     return EdgeScores(eta, rho, grad)
 
 
@@ -180,13 +180,9 @@ def selection(grad: np.ndarray, m_arr: np.ndarray,
 
 
 def smoothness_trace(g: WeightedGraph, y: np.ndarray) -> float:
-    """tr(L Y) evaluated over the edge support."""
+    """tr(L Y) = -sum_e w_e z_e over the edge support, z from `edge_terms`."""
     m_arr, n_arr, w_arr = g.edge_arrays()
-    if m_arr.shape[0] == 0:
-        return 0.0
-    diag = y.diagonal()
-    per_edge = diag[m_arr] + diag[n_arr] - 2.0 * y[m_arr, n_arr]
-    return float((w_arr * per_edge).sum())
+    return -float((w_arr * edge_terms(y, m_arr, n_arr, 1.0)).sum())
 
 
 def fiedler_value(state: SpectralState, connected: bool) -> float:

@@ -59,8 +59,10 @@ class SolverConfig:
     exact_logdet: bool = False
 
     def __post_init__(self):
+        # Each field keeps the Python number its check returns, so a NumPy
+        # scalar's fixed width never reaches the solve.
         for name in ("epsilon", "alpha", "gamma", "mu"):
-            real(getattr(self, name), name)
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.alpha <= 0:
@@ -71,7 +73,8 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name == "budget_b":
                 continue
-            if integer(value, name, ValueError) < low:
+            object.__setattr__(self, name, integer(value, name, ValueError))
+            if getattr(self, name) < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.exact_logdet, (bool, np.bool_)):
             raise ValueError(f"exact_logdet must be a bool, got {self.exact_logdet!r}")

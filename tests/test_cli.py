@@ -809,3 +809,34 @@ def test_config_file_rejects_keys_that_name_no_flag(tmp_path, capsys, command, k
     err = capsys.readouterr().err
     assert f"{conf}:2: unknown option '{key}'" in err
     assert list(tmp_path.iterdir()) == [conf]
+
+
+def counted_calls(monkeypatch, name):
+    """Calls of `fsgl.cli.<name>` from now on; each one only counts."""
+    calls = []
+    monkeypatch.setattr(f"fsgl.cli.{name}", lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("flag", ["--output", "--trace"])
+def test_solve_refuses_a_missing_output_directory_before_the_solve(tmp_path, capsys,
+                                                                   monkeypatch, flag):
+    assert run_cli("gen", "--n", "8", "--k", "3", "--output", str(tmp_path / "d")) == 0
+    calls = counted_calls(monkeypatch, "timed_solve")
+    missing = tmp_path / "no" / "dir"
+    code = run_cli("solve", "--input", str(tmp_path / "d.x.csv"), flag, str(missing / "t.csv"))
+    assert (code, calls) == (1, [])
+    assert f"error: {flag}: {missing} is not an existing directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent", ["no/dir", "file"])
+def test_bench_refuses_a_missing_output_directory_before_the_sweep(tmp_path, capsys,
+                                                                   monkeypatch, parent):
+    (tmp_path / "file").write_text("")
+    calls = counted_calls(monkeypatch, "run_benchmark")
+    missing = tmp_path / parent
+    code = run_cli("bench", "--n", "12", "--trials", "1", "--ratios", "0.2",
+                   "--output", str(missing / "b"))
+    assert (code, calls) == (1, [])
+    assert f"error: --output: {missing} is not an existing directory" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/b.*"))

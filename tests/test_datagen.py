@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, _sym_sqrt, connected_pairs,
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, _sym_sqrt, check_dof, check_gmm,
+                          check_ground_truth, check_samples, connected_pairs,
                           draw_instance, gen_ground_truth, sample_count, sample_gmm,
                           sample_mvt)
-from fsgl.errors import InvalidDof
+from fsgl.errors import InvalidDof, TooLarge
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
 from unionfind import reference_pairs
@@ -339,3 +340,18 @@ def test_sample_count_refuses_a_ratio_that_is_no_finite_real():
     for bad in (True, np.True_, "0.2", 10**400):
         with pytest.raises(ValueError, match="K/N ratio must be finite and not a bool"):
             sample_count(30, bad)
+
+
+def test_ground_truth_checks_return_the_python_numbers_they_accept():
+    # each check hands back what graph.integer and graph.real return, and
+    # the size ceiling is computed from them: 7 n n wraps in int16
+    assert check_ground_truth(np.int16(12), np.float32(0.25), np.int8(1)) == (12, 0.25, 1.0)
+    assert [type(v) for v in check_ground_truth(np.int16(12), np.float32(0.25),
+                                                np.int8(1))] == [int, float, float]
+    for n in (20000, np.int16(20000)):
+        with pytest.raises(TooLarge, match="node count 20000 needs 7 20000 x 20000"):
+            check_ground_truth(n, 0.2, 0.5)
+    assert type(check_samples(12, np.int32(5))) is int
+    assert check_gmm(np.uint8(3), np.float32(0.5)) == (3, 0.5)
+    assert [type(v) for v in check_gmm(np.uint8(3), np.float32(0.5))] == [int, float]
+    assert type(check_dof(np.int64(3))) is float

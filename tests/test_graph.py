@@ -842,3 +842,11 @@ def test_gram_names_a_non_finite_observation_by_row_and_column():
     x[1, 0] = np.nan
     with pytest.raises(NonFiniteInput, match=r"row 1, column 0: nan$"):
         gram(x)
+
+
+def test_weaken_edge_steps_a_float32_eps_in_float64():
+    # 1.0 - np.float32(0.01) would round in float32 (0.9900000095367432)
+    g = weaken_edge(complete_graph(4), (0, 1), np.float32(0.01))
+    assert g.weight(0, 1) == 1.0 - float(np.float32(0.01)) == 0.9900000002235174
+    lap = Laplacian(complete_graph(4)).weaken(0, np.float32(0.01))
+    assert lap.g.weight(0, 1) == 0.9900000002235174

@@ -545,3 +545,75 @@ def test_neither_selector_calls_argmin():
         if "argmin" in called_names(func):
             found[name] = "argmin"
     assert found == {}
+
+
+def gram_diagonal_reads(source: str) -> list[str]:
+    """Functions and methods of `source` that read the diagonal of the Gram
+    matrix `y`: call `y.diagonal()`, `np.diagonal(y)` or `np.diag(y)`, or
+    index `y[i, i]` with one index twice."""
+    def reads(node) -> bool:
+        if isinstance(node, ast.Call) and call_name(node) in ("diagonal", "diag"):
+            f = node.func
+            operands = ([f.value] if isinstance(f, ast.Attribute) else []) + node.args[:1]
+            return any(isinstance(op, ast.Name) and op.id == "y" for op in operands)
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "y" and isinstance(node.slice, ast.Tuple)
+                and len(node.slice.elts) == 2
+                and ast.dump(node.slice.elts[0]) == ast.dump(node.slice.elts[1]))
+    return [name for name, func in functions(source).items()
+            if any(map(reads, ast.walk(func)))]
+
+
+def test_only_edge_terms_reads_the_gram_diagonal():
+    # z = 2 Y_mn - Y_mm - Y_nn has one formula, edge_terms, which the score
+    # and the objective's tr(L Y) both take
+    assert gram_diagonal_reads(
+        "def a(y):\n    return y.diagonal()\ndef b(y):\n    return np.diag(y)\n"
+        "def c(y, m):\n    return y[m, m]\ndef d(r, m, n):\n    return r[m, m] + r.diagonal()\n"
+        "def e(y, m, n):\n    return y[m, n]\nclass C:\n    def f(self, y):\n"
+        "        return np.diagonal(y)\n") == ["a", "b", "c", "C.f"]
+    source = (ROOT / "src" / "fsgl" / "objective.py").read_text()
+    assert gram_diagonal_reads(source) == ["edge_terms"]
+
+
+# graph._node_ids checks one id of each type with graph.integer, then
+# converts them all in one array.
+DISCARDED_CHECK_ALLOWED = {("graph.py", "_node_ids")}
+
+
+def discarded_checks(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function or method, line) of each expression statement in
+    `source` that is a bare call to `integer` or `real`, whose value is lost."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Expr) and isinstance(child.value, ast.Call)
+                    and call_name(child.value) in ("integer", "real")):
+                found.append((func, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if func is None else f"{func}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            else:
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_number_check_has_its_value_used():
+    # a caller computes with the Python number graph.integer or graph.real
+    # returns, never with the NumPy scalar it was given
+    assert discarded_checks(
+        "integer(n, 'n')\nk = integer(k, 'k')\nclass C:\n    def f(self):\n"
+        "        real(self.x, 'x')\n        if real(y, 'y') > 0:\n            pass\n"
+        "def g(v):\n    for x in v:\n        graph.integer(x, 'x')\n    f(real(v, 'v'))\n") == [
+        (None, 1), ("C.f", 5), ("g", 10)]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = [(func, line) for func, line in discarded_checks(path.read_text())
+                 if (path.name, func) not in DISCARDED_CHECK_ALLOWED]
+        if lines:
+            found[path.name] = lines
+    assert found == {}

@@ -260,3 +260,12 @@ def test_check_start_refuses_at_datagen_size_ceiling(monkeypatch):
     with pytest.raises(TooLarge, match=r"needs 580,560 bytes of edge arrays, "
                        r"above the 0.000372529 GiB ceiling$"):
         check_start(60, 12, SolverConfig())
+
+
+def test_check_start_sizes_a_numpy_node_count_as_a_python_int():
+    # n (n - 1) // 2 wraps in int32 at n = 60000, which once passed the ceiling
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooLarge, match=r"the complete start at node count 60000 "
+                           r"\(1799970000 edges, 6 samples\)"):
+            check_start(np.int32(60000), np.int32(6), SolverConfig())

@@ -625,3 +625,14 @@ def test_selection_picks_nothing_from_an_empty_batch_or_a_nan_minimum():
     assert selection(np.array([]), empty, empty) is None
     assert selection(np.array([-1.0, np.nan, -2.0]), m_arr, n_arr) is None
     assert selection(np.array([0.5, -2.0, -2.0]), m_arr, n_arr) == ((0, 2), -2.0, 1)
+
+
+def test_smoothness_trace_sums_the_edge_terms():
+    # tr(L Y) is -sum_e w_e z_e with z from edge_terms, and reads zero on no edges
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng, 9)
+    y = gram(rng.standard_normal((9, 4)))
+    m_arr, n_arr, w_arr = g.edge_arrays()
+    assert smoothness_trace(g, y) == -float((w_arr * edge_terms(y, m_arr, n_arr, 1.0)).sum())
+    assert smoothness_trace(g, y) == pytest.approx(np.trace(build_laplacian(g) @ y), rel=1e-12)
+    assert smoothness_trace(WeightedGraph(9), y) == 0.0

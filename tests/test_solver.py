@@ -822,3 +822,47 @@ def test_run_solver_leaves_the_two_node_minimum_to_the_objective():
     obs = ObservationSet(np.ones((1, 2)))
     with pytest.raises(ValueError, match="^need at least two nodes: lambda2 is undefined$"):
         run_solver(WeightedGraph(1), obs, SolverConfig())
+
+
+NUMERIC_FIELDS = {"epsilon": float, "alpha": float, "gamma": float, "mu": float,
+                  "budget_b": int, "refresh_interval": int, "max_iters": int}
+
+
+def test_config_keeps_the_python_number_each_check_returns():
+    # a NumPy scalar becomes the int or float graph.integer or graph.real
+    # returns, so its fixed width never reaches the solve
+    cfg = SolverConfig(epsilon=np.float32(0.01), alpha=np.float16(0.5), gamma=np.int8(1),
+                       mu=np.float64(0.2), budget_b=np.int16(3), refresh_interval=np.uint8(2),
+                       max_iters=np.int32(5))
+    assert {name: type(getattr(cfg, name)) for name in NUMERIC_FIELDS} == NUMERIC_FIELDS
+    assert cfg.epsilon == float(np.float32(0.01)) and cfg.refresh_interval == 2
+    assert {name: type(getattr(SolverConfig(), name)) for name in NUMERIC_FIELDS} == {
+        **NUMERIC_FIELDS, "budget_b": type(None)}
+
+
+def fixed_width_instance():
+    return draw_instance(10, 4, "gmm", [3], 0.3, 0.5, 3.0, 3, 1.0)[1]
+
+
+@pytest.mark.parametrize("refresh", [np.uint8(1), np.int8(1)])
+def test_a_fixed_width_refresh_interval_solves_past_its_range(refresh):
+    # step 256 (uint8) or 128 (int8) once overflowed `accepted % refresh`
+    obs = fixed_width_instance()
+    _, trace = run_solver(complete_graph(10), obs,
+                          SolverConfig(refresh_interval=refresh, max_iters=300))
+    _, plain = run_solver(complete_graph(10), obs, SolverConfig(max_iters=300))
+    assert len(trace) == 300
+    assert trace.grad_h.tobytes() == plain.grad_h.tobytes()
+    assert np.array_equal(trace.edges_mn, plain.edges_mn)
+
+
+def test_a_float32_epsilon_solves_in_float64():
+    # the solve steps by float(np.float32(0.01)), never in float32
+    obs = fixed_width_instance()
+    g, trace = run_solver(complete_graph(10), obs,
+                          SolverConfig(epsilon=np.float32(0.01), max_iters=300))
+    g64, trace64 = run_solver(complete_graph(10), obs,
+                              SolverConfig(epsilon=float(np.float32(0.01)), max_iters=300))
+    assert trace.grad_h.tobytes() == trace64.grad_h.tobytes()
+    assert np.array_equal(trace.edges_mn, trace64.edges_mn)
+    assert [a.tobytes() for a in g.edge_arrays()] == [a.tobytes() for a in g64.edge_arrays()]
