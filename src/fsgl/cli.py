@@ -156,6 +156,7 @@ def check_output_dir(flag: str, path: str) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     k = args.k if args.k is not None else sample_count(n, 0.2)
+    check_output_dir("--output", f"{args.output}.x.csv")
     gt, obs = draw_instance(n, k, args.generator or GENERATORS[0], [args.seed],
                             args.density, args.rho, args.dof, args.components,
                             args.mean_scale)

@@ -72,7 +72,8 @@ def check_samples(n: int, k: int, origin: str = "") -> int:
     TooLarge below; ValueError unless k >= 1; TooLarge when a draw's
     SAMPLE_ARRAYS (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would
     pass MAX_ARRAY_BYTES. `origin` says where k came from. Returns k as
-    the Python int checked."""
+    the Python int checked; n, an integer too, sizes the draw as one."""
+    n = integer(n, "node count")
     if k != math.inf:
         k = integer(k, "sample count")
     if k < 1:

@@ -818,6 +818,14 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
+def test_gen_refuses_a_missing_output_directory_before_the_draw(tmp_path, capsys,
+                                                                monkeypatch):
+    calls = counted_calls(monkeypatch, "draw_instance")
+    missing = tmp_path / "no" / "dir"
+    assert (run_cli("gen", "--n", "8", "--output", str(missing / "d")), calls) == (1, [])
+    assert f"error: --output: {missing} is not an existing directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--output", "--trace"])
 def test_solve_refuses_a_missing_output_directory_before_the_solve(tmp_path, capsys,
                                                                    monkeypatch, flag):

@@ -352,6 +352,8 @@ def test_ground_truth_checks_return_the_python_numbers_they_accept():
         with pytest.raises(TooLarge, match="node count 20000 needs 7 20000 x 20000"):
             check_ground_truth(n, 0.2, 0.5)
     assert type(check_samples(12, np.int32(5))) is int
+    with pytest.raises(TooLarge, match="sample count 1 at node count 20000"):
+        check_samples(np.int16(20000), 1)
     assert check_gmm(np.uint8(3), np.float32(0.5)) == (3, 0.5)
     assert [type(v) for v in check_gmm(np.uint8(3), np.float32(0.5))] == [int, float]
     assert type(check_dof(np.int64(3))) is float
