@@ -23,20 +23,21 @@ from .spectral import smallest_eigenpairs
 GENERATORS = ("gmm", "mvt")
 MAX_ARRAY_BYTES = 2**30  # the most float64 array memory datagen holds at once
 # (N, N) and (N, K) arrays a draw holds at once at its peak, measured with
-# tracemalloc: the truth's precision and covariance, the square root's
-# input, eigenvectors, LAPACK workspace and product, then the samples and
-# their transforms (at most 3; the samplers shift or scale in place, so
-# 2.5 at N = 2, where the K-length vectors weigh most).
-DRAW_ARRAYS = 7
+# tracemalloc: the truth's covariance, the square root's input,
+# eigenvectors, LAPACK workspace and product, then the samples and their
+# transforms (at most 3; the samplers shift or scale in place, so 2.5 at
+# N = 2, where the K-length vectors weigh most).
+DRAW_ARRAYS = 6
 SAMPLE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True graph with its precision (L + rho I) and covariance."""
+    """True graph with its covariance, the inverse of the precision
+    L + rho I; that precision is `build_laplacian(w_star)` with rho added
+    to its diagonal, and is not kept."""
 
     w_star: WeightedGraph
-    theta: np.ndarray
     cov: np.ndarray
     rho: float
 
@@ -149,7 +150,7 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
         raise ValueError(f"precision L + rho I is singular at rho={rho}; the "
                          f"diagonal shift is too small for this graph") from None
     cov = 0.5 * (cov + cov.T)
-    return GroundTruth(g, theta, cov, rho)
+    return GroundTruth(g, cov, rho)
 
 
 def _sym_sqrt(c: np.ndarray) -> np.ndarray:

@@ -23,8 +23,15 @@ from .solver import SolverConfig, eigenpair_count
 # 13.7-15.1 from the complete graph at N = 80-200): the graph's and its
 # Laplacian's, the carried eps z (edge_terms), the scores and a deletion's
 # copy; plus the two (k, E) gathers score_edges makes for k eigenpairs.
+# It also holds (N, N) arrays, the Gram matrix aside: its Laplacian, and
+# the objective's full dsyevd, whose eigenvectors overwrite a copy of it
+# and whose workspace is two more; tracemalloc read 4.25-4.33 with the
+# edge arrays, from a sparse start at N = 300 and 600. Exact mode's full
+# snapshots and their resolvent products read 6.07-6.15.
 RANKING_ARRAYS = 8
 EDGE_ARRAYS = 17
+SQUARE_ARRAYS = 5
+EXACT_SQUARE_ARRAYS = 7
 
 
 def _similarity(y) -> np.ndarray:
@@ -122,20 +129,23 @@ def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
     the complete graph for greedy without a budget, else the sparse init.
 
     InvalidBudget for a budget above the pairs left beyond the tree, and
-    TooLarge (`datagen.check_size`) when building the start or solving from
-    it would pass the ceiling in edge-length arrays (RANKING_ARRAYS,
-    EDGE_ARRAYS); the need grows with k, so the largest k bounds a sweep.
-    n and k must be integers (`graph.integer`), else TypeError.
+    TooLarge (`datagen.check_size`) when building the start, or solving
+    from it, would pass the ceiling in the largest of its counts: pair-length
+    arrays (RANKING_ARRAYS), edge-length ones (EDGE_ARRAYS) or (N, N) ones
+    (SQUARE_ARRAYS, EXACT_SQUARE_ARRAYS under cfg.exact_logdet); the need
+    grows with k, so the largest k bounds a sweep. n and k must be integers
+    (`graph.integer`), else TypeError.
     """
     n, k = integer(n, "node count"), integer(k, "sample count")
     sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
     pairs = n * (n - 1) // 2
     edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs
+    square = EXACT_SQUARE_ARRAYS if cfg.exact_logdet else SQUARE_ARRAYS
     entries = max(RANKING_ARRAYS * pairs if sparse else 0,
-                  (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges)
+                  (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges, square * n * n)
     datagen.check_size(entries, f"the {'sparse' if sparse else 'complete'} start at node "
                        f"count {n} ({edges} edges, {k} samples) needs {8 * entries:,} "
-                       f"bytes of edge arrays")
+                       f"bytes of arrays at once")
     return sparse
 
 

@@ -167,9 +167,9 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     scores come from the global snapshot. `plan` is any such partition of
     g's edge rows, one non-negative block label per row as `cut_plan`
     returns it (cut_plan(g, LEAF_NODES) when not given, built only once
-    `selection` has picked a row); a solve passes its start graph's plan,
-    each deleted row's label taken out by `np.delete`. `terms` and `trace`
-    are as in `score_edges`.
+    `selection` has picked a row), else ValueError; a solve passes its
+    start graph's plan, each deleted row's label taken out by `np.delete`.
+    `terms` and `trace` are as in `score_edges`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
@@ -177,6 +177,8 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     if sel is None:
         return None
     block = cut_plan(g, LEAF_NODES) if plan is None else plan
+    if len(block) != m_arr.shape[0]:
+        raise ValueError(f"plan labels {len(block)} edge rows, but g has {m_arr.shape[0]}")
     # One fmin.at takes each block's minimum, skipping NaN, so a NaN score
     # warns no more than the scan does; a label that no row holds any more
     # (its block was emptied) keeps +inf. The picked row is the first that

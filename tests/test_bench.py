@@ -1,5 +1,6 @@
 """Benchmark harness: error metric, cell seeding, and report layout."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -240,6 +241,26 @@ def test_run_benchmark_rejects_budget_beyond_pairs_left():
     # every cell's init graph would raise it, so it is raised before any cell
     with pytest.raises(InvalidBudget, match="budget_b"):
         run_benchmark(SolverConfig(budget_b=22), ratios=(0.5,), trials=1, n=8)
+
+
+@pytest.mark.parametrize("exact, arrays", [(False, 6.0), (True, 8.0)])
+def test_a_cell_holds_only_the_true_graph_through_its_solve(exact, arrays):
+    # a cell scores against w_star alone, so the truth's (N, N) covariance
+    # is gone before the solve: its peak is the draw's or the solve's,
+    # never the solve's plus the covariance
+    cfg = SolverConfig(max_iters=20, exact_logdet=exact)
+    def cell(n):
+        return run_benchmark(cfg, [0.2], 1, n=n, generators=("mvt",), solvers=("recursive",))
+    cell(30)  # first-call set-up
+    n = 300
+    tracemalloc.start()
+    try:
+        report = cell(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cells[0].ok
+    assert peak <= arrays * 8 * n * n, f"{peak / (8 * n * n):.2f} (N, N) arrays"
 
 
 def test_run_benchmark_refuses_a_start_too_large_before_any_draw(monkeypatch):

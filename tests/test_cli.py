@@ -103,7 +103,7 @@ def test_gen_checks_before_building_the_ground_truth(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("n, k, message", [
-    (12, 2, "error: node count 12 needs 7 12 x 12 float64 arrays at once"),
+    (12, 2, f"error: node count 12 needs {DRAW_ARRAYS} 12 x 12 float64 arrays at once"),
     (2, 200, "error: sample count 200 at node count 2 needs 3 2 x 200 float64 arrays"),
 ])
 def test_gen_counts_every_array_a_draw_holds(tmp_path, capsys, monkeypatch, n, k, message):

@@ -2,12 +2,13 @@
 
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, _sym_sqrt, check_dof, check_gmm,
-                          check_ground_truth, check_samples, connected_pairs,
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, GroundTruth, _sym_sqrt, check_dof,
+                          check_gmm, check_ground_truth, check_samples, connected_pairs,
                           draw_instance, gen_ground_truth, sample_count, sample_gmm,
                           sample_mvt)
 from fsgl.errors import InvalidDof, TooLarge
@@ -17,15 +18,19 @@ from unionfind import reference_pairs
 
 
 def test_ground_truth_precision_covariance_inverse():
-    # cov @ theta = I within 1e-8, theta = L + rho I
+    # cov @ theta = I within 1e-8, theta = L + rho I rebuilt from w_star and rho
     for seed in range(25):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 25))
         gt = gen_ground_truth(n, float(rng.uniform(0.05, 0.6)), seed=seed)
-        assert np.max(np.abs(gt.cov @ gt.theta - np.eye(n))) < 1e-8
-        lap = build_laplacian(gt.w_star)
-        assert np.allclose(gt.theta, lap + gt.rho * np.eye(n), atol=1e-12)
+        theta = build_laplacian(gt.w_star) + gt.rho * np.eye(n)
+        assert np.max(np.abs(gt.cov @ theta - np.eye(n))) < 1e-8
         assert np.array_equal(gt.cov, gt.cov.T)
+
+
+def test_ground_truth_keeps_its_graph_and_covariance_only():
+    # the precision is one line from w_star and rho, so no draw holds it
+    assert [f.name for f in fields(GroundTruth)] == ["w_star", "cov", "rho"]
 
 
 def test_ground_truth_connected_and_weights_in_range():
@@ -344,12 +349,12 @@ def test_sample_count_refuses_a_ratio_that_is_no_finite_real():
 
 def test_ground_truth_checks_return_the_python_numbers_they_accept():
     # each check hands back what graph.integer and graph.real return, and
-    # the size ceiling is computed from them: 7 n n wraps in int16
+    # the size ceiling is computed from them: DRAW_ARRAYS n n wraps in int16
     assert check_ground_truth(np.int16(12), np.float32(0.25), np.int8(1)) == (12, 0.25, 1.0)
     assert [type(v) for v in check_ground_truth(np.int16(12), np.float32(0.25),
                                                 np.int8(1))] == [int, float, float]
     for n in (20000, np.int16(20000)):
-        with pytest.raises(TooLarge, match="node count 20000 needs 7 20000 x 20000"):
+        with pytest.raises(TooLarge, match=f"node count 20000 needs {DRAW_ARRAYS} 20000 x 20000"):
             check_ground_truth(n, 0.2, 0.5)
     assert type(check_samples(12, np.int32(5))) is int
     with pytest.raises(TooLarge, match="sample count 1 at node count 20000"):

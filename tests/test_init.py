@@ -11,10 +11,13 @@ from fsgl.errors import InvalidBudget, NonFiniteInput, TooLarge
 from fsgl.graph import complete_graph, gram, is_connected
 from fsgl.init_graph import (
     EDGE_ARRAYS,
+    EXACT_SQUARE_ARRAYS,
     RANKING_ARRAYS,
+    SQUARE_ARRAYS,
     check_start,
     default_budget,
     init_sparse_graph,
+    initial_graph,
     max_similarity_tree,
 )
 from fsgl.solver import SolverConfig, eigenpair_count, run_solver
@@ -249,15 +252,57 @@ def test_complete_start_solve_peak_fits_its_edge_arrays(n, k):
     assert peak <= limit, f"{peak / (8 * edges):.2f} edge-length arrays"
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kind, budget", [("recursive", None), ("greedy", 900)])
+def test_sparse_start_solve_peak_fits_its_square_arrays(kind, budget, exact):
+    # initial_graph's size ceiling counts SQUARE_ARRAYS (N, N) arrays for a
+    # solve, EXACT_SQUARE_ARRAYS in exact mode: its Laplacian and the full
+    # eigensolves, which outweigh a sparse start's edge arrays
+    n, k = 300, 60
+    obs = sample_gmm(gen_ground_truth(n, 0.2, seed=4), k, seed=14)  # 20 steps each
+    obs.gram  # the Gram matrix is the observations', not the solve's
+    cfg = SolverConfig(solver_kind=kind, budget_b=budget, exact_logdet=exact,
+                       epsilon=0.05, max_iters=20)
+    g0 = initial_graph(obs, cfg)
+    assert g0.edge_count == n - 1 + 3 * n
+    run_solver(g0, obs, cfg)  # first-call set-up
+    (g, trace), peak = traced_peak(lambda: run_solver(g0, obs, cfg))
+    assert len(trace) == 20
+    square = EXACT_SQUARE_ARRAYS if exact else SQUARE_ARRAYS
+    assert peak <= 8 * square * n * n, f"{peak / (8 * n * n):.2f} (N, N) arrays"
+
+
+def test_check_start_counts_the_solves_square_arrays():
+    # these sparse starts' pair and edge arrays fit the ceiling, but the
+    # solve's (N, N) arrays do not; only the check runs at these sizes
+    with pytest.raises(TooLarge, match=r"the sparse start at node count 5600 "
+                       r"\(22399 edges, 1120 samples\) needs 1,254,400,000 bytes"):
+        check_start(5600, 1120, SolverConfig(solver_kind="recursive"))
+    with pytest.raises(TooLarge, match=r"the sparse start at node count 4800 "
+                       r"\(19199 edges, 960 samples\) needs 1,290,240,000 bytes"):
+        check_start(4800, 960, SolverConfig(solver_kind="recursive", exact_logdet=True))
+    # the largest sparse starts at K/N = 0.2, then the smallest refused
+    for n, exact in ((5181, False), (4378, True)):
+        cfg = SolverConfig(solver_kind="recursive", exact_logdet=exact)
+        assert check_start(n, n // 5, cfg)
+        with pytest.raises(TooLarge):
+            check_start(n + 1, (n + 1) // 5, cfg)
+    # a complete start's edge arrays still outweigh its solve's (N, N) ones
+    for exact in (False, True):
+        assert not check_start(862, 172, SolverConfig(exact_logdet=exact))
+        with pytest.raises(TooLarge, match="the complete start at node count 863"):
+            check_start(863, 173, SolverConfig(exact_logdet=exact))
+
+
 def test_check_start_refuses_at_datagen_size_ceiling(monkeypatch):
     # the start's edge arrays meet the one ceiling a draw meets, and its
     # refusal ends as a draw's does, under a lowered ceiling too
     with pytest.raises(TooLarge, match=r"the complete start at node count 20000 "
-                       r"\(199990000 edges, 4000 samples\) needs [\d,]+ bytes of edge "
-                       r"arrays, above the 1 GiB ceiling$"):
+                       r"\(199990000 edges, 4000 samples\) needs [\d,]+ bytes of "
+                       r"arrays at once, above the 1 GiB ceiling$"):
         check_start(20000, 4000, SolverConfig())
     monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 400_000)
-    with pytest.raises(TooLarge, match=r"needs 580,560 bytes of edge arrays, "
+    with pytest.raises(TooLarge, match=r"needs 580,560 bytes of arrays at once, "
                        r"above the 0.000372529 GiB ceiling$"):
         check_start(60, 12, SolverConfig())
 

@@ -496,6 +496,21 @@ def test_selection_through_a_plan_whose_last_block_emptied():
     assert sel[2] == 2 and partition_select(g, state, obs, cfg, plan) == sel
 
 
+@pytest.mark.parametrize("rows", [65, 67])
+def test_partition_select_refuses_a_plan_that_does_not_label_every_edge(rows):
+    # complete_graph(12) has 66 edge rows; a plan one short or one long
+    # once ended in NumPy's broadcast error from np.fmin.at
+    obs = solve_instance(0, 12)
+    g = complete_graph(12)
+    cfg = SolverConfig(solver_kind="recursive")
+    state = compute_state(g, cfg, obs.k)
+    sel = greedy_step(g, obs.gram, state, cfg)
+    assert sel is not None
+    assert partition_select(g, state, obs, cfg, np.zeros(66, dtype=np.intp)) == sel
+    with pytest.raises(ValueError, match=f"plan labels {rows} edge rows, but g has 66"):
+        partition_select(g, state, obs, cfg, np.zeros(rows, dtype=np.intp))
+
+
 def _select_block_by_block(grad, m_arr, n_arr, plan):
     """The reduction as a loop: an argmin per block, then the best
     (grad, m, n) key over the block minima. plan is the list of each
