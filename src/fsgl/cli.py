@@ -32,7 +32,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=d.epsilon, help="step size")
     p.add_argument("--alpha", type=float, default=d.alpha, help="log-det shift")
     p.add_argument("--gamma", type=float, default=d.gamma, help="connectivity weight")
-    p.add_argument("--mu", type=float, default=d.mu, help="sparsity weight")
+    p.add_argument("--mu", type=float, default=d.mu, help="sparsity weight, per edge")
     p.add_argument("--budget", type=int, default=d.budget_b,
                    help="extra init edges past the tree (default 3N); if set, greedy starts sparse")
     p.add_argument("--refresh", type=int, default=d.refresh_interval,

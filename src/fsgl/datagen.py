@@ -18,16 +18,17 @@ import numpy as np
 from .errors import InvalidDof, TooLarge
 from .graph import (ObservationSet, WeightedGraph, build_laplacian, check_shift,
                     component_labels, integer, real)
-from .spectral import smallest_eigenpairs
+from .spectral import sym_sqrt
 
 GENERATORS = ("gmm", "mvt")
 MAX_ARRAY_BYTES = 2**30  # the most float64 array memory datagen holds at once
 # (N, N) and (N, K) arrays a draw holds at once at its peak, measured with
-# tracemalloc: the truth's covariance, the square root's input,
-# eigenvectors, LAPACK workspace and product, then the samples and their
-# transforms (at most 3; the samplers shift or scale in place, so 2.5 at
-# N = 2, where the K-length vectors weigh most).
-DRAW_ARRAYS = 6
+# tracemalloc: the truth's covariance, the square root's scaled copy, which
+# dsyevd overwrites with its eigenvectors, and dsyevd's workspace (two;
+# 4.31-4.33 for gmm and mvt alike at N = 300-1,000), then the samples and
+# their transforms (at most 3; the samplers shift or scale in place, so
+# 2.5 at N = 2, where the K-length vectors weigh most).
+DRAW_ARRAYS = 5
 SAMPLE_ARRAYS = 3
 
 
@@ -153,15 +154,6 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     return GroundTruth(g, cov, rho)
 
 
-def _sym_sqrt(c: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root from c's full spectrum."""
-    state = smallest_eigenpairs(c, c.shape[0])
-    # the product's rounding, so each seed's draw, depends on v being C-ordered
-    lam, v = state.eigvals, np.ascontiguousarray(state.eigvecs)
-    del state  # frees the Fortran-ordered copy before the product
-    return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
-
-
 def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
                mean_scale: float = 1.0, seed: int = 0) -> ObservationSet:
     """K samples from a Gaussian mixture sharing the truth covariance.
@@ -177,7 +169,7 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     k = check_samples(n, k)
     n_components, mean_scale = check_gmm(n_components, mean_scale)
     rng = np.random.default_rng(seed)
-    root = _sym_sqrt(gt.cov)
+    root = sym_sqrt(gt.cov)
     means = mean_scale * rng.standard_normal(n_components)
     labels = rng.integers(0, n_components, size=k)
     x = root @ rng.standard_normal((n, k))
@@ -197,7 +189,7 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     k = check_samples(n, k)
     nu = check_dof(nu)
     rng = np.random.default_rng(seed)
-    root = _sym_sqrt(gt.cov * ((nu - 2.0) / nu))
+    root = sym_sqrt(gt.cov, (nu - 2.0) / nu)
     z = root @ rng.standard_normal((n, k))
     z /= np.sqrt(rng.chisquare(nu, size=k) / nu)
     return ObservationSet(z)

@@ -18,8 +18,10 @@ from .graph import ObservationSet, WeightedGraph, complete_graph, integer, real_
 from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
-# The sparse start ranks all N(N-1)/2 node pairs in 8 float64/intp
-# arrays. A solve on E edges stays within 17 of length E (tracemalloc read
+# The sparse start ranks all N(N-1)/2 node pairs in 5 float64/intp
+# arrays: the ranked endpoints, the (N, N) rank matrix (two) and the
+# ranks it is filled from (tracemalloc read 5.01-5.03 at N = 200-600). A
+# solve on E edges stays within 17 of length E (tracemalloc read
 # 13.7-15.1 from the complete graph at N = 80-200): the graph's and its
 # Laplacian's, the carried eps z (edge_terms), the scores and a deletion's
 # copy; plus the two (k, E) gathers score_edges makes for k eigenpairs.
@@ -28,7 +30,7 @@ from .solver import SolverConfig, eigenpair_count
 # and whose workspace is two more; tracemalloc read 4.25-4.33 with the
 # edge arrays, from a sparse start at N = 300 and 600. Exact mode's full
 # snapshots and their resolvent products read 6.07-6.15.
-RANKING_ARRAYS = 8
+RANKING_ARRAYS = 5
 EDGE_ARRAYS = 17
 SQUARE_ARRAYS = 5
 EXACT_SQUARE_ARRAYS = 7
@@ -61,6 +63,7 @@ def _ranked_tree(y: np.ndarray):
     iu, ju = np.triu_indices(n, k=1)
     order = np.lexsort((ju, iu, -y[iu, ju]))
     ms, ns, top = iu[order], ju[order], order.shape[0]
+    del iu, ju, order  # dead before the rank matrix, the peak's largest array
     rank = np.full((n, n), top)
     rank[ms, ns] = rank[ns, ms] = np.arange(top)
     rank[:, [ms[0], ns[0]]] = top

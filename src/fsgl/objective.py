@@ -96,11 +96,9 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     Fiedler value's drop: sqrt(2) eps |v2_m - v2_n| when the eigen-gap
     exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
     mu is subtracted, in place, on exactly the rows whose step removes the
-    edge by the rule `graph.step_deletes` that `weaken_edge` applies. A
-    negative grad therefore certifies descent. The objective charges 2 mu
-    per edge (`objective_and_fiedler`), so on a step that deletes, the
-    score credits mu of the 2 mu the objective drops: it stays an upper
-    bound on the change, mu looser than on other steps.
+    edge by the rule `graph.step_deletes` that `weaken_edge` applies: the
+    mu per edge the objective charges (`objective_and_fiedler`). A
+    negative grad therefore certifies descent.
 
     A step too large for an edge (eta <= 0, or NaN) is not an error: that
     edge gets grad = +inf exactly, whatever its other terms overflow to, and
@@ -194,16 +192,15 @@ def fiedler_value(state: SpectralState, connected: bool) -> float:
 def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
                           lap=None) -> tuple[float, float]:
     """(h, l2): the exact objective h = tr(LY) - log det(L + aI) - gamma l2
-    + mu |W|_0,off and the Fiedler value l2 it used, from one full spectrum
+    + mu |E| and the Fiedler value l2 it used, from one full spectrum
     l_1 <= ... <= l_N of L, once `graph.check_shift` has refused an alpha
     lost in rounding against l_1 = 0. L has exactly one zero eigenvalue per
     connected component, and `component_labels` counts the c components:
     log det = c log a + sum_{i>c} log(l_i + a) and l2 = fiedler_value(state,
     c == 1), so neither term reads the rounding noise of a zero eigenvalue.
-    The check l_1 + a > 0 stays as a safeguard. |W|_0,off counts both
-    off-diagonal entries of an edge, 2 mu per edge, where `score_edges`
-    credits a deletion with mu alone. Monitoring only, never in the
-    scoring loop.
+    The check l_1 + a > 0 stays as a safeguard. |E| counts each edge once,
+    so a deletion lowers the l0 term by the mu `score_edges` credits it.
+    Monitoring only, never in the scoring loop.
     `lap`, if given, is build_laplacian(g), as a solve holds it; same bits."""
     if g.n < 2:
         raise ValueError("need at least two nodes: lambda2 is undefined")
@@ -218,7 +215,7 @@ def objective_and_fiedler(g: WeightedGraph, y: np.ndarray, cfg,
     logdet = c * math.log(cfg.alpha) + np.log(shifted[c:]).sum()
     lambda2 = fiedler_value(state, c == 1)
     h = smoothness_trace(g, y) - logdet - cfg.gamma * lambda2
-    return h + cfg.mu * 2.0 * g.edge_count, lambda2
+    return h + cfg.mu * g.edge_count, lambda2
 
 
 def objective_value(g: WeightedGraph, y: np.ndarray, cfg, lap=None) -> float:

@@ -1,12 +1,15 @@
-"""Smallest eigenpairs of a symmetric matrix, and the eigen-gap.
+"""Smallest eigenpairs of a symmetric matrix, the eigen-gap, and a PSD
+square root.
 
 The solver only needs the low end of a Laplacian's spectrum: the Fiedler
 pair (lambda_2, v_2), its gap to the neighboring eigenvalues, and a
 truncated eigenbasis that `objective.score_edges` weights with
 `SolverConfig.alpha` to upper-bound quadratic forms of (L + alpha I)^{-1}.
 Every eigenvalue and determinant in fsgl comes from `smallest_eigenpairs`,
-datagen's covariance square root included, and so does every factorisation
-of a solve's Laplacian: the exact resolvent is taken from a full spectrum.
+and so does every factorisation of a solve's Laplacian: the exact
+resolvent is taken from a full spectrum. datagen's covariance square
+root (`sym_sqrt`) runs the same code on a scaled copy it lets dsyevd
+overwrite.
 
 A partial spectrum comes from LAPACK's dsyevr, called as
 `scipy.linalg.eigh(subset_by_index=...)` calls it, so with its bits; a
@@ -127,6 +130,12 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     (`graph.integer`), raises TypeError; a matrix that is not square
     and 2-D, or complex, raises ValueError (LAPACK would keep the real part).
     """
+    return _eigenpairs(lap, k, 0)
+
+
+def _eigenpairs(lap: np.ndarray, k: int, overwrite: int) -> SpectralState:
+    """`smallest_eigenpairs`; with overwrite = 1, dsyevd writes its
+    eigenvectors over an F-contiguous float64 `lap` instead of a copy."""
     if not isinstance(lap, np.ndarray):
         raise TypeError(f"lap must be a NumPy array, got {type(lap).__name__}")
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
@@ -157,7 +166,21 @@ def smallest_eigenpairs(lap: np.ndarray, k: int) -> SpectralState:
     if failed is not None:
         logger.warning("dsyevr failed (info=%d, %d of %d eigenvalues); using the full "
                        "dsyevd", *failed, k)
-    vals, vecs, info = _SYEVD(lap, compute_v=1, lower=1)
+    vals, vecs, info = _SYEVD(lap, compute_v=1, lower=1, overwrite_a=overwrite)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return SpectralState(vals[:k], vecs[:, :k])
+
+
+def sym_sqrt(c: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The symmetric PSD square root of scale * c, for an exactly symmetric
+    c, from its full spectrum: bitwise the root of `np.linalg.eigh`'s
+    spectrum with C-ordered eigenvectors. dsyevd reads the scaled copy
+    through its transpose, an F-contiguous view of the same matrix, and
+    writes its eigenvectors over it, so it makes no copy of its own."""
+    a = c * scale
+    state = _eigenpairs(a.T, a.shape[0], 1)
+    # the product's rounding, so each seed's draw, depends on v being C-ordered
+    lam, v = state.eigvals, np.ascontiguousarray(state.eigvecs)
+    del a, state  # frees the eigenvectors dsyevd wrote before the product
+    return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T

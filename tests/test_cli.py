@@ -519,7 +519,8 @@ def test_solve_reports_lambda2_from_the_final_objective(tmp_path, monkeypatch, c
 # Recorded from `fsgl bench --n 12 --trials 2 --ratios 0.2,1.0 --seed 3`
 # (raw CSV, ms column dropped) and from `fsgl solve` on `gen --n 12 --k 4
 # --seed 9` (ms fields dropped), before solve and bench shared one timed solve;
-# lambda2 is each solve's trace.final_lambda2.
+# lambda2 is each solve's trace.final_lambda2. The objective pair was
+# re-read when the l0 term became mu per edge: 0.2 x 47 and 0.2 x 40 less.
 RECORDED_SWEEP = """\
 generator,solver,ratio,trial,re,lambda2,edges,steps,stop
 gmm,greedy,0.2,0,1.774485411252806,4.000000000000003,58,800,no_descent
@@ -540,7 +541,7 @@ mvt,recursive,1.0,0,0.9617739953636255,0.09223082887199842,15,4128,no_descent
 mvt,recursive,1.0,1,0.9622699293327426,0.0,4,4484,no_descent
 """
 RECORDED_SOLVE = ("solver=recursive steps=787 stop=no_descent eigensolves=788 ineligible=0 "
-                  "edges=40 lambda2=0.000000 objective=111.142007->55.618766\n"
+                  "edges=40 lambda2=0.000000 objective=101.742007->47.618766\n"
                   "relative_error=1.215759\n")
 
 

@@ -7,13 +7,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, GroundTruth, _sym_sqrt, check_dof,
-                          check_gmm, check_ground_truth, check_samples, connected_pairs,
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, GroundTruth, check_dof, check_gmm,
+                          check_ground_truth, check_samples, connected_pairs,
                           draw_instance, gen_ground_truth, sample_count, sample_gmm,
                           sample_mvt)
 from fsgl.errors import InvalidDof, TooLarge
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
+from fsgl.spectral import sym_sqrt
 from unionfind import reference_pairs
 
 
@@ -305,10 +306,11 @@ def test_a_rho_lost_in_rounding_is_refused_on_every_draw():
 
 
 @pytest.mark.parametrize("generator", ["gmm", "mvt"])
-@pytest.mark.parametrize("n, k", [(300, 60), (600, 120), (1000, 200), (2, 200_000)])
+@pytest.mark.parametrize("n, k", [(300, 60), (600, 120), (1000, 200), (600, 1), (2, 200_000)])
 def test_draw_peak_fits_its_counted_arrays(generator, n, k):
     # check_samples bounds DRAW_ARRAYS (N, N) and SAMPLE_ARRAYS (N, K)
-    # float64 arrays held at once; a draw must never hold more
+    # float64 arrays held at once; a draw must never hold more, even where
+    # K = 1 leaves the (N, N) arrays no slack from the samples
     draw_instance(3, 1, generator, [0], 0.2, 0.5, 3.0, 3, 1.0)  # first-call set-up
     tracemalloc.start()
     try:
@@ -322,13 +324,15 @@ def test_draw_peak_fits_its_counted_arrays(generator, n, k):
 
 def test_covariance_root_is_bitwise_the_numpy_eigh_root():
     # the root, so every drawn sample, keeps the bits of np.linalg.eigh's
-    # spectrum with C-ordered eigenvectors
+    # spectrum with C-ordered eigenvectors; the covariance is left as it was
     for n in range(2, 61):
         cov = gen_ground_truth(n, 0.2, seed=n).cov
-        for c in (cov, cov * (1.0 / 3.0)):
-            lam, v = np.linalg.eigh(c)
+        kept = cov.copy()
+        for scale in (1.0, 1.0 / 3.0):
+            lam, v = np.linalg.eigh(cov * scale)
             root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
-            assert _sym_sqrt(c).tobytes() == root.tobytes(), n
+            assert sym_sqrt(cov, scale).tobytes() == root.tobytes(), n
+            assert cov.tobytes() == kept.tobytes(), n
 
 
 def test_sample_count_at_one_fifth_is_the_integer_rule():

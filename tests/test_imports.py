@@ -21,6 +21,8 @@ Only graph.py tests whether a scalar is an int or a float, in
 `graph.integer` and `graph.real`, which every other check calls. Only
 graph.py decides when a step deletes an edge (`graph.step_deletes`): no
 other module reads WEIGHT_ZERO or compares an edge weight with the step.
+Only objective.py computes with the l0 weight mu, so the score's credit
+for a deletion and the objective's charge per edge are one rate.
 Only datagen.py names MAX_ARRAY_BYTES: every size refusal goes through
 `datagen.check_size`. Neither selector calls argmin: `objective.selection`
 makes the one pick.
@@ -231,6 +233,57 @@ def test_only_graph_module_decides_when_a_step_deletes():
         if lines and path.name != "graph.py":
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}
+
+
+# NumPy's arithmetic calls, which compute with an argument as `-` or `*` do.
+ARITHMETIC_CALLS = ("add", "subtract", "multiply", "divide", "true_divide", "negative",
+                    "power")
+
+
+def _is_mu(node) -> bool:
+    """Whether `node` names the l0 weight: `mu` or a `.mu` attribute."""
+    return (isinstance(node, ast.Name) and node.id == "mu"
+            or isinstance(node, ast.Attribute) and node.attr == "mu")
+
+
+def mu_arithmetic(tree) -> list[int]:
+    """Lines inside the AST `tree` that compute with the l0 weight: `mu` or
+    `.mu` as an operand of an operator or an augmented assignment, or as an
+    argument of a NumPy arithmetic call. A comparison, a keyword argument
+    or a message's `{cfg.mu!r}` computes nothing."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp):
+            operands = [node.operand]
+        elif isinstance(node, ast.AugAssign):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and call_name(node) in ARITHMETIC_CALLS:
+            operands = node.args
+        else:
+            continue
+        if any(map(_is_mu, operands)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_objective_module_computes_with_mu():
+    # score_edges credits a deleting step the mu that objective_and_fiedler
+    # charges each edge; no other module may hold a rate of its own
+    assert mu_arithmetic(ast.parse(
+        "h = x + cfg.mu * 2.0\ny -= mu\nok = self.mu < 0\nf(mu=args.mu)\n"
+        "np.subtract(g, cfg.mu, out=g)\nm = f'{cfg.mu!r}'\nz = -mu\n"
+        "w = cfg.gamma * rho\nmus = 2 * n\n")) == [1, 2, 5, 7]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = mu_arithmetic(ast.parse(path.read_text()))
+        if lines and path.name != "objective.py":
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+    source = (ROOT / "src" / "fsgl" / "objective.py").read_text()
+    assert [name for name, func in functions(source).items() if mu_arithmetic(func)] == [
+        "score_edges", "objective_and_fiedler"]
 
 
 # What computes eigenvalues or determinants; only spectral.py may call them.

@@ -465,7 +465,7 @@ def test_objective_value_matches_direct_formula():
         ref = (np.trace(lap @ y)
                - np.linalg.slogdet(lap + cfg.alpha * np.eye(n))[1]
                - cfg.gamma * np.linalg.eigvalsh(lap)[1]
-               + cfg.mu * 2.0 * g.edge_count)
+               + cfg.mu * g.edge_count)
         assert objective_value(g, y, cfg) == pytest.approx(ref, abs=1e-9)
 
 
@@ -593,14 +593,16 @@ def test_descent_soundness_single_step():
         cases.append((g, gram(rng.standard_normal((n, 4))), SolverConfig(), min(n, 5),
                       list(g.edges)[:4]))
     # every step deletes its edge, at three l0 weights: the score credits
-    # mu for the deletion where the objective charges 2 mu per edge, so
-    # the bound holds with mu to spare
+    # the mu per edge the objective charges, so the least slack is the
+    # same at every mu
     g, y = deleting_instance()
     for mu in (0.0, 0.2, 1.0):
         cases.append((g, y, SolverConfig(mu=mu), 5, list(g.edges)))
+    slacks = []
     for g, y, cfg, k, edges in cases:
         state = smallest_eigenpairs(build_laplacian(g), k)
         before = objective_value(g, y, cfg)
+        slack = math.inf
         for (m, n2) in edges:
             w = g.weight(m, n2)
             grad = score_one(state, y, m, n2, cfg, w).grad[0]
@@ -609,6 +611,9 @@ def test_descent_soundness_single_step():
                 continue  # clamped partial step changes the accounting
             after = objective_value(g2, y, cfg)
             assert after - before <= grad + 1e-8
+            slack = min(slack, grad - (after - before))
+        slacks.append(slack)
+    assert max(slacks[-3:]) - min(slacks[-3:]) <= 1e-9, slacks[-3:]
 
 
 def test_objective_value_needs_two_nodes():

@@ -623,7 +623,7 @@ def full_spectrum_objective(g, y, cfg):
     computed spectrum, zero eigenvalues' rounding included."""
     lam = np.linalg.eigvalsh(build_laplacian(g))
     return (smoothness_trace(g, y) - np.log(lam + cfg.alpha).sum() - cfg.gamma * lam[1]
-            + cfg.mu * 2.0 * g.edge_count)
+            + cfg.mu * g.edge_count)
 
 
 @pytest.mark.parametrize("kind", ["greedy", "recursive"])
