@@ -301,8 +301,9 @@ class Laplacian:
     def weaken(self, i: int, eps: float) -> "Laplacian":
         """`weaken_edge` on row i of `g`'s edge arrays, the row a selector
         returns: self, weakened in place, or the next edge set's. A row
-        outside [0, edge_count) raises IndexError and changes nothing."""
-        g = self.g
+        that is not an integer (`integer`) raises TypeError, one outside
+        [0, edge_count) IndexError, and neither changes anything."""
+        g, i = self.g, integer(i, "edge row")
         if not 0 <= i < g.edge_count:  # numpy would wrap a negative row
             raise IndexError(f"edge row {i} out of range for {g.edge_count} edges")
         w = g._step(i, eps)

@@ -18,10 +18,7 @@ from .graph import ObservationSet, WeightedGraph, complete_graph, integer, real_
 from .solver import SolverConfig, eigenpair_count
 
 # Arrays of one length alive at once at peak, measured with tracemalloc.
-# The sparse start ranks all N(N-1)/2 node pairs in 5 float64/intp
-# arrays: the ranked endpoints, the (N, N) rank matrix (two) and the
-# ranks it is filled from (tracemalloc read 5.01-5.03 at N = 200-600). A
-# solve on E edges stays within 17 of length E (tracemalloc read
+# A solve on E edges stays within 17 of length E (tracemalloc read
 # 13.7-15.1 from the complete graph at N = 80-200): the graph's and its
 # Laplacian's, the carried eps z (edge_terms), the scores and a deletion's
 # copy; plus the two (k, E) gathers score_edges makes for k eigenpairs.
@@ -30,7 +27,6 @@ from .solver import SolverConfig, eigenpair_count
 # and whose workspace is two more; tracemalloc read 4.25-4.33 with the
 # edge arrays, from a sparse start at N = 300 and 600. Exact mode's full
 # snapshots and their resolvent products read 6.07-6.15.
-RANKING_ARRAYS = 5
 EDGE_ARRAYS = 17
 SQUARE_ARRAYS = 5
 EXACT_SQUARE_ARRAYS = 7
@@ -133,19 +129,18 @@ def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
 
     InvalidBudget for a budget above the pairs left beyond the tree, and
     TooLarge (`datagen.check_size`) when building the start, or solving
-    from it, would pass the ceiling in the largest of its counts: pair-length
-    arrays (RANKING_ARRAYS), edge-length ones (EDGE_ARRAYS) or (N, N) ones
-    (SQUARE_ARRAYS, EXACT_SQUARE_ARRAYS under cfg.exact_logdet); the need
-    grows with k, so the largest k bounds a sweep. n and k must be integers
-    (`graph.integer`), else TypeError.
+    from it, would pass the ceiling in the larger of its counts:
+    edge-length arrays (EDGE_ARRAYS) or (N, N) ones (SQUARE_ARRAYS,
+    EXACT_SQUARE_ARRAYS under cfg.exact_logdet). The latter also covers
+    the sparse start's ranking, 5 arrays of the N(N-1)/2 pairs. The need
+    grows with k, so the largest k bounds a sweep. n and k must be
+    integers (`graph.integer`), else TypeError.
     """
     n, k = integer(n, "node count"), integer(k, "sample count")
     sparse = cfg.solver_kind == "recursive" or cfg.budget_b is not None
-    pairs = n * (n - 1) // 2
-    edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else pairs
+    edges = n - 1 + default_budget(n, cfg.budget_b) if sparse else n * (n - 1) // 2
     square = EXACT_SQUARE_ARRAYS if cfg.exact_logdet else SQUARE_ARRAYS
-    entries = max(RANKING_ARRAYS * pairs if sparse else 0,
-                  (EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges, square * n * n)
+    entries = max((EDGE_ARRAYS + 2 * eigenpair_count(n, k)) * edges, square * n * n)
     datagen.check_size(entries, f"the {'sparse' if sparse else 'complete'} start at node "
                        f"count {n} ({edges} edges, {k} samples) needs {8 * entries:,} "
                        f"bytes of arrays at once")

@@ -158,6 +158,22 @@ def cut_plan(g: WeightedGraph, v_min: int) -> np.ndarray:
     return block
 
 
+def _checked_plan(plan, rows: int) -> np.ndarray:
+    """`plan` if it is a 1-D integer array of `rows` non-negative labels,
+    else ValueError naming the fault: np.fmin.at would wrap a negative
+    label to the last block, and cannot index by a float or a list."""
+    if not (isinstance(plan, np.ndarray) and plan.ndim == 1 and plan.dtype.kind in "iu"):
+        what = (f"a {plan.ndim}-D {plan.dtype} array" if isinstance(plan, np.ndarray)
+                else f"a {type(plan).__name__}")
+        raise ValueError(f"plan must be a 1-D integer array, got {what}")
+    if plan.shape[0] != rows:
+        raise ValueError(f"plan labels {plan.shape[0]} edge rows, but g has {rows}")
+    if plan[i := int(plan.argmin())] < 0:
+        raise ValueError(f"plan gives row {i} the label {int(plan[i])}, but block "
+                         f"labels must be non-negative")
+    return plan
+
+
 def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
                      plan=None, terms=None, trace=None):
     """Recursive Cheeger-cut search for the best edge to weaken.
@@ -165,10 +181,11 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     Returns what the exhaustive scan returns (see `selection`), because
     the plan's blocks only partition the candidate edge set while all
     scores come from the global snapshot. `plan` is any such partition of
-    g's edge rows, one non-negative block label per row as `cut_plan`
-    returns it (cut_plan(g, LEAF_NODES) when not given, built only once
-    `selection` has picked a row), else ValueError; a solve passes its
-    start graph's plan, each deleted row's label taken out by `np.delete`.
+    g's edge rows, a 1-D integer array of one non-negative block label per
+    row as `cut_plan` returns it (cut_plan(g, LEAF_NODES) when not given),
+    read and checked only once `selection` has picked a row, else
+    ValueError; a solve passes its start graph's plan, each deleted row's
+    label taken out by `np.delete`.
     `terms` and `trace` are as in `score_edges`.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
@@ -176,9 +193,7 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     sel = selection(grad, m_arr, n_arr)
     if sel is None:
         return None
-    block = cut_plan(g, LEAF_NODES) if plan is None else plan
-    if len(block) != m_arr.shape[0]:
-        raise ValueError(f"plan labels {len(block)} edge rows, but g has {m_arr.shape[0]}")
+    block = cut_plan(g, LEAF_NODES) if plan is None else _checked_plan(plan, m_arr.shape[0])
     # One fmin.at takes each block's minimum, skipping NaN, so a NaN score
     # warns no more than the scan does; a label that no row holds any more
     # (its block was emptied) keeps +inf. The picked row is the first that

@@ -357,6 +357,19 @@ def test_laplacian_weaken_outside_the_row_range_changes_nothing():
     assert np.array_equal(lap.lap, before)
 
 
+@pytest.mark.parametrize("row", [True, 0.25, 1.0, np.float64(0.0)])
+def test_laplacian_weaken_names_a_row_that_is_not_an_integer(row):
+    # a bool row once raised an unnamed TypeError from NumPy, a float row
+    # NumPy's IndexError
+    lap = Laplacian(WeightedGraph(10, {(2, 5): 1.0, (3, 4): 2.0}))
+    before, w = lap.lap.copy(), lap.g.edge_arrays()[2].copy()
+    with pytest.raises(TypeError, match=re.escape(f"edge row must be an integer, got {row!r}")):
+        lap.weaken(row, 0.25)
+    assert lap.g.edges == {(2, 5): 1.0, (3, 4): 2.0}
+    assert lap.lap.tobytes() == before.tobytes()
+    assert lap.g.edge_arrays()[2].tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("build", [
     lambda: WeightedGraph.from_arrays(3, [0.5], [1.9], [1.0]),
     lambda: WeightedGraph.from_arrays(3, np.array([0.0]), np.array([2]), [1.0]),

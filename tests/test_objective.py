@@ -30,18 +30,7 @@ from fsgl.objective import (
 )
 from fsgl.solver import SolverConfig, SolveTrace, compute_state, greedy_step, run_solver
 from fsgl.spectral import SpectralState, smallest_eigenpairs
-
-
-def random_connected_graph(rng, n, density=0.5):
-    while True:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < density
-        edges = {(int(a), int(b)): float(w)
-                 for a, b, w in zip(iu[mask], ju[mask],
-                                    rng.uniform(0.2, 2.0, int(mask.sum())))}
-        g = WeightedGraph(n, edges)
-        if np.linalg.eigvalsh(build_laplacian(g))[1] > 1e-8:
-            return g
+from randomgraph import random_connected_graph
 
 
 def score_one(state, y, m, n, cfg, w=1.0):

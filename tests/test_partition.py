@@ -511,6 +511,34 @@ def test_partition_select_refuses_a_plan_that_does_not_label_every_edge(rows):
         partition_select(g, state, obs, cfg, np.zeros(rows, dtype=np.intp))
 
 
+def _odd_rows_unlabelled(plan):
+    plan = plan.copy()
+    plan[1::2] = -1
+    return plan
+
+
+@pytest.mark.parametrize("malformed, fault", [
+    (lambda plan: np.full(plan.shape[0], -1), "plan gives row 0 the label -1"),
+    (_odd_rows_unlabelled, "plan gives row 1 the label -1"),
+    (lambda plan: plan.astype(float), "integer array, got a 1-D float64 array"),
+    (list, "integer array, got a list"),
+], ids=["all-minus-one", "odd-rows-minus-one", "float", "list"])
+def test_partition_select_refuses_a_malformed_plan(malformed, fault):
+    # on the N = 30 sparse start's 119 edge rows these plans once raised
+    # IndexError or AttributeError, or (odd rows -1, which np.fmin.at wraps
+    # to the last block) selected without a word
+    obs = solve_instance(0, 30)
+    cfg = SolverConfig(solver_kind="recursive")
+    g = init_sparse_graph(obs.gram, None)
+    state = compute_state(g, cfg, obs.k)
+    plan = cut_plan(g, LEAF_NODES)
+    sel = greedy_step(g, obs.gram, state, cfg)
+    assert g.edge_count == 119 and sel is not None
+    assert partition_select(g, state, obs, cfg, plan) == sel
+    with pytest.raises(ValueError, match=fault):
+        partition_select(g, state, obs, cfg, malformed(plan))
+
+
 def _select_block_by_block(grad, m_arr, n_arr, plan):
     """The reduction as a loop: an argmin per block, then the best
     (grad, m, n) key over the block minima. plan is the list of each

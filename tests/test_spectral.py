@@ -14,19 +14,7 @@ from fsgl.errors import InsufficientEigenpairs, NonFiniteInput
 from fsgl.graph import WeightedGraph, build_laplacian, complete_graph
 from fsgl.spectral import SpectralState, smallest_eigenpairs
 from quadforms import exact_quadform, majorizer_quadform
-
-
-def random_connected_graph(rng, n, density=0.5):
-    while True:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < density
-        edges = {(int(a), int(b)): float(w)
-                 for a, b, w in zip(iu[mask], ju[mask],
-                                    rng.uniform(0.2, 2.0, int(mask.sum())))}
-        g = WeightedGraph(n, edges)
-        lap = build_laplacian(g)
-        if np.linalg.eigvalsh(lap)[1] > 1e-8:
-            return g
+from randomgraph import random_connected_graph
 
 
 def test_complete_graph_spectrum_known():
