@@ -172,8 +172,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     Each cell's instance is derived from (seed, generator, ratio, trial).
     Per-cell failures are recorded in the report instead of aborting. A
     non-integer trial count raises TypeError; a trial count below 1, no
-    ratio at all, a bad solver name or ratio ValueError; and a budget above
-    the pairs left beyond the tree InvalidBudget, before any cell runs; so
+    ratio at all, a bad solver name or ratio ValueError; and a budget
+    `init_graph.default_budget` refuses InvalidBudget, before any cell runs; so
     does anything `datagen.check_instance` refuses for the swept
     generators, or `init_graph.check_start` for the swept solvers, at the
     largest ratio's sample count.
@@ -187,7 +187,7 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
     ks = [sample_count(n, r) for r in ratios]
     check_instance(n, max(ks), generators, seed, density, rho, nu, n_components,
                    mean_scale, f" (K/N ratio {max(ratios):g})")
-    default_budget(n, cfg.budget_b)
+    default_budget(n, cfg.budget_b)  # as check_start does; perfbench imports the name from here
     for config in configs.values():
         check_start(n, max(ks), config)
 

@@ -34,7 +34,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=d.gamma, help="connectivity weight")
     p.add_argument("--mu", type=float, default=d.mu, help="sparsity weight, per edge")
     p.add_argument("--budget", type=int, default=d.budget_b,
-                   help="extra init edges past the tree (default 3N); if set, greedy starts sparse")
+                   help="extra init edges past the tree (default 3N, at most N(N-1)/2-(N-1)); "
+                   "if set, greedy starts sparse")
     p.add_argument("--refresh", type=int, default=d.refresh_interval,
                    help="steps per snapshot; above 1 is approximate (descent not certified)")
     p.add_argument("--exact-logdet", action=argparse.BooleanOptionalAction,

@@ -26,7 +26,7 @@ class InsufficientEigenpairs(FsglError):
 
 
 class InvalidBudget(FsglError):
-    """Extra-edge budget exceeds the number of available node pairs."""
+    """Extra-edge budget not an integer, negative, or above the pairs beyond the tree."""
 
 
 class TooLarge(FsglError):

@@ -90,19 +90,19 @@ def max_similarity_tree(y: np.ndarray) -> list[tuple[int, int]]:
 
 
 def default_budget(n: int, b: int | None) -> int:
-    """Extra-edge budget beyond the tree: `b`, or 3N capped at the pairs left.
-
-    `n` must be an integer, else TypeError; `b` must be None or an integer
-    in [0, n(n-1)/2 - (n-1)], else InvalidBudget.
-    """
+    """Extra-edge budget beyond the tree as a Python int, fsgl's one budget
+    check: `b`, an integer in [0, n(n-1)/2 - (n-1)] (the pairs left), or if
+    None 3N capped at the pairs left; else InvalidBudget. `n` must be an
+    integer, else TypeError."""
     n = integer(n, "node count")
     available = n * (n - 1) // 2 - (n - 1)
     if b is None:
         return min(3 * n, available)
-    if not 0 <= integer(b, "budget_b", InvalidBudget) <= available:
-        raise InvalidBudget(f"budget_b must be at most {available} at n={n} (node "
-                            f"pairs beyond the tree) and an int >= 0, got {b!r}")
-    return int(b)
+    b = integer(b, "budget_b", InvalidBudget)
+    if not 0 <= b <= available:
+        bound = ">= 0" if b < 0 else f"at most {available} at n={n} (node pairs beyond the tree)"
+        raise InvalidBudget(f"budget_b must be {bound}, got {b}")
+    return b
 
 
 def init_sparse_graph(y: np.ndarray, b: int | None) -> WeightedGraph:
@@ -127,7 +127,7 @@ def check_start(n: int, k: int, cfg: SolverConfig) -> bool:
     """Whether `initial_graph` starts sparse for n nodes, k samples and cfg:
     the complete graph for greedy without a budget, else the sparse init.
 
-    InvalidBudget for a budget above the pairs left beyond the tree, and
+    InvalidBudget for a budget `default_budget` refuses, and
     TooLarge (`datagen.check_size`) when building the start, or solving
     from it, would pass the ceiling in the larger of its counts:
     edge-length arrays (EDGE_ARRAYS) or (N, N) ones (SQUARE_ARRAYS,

@@ -40,10 +40,10 @@ SOLVERS = ("greedy", "recursive")
 class SolverConfig:
     """Step size, objective weights, and solver knobs.
 
-    budget_b defaults to 3N extra edges when left as None; any budget,
-    0 included, gives the greedy solver the sparse start (tree plus
-    budget) instead of the complete graph. The spectral
-    snapshot retains min(N, max(3, K)) eigenpairs for K observations.
+    budget_b, the start's edges beyond its tree, is 3N capped at the
+    N(N-1)/2 - (N-1) pairs beyond it if None; `init_graph.default_budget`
+    checks it (InvalidBudget). Any budget, 0 included, makes greedy start
+    sparse. The snapshot keeps min(N, max(3, K)) eigenpairs for K samples.
     The recursive arm's leaf size is fixed at partition.LEAF_NODES: it
     shapes the cut plan but never the selected edge.
     """
@@ -69,10 +69,8 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if self.gamma < 0 or self.mu < 0:
             raise ValueError("gamma and mu must be nonnegative")
-        for name, low in (("budget_b", 0), ("refresh_interval", 1), ("max_iters", 0)):
+        for name, low in (("refresh_interval", 1), ("max_iters", 0)):
             value = getattr(self, name)
-            if value is None and name == "budget_b":
-                continue
             object.__setattr__(self, name, integer(value, name, ValueError))
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

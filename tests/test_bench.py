@@ -106,9 +106,6 @@ def test_default_budget():
     with pytest.raises(InvalidBudget, match="budget_b must be at most 21"):
         default_budget(8, 22)
     assert default_budget(8, np.int64(5)) == 5
-    for bad in (True, False, 2.0, 1.5, "3", -1):
-        with pytest.raises(InvalidBudget, match="budget_b"):
-            default_budget(8, bad)
 
 
 def test_default_budget_refuses_a_node_count_that_is_not_an_integer():

@@ -635,6 +635,20 @@ def test_bench_rejects_bad_size_and_ratios(tmp_path, capsys, args):
     assert not (tmp_path / "bench.raw.csv").exists()
 
 
+@pytest.mark.parametrize("solver", ["greedy", "recursive"])
+def test_solve_rejects_a_negative_budget_before_any_step(tmp_path, capsys, monkeypatch,
+                                                         solver):
+    # the start, not SolverConfig, refuses the budget, as bench's does
+    calls = []
+    monkeypatch.setattr("fsgl.bench.run_solver", lambda *args: calls.append(args))
+    path = tmp_path / "x.csv"
+    path.write_text("0.5,-1.0,2.0\n1.5,0.3,-0.2\n-0.7,1.1,0.4\n0.2,0.9,-1.3\n")
+    assert run_cli("solve", "--input", str(path), "--solver", solver, "--budget", "-1") == 1
+    captured = capsys.readouterr()
+    assert "error: budget_b must be >= 0, got -1" in captured.err
+    assert captured.out == "" and calls == []
+
+
 def test_bench_exits_1_after_writing_when_a_cell_fails(tmp_path, capsys, monkeypatch):
     # a failed cell is a NaN row in the CSV files, so the run is not a success
     def failing_solver(g0, obs, cfg):

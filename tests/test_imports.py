@@ -24,8 +24,10 @@ other module reads WEIGHT_ZERO or compares an edge weight with the step.
 Only objective.py computes with the l0 weight mu, so the score's credit
 for a deletion and the objective's charge per edge are one rate.
 Only datagen.py names MAX_ARRAY_BYTES: every size refusal goes through
-`datagen.check_size`. Neither selector calls argmin: `objective.selection`
-makes the one pick.
+`datagen.check_size`. Only `init_graph.default_budget` raises
+InvalidBudget or checks `budget_b`: one owner, with one error type,
+decides a start's budget. Neither selector calls argmin:
+`objective.selection` makes the one pick.
 """
 
 import ast
@@ -588,6 +590,58 @@ def test_only_datagen_names_the_size_ceiling():
         if lines and path.name != "datagen.py":
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}
+
+
+def _names(node, name: str) -> bool:
+    """Whether `node` is `name`, as a bare name or an attribute."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def budget_checks(source: str) -> list[int]:
+    """Lines of `source` that raise InvalidBudget, call `integer` with
+    `budget_b` or InvalidBudget, or spell "budget_b" in a string that is
+    not a docstring, as a check's field name or message does."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _names(exc, "InvalidBudget"):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and call_name(node) == "integer":
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+            if any(_names(a, "budget_b") or _names(a, "InvalidBudget") for a in args):
+                found.add(node.lineno)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "budget_b" in node.value and id(node) not in docstrings):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_init_graph_decides_a_budget():
+    # default_budget is the one budget check, so SolverConfig, the CLI and
+    # the bench cannot fork the rule or its error type again
+    assert budget_checks(
+        "raise InvalidBudget('x')\nraise errors.InvalidBudget\n"
+        "b = integer(b, 'budget_b', InvalidBudget)\ninteger(cfg.budget_b, 'b')\n"
+        "graph.integer(v, what='budget_b')\nn = integer(n, 'node count')\n"
+        "raise ValueError(f'budget_b must be {b}')\nx = InvalidBudget\n"
+        "for name in ('budget_b', 'max_iters'):\n    pass\n"
+        "def f(b):\n    'Check budget_b.'\n    if b < 0:\n        raise InvalidBudget\n"
+        "y = cfg.budget_b\n") == [1, 2, 3, 4, 5, 7, 9, 14]
+    found = {}
+    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
+        lines = budget_checks(path.read_text())
+        if lines and path.name != "init_graph.py":
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+    source = (ROOT / "src" / "fsgl" / "init_graph.py").read_text()
+    owner, lines = functions(source)["default_budget"], budget_checks(source)
+    assert lines and all(owner.lineno <= line <= owner.end_lineno for line in lines)
 
 
 def test_neither_selector_calls_argmin():

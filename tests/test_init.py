@@ -1,11 +1,13 @@
 """Similarity-guided sparse initialization."""
 
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from fsgl.bench import run_benchmark
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, NonFiniteInput, TooLarge
 from fsgl.graph import complete_graph, gram, is_connected
@@ -111,17 +113,45 @@ def test_init_edge_count_and_unit_weights():
 def test_init_budget_validation():
     rng = np.random.default_rng(0)
     y = random_gram(rng, 6)  # 15 pairs, 5 tree edges, 10 spare
-    init_sparse_graph(y, 10)
+    assert init_sparse_graph(y, 10).edge_count == 15
     with pytest.raises(InvalidBudget):
         init_sparse_graph(y, 11)
-    with pytest.raises(InvalidBudget):
-        init_sparse_graph(y, -1)
-    for bad in (1.5, 2.0, True):
-        with pytest.raises(InvalidBudget, match="int"):
-            init_sparse_graph(y, bad)
     assert init_sparse_graph(y, np.int64(2)).edge_count == 7
     with pytest.raises(ValueError):
         init_sparse_graph(random_gram(rng, 1), 0)
+
+
+# Each way into a start, called with an 8-node instance and a budget.
+START_ENTRY_POINTS = {
+    "default_budget": lambda obs, b: default_budget(obs.n, b),
+    "init_sparse_graph": lambda obs, b: init_sparse_graph(obs.gram, b),
+    "check_start": lambda obs, b: check_start(obs.n, obs.k, SolverConfig(budget_b=b)),
+    "initial_graph": lambda obs, b: initial_graph(obs, SolverConfig(budget_b=b)),
+    "run_benchmark": lambda obs, b: run_benchmark(SolverConfig(budget_b=b), ratios=(0.5,),
+                                                  trials=1, n=obs.n),
+}
+
+
+@pytest.mark.parametrize("entry", START_ENTRY_POINTS)
+@pytest.mark.parametrize("budget, message", [
+    (-1, "budget_b must be >= 0, got -1"),
+    (1.5, "budget_b must be an integer, got 1.5"),
+    (2.0, "budget_b must be an integer, got 2.0"),
+    (True, "budget_b must be an integer, got True"),
+    (False, "budget_b must be an integer, got False"),
+    ("3", "budget_b must be an integer, got '3'"),
+    (22, "budget_b must be at most 21 at n=8"),  # 28 pairs, 7 in the tree
+])
+def test_every_start_entry_point_refuses_a_bad_budget(monkeypatch, entry, budget, message):
+    # default_budget is the one budget check: SolverConfig stores the budget
+    # as given, and each way into a start raises InvalidBudget before a step
+    calls = []
+    monkeypatch.setattr("fsgl.bench.run_solver", lambda *args: calls.append(args))
+    obs = sample_gmm(gen_ground_truth(8, 0.3, seed=0), 4, seed=1)
+    assert SolverConfig(budget_b=budget).budget_b is budget
+    with pytest.raises(InvalidBudget, match=f"^{re.escape(message)}"):
+        START_ENTRY_POINTS[entry](obs, budget)
+    assert calls == []
 
 
 def test_init_without_budget_takes_the_default():

@@ -17,7 +17,7 @@ from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
                         complete_graph, is_connected, weaken_edge)
-from fsgl.init_graph import init_sparse_graph, initial_graph
+from fsgl.init_graph import default_budget, init_sparse_graph, initial_graph
 from fsgl.objective import EdgeScores, objective_value, score_edges, smoothness_trace
 from fsgl.partition import partition_select
 from fsgl.solver import (
@@ -56,7 +56,7 @@ def test_config_validation():
         for bad in (np.nan, np.inf, "0.1", None, 1 + 2j, [0.5], 10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
-    for name in ("budget_b", "refresh_interval", "max_iters"):
+    for name in ("refresh_interval", "max_iters"):
         for bad in (1.5, 2.0, True, "3"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SolverConfig(**{name: bad})
@@ -69,8 +69,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="exact_logdet must be a bool"):
             SolverConfig(exact_logdet=bad)
     assert SolverConfig(exact_logdet=np.True_).exact_logdet
-    with pytest.raises(ValueError, match="budget_b must be an integer >= 0"):
-        SolverConfig(budget_b=-1)
     assert SolverConfig().epsilon == 0.01
 
 
@@ -825,19 +823,19 @@ def test_run_solver_leaves_the_two_node_minimum_to_the_objective():
 
 
 NUMERIC_FIELDS = {"epsilon": float, "alpha": float, "gamma": float, "mu": float,
-                  "budget_b": int, "refresh_interval": int, "max_iters": int}
+                  "refresh_interval": int, "max_iters": int}
 
 
 def test_config_keeps_the_python_number_each_check_returns():
     # a NumPy scalar becomes the int or float graph.integer or graph.real
     # returns, so its fixed width never reaches the solve
     cfg = SolverConfig(epsilon=np.float32(0.01), alpha=np.float16(0.5), gamma=np.int8(1),
-                       mu=np.float64(0.2), budget_b=np.int16(3), refresh_interval=np.uint8(2),
-                       max_iters=np.int32(5))
+                       mu=np.float64(0.2), refresh_interval=np.uint8(2), max_iters=np.int32(5))
     assert {name: type(getattr(cfg, name)) for name in NUMERIC_FIELDS} == NUMERIC_FIELDS
     assert cfg.epsilon == float(np.float32(0.01)) and cfg.refresh_interval == 2
-    assert {name: type(getattr(SolverConfig(), name)) for name in NUMERIC_FIELDS} == {
-        **NUMERIC_FIELDS, "budget_b": type(None)}
+    assert {name: type(getattr(SolverConfig(), name)) for name in NUMERIC_FIELDS} == NUMERIC_FIELDS
+    # the budget is checked, and made a Python int, by the start that reads it
+    assert type(default_budget(8, np.int16(3))) is int
 
 
 def fixed_width_instance():
