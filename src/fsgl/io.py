@@ -37,18 +37,17 @@ def _dense_from_mm(path) -> np.ndarray:
 
 
 def _from_arrays(path, size: int, ms, ns, ws, first_line=None) -> WeightedGraph:
-    """WeightedGraph.from_arrays, naming `path`, or `path:line` when edge i is
-    on line first_line + i (a repeated pair also names its first line)."""
+    """WeightedGraph.from_arrays, naming `path` in every error it raises, or
+    `path:line` when edge i is on line first_line + i (a repeated pair also
+    names its first line)."""
     try:
         return WeightedGraph.from_arrays(size, ms, ns, ws)
-    except (ValueError, FsglError) as exc:
-        if not hasattr(exc, "position"):
-            raise
-        i = exc.position
+    except (TypeError, ValueError, FsglError) as exc:
+        i = getattr(exc, "position", None)
         if isinstance(exc, DuplicateEdge):  # only an edge list can repeat a pair
             pair = min(ms[i], ns[i]), max(ms[i], ns[i])
             exc = DuplicateEdge(f"edge {pair} already given on line {first_line + exc.earlier}")
-        where = path if first_line is None else f"{path}:{first_line + i}"
+        where = path if i is None or first_line is None else f"{path}:{first_line + i}"
         raise type(exc)(f"{where}: {exc}") from None
 
 

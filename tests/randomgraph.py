@@ -1,19 +1,23 @@
-"""Random connected weighted graphs for the objective and spectral tests."""
+"""Random weighted graphs for the graph, objective and spectral tests."""
 
 import numpy as np
 
 from fsgl.graph import WeightedGraph, is_connected
 
 
-def random_connected_graph(rng, n, density=0.5):
+def random_graph(rng, n, density=0.5):
     """An n-node graph keeping each pair with probability `density`, at a
-    weight uniform on [0.2, 2), redrawn until `is_connected` holds."""
+    weight uniform on [0.2, 2)."""
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < density
+    edges = {(int(a), int(b)): float(w)
+             for a, b, w in zip(iu[mask], ju[mask], rng.uniform(0.2, 2.0, int(mask.sum())))}
+    return WeightedGraph(n, edges)
+
+
+def random_connected_graph(rng, n, density=0.5):
+    """`random_graph`, redrawn until `is_connected` holds."""
     while True:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < density
-        edges = {(int(a), int(b)): float(w)
-                 for a, b, w in zip(iu[mask], ju[mask],
-                                    rng.uniform(0.2, 2.0, int(mask.sum())))}
-        g = WeightedGraph(n, edges)
+        g = random_graph(rng, n, density)
         if is_connected(g):
             return g

@@ -21,6 +21,7 @@ from fsgl.partition import (approx_cheeger_cut, brute_force_cheeger,
 from fsgl.solver import SolverConfig, compute_state, greedy_step, run_solver
 from fsgl.spectral import smallest_eigenpairs
 from quadforms import majorizer_quadform
+from treereplay import replay_tree
 
 
 def random_connected(rng, n, lo=0.3, hi=2.0, unit=False):
@@ -295,29 +296,6 @@ def test_criterion_8_error_and_connectivity_vs_sample_ratio():
         f"disconnected: {disconnected}")
 
 
-def replay_tree_attachments(y, ordered_edges):
-    """Assert each attachment took the maximal frontier similarity.
-
-    Replays greedy growth: after the first edge, every next edge must be
-    the largest y over (inside, outside) pairs, lexicographic on ties.
-    """
-    n = y.shape[0]
-    inside = set(ordered_edges[0])
-    for a, b in ordered_edges[1:]:
-        assert (a in inside) != (b in inside)
-        best = None
-        for u in inside:
-            for v in range(n):
-                if v in inside:
-                    continue
-                key = (-y[min(u, v), max(u, v)], min(u, v), max(u, v))
-                if best is None or key < best:
-                    best = key
-        assert (best[1], best[2]) == (min(a, b), max(a, b))
-        inside.add(b if a in inside else a)
-    assert len(inside) == n
-
-
 def test_criterion_9_initialization_contract():
     """Every tested (N, B) yields N-1+B edges, connected, greedy-maximal.
 
@@ -337,7 +315,7 @@ def test_criterion_9_initialization_contract():
             tree = max_similarity_tree(y)
             for edge in tree:
                 assert edge in g.edges
-            replay_tree_attachments(y, tree)
+            replay_tree(y, tree)
             tested += 1
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 9 initialization contract: PASS ({tested} (n, b) "

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from doubles import spy
 from fsgl.bench import (
     RAW_HEADER,
     SUMMARY_HEADER,
@@ -55,13 +57,7 @@ def test_run_benchmark_takes_each_cells_lambda2_from_its_trace(monkeypatch):
     import fsgl.bench
     assert not hasattr(fsgl.bench, "smallest_eigenpairs")
     assert not hasattr(fsgl.bench, "build_laplacian")
-    traces, real = [], fsgl.bench.run_solver
-
-    def solving(g0, obs, cfg):
-        g, trace = real(g0, obs, cfg)
-        traces.append(trace)
-        return g, trace
-    monkeypatch.setattr(fsgl.bench, "run_solver", solving)
+    traces = spy(monkeypatch, "run_solver", lambda result, g0, obs, cfg: result[1], fsgl.bench)
     rep = run_benchmark(SolverConfig(max_iters=10), ratios=(0.3,), trials=2, n=8,
                         generators=("gmm",))
     assert all(c.ok for c in rep.cells) and len(rep.cells) == 4

@@ -7,11 +7,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from eigencount import counted_eigensolves
+from doubles import counted_eigensolves, exit_code, spy
 from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
 from fsgl.datagen import DRAW_ARRAYS, SAMPLE_ARRAYS
@@ -478,6 +479,17 @@ def test_cheeger_check_passes_on_small_graphs(capsys):
     assert "5/5" in out
 
 
+def test_cheeger_check_counts_a_violated_bound(monkeypatch, capsys):
+    # an exact cut below lambda2 / 2 breaks the lower Cheeger bound
+    import fsgl.cli
+    real = fsgl.cli.brute_force_cheeger
+    monkeypatch.setattr(fsgl.cli, "brute_force_cheeger", lambda g: replace(real(g), ratio=0.0))
+    assert run_cli("cheeger-check", "--n", "7", "--trials", "3", "--seed", "2") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith(" VIOLATION") for line in lines[:-1]] == [True] * 3
+    assert lines[-1] == "0/3 graphs satisfied the bounds"
+
+
 def test_cheeger_check_takes_lambda2_from_the_sweep_eigensolve(monkeypatch, capsys):
     import fsgl.cli
     calls = counted_eigensolves(monkeypatch, fsgl.cli)
@@ -498,13 +510,7 @@ def test_solve_reports_lambda2_from_the_final_objective(tmp_path, monkeypatch, c
     assert not hasattr(fsgl.bench, "build_laplacian")
     x = tmp_path / "x.csv"
     x.write_text("1.0,2.0\n-0.5,0.3\n0.8,-1.1\n0.1,0.4\n")
-    traces, real = [], fsgl.bench.run_solver
-
-    def solving(g0, obs, cfg):
-        g, trace = real(g0, obs, cfg)
-        traces.append(trace)
-        return g, trace
-    monkeypatch.setattr(fsgl.bench, "run_solver", solving)
+    traces = spy(monkeypatch, "run_solver", lambda result, g0, obs, cfg: result[1], fsgl.bench)
     objective_calls = counted_eigensolves(monkeypatch, fsgl.objective)
     snapshot_calls = counted_eigensolves(monkeypatch, fsgl.solver)
     cli_calls = counted_eigensolves(monkeypatch, fsgl.cli)
@@ -549,14 +555,8 @@ def counted_timed_solves(monkeypatch):
     """The solver kind of every `bench.timed_solve` call from now on."""
     import fsgl.bench
     import fsgl.cli
-    calls, real = [], fsgl.bench.timed_solve
-
-    def counting(obs, cfg):
-        calls.append(cfg.solver_kind)
-        return real(obs, cfg)
-    for module in (fsgl.bench, fsgl.cli):
-        monkeypatch.setattr(module, "timed_solve", counting)
-    return calls
+    return spy(monkeypatch, "timed_solve", lambda result, obs, cfg: cfg.solver_kind,
+               fsgl.bench, fsgl.cli)
 
 
 def test_bench_runs_one_timed_solve_per_cell_and_keeps_its_rows(tmp_path, monkeypatch, capsys):
@@ -681,6 +681,21 @@ def test_solver_names_are_listed_once():
     assert [SolverConfig(solver_kind=kind).solver_kind for kind in SOLVERS] == list(SOLVERS)
 
 
+# Each draw flag of gen and bench, and the run_benchmark parameter it sets.
+DRAW_FLAGS = {"--density": "density", "--rho": "rho", "--dof": "nu",
+              "--components": "n_components", "--mean-scale": "mean_scale", "--n": "n"}
+
+
+def test_draw_defaults_are_the_library_defaults():
+    # gen and bench draw what run_benchmark draws when no flag says otherwise
+    subs = _subparsers()
+    params = inspect.signature(run_benchmark).parameters
+    found = {(command, flag): (subs[command]._option_string_actions[flag].default,
+                               params[name].default)
+             for command in ("gen", "bench") for flag, name in DRAW_FLAGS.items()}
+    assert {key: pair for key, pair in found.items() if pair[0] != pair[1]} == {}
+
+
 @pytest.mark.parametrize("argv, code, stream, text", [
     (["--help"], 0, "stdout", "usage: fsgl"),
     (["bench", "--n", "1"], 1, "stderr", "error:"),
@@ -763,10 +778,7 @@ def test_config_file_later_entries_win(tmp_path):
 def _run_in(monkeypatch, capsys, cwd, argv):
     cwd.mkdir()
     monkeypatch.chdir(cwd)
-    try:
-        code = cli_main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = exit_code(argv)
     out, err = capsys.readouterr()
     return code, out.split(" ms=")[0], err, sorted(p.name for p in cwd.iterdir())
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from doubles import exit_code
 from fsgl.cli import cli_main
 
 SEED = 17
@@ -155,10 +156,7 @@ def test_cli_fuzz_exits_cleanly(command, files, tmp_path, capsys):
     for i in range(DRAWS[command]):
         out = tmp_path / f"draw{i}"
         argv, written = _draw(rng, command, files, out)
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = exit_code(argv)
         captured = capsys.readouterr()
         outcomes.add(code)
         assert code in (0, 1, 2), (argv, code, captured.err)

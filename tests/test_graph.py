@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from edgecheck import random_edge_list, reference_arrays
+from randomgraph import random_graph
 from unionfind import connected_components, reference_labels
 from fsgl.errors import DuplicateEdge, FsglError, MissingEdge, NonFiniteInput
 from fsgl.graph import (
@@ -27,20 +28,16 @@ from fsgl.graph import (
 )
 
 
-def random_graph(rng, n, density=0.4):
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < density
-    edges = {(int(a), int(b)): float(w)
-             for a, b, w in zip(iu[mask], ju[mask],
-                                rng.uniform(0.2, 2.0, int(mask.sum())))}
-    return WeightedGraph(n, edges)
-
-
 def test_canonical_edge_orders_and_rejects_loops():
     assert canonical_edge(5, 2) == (2, 5)
     assert canonical_edge(2, 5) == (2, 5)
     with pytest.raises(ValueError):
         canonical_edge(3, 3)
+
+
+def test_repr_names_node_and_edge_counts():
+    assert repr(WeightedGraph(4, {(0, 1): 1.0, (2, 3): 0.5})) == "WeightedGraph(n=4, edges=2)"
+    assert repr(WeightedGraph(1)) == "WeightedGraph(n=1, edges=0)"
 
 
 def test_constructor_canonicalizes_and_validates():
@@ -145,7 +142,7 @@ def test_laplacian_of_a_degree_that_overflows_is_non_finite_input():
 def test_edge_arrays_sorted_lexicographically():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, 12)
+        g = random_graph(rng, 12, density=0.4)
         m_arr, n_arr, w_arr = g.edge_arrays()
         pairs = list(zip(m_arr.tolist(), n_arr.tolist()))
         assert pairs == sorted(pairs)
@@ -155,7 +152,7 @@ def test_edge_arrays_sorted_lexicographically():
 
 def test_adjacency_symmetric_zero_diagonal():
     rng = np.random.default_rng(3)
-    g = random_graph(rng, 9)
+    g = random_graph(rng, 9, density=0.4)
     w = g.adjacency()
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 0.0)
@@ -166,7 +163,7 @@ def test_laplacian_matches_definition_and_invariants():
     # L = diag(W 1) - W, rows sum to zero, eigenvalues >= -1e-9
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, int(rng.integers(2, 14)))
+        g = random_graph(rng, int(rng.integers(2, 14)), density=0.4)
         lap = build_laplacian(g)
         w = g.adjacency()
         ref = np.diag(w.sum(axis=1)) - w
@@ -181,7 +178,7 @@ def test_check_shift_refuses_a_shift_within_rounding_of_zero():
     # c = tol is refused and the next float up accepted
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, int(rng.integers(2, 30)))
+        g = random_graph(rng, int(rng.integers(2, 30)), density=0.4)
         lap = build_laplacian(g)
         tol = lap.shape[0] * 2.0**-52 * 2.0 * lap.diagonal().max()
         assert abs(np.linalg.eigvalsh(lap)[0]) <= tol
@@ -836,7 +833,7 @@ def test_edges_view_rejects_assignment():
 
 
 def test_pickled_graph_keeps_edges_and_read_only_arrays():
-    g = random_graph(np.random.default_rng(2), 9)
+    g = random_graph(np.random.default_rng(2), 9, density=0.4)
     assert g.edges  # build the cached view before pickling
     # a graph pickles as its arrays and unpickles through the array path
     build, args = g.__reduce__()

@@ -27,7 +27,13 @@ Only datagen.py names MAX_ARRAY_BYTES: every size refusal goes through
 `datagen.check_size`. Only `init_graph.default_budget` raises
 InvalidBudget or checks `budget_b`: one owner, with one error type,
 decides a start's budget. Neither selector calls argmin:
-`objective.selection` makes the one pick.
+`objective.selection` makes the one pick. Only `objective.edge_terms`
+reads the Gram matrix's diagonal, so z = 2Y_mn - Y_mm - Y_nn has one
+formula, and no caller drops the number `graph.integer` or `graph.real`
+returns. `offenders` runs each "only one module" rule over the package.
+Every module under tests/ without a `test_` prefix, the shared
+references and doubles, is imported by a test module, so none outlives
+its callers.
 """
 
 import ast
@@ -41,10 +47,21 @@ import pytest
 import fsgl
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "fsgl").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # The package's __init__ imports only to re-export, so it is left out.
-SOURCES = ([p for p in sorted((ROOT / "src" / "fsgl").glob("*.py"))
-            if p.name != "__init__.py"]
-           + sorted((ROOT / "tests").glob("*.py")))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS
+
+
+def offenders(rule, *owners: str) -> dict:
+    """{module: what `rule` finds in its source} for each package module,
+    the `owners` aside, in which `rule` finds anything."""
+    found = {}
+    for path in PACKAGE:
+        hits = rule(path.read_text())
+        if hits and path.name not in owners:
+            found[path.name] = hits
+    return found
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,6 +91,20 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_every_helper_module_is_imported_by_a_test_module():
+    # a shared helper that no test module imports any more is dead code
+    imported = set()
+    for path in TESTS:
+        if path.name.startswith("test_"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    helpers = [p.stem for p in TESTS if not p.name.startswith("test_")]
+    assert helpers and [name for name in helpers if name not in imported] == []
 
 
 def test_package_exports_what_it_imports():
@@ -128,12 +159,7 @@ def test_no_module_level_scipy_linalg_or_io():
         "from scipy import sparse\nimport scipy.iox\n") == [
         "scipy.linalg.lapack (line 2)", "scipy.io (line 3)", "scipy.linalg (line 4)",
         "scipy.io (line 6)", "scipy.linalg (line 8)"]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        eager = eager_imports(path.read_text())
-        if eager:
-            found[str(path.relative_to(ROOT))] = eager
-    assert found == {}
+    assert offenders(eager_imports) == {}
 
 
 def foreign_private_reads(source: str) -> list[str]:
@@ -154,12 +180,7 @@ def test_only_graph_module_reads_private_members_of_other_objects():
         "g._keys[i]\nself._w2\ncls._x\nlap._tkeys = 1\nx.keys\nf(a.b._ends)\n"
         "t.__name__\nx.__y\n") == [
         "_keys (line 1)", "_tkeys (line 4)", "_ends (line 6)", "__y (line 8)"]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        reads = foreign_private_reads(path.read_text())
-        if reads and path.name != "graph.py":
-            found[str(path.relative_to(ROOT))] = reads
-    assert found == {}
+    assert offenders(foreign_private_reads, "graph.py") == {}
 
 
 def edges_reads(source: str) -> list[int]:
@@ -173,12 +194,7 @@ def test_only_graph_module_reads_the_edge_mapping():
     # edge set is its sorted arrays, from edge_arrays()
     assert edges_reads("g.edges\nx = list(a.b.edges.keys())\nedges = 1\nf(edges)\n"
                        "g.edge_arrays()\nt.edges_mn\ndict(h.edges)\n") == [1, 2, 7]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = edges_reads(path.read_text())
-        if lines and path.name != "graph.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(edges_reads, "graph.py") == {}
 
 
 def test_solver_leaves_the_weakening_rule_to_the_graph():
@@ -229,12 +245,7 @@ def test_only_graph_module_decides_when_a_step_deletes():
         "x = graph.WEIGHT_ZERO\nkeep = eps >= g.weight(m, n)\n"
         "d = step_deletes(w_arr, eps)\nif ws.min() > 0:\n    pass\n"
         "y = self.epsilon <= 0\n") == [1, 2, 4, 6, 7]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = deletion_rules(path.read_text())
-        if lines and path.name != "graph.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(deletion_rules, "graph.py") == {}
 
 
 # NumPy's arithmetic calls, which compute with an argument as `-` or `*` do.
@@ -277,12 +288,7 @@ def test_only_objective_module_computes_with_mu():
         "h = x + cfg.mu * 2.0\ny -= mu\nok = self.mu < 0\nf(mu=args.mu)\n"
         "np.subtract(g, cfg.mu, out=g)\nm = f'{cfg.mu!r}'\nz = -mu\n"
         "w = cfg.gamma * rho\nmus = 2 * n\n")) == [1, 2, 5, 7]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = mu_arithmetic(ast.parse(path.read_text()))
-        if lines and path.name != "objective.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(lambda source: mu_arithmetic(ast.parse(source)), "objective.py") == {}
     source = (ROOT / "src" / "fsgl" / "objective.py").read_text()
     assert [name for name, func in functions(source).items() if mu_arithmetic(func)] == [
         "score_edges", "objective_and_fiedler"]
@@ -320,12 +326,7 @@ def test_only_spectral_module_computes_eigenvalues_or_determinants():
                        "x.det\nclass C:\n    def g(self):\n        la.eigvals(c)\n"
                        "f(eig)\nnp.linalg.inv(d)\nsp.eigsh(e)\n") == [
         (None, "eigh"), ("f", "slogdet"), ("g", "eigvals")]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        calls = eigen_calls(path.read_text())
-        if calls and path.name != "spectral.py":
-            found[str(path.relative_to(ROOT))] = calls
-    assert found == {}
+    assert offenders(eigen_calls, "spectral.py") == {}
 
 
 def linalg_names(source: str) -> list[str]:
@@ -426,12 +427,7 @@ def test_no_module_thresholds_the_fiedler_value():
         "if s.fiedler_value <= TOL:\n    pass\nx = 0 < abs(st.fiedler_value)\n"
         "lam2 = s.fiedler_value\nok = lam2 > 1e-8\nf(s.fiedler_value)\n"
         "y = a == b.c.fiedler_value < 1\nz = s.fiedler_vector > 0\n") == [1, 3, 7]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = fiedler_comparisons(path.read_text())
-        if lines:
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(fiedler_comparisons) == {}
 
 
 def call_name(call: ast.Call) -> str | None:
@@ -483,12 +479,7 @@ def test_only_graph_module_lays_out_a_laplacian_diagonal():
         "a = np.diag(w.sum(axis=1)) - w\nx = np.bincount(e)\ntheta.flat[::n + 1] += rho\n"
         "lap[i, j] = -1.0\nv = np.diag(m)\nfill_diagonal(a, 0)\nb[k] += c.sum()\n") == [
         1, 2, 3, 4, 9, 10]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = diagonal_writes(path.read_text())
-        if lines and path.name != "graph.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(diagonal_writes, "graph.py") == {}
 
 
 # The scalar types a hand-written number check names; graph.integer and
@@ -514,26 +505,21 @@ def test_only_graph_module_tests_whether_a_scalar_is_a_number():
         "isinstance(a, np.ndarray)\nif isinstance(f, (bool, float)):\n    pass\n"
         "type(b) is int\nisinstance(y, numpy.floating)\nisinstance(z, numbers.Integral)\n") == [
         2, 3, 5, 8, 9]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = scalar_type_tests(path.read_text())
-        if lines and path.name != "graph.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(scalar_type_tests, "graph.py") == {}
+
+
+def defined_or_imported(source: str) -> list[str]:
+    """Names that `source` defines as a function or class, or imports."""
+    tree = ast.parse(source)
+    return ([node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            + [alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names])
 
 
 def test_no_module_defines_or_imports_checked_edge():
     # edges are checked in bulk by WeightedGraph.from_arrays, and only there
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = [node.name for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        names += [alias.asname or alias.name for node in ast.walk(tree)
-                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
-        if "checked_edge" in names:
-            found[str(path.relative_to(ROOT))] = "checked_edge"
-    assert found == {}
+    assert offenders(lambda source: "checked_edge" in defined_or_imported(source)) == {}
 
 
 # Run in a fresh interpreter: the test process has imported scipy.linalg.
@@ -584,12 +570,7 @@ def test_only_datagen_names_the_size_ceiling():
     assert names_of("x = datagen.MAX_ARRAY_BYTES\nfrom .datagen import MAX_ARRAY_BYTES as M\n"
                     "if 8 * n > MAX_ARRAY_BYTES:\n    pass\ns = 'MAX_ARRAY_BYTES'\n"
                     "check_size(n, what)\n", "MAX_ARRAY_BYTES") == [1, 2, 3]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = names_of(path.read_text(), "MAX_ARRAY_BYTES")
-        if lines and path.name != "datagen.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(lambda source: names_of(source, "MAX_ARRAY_BYTES"), "datagen.py") == {}
 
 
 def _names(node, name: str) -> bool:
@@ -633,12 +614,7 @@ def test_only_init_graph_decides_a_budget():
         "for name in ('budget_b', 'max_iters'):\n    pass\n"
         "def f(b):\n    'Check budget_b.'\n    if b < 0:\n        raise InvalidBudget\n"
         "y = cfg.budget_b\n") == [1, 2, 3, 4, 5, 7, 9, 14]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = budget_checks(path.read_text())
-        if lines and path.name != "init_graph.py":
-            found[str(path.relative_to(ROOT))] = lines
-    assert found == {}
+    assert offenders(budget_checks, "init_graph.py") == {}
     source = (ROOT / "src" / "fsgl" / "init_graph.py").read_text()
     owner, lines = functions(source)["default_budget"], budget_checks(source)
     assert lines and all(owner.lineno <= line <= owner.end_lineno for line in lines)
@@ -717,10 +693,7 @@ def test_every_number_check_has_its_value_used():
         "        real(self.x, 'x')\n        if real(y, 'y') > 0:\n            pass\n"
         "def g(v):\n    for x in v:\n        graph.integer(x, 'x')\n    f(real(v, 'v'))\n") == [
         (None, 1), ("C.f", 5), ("g", 10)]
-    found = {}
-    for path in sorted((ROOT / "src" / "fsgl").glob("*.py")):
-        lines = [(func, line) for func, line in discarded_checks(path.read_text())
-                 if (path.name, func) not in DISCARDED_CHECK_ALLOWED]
-        if lines:
-            found[path.name] = lines
-    assert found == {}
+    found = {name: [(func, line) for func, line in hits
+                    if (name, func) not in DISCARDED_CHECK_ALLOWED]
+             for name, hits in offenders(discarded_checks).items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}

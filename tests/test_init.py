@@ -22,37 +22,12 @@ from fsgl.init_graph import (
     max_similarity_tree,
 )
 from fsgl.solver import SolverConfig, eigenpair_count, run_solver
+from treereplay import replay_tree
 
 
 def random_gram(rng, n, k=None):
     k = k or int(rng.integers(1, n + 3))
     return gram(rng.standard_normal((n, k)))
-
-
-def replay_tree_choices(y, edges):
-    """Check each attachment took the largest frontier similarity.
-
-    Replays the greedy growth: after the first edge, the next edge must
-    be the maximum of y over all (tree node, outside node) pairs, with
-    lexicographic preference on ties.
-    """
-    n = y.shape[0]
-    inside = set(edges[0])
-    for (a, b) in edges[1:]:
-        new = b if a in inside else a
-        assert (a in inside) != (b in inside), "edge must cross the frontier"
-        best = None
-        for u in sorted(inside):
-            for v in range(n):
-                if v in inside:
-                    continue
-                key = (-y[min(u, v), max(u, v)], min(u, v), max(u, v))
-                if best is None or key < best:
-                    best = key
-        assert -best[0] == pytest.approx(y[min(a, b), max(a, b)], abs=0.0)
-        assert (best[1], best[2]) == (min(a, b), max(a, b))
-        inside.add(new)
-    assert len(inside) == n
 
 
 def test_tree_covers_all_nodes_once():
@@ -65,13 +40,18 @@ def test_tree_covers_all_nodes_once():
         assert {v for e in edges for v in e} == set(range(n))
 
 
+def test_tree_of_fewer_than_two_nodes_is_empty():
+    assert max_similarity_tree(np.ones((1, 1))) == []
+    assert max_similarity_tree(np.zeros((0, 0))) == []
+
+
 def test_tree_replay_confirms_greedy_choices():
     for seed in range(25):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         y = random_gram(rng, n)
         edges = max_similarity_tree(y)
-        replay_tree_choices(y, edges)
+        replay_tree(y, edges)
 
 
 def test_tree_first_edge_is_global_max():

@@ -1,5 +1,6 @@
 """Edge-list and observation file round trips."""
 
+import re
 import warnings
 
 import numpy as np
@@ -143,6 +144,19 @@ def test_graph_node_count_inference(tmp_path):
     path.write_text("m,n,w\n0,1,1.0\n2,7,0.5\n")
     assert load_graph(path).n == 8
     assert load_graph(path, n=12).n == 12
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (None, ValueError, r"node count must lie in \[1, \d+\], got 0"),
+    (0, ValueError, r"node count must lie in \[1, \d+\], got 0"),
+    (2.5, TypeError, "node count must be an integer, got 2.5")],
+    ids=["inferred", "zero", "fractional"])
+def test_graph_csv_names_the_file_for_a_bad_node_count(tmp_path, n, error, message):
+    # a header-only file leaves no node to infer N from
+    path = tmp_path / "g.csv"
+    path.write_text("m,n,w\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: {message}$"):
+        load_graph(path, n=n)
 
 
 def test_graph_matrix_market(tmp_path):

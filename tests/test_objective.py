@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import fsgl.spectral
-from eigencount import counted_eigensolves
+from doubles import counted_eigensolves, patch_syevr
 from fsgl.datagen import draw_instance
 from fsgl.graph import (
     WeightedGraph,
@@ -309,13 +308,7 @@ def test_score_edges_bitwise_equal_to_reference(n, k):
 
 
 def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
-    real_syevr = fsgl.spectral._SYEVR
-
-    def failing_syevr(*args, **kwargs):
-        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
-        return w, z, m, isuppz, 1
-
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+    patch_syevr(monkeypatch, info=1)
     rng = np.random.default_rng(11)
     g = random_connected_graph(rng, 30, density=0.6)
     y = gram(rng.standard_normal((30, 9)))

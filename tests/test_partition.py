@@ -7,9 +7,9 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from doubles import patch_syevr
 from subsetcut import reference_cheeger
 import fsgl.solver
-import fsgl.spectral
 from fsgl.errors import Disconnected, TooLarge
 from fsgl.graph import (
     ObservationSet,
@@ -40,6 +40,14 @@ Sweep = namedtuple("Sweep", "depth n inside m_arr n_arr")
 def random_connected_unit_graph(rng, n, density=0.35):
     ms, ns = connected_pairs(n, density, rng)
     return WeightedGraph.from_arrays(n, ms, ns, np.ones(ms.shape[0]))
+
+
+def two_component_graph(rng):
+    """Nodes 0-4 and 5-9, each holding one copy of one random connected unit graph."""
+    ga = random_connected_unit_graph(rng, 5)
+    edges = dict(ga.edges)
+    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
+    return WeightedGraph(10, edges)
 
 
 def test_brute_force_known_ratios():
@@ -349,10 +357,7 @@ def test_cut_plan_sweeps_disconnected_graph_along_components(monkeypatch):
     # two 5-node components: the first sweep cuts nothing and puts one
     # component on each side
     rng = np.random.default_rng(3)
-    ga = random_connected_unit_graph(rng, 5)
-    edges = dict(ga.edges)
-    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
-    g = WeightedGraph(10, edges)
+    g = two_component_graph(rng)
     sweeps = record_sweeps(monkeypatch, 4)
     block = cut_plan(g, 4)
     first = sweeps[0]
@@ -628,11 +633,7 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
     import fsgl.partition as partition
 
     rng = np.random.default_rng(3)
-    ga = random_connected_unit_graph(rng, 5)
-    edges = dict(ga.edges)
-    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
-    two_components = WeightedGraph(10, edges)
-    graphs = [two_components]
+    graphs = [two_component_graph(rng)]
     for seed in range(4):
         obs = solve_instance(seed, 20, "gmm" if seed % 2 == 0 else "mvt")
         graphs.append(init_sparse_graph(obs.gram, 40))
@@ -649,20 +650,13 @@ def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
         return real_sweep(k, lm, ln, v2)
 
     monkeypatch.setattr(partition, "_sweep_side", sweep)
-    real_syevr = fsgl.spectral._SYEVR
     failures = []
-
-    def failing_syevr(*args, **kwargs):
-        # dsyevr's own failure report: outputs as computed, info = 1
-        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
-        failures.append(1)
-        return w, z, m, isuppz, 1
-
-    # second pass: every sub-graph Fiedler pair comes from the full eigh
+    # second pass: every sub-graph Fiedler pair comes from the full eigh,
+    # after dsyevr's own failure report (outputs as computed, info = 1)
     for fail in (False, True):
         with monkeypatch.context() as mp:
             if fail:
-                mp.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+                failures = patch_syevr(mp, info=1)
             for g in graphs:
                 for v_min in range(2, 10):
                     block = cut_plan(g, v_min)
@@ -824,10 +818,7 @@ def test_cut_plan_nests_deeper_than_the_recursion_limit(monkeypatch):
 def test_partition_handles_disconnected_candidates():
     # two components: selector must still return the global best edge
     rng = np.random.default_rng(3)
-    ga = random_connected_unit_graph(rng, 5)
-    edges = dict(ga.edges)
-    edges.update({(m + 5, n + 5): w for (m, n), w in ga.edges.items()})
-    g = WeightedGraph(10, edges)
+    g = two_component_graph(rng)
     obs = ObservationSet(rng.standard_normal((10, 4)))
     cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)

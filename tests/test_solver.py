@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencount import counted_eigensolves
+from doubles import counted_eigensolves, spy
 from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
@@ -782,13 +782,8 @@ def test_an_exact_solve_checks_alpha_in_its_two_objectives_only(kind, max_iters,
     # check covers every snapshot; compute_state, outside a solve, checks
     import fsgl.objective
     import fsgl.solver
-    calls, real = [], fsgl.objective.check_shift
-
-    def counting(lap, c, name):
-        calls.append(name)
-        return real(lap, c, name)
-    for module in (fsgl.objective, fsgl.solver):
-        monkeypatch.setattr(module, "check_shift", counting)
+    calls = spy(monkeypatch, "check_shift", lambda result, lap, c, name: name,
+                fsgl.objective, fsgl.solver)
     obs = small_instance(19, n=10, k=3)
     g0 = complete_graph(obs.n) if kind == "greedy" else init_sparse_graph(obs.gram, 10)
     cfg = SolverConfig(solver_kind=kind, exact_logdet=True, max_iters=max_iters)

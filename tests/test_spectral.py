@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from doubles import patch_syevr
 import fsgl.spectral
 from fsgl.datagen import connected_pairs, gen_ground_truth
 from fsgl.errors import InsufficientEigenpairs, NonFiniteInput
@@ -182,17 +183,11 @@ def test_majorizer_validation():
 
 
 def test_subset_eigh_failure_falls_back_to_full_eigh(monkeypatch, caplog):
-    real_syevr = fsgl.spectral._SYEVR
-
-    def failing_syevr(*args, **kwargs):
-        # dsyevr's own failure report: outputs as computed, info = 1
-        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
-        return w, z, m, isuppz, 1
-
     rng = np.random.default_rng(4)
     lap = build_laplacian(random_connected_graph(rng, 12))
     full_vals, full_vecs = np.linalg.eigh(lap)
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+    # dsyevr's own failure report: outputs as computed, info = 1
+    patch_syevr(monkeypatch, info=1)
     with caplog.at_level("WARNING", logger="fsgl"):
         state = smallest_eigenpairs(lap, 5)
     assert [r.getMessage() for r in caplog.records] == [
@@ -223,13 +218,9 @@ def full_spectrum_inputs():
             yield cov * (1.0 / 3.0)
 
 
-def _no_syevr(*args, **kwargs):
-    raise AssertionError("dsyevr called for a full spectrum")
-
-
 def test_full_spectrum_is_bitwise_numpy_eigh(monkeypatch):
     # k = N takes dsyevd alone, and it has the bits of np.linalg.eigh
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR", _no_syevr)
+    syevr_calls = patch_syevr(monkeypatch)
     count = 0
     for a in full_spectrum_inputs():
         vals, vecs = np.linalg.eigh(a)
@@ -238,16 +229,11 @@ def test_full_spectrum_is_bitwise_numpy_eigh(monkeypatch):
         assert state.eigvecs.tobytes() == vecs.tobytes()
         count += 1
     assert count == 47 + 120
+    assert syevr_calls == [], "dsyevr called for a full spectrum"
 
 
 def test_dsyevr_failure_falls_back_to_bitwise_numpy_eigh(monkeypatch):
-    real_syevr = fsgl.spectral._SYEVR
-
-    def failing_syevr(*args, **kwargs):
-        w, z, m, isuppz, _ = real_syevr(*args, **kwargs)
-        return w, z, m, isuppz, 2
-
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR", failing_syevr)
+    patch_syevr(monkeypatch, info=2)
     for a in full_spectrum_inputs():
         n = a.shape[0]
         vals, vecs = np.linalg.eigh(a)
@@ -260,9 +246,8 @@ def test_dsyevr_failure_falls_back_to_bitwise_numpy_eigh(monkeypatch):
 def test_full_spectrum_failure_raises_linalg_error(monkeypatch):
     # what np.linalg.eigh raises when LAPACK does not converge, at k = N
     # and after a failed dsyevr
-    real_syevr, real_syevd = fsgl.spectral._SYEVR, fsgl.spectral._SYEVD
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR",
-                        lambda *a, **kw: (*real_syevr(*a, **kw)[:4], 1))
+    real_syevd = fsgl.spectral._SYEVD
+    patch_syevr(monkeypatch, info=1)
     monkeypatch.setattr(fsgl.spectral, "_SYEVD",
                         lambda *a, **kw: (*real_syevd(*a, **kw)[:2], 1))
     lap = build_laplacian(complete_graph(5))
@@ -332,15 +317,9 @@ def test_a_k_that_is_not_an_integer_is_refused_before_lapack(caplog):
 
 def test_dsyevr_finding_too_few_eigenvalues_falls_back(monkeypatch):
     # m < k with info = 0 is a failure like any other: the full routine answers
-    real_syevr = fsgl.spectral._SYEVR
-
-    def short_syevr(*args, **kwargs):
-        w, z, m, isuppz, info = real_syevr(*args, **kwargs)
-        return w, z, m - 1, isuppz, info
-
     lap = build_laplacian(random_connected_graph(np.random.default_rng(5), 10))
     vals, vecs = np.linalg.eigh(lap)
-    monkeypatch.setattr(fsgl.spectral, "_SYEVR", short_syevr)
+    patch_syevr(monkeypatch, short=1)
     state = smallest_eigenpairs(lap, 4)
     assert state.eigvals.tobytes() == vals[:4].tobytes()
     assert state.eigvecs.tobytes() == vecs[:, :4].tobytes()
