@@ -11,6 +11,7 @@ malformed line exits 1.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 from pathlib import Path
@@ -43,14 +44,23 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="score with the exact resolvent instead of the majorizer")
 
 
+# run_benchmark's draw defaults, read once at import: tests replace
+# fsgl.cli.run_benchmark by doubles whose signatures name no defaults.
+_DRAW_DEFAULTS = {name: param.default
+                  for name, param in inspect.signature(run_benchmark).parameters.items()}
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    d = _DRAW_DEFAULTS
+    p.add_argument("--n", type=int, default=d["n"], help="node count")
+    p.add_argument("--seed", type=int, default=d["seed"], help="RNG seed")
     p.add_argument("--generator", choices=GENERATORS, default=None)
-    p.add_argument("--dof", type=float, default=3.0, help="t degrees of freedom")
-    p.add_argument("--components", type=int, default=3, help="mixture components")
-    p.add_argument("--mean-scale", type=float, default=1.0)
-    p.add_argument("--density", type=float, default=0.2, help="edge probability")
-    p.add_argument("--rho", type=float, default=0.5, help="precision diagonal shift")
+    p.add_argument("--dof", type=float, default=d["nu"], help="t degrees of freedom")
+    p.add_argument("--components", type=int, default=d["n_components"],
+                   help="mixture components")
+    p.add_argument("--mean-scale", type=float, default=d["mean_scale"])
+    p.add_argument("--density", type=float, default=d["density"], help="edge probability")
+    p.add_argument("--rho", type=float, default=d["rho"], help="precision diagonal shift")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gen", cmd_gen, "generate a ground truth and observations")
-    p.add_argument("--n", type=int, default=30, help="node count")
     p.add_argument("--k", type=int, default=None, help="sample count (default N/5)")
     p.add_argument("--output", default="data", help="output file prefix")
     _add_gen_flags(p)
@@ -82,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
 
     p = command("bench", cmd_bench, "sweep generators, solvers, sample ratios")
-    p.add_argument("--n", type=int, default=30, help="node count")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0",
                    help="comma-separated K/N ratios")

@@ -355,19 +355,24 @@ def gram(x: np.ndarray) -> np.ndarray:
 
 
 class ObservationSet:
-    """Observation matrix X (N x K, one sample per column) with cached Gram."""
+    """Observation matrix X (N x K, one sample per column) with cached Gram.
+
+    The one check on an observation matrix: real (`real_array`), 2-D with
+    N >= 1 and K >= 1 (else ValueError) and finite (else NonFiniteInput
+    naming the first bad entry)."""
 
     __slots__ = ("x", "_gram")
 
     def __init__(self, x: np.ndarray):
         self.x = real_array(x, "x")
-        if self.x.ndim != 2 or self.x.shape[1] < 1:
-            raise ValueError("x must be an N x K matrix with K >= 1")
+        if self.x.ndim != 2 or min(self.x.shape) < 1:
+            raise ValueError(f"x must be an N x K matrix with N >= 1 and K >= 1, "
+                             f"got shape {self.x.shape}")
         bad = np.argwhere(~np.isfinite(self.x))
         if bad.shape[0]:
             row, col = bad[0]
             raise NonFiniteInput(
-                f"{bad.shape[0]} non-finite observation(s), first at row {row}, "
+                f"x holds {bad.shape[0]} non-finite observation(s), first at row {row}, "
                 f"column {col}: {float(self.x[row, col])!r}")
         self._gram = None
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateEdge, FsglError
-from .graph import MAX_NODES, WeightedGraph, real_array
+from .graph import MAX_NODES, ObservationSet, WeightedGraph
 
 
 def save_graph(g: WeightedGraph, path) -> None:
@@ -85,24 +85,28 @@ def load_graph(path, n: int | None = None) -> WeightedGraph:
 
 
 def save_observations(x: np.ndarray, path) -> None:
-    x = real_array(x, "x")
+    """Write an N x K observation matrix as CSV. `x` is checked as
+    `ObservationSet` checks it before the file is opened."""
+    x = ObservationSet(x).x
     lines = [",".join(repr(float(v)) for v in row) for row in x]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_observations(path) -> np.ndarray:
-    """Read an N x K observation matrix from CSV or Matrix Market."""
+    """Read an N x K observation matrix from CSV or Matrix Market, checked
+    as `ObservationSet` checks it; every error names `path`."""
     path = Path(path)
     if path.suffix.lower() == ".mtx":
         x = _dense_from_mm(path)
     else:
         try:
             with warnings.catch_warnings():
-                # empty input warns before the size check below rejects it
+                # empty input warns before ObservationSet rejects its shape
                 warnings.simplefilter("ignore", UserWarning)
                 x = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed observation CSV: {exc}") from exc
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError(f"{path}: observations must form a nonempty 2-D matrix")
-    return x
+    try:
+        return ObservationSet(x).x
+    except (ValueError, FsglError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

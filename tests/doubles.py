@@ -1,5 +1,8 @@
 """Test doubles shared by the test modules: a spy on a package function,
-dsyevr reporting a failure, and the CLI's exit code however it exits."""
+dsyevr reporting a failure, the CLI's exit code however it exits, and the
+peak memory a call allocates."""
+
+import tracemalloc
 
 import fsgl.spectral
 from fsgl.cli import cli_main
@@ -45,3 +48,12 @@ def exit_code(argv):
         return cli_main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def traced_peak(build):
+    """build()'s result, and the peak bytes tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

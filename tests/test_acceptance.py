@@ -16,10 +16,10 @@ from fsgl.graph import (WeightedGraph, build_laplacian, gram, is_connected,
                         weaken_edge)
 from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
 from fsgl.objective import objective_value
-from fsgl.partition import (approx_cheeger_cut, brute_force_cheeger,
-                            partition_select)
-from fsgl.solver import SolverConfig, compute_state, greedy_step, run_solver
+from fsgl.partition import approx_cheeger_cut, brute_force_cheeger
+from fsgl.solver import SolverConfig, run_solver
 from fsgl.spectral import smallest_eigenpairs
+from lockstep import lockstep
 from quadforms import majorizer_quadform
 from treereplay import replay_tree
 
@@ -208,20 +208,9 @@ def test_criterion_6_recursive_selection_matches_exhaustive():
         cfg = SolverConfig(solver_kind="recursive", epsilon=0.05,
                            max_iters=60000)
         g = init_sparse_graph(obs.gram, default_budget(n, None))
-        for _ in range(5000):
-            state = compute_state(g, cfg, obs.k)
-            exhaustive = greedy_step(g, obs.gram, state, cfg)
-            recursive = partition_select(g, state, obs, cfg)
-            if exhaustive is None:
-                assert recursive is None or recursive[1] >= 0.0
-                break
-            assert recursive is not None
-            assert recursive[0] == exhaustive[0]
-            assert recursive[1] == exhaustive[1]
-            g = weaken_edge(g, exhaustive[0], cfg.epsilon)
-            compared += 1
-        else:
-            raise AssertionError("instance did not converge within 5000 steps")
+        steps, converged = lockstep(g, obs, cfg, 5000)
+        assert converged, "instance did not converge within 5000 steps"
+        compared += steps
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 6 recursive equals exhaustive: PASS ({compared} steps "
           f"compared, {elapsed:.2f}s)")

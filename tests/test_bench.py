@@ -1,13 +1,12 @@
 """Benchmark harness: error metric, cell seeding, and report layout."""
 
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from doubles import spy
+from doubles import spy, traced_peak
 from fsgl.bench import (
     RAW_HEADER,
     SUMMARY_HEADER,
@@ -22,6 +21,7 @@ from fsgl.errors import InvalidBudget, InvalidDof, NonFiniteInput, TooLarge, Zer
 from fsgl.graph import WeightedGraph
 from fsgl.init_graph import default_budget, initial_graph
 from fsgl.solver import SolverConfig, run_solver
+from randomgraph import random_graph
 
 
 def test_relative_error_oracles():
@@ -77,15 +77,7 @@ def test_run_benchmark_refuses_no_ratio_before_any_cell(monkeypatch):
 def test_relative_error_matches_manual_frobenius():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        n = 8
-        iu, ju = np.triu_indices(n, k=1)
-        def draw():
-            mask = rng.random(iu.shape[0]) < 0.4
-            return WeightedGraph(n, {(int(a), int(b)): float(w)
-                                     for a, b, w in zip(iu[mask], ju[mask],
-                                                        rng.uniform(0.1, 2.0,
-                                                                    int(mask.sum())))})
-        w_hat, w_star = draw(), draw()
+        w_hat, w_star = (random_graph(rng, 8, density=0.4, low=0.1) for _ in range(2))
         if w_star.edge_count == 0:
             continue
         ref = np.linalg.norm(w_hat.adjacency() - w_star.adjacency())
@@ -246,12 +238,7 @@ def test_a_cell_holds_only_the_true_graph_through_its_solve(exact, arrays):
         return run_benchmark(cfg, [0.2], 1, n=n, generators=("mvt",), solvers=("recursive",))
     cell(30)  # first-call set-up
     n = 300
-    tracemalloc.start()
-    try:
-        report = cell(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: cell(n))
     assert report.cells[0].ok
     assert peak <= arrays * 8 * n * n, f"{peak / (8 * n * n):.2f} (N, N) arrays"
 

@@ -1,12 +1,12 @@
 """Ground-truth graphs and the two non-Gaussian observation samplers."""
 
 import re
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from doubles import traced_peak
 from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, GroundTruth, check_dof, check_gmm,
                           check_ground_truth, check_samples, connected_pairs,
                           draw_instance, gen_ground_truth, sample_count, sample_gmm,
@@ -312,12 +312,7 @@ def test_draw_peak_fits_its_counted_arrays(generator, n, k):
     # float64 arrays held at once; a draw must never hold more, even where
     # K = 1 leaves the (N, N) arrays no slack from the samples
     draw_instance(3, 1, generator, [0], 0.2, 0.5, 3.0, 3, 1.0)  # first-call set-up
-    tracemalloc.start()
-    try:
-        draw_instance(n, k, generator, [n], 0.2, 0.5, 3.0, 3, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: draw_instance(n, k, generator, [n], 0.2, 0.5, 3.0, 3, 1.0))
     assert peak <= 8 * (DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k) + 4096, (
         f"{peak / (8 * n * n):.2f} (N, N) arrays")
 

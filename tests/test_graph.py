@@ -486,6 +486,11 @@ def test_observation_set_caches_gram():
         gram(np.zeros(3))
 
 
+def test_observation_set_refuses_a_matrix_without_nodes():
+    with pytest.raises(ValueError, match=r"x must be an N x K matrix with N >= 1 .*\(0, 3\)"):
+        ObservationSet(np.ones((0, 3)))
+
+
 def test_graph_builds_reject_complex_weights():
     # the float cast would keep the real parts: edge (0, 1) of weight 1.0
     with warnings.catch_warnings():
@@ -732,45 +737,30 @@ def _laplacian_add_at(g):
     return lap
 
 
+def _weakened(rng, g, top):
+    """`g` after up to five steps, each a random edge by uniform(0.01, top)."""
+    for _ in range(5):
+        if g.edge_count == 0:
+            break
+        m_arr, n_arr, _ = g.edge_arrays()
+        i = int(rng.integers(g.edge_count))
+        g = weaken_edge(g, (int(m_arr[i]), int(n_arr[i])), float(rng.uniform(0.01, top)))
+    return g
+
+
 def test_laplacian_bitwise_equal_to_add_at_construction():
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, int(rng.integers(2, 40)), density=0.7)
-        for _ in range(5):
-            if g.edge_count == 0:
-                break
-            m_arr, n_arr, _ = g.edge_arrays()
-            i = int(rng.integers(g.edge_count))
-            edge = (int(m_arr[i]), int(n_arr[i]))
-            g = weaken_edge(g, edge, float(rng.uniform(0.01, 0.5)))
-        got = build_laplacian(g)
-        assert got.tobytes() == _laplacian_add_at(g).tobytes()
-
-
-def _laplacian_indexed(g):
-    """Dense Laplacian written by 2-D fancy indexing, degrees by np.bincount."""
-    m, n, w = g.edge_arrays()
-    lap = np.zeros((g.n, g.n))
-    lap[m, n] = -w
-    lap[n, m] = -w
-    deg = np.bincount(np.concatenate([m, n]), weights=np.concatenate([w, w]),
-                      minlength=g.n)
-    lap[np.arange(g.n), np.arange(g.n)] = deg
-    return lap
+        g = _weakened(rng, random_graph(rng, int(rng.integers(2, 40)), density=0.7), 0.5)
+        assert build_laplacian(g).tobytes() == _laplacian_add_at(g).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 12, 30, 65, 80])
 def test_laplacian_bitwise_equal_to_indexed_construction(n):
     rng = np.random.default_rng(n)
     for density in (0.0, 0.2, 1.0):
-        g = random_graph(rng, n, density=density)
-        for _ in range(5):
-            if g.edge_count == 0:
-                break
-            m_arr, n_arr, _ = g.edge_arrays()
-            i = int(rng.integers(g.edge_count))
-            g = weaken_edge(g, (int(m_arr[i]), int(n_arr[i])), float(rng.uniform(0.01, 3.0)))
-        assert build_laplacian(g).tobytes() == _laplacian_indexed(g).tobytes()
+        g = _weakened(rng, random_graph(rng, n, density=density), 3.0)
+        assert build_laplacian(g).tobytes() == _laplacian_add_at(g).tobytes()
 
 
 def test_laplacian_of_derived_graph_bitwise_equal_to_fresh_graph():

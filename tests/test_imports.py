@@ -32,7 +32,8 @@ reads the Gram matrix's diagonal, so z = 2Y_mn - Y_mm - Y_nn has one
 formula, and no caller drops the number `graph.integer` or `graph.real`
 returns. `offenders` runs each "only one module" rule over the package.
 Every module under tests/ without a `test_` prefix, the shared
-references and doubles, is imported by a test module, so none outlives
+references and doubles, is imported by a test module, and each of its
+functions is imported by one or read in its own module, so none outlives
 its callers.
 """
 
@@ -94,8 +95,10 @@ def test_no_unused_imports():
 
 
 def test_every_helper_module_is_imported_by_a_test_module():
-    # a shared helper that no test module imports any more is dead code
-    imported = set()
+    # a shared helper that no test module imports any more is dead code,
+    # and so is a helper module's function that no test module imports
+    # and its own module never reads
+    imported, names = set(), set()
     for path in TESTS:
         if path.name.startswith("test_"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -103,8 +106,17 @@ def test_every_helper_module_is_imported_by_a_test_module():
                     imported.update(alias.name.split(".")[0] for alias in node.names)
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     imported.add(node.module.split(".")[0])
-    helpers = [p.stem for p in TESTS if not p.name.startswith("test_")]
-    assert helpers and [name for name in helpers if name not in imported] == []
+                    names.update((node.module, alias.name) for alias in node.names)
+    helpers = [p for p in TESTS if not p.name.startswith("test_")]
+    assert helpers and [p.stem for p in helpers if p.stem not in imported] == []
+    uncalled = []
+    for path in helpers:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        uncalled += [f"{path.stem}.{node.name}" for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and (path.stem, node.name) not in names and node.name not in read]
+    assert uncalled == []
 
 
 def test_package_exports_what_it_imports():

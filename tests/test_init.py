@@ -1,12 +1,12 @@
 """Similarity-guided sparse initialization."""
 
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from doubles import traced_peak
 from fsgl.bench import run_benchmark
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, NonFiniteInput, TooLarge
@@ -228,14 +228,6 @@ def test_start_rejects_asymmetric_similarity(start):
     y[1, 1] = np.nan
     with pytest.raises(NonFiniteInput, match="non-finite"):
         start(y)
-
-def traced_peak(build):
-    """Peak bytes tracemalloc sees while build() runs, and its result."""
-    tracemalloc.start()
-    try:
-        return build(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n", [200, 300, 400])

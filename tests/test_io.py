@@ -10,18 +10,14 @@ from edgecheck import random_edge_list, reference_arrays
 from fsgl.errors import DuplicateEdge, FsglError, NonFiniteInput
 from fsgl.graph import WeightedGraph
 from fsgl.io import load_graph, load_observations, save_graph, save_observations
+from randomgraph import random_graph
 
 
 def test_graph_round_trip_byte_identical(tmp_path):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < 0.4
-        g = WeightedGraph(n, {(int(a), int(b)): float(w)
-                              for a, b, w in zip(iu[mask], ju[mask],
-                                                 rng.uniform(0.1, 2.0,
-                                                             int(mask.sum())))})
+        g = random_graph(rng, n, density=0.4, low=0.1)
         p1 = tmp_path / f"g{seed}a.csv"
         p2 = tmp_path / f"g{seed}b.csv"
         save_graph(g, p1)
@@ -203,6 +199,30 @@ def test_save_observations_rejects_complex_input(tmp_path):
         with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
             save_observations(np.array([[1.0, 2.0 + 1j]]), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("x, error, match", [
+    (np.ones((0, 3)), ValueError, r"x must be an N x K matrix .*, got shape \(0, 3\)"),
+    (np.ones((3, 0)), ValueError, r"x must be an N x K matrix .*, got shape \(3, 0\)"),
+    (np.ones(3), ValueError, r"x must be an N x K matrix .*, got shape \(3,\)"),
+    (np.ones((2, 2, 2)), ValueError, r"x must be an N x K matrix .*, got shape \(2, 2, 2\)"),
+    ([[np.nan, 1.0], [2.0, 3.0]], NonFiniteInput,
+     r"x holds 1 non-finite observation\(s\), first at row 0, column 0: nan"),
+], ids=["no-nodes", "no-samples", "1-D", "3-D", "NaN"])
+def test_save_observations_writes_only_what_observation_set_accepts(tmp_path, x, error, match):
+    # a file fsgl writes is one it reads: a refused matrix leaves no file
+    path = tmp_path / "x.csv"
+    with pytest.raises(error, match=match):
+        save_observations(x, path)
+    assert not path.exists()
+
+
+def test_load_observations_names_the_file_of_a_non_finite_entry(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("1.0,2.0\nnan,0.5\n")
+    with pytest.raises(NonFiniteInput, match=rf"^{re.escape(str(path))}: x holds 1 "
+                                             r"non-finite observation\(s\), first at row 1"):
+        load_observations(path)
 
 
 def test_observations_single_row(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from doubles import patch_syevr
+from lockstep import lockstep
 from subsetcut import reference_cheeger
 import fsgl.solver
 from fsgl.errors import Disconnected, TooLarge
@@ -259,22 +260,10 @@ def solve_instance(seed, n, generator="gmm"):
 
 
 def test_partition_select_equals_exhaustive_scan_stepwise():
-    # drive both selectors in lockstep on the same evolving graph
     for seed in range(6):
         obs = solve_instance(seed, 16, "gmm" if seed % 2 == 0 else "mvt")
         cfg = SolverConfig(epsilon=0.05, solver_kind="recursive")
-        g = init_sparse_graph(obs.gram, 3 * obs.n)
-        for _ in range(200):
-            state = compute_state(g, cfg, obs.k)
-            sel_p = partition_select(g, state, obs, cfg)
-            sel_g = greedy_step(g, obs.gram, state, cfg)
-            if sel_g is None:
-                assert sel_p is None
-                break
-            assert sel_p is not None
-            assert sel_p[0] == sel_g[0]
-            assert sel_p[1] == sel_g[1]  # bitwise
-            g = weaken_edge(g, sel_g[0], cfg.epsilon)
+        lockstep(init_sparse_graph(obs.gram, 3 * obs.n), obs, cfg, 200)
 
 
 def test_partition_select_empty_graph():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doubles import counted_eigensolves, spy
+from doubles import counted_eigensolves, spy, traced_peak
 from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
@@ -336,14 +336,12 @@ def test_trace_growth_peaks_at_one_and_a_half_capacities():
     # the peak, 1.5 times the final capacity; concatenating it with an
     # empty copy of itself would hold 2n more, 2 times
     assert _ROW.itemsize == 48
-    tracemalloc.start()
-    try:
+    def fill():
         trace = SolveTrace()
         for i in range(10_000):
             trace.append((i, i + 1), -1.0, 0.5, 3, float(i))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return trace
+    trace, peak = traced_peak(fill)
     capacity = trace._buf.nbytes
     assert len(trace) == 10_000 and trace.edges_mn[-1].tolist() == [9_999, 10_000]
     assert peak <= 1.55 * capacity, f"peak {peak / capacity:.3f} x capacity"
