@@ -26,7 +26,6 @@ from .graph import (
     WeightedGraph,
     build_laplacian,
     complete_graph,
-    gram,
     is_connected,
     weaken_edge,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "build_laplacian",
     "complete_graph",
     "gen_ground_truth",
-    "gram",
     "greedy_step",
     "init_sparse_graph",
     "initial_graph",

@@ -21,7 +21,7 @@ import numpy as np
 from .bench import check_reference, relative_error, run_benchmark, timed_solve
 from .datagen import GENERATORS, connected_pairs, draw_instance, sample_count
 from .errors import FsglError
-from .graph import ObservationSet, WeightedGraph, build_laplacian
+from .graph import WeightedGraph, build_laplacian
 from .io import load_graph, load_observations, save_graph, save_observations
 from .partition import BRUTE_FORCE_LIMIT, approx_cheeger_cut, brute_force_cheeger
 from .solver import SOLVERS, SolverConfig
@@ -179,8 +179,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    x = load_observations(args.input)
-    obs = ObservationSet(x)
+    obs = load_observations(args.input)
     cfg = config_from_args(args, args.solver)
     # A bad reference fails before the solve, not after it.
     w_star = load_graph(args.truth, n=obs.n) if args.truth else None

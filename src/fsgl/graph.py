@@ -349,11 +349,6 @@ def weaken_edge(g: WeightedGraph, edge: tuple[int, int], eps: float) -> Weighted
     return g._with_weight(i, g._step(i, eps))
 
 
-def gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix Y = X X^T of an N x K observation matrix: `ObservationSet.gram`."""
-    return ObservationSet(x).gram
-
-
 class ObservationSet:
     """Observation matrix X (N x K, one sample per column) with cached Gram.
 

@@ -3,8 +3,9 @@
 Graphs travel as a CSV edge list with header ``m,n,w`` (0-indexed,
 m < n). Observations travel as a headerless CSV with one row per node
 and one column per sample. Both readers also accept Matrix Market
-coordinate files (suffix .mtx). Floats are written with repr so a fixed
-seed reproduces byte-identical files.
+coordinate files (suffix .mtx), and return a `WeightedGraph` or the
+`ObservationSet` that checked the observations. Floats are written with
+repr so a fixed seed reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ def save_observations(x: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_observations(path) -> np.ndarray:
-    """Read an N x K observation matrix from CSV or Matrix Market, checked
-    as `ObservationSet` checks it; every error names `path`."""
+def load_observations(path) -> ObservationSet:
+    """Read an N x K observation matrix from CSV or Matrix Market and return
+    the `ObservationSet` that checked it; every error names `path`."""
     path = Path(path)
     if path.suffix.lower() == ".mtx":
         x = _dense_from_mm(path)
@@ -107,6 +108,6 @@ def load_observations(path) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"{path}: malformed observation CSV: {exc}") from exc
     try:
-        return ObservationSet(x).x
+        return ObservationSet(x)
     except (ValueError, FsglError) as exc:
         raise type(exc)(f"{path}: {exc}") from None

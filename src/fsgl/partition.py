@@ -186,7 +186,8 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     read and checked only once `selection` has picked a row, else
     ValueError; a solve passes its start graph's plan, each deleted row's
     label taken out by `np.delete`.
-    `terms` and `trace` are as in `score_edges`.
+    `terms` and `trace` are as in `score_edges`. A pick that is not the
+    best block minimum raises RuntimeError, never reads as no descent.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
     grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
@@ -200,4 +201,6 @@ def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
     # holds the best block minimum, so it is the winner by (grad, m, n).
     minima = np.full(int(block.max()) + 1, np.inf)
     np.fmin.at(minima, block, grad)
-    return sel if sel[1] == minima.min() else None
+    if sel[1] != (best := float(minima.min())):
+        raise RuntimeError(f"the scan picked {sel[1]!r}, not the best block minimum {best!r}")
+    return sel

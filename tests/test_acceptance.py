@@ -12,7 +12,7 @@ import numpy as np
 
 from fsgl.bench import run_benchmark
 from fsgl.datagen import gen_ground_truth, sample_gmm, sample_mvt
-from fsgl.graph import (WeightedGraph, build_laplacian, gram, is_connected,
+from fsgl.graph import (ObservationSet, WeightedGraph, build_laplacian, is_connected,
                         weaken_edge)
 from fsgl.init_graph import default_budget, init_sparse_graph, max_similarity_tree
 from fsgl.objective import objective_value
@@ -297,7 +297,7 @@ def test_criterion_9_initialization_contract():
     for n in (6, 10, 16, 24, 30):
         avail = n * (n - 1) // 2 - (n - 1)
         for b in sorted({0, 1, min(5, avail), min(2 * n, avail), avail}):
-            y = gram(rng.standard_normal((n, int(rng.integers(2, n + 4)))))
+            y = ObservationSet(rng.standard_normal((n, int(rng.integers(2, n + 4))))).gram
             g = init_sparse_graph(y, b)
             assert g.edge_count == n - 1 + b
             assert is_connected(g)

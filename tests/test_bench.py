@@ -1,11 +1,13 @@
 """Benchmark harness: error metric, cell seeding, and report layout."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fsgl.bench
 from doubles import spy, traced_peak
 from fsgl.bench import (
     RAW_HEADER,
@@ -16,10 +18,11 @@ from fsgl.bench import (
     relative_error,
     run_benchmark,
 )
-from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, draw_instance, gen_ground_truth,
+                          sample_count, sample_gmm)
 from fsgl.errors import InvalidBudget, InvalidDof, NonFiniteInput, TooLarge, ZeroReference
 from fsgl.graph import WeightedGraph
-from fsgl.init_graph import default_budget, initial_graph
+from fsgl.init_graph import EXACT_SQUARE_ARRAYS, SQUARE_ARRAYS, default_budget, initial_graph
 from fsgl.solver import SolverConfig, run_solver
 from randomgraph import random_graph
 
@@ -228,19 +231,36 @@ def test_run_benchmark_rejects_budget_beyond_pairs_left():
         run_benchmark(SolverConfig(budget_b=22), ratios=(0.5,), trials=1, n=8)
 
 
-@pytest.mark.parametrize("exact, arrays", [(False, 6.0), (True, 8.0)])
-def test_a_cell_holds_only_the_true_graph_through_its_solve(exact, arrays):
-    # a cell scores against w_star alone, so the truth's (N, N) covariance
-    # is gone before the solve: its peak is the draw's or the solve's,
-    # never the solve's plus the covariance
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_cell_holds_only_the_true_graph_through_its_solve(monkeypatch, exact):
+    # traced apart: the draw holds no more than its counted arrays, and from
+    # there to the solve's end the cell holds init_graph's (N, N) ones, the
+    # observations (X and its Gram matrix) and the true graph it scores
+    # against, never the truth's covariance. At K/N = 0.05 the samples leave
+    # the draw's count too little slack to hide one more (N, N) array
     cfg = SolverConfig(max_iters=20, exact_logdet=exact)
     def cell(n):
-        return run_benchmark(cfg, [0.2], 1, n=n, generators=("mvt",), solvers=("recursive",))
+        return run_benchmark(cfg, [0.05], 1, n=n, generators=("mvt",), solvers=("recursive",))
     cell(30)  # first-call set-up
-    n = 300
-    report, peak = traced_peak(lambda: cell(n))
+
+    def phase_peak():
+        """The peak since the last phase ended, and a fresh one for the next."""
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return peak
+    draws = spy(monkeypatch, "draw_instance",
+                lambda drawn, *args: (drawn[0].w_star, phase_peak()), fsgl.bench)
+    solves = spy(monkeypatch, "timed_solve", lambda solved, *args: phase_peak(), fsgl.bench)
+    n, k = 300, sample_count(300, 0.05)
+    report, _ = traced_peak(lambda: cell(n))
     assert report.cells[0].ok
-    assert peak <= arrays * 8 * n * n, f"{peak / (8 * n * n):.2f} (N, N) arrays"
+    [(truth, draw)], [solve] = draws, solves
+    square = EXACT_SQUARE_ARRAYS if exact else SQUARE_ARRAYS
+    truth_bytes = sum(a.nbytes for a in truth.edge_arrays())
+    assert draw <= 8 * (DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k) + 4096, (
+        f"draw: {draw / (8 * n * n):.2f} (N, N) arrays")
+    assert solve <= 8 * (square * n * n + n * n + n * k) + truth_bytes + 4096, (
+        f"solve: {solve / (8 * n * n):.2f} (N, N) arrays")
 
 
 def test_run_benchmark_refuses_a_start_too_large_before_any_draw(monkeypatch):

@@ -17,6 +17,7 @@ from fsgl.bench import run_benchmark
 from fsgl.cli import build_parser, cli_main, parse_command_line
 from fsgl.datagen import DRAW_ARRAYS, SAMPLE_ARRAYS
 from fsgl.errors import NonFiniteObjective
+from fsgl.graph import ObservationSet
 from fsgl.io import load_graph, load_observations
 from fsgl.solver import SOLVERS, SolverConfig
 
@@ -42,7 +43,7 @@ def test_gen_writes_deterministic_files(tmp_path, capsys):
     w1 = (tmp_path / "a.w.csv").read_bytes()
     w2 = (tmp_path / "b.w.csv").read_bytes()
     assert w1 == w2
-    assert load_observations(tmp_path / "a.x.csv").shape == (12, 4)
+    assert load_observations(tmp_path / "a.x.csv").x.shape == (12, 4)
     g = load_graph(tmp_path / "a.w.csv", n=12)
     assert g.edge_count > 0
 
@@ -154,7 +155,7 @@ def test_bench_rejects_a_negative_seed_before_any_cell(tmp_path, capsys, monkeyp
 
 def test_gen_default_sample_count(tmp_path):
     run_cli("gen", "--n", "20", "--output", str(tmp_path / "d"))
-    assert load_observations(tmp_path / "d.x.csv").shape == (20, 4)
+    assert load_observations(tmp_path / "d.x.csv").x.shape == (20, 4)
 
 
 def test_solve_round_trip(tmp_path, capsys):
@@ -259,6 +260,17 @@ def test_solve_deterministic_output(tmp_path):
                 "--solver", "greedy", "--budget", "20",
                 "--output", str(out))
     assert g1.read_bytes() == g2.read_bytes()
+
+
+def test_solve_checks_its_observations_once(tmp_path, monkeypatch, capsys):
+    # the set load_observations checked is the one solved, not a second
+    # one built from its matrix
+    path = tmp_path / "x.csv"
+    path.write_text("1.0,2.0\n0.5,-1.0\n3.0,0.25\n")
+    built = spy(monkeypatch, "__init__", lambda result, obs, x: x, ObservationSet)
+    assert run_cli("solve", "--input", str(path)) == 0
+    assert "objective=" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_solve_missing_input_is_data_error(tmp_path, capsys):

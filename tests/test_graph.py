@@ -22,7 +22,6 @@ from fsgl.graph import (
     check_shift,
     complete_graph,
     component_labels,
-    gram,
     is_connected,
     weaken_edge,
 )
@@ -461,7 +460,7 @@ def test_gram_is_psd_and_cauchy_schwarz_holds():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n, k = int(rng.integers(2, 15)), int(rng.integers(1, 10))
-        y = gram(rng.standard_normal((n, k)))
+        y = ObservationSet(rng.standard_normal((n, k))).gram
         assert np.array_equal(y, y.T)
         assert np.linalg.eigvalsh(y)[0] > -1e-10
         d = np.diag(y)
@@ -483,7 +482,7 @@ def test_observation_set_caches_gram():
         with pytest.raises(NonFiniteInput, match="row 2, column 3"):
             ObservationSet(x_bad)
     with pytest.raises(ValueError):
-        gram(np.zeros(3))
+        ObservationSet(np.zeros(3))
 
 
 def test_observation_set_refuses_a_matrix_without_nodes():
@@ -518,9 +517,8 @@ def test_graph_builds_reject_weights_of_no_real_dtype(ws, dtype):
 @pytest.mark.parametrize("x, dtype", NOT_REAL)
 def test_observations_of_no_real_dtype_are_refused(x, dtype):
     x = np.repeat(x, 6).reshape(3, 2)
-    for build in (gram, ObservationSet):
-        with pytest.raises(ValueError, match=f"x must be real, got dtype {dtype}"):
-            build(x)
+    with pytest.raises(ValueError, match=f"x must be real, got dtype {dtype}"):
+        ObservationSet(x)
 
 
 def test_python_bools_and_strings_are_no_weights_or_observations():
@@ -539,9 +537,8 @@ def test_a_bool_among_numbers_is_no_weight_or_observation():
         WeightedGraph(3, {(0, 1): 1, (1, 2): True})
     with pytest.raises(ValueError, match="ws must be real, got False"):
         WeightedGraph.from_arrays(3, [0, 1], [1, 2], [1.5, False])
-    for build in (gram, ObservationSet):
-        with pytest.raises(ValueError, match="x must be real, got True"):
-            build([[1.0, True], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="x must be real, got True"):
+        ObservationSet([[1.0, True], [0.5, 2.0]])
 
 
 def test_ints_past_int64_are_cast_and_past_float64_refused():
@@ -559,7 +556,7 @@ def test_gram_rejects_complex_observations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
-            gram(np.array([[1.0, 2j], [3.0, 4.0]]))
+            ObservationSet(np.array([[1.0, 2j], [3.0, 4.0]])).gram
 
 
 def test_observation_set_rejects_complex_observations():
@@ -573,14 +570,14 @@ def test_gram_overflow_is_non_finite_input():
     # finite observations whose Gram matrix overflows to inf and inf - inf
     x = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
     with pytest.raises(NonFiniteInput, match="Gram matrix"):
-        gram(x)
+        ObservationSet(x).gram
     obs = ObservationSet(x)  # every entry is finite
     with pytest.raises(NonFiniteInput, match=r"first at \(0, 0\)"):
         obs.gram
     with pytest.raises(NonFiniteInput, match=r"at 1 entries, first at \(1, 1\)"):
-        gram(np.array([[1.0], [1e155]]))
+        ObservationSet(np.array([[1.0], [1e155]])).gram
     # the largest entries that stay finite are accepted
-    assert np.isfinite(gram(np.array([[1e150, 1e150], [1e150, -1e150]]))).all()
+    assert np.isfinite(ObservationSet(np.array([[1e150, 1e150], [1e150, -1e150]])).gram).all()
 
 
 def test_connectivity_matches_lambda2_sign():
@@ -756,7 +753,7 @@ def test_laplacian_bitwise_equal_to_add_at_construction():
 
 
 @pytest.mark.parametrize("n", [2, 3, 12, 30, 65, 80])
-def test_laplacian_bitwise_equal_to_indexed_construction(n):
+def test_laplacian_bitwise_equal_to_add_at_over_a_density_sweep(n):
     rng = np.random.default_rng(n)
     for density in (0.0, 0.2, 1.0):
         g = _weakened(rng, random_graph(rng, n, density=density), 3.0)
@@ -836,12 +833,12 @@ def test_pickled_graph_keeps_edges_and_read_only_arrays():
 
 
 def test_gram_names_a_non_finite_observation_by_row_and_column():
-    # gram is ObservationSet's Gram matrix, so it refuses a NaN observation
-    # as the set does, never as an overflow
+    # the Gram matrix is the set's, so a NaN observation is refused as the
+    # set is built, never as an overflow
     x = np.ones((3, 2))
     x[1, 0] = np.nan
     with pytest.raises(NonFiniteInput, match=r"row 1, column 0: nan$"):
-        gram(x)
+        ObservationSet(x).gram
 
 
 def test_weaken_edge_steps_a_float32_eps_in_float64():

@@ -10,7 +10,7 @@ from doubles import traced_peak
 from fsgl.bench import run_benchmark
 from fsgl.datagen import gen_ground_truth, sample_gmm
 from fsgl.errors import InvalidBudget, NonFiniteInput, TooLarge
-from fsgl.graph import complete_graph, gram, is_connected
+from fsgl.graph import ObservationSet, complete_graph, is_connected
 from fsgl.init_graph import (
     EDGE_ARRAYS,
     EXACT_SQUARE_ARRAYS,
@@ -27,7 +27,7 @@ from treereplay import replay_tree
 
 def random_gram(rng, n, k=None):
     k = k or int(rng.integers(1, n + 3))
-    return gram(rng.standard_normal((n, k)))
+    return ObservationSet(rng.standard_normal((n, k))).gram
 
 
 def test_tree_covers_all_nodes_once():
@@ -178,7 +178,7 @@ def test_start_rejects_non_square_and_non_finite_similarity(start):
         start(np.arange(15.0).reshape(3, 5))
     with pytest.raises(NonFiniteInput, match="non-finite"):
         start(np.full((4, 4), np.nan))
-    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y = ObservationSet(np.random.default_rng(0).standard_normal((4, 2))).gram
     y[1, 2] = np.inf
     with pytest.raises(NonFiniteInput, match="non-finite"):
         start(y)
@@ -189,7 +189,7 @@ def test_start_rejects_non_square_and_non_finite_similarity(start):
                                    lambda y: init_sparse_graph(y, None)])
 def test_start_rejects_complex_similarity(start):
     # the real parts alone would rank the pairs
-    y = gram(np.random.default_rng(0).standard_normal((4, 2))) + 0j
+    y = ObservationSet(np.random.default_rng(0).standard_normal((4, 2))).gram + 0j
     y[0, 1] = y[1, 0] = 1j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -203,7 +203,7 @@ def test_start_rejects_complex_similarity(start):
 @pytest.mark.parametrize("dtype", [bool, str, object])
 def test_start_rejects_similarity_of_no_real_dtype(start, dtype):
     # a float cast would rank parsed strings, or bools as 0 and 1
-    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y = ObservationSet(np.random.default_rng(0).standard_normal((4, 2))).gram
     y = (y > 0) if dtype is bool else y.astype(dtype)
     with pytest.raises(ValueError, match=f"similarity matrix must be real, got dtype "
                                          f"{y.dtype}"):
@@ -219,7 +219,7 @@ def test_start_rejects_asymmetric_similarity(start):
     with pytest.raises(ValueError, match=r"symmetric: y\[0, 3\] = 5.0 but y\[3, 0\] = 0.0"):
         start(y)
     # the first asymmetric entry in row-major order is named
-    y = gram(np.random.default_rng(0).standard_normal((4, 2)))
+    y = ObservationSet(np.random.default_rng(0).standard_normal((4, 2))).gram
     y[3, 1] += 1.0
     y[2, 0] += 1.0
     with pytest.raises(ValueError, match=r"y\[0, 2\] = .* but y\[2, 0\]"):
@@ -235,7 +235,7 @@ def test_sparse_start_peak_fits_its_ranking_arrays(n):
     # the ranking holds 5 pair-length arrays at its peak (tracemalloc read
     # 5.01-5.03 at N = 200-600), which initial_graph's size ceiling covers
     # with the solve's SQUARE_ARRAYS (N, N) ones
-    y = gram(np.random.default_rng(n).standard_normal((n, 8)))
+    y = ObservationSet(np.random.default_rng(n).standard_normal((n, 8))).gram
     _, peak = traced_peak(lambda: init_sparse_graph(y, None))
     pairs = n * (n - 1) // 2
     assert peak <= 8 * (5 * pairs + 4 * n) + 4096, f"{peak / (8 * pairs):.2f}"

@@ -8,7 +8,7 @@ import pytest
 
 from edgecheck import random_edge_list, reference_arrays
 from fsgl.errors import DuplicateEdge, FsglError, NonFiniteInput
-from fsgl.graph import WeightedGraph
+from fsgl.graph import ObservationSet, WeightedGraph
 from fsgl.io import load_graph, load_observations, save_graph, save_observations
 from randomgraph import random_graph
 
@@ -186,9 +186,10 @@ def test_observations_round_trip_byte_identical(tmp_path):
     p1 = tmp_path / "x1.csv"
     p2 = tmp_path / "x2.csv"
     save_observations(x, p1)
-    x2 = load_observations(p1)
-    assert np.array_equal(x, x2)  # repr round trip is exact
-    save_observations(x2, p2)
+    obs = load_observations(p1)  # the set that checked the file
+    assert type(obs) is ObservationSet
+    assert np.array_equal(x, obs.x)  # repr round trip is exact
+    save_observations(obs.x, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -228,8 +229,7 @@ def test_load_observations_names_the_file_of_a_non_finite_entry(tmp_path):
 def test_observations_single_row(tmp_path):
     path = tmp_path / "x.csv"
     save_observations(np.array([[1.0, 2.0, 3.0]]), path)
-    x = load_observations(path)
-    assert x.shape == (1, 3)
+    assert load_observations(path).x.shape == (1, 3)
 
 
 def test_observations_matrix_market(tmp_path):
@@ -237,7 +237,7 @@ def test_observations_matrix_market(tmp_path):
     x = np.arange(12, dtype=float).reshape(3, 4)
     mmwrite(str((tmp_path / "x").with_suffix("")), x)
     loaded = load_observations(tmp_path / "x.mtx")
-    assert np.allclose(loaded, x)
+    assert type(loaded) is ObservationSet and np.array_equal(loaded.x, x)
 
 
 def test_observations_malformed(tmp_path):

@@ -9,10 +9,10 @@ import pytest
 from doubles import counted_eigensolves, patch_syevr
 from fsgl.datagen import draw_instance
 from fsgl.graph import (
+    ObservationSet,
     WeightedGraph,
     build_laplacian,
     complete_graph,
-    gram,
     step_deletes,
     weaken_edge,
 )
@@ -54,7 +54,7 @@ def test_trace_delta_identity_observations():
 def test_trace_delta_nonpositive_for_gram():
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        y = gram(rng.standard_normal((8, int(rng.integers(1, 12)))))
+        y = ObservationSet(rng.standard_normal((8, int(rng.integers(1, 12))))).gram
         for _ in range(6):
             m, n = sorted(rng.choice(8, size=2, replace=False).tolist())
             assert term_one(y, m, n) <= 1e-12
@@ -65,7 +65,7 @@ def test_trace_delta_is_exact_smoothness_change():
     for seed in range(25):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 7)
-        y = gram(rng.standard_normal((7, 5)))
+        y = ObservationSet(rng.standard_normal((7, 5))).gram
         (m, n), w = next(iter(g.edges.items()))
         step = min(0.01, w)
         g2 = weaken_edge(g, (m, n), step)
@@ -231,7 +231,7 @@ def test_score_edges_batch_invariant():
     # scoring a subset returns the same numbers as the full batch rows
     rng = np.random.default_rng(9)
     g = random_connected_graph(rng, 12)
-    y = gram(rng.standard_normal((12, 6)))
+    y = ObservationSet(rng.standard_normal((12, 6))).gram
     cfg = SolverConfig()
     state = smallest_eigenpairs(build_laplacian(g), 6)
     m_arr, n_arr, w_arr = g.edge_arrays()
@@ -302,7 +302,7 @@ def test_score_edges_bitwise_equal_to_reference(n, k):
     # full dsyevd instead of dsyevr
     rng = np.random.default_rng(n + k)
     g = random_connected_graph(rng, n, density=0.6)
-    y = gram(rng.standard_normal((n, k)))
+    y = ObservationSet(rng.standard_normal((n, k))).gram
     _assert_bitwise_equal_to_reference(g, y, [
         compute_state(g, SolverConfig(exact_logdet=exact), k) for exact in (False, True)])
 
@@ -311,7 +311,7 @@ def test_score_edges_bitwise_equal_to_reference_on_fallback_state(monkeypatch):
     patch_syevr(monkeypatch, info=1)
     rng = np.random.default_rng(11)
     g = random_connected_graph(rng, 30, density=0.6)
-    y = gram(rng.standard_normal((30, 9)))
+    y = ObservationSet(rng.standard_normal((30, 9))).gram
     states = [compute_state(g, SolverConfig(exact_logdet=exact), 9)
               for exact in (False, True)]
     # the full dsyevd's first k columns, Fortran-ordered as dsyevr's are
@@ -345,7 +345,7 @@ def test_row_sums_bitwise_equal_to_numpy_row_sum():
 def test_score_edges_on_empty_and_one_edge_batches(exact):
     rng = np.random.default_rng(2)
     g = random_connected_graph(rng, 10)
-    y = gram(rng.standard_normal((10, 4)))
+    y = ObservationSet(rng.standard_normal((10, 4))).gram
     state = compute_state(g, SolverConfig(exact_logdet=exact), 4)
     m_arr, n_arr, w_arr = g.edge_arrays()
     cfg = SolverConfig(exact_logdet=exact)
@@ -386,7 +386,7 @@ def test_ineligible_edges_take_the_masked_log_and_are_counted():
     # edges' eta is NaN
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, 12, density=0.3)
-    y = gram(rng.standard_normal((12, 4)))
+    y = ObservationSet(rng.standard_normal((12, 4))).gram
     m_arr, n_arr, w_arr = g.edge_arrays()
     for exact, eps, nan_node in ((False, 0.3, None), (True, 1.5, None), (True, 0.01, 5)):
         cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
@@ -441,7 +441,7 @@ def test_objective_value_matches_direct_formula():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 12))
         g = random_connected_graph(rng, n)
-        y = gram(rng.standard_normal((n, 5)))
+        y = ObservationSet(rng.standard_normal((n, 5))).gram
         cfg = SolverConfig()
         lap = build_laplacian(g)
         ref = (np.trace(lap @ y)
@@ -459,7 +459,7 @@ def test_objective_value_takes_one_full_spectrum(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("objective_value called another LAPACK routine")
     rng = np.random.default_rng(3)
-    cases = [(random_connected_graph(rng, n), gram(rng.standard_normal((n, 3))))
+    cases = [(random_connected_graph(rng, n), ObservationSet(rng.standard_normal((n, 3))).gram)
              for n in (2, 7)]
     calls = counted_eigensolves(monkeypatch, fsgl.objective)
     for name in ("slogdet", "det", "eigvalsh", "eigvals"):
@@ -477,7 +477,8 @@ def test_objective_value_on_the_callers_laplacian_is_bitwise_the_same(monkeypatc
     cfg = SolverConfig()
     graphs = [random_connected_graph(rng, n) for n in (2, 7, 12)]
     graphs += [WeightedGraph(2), WeightedGraph(6)]  # no edges: L = 0
-    cases = [(g, gram(rng.standard_normal((g.n, 3))), build_laplacian(g)) for g in graphs]
+    cases = [(g, ObservationSet(rng.standard_normal((g.n, 3))).gram, build_laplacian(g))
+             for g in graphs]
     own = [objective_value(g, y, cfg) for g, y, _ in cases]
 
     def forbidden(g):
@@ -536,7 +537,7 @@ def test_fiedler_term_of_a_disconnected_graph_is_exactly_zero():
     # reads l_1 ... l_c = 0, so gamma changes no bit of the objective
     for n in (6, 7):
         g = WeightedGraph(n, NOISY_TRIANGLES)
-        y = gram(np.random.default_rng(n).standard_normal((n, 3)))
+        y = ObservationSet(np.random.default_rng(n).standard_normal((n, 3))).gram
         assert smallest_eigenpairs(build_laplacian(g), n).fiedler_value != 0.0
         values = [objective_and_fiedler(g, y, SolverConfig(gamma=gamma))
                   for gamma in (0.0, 5.0, 50.0)]
@@ -550,7 +551,7 @@ def test_objective_and_fiedler_reads_l2_of_a_connected_graph_from_its_spectrum()
     rng = np.random.default_rng(11)
     for n in (2, 5, 9):
         g = random_connected_graph(rng, n)
-        y = gram(rng.standard_normal((n, 3)))
+        y = ObservationSet(rng.standard_normal((n, 3))).gram
         h, lam2 = objective_and_fiedler(g, y, SolverConfig())
         assert lam2 == smallest_eigenpairs(build_laplacian(g), n).fiedler_value > 0.0
         assert h == objective_value(g, y, SolverConfig())
@@ -572,8 +573,8 @@ def test_descent_soundness_single_step():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 14))
         g = random_connected_graph(rng, n)
-        cases.append((g, gram(rng.standard_normal((n, 4))), SolverConfig(), min(n, 5),
-                      list(g.edges)[:4]))
+        cases.append((g, ObservationSet(rng.standard_normal((n, 4))).gram, SolverConfig(),
+                      min(n, 5), list(g.edges)[:4]))
     # every step deletes its edge, at three l0 weights: the score credits
     # the mu per edge the objective charges, so the least slack is the
     # same at every mu
@@ -618,7 +619,7 @@ def test_smoothness_trace_sums_the_edge_terms():
     # tr(L Y) is -sum_e w_e z_e with z from edge_terms, and reads zero on no edges
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 9)
-    y = gram(rng.standard_normal((9, 4)))
+    y = ObservationSet(rng.standard_normal((9, 4))).gram
     m_arr, n_arr, w_arr = g.edge_arrays()
     assert smoothness_trace(g, y) == -float((w_arr * edge_terms(y, m_arr, n_arr, 1.0)).sum())
     assert smoothness_trace(g, y) == pytest.approx(np.trace(build_laplacian(g) @ y), rel=1e-12)

@@ -490,6 +490,25 @@ def test_selection_through_a_plan_whose_last_block_emptied():
     assert sel[2] == 2 and partition_select(g, state, obs, cfg, plan) == sel
 
 
+def test_partition_select_raises_when_its_blocks_disagree_with_the_pick(monkeypatch):
+    # a pick that is not the best block minimum is a fault, never a solve
+    # that stops as if no edge descended
+    import fsgl.partition as partition
+
+    obs = solve_instance(0, 12)
+    g = complete_graph(12)
+    cfg = SolverConfig(solver_kind="recursive")
+    state = compute_state(g, cfg, obs.k)
+
+    def the_worst_descent(grad, m_arr, n_arr):
+        i = int(np.argmax(np.where(grad < 0.0, grad, -np.inf)))
+        return (int(m_arr[i]), int(n_arr[i])), float(grad[i]), i
+    monkeypatch.setattr(partition, "selection", the_worst_descent)
+    with pytest.raises(RuntimeError, match=r"the scan picked -\S+, not the best block "
+                       r"minimum -\S+$"):
+        partition_select(g, state, obs, cfg)
+
+
 @pytest.mark.parametrize("rows", [65, 67])
 def test_partition_select_refuses_a_plan_that_does_not_label_every_edge(rows):
     # complete_graph(12) has 66 edge rows; a plan one short or one long
