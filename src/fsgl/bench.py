@@ -106,7 +106,6 @@ SUMMARY_HEADER = _header(SummaryRow)
 
 @dataclass
 class BenchReport:
-    n: int
     cells: list[BenchCell]
 
     def raw_csv(self) -> str:
@@ -206,8 +205,8 @@ def run_benchmark(cfg: SolverConfig, ratios, trials: int, n: int = 30,
                              float("nan"), 0, float("nan"),
                              error=f"{type(exc).__name__}: {exc}")
 
-    return BenchReport(n, [run_cell(gen_name, sol, gi, ri, ratio, trial)
-                           for gi, gen_name in enumerate(generators)
-                           for sol in solvers
-                           for ri, ratio in enumerate(ratios)
-                           for trial in range(trials)])
+    return BenchReport([run_cell(gen_name, sol, gi, ri, ratio, trial)
+                        for gi, gen_name in enumerate(generators)
+                        for sol in solvers
+                        for ri, ratio in enumerate(ratios)
+                        for trial in range(trials)])

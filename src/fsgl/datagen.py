@@ -16,19 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDof, TooLarge
-from .graph import (ObservationSet, WeightedGraph, build_laplacian, check_shift,
-                    component_labels, integer, real)
+from .graph import (ObservationSet, WeightedGraph, check_shift, component_labels,
+                    edge_laplacian, integer, real)
 from .spectral import sym_sqrt
 
 GENERATORS = ("gmm", "mvt")
 MAX_ARRAY_BYTES = 2**30  # the most float64 array memory datagen holds at once
-# (N, N) and (N, K) arrays a draw holds at once at its peak, measured with
-# tracemalloc: the truth's covariance, the square root's scaled copy, which
-# dsyevd overwrites with its eigenvectors, and dsyevd's workspace (two;
-# 4.31-4.33 for gmm and mvt alike at N = 300-1,000), then the samples and
-# their transforms (at most 3; the samplers shift or scale in place, so
-# 2.5 at N = 2, where the K-length vectors weigh most).
+# A draw's peak, measured with tracemalloc: DRAW_ARRAYS (N, N) arrays and
+# TRUTH_EDGE_ARRAYS values per truth edge (endpoints and weights) cover
+# building the truth (5.36 at density 1.0) and its root (4.03-4.16 at N =
+# 100-400); SAMPLE_ARRAYS (N, K) arrays, the samples (at most 3).
 DRAW_ARRAYS = 5
+TRUTH_EDGE_ARRAYS = 3
 SAMPLE_ARRAYS = 3
 
 
@@ -54,9 +53,9 @@ def check_ground_truth(n: int, density: float, rho: float) -> tuple[int, float, 
     """TypeError unless n is an integer (`graph.integer`); ValueError unless
     gen_ground_truth can use (n, density, rho): n >= 2, and finite reals
     (`graph.real`) density in [0, 1] and rho > 0; TooLarge when a draw's
-    DRAW_ARRAYS (N, N) arrays would pass MAX_ARRAY_BYTES. Whether rho is
-    large enough for the drawn graph is checked after the draw, by
-    `graph.check_shift`. Returns the three as the Python numbers checked."""
+    DRAW_ARRAYS (N, N) arrays, alone or with the truth's edges, would pass
+    MAX_ARRAY_BYTES. `graph.check_shift` checks rho against the drawn graph
+    after the draw. Returns the three as the Python numbers checked."""
     n = integer(n, "node count")
     if n < 2:
         raise ValueError(f"node count must be >= 2, got {n}")
@@ -64,23 +63,31 @@ def check_ground_truth(n: int, density: float, rho: float) -> tuple[int, float, 
                f"node count {n} needs {DRAW_ARRAYS} {n} x {n} float64 arrays at once")
     if not 0.0 <= (d := real(density, "density")) <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
+    check_size(DRAW_ARRAYS * n * n + TRUTH_EDGE_ARRAYS * truth_edges(n, d),
+               f"node count {n} at density {d:g} needs {TRUTH_EDGE_ARRAYS} float64 values per "
+               f"edge on top of {DRAW_ARRAYS} {n} x {n} arrays")
     if (r := real(rho, "diagonal shift rho")) <= 0.0:
         raise ValueError(f"diagonal shift rho must be finite and positive, got {rho}")
     return n, d, r
 
 
-def check_samples(n: int, k: int, origin: str = "") -> int:
+def truth_edges(n: int, density: float) -> float:
+    """A truth's mean edge count, density N(N - 1) / 2, as checked before a draw."""
+    return density * (n * (n - 1) // 2)
+
+
+def check_samples(n: int, k: int, edges: float, origin: str = "") -> int:
     """TypeError unless k is an integer or `sample_count`'s inf, which is
     TooLarge below; ValueError unless k >= 1; TooLarge when a draw's
-    SAMPLE_ARRAYS (N, K) arrays, with its DRAW_ARRAYS (N, N) ones, would
-    pass MAX_ARRAY_BYTES. `origin` says where k came from. Returns k as
-    the Python int checked; n, an integer too, sizes the draw as one."""
+    SAMPLE_ARRAYS (N, K) arrays, with its (N, N) ones and truth `edges`,
+    would pass MAX_ARRAY_BYTES. `origin` says where k came from. Returns
+    k as the Python int checked; n, an integer too, sizes the draw as one."""
     n = integer(n, "node count")
     if k != math.inf:
         k = integer(k, "sample count")
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
-    check_size(DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k,
+    check_size(DRAW_ARRAYS * n * n + TRUTH_EDGE_ARRAYS * edges + SAMPLE_ARRAYS * n * k,
                f"sample count {k}{origin} at node count {n} needs {SAMPLE_ARRAYS} "
                f"{n} x {k} float64 arrays on top of the ground truth's")
     return k
@@ -142,7 +149,7 @@ def gen_ground_truth(n: int, density: float, rho: float = 0.5,
     rng = np.random.default_rng(seed)
     ms, ns = connected_pairs(n, density, rng)
     g = WeightedGraph.from_arrays(n, ms, ns, rng.uniform(0.5, 1.5, size=ms.shape[0]))
-    theta = build_laplacian(g)
+    theta = edge_laplacian(n, *g.edge_arrays())  # build_laplacian(g)'s bits, no solve buffers
     try:
         check_shift(theta, rho, "rho")
         theta.flat[::n + 1] += rho  # L + rho I, the bits of L + rho * np.eye(n)
@@ -166,7 +173,7 @@ def sample_gmm(gt: GroundTruth, k: int, n_components: int = 3,
     the N x K observations.
     """
     n = gt.cov.shape[0]
-    k = check_samples(n, k)
+    k = check_samples(n, k, gt.w_star.edge_count)
     n_components, mean_scale = check_gmm(n_components, mean_scale)
     rng = np.random.default_rng(seed)
     root = sym_sqrt(gt.cov)
@@ -186,7 +193,7 @@ def sample_mvt(gt: GroundTruth, k: int, nu: float = 3.0,
     nu > 2.
     """
     n = gt.cov.shape[0]
-    k = check_samples(n, k)
+    k = check_samples(n, k, gt.w_star.edge_count)
     nu = check_dof(nu)
     rng = np.random.default_rng(seed)
     root = sym_sqrt(gt.cov, (nu - 2.0) / nu)
@@ -220,7 +227,7 @@ def check_instance(n: int, k: int, generators, entropy, density: float,
         if integer(s, "seed") < 0:
             raise ValueError(f"seed must be a non-negative integer, got {s}")
     n, density, rho = check_ground_truth(n, density, rho)
-    check_samples(n, k, origin)
+    check_samples(n, k, truth_edges(n, density), origin)
     for name in generators:
         if name == "gmm":
             check_gmm(n_components, mean_scale)

@@ -81,17 +81,17 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
-                n_arr: np.ndarray, w_arr: np.ndarray, cfg, terms=None,
-                trace=None) -> EdgeScores:
+def score_edges(state: SpectralState, terms: np.ndarray, m_arr: np.ndarray,
+                n_arr: np.ndarray, w_arr: np.ndarray, cfg, trace=None) -> EdgeScores:
     """Score a batch of edges against one immutable spectral snapshot.
 
     grad = eps z - log(eta) + gamma rho - mu for weakening each edge by
-    eps. eps z is the exact trace change (`edge_terms`). eta = 1 - eps q,
-    with q the quadratic form of (L + alpha I)^{-1} on e_m - e_n, alpha =
-    cfg.alpha: exact from the state's resolvent when it carries one (under
-    cfg.exact_logdet each solver snapshot attaches it, from the full
-    spectrum), else majorized over the retained eigenpairs; either way
+    eps. eps z is `terms`, the exact trace change, which a solve holds per
+    edge set as `edge_terms` at eps. eta = 1 - eps q, with q the quadratic
+    form of (L + alpha I)^{-1} on e_m - e_n, alpha = cfg.alpha: exact from
+    the state's resolvent when it carries one (under cfg.exact_logdet
+    each solver snapshot attaches it, from the full spectrum), else
+    majorized over the retained eigenpairs; either way
     -log(eta) does not underestimate the log-det penalty. rho bounds the
     Fiedler value's drop: sqrt(2) eps |v2_m - v2_n| when the eigen-gap
     exceeds 4 eps, 2 eps |v2_m - v2_n| when it exceeds 2 eps, else 2 eps.
@@ -106,11 +106,9 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
     given, and the solve warns once. The quadratic form runs eigen-major,
     on (k, E) arrays gathered per eigenpair, and `_row_sums` adds each
     edge's k terms in the order a per-edge row sum would, so scores do not
-    depend on how the batch is partitioned. `terms`, if given, is
-    edge_terms(y, m_arr, n_arr, cfg.epsilon); the bits are the same.
+    depend on how the batch is partitioned.
     """
     eps = cfg.epsilon
-    ez = edge_terms(y, m_arr, n_arr, eps) if terms is None else terms
     # LAPACK returns eigenvectors Fortran-ordered, so the transpose is a
     # C-ordered view and each eigenpair's row gathers contiguously.
     vt = state.eigvecs.T
@@ -141,7 +139,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
         q *= eps
         eta = np.subtract(1.0, q, out=q)
         grad = np.log(eta)
-        np.subtract(ez, grad, out=grad)
+        np.subtract(terms, grad, out=grad)
         grad += cfg.gamma * rho
     else:
         # A step too large for some edge (or a NaN, or an empty batch). A
@@ -153,7 +151,7 @@ def score_edges(state: SpectralState, y: np.ndarray, m_arr: np.ndarray,
             eta = np.subtract(1.0, q, out=q)
             ineligible = ~(eta > 0.0)
             grad = np.log(eta, out=np.zeros(eta.shape), where=~ineligible)
-            np.subtract(ez, grad, out=grad)
+            np.subtract(terms, grad, out=grad)
             grad += cfg.gamma * rho
         grad[ineligible] = np.inf
         if trace is not None:

@@ -8,7 +8,7 @@ touch, and its Laplacian comes from graph.py, as every Laplacian does.
 The plan, one block label per edge row, depends only on which edges the
 graph holds: a solve labels its start graph once and drops a deleted
 edge's label with `np.delete`. Each step scores every edge against the
-exhaustive scan's snapshot and Gram matrix, picks as the scan does
+exhaustive scan's snapshot and edge terms, picks as the scan does
 (`objective.selection`) and, for a picked row only, takes all block
 minima in one `np.fmin.at`, so any partition of the edges into blocks,
 this one included, selects the scan's edge. Connectivity is read from
@@ -174,27 +174,26 @@ def _checked_plan(plan, rows: int) -> np.ndarray:
     return plan
 
 
-def partition_select(g: WeightedGraph, state: SpectralState, obs, cfg,
-                     plan=None, terms=None, trace=None):
+def partition_select(g: WeightedGraph, state: SpectralState, cfg, terms: np.ndarray,
+                     plan: np.ndarray, trace=None):
     """Recursive Cheeger-cut search for the best edge to weaken.
 
     Returns what the exhaustive scan returns (see `selection`), because
     the plan's blocks only partition the candidate edge set while all
     scores come from the global snapshot. `plan` is any such partition of
     g's edge rows, a 1-D integer array of one non-negative block label per
-    row as `cut_plan` returns it (cut_plan(g, LEAF_NODES) when not given),
-    read and checked only once `selection` has picked a row, else
-    ValueError; a solve passes its start graph's plan, each deleted row's
-    label taken out by `np.delete`.
+    row as `cut_plan` returns it, read and checked only once `selection`
+    has picked a row, else ValueError; a solve passes its start graph's
+    plan, each deleted row's label taken out by `np.delete`.
     `terms` and `trace` are as in `score_edges`. A pick that is not the
     best block minimum raises RuntimeError, never reads as no descent.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    grad = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace).grad
+    grad = score_edges(state, terms, m_arr, n_arr, w_arr, cfg, trace).grad
     sel = selection(grad, m_arr, n_arr)
     if sel is None:
         return None
-    block = cut_plan(g, LEAF_NODES) if plan is None else _checked_plan(plan, m_arr.shape[0])
+    block = _checked_plan(plan, m_arr.shape[0])
     # One fmin.at takes each block's minimum, skipping NaN, so a NaN score
     # warns no more than the scan does; a label that no row holds any more
     # (its block was emptied) keeps +inf. The picked row is the first that

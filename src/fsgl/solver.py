@@ -186,8 +186,8 @@ def _snapshot(lap: np.ndarray, cfg: SolverConfig, k: int) -> SpectralState:
     return SpectralState(full.eigvals[:k], v[:, :k], (v / (full.eigvals + cfg.alpha)) @ v.T)
 
 
-def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: SolverConfig,
-                terms=None, trace=None) -> tuple[tuple[int, int], float, int] | None:
+def greedy_step(g: WeightedGraph, state: SpectralState, cfg: SolverConfig, terms: np.ndarray,
+                trace=None) -> tuple[tuple[int, int], float, int] | None:
     """Exhaustive scan for the edge with the most negative score.
 
     Returns ((m, n), grad, row), or None once no edge scores below zero
@@ -196,7 +196,7 @@ def greedy_step(g: WeightedGraph, y: np.ndarray, state: SpectralState, cfg: Solv
     (determinant factor would go nonpositive) are skipped and counted.
     """
     m_arr, n_arr, w_arr = g.edge_arrays()
-    return selection(score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace).grad,
+    return selection(score_edges(state, terms, m_arr, n_arr, w_arr, cfg, trace).grad,
                      m_arr, n_arr)
 
 
@@ -241,17 +241,16 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
     plan = _partition.cut_plan(lap.g, _partition.LEAF_NODES) if recursive else None
     connected = is_connected(lap.g)
     t = charge("rebuild", t0)
-    accepted = 0
-    while accepted < cfg.max_iters:
-        if accepted % cfg.refresh_interval == 0:
+    while len(trace) < cfg.max_iters:
+        if len(trace) % cfg.refresh_interval == 0:
             state = _snapshot(lap.lap, cfg, k)
             lambda2 = fiedler_value(state, connected)
             trace.eigensolves += 1
             t = charge("eigensolve", t)
         if recursive:
-            sel = _partition.partition_select(lap.g, state, obs, cfg, plan, terms, trace)
+            sel = _partition.partition_select(lap.g, state, cfg, terms, plan, trace)
         else:
-            sel = greedy_step(lap.g, y, state, cfg, terms, trace)
+            sel = greedy_step(lap.g, state, cfg, terms, trace)
         t = charge("select", t)
         if sel is None:
             trace.stop_reason = "no_descent"
@@ -267,17 +266,16 @@ def run_solver(g0: WeightedGraph, obs: ObservationSet,
             if recursive:
                 plan = np.delete(plan, row)
             t = charge("rebuild", t)
-        accepted += 1
         trace.append(edge, grad_h, lambda2, lap.g.edge_count, (t - t0) * 1e3)
 
     trace.final_objective, trace.final_lambda2 = objective_and_fiedler(lap.g, y, cfg, lap.lap)
     if trace.ineligible:
         logger.warning("step too large for %d edge score(s); skipped", trace.ineligible)
-    if accepted == 0 and trace.converged:
+    if len(trace) == 0 and trace.converged:
         logger.warning("no edge descends from the initial graph; returned unchanged")
     if not trace.converged:
         logger.warning("max_iters = %d ended the solve after %d steps with %d edges left",
-                       cfg.max_iters, accepted, lap.g.edge_count)
+                       cfg.max_iters, len(trace), lap.g.edge_count)
     logger.info("%s solve: %d steps, stop=%s, %d eigensolves", cfg.solver_kind,
-                accepted, trace.stop_reason, trace.eigensolves)
+                len(trace), trace.stop_reason, trace.eigensolves)
     return lap.g, trace

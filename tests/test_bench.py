@@ -313,7 +313,7 @@ def test_report_csv_layout():
         BenchCell("gmm", "greedy", 0.2, 2, float("nan"), float("nan"), 0,
                   float("nan"), error="ValueError: boom"),
     ]
-    rep = BenchReport(10, cells)
+    rep = BenchReport(cells)
     raw = rep.raw_csv().splitlines()
     assert raw[0] == RAW_HEADER
     assert len(raw) == 4
@@ -350,7 +350,7 @@ def test_summary_counts_zero_step_and_max_iters_stops():
         BenchCell("gmm", "greedy", 1.0, 1, 0.6, 0.1, 6, 5.0, 0, "no_descent"),
         BenchCell("mvt", "greedy", 0.2, 0, 0.5, 0.1, 5, 6.0, 20, "max_iters"),
     ]
-    rep = BenchReport(10, cells)
+    rep = BenchReport(cells)
     counts = [(r.generator, r.ratio, r.failed, r.zero_step, r.max_iters)
               for r in rep.summary()]
     assert counts == [("gmm", 0.2, 1, 1, 1), ("gmm", 1.0, 0, 2, 0), ("mvt", 0.2, 0, 0, 1)]

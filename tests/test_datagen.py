@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from doubles import traced_peak
-from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, GroundTruth, check_dof, check_gmm,
-                          check_ground_truth, check_samples, connected_pairs,
-                          draw_instance, gen_ground_truth, sample_count, sample_gmm,
-                          sample_mvt)
+from fsgl.datagen import (DRAW_ARRAYS, SAMPLE_ARRAYS, TRUTH_EDGE_ARRAYS, GroundTruth,
+                          check_dof, check_gmm, check_ground_truth, check_samples,
+                          connected_pairs, draw_instance, gen_ground_truth, sample_count,
+                          sample_gmm, sample_mvt, truth_edges)
 from fsgl.errors import InvalidDof, TooLarge
 from fsgl.graph import WeightedGraph, build_laplacian, is_connected
 from fsgl.objective import smoothness_trace
@@ -306,15 +306,31 @@ def test_a_rho_lost_in_rounding_is_refused_on_every_draw():
 
 
 @pytest.mark.parametrize("generator", ["gmm", "mvt"])
-@pytest.mark.parametrize("n, k", [(300, 60), (600, 120), (1000, 200), (600, 1), (2, 200_000)])
-def test_draw_peak_fits_its_counted_arrays(generator, n, k):
-    # check_samples bounds DRAW_ARRAYS (N, N) and SAMPLE_ARRAYS (N, K)
-    # float64 arrays held at once; a draw must never hold more, even where
-    # K = 1 leaves the (N, N) arrays no slack from the samples
-    draw_instance(3, 1, generator, [0], 0.2, 0.5, 3.0, 3, 1.0)  # first-call set-up
-    _, peak = traced_peak(lambda: draw_instance(n, k, generator, [n], 0.2, 0.5, 3.0, 3, 1.0))
-    assert peak <= 8 * (DRAW_ARRAYS * n * n + SAMPLE_ARRAYS * n * k) + 4096, (
-        f"{peak / (8 * n * n):.2f} (N, N) arrays")
+@pytest.mark.parametrize("n, k, density", [
+    (300, 60, 0.2), (600, 120, 0.2), (1000, 200, 0.2), (600, 1, 0.2), (2, 200_000, 0.2),
+    (600, 1, 0.6), (600, 1, 1.0), (300, 60, 1.0)])
+def test_draw_peak_fits_its_counted_arrays(generator, n, k, density):
+    # check_instance bounds DRAW_ARRAYS (N, N) and SAMPLE_ARRAYS (N, K)
+    # float64 arrays and TRUTH_EDGE_ARRAYS per truth edge held at once; a draw
+    # must never hold more, even where K = 1 leaves the (N, N) arrays no
+    # slack from the samples, or density 1.0 builds the most edges
+    draw_instance(3, 1, generator, [0], density, 0.5, 3.0, 3, 1.0)  # first-call set-up
+    _, peak = traced_peak(
+        lambda: draw_instance(n, k, generator, [n], density, 0.5, 3.0, 3, 1.0))
+    edges = truth_edges(n, density)
+    counted = DRAW_ARRAYS * n * n + TRUTH_EDGE_ARRAYS * edges + SAMPLE_ARRAYS * n * k
+    assert peak <= 8 * counted + 4096, f"{peak / (8 * n * n):.2f} (N, N) arrays"
+
+
+def test_ground_truth_check_counts_the_truth_edges(monkeypatch):
+    # at N = 12 the five (N, N) arrays fit an 800-value ceiling with the 13
+    # edges a density of 0.2 draws on average, not with density 1.0's 66
+    monkeypatch.setattr("fsgl.datagen.MAX_ARRAY_BYTES", 8 * 800)
+    assert truth_edges(12, 0.2) == pytest.approx(13.2) and truth_edges(12, 1.0) == 66
+    assert check_ground_truth(12, 0.2, 0.5) == (12, 0.2, 0.5)
+    with pytest.raises(TooLarge, match=r"^node count 12 at density 1 needs 3 float64 values "
+                       r"per edge on top of 5 12 x 12 arrays, above the"):
+        check_ground_truth(12, 1.0, 0.5)
 
 
 def test_covariance_root_is_bitwise_the_numpy_eigh_root():
@@ -355,9 +371,9 @@ def test_ground_truth_checks_return_the_python_numbers_they_accept():
     for n in (20000, np.int16(20000)):
         with pytest.raises(TooLarge, match=f"node count 20000 needs {DRAW_ARRAYS} 20000 x 20000"):
             check_ground_truth(n, 0.2, 0.5)
-    assert type(check_samples(12, np.int32(5))) is int
+    assert type(check_samples(12, np.int32(5), 0)) is int
     with pytest.raises(TooLarge, match="sample count 1 at node count 20000"):
-        check_samples(np.int16(20000), 1)
+        check_samples(np.int16(20000), 1, 0)
     assert check_gmm(np.uint8(3), np.float32(0.5)) == (3, 0.5)
     assert [type(v) for v in check_gmm(np.uint8(3), np.float32(0.5))] == [int, float]
     assert type(check_dof(np.int64(3))) is float

@@ -642,6 +642,24 @@ def test_neither_selector_calls_argmin():
     assert found == {}
 
 
+def test_only_the_solve_builds_what_the_selectors_read():
+    # both selectors and score_edges take the edge terms, and the search
+    # the cut plan, as required arguments, never the observations; only
+    # run_solver builds them (smoothness_trace takes z for tr(L Y))
+    for module, name in (("objective.py", "score_edges"), ("solver.py", "greedy_step"),
+                         ("partition.py", "partition_select")):
+        args = functions((ROOT / "src" / "fsgl" / module).read_text())[name].args
+        required = [a.arg for a in args.args[:len(args.args) - len(args.defaults)]]
+        assert "terms" in required and not {"y", "obs"} & {a.arg for a in args.args}, name
+    assert "plan" in required  # partition_select's, the last checked above
+    found = {}
+    for path in PACKAGE:
+        for name, func in functions(path.read_text()).items():
+            for built in {"edge_terms", "cut_plan"} & called_names(func):
+                found.setdefault(built, set()).add(name)
+    assert found == {"edge_terms": {"run_solver", "smoothness_trace"}, "cut_plan": {"run_solver"}}
+
+
 def gram_diagonal_reads(source: str) -> list[str]:
     """Functions and methods of `source` that read the diagonal of the Gram
     matrix `y`: call `y.diagonal()`, `np.diagonal(y)` or `np.diag(y)`, or

@@ -32,9 +32,16 @@ from fsgl.spectral import SpectralState, smallest_eigenpairs
 from randomgraph import random_connected_graph
 
 
+def score_gram(state, y, m_arr, n_arr, w_arr, cfg, trace=None):
+    """score_edges on a batch with the terms a solve holds for it, edge_terms
+    of the Gram matrix y at cfg.epsilon."""
+    terms = edge_terms(y, m_arr, n_arr, cfg.epsilon)
+    return score_edges(state, terms, m_arr, n_arr, w_arr, cfg, trace)
+
+
 def score_one(state, y, m, n, cfg, w=1.0):
-    """score_edges on the one-edge batch (m, n) with weight w."""
-    return score_edges(state, y, np.array([m]), np.array([n]), np.array([w]), cfg)
+    """score_gram on the one-edge batch (m, n) with weight w."""
+    return score_gram(state, y, np.array([m]), np.array([n]), np.array([w]), cfg)
 
 
 def term_one(y, m, n, eps=1.0):
@@ -218,8 +225,8 @@ def test_gain_is_paid_exactly_on_the_steps_that_delete():
         deletes = np.array([weaken_edge(WeightedGraph(2, {(0, 1): w}), (0, 1), eps)
                             .edge_count == 0 for w in w_arr.tolist()])
         m_arr, n_arr = np.zeros(w_arr.shape, dtype=np.intp), np.ones(w_arr.shape, dtype=np.intp)
-        got = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps)).grad
-        free = score_edges(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps, mu=0.0)).grad
+        got = score_gram(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps)).grad
+        free = score_gram(state, y, m_arr, n_arr, w_arr, replace(cfg, epsilon=eps, mu=0.0)).grad
         assert np.array_equal(got != free, deletes), eps
         assert got.tobytes() == np.where(deletes, free - cfg.mu, free).tobytes(), eps
         if (deletes[:-3] & (w_arr[:-3] >= eps)).any():
@@ -235,9 +242,9 @@ def test_score_edges_batch_invariant():
     cfg = SolverConfig()
     state = smallest_eigenpairs(build_laplacian(g), 6)
     m_arr, n_arr, w_arr = g.edge_arrays()
-    full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+    full = score_gram(state, y, m_arr, n_arr, w_arr, cfg)
     idx = np.arange(0, m_arr.shape[0], 2)
-    sub = score_edges(state, y, m_arr[idx], n_arr[idx], w_arr[idx], cfg)
+    sub = score_gram(state, y, m_arr[idx], n_arr[idx], w_arr[idx], cfg)
     assert np.array_equal(full.grad[idx], sub.grad)
     assert np.array_equal(full.eta[idx], sub.eta)
 
@@ -283,14 +290,10 @@ def _assert_bitwise_equal_to_reference(g, y, states):
         alpha = SolverConfig().alpha
         for eps in (0.01, state.gap2 / 3.0, state.gap2, 0.4, 2.0 * (lam_k + alpha)):
             cfg = SolverConfig(epsilon=eps, exact_logdet=exact)
-            got = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+            got = score_gram(state, y, m_arr, n_arr, w_arr, cfg)
             ref = _score_edges_reference(state, y, m_arr, n_arr, w_arr, cfg)
-            # the edge set's terms computed once give the same bits
-            terms = edge_terms(y, m_arr, n_arr, eps)
-            pre = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
             for name in ("eta", "rho", "grad"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-                assert getattr(pre, name).tobytes() == getattr(ref, name).tobytes(), name
             ineligible.add(int(np.count_nonzero(~np.isfinite(got.grad))))
     assert 0 in ineligible and max(ineligible) > 0
 
@@ -349,13 +352,13 @@ def test_score_edges_on_empty_and_one_edge_batches(exact):
     state = compute_state(g, SolverConfig(exact_logdet=exact), 4)
     m_arr, n_arr, w_arr = g.edge_arrays()
     cfg = SolverConfig(exact_logdet=exact)
-    empty = score_edges(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
+    empty = score_gram(state, y, m_arr[:0], n_arr[:0], w_arr[:0], cfg)
     for name in ("eta", "rho", "grad"):
         assert getattr(empty, name).shape == (0,), name
-    assert greedy_step(WeightedGraph(10), y, state, cfg) is None
-    full = score_edges(state, y, m_arr, n_arr, w_arr, cfg)
+    assert greedy_step(WeightedGraph(10), state, cfg, np.empty(0)) is None
+    full = score_gram(state, y, m_arr, n_arr, w_arr, cfg)
     for i in (0, m_arr.shape[0] - 1):
-        one = score_edges(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
+        one = score_gram(state, y, m_arr[i:i + 1], n_arr[i:i + 1], w_arr[i:i + 1], cfg)
         for name in ("eta", "rho", "grad"):
             assert getattr(one, name).tobytes() == getattr(full, name)[i:i + 1].tobytes()
         ref = _score_edges_reference(state, y, m_arr[i:i + 1], n_arr[i:i + 1],
@@ -398,7 +401,7 @@ def test_ineligible_edges_take_the_masked_log_and_are_counted():
         terms = edge_terms(y, m_arr, n_arr, eps)
         trace = SolveTrace(ineligible=3)
         with np.errstate(all="raise"):  # a plain log of eta <= 0 would warn
-            scores = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms, trace)
+            scores = score_edges(state, terms, m_arr, n_arr, w_arr, cfg, trace)
         bad = ~(scores.eta > 0.0)
         assert 0 < np.count_nonzero(bad) < bad.shape[0], exact
         assert np.isnan(scores.eta).any() == (nan_node is not None)
@@ -408,10 +411,10 @@ def test_ineligible_edges_take_the_masked_log_and_are_counted():
         assert scores.grad.tobytes() == ref.grad.tobytes()
         assert trace.ineligible == 3 + np.count_nonzero(bad)
         # the same batch without a trace, or with every eta positive, counts nothing
-        again = score_edges(state, y, m_arr, n_arr, w_arr, cfg, terms)
+        again = score_edges(state, terms, m_arr, n_arr, w_arr, cfg)
         assert again.grad.tobytes() == scores.grad.tobytes()
         ok = ~bad
-        score_edges(state, y, m_arr[ok], n_arr[ok], w_arr[ok], cfg, None, trace)
+        score_edges(state, terms[ok], m_arr[ok], n_arr[ok], w_arr[ok], cfg, trace)
         assert trace.ineligible == 3 + np.count_nonzero(bad)
 
 
@@ -426,11 +429,10 @@ def test_huge_steps_score_inf_without_a_warning():
         m_arr, n_arr, w_arr = g.edge_arrays()
         state = compute_state(g, cfg, obs.k)
         trace = SolveTrace()
-        for terms in (None, edge_terms(obs.gram, m_arr, n_arr, eps)):
-            scores = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg, terms, trace)
-            assert not (scores.eta > 0.0).any(), n
-            assert (scores.grad == np.inf).all(), n
-        assert trace.ineligible == 2 * m_arr.shape[0]
+        scores = score_gram(state, obs.gram, m_arr, n_arr, w_arr, cfg, trace)
+        assert not (scores.eta > 0.0).any(), n
+        assert (scores.grad == np.inf).all(), n
+        assert trace.ineligible == m_arr.shape[0]
         learned, solve = run_solver(g, obs, cfg)
         assert solve.stop_reason == "no_descent" and len(solve) == 0
         assert solve.ineligible == m_arr.shape[0] and learned.edge_count == g.edge_count

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from doubles import patch_syevr
-from lockstep import lockstep
+from lockstep import gram_terms, lockstep
 from subsetcut import reference_cheeger
 import fsgl.solver
 from fsgl.errors import Disconnected, TooLarge
@@ -271,8 +271,9 @@ def test_partition_select_empty_graph():
     cfg = SolverConfig(solver_kind="recursive")
     g = WeightedGraph(6)
     state = compute_state(g, cfg, obs.k)
-    assert partition_select(g, state, obs, cfg) is None
-    assert greedy_step(g, obs.gram, state, cfg) is None
+    terms = gram_terms(g, obs.gram, cfg)
+    assert partition_select(g, state, cfg, terms, cut_plan(g, LEAF_NODES)) is None
+    assert greedy_step(g, state, cfg, terms) is None
 
 
 def record_sweeps(monkeypatch, v_min):
@@ -379,11 +380,12 @@ def test_cut_plan_depends_on_edge_set_not_weights():
     row = int(np.flatnonzero((m_arr == edge[0]) & (n_arr == edge[1]))[0])
     cfg = SolverConfig(solver_kind="recursive", alpha=2.0)  # some edge descends
     state = compute_state(smaller, cfg, obs.k)
-    sel = partition_select(smaller, state, obs, cfg, fresh)
+    terms = gram_terms(smaller, obs.gram, cfg)
+    sel = partition_select(smaller, state, cfg, terms, fresh)
     assert sel is not None
     restricted = np.delete(block, row)
     assert not np.array_equal(fresh, restricted)  # same shape, other blocks
-    assert partition_select(smaller, state, obs, cfg, restricted) == sel
+    assert partition_select(smaller, state, cfg, terms, restricted) == sel
 
 
 def test_run_solver_builds_one_plan_per_solve(monkeypatch):
@@ -426,7 +428,7 @@ def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch)
     real = partition.partition_select
     seen = {"steps": 0, "emptied": 0, "last_emptied": 0}
 
-    def checked(g, state, obs, cfg, plan, terms, trace):
+    def checked(g, state, cfg, terms, plan, trace):
         assert_terms_of(terms, obs.gram, g, cfg)
         m_arr, n_arr, _ = g.edge_arrays()
         keep = np.isin(keys0, m_arr * g.n + n_arr)
@@ -436,7 +438,7 @@ def test_solve_plan_is_the_start_plan_restricted_to_surviving_edges(monkeypatch)
         seen["steps"] += 1
         seen["emptied"] += np.unique(plan).shape[0] < plan0.max() + 1
         seen["last_emptied"] += plan.max() < plan0.max()
-        return real(g, state, obs, cfg, plan, terms, trace)
+        return real(g, state, cfg, terms, plan, trace)
 
     monkeypatch.setattr(partition, "partition_select", checked)
     # the N = 12 solve's one deletion empties the plan's last block, a singleton
@@ -458,11 +460,11 @@ def test_greedy_solve_carries_the_terms_of_surviving_edges(monkeypatch):
     real = fsgl.solver.greedy_step
     seen = {"steps": 0, "after_deletion": 0}
 
-    def checked(g, y, state, cfg, terms, trace):
-        assert_terms_of(terms, y, g, cfg)
+    def checked(g, state, cfg, terms, trace):
+        assert_terms_of(terms, obs.gram, g, cfg)
         seen["steps"] += 1
         seen["after_deletion"] += g.edge_count < start
-        return real(g, y, state, cfg, terms, trace)
+        return real(g, state, cfg, terms, trace)
 
     monkeypatch.setattr(fsgl.solver, "greedy_step", checked)
     for seed, n, generator, complete in ((1, 12, "mvt", True), (2, 16, "gmm", False),
@@ -486,8 +488,9 @@ def test_selection_through_a_plan_whose_last_block_emptied():
     np.testing.assert_array_equal(plan, [0, 0, 1])
     cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)
-    sel = greedy_step(g, obs.gram, state, cfg)
-    assert sel[2] == 2 and partition_select(g, state, obs, cfg, plan) == sel
+    terms = gram_terms(g, obs.gram, cfg)
+    sel = greedy_step(g, state, cfg, terms)
+    assert sel[2] == 2 and partition_select(g, state, cfg, terms, plan) == sel
 
 
 def test_partition_select_raises_when_its_blocks_disagree_with_the_pick(monkeypatch):
@@ -506,7 +509,7 @@ def test_partition_select_raises_when_its_blocks_disagree_with_the_pick(monkeypa
     monkeypatch.setattr(partition, "selection", the_worst_descent)
     with pytest.raises(RuntimeError, match=r"the scan picked -\S+, not the best block "
                        r"minimum -\S+$"):
-        partition_select(g, state, obs, cfg)
+        partition_select(g, state, cfg, gram_terms(g, obs.gram, cfg), cut_plan(g, LEAF_NODES))
 
 
 @pytest.mark.parametrize("rows", [65, 67])
@@ -517,11 +520,12 @@ def test_partition_select_refuses_a_plan_that_does_not_label_every_edge(rows):
     g = complete_graph(12)
     cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)
-    sel = greedy_step(g, obs.gram, state, cfg)
+    terms = gram_terms(g, obs.gram, cfg)
+    sel = greedy_step(g, state, cfg, terms)
     assert sel is not None
-    assert partition_select(g, state, obs, cfg, np.zeros(66, dtype=np.intp)) == sel
+    assert partition_select(g, state, cfg, terms, np.zeros(66, dtype=np.intp)) == sel
     with pytest.raises(ValueError, match=f"plan labels {rows} edge rows, but g has 66"):
-        partition_select(g, state, obs, cfg, np.zeros(rows, dtype=np.intp))
+        partition_select(g, state, cfg, terms, np.zeros(rows, dtype=np.intp))
 
 
 def _odd_rows_unlabelled(plan):
@@ -544,12 +548,12 @@ def test_partition_select_refuses_a_malformed_plan(malformed, fault):
     cfg = SolverConfig(solver_kind="recursive")
     g = init_sparse_graph(obs.gram, None)
     state = compute_state(g, cfg, obs.k)
-    plan = cut_plan(g, LEAF_NODES)
-    sel = greedy_step(g, obs.gram, state, cfg)
+    plan, terms = cut_plan(g, LEAF_NODES), gram_terms(g, obs.gram, cfg)
+    sel = greedy_step(g, state, cfg, terms)
     assert g.edge_count == 119 and sel is not None
-    assert partition_select(g, state, obs, cfg, plan) == sel
+    assert partition_select(g, state, cfg, terms, plan) == sel
     with pytest.raises(ValueError, match=fault):
-        partition_select(g, state, obs, cfg, malformed(plan))
+        partition_select(g, state, cfg, terms, malformed(plan))
 
 
 def _select_block_by_block(grad, m_arr, n_arr, plan):
@@ -596,9 +600,9 @@ def test_block_reduction_matches_block_by_block_loop(monkeypatch):
                 grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = -np.inf
                 grad[rng.random(e) < rng.choice([0.0, 0.0, 0.02])] = np.nan
                 scores["now"] = EdgeScores(np.ones(e), np.zeros(e), grad)
-                got = partition_select(g, None, obs, cfg, plan)
+                got = partition_select(g, None, cfg, None, plan)
                 want = _select_block_by_block(grad, m_arr, n_arr, blocks)
-                assert got == greedy_step(g, None, None, cfg)
+                assert got == greedy_step(g, None, cfg, None)
                 seen["inf_rows"] += (grad == np.inf).any()
                 seen["all_inf"] += (grad == np.inf).all()
                 seen["neg_inf_rows"] += (grad == -np.inf).any()
@@ -632,8 +636,8 @@ def test_a_nan_score_makes_neither_selector_warn(monkeypatch):
         monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: scores)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert partition_select(g, None, obs, cfg, plan) is None
-            assert greedy_step(g, None, None, cfg) is None
+            assert partition_select(g, None, cfg, None, plan) is None
+            assert greedy_step(g, None, cfg, None) is None
 
 
 def test_cut_plan_blocks_cover_every_edge_once(monkeypatch):
@@ -830,8 +834,9 @@ def test_partition_handles_disconnected_candidates():
     obs = ObservationSet(rng.standard_normal((10, 4)))
     cfg = SolverConfig(solver_kind="recursive")
     state = compute_state(g, cfg, obs.k)
-    sel_p = partition_select(g, state, obs, cfg, plan=cut_plan(g, 2))
-    sel_g = greedy_step(g, obs.gram, state, cfg)
+    terms = gram_terms(g, obs.gram, cfg)
+    sel_p = partition_select(g, state, cfg, terms, cut_plan(g, 2))
+    sel_g = greedy_step(g, state, cfg, terms)
     assert (sel_p is None) == (sel_g is None)
     if sel_g is not None:
         assert sel_p == sel_g
@@ -848,25 +853,3 @@ def test_full_runs_identical_across_selectors():
         assert np.array_equal(tr_r.grad_h, tr_g.grad_h)
         assert g_r.edges == g_g.edges
 
-
-def test_partition_select_plans_only_for_a_picked_row(monkeypatch):
-    # with no plan given, the cut plan is built only once selection has
-    # picked a descending row
-    import fsgl.partition as partition
-
-    obs = solve_instance(0, 12)
-    g = init_sparse_graph(obs.gram, 12)
-    e = g.edge_count
-    cfg = SolverConfig(solver_kind="recursive")
-    calls = []
-    real = partition.cut_plan
-    monkeypatch.setattr(partition, "cut_plan",
-                        lambda g, v_min: calls.append(v_min) or real(g, v_min))
-    for grad, planned in (([0.5] * e, []), ([np.nan] + [-1.0] * (e - 1), []),
-                          ([-1.0] * e, [LEAF_NODES])):
-        scores = EdgeScores(np.ones(e), np.zeros(e), np.array(grad))
-        monkeypatch.setattr(partition, "score_edges", lambda *args: scores)
-        calls.clear()
-        sel = partition_select(g, None, obs, cfg)
-        assert calls == planned
-        assert (sel is None) == (planned == [])

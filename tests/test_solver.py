@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from doubles import counted_eigensolves, spy, traced_peak
+from lockstep import gram_terms
 from fsgl.datagen import draw_instance, gen_ground_truth, sample_gmm
 from fsgl.errors import FsglError, NonFiniteInput, NonFiniteObjective
 from fsgl.graph import (Laplacian, ObservationSet, WeightedGraph, build_laplacian,
                         complete_graph, is_connected, weaken_edge)
 from fsgl.init_graph import default_budget, init_sparse_graph, initial_graph
-from fsgl.objective import EdgeScores, objective_value, score_edges, smoothness_trace
-from fsgl.partition import partition_select
+from fsgl.objective import EdgeScores, edge_terms, objective_value, score_edges, smoothness_trace
+from fsgl.partition import LEAF_NODES, cut_plan, partition_select
 from fsgl.solver import (
     _ROW,
     SolverConfig,
@@ -93,7 +94,7 @@ def test_greedy_step_picks_global_argmin():
         g = complete_graph(obs.n)
         cfg = SolverConfig()
         state = compute_state(g, cfg, obs.k)
-        sel = greedy_step(g, obs.gram, state, cfg)
+        sel = greedy_step(g, state, cfg, gram_terms(g, obs.gram, cfg))
         if sel is None:
             continue
         edge, grad, row = sel
@@ -102,8 +103,9 @@ def test_greedy_step_picks_global_argmin():
         assert edge == (m_arr[row], n_arr[row])
         # no other edge, scored on its own, scores strictly lower
         for (m, n), w in g.edges.items():
-            one = score_edges(state, obs.gram, np.array([m]), np.array([n]),
-                              np.array([w]), cfg)
+            m_one, n_one = np.array([m]), np.array([n])
+            one = score_edges(state, edge_terms(obs.gram, m_one, n_one, cfg.epsilon),
+                              m_one, n_one, np.array([w]), cfg)
             assert grad <= one.grad[0] + 1e-15
 
 
@@ -116,7 +118,7 @@ def test_greedy_step_tie_breaks_lexicographic(monkeypatch):
         k = len(grads)
         fake = EdgeScores(np.ones(k), np.zeros(k), np.asarray(grads, dtype=np.float64))
         monkeypatch.setattr(fsgl.solver, "score_edges", lambda *args: fake)
-        return greedy_step(g if k else WeightedGraph(3), None, None, SolverConfig())
+        return greedy_step(g if k else WeightedGraph(3), None, SolverConfig(), None)
 
     sel = step([-1.0, -1.0, -1.0])
     assert sel == ((0, 1), -1.0, 0)  # first minimum wins on sorted arrays
@@ -227,7 +229,7 @@ def test_stop_reason_names_the_cap_and_the_converged_solve():
     g, done = run_solver(g0, obs, cfg)
     assert len(done) < cfg.max_iters
     assert done.stop_reason == "no_descent" and done.converged
-    assert greedy_step(g, obs.gram, compute_state(g, cfg, obs.k), cfg) is None
+    assert greedy_step(g, compute_state(g, cfg, obs.k), cfg, gram_terms(g, obs.gram, cfg)) is None
 
 
 @pytest.mark.parametrize("n", [70, 100])
@@ -249,7 +251,7 @@ def test_run_solver_converged_flag_means_no_negative_score():
     g, trace = run_solver(g0, obs, cfg)
     if trace.converged:
         state = compute_state(g, cfg, obs.k)
-        assert greedy_step(g, obs.gram, state, cfg) is None
+        assert greedy_step(g, state, cfg, gram_terms(g, obs.gram, cfg)) is None
 
 
 def test_partial_final_step_clamps_to_zero():
@@ -378,11 +380,12 @@ def test_scores_take_alpha_from_the_config():
     bare = smallest_eigenpairs(build_laplacian(g), 4)
     state = compute_state(g, cfg, obs.k)
     m_arr, n_arr, w_arr = g.edge_arrays()
-    got = score_edges(bare, obs.gram, m_arr, n_arr, w_arr, cfg)
-    want = score_edges(state, obs.gram, m_arr, n_arr, w_arr, cfg)
+    terms = gram_terms(g, obs.gram, cfg)
+    got = score_edges(bare, terms, m_arr, n_arr, w_arr, cfg)
+    want = score_edges(state, terms, m_arr, n_arr, w_arr, cfg)
     for name in ("eta", "rho", "grad"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert greedy_step(g, obs.gram, bare, cfg) == greedy_step(g, obs.gram, state, cfg)
+    assert greedy_step(g, bare, cfg, terms) == greedy_step(g, state, cfg, terms)
 
 
 def test_compute_state_attaches_exact_resolvent():
@@ -410,8 +413,9 @@ def test_exact_logdet_no_worse_than_majorizer():
     cfg_e = SolverConfig(exact_logdet=True)
     state_m = compute_state(g0, cfg_m, obs.k)
     state_e = compute_state(g0, cfg_e, obs.k)
-    sel_m = greedy_step(g0, obs.gram, state_m, cfg_m)
-    sel_e = greedy_step(g0, obs.gram, state_e, cfg_e)
+    terms = gram_terms(g0, obs.gram, cfg_m)
+    sel_m = greedy_step(g0, state_m, cfg_m, terms)
+    sel_e = greedy_step(g0, state_e, cfg_e, terms)
     assert sel_m is not None and sel_e is not None
     assert sel_e[1] <= sel_m[1] + 1e-12
 
@@ -534,9 +538,10 @@ def _replay_bitwise(g0, obs, cfg, monkeypatch):
         return np.asarray(x, dtype=np.float64).view(np.int64)
 
     def select(g, state):
+        terms = gram_terms(g, obs.gram, cfg)
         if cfg.solver_kind == "recursive":
-            return partition_select(g, state, obs, cfg)
-        return greedy_step(g, obs.gram, state, cfg)
+            return partition_select(g, state, cfg, terms, cut_plan(g, LEAF_NODES))
+        return greedy_step(g, state, cfg, terms)
 
     g, snapshots, found = g0, 0, []
     # a converged solve's last scan finds no edge
@@ -688,7 +693,7 @@ def replay_snapshots(g0, obs, cfg, trace):
     for step, edge in enumerate(trace.edges_mn):
         if step % cfg.refresh_interval == 0:
             state, snapshot_connected = compute_state(g, cfg, obs.k), is_connected(g)
-        sel = greedy_step(g, obs.gram, state, cfg)
+        sel = greedy_step(g, state, cfg, gram_terms(g, obs.gram, cfg))
         assert sel is not None and sel[0] == tuple(edge.tolist()), step
         assert np.float64(sel[1]).view(np.int64) == trace.grad_h[step].view(np.int64), step
         rows.append((state.fiedler_value, snapshot_connected, is_connected(g)))
